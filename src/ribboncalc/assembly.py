@@ -19,6 +19,7 @@ from .quiver import (
     QuiverArrow,
     QuiverMorphism,
     QuiverVertex,
+    _require_frozen_cover,
     amalgamate,
     validate_morphism,
 )
@@ -58,33 +59,25 @@ class LocalTemplate:
 
 
 def validate_template(t: LocalTemplate) -> None:
-    components = set(t.quiver.frozen_components())
-    claimed: set[str] = set()
-    for i, slot in enumerate(t.slots):
-        report = validate_morphism(t.slot_morphism(i))
-        if not report.ok:
-            raise ValueError(
-                "template {}: slot {} morphism invalid: {}".format(
-                    t.name, i, "; ".join(report.violations)
+    def images():
+        # each slot's morphism is checked before its image is judged
+        for i, slot in enumerate(t.slots):
+            report = validate_morphism(t.slot_morphism(i))
+            if not report.ok:
+                raise ValueError(
+                    "template {}: slot {} morphism invalid: {}".format(
+                        t.name, i, "; ".join(report.violations)
+                    )
                 )
-            )
-        image = frozenset(slot.vertex_map.values())
-        if image not in components:
-            raise ValueError(
-                "template {}: slot {} image is not a frozen component".format(t.name, i)
-            )
-        if image & claimed:
-            raise ValueError(
-                "template {}: slot {} overlaps another slot".format(t.name, i)
-            )
-        claimed |= image
-    leftover = set(t.quiver.frozen_vertex_ids()) - claimed
-    if leftover:
-        raise ValueError(
-            "template {}: frozen vertices {} belong to no slot".format(
-                t.name, sorted(leftover)
-            )
-        )
+            yield i, frozenset(slot.vertex_map.values())
+
+    _require_frozen_cover(
+        t.quiver,
+        images(),
+        lambda i: "template {}: slot {} image is not a frozen component".format(t.name, i),
+        lambda i: "template {}: slot {} overlaps another slot".format(t.name, i),
+        lambda rest: "template {}: frozen vertices {} belong to no slot".format(t.name, rest),
+    )
 
 
 def _point_boundary() -> IceQuiver:
@@ -236,13 +229,16 @@ TemplateAssignment = Mapping[str, Union[str, LocalTemplate]]
 
 
 def _resolve_assignment(g: RibbonGraph, assign: TemplateAssignment) -> dict[str, LocalTemplate]:
+    builtins: dict[str, LocalTemplate] = {}  # each named built-in is built once
     resolved = {}
     for v in g.vertices:
         if v not in assign:
             raise ValueError("vertex {} has no template".format(v))
         t = assign[v]
         if isinstance(t, str):
-            t = builtin_template(t)
+            if t not in builtins:
+                builtins[t] = builtin_template(t)
+            t = builtins[t]
         else:
             validate_template(t)
         if t.valency != g.valency(v):

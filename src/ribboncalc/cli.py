@@ -13,7 +13,6 @@ from typing import Optional
 
 from .assembly import assemble_global, basicness_check, tagged_triangulation
 from .graph import (
-    InvalidGraphError,
     RibbonGraph,
     require_valid,
     surface_invariants,
@@ -21,7 +20,6 @@ from .graph import (
 )
 from .quiver import amalgamate, export_dot
 from .serialization import (
-    ParseError,
     graph_dot,
     parse_assignments,
     parse_choices,
@@ -210,10 +208,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.fn(args)
-    except (ParseError, InvalidGraphError, ValueError) as exc:
-        print("error: {}".format(exc), file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print("error: {}".format(exc), file=sys.stderr)
         return 1
 

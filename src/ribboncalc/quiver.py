@@ -9,7 +9,7 @@ are the gluing interfaces of the amalgamation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from .graph import RibbonGraph, ValidationReport, require_valid
 
@@ -27,6 +27,26 @@ class QuiverArrow:
     src: str
     dst: str
     frozen: bool = False
+
+
+def _classes(ids: Iterable[str], pairs: Iterable[tuple[str, str]]) -> dict[str, str]:
+    """Union-find: the representative of each id's class once every
+    pair is joined.  The smaller root wins each union, so the
+    representative is the smallest id of its class, whatever the order
+    of the pairs."""
+    parent = {x: x for x in ids}
+
+    def find(x: str) -> str:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    return {x: find(x) for x in parent}
 
 
 class IceQuiver:
@@ -69,36 +89,18 @@ class IceQuiver:
     def vertex_ids(self) -> tuple[str, ...]:
         return tuple(v.id for v in self._vertices)
 
-    def arrow(self, aid: str) -> QuiverArrow:
-        for a in self._arrows:
-            if a.id == aid:
-                return a
-        raise KeyError(aid)
-
     def frozen_vertex_ids(self) -> tuple[str, ...]:
         return tuple(v.id for v in self._vertices if v.frozen)
 
     def frozen_components(self) -> tuple[frozenset[str], ...]:
         """Connected components of the frozen vertices under frozen arrows."""
-        parent = {v: v for v in self.frozen_vertex_ids()}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a in self._arrows:
-            if a.frozen:
-                ra, rb = find(a.src), find(a.dst)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-        groups: dict[str, set[str]] = {}
-        for v in parent:
-            groups.setdefault(find(v), set()).add(v)
-        return tuple(
-            frozenset(groups[r]) for r in sorted(groups)
+        rep = _classes(
+            self.frozen_vertex_ids(), ((a.src, a.dst) for a in self._arrows if a.frozen)
         )
+        groups: dict[str, set[str]] = {}
+        for v, r in rep.items():
+            groups.setdefault(r, set()).add(v)
+        return tuple(frozenset(groups[r]) for r in sorted(groups))
 
     def __eq__(self, other) -> bool:
         return (
@@ -160,6 +162,33 @@ def validate_morphism(m: QuiverMorphism) -> ValidationReport:
     return ValidationReport(tuple(violations))
 
 
+def _require_frozen_cover(
+    q: IceQuiver,
+    images: Iterable[tuple[Any, frozenset[str]]],
+    not_component: Callable[[Any], str],
+    overlapping: Callable[[Any], str],
+    uncovered: Callable[[list[str]], str],
+) -> None:
+    """Require the ``(place, vertex set)`` images to be pairwise disjoint
+    frozen components of ``q`` that together exhaust its frozen vertices.
+
+    Images are judged in order and only up to the first failure, which
+    raises ValueError with the message built from the offending place,
+    or from the sorted leftover frozen vertices.
+    """
+    components = set(q.frozen_components())
+    claimed: set[str] = set()
+    for place, image in images:
+        if image not in components:
+            raise ValueError(not_component(place))
+        if image & claimed:
+            raise ValueError(overlapping(place))
+        claimed |= image
+    leftover = set(q.frozen_vertex_ids()) - claimed
+    if leftover:
+        raise ValueError(uncovered(sorted(leftover)))
+
+
 @dataclass(frozen=True)
 class AmalgamationDiagram:
     """Gluing data over a ribbon graph.
@@ -203,29 +232,16 @@ def _validate_diagram(d: AmalgamationDiagram) -> None:
                 "invalid incidence at {}: {}".format(h, "; ".join(report.violations))
             )
     for v in g.vertices:
-        q = d.vertex_quivers[v]
-        components = set(q.frozen_components())
-        claimed: set[str] = set()
-        for h in g.cyclic(v):
-            image = frozenset(d.incidences[h].vertex_map.values())
-            if image not in components:
-                raise ValueError(
-                    "incidence at {} does not cover a frozen component of {}".format(
-                        h, v
-                    )
-                )
-            if image & claimed:
-                raise ValueError(
-                    "overlapping frozen components at vertex {}".format(v)
-                )
-            claimed |= image
-        uncovered = set(q.frozen_vertex_ids()) - claimed
-        if uncovered:
-            raise ValueError(
-                "frozen vertices {} of the quiver at {} lie in no interface image".format(
-                    sorted(uncovered), v
-                )
-            )
+        _require_frozen_cover(
+            d.vertex_quivers[v],
+            ((h, frozenset(d.incidences[h].vertex_map.values())) for h in g.cyclic(v)),
+            lambda h: "incidence at {} does not cover a frozen component of {}".format(
+                h, v
+            ),
+            lambda h: "overlapping frozen components at vertex {}".format(v),
+            lambda rest: "frozen vertices {} of the quiver at {} lie in no "
+            "interface image".format(rest, v),
+        )
 
 
 def _qualified(owner: str, local: str) -> str:
@@ -255,32 +271,20 @@ def amalgamate(
         if sorted(edge_order) != sorted(internal):
             raise ValueError("edge_order must enumerate the internal edges")
 
-    parent: dict[str, str] = {}
     origin: dict[str, tuple[str, str]] = {}
     for v in g.vertices:
         for q in d.vertex_quivers[v].vertex_ids():
-            qid = _qualified(v, q)
-            parent[qid] = qid
-            origin[qid] = (v, q)
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: str, b: str) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            # the smaller id wins so the outcome ignores processing order
-            parent[max(ra, rb)] = min(ra, rb)
-
+            origin[_qualified(v, q)] = (v, q)
+    glued = []
     for e in edge_order:
         h1, h2 = g.halfedges_of(e)
         m1, m2 = d.incidences[h1], d.incidences[h2]
         v1, v2 = g.at_vertex(h1), g.at_vertex(h2)
         for x in d.edge_quivers[e].vertex_ids():
-            union(_qualified(v1, m1.vertex_map[x]), _qualified(v2, m2.vertex_map[x]))
+            glued.append(
+                (_qualified(v1, m1.vertex_map[x]), _qualified(v2, m2.vertex_map[x]))
+            )
+    rep = _classes(origin, glued)
 
     frozen_ids: set[str] = set()
     for h in g.halfedges:
@@ -290,16 +294,16 @@ def amalgamate(
                 frozen_ids.add(_qualified(v, image))
 
     class_members: dict[str, list[str]] = {}
-    for q in parent:
-        class_members.setdefault(find(q), []).append(q)
+    for q, r in rep.items():
+        class_members.setdefault(r, []).append(q)
 
     vertices = []
-    for rep, members in class_members.items():
-        v_owner, local = origin[rep]
+    for r, members in class_members.items():
+        v_owner, local = origin[r]
         original = d.vertex_quivers[v_owner].vertex(local)
         vertices.append(
             QuiverVertex(
-                rep,
+                r,
                 frozen=any(m in frozen_ids for m in members),
                 label=original.label,
             )
@@ -308,8 +312,8 @@ def amalgamate(
     arrows = []
     for v in g.vertices:
         for a in d.vertex_quivers[v].arrows:
-            src = find(_qualified(v, a.src))
-            dst = find(_qualified(v, a.dst))
+            src = rep[_qualified(v, a.src)]
+            dst = rep[_qualified(v, a.dst)]
             if not a.frozen:
                 arrows.append(QuiverArrow(_qualified(v, a.id), src, dst, False))
             elif _qualified(v, a.src) in frozen_ids:
@@ -327,8 +331,8 @@ def amalgamate(
             if i1 is None or i2 is None:
                 continue
             image = target1[i1]
-            src = find(_qualified(v1, image.src))
-            dst = find(_qualified(v1, image.dst))
+            src = rep[_qualified(v1, image.src)]
+            dst = rep[_qualified(v1, image.dst)]
             arrows.append(QuiverArrow(_qualified(e, a.id), src, dst, False))
 
     return IceQuiver(vertices, arrows)

@@ -27,6 +27,7 @@ from .quiver import (
     QuiverArrow,
     QuiverMorphism,
     QuiverVertex,
+    _gvquote,
 )
 from .trajectory import EdgeRef, HalfedgeRef, Itinerary, VertexRef
 from .words import Decomposition, FunctorWord, Marker, Summand
@@ -299,6 +300,8 @@ def _loads(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError("/", "invalid JSON: {}".format(exc)) from exc
+    except RecursionError as exc:
+        raise ParseError("/", "invalid JSON: nested too deeply") from exc
 
 
 # -- serialization ------------------------------------------------------
@@ -439,10 +442,6 @@ def serialize(value: Any) -> str:
 
 
 # -- DOT for graphs ------------------------------------------------------
-
-
-def _gvquote(s: str) -> str:
-    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def graph_dot(g: RibbonGraph) -> str:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 from .graph import (
     RibbonGraph,
@@ -29,6 +29,7 @@ from .trajectory import (
     CW,
     EdgeRef,
     HalfedgeRef,
+    SourceRef,
     TrajectoryHit,
     VertexRef,
     itinerary,
@@ -173,6 +174,52 @@ def _make_summand(g, atoms, source, target, hit=None, marker=None) -> Summand:
     )
 
 
+def _decompose(
+    g: RibbonGraph,
+    target: ObjectRef,
+    side: str,
+    starts: Iterable[tuple[SourceRef, Optional[Marker]]],
+    source: Optional[ObjectRef] = None,
+    unit: Optional[Marker] = None,
+) -> Decomposition:
+    """The hit-to-summand loop behind both decompositions.
+
+    ``starts`` pairs each trajectory source with the marker its summands
+    carry.  An edge target is met directly; a vertex target is met
+    through each halfedge of its ring, behind that halfedge's adjoint
+    atom.  A vertex ``source`` appends the generator of the hit's source
+    halfedge.  On the diagonal, where a vertex source is its own target
+    or a restriction marker ``unit`` is given, the constant hits are
+    dropped and one identity summand, marked ``unit``, stands in for
+    them.
+    """
+    from_vertex = isinstance(source, VertexRef)
+    diagonal = unit is not None or (from_vertex and source == target)
+    orient = CW if side == "L" else CCW
+    if isinstance(target, EdgeRef):
+        ring = ((target, ()),)
+    elif isinstance(target, VertexRef):
+        if not g.has_vertex(target.id):
+            raise ValueError("unknown vertex {!r}".format(target.id))
+        adj = _adjoint_kind(orient)
+        ring = tuple((HalfedgeRef(hp), (Atom(adj, hp),)) for hp in g.cyclic(target.id))
+    else:
+        raise TypeError("target must be an edge or vertex reference")
+    summands: list[Summand] = []
+    for start, marker in starts:
+        for ref, prefix in ring:
+            for hit in trajectory_counts(g, start, ref, orient):
+                if diagonal and hit.constant:
+                    continue
+                suffix = (Atom(GEN, hit.source),) if from_vertex else ()
+                atoms = _chain(prefix, transport_word(hit, orient).atoms, suffix)
+                summands.append(_make_summand(g, atoms, source, target, hit, marker))
+    if diagonal:
+        summands.append(_make_summand(g, (ID_ATOM,), source, target, marker=unit))
+    summands.sort(key=_summand_key)
+    return Decomposition(source, target, side, tuple(summands))
+
+
 def decompose(
     g: RibbonGraph, target: ObjectRef, source: ObjectRef, side: str = "L"
 ) -> Decomposition:
@@ -186,55 +233,9 @@ def decompose(
     """
     require_valid(g)
     _require_side(side)
-    orient = CW if side == "L" else CCW
-    adj = _adjoint_kind(orient)
-    summands: list[Summand] = []
-
-    if isinstance(source, EdgeRef):
-        if isinstance(target, EdgeRef):
-            for hit in trajectory_counts(g, source, target, orient):
-                w = transport_word(hit, orient)
-                summands.append(
-                    _make_summand(g, w.atoms, source, target, hit=hit)
-                )
-        elif isinstance(target, VertexRef):
-            if not g.has_vertex(target.id):
-                raise ValueError("unknown vertex {!r}".format(target.id))
-            for hp in g.cyclic(target.id):
-                for hit in trajectory_counts(g, source, HalfedgeRef(hp), orient):
-                    w = transport_word(hit, orient)
-                    atoms = _chain((Atom(adj, hp),), w.atoms)
-                    summands.append(
-                        _make_summand(g, atoms, source, target, hit=hit)
-                    )
-        else:
-            raise TypeError("target must be an edge or vertex reference")
-    elif isinstance(source, VertexRef):
-        if isinstance(target, EdgeRef):
-            for hit in trajectory_counts(g, source, target, orient):
-                w = transport_word(hit, orient)
-                atoms = _chain(w.atoms, (Atom(GEN, hit.source),))
-                summands.append(_make_summand(g, atoms, source, target, hit=hit))
-        elif isinstance(target, VertexRef):
-            if not g.has_vertex(target.id):
-                raise ValueError("unknown vertex {!r}".format(target.id))
-            diagonal = source.id == target.id
-            for hp in g.cyclic(target.id):
-                for hit in trajectory_counts(g, source, HalfedgeRef(hp), orient):
-                    if diagonal and hit.constant:
-                        continue
-                    w = transport_word(hit, orient)
-                    atoms = _chain((Atom(adj, hp),), w.atoms, (Atom(GEN, hit.source),))
-                    summands.append(_make_summand(g, atoms, source, target, hit=hit))
-            if diagonal:
-                summands.append(_make_summand(g, (ID_ATOM,), source, target))
-        else:
-            raise TypeError("target must be an edge or vertex reference")
-    else:
+    if not isinstance(source, (EdgeRef, VertexRef)):
         raise TypeError("source must be an edge or vertex reference")
-
-    summands.sort(key=_summand_key)
-    return Decomposition(source, target, side, tuple(summands))
+    return _decompose(g, target, side, ((source, None),), source)
 
 
 def decompose_subgraph(
@@ -252,59 +253,24 @@ def decompose_subgraph(
     _require_side(side)
     if sub.ambient != g:
         raise ValueError("subgraph belongs to a different ambient graph")
-    orient = CW if side == "L" else CCW
-    adj = _adjoint_kind(orient)
-    summands: list[Summand] = []
-
-    def add_cut_hits(target_ref, vertex_atom=None, skip=(), drop_constants=False):
-        for cut in sub.cut_halfedges:
-            if cut in skip:
-                continue
-            for hit in trajectory_counts(g, HalfedgeRef(cut), target_ref, orient):
-                if drop_constants and hit.constant:
-                    continue
-                w = transport_word(hit, orient)
-                atoms = w.atoms if vertex_atom is None else _chain((vertex_atom,), w.atoms)
-                summands.append(
-                    _make_summand(
-                        g, atoms, None, target, hit=hit, marker=Marker("ev", cut)
-                    )
-                )
-
+    unit = skip = None
     if isinstance(target, EdgeRef):
         if not g.is_edge(target.id):
             raise ValueError("unknown edge {!r}".format(target.id))
         preimages = [
             k for k in sub.graph.edges() if sub.ambient_edge_of(k) == target.id
         ]
+        # a unique preimage gives the restriction summand, which also
+        # stands for the preimage's own cut when it is one
         if len(preimages) == 1:
-            fp = preimages[0]
-            summands.append(
-                _make_summand(g, (ID_ATOM,), None, target, marker=Marker("res", fp))
-            )
-            skip = (fp,) if fp in sub.cut_halfedges else ()
-            add_cut_hits(target, skip=skip)
-        else:
-            # no preimage, or the edge was severed into two cut stubs;
-            # either way every summand comes through a cut
-            add_cut_hits(target)
-    elif isinstance(target, VertexRef):
-        if not g.has_vertex(target.id):
-            raise ValueError("unknown vertex {!r}".format(target.id))
-        kept = target.id in sub.vertices
-        if kept:
-            summands.append(
-                _make_summand(
-                    g, (ID_ATOM,), None, target, marker=Marker("res", target.id)
-                )
-            )
-        for hp in g.cyclic(target.id):
-            add_cut_hits(HalfedgeRef(hp), vertex_atom=Atom(adj, hp), drop_constants=kept)
-    else:
-        raise TypeError("target must be an edge or vertex reference")
-
-    summands.sort(key=_summand_key)
-    return Decomposition(None, target, side, tuple(summands))
+            skip = preimages[0]
+            unit = Marker("res", skip)
+    elif isinstance(target, VertexRef) and target.id in sub.vertices:
+        unit = Marker("res", target.id)
+    starts = (
+        (HalfedgeRef(cut), Marker("ev", cut)) for cut in sub.cut_halfedges if cut != skip
+    )
+    return _decompose(g, target, side, starts, unit=unit)
 
 
 def check_unit_split(g: RibbonGraph, x: ObjectRef, side: str = "L") -> bool:

@@ -1,9 +1,12 @@
 """Seeded generator of valid ribbon graphs for randomized suites.
 
 Builds a random spanning tree, sprinkles extra internal edges and
-boundary stubs, shuffles every cyclic order, then patches any boundary
-walk that misses its external halfedge.  Retries until `validate_graph`
-is happy, which takes one or two attempts in practice.
+boundary stubs, shuffles every cyclic order, then patches every boundary
+walk that has no external halfedge: a stub inserted just before one of
+the walk's halfedges, in its vertex's cyclic order, is spliced into that
+same walk and into no other.  So the first attempt is valid and no draw
+of the size or the shape is discarded; the retry on `validate_graph` is
+only a safeguard.
 """
 
 import random
@@ -71,7 +74,7 @@ def _attempt(rng: random.Random, n: int) -> RibbonGraph | None:
             return g
         for h in starved:
             v = g.at_vertex(h)
-            at[v].insert(at[v].index(h) + 1, "s{}".format(serial))
+            at[v].insert(at[v].index(h), "s{}".format(serial))
             serial += 1
     return None
 

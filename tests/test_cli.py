@@ -405,3 +405,11 @@ class TestUsageAndErrors:
         assert code == 1
         assert out == ""
         assert "invalid JSON" in err
+
+    def test_deeply_nested_json_file(self, capsys, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000)
+        code, out, err = run(capsys, "info", "--graph", str(deep))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: at /: invalid JSON")

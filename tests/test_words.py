@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 from collections import Counter
 
 import pytest
@@ -7,18 +9,23 @@ from ribboncalc import (
     EdgeRef,
     FunctorWord,
     HalfedgeRef,
+    InvalidGraphError,
     RibbonGraph,
     Subgraph,
     VertexRef,
     check_unit_split,
     decompose,
     decompose_subgraph,
+    dual,
+    serialize,
     subgraph,
     trajectory_counts,
     transport_word,
     twist_rotation_check,
     word_typechecks,
 )
+
+from conftest import fixture_graph
 
 
 def words_of(dec):
@@ -287,3 +294,43 @@ class TestWordTypechecks:
         assert str(Atom("genL", "h")) == "F[h]^L"
         assert str(Atom("genR", "h")) == "F[h]^R"
         assert str(Atom("id")) == "Id"
+
+
+GOLDEN_FIXTURES = ("annulus", "four_gon", "once_punctured_4gon", "three_spider", "two_spider")
+
+
+def _golden_items(g):
+    objects = [EdgeRef(e) for e in g.edges()] + [VertexRef(v) for v in g.vertices]
+    for source in objects:
+        for target in objects:
+            for side in ("L", "R"):
+                yield serialize(decompose(g, target, source, side))
+    for size in range(1, len(g.vertices) + 1):
+        for kept in itertools.combinations(g.vertices, size):
+            try:
+                sub = subgraph(g, kept)
+            except InvalidGraphError:
+                continue
+            for target in objects:
+                for side in ("L", "R"):
+                    yield serialize(decompose_subgraph(g, sub, target, side))
+    for x in objects:
+        yield serialize(
+            [check_unit_split(g, x, "L"), check_unit_split(g, x, "R"), twist_rotation_check(g, x)]
+        )
+
+
+def test_decompositions_match_the_golden_digest():
+    """Every decomposition, subgraph decomposition and unit/twist check
+    on the fixtures and their duals, pinned byte for byte."""
+    graphs = [fixture_graph(name) for name in GOLDEN_FIXTURES]
+    digest = hashlib.sha256()
+    count = 0
+    for g in graphs + [dual(g) for g in graphs]:
+        for item in _golden_items(g):
+            digest.update((item + "\n").encode())
+            count += 1
+    assert count == 3184
+    assert digest.hexdigest() == (
+        "230b4937dae185cb1379718fd633b441abdd0823af92a861ba9164b538a881f2"
+    )
