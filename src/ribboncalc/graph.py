@@ -108,7 +108,16 @@ class RibbonGraph:
             ),
             tuple(sorted(self._twin.items())),
         )
+        # an edge is named by its smaller halfedge, so the sorted edge list
+        # is the sorted halfedges that name their own edge
+        self._edges = tuple(h for h in self._halfedges if self.edge_of(h) == h)
+        self._internal_edges = tuple(e for e in self._edges if e in self._twin)
+        self._external_edges = tuple(e for e in self._edges if e not in self._twin)
+        self._hash: Optional[int] = None
         self._report: Optional[ValidationReport] = None
+        # itineraries by (start halfedge, orientation), filled by
+        # `ribboncalc.trajectory`; sound because the graph never changes
+        self._walks: dict = {}
 
     # -- basic accessors ------------------------------------------------
 
@@ -171,13 +180,13 @@ class RibbonGraph:
         return (e,) if t is None or t == e else (e, t)
 
     def edges(self) -> tuple[str, ...]:
-        return tuple(sorted({self.edge_of(h) for h in self._halfedges}))
+        return self._edges
 
     def internal_edges(self) -> tuple[str, ...]:
-        return tuple(e for e in self.edges() if not self.is_external(e))
+        return self._internal_edges
 
     def external_edges(self) -> tuple[str, ...]:
-        return tuple(e for e in self.edges() if self.is_external(e))
+        return self._external_edges
 
     def is_edge(self, e: str) -> bool:
         return e in self._at and self.edge_of(e) == e
@@ -188,7 +197,9 @@ class RibbonGraph:
         return isinstance(other, RibbonGraph) and self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        if self._hash is None:
+            self._hash = hash(self._key)
+        return self._hash
 
     def __repr__(self) -> str:
         return "RibbonGraph({} vertices, {} edges)".format(

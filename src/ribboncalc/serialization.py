@@ -49,83 +49,89 @@ def _ptr(*tokens) -> str:
     return "/" + "/".join(out) if out else ""
 
 
-def _want(obj, typ, pointer, what):
+def _loc(where) -> str:
+    """The pointer of a location ``(pointer, token, ...)``.  Locations stay
+    tuples until an error is raised, so valid input builds no pointers."""
+    return where[0] + _ptr(*where[1:])
+
+
+def _want(obj, typ, where, what):
     if not isinstance(obj, typ):
-        raise ParseError(pointer, "expected {}".format(what))
+        raise ParseError(_loc(where), "expected {}".format(what))
     return obj
 
 
-def _want_keys(obj, pointer, required, optional=()):
-    _want(obj, dict, pointer, "an object")
+def _want_keys(obj, where, required, optional=()):
+    _want(obj, dict, where, "an object")
     for key in required:
         if key not in obj:
-            raise ParseError(pointer, "missing key {!r}".format(key))
+            raise ParseError(_loc(where), "missing key {!r}".format(key))
     for key in obj:
         if key not in required and key not in optional:
-            raise ParseError(pointer + _ptr(key), "unknown key")
+            raise ParseError(_loc(where + (key,)), "unknown key")
     return obj
 
 
-def _want_str(obj, pointer):
-    return _want(obj, str, pointer, "a string")
+def _want_str(obj, where):
+    return _want(obj, str, where, "a string")
 
 
 # -- graphs -------------------------------------------------------------
 
 
 def graph_from_jsonable(obj: Any, pointer: str = "") -> RibbonGraph:
-    _want_keys(obj, pointer, ("vertices", "halfedges"))
-    vertices = _want(obj["vertices"], list, pointer + _ptr("vertices"), "a list")
-    halfedges = _want(obj["halfedges"], list, pointer + _ptr("halfedges"), "a list")
+    _want_keys(obj, (pointer,), ("vertices", "halfedges"))
+    vertices = _want(obj["vertices"], list, (pointer, "vertices"), "a list")
+    halfedges = _want(obj["halfedges"], list, (pointer, "halfedges"), "a list")
 
     declared: dict[str, Optional[str]] = {}
     for i, entry in enumerate(halfedges):
-        p = pointer + _ptr("halfedges", i)
+        p = (pointer, "halfedges", i)
         _want_keys(entry, p, ("id", "twin"))
-        hid = _want_str(entry["id"], p + _ptr("id"))
+        hid = _want_str(entry["id"], p + ("id",))
         if hid in declared:
-            raise ParseError(p + _ptr("id"), "duplicate halfedge id {!r}".format(hid))
+            raise ParseError(_loc(p + ("id",)), "duplicate halfedge id {!r}".format(hid))
         twin = entry["twin"]
         if twin is not None:
-            twin = _want_str(twin, p + _ptr("twin"))
+            twin = _want_str(twin, p + ("twin",))
         declared[hid] = twin
     for i, entry in enumerate(halfedges):
         hid, twin = entry["id"], entry["twin"]
         if twin is None:
             continue
-        p = pointer + _ptr("halfedges", i, "twin")
+        p = (pointer, "halfedges", i, "twin")
         if twin not in declared:
-            raise ParseError(p, "unknown halfedge id {!r}".format(twin))
+            raise ParseError(_loc(p), "unknown halfedge id {!r}".format(twin))
         if declared[twin] != hid:
-            raise ParseError(p, "twin of {!r} does not point back".format(hid))
+            raise ParseError(_loc(p), "twin of {!r} does not point back".format(hid))
 
     cyclic: dict[str, list[str]] = {}
     kinds: dict[str, str] = {}
     labels: dict[str, str] = {}
     attached: dict[str, str] = {}
     for i, entry in enumerate(vertices):
-        p = pointer + _ptr("vertices", i)
+        p = (pointer, "vertices", i)
         _want_keys(entry, p, ("id", "cyclic", "kind"), optional=("label",))
-        vid = _want_str(entry["id"], p + _ptr("id"))
+        vid = _want_str(entry["id"], p + ("id",))
         if vid in cyclic:
-            raise ParseError(p + _ptr("id"), "duplicate vertex id {!r}".format(vid))
-        ring = _want(entry["cyclic"], list, p + _ptr("cyclic"), "a list")
+            raise ParseError(_loc(p + ("id",)), "duplicate vertex id {!r}".format(vid))
+        ring = _want(entry["cyclic"], list, p + ("cyclic",), "a list")
         cyclic[vid] = []
         for j, h in enumerate(ring):
-            hp = p + _ptr("cyclic", j)
+            hp = p + ("cyclic", j)
             h = _want_str(h, hp)
             if h not in declared:
-                raise ParseError(hp, "unknown halfedge id {!r}".format(h))
+                raise ParseError(_loc(hp), "unknown halfedge id {!r}".format(h))
             if h in attached:
-                raise ParseError(hp, "halfedge {!r} already attached".format(h))
+                raise ParseError(_loc(hp), "halfedge {!r} already attached".format(h))
             attached[h] = vid
             cyclic[vid].append(h)
-        kind = _want_str(entry["kind"], p + _ptr("kind"))
+        kind = _want_str(entry["kind"], p + ("kind",))
         if kind not in VERTEX_KINDS:
-            raise ParseError(p + _ptr("kind"), "unknown vertex kind {!r}".format(kind))
+            raise ParseError(_loc(p + ("kind",)), "unknown vertex kind {!r}".format(kind))
         kinds[vid] = kind
         if "label" in entry:
-            labels[vid] = _want_str(entry["label"], p + _ptr("label"))
+            labels[vid] = _want_str(entry["label"], p + ("label",))
     for hid in declared:
         if hid not in attached:
             raise ParseError(
@@ -144,38 +150,38 @@ def parse_graph(text: str) -> RibbonGraph:
 
 
 def quiver_from_jsonable(obj: Any, pointer: str = "") -> IceQuiver:
-    _want_keys(obj, pointer, ("vertices", "arrows"))
-    vlist = _want(obj["vertices"], list, pointer + _ptr("vertices"), "a list")
-    alist = _want(obj["arrows"], list, pointer + _ptr("arrows"), "a list")
+    _want_keys(obj, (pointer,), ("vertices", "arrows"))
+    vlist = _want(obj["vertices"], list, (pointer, "vertices"), "a list")
+    alist = _want(obj["arrows"], list, (pointer, "arrows"), "a list")
     vertices = []
     ids = set()
     for i, entry in enumerate(vlist):
-        p = pointer + _ptr("vertices", i)
+        p = (pointer, "vertices", i)
         _want_keys(entry, p, ("id", "frozen", "label"))
-        vid = _want_str(entry["id"], p + _ptr("id"))
+        vid = _want_str(entry["id"], p + ("id",))
         if vid in ids:
-            raise ParseError(p + _ptr("id"), "duplicate vertex id {!r}".format(vid))
+            raise ParseError(_loc(p + ("id",)), "duplicate vertex id {!r}".format(vid))
         ids.add(vid)
-        frozen = _want(entry["frozen"], bool, p + _ptr("frozen"), "a boolean")
+        frozen = _want(entry["frozen"], bool, p + ("frozen",), "a boolean")
         label = entry["label"]
         if label is not None:
-            label = _want_str(label, p + _ptr("label"))
+            label = _want_str(label, p + ("label",))
         vertices.append(QuiverVertex(vid, frozen, label))
     arrows = []
     aids = set()
     for i, entry in enumerate(alist):
-        p = pointer + _ptr("arrows", i)
+        p = (pointer, "arrows", i)
         _want_keys(entry, p, ("id", "src", "dst", "frozen"))
-        aid = _want_str(entry["id"], p + _ptr("id"))
+        aid = _want_str(entry["id"], p + ("id",))
         if aid in aids:
-            raise ParseError(p + _ptr("id"), "duplicate arrow id {!r}".format(aid))
+            raise ParseError(_loc(p + ("id",)), "duplicate arrow id {!r}".format(aid))
         aids.add(aid)
-        src = _want_str(entry["src"], p + _ptr("src"))
-        dst = _want_str(entry["dst"], p + _ptr("dst"))
+        src = _want_str(entry["src"], p + ("src",))
+        dst = _want_str(entry["dst"], p + ("dst",))
         for end, key in ((src, "src"), (dst, "dst")):
             if end not in ids:
-                raise ParseError(p + _ptr(key), "unknown vertex id {!r}".format(end))
-        frozen = _want(entry["frozen"], bool, p + _ptr("frozen"), "a boolean")
+                raise ParseError(_loc(p + (key,)), "unknown vertex id {!r}".format(end))
+        frozen = _want(entry["frozen"], bool, p + ("frozen",), "a boolean")
         arrows.append(QuiverArrow(aid, src, dst, frozen))
     try:
         return IceQuiver(vertices, arrows)
@@ -187,44 +193,44 @@ def parse_quiver(text: str) -> IceQuiver:
     return quiver_from_jsonable(_loads(text))
 
 
-def _morphism_maps_from_jsonable(obj: Any, pointer: str):
-    _want_keys(obj, pointer, ("vertex_map", "arrow_map"))
-    vmap_obj = _want(obj["vertex_map"], dict, pointer + _ptr("vertex_map"), "an object")
-    amap_obj = _want(obj["arrow_map"], dict, pointer + _ptr("arrow_map"), "an object")
+def _morphism_maps_from_jsonable(obj: Any, where):
+    _want_keys(obj, where, ("vertex_map", "arrow_map"))
+    vmap_obj = _want(obj["vertex_map"], dict, where + ("vertex_map",), "an object")
+    amap_obj = _want(obj["arrow_map"], dict, where + ("arrow_map",), "an object")
     vmap = {}
     for k, v in vmap_obj.items():
-        vmap[k] = _want_str(v, pointer + _ptr("vertex_map", k))
+        vmap[k] = _want_str(v, where + ("vertex_map", k))
     amap = {}
     for k, v in amap_obj.items():
         if v is not None:
-            v = _want_str(v, pointer + _ptr("arrow_map", k))
+            v = _want_str(v, where + ("arrow_map", k))
         amap[k] = v
     return vmap, amap
 
 
 def template_from_jsonable(obj: Any, pointer: str = "") -> LocalTemplate:
     _want_keys(
-        obj, pointer, ("vertices", "arrows", "slots"), optional=("name", "stalk")
+        obj, (pointer,), ("vertices", "arrows", "slots"), optional=("name", "stalk")
     )
     quiver = quiver_from_jsonable(
         {"vertices": obj["vertices"], "arrows": obj["arrows"]}, pointer
     )
     slots = []
-    slot_list = _want(obj["slots"], list, pointer + _ptr("slots"), "a list")
+    slot_list = _want(obj["slots"], list, (pointer, "slots"), "a list")
     for i, entry in enumerate(slot_list):
-        p = pointer + _ptr("slots", i)
+        p = (pointer, "slots", i)
         _want_keys(entry, p, ("quiver", "vertex_map", "arrow_map"))
-        boundary = quiver_from_jsonable(entry["quiver"], p + _ptr("quiver"))
+        boundary = quiver_from_jsonable(entry["quiver"], _loc(p + ("quiver",)))
         vmap, amap = _morphism_maps_from_jsonable(
             {"vertex_map": entry["vertex_map"], "arrow_map": entry["arrow_map"]}, p
         )
         slots.append(TemplateSlot(boundary, vmap, amap))
     name = obj.get("name", "template")
     if name is not None:
-        name = _want_str(name, pointer + _ptr("name"))
+        name = _want_str(name, (pointer, "name"))
     stalk = obj.get("stalk")
     if stalk is not None:
-        stalk = _want_str(stalk, pointer + _ptr("stalk"))
+        stalk = _want_str(stalk, (pointer, "stalk"))
     t = LocalTemplate(name, quiver, tuple(slots), stalk)
     try:
         validate_template(t)
@@ -239,33 +245,33 @@ def parse_template(text: str) -> LocalTemplate:
 
 def diagram_from_jsonable(obj: Any, pointer: str = "") -> AmalgamationDiagram:
     _want_keys(
-        obj, pointer, ("graph", "vertex_quivers", "edge_quivers", "incidences")
+        obj, (pointer,), ("graph", "vertex_quivers", "edge_quivers", "incidences")
     )
     g = graph_from_jsonable(obj["graph"], pointer + _ptr("graph"))
     vq = {}
     for v, q in _want(
-        obj["vertex_quivers"], dict, pointer + _ptr("vertex_quivers"), "an object"
+        obj["vertex_quivers"], dict, (pointer, "vertex_quivers"), "an object"
     ).items():
         vq[v] = quiver_from_jsonable(q, pointer + _ptr("vertex_quivers", v))
     eq = {}
     for e, q in _want(
-        obj["edge_quivers"], dict, pointer + _ptr("edge_quivers"), "an object"
+        obj["edge_quivers"], dict, (pointer, "edge_quivers"), "an object"
     ).items():
         eq[e] = quiver_from_jsonable(q, pointer + _ptr("edge_quivers", e))
     incidences = {}
     for h, m in _want(
-        obj["incidences"], dict, pointer + _ptr("incidences"), "an object"
+        obj["incidences"], dict, (pointer, "incidences"), "an object"
     ).items():
-        p = pointer + _ptr("incidences", h)
+        p = (pointer, "incidences", h)
         if not g.has_halfedge(h):
-            raise ParseError(p, "unknown halfedge id {!r}".format(h))
+            raise ParseError(_loc(p), "unknown halfedge id {!r}".format(h))
         vmap, amap = _morphism_maps_from_jsonable(m, p)
         e = g.edge_of(h)
         v = g.at_vertex(h)
         if e not in eq:
-            raise ParseError(p, "no interface quiver for edge {!r}".format(e))
+            raise ParseError(_loc(p), "no interface quiver for edge {!r}".format(e))
         if v not in vq:
-            raise ParseError(p, "no quiver for vertex {!r}".format(v))
+            raise ParseError(_loc(p), "no quiver for vertex {!r}".format(v))
         incidences[h] = QuiverMorphism(eq[e], vq[v], vmap, amap)
     return AmalgamationDiagram(g, vq, eq, incidences)
 
@@ -276,16 +282,16 @@ def parse_diagram(text: str) -> AmalgamationDiagram:
 
 def parse_choices(text: str) -> dict[str, str]:
     obj = _loads(text)
-    _want_keys(obj, "", ("choices",))
-    raw = _want(obj["choices"], dict, _ptr("choices"), "an object")
-    return {k: _want_str(v, _ptr("choices", k)) for k, v in raw.items()}
+    _want_keys(obj, ("",), ("choices",))
+    raw = _want(obj["choices"], dict, ("", "choices"), "an object")
+    return {k: _want_str(v, ("", "choices", k)) for k, v in raw.items()}
 
 
 def parse_assignments(text: str):
     """Template assignments: vertex to built-in name or inline template."""
     obj = _loads(text)
-    _want_keys(obj, "", ("assignments",))
-    raw = _want(obj["assignments"], dict, _ptr("assignments"), "an object")
+    _want_keys(obj, ("",), ("assignments",))
+    raw = _want(obj["assignments"], dict, ("", "assignments"), "an object")
     out = {}
     for v, t in raw.items():
         if isinstance(t, str):

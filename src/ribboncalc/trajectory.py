@@ -8,12 +8,15 @@ halfedges of a clockwise trajectory are successive iterates of that
 permutation, which is why these walks always terminate on valid graphs
 (every orbit meets an external halfedge) and why reversing every cyclic
 order swaps the two orientations.
+
+Each walk is memoised on its graph, keyed by start halfedge and
+orientation, and is freed with the graph; there is no global cache.
+This is sound because a `RibbonGraph` never changes after construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Union
 
 from .graph import RibbonGraph, require_valid
@@ -76,8 +79,10 @@ def _require_orient(orient: str) -> None:
         raise ValueError("orientation must be 'cw' or 'ccw', got {!r}".format(orient))
 
 
-@lru_cache(maxsize=65536)
 def _itinerary(g: RibbonGraph, h: str, orient: str) -> Itinerary:
+    itin = g._walks.get((h, orient))
+    if itin is not None:
+        return itin
     out = [h]
     limit = 2 * len(g.halfedges) + 2
     while True:
@@ -90,7 +95,9 @@ def _itinerary(g: RibbonGraph, h: str, orient: str) -> Itinerary:
     edges = tuple(g.edge_of(x) for x in out)
     turns = tuple(g.at_vertex(x) for x in out[1:])
     entries = tuple(g.ext_twin(x) for x in out[:-1])
-    return Itinerary(h, orient, tuple(out), edges, turns, entries, edges[-1])
+    itin = Itinerary(h, orient, tuple(out), edges, turns, entries, edges[-1])
+    g._walks[(h, orient)] = itin
+    return itin
 
 
 def itinerary(g: RibbonGraph, h: str, orient: str = CW) -> Itinerary:

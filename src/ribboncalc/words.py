@@ -32,6 +32,8 @@ from .trajectory import (
     SourceRef,
     TrajectoryHit,
     VertexRef,
+    _itinerary,
+    _source_halfedges,
     itinerary,
     trajectory_counts,
 )
@@ -281,12 +283,15 @@ def check_unit_split(g: RibbonGraph, x: ObjectRef, side: str = "L") -> bool:
 
 
 def _external_support(g: RibbonGraph, x: ObjectRef, orient: str) -> Counter:
-    counts: Counter = Counter()
-    for f in g.external_edges():
-        hits = trajectory_counts(g, x, EdgeRef(f), orient)
-        if hits:
-            counts[f] = len(hits)
-    return counts
+    # the edge hits of `trajectory_counts`, for every external edge at
+    # once: each visit is a hit, and the one de-duplication it makes,
+    # a curve's shared constant visit, never concerns an external edge
+    return Counter(
+        e
+        for h in _source_halfedges(g, x)
+        for e in _itinerary(g, h, orient).edges
+        if g.is_external(e)
+    )
 
 
 def twist_rotation_check(g: RibbonGraph, x: ObjectRef) -> bool:

@@ -1,8 +1,12 @@
+import random
 from importlib import resources
 
 import pytest
 
-from ribboncalc import IceQuiver, QuiverArrow, QuiverVertex, RibbonGraph, parse_graph
+from randgraphs import random_graph
+from ribboncalc import IceQuiver, QuiverArrow, QuiverVertex, RibbonGraph, dual, parse_graph
+
+GRAPH_FIXTURES = ("two_spider", "three_spider", "four_gon", "annulus", "once_punctured_4gon")
 
 
 def fixture_text(name: str) -> str:
@@ -13,6 +17,15 @@ def fixture_text(name: str) -> str:
 
 def fixture_graph(name: str) -> RibbonGraph:
     return parse_graph(fixture_text(name))
+
+
+def sample_graphs() -> list[RibbonGraph]:
+    """Every graph fixture and 60 seeded random graphs, each followed by
+    its dual."""
+    rng = random.Random(4)
+    graphs = [fixture_graph(name) for name in GRAPH_FIXTURES]
+    graphs += [random_graph(rng) for _ in range(60)]
+    return [h for g in graphs for h in (g, dual(g))]
 
 
 @pytest.fixture

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from ribboncalc import (
@@ -6,12 +9,20 @@ from ribboncalc import (
     RibbonGraph,
     VertexRef,
     curve_trajectory,
+    decompose,
+    decompose_subgraph,
     itinerary,
+    parse_graph,
+    serialize,
+    subgraph,
     surface_invariants,
     terminal_external,
     trajectory_counts,
+    twist_rotation_check,
     web_trajectory,
 )
+
+from conftest import fixture_graph, sample_graphs
 
 
 class TestItinerary:
@@ -217,3 +228,49 @@ class TestHitCounting:
         for h in ("e1a", "e1b"):
             per_ray = trajectory_counts(g, HalfedgeRef(h), EdgeRef("e0a"), "cw")
             assert len(per_ray) <= 2
+
+
+class TestWalkMemo:
+    def test_warm_memo_matches_a_fresh_copy(self):
+        for g in sample_graphs():
+            warm = {(h, o): itinerary(g, h, o) for h in g.halfedges for o in ("cw", "ccw")}
+            fresh = parse_graph(serialize(g))
+            for (h, o), itin in warm.items():
+                assert itinerary(g, h, o) is itin
+                assert itinerary(fresh, h, o) == itin
+
+    def test_dropped_graph_is_freed(self):
+        # ids no other test uses, so no equal graph was walked before
+        g = RibbonGraph(
+            {"drop-u": ("drop-a", "drop-s"), "drop-w": ("drop-b", "drop-t")},
+            {"drop-a": "drop-b", "drop-b": "drop-a"},
+        )
+        itinerary(g, "drop-s", "cw")
+        assert twist_rotation_check(g, EdgeRef("drop-a"))
+        ref = weakref.ref(g)
+        del g
+        gc.collect()
+        assert ref() is None
+
+    def test_walk_path_never_hashes_a_graph(self, monkeypatch):
+        calls = []
+        original = RibbonGraph.__hash__
+
+        def counting_hash(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(RibbonGraph, "__hash__", counting_hash)
+        g = fixture_graph("once_punctured_4gon")
+        for h in g.halfedges:
+            for orient in ("cw", "ccw"):
+                itinerary(g, h, orient)
+        e, v = EdgeRef(g.internal_edges()[0]), VertexRef(g.vertices[0])
+        for target, source in ((e, e), (v, e), (e, v), (v, v)):
+            decompose(g, target, source, "L")
+        decompose_subgraph(g, subgraph(g, [v.id]), v, "R")
+        twist_rotation_check(g, e)
+        twist_rotation_check(g, v)
+        assert calls == []
+        hash(g)  # the counter does see a hash
+        assert calls == [g]

@@ -25,7 +25,9 @@ from ribboncalc import (
     word_typechecks,
 )
 
-from conftest import fixture_graph
+from ribboncalc.words import _external_support
+
+from conftest import fixture_graph, sample_graphs
 
 
 def words_of(dec):
@@ -334,3 +336,24 @@ def test_decompositions_match_the_golden_digest():
     assert digest.hexdigest() == (
         "230b4937dae185cb1379718fd633b441abdd0823af92a861ba9164b538a881f2"
     )
+
+
+def _external_support_per_edge(g, x, orient):
+    """One `trajectory_counts` call per external edge: the formulation
+    that `_external_support` replaces, kept as its oracle."""
+    counts = Counter()
+    for f in g.external_edges():
+        hits = trajectory_counts(g, x, EdgeRef(f), orient)
+        if hits:
+            counts[f] = len(hits)
+    return counts
+
+
+def test_external_support_matches_per_edge_counts():
+    for g in sample_graphs():
+        objects = [EdgeRef(e) for e in g.edges()] + [VertexRef(v) for v in g.vertices]
+        for x in objects:
+            for orient in ("cw", "ccw"):
+                assert dict(_external_support(g, x, orient)) == dict(
+                    _external_support_per_edge(g, x, orient)
+                )
