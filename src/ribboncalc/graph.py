@@ -48,9 +48,13 @@ class RibbonGraph:
     a halfedge to its vertex.  ``twin`` pairs the two halfedges of every
     internal edge and omits external halfedges entirely.
 
-    The constructor only rejects structurally meaningless input (a
-    halfedge listed twice, an asymmetric twin table).  Semantic rules,
-    loops, valency-1 vertices, connectivity and the marked-point
+    The constructor turns ids into strings and rejects structurally
+    meaningless input (a halfedge listed twice, an asymmetric twin table,
+    a kind or label for an unknown vertex, an unknown kind).
+    `ribboncalc.serialization.graph_from_jsonable` checks a superset of
+    these facts itself, with a JSON pointer to each fault, and hands its
+    tables straight to `_from_tables`; both paths end in `_build`.  Semantic
+    rules, loops, valency-1 vertices, connectivity and the marked-point
     condition, are reported by `validate_graph` instead so that callers
     can inspect broken graphs.
     """
@@ -64,55 +68,86 @@ class RibbonGraph:
     ):
         vertex_kind = dict(vertex_kind or {})
         vertex_label = dict(vertex_label or {})
-        self._cyclic: dict[str, tuple[str, ...]] = {}
-        self._at: dict[str, str] = {}
+        rings: dict[str, list[str]] = {}
+        at: dict[str, str] = {}
         for v in cyclic:
             ring = [str(h) for h in cyclic[v]]
             for h in ring:
-                if h in self._at:
+                if h in at:
                     raise ValueError("halfedge {!r} listed more than once".format(h))
-                self._at[h] = str(v)
-            self._cyclic[str(v)] = rotate_to_min(ring)
-        self._twin = {str(h): str(t) for h, t in twin.items()}
-        for h, t in self._twin.items():
-            if h not in self._at:
+                at[h] = str(v)
+            rings[str(v)] = ring
+        twin = {str(h): str(t) for h, t in twin.items()}
+        for h, t in twin.items():
+            if h not in at:
                 raise ValueError("twin table mentions unknown halfedge {!r}".format(h))
-            if t not in self._at:
+            if t not in at:
                 raise ValueError("twin table mentions unknown halfedge {!r}".format(t))
-            if self._twin.get(t) != h:
+            if twin.get(t) != h:
                 raise ValueError("twin table is not symmetric at {!r}".format(h))
         for v, kind in vertex_kind.items():
-            if v not in self._cyclic:
+            if v not in rings:
                 raise ValueError("vertex kind given for unknown vertex {!r}".format(v))
             if kind not in VERTEX_KINDS:
                 raise ValueError("unknown vertex kind {!r}".format(kind))
         for v in vertex_label:
-            if v not in self._cyclic:
+            if v not in rings:
                 raise ValueError("label given for unknown vertex {!r}".format(v))
-        self._kind = {v: vertex_kind.get(v, PLAIN) for v in self._cyclic}
-        self._label = dict(vertex_label)
+        kinds = {v: vertex_kind.get(v, PLAIN) for v in rings}
+        self._build(rings, at, twin, kinds, vertex_label)
+
+    @classmethod
+    def _from_tables(
+        cls,
+        rings: dict[str, list[str]],
+        at: dict[str, str],
+        twin: dict[str, str],
+        kinds: dict[str, str],
+        labels: dict[str, str],
+    ) -> "RibbonGraph":
+        """A graph from tables already checked as `__init__` checks them:
+        string ids, every halfedge in exactly one ring and mapped by ``at``
+        to its vertex, a symmetric ``twin`` on known halfedges, a known kind
+        for every vertex and labels only on known vertices.  The dicts
+        other than ``rings`` are kept, not copied."""
+        g = cls.__new__(cls)
+        g._build(rings, at, twin, kinds, labels)
+        return g
+
+    def _build(self, rings, at, twin, kinds, labels) -> None:
+        self._cyclic: dict[str, tuple[str, ...]] = {
+            v: rotate_to_min(ring) for v, ring in rings.items()
+        }
+        self._at = at
+        self._twin = twin
+        self._kind = kinds
+        self._label = labels
         self._vertices = tuple(sorted(self._cyclic))
-        self._halfedges = tuple(sorted(self._at))
+        self._halfedges = tuple(sorted(at))
         # successor and predecessor in the cyclic order, precomputed
-        self._next: dict[str, str] = {}
-        self._prev: dict[str, str] = {}
+        flat: list[str] = []
+        turned: list[str] = []
         for ring in self._cyclic.values():
-            n = len(ring)
-            for i, h in enumerate(ring):
-                self._next[h] = ring[(i + 1) % n]
-                self._prev[h] = ring[(i - 1) % n]
-        self._key = (
-            tuple(
-                (v, self._cyclic[v], self._kind[v], self._label.get(v))
-                for v in self._vertices
-            ),
-            tuple(sorted(self._twin.items())),
-        )
+            flat += ring
+            turned += ring[1:]
+            turned += ring[:1]
+        self._next: dict[str, str] = dict(zip(flat, turned))
+        self._prev: dict[str, str] = dict(zip(turned, flat))
         # an edge is named by its smaller halfedge, so the sorted edge list
         # is the sorted halfedges that name their own edge
-        self._edges = tuple(h for h in self._halfedges if self.edge_of(h) == h)
-        self._internal_edges = tuple(e for e in self._edges if e in self._twin)
-        self._external_edges = tuple(e for e in self._edges if e not in self._twin)
+        edges, internal, external = [], [], []
+        for h in self._halfedges:
+            t = twin.get(h)
+            if t is None:
+                edges.append(h)
+                external.append(h)
+            elif h <= t:
+                edges.append(h)
+                internal.append(h)
+        self._edges = tuple(edges)
+        self._internal_edges = tuple(internal)
+        self._external_edges = tuple(external)
+        self._key: Optional[tuple] = None
         self._hash: Optional[int] = None
         self._report: Optional[ValidationReport] = None
         # itineraries by (start halfedge, orientation), filled by
@@ -193,12 +228,26 @@ class RibbonGraph:
 
     # -- equality ---------------------------------------------------------
 
+    def _equality_key(self) -> tuple:
+        if self._key is None:
+            self._key = (
+                tuple(
+                    (v, self._cyclic[v], self._kind[v], self._label.get(v))
+                    for v in self._vertices
+                ),
+                tuple(sorted(self._twin.items())),
+            )
+        return self._key
+
     def __eq__(self, other) -> bool:
-        return isinstance(other, RibbonGraph) and self._key == other._key
+        return (
+            isinstance(other, RibbonGraph)
+            and self._equality_key() == other._equality_key()
+        )
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(self._key)
+            self._hash = hash(self._equality_key())
         return self._hash
 
     def __repr__(self) -> str:
@@ -217,43 +266,43 @@ class RibbonGraph:
 def corner_permutation(g: RibbonGraph) -> dict[str, str]:
     """The face-traversal permutation: follow the extended twin, then
     take one counterclockwise step.  Its orbits are the boundary walks."""
-    return {h: g.ccw_next(g.ext_twin(h)) for h in g.halfedges}
+    twin, nxt = g._twin, g._next
+    return {h: nxt[twin.get(h, h)] for h in g._halfedges}
 
 
 def _corner_orbits(g: RibbonGraph) -> list[tuple[str, ...]]:
+    """The orbits of `corner_permutation`, each starting at its smallest
+    halfedge, in order of those."""
     perm = corner_permutation(g)
-    seen: set[str] = set()
     orbits = []
-    for start in g.halfedges:
-        if start in seen:
+    for start in g._halfedges:
+        h = perm.pop(start, None)
+        if h is None:
             continue
         orbit = [start]
-        seen.add(start)
-        h = perm[start]
         while h != start:
             orbit.append(h)
-            seen.add(h)
-            h = perm[h]
+            h = perm.pop(h)
         orbits.append(tuple(orbit))
     return orbits
 
 
 def _connected(g: RibbonGraph) -> bool:
-    if not g.vertices:
+    if not g._vertices:
         return True
-    todo = [g.vertices[0]]
-    seen = {g.vertices[0]}
+    cyclic, twin, at = g._cyclic, g._twin, g._at
+    todo = [g._vertices[0]]
+    seen = {g._vertices[0]}
     while todo:
-        v = todo.pop()
-        for h in g.cyclic(v):
-            t = g.twin_of(h)
+        for h in cyclic[todo.pop()]:
+            t = twin.get(h)
             if t is None:
                 continue
-            w = g.at_vertex(t)
+            w = at[t]
             if w not in seen:
                 seen.add(w)
                 todo.append(w)
-    return len(seen) == len(g.vertices)
+    return len(seen) == len(g._vertices)
 
 
 def validate_graph(g: RibbonGraph) -> ValidationReport:
@@ -261,33 +310,31 @@ def validate_graph(g: RibbonGraph) -> ValidationReport:
 
     Downstream operations refuse graphs whose report is non-empty.
     """
+    twin, at = g._twin, g._at
     violations = []
-    if not g.vertices:
+    if not g._vertices:
         violations.append("graph is empty")
-    for h in g.halfedges:
-        if g.twin_of(h) == h:
-            violations.append("twin has a fixed point: {}".format(h))
-    for e in g.internal_edges():
-        pair = g.halfedges_of(e)
-        if len(pair) == 2 and g.at_vertex(pair[0]) == g.at_vertex(pair[1]):
+    for h in sorted(h for h, t in twin.items() if h == t):
+        violations.append("twin has a fixed point: {}".format(h))
+    for e in g._internal_edges:
+        t = twin[e]
+        if t != e and at[e] == at[t]:
             violations.append(
-                "loop: edge {} has both halfedges at vertex {}".format(
-                    e, g.at_vertex(pair[0])
-                )
+                "loop: edge {} has both halfedges at vertex {}".format(e, at[e])
             )
-    for v in g.vertices:
-        n = g.valency(v)
+    for v in g._vertices:
+        n = len(g._cyclic[v])
         if n == 0:
             violations.append("isolated vertex: {}".format(v))
         elif n == 1:
             violations.append("valency-1 vertex: {}".format(v))
-    if g.vertices and not _connected(g):
+    if g._vertices and not _connected(g):
         violations.append("graph is not connected")
     for orbit in _corner_orbits(g):
-        if not any(g.is_external(h) for h in orbit):
+        if all(h in twin for h in orbit):
             violations.append(
                 "boundary walk without external halfedge (through {})".format(
-                    min(orbit)
+                    orbit[0]
                 )
             )
     return ValidationReport(tuple(violations))
@@ -318,13 +365,11 @@ class BoundaryWalk:
 
 def boundary_walks(g: RibbonGraph) -> list[BoundaryWalk]:
     require_valid(g)
-    walks = []
-    for orbit in _corner_orbits(g):
-        orbit = rotate_to_min(orbit)
-        externals = tuple(h for h in orbit if g.is_external(h))
-        walks.append(BoundaryWalk(orbit, externals))
-    walks.sort(key=lambda w: w.halfedges[0])
-    return walks
+    # orbits start at their smallest halfedge and come sorted by it
+    return [
+        BoundaryWalk(orbit, tuple(h for h in orbit if g.is_external(h)))
+        for orbit in _corner_orbits(g)
+    ]
 
 
 @dataclass(frozen=True)

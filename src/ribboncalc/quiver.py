@@ -415,22 +415,28 @@ def quivers_isomorphic(q1: IceQuiver, q2: IceQuiver) -> bool:
                 return False
         return True
 
-    def search(i: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        for w in by_sig[sig1[v]]:
+    if not order:
+        return True
+    # depth-first search with one iterator of candidates per assigned
+    # vertex on an explicit stack, so its depth is not bounded by the
+    # interpreter's recursion limit
+    stack = [iter(by_sig[sig1[order[0]]])]
+    while stack:
+        v = order[len(stack) - 1]
+        for w in stack[-1]:
             if w in used or not consistent(v, w):
                 continue
             assignment[v] = w
             used.add(w)
-            if search(i + 1):
+            if len(stack) == len(order):
                 return True
-            del assignment[v]
-            used.remove(w)
-        return False
-
-    return search(0)
+            stack.append(iter(by_sig[sig1[order[len(stack)]]]))
+            break
+        else:
+            stack.pop()
+            if stack:
+                used.remove(assignment.pop(order[len(stack) - 1]))
+    return False
 
 
 def _gvquote(s: str) -> str:

@@ -11,7 +11,8 @@ only a safeguard.
 
 import random
 
-from ribboncalc import RibbonGraph, corner_permutation, validate_graph
+from ribboncalc import RibbonGraph, validate_graph
+from ribboncalc.graph import _corner_orbits
 
 # weighted toward small graphs; 12 is the documented ceiling
 _SIZES = (1, 1, 1, 2, 2, 2, 3, 3, 4, 4, 5, 6, 8, 12)
@@ -69,7 +70,12 @@ def _attempt(rng: random.Random, n: int) -> RibbonGraph | None:
 
     for _ in range(20):
         g = RibbonGraph(at, twin, kinds, labels)
-        starved = _walks_without_externals(g)
+        # the smallest halfedge of every boundary walk without an external one
+        starved = [
+            orbit[0]
+            for orbit in _corner_orbits(g)
+            if not any(g.is_external(h) for h in orbit)
+        ]
         if not starved:
             return g
         for h in starved:
@@ -78,21 +84,3 @@ def _attempt(rng: random.Random, n: int) -> RibbonGraph | None:
             serial += 1
     return None
 
-
-def _walks_without_externals(g: RibbonGraph) -> list[str]:
-    perm = corner_permutation(g)
-    seen: set[str] = set()
-    starved = []
-    for start in g.halfedges:
-        if start in seen:
-            continue
-        h = start
-        has_external = False
-        while h not in seen:
-            seen.add(h)
-            if g.is_external(h):
-                has_external = True
-            h = perm[h]
-        if not has_external:
-            starved.append(start)
-    return starved

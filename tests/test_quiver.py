@@ -1,4 +1,7 @@
+import itertools
 import random
+import sys
+from collections import Counter
 
 import pytest
 
@@ -10,6 +13,7 @@ from ribboncalc import (
     QuiverVertex,
     RibbonGraph,
     amalgamate,
+    assemble_global,
     assembly_diagram,
     export_dot,
     mutable_part,
@@ -268,6 +272,72 @@ class TestIsomorphism:
         q1 = IceQuiver([QuiverVertex("a"), QuiverVertex("b")], [QuiverArrow("x", "a", "a")])
         q2 = IceQuiver([QuiverVertex("a"), QuiverVertex("b")], [QuiverArrow("x", "a", "b")])
         assert not quivers_isomorphic(q1, q2)
+
+    def test_agrees_with_brute_force_on_small_quivers(self):
+        def arrows_under(q, image):
+            return Counter((image[a.src], image[a.dst], a.frozen) for a in q.arrows)
+
+        def brute_force(q1, q2):
+            ids1, ids2 = [v.id for v in q1.vertices], [v.id for v in q2.vertices]
+            frozen1 = {v.id: v.frozen for v in q1.vertices}
+            frozen2 = {v.id: v.frozen for v in q2.vertices}
+            target = arrows_under(q2, {v: v for v in ids2})
+            return len(ids1) == len(ids2) and any(
+                all(frozen1[v] == frozen2[w] for v, w in zip(ids1, perm))
+                and arrows_under(q1, dict(zip(ids1, perm))) == target
+                for perm in itertools.permutations(ids2)
+            )
+
+        def random_quiver(rng, n):
+            ids = ["v{}".format(i) for i in range(n)]
+            verts = [QuiverVertex(v, rng.random() < 0.3) for v in ids]
+            arrows = [
+                QuiverArrow("a{}".format(j), rng.choice(ids), rng.choice(ids))
+                for j in range(rng.randint(0, 2 * n))
+            ]
+            return IceQuiver(verts, arrows)
+
+        rng = random.Random(3)
+        answers = Counter()
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            q1 = random_quiver(rng, n)
+            if rng.random() < 0.5:
+                q2 = random_quiver(rng, n)
+            else:  # a relabelled copy, sometimes with one arrow reversed
+                fresh = ["w{}".format(k) for k in range(n)]
+                rng.shuffle(fresh)
+                names = dict(zip((v.id for v in q1.vertices), fresh))
+                arrows = [QuiverArrow(a.id, names[a.src], names[a.dst]) for a in q1.arrows]
+                if arrows and rng.random() < 0.5:
+                    a = arrows[0]
+                    arrows[0] = QuiverArrow(a.id, a.dst, a.src)
+                q2 = IceQuiver(
+                    [QuiverVertex(names[v.id], v.frozen) for v in q1.vertices], arrows
+                )
+            answer = quivers_isomorphic(q1, q2)
+            assert answer == brute_force(q1, q2)
+            answers[answer] += 1
+        assert min(answers[True], answers[False]) > 50
+
+    def test_quiver_larger_than_the_recursion_limit(self):
+        # trivalent vertices in a row, each with a stub, the ends with two
+        n = sys.getrecursionlimit() // 5 + 1
+        cyclic, twin = {}, {}
+        for i in range(n):
+            ring = ["s{}".format(i)]
+            if i > 0:
+                ring.append("l{}".format(i))
+                twin["l{}".format(i)] = "r{}".format(i - 1)
+                twin["r{}".format(i - 1)] = "l{}".format(i)
+            ring.append("r{}".format(i) if i < n - 1 else "t")
+            if i == 0:
+                ring.append("u")
+            cyclic["v{}".format(i)] = ring
+        g = RibbonGraph(cyclic, twin)
+        q = assemble_global(g, {v: "a2_trivalent" for v in g.vertices})
+        assert len(q.vertices) > sys.getrecursionlimit()
+        assert quivers_isomorphic(q, q)
 
 
 class TestExportDot:
