@@ -30,7 +30,6 @@ from .serialization import (
 )
 from .trajectory import (
     EdgeRef,
-    HalfedgeRef,
     VertexRef,
     curve_trajectory,
     itinerary,

@@ -150,6 +150,7 @@ class RibbonGraph:
         self._key: Optional[tuple] = None
         self._hash: Optional[int] = None
         self._report: Optional[ValidationReport] = None
+        self._orbits: Optional[tuple[tuple[str, ...], ...]] = None
         # itineraries by (start halfedge, orientation), filled by
         # `ribboncalc.trajectory`; sound because the graph never changes
         self._walks: dict = {}
@@ -270,21 +271,23 @@ def corner_permutation(g: RibbonGraph) -> dict[str, str]:
     return {h: nxt[twin.get(h, h)] for h in g._halfedges}
 
 
-def _corner_orbits(g: RibbonGraph) -> list[tuple[str, ...]]:
+def _corner_orbits(g: RibbonGraph) -> tuple[tuple[str, ...], ...]:
     """The orbits of `corner_permutation`, each starting at its smallest
-    halfedge, in order of those."""
-    perm = corner_permutation(g)
-    orbits = []
-    for start in g._halfedges:
-        h = perm.pop(start, None)
-        if h is None:
-            continue
-        orbit = [start]
-        while h != start:
-            orbit.append(h)
-            h = perm.pop(h)
-        orbits.append(tuple(orbit))
-    return orbits
+    halfedge, in order of those; computed once per graph and kept on it."""
+    if g._orbits is None:
+        perm = corner_permutation(g)
+        orbits = []
+        for start in g._halfedges:
+            h = perm.pop(start, None)
+            if h is None:
+                continue
+            orbit = [start]
+            while h != start:
+                orbit.append(h)
+                h = perm.pop(h)
+            orbits.append(tuple(orbit))
+        g._orbits = tuple(orbits)
+    return g._orbits
 
 
 def _connected(g: RibbonGraph) -> bool:
@@ -447,7 +450,7 @@ def subgraph(g: RibbonGraph, vertices: Iterable[str]) -> Subgraph:
         {v: g.kind(v) for v in keep},
         {v: g.label(v) for v in keep if g.label(v) is not None},
     )
-    report = validate_graph(sub)
+    report = sub.validation_report()
     if not report.ok:
         raise InvalidGraphError(
             "induced subgraph is not a valid ribbon graph: "

@@ -10,7 +10,7 @@ rejects.
 from __future__ import annotations
 
 import json
-from typing import Any, Mapping, Optional
+from typing import Any, Optional
 
 from .assembly import LocalTemplate, TaggedArc, TemplateSlot, validate_template
 from .graph import (
@@ -491,27 +491,23 @@ def serialize(value: Any) -> str:
 def graph_dot(g: RibbonGraph) -> str:
     """A plain undirected rendering: vertices as nodes, external stubs
     as points."""
+    twin, at = g._twin, g._at
+    quoted = {v: _gvquote(v) for v in g.vertices}
     lines = ["graph {"]
     for v in g.vertices:
         shape = "doublecircle" if g.kind(v) == "singular" else "circle"
-        lines.append("  {} [shape={}];".format(_gvquote(v), shape))
+        lines.append("  {} [shape={}];".format(quoted[v], shape))
     for e in g.edges():
-        pair = g.halfedges_of(e)
-        if len(pair) == 2:
+        t = twin.get(e, e)
+        if t != e:
             lines.append(
-                "  {} -- {} [label={}];".format(
-                    _gvquote(g.at_vertex(pair[0])),
-                    _gvquote(g.at_vertex(pair[1])),
-                    _gvquote(e),
-                )
+                "  {} -- {} [label={}];".format(quoted[at[e]], quoted[at[t]], _gvquote(e))
             )
         else:
-            stub = "stub:{}".format(e)
-            lines.append("  {} [shape=point];".format(_gvquote(stub)))
+            stub = _gvquote("stub:{}".format(e))
+            lines.append("  {} [shape=point];".format(stub))
             lines.append(
-                "  {} -- {} [label={}];".format(
-                    _gvquote(g.at_vertex(pair[0])), _gvquote(stub), _gvquote(e)
-                )
+                "  {} -- {} [label={}];".format(quoted[at[e]], stub, _gvquote(e))
             )
     lines.append("}")
     return "\n".join(lines) + "\n"

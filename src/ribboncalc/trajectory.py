@@ -2,12 +2,20 @@
 
 A trajectory enters the graph along an edge, repeatedly turns onto the
 neighbouring edge at the vertex it is heading into, and stops as soon
-as it runs out along an external edge.  The whole engine is iteration
-of the corner permutation from `ribboncalc.graph`: the successive out
-halfedges of a clockwise trajectory are successive iterates of that
-permutation, which is why these walks always terminate on valid graphs
-(every orbit meets an external halfedge) and why reversing every cyclic
-order swaps the two orientations.
+as it runs out along an external edge.  The whole engine is one rule,
+read from the graph's own tables: follow the extended twin, then step
+around the vertex.  Stepping counterclockwise is the corner permutation
+of `ribboncalc.graph`, whose iterates are the out halfedges of clockwise
+trajectories; stepping clockwise is the dual's corner permutation, which
+counterclockwise trajectories iterate.  So reversing every cyclic order
+swaps the two orientations.  The dual's orbits are the extended-twin
+images of the graph's boundary walks, so on a valid graph every orbit
+of either permutation meets an external halfedge and every walk ends.
+
+A ray, the walk from one start halfedge, is one run along one orbit to
+the next external halfedge.  It passes each halfedge at most once,
+except an external start that is also its own terminal; an edge has at
+most two halfedges, so a ray meets any edge at most twice.
 
 Each walk is memoised on its graph, keyed by start halfedge and
 orientation, and is freed with the graph; there is no global cache.
@@ -69,11 +77,6 @@ class Itinerary:
         return len(self.edges)
 
 
-def _step(g: RibbonGraph, h: str, orient: str) -> str:
-    t = g.ext_twin(h)
-    return g.ccw_next(t) if orient == CW else g.cw_next(t)
-
-
 def _require_orient(orient: str) -> None:
     if orient not in ORIENTATIONS:
         raise ValueError("orientation must be 'cw' or 'ccw', got {!r}".format(orient))
@@ -83,19 +86,22 @@ def _itinerary(g: RibbonGraph, h: str, orient: str) -> Itinerary:
     itin = g._walks.get((h, orient))
     if itin is not None:
         return itin
-    out = [h]
-    limit = 2 * len(g.halfedges) + 2
+    twin, at = g._twin, g._at
+    turn = g._next if orient == CW else g._prev
+    out, entries = [h], []
+    x = h
+    # ends on a valid graph: every orbit meets an external halfedge
     while True:
-        nxt = _step(g, out[-1], orient)
-        out.append(nxt)
-        if g.is_external(nxt):
+        t = twin.get(x, x)
+        x = turn[t]
+        entries.append(t)
+        out.append(x)
+        if x not in twin:
             break
-        if len(out) > limit:  # unreachable on a valid graph
-            raise RuntimeError("trajectory from {} did not terminate".format(h))
-    edges = tuple(g.edge_of(x) for x in out)
-    turns = tuple(g.at_vertex(x) for x in out[1:])
-    entries = tuple(g.ext_twin(x) for x in out[:-1])
-    itin = Itinerary(h, orient, tuple(out), edges, turns, entries, edges[-1])
+    # an edge is named by the smaller of its halfedges; ``x`` is the terminal
+    edges = tuple(map(min, out, entries)) + (x,)
+    turns = tuple(at[y] for y in out[1:])
+    itin = Itinerary(h, orient, tuple(out), edges, turns, tuple(entries), x)
     g._walks[(h, orient)] = itin
     return itin
 
@@ -105,7 +111,8 @@ def itinerary(g: RibbonGraph, h: str, orient: str = CW) -> Itinerary:
 
     An internal start heads toward the vertex of its twin; an external
     start heads inward, toward its own vertex.  The result always has
-    at least two edges and at most 2 * (number of edges) of them.
+    at least two edges and at most one more than the corner orbit it
+    runs along has halfedges.
     """
     require_valid(g)
     _require_orient(orient)

@@ -17,13 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-from .graph import (
-    RibbonGraph,
-    SINGULAR,
-    Subgraph,
-    boundary_walks,
-    require_valid,
-)
+from .graph import RibbonGraph, SINGULAR, Subgraph, require_valid
 from .trajectory import (
     CCW,
     CW,
@@ -34,7 +28,6 @@ from .trajectory import (
     VertexRef,
     _itinerary,
     _source_halfedges,
-    itinerary,
     trajectory_counts,
 )
 
@@ -285,13 +278,14 @@ def check_unit_split(g: RibbonGraph, x: ObjectRef, side: str = "L") -> bool:
 def _external_support(g: RibbonGraph, x: ObjectRef, orient: str) -> Counter:
     # the edge hits of `trajectory_counts`, for every external edge at
     # once: each visit is a hit, and the one de-duplication it makes,
-    # a curve's shared constant visit, never concerns an external edge
-    return Counter(
-        e
-        for h in _source_halfedges(g, x)
-        for e in _itinerary(g, h, orient).edges
-        if g.is_external(e)
-    )
+    # a curve's shared constant visit, never concerns an external edge.
+    # A walk meets external edges only at its start and its terminal.
+    support = Counter()
+    for h in _source_halfedges(g, x):
+        if g.is_external(h):
+            support[h] += 1
+        support[_itinerary(g, h, orient).terminal] += 1
+    return support
 
 
 def twist_rotation_check(g: RibbonGraph, x: ObjectRef) -> bool:
@@ -304,17 +298,12 @@ def twist_rotation_check(g: RibbonGraph, x: ObjectRef) -> bool:
     vertices can fail it honestly.
     """
     require_valid(g)
-    succ: dict[str, str] = {}
-    for walk in boundary_walks(g):
-        ext = walk.externals
-        for i, h in enumerate(ext):
-            succ[h] = ext[(i + 1) % len(ext)]
-    cw_support = _external_support(g, x, CW)
-    ccw_support = _external_support(g, x, CCW)
+    # the next marked point after an external halfedge on its boundary
+    # walk is where the clockwise walk from it ends
     rotated = Counter()
-    for f, n in ccw_support.items():
-        rotated[succ[f]] += n
-    return rotated == cw_support
+    for f, n in _external_support(g, x, CCW).items():
+        rotated[_itinerary(g, f, CW).terminal] += n
+    return rotated == _external_support(g, x, CW)
 
 
 def word_typechecks(g: RibbonGraph, word: FunctorWord) -> bool:

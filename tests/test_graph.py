@@ -1,9 +1,12 @@
 import pytest
 
+import ribboncalc.graph
 from ribboncalc import (
+    EdgeRef,
     InvalidGraphError,
     RibbonGraph,
     Subgraph,
+    VertexRef,
     boundary_walks,
     corner_permutation,
     dual,
@@ -11,6 +14,7 @@ from ribboncalc import (
     rotate_to_min,
     subgraph,
     surface_invariants,
+    twist_rotation_check,
     validate_graph,
 )
 
@@ -164,6 +168,23 @@ class TestBoundaryWalks:
         walks = boundary_walks(annulus)
         assert sorted(w.marked_points for w in walks) == [1, 4]
 
+    def test_orbits_are_computed_once_per_graph(self, monkeypatch, once_punctured_4gon):
+        g = once_punctured_4gon
+        calls = []
+        original = ribboncalc.graph.corner_permutation
+
+        def counting(graph):
+            calls.append(graph)
+            return original(graph)
+
+        monkeypatch.setattr(ribboncalc.graph, "corner_permutation", counting)
+        assert validate_graph(g).ok
+        surface_invariants(g)
+        boundary_walks(g)
+        twist_rotation_check(g, EdgeRef(g.internal_edges()[0]))
+        twist_rotation_check(g, VertexRef(g.vertices[0]))
+        assert calls == [g]
+
 
 class TestSurfaceInvariants:
     def test_disc_like_fixtures(self, two_spider, four_gon):
@@ -226,6 +247,19 @@ class TestSubgraph:
     def test_unknown_vertex(self, four_gon):
         with pytest.raises(ValueError, match="unknown vertex"):
             subgraph(four_gon, {"v1", "nope"})
+
+    def test_induced_piece_keeps_its_validation(self, monkeypatch, once_punctured_4gon):
+        sub = subgraph(once_punctured_4gon, {"p"})
+        calls = []
+        original = ribboncalc.graph.validate_graph
+
+        def counting(graph):
+            calls.append(graph)
+            return original(graph)
+
+        monkeypatch.setattr(ribboncalc.graph, "validate_graph", counting)
+        require_valid(sub.graph)
+        assert calls == []
 
     def test_invalid_induced_subgraph(self, once_punctured_4gon):
         # w1 and w2 only touch through p, so dropping p disconnects them

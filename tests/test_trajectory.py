@@ -8,6 +8,7 @@ from ribboncalc import (
     HalfedgeRef,
     RibbonGraph,
     VertexRef,
+    boundary_walks,
     curve_trajectory,
     decompose,
     decompose_subgraph,
@@ -21,6 +22,7 @@ from ribboncalc import (
     twist_rotation_check,
     web_trajectory,
 )
+from ribboncalc.trajectory import CW, Itinerary
 
 from conftest import fixture_graph, sample_graphs
 
@@ -274,3 +276,53 @@ class TestWalkMemo:
         assert calls == []
         hash(g)  # the counter does see a hash
         assert calls == [g]
+
+
+def _step(g: RibbonGraph, h: str, orient: str) -> str:
+    t = g.ext_twin(h)
+    return g.ccw_next(t) if orient == CW else g.cw_next(t)
+
+
+def _oracle_itinerary(g: RibbonGraph, h: str, orient: str) -> Itinerary:
+    """The walk engine that stepping the graph's tables replaced, kept
+    as its oracle: one accessor call per step, with a termination guard.
+    It neither reads nor fills the graph's walk memo."""
+    out = [h]
+    limit = 2 * len(g.halfedges) + 2
+    while True:
+        nxt = _step(g, out[-1], orient)
+        out.append(nxt)
+        if g.is_external(nxt):
+            break
+        if len(out) > limit:  # unreachable on a valid graph
+            raise RuntimeError("trajectory from {} did not terminate".format(h))
+    edges = tuple(g.edge_of(x) for x in out)
+    turns = tuple(g.at_vertex(x) for x in out[1:])
+    entries = tuple(g.ext_twin(x) for x in out[:-1])
+    return Itinerary(h, orient, tuple(out), edges, turns, entries, edges[-1])
+
+
+class TestOneWalkEngine:
+    def test_matches_the_stepwise_oracle(self):
+        for g in sample_graphs():
+            for h in g.halfedges:
+                for orient in ("cw", "ccw"):
+                    assert itinerary(g, h, orient) == _oracle_itinerary(g, h, orient)
+
+    def test_terminal_is_the_next_marked_point_on_the_boundary_walk(self):
+        for g in sample_graphs():
+            for walk in boundary_walks(g):
+                ext = walk.externals
+                for i, f in enumerate(ext):
+                    assert itinerary(g, f, "cw").terminal == ext[(i + 1) % len(ext)]
+
+    def test_a_ray_is_one_run_along_its_orbit(self):
+        # no halfedge twice, except an external start that is its own
+        # terminal, so at most one edge more than the orbit has halfedges
+        for g in sample_graphs():
+            orbit_size = {h: len(w.halfedges) for w in boundary_walks(g) for h in w.halfedges}
+            for h in g.halfedges:
+                it = itinerary(g, h, "cw")
+                assert it.length <= orbit_size[h] + 1
+                repeated = len(it.out_halfedges) - len(set(it.out_halfedges))
+                assert repeated == (1 if it.terminal == h else 0)

@@ -25,6 +25,8 @@ from ribboncalc import (
     word_typechecks,
 )
 
+from ribboncalc.graph import boundary_walks
+from ribboncalc.trajectory import _itinerary, _source_halfedges
 from ribboncalc.words import _external_support
 
 from conftest import fixture_graph, sample_graphs
@@ -357,3 +359,39 @@ def test_external_support_matches_per_edge_counts():
                 assert dict(_external_support(g, x, orient)) == dict(
                     _external_support_per_edge(g, x, orient)
                 )
+
+
+def _twist_rotation_check_by_boundary_walks(g, x):
+    """The twist check that reading walk terminals replaced, kept as its
+    oracle: the marked-point successor map is built from every boundary
+    walk, and every visited edge of every walk is scanned for externals."""
+
+    def support(orient):
+        return Counter(
+            e
+            for h in _source_halfedges(g, x)
+            for e in _itinerary(g, h, orient).edges
+            if g.is_external(e)
+        )
+
+    succ = {}
+    for walk in boundary_walks(g):
+        ext = walk.externals
+        for i, h in enumerate(ext):
+            succ[h] = ext[(i + 1) % len(ext)]
+    rotated = Counter()
+    for f, n in support("ccw").items():
+        rotated[succ[f]] += n
+    return rotated == support("cw")
+
+
+def test_twist_rotation_check_matches_the_boundary_walk_oracle():
+    answers = Counter()
+    for g in sample_graphs():
+        objects = [EdgeRef(e) for e in g.edges()] + [VertexRef(v) for v in g.vertices]
+        for x in objects:
+            answer = twist_rotation_check(g, x)
+            assert answer == _twist_rotation_check_by_boundary_walks(g, x)
+            answers[answer] += 1
+    # both answers occur, so the comparison is not vacuous
+    assert answers[True] and answers[False]
