@@ -19,8 +19,8 @@ from .quiver import (
     QuiverArrow,
     QuiverMorphism,
     QuiverVertex,
+    _glue,
     _require_frozen_cover,
-    amalgamate,
     validate_morphism,
 )
 from .trajectory import CW, Itinerary, itinerary
@@ -191,36 +191,51 @@ def star_template(n: int) -> LocalTemplate:
     return t
 
 
+def _flag(frozen: bool) -> str:
+    return "frozen" if frozen else "mutable"
+
+
 def _reversal_identification(b1: IceQuiver, b2: IceQuiver):
     """Match two interface quivers in reversed vertex order.
 
     Gluing two thickened pieces along an edge reverses the boundary
     orientation of one side, so the interface vertex lists pair up in
-    opposite order.  Returns (vertex map, arrow map) from b1 to b2, or
-    None when the pairing is not an isomorphism.
+    opposite order.  Returns (vertex map, arrow map) from b1 to b2.
+    When the pairing is not an isomorphism, raises ValueError naming the
+    first difference, b1's side before b2's: the vertex counts, a frozen
+    flag, or an arrow group (source, target, flag), in b2's ids, with
+    its two multiplicities.
     """
     ids1 = sorted(v.id for v in b1.vertices)
     ids2 = sorted((v.id for v in b2.vertices), reverse=True)
     if len(ids1) != len(ids2):
-        return None
+        raise ValueError("vertex counts {} against {}".format(len(ids1), len(ids2)))
     vmap = dict(zip(ids1, ids2))
     for vid in ids1:
-        if b1.vertex(vid).frozen != b2.vertex(vmap[vid]).frozen:
-            return None
+        frozen1, frozen2 = b1.vertex(vid).frozen, b2.vertex(vmap[vid]).frozen
+        if frozen1 != frozen2:
+            raise ValueError(
+                "{} vertex {} against {} vertex {}".format(
+                    _flag(frozen1), vid, _flag(frozen2), vmap[vid]
+                )
+            )
     grouped1: dict[tuple, list[QuiverArrow]] = {}
     for a in b1.arrows:
         grouped1.setdefault((vmap[a.src], vmap[a.dst], a.frozen), []).append(a)
     grouped2: dict[tuple, list[QuiverArrow]] = {}
     for a in b2.arrows:
         grouped2.setdefault((a.src, a.dst, a.frozen), []).append(a)
-    if set(grouped1) != set(grouped2):
-        return None
+    for key in sorted(grouped1.keys() | grouped2.keys()):
+        n1, n2 = len(grouped1.get(key, ())), len(grouped2.get(key, ()))
+        if n1 != n2:
+            raise ValueError(
+                "arrow group ({}, {}, {}) has multiplicity {} against {}".format(
+                    key[0], key[1], _flag(key[2]), n1, n2
+                )
+            )
     amap: dict[str, str] = {}
     for key, group1 in grouped1.items():
-        group2 = grouped2[key]
-        if len(group1) != len(group2):
-            return None
-        for a, b in zip(group1, group2):
+        for a, b in zip(group1, grouped2[key]):
             amap[a.id] = b.id
     return vmap, amap
 
@@ -229,7 +244,15 @@ TemplateAssignment = Mapping[str, Union[str, LocalTemplate]]
 
 
 def _resolve_assignment(g: RibbonGraph, assign: TemplateAssignment) -> dict[str, LocalTemplate]:
-    builtins: dict[str, LocalTemplate] = {}  # each named built-in is built once
+    """The template of every vertex, each distinct template validated once.
+
+    A named built-in is built, and so validated, once.  Any other
+    template is validated the first time it is met; a later one that is
+    the same object, or equal to one already validated, resolves to that
+    first object without being checked again.
+    """
+    builtins: dict[str, LocalTemplate] = {}
+    checked: dict[str, list[LocalTemplate]] = {}  # validated ones, by name
     resolved = {}
     for v in g.vertices:
         if v not in assign:
@@ -240,7 +263,13 @@ def _resolve_assignment(g: RibbonGraph, assign: TemplateAssignment) -> dict[str,
                 builtins[t] = builtin_template(t)
             t = builtins[t]
         else:
-            validate_template(t)
+            same_name = checked.setdefault(t.name, [])
+            known = next((c for c in same_name if c is t or c == t), None)
+            if known is None:
+                validate_template(t)
+                same_name.append(t)
+            else:
+                t = known
         if t.valency != g.valency(v):
             raise ValueError(
                 "template {} has valency {} but vertex {} has valency {}".format(
@@ -251,53 +280,77 @@ def _resolve_assignment(g: RibbonGraph, assign: TemplateAssignment) -> dict[str,
     return resolved
 
 
-def _slot_index(g: RibbonGraph, h: str) -> int:
-    # slots follow the stored cyclic order, which starts at the
-    # smallest halfedge id
-    return g.cyclic(g.at_vertex(h)).index(h)
-
-
 def assembly_diagram(g: RibbonGraph, assign: TemplateAssignment) -> AmalgamationDiagram:
     """Instantiate one template per vertex and wire up the gluing diagram.
 
     Template names are looked up among the built-ins.  Across each
     internal edge the two slot interfaces are identified in reversed
-    vertex order; they must match under that identification.
+    vertex order; they must match under that identification.  The graph
+    and each distinct template are validated once; the incidences are
+    derived from them, one morphism per distinct slot or slot pair.
     """
     require_valid(g)
     templates = _resolve_assignment(g, assign)
     vertex_quivers = {v: templates[v].quiver for v in g.vertices}
+    # slots follow the stored cyclic order, which starts at the smallest
+    # halfedge id
+    slot_at = {
+        h: (t, i) for v, t in templates.items() for i, h in enumerate(g.cyclic(v))
+    }
     edge_quivers: dict[str, IceQuiver] = {}
     incidences: dict[str, QuiverMorphism] = {}
+    # (id(template), slot) -> its slot morphism, and (id(template1),
+    # slot1, id(template2), slot2) -> the morphism from slot1's interface
+    # into template2 through slot2; `templates` keeps the ids taken
+    morphisms: dict[tuple, QuiverMorphism] = {}
     for e in g.edges():
-        pair = g.halfedges_of(e)
-        h1 = pair[0]
-        v1 = g.at_vertex(h1)
-        slot1 = templates[v1].slots[_slot_index(g, h1)]
-        edge_quivers[e] = slot1.boundary
-        incidences[h1] = templates[v1].slot_morphism(_slot_index(g, h1))
-        if len(pair) == 2:
-            h2 = pair[1]
-            v2 = g.at_vertex(h2)
-            slot2 = templates[v2].slots[_slot_index(g, h2)]
-            ident = _reversal_identification(slot1.boundary, slot2.boundary)
-            if ident is None:
-                raise ValueError(
-                    "interface quivers across edge {} do not match".format(e)
+        # an edge is named by its first halfedge
+        t1, i1 = slot_at[e]
+        boundary = t1.slots[i1].boundary
+        edge_quivers[e] = boundary
+        key = (id(t1), i1)
+        if key not in morphisms:
+            morphisms[key] = t1.slot_morphism(i1)
+        incidences[e] = morphisms[key]
+        h2 = g.twin_of(e)
+        if h2 is not None:
+            t2, i2 = slot_at[h2]
+            key += (id(t2), i2)
+            if key not in morphisms:
+                slot2 = t2.slots[i2]
+                try:
+                    vmap, amap = _reversal_identification(boundary, slot2.boundary)
+                except ValueError as exc:
+                    raise ValueError(
+                        "interface quivers across edge {} do not match: {} "
+                        "({} against {})".format(e, exc, e, h2)
+                    ) from None
+                morphisms[key] = QuiverMorphism(
+                    boundary,
+                    t2.quiver,
+                    {x: slot2.vertex_map[vmap[x]] for x in vmap},
+                    {a: slot2.arrow_map.get(amap[a]) for a in amap},
                 )
-            vmap, amap = ident
-            incidences[h2] = QuiverMorphism(
-                slot1.boundary,
-                templates[v2].quiver,
-                {x: slot2.vertex_map[vmap[x]] for x in vmap},
-                {a: slot2.arrow_map.get(amap[a]) for a in amap},
-            )
+            incidences[h2] = morphisms[key]
     return AmalgamationDiagram(g, vertex_quivers, edge_quivers, incidences)
 
 
 def assemble_global(g: RibbonGraph, assign: TemplateAssignment) -> IceQuiver:
-    """Glue one local quiver per vertex into the global ice quiver."""
-    return amalgamate(assembly_diagram(g, assign))
+    """Glue one local quiver per vertex into the global ice quiver.
+
+    The result equals ``amalgamate(assembly_diagram(g, assign))``, but
+    the diagram is glued without `amalgamate`'s full check, because
+    `assembly_diagram` has proved it already.  The graph and each
+    distinct template are validated.  Every incidence is then either a
+    slot morphism of a validated template, or that morphism composed
+    with the isomorphism `_reversal_identification` found between the
+    two interfaces, so it is a valid morphism from its edge quiver into
+    its vertex quiver.  The slots of a validated template are disjoint
+    frozen components that cover its frozen vertices, and each slot
+    serves exactly one halfedge, so the incidence images cover every
+    vertex quiver in the same way.
+    """
+    return _glue(assembly_diagram(g, assign), g.internal_edges())
 
 
 def basicness_check(g: RibbonGraph, assign: Optional[TemplateAssignment] = None) -> list[str]:

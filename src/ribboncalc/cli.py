@@ -8,6 +8,7 @@ validation or parse failure, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional
 
@@ -137,6 +138,9 @@ def _cmd_export(args) -> int:
     return 0
 
 
+# built once per process: parsing keeps no state in the parser, and
+# usage errors go to the sys.stderr of the moment
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ribboncalc",

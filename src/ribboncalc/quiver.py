@@ -244,10 +244,6 @@ def _validate_diagram(d: AmalgamationDiagram) -> None:
         )
 
 
-def _qualified(owner: str, local: str) -> str:
-    return "{}.{}".format(owner, local)
-
-
 def amalgamate(
     d: AmalgamationDiagram, edge_order: Optional[Sequence[str]] = None
 ) -> IceQuiver:
@@ -261,79 +257,84 @@ def amalgamate(
 
     ``edge_order`` optionally fixes the processing order of the internal
     edges; the result does not depend on it.
+
+    The diagram is validated in full first (the graph, one quiver per
+    vertex and edge, every incidence as a morphism, and the frozen cover
+    at every vertex), so any diagram, parsed ones included, is safe to
+    pass.  `assemble_global` glues the diagram it builds without this
+    check; see there why that is sound.
     """
     _validate_diagram(d)
-    g = d.graph
-    internal = g.internal_edges()
+    internal = d.graph.internal_edges()
     if edge_order is None:
         edge_order = internal
-    else:
-        if sorted(edge_order) != sorted(internal):
-            raise ValueError("edge_order must enumerate the internal edges")
+    elif sorted(edge_order) != sorted(internal):
+        raise ValueError("edge_order must enumerate the internal edges")
+    return _glue(d, edge_order)
 
-    origin: dict[str, tuple[str, str]] = {}
+
+def _glue(d: AmalgamationDiagram, edge_order: Sequence[str]) -> IceQuiver:
+    """`amalgamate` without its checks: ``d`` must be a diagram that
+    `_validate_diagram` accepts and ``edge_order`` its internal edges."""
+    g = d.graph
+    # qualified ids "vertex.local", built once per vertex quiver
+    names: dict[str, dict[str, str]] = {}
+    origin: dict[str, QuiverVertex] = {}
     for v in g.vertices:
-        for q in d.vertex_quivers[v].vertex_ids():
-            origin[_qualified(v, q)] = (v, q)
+        local = names[v] = {}
+        for x in d.vertex_quivers[v].vertices:
+            local[x.id] = qualified = v + "." + x.id
+            origin[qualified] = x
     glued = []
     for e in edge_order:
-        h1, h2 = g.halfedges_of(e)
-        m1, m2 = d.incidences[h1], d.incidences[h2]
-        v1, v2 = g.at_vertex(h1), g.at_vertex(h2)
-        for x in d.edge_quivers[e].vertex_ids():
-            glued.append(
-                (_qualified(v1, m1.vertex_map[x]), _qualified(v2, m2.vertex_map[x]))
-            )
+        t = g.twin_of(e)
+        map1, map2 = d.incidences[e].vertex_map, d.incidences[t].vertex_map
+        names1, names2 = names[g.at_vertex(e)], names[g.at_vertex(t)]
+        for x in d.edge_quivers[e].vertices:
+            glued.append((names1[map1[x.id]], names2[map2[x.id]]))
     rep = _classes(origin, glued)
 
     frozen_ids: set[str] = set()
-    for h in g.halfedges:
-        if g.is_external(h):
-            v = g.at_vertex(h)
-            for image in d.incidences[h].vertex_map.values():
-                frozen_ids.add(_qualified(v, image))
-
-    class_members: dict[str, list[str]] = {}
-    for q, r in rep.items():
-        class_members.setdefault(r, []).append(q)
-
-    vertices = []
-    for r, members in class_members.items():
-        v_owner, local = origin[r]
-        original = d.vertex_quivers[v_owner].vertex(local)
-        vertices.append(
-            QuiverVertex(
-                r,
-                frozen=any(m in frozen_ids for m in members),
-                label=original.label,
-            )
-        )
+    for e in g.external_edges():
+        local = names[g.at_vertex(e)]
+        frozen_ids.update(local[x] for x in d.incidences[e].vertex_map.values())
+    # a class is frozen when one of its members lies on an external edge
+    frozen_classes = {rep[x] for x in frozen_ids}
+    vertices = [
+        QuiverVertex(r, frozen=r in frozen_classes, label=origin[r].label)
+        for r in dict.fromkeys(rep.values())
+    ]
 
     arrows = []
     for v in g.vertices:
+        local = names[v]
         for a in d.vertex_quivers[v].arrows:
-            src = rep[_qualified(v, a.src)]
-            dst = rep[_qualified(v, a.dst)]
+            src = local[a.src]
             if not a.frozen:
-                arrows.append(QuiverArrow(_qualified(v, a.id), src, dst, False))
-            elif _qualified(v, a.src) in frozen_ids:
+                arrows.append(QuiverArrow(v + "." + a.id, rep[src], rep[local[a.dst]]))
+            elif src in frozen_ids:
                 # frozen arrows live inside one frozen component, so the
                 # source tells whether the component is an external one
-                arrows.append(QuiverArrow(_qualified(v, a.id), src, dst, True))
-    for e in internal:
-        h1, h2 = g.halfedges_of(e)
-        m1, m2 = d.incidences[h1], d.incidences[h2]
-        v1 = g.at_vertex(h1)
-        target1 = {a.id: a for a in m1.target.arrows}
+                arrows.append(
+                    QuiverArrow(v + "." + a.id, rep[src], rep[local[a.dst]], True)
+                )
+    # each vertex quiver's arrows by id, built once per quiver object
+    arrows_by_id: dict[int, dict[str, QuiverArrow]] = {}
+    for e in g.internal_edges():
+        m1, m2 = d.incidences[e], d.incidences[g.twin_of(e)]
+        local = names[g.at_vertex(e)]
+        target1 = arrows_by_id.get(id(m1.target))
+        if target1 is None:
+            target1 = arrows_by_id[id(m1.target)] = {a.id: a for a in m1.target.arrows}
         for a in d.edge_quivers[e].arrows:
             i1 = m1.arrow_map.get(a.id)
             i2 = m2.arrow_map.get(a.id)
             if i1 is None or i2 is None:
                 continue
             image = target1[i1]
-            src = rep[_qualified(v1, image.src)]
-            dst = rep[_qualified(v1, image.dst)]
-            arrows.append(QuiverArrow(_qualified(e, a.id), src, dst, False))
+            arrows.append(
+                QuiverArrow(e + "." + a.id, rep[local[image.src]], rep[local[image.dst]])
+            )
 
     return IceQuiver(vertices, arrows)
 

@@ -11,7 +11,7 @@ only a safeguard.
 
 import random
 
-from ribboncalc import RibbonGraph, validate_graph
+from ribboncalc import RibbonGraph
 from ribboncalc.graph import _corner_orbits
 
 # weighted toward small graphs; 12 is the documented ceiling
@@ -22,7 +22,7 @@ def random_graph(rng: random.Random, max_vertices: int = 12) -> RibbonGraph:
     while True:
         n = min(rng.choice(_SIZES), max_vertices)
         g = _attempt(rng, n)
-        if g is not None and validate_graph(g).ok:
+        if g is not None and g.validation_report().ok:
             return g
 
 

@@ -1,5 +1,9 @@
+import random
+
 import pytest
 
+from conftest import sample_graphs
+from randgraphs import _attempt
 from ribboncalc import (
     BUILTIN_TEMPLATE_NAMES,
     IceQuiver,
@@ -8,9 +12,12 @@ from ribboncalc import (
     QuiverVertex,
     RibbonGraph,
     TemplateSlot,
+    amalgamate,
     assemble_global,
+    assembly_diagram,
     basicness_check,
     builtin_template,
+    export_dot,
     quivers_isomorphic,
     serialize,
     star_template,
@@ -18,6 +25,31 @@ from ribboncalc import (
     to_jsonable,
     validate_template,
 )
+from ribboncalc import assembly, quiver
+
+
+def _one_arrow_a2() -> LocalTemplate:
+    """Three frozen pairs joined r -> f, each a slot whose interface keeps
+    only the arrow u1 -> u2 of the a2 interface."""
+    boundary = IceQuiver(
+        [QuiverVertex("u1", True), QuiverVertex("u2", True)],
+        [QuiverArrow("a12", "u1", "u2", True)],
+    )
+    verts, arrows, slots = [], [], []
+    for s in range(3):
+        r, f = "r{}".format(s), "f{}".format(s)
+        verts += [QuiverVertex(r, True), QuiverVertex(f, True)]
+        arrows.append(QuiverArrow("fr{}".format(s), r, f, True))
+        slots.append(TemplateSlot(boundary, {"u1": r, "u2": f}, {"a12": "fr{}".format(s)}))
+    return LocalTemplate("one_arrow_a2", IceQuiver(verts, arrows), tuple(slots))
+
+
+def _mutable_point_star() -> LocalTemplate:
+    """`star_template(3)` with a mutable interface vertex in every slot."""
+    star = star_template(3)
+    point = IceQuiver([QuiverVertex("u", False)], [])
+    slots = tuple(TemplateSlot(point, s.vertex_map, s.arrow_map) for s in star.slots)
+    return LocalTemplate("mutable_point_star", star.quiver, slots)
 
 
 class TestBuiltinTemplates:
@@ -206,14 +238,140 @@ class TestAssemble:
             assemble_global(two_spider, {"v": "rank1_trivalent"})
 
     def test_interface_mismatch(self, four_gon):
-        with pytest.raises(ValueError, match="do not match"):
-            assemble_global(
-                four_gon, {"v1": "a2_trivalent", "v2": star_template(3)}
-            )
+        with pytest.raises(ValueError) as info:
+            assemble_global(four_gon, {"v1": "a2_trivalent", "v2": star_template(3)})
+        assert str(info.value) == (
+            "interface quivers across edge m1 do not match: "
+            "vertex counts 2 against 1 (m1 against m2)"
+        )
+
+    def test_interface_mismatch_names_an_arrow_group(self, four_gon):
+        with pytest.raises(ValueError) as info:
+            assemble_global(four_gon, {"v1": "a2_trivalent", "v2": _one_arrow_a2()})
+        assert str(info.value) == (
+            "interface quivers across edge m1 do not match: "
+            "arrow group (u2, u1, frozen) has multiplicity 1 against 0 (m1 against m2)"
+        )
+
+    def test_interface_mismatch_names_a_frozen_flag(self, four_gon):
+        with pytest.raises(ValueError) as info:
+            assemble_global(four_gon, {"v1": star_template(3), "v2": _mutable_point_star()})
+        assert str(info.value) == (
+            "interface quivers across edge m1 do not match: "
+            "frozen vertex u against mutable vertex u (m1 against m2)"
+        )
 
     def test_inline_template_assignment(self, four_gon):
         q = assemble_global(four_gon, {v: star_template(3) for v in four_gon.vertices})
         assert len(q.vertices) == 7
+
+
+def _punctured_path(n: int) -> RibbonGraph:
+    """n trivalent vertices in a row, each with a stub and the ends with
+    two, with a singular 2-valent puncture on every third link."""
+    cyclic, twin, kinds = {}, {}, {}
+
+    def join(a, b):
+        twin[a], twin[b] = b, a
+
+    for i in range(n):
+        ring = ["s{}".format(i)]
+        if i > 0:
+            ring.append("l{}".format(i))
+        ring.append("r{}".format(i) if i < n - 1 else "t")
+        if i == 0:
+            ring.append("u")
+        cyclic["v{}".format(i)] = ring
+    for i in range(1, n):
+        if i % 3:
+            join("r{}".format(i - 1), "l{}".format(i))
+        else:
+            p = "p{}".format(i)
+            cyclic[p] = [p + "a", p + "b"]
+            kinds[p] = "singular"
+            join("r{}".format(i - 1), p + "a")
+            join(p + "b", "l{}".format(i))
+    return RibbonGraph(cyclic, twin, kinds)
+
+
+def _builtin_assignments(g: RibbonGraph, rng: random.Random) -> list[dict]:
+    """Built-in assignments that fit ``g``'s valencies: rank1 on trivalent
+    vertices with a random punctured 2-gon on 2-valent ones, and each
+    built-in alone where it fits every vertex."""
+    valencies = {g.valency(v) for v in g.vertices}
+    out = []
+    if valencies <= {2, 3}:
+        out.append({
+            v: "rank1_trivalent" if g.valency(v) == 3
+            else "punctured_2gon_T{}".format(rng.randint(1, 4))
+            for v in g.vertices
+        })
+    for name in BUILTIN_TEMPLATE_NAMES:
+        if valencies == {builtin_template(name).valency}:
+            out.append({v: name for v in g.vertices})
+    return out
+
+
+class TestTrustedAssembly:
+    """`assemble_global` glues the diagram it built without re-checking it."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        calls = {"validate_morphism": 0, "validate_template": 0}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(quiver, "validate_morphism")
+        # assembly calls the morphism check through its own import
+        counting(assembly, "validate_morphism")
+        counting(assembly, "validate_template")
+        return calls
+
+    @pytest.mark.parametrize("n", [200, 400])
+    def test_builtin_checks_scale_with_distinct_templates(self, counts, n):
+        g = _punctured_path(n)
+        assign = _builtin_assignments(g, random.Random(n))[0]
+        assert len(g.vertices) >= 200 and len(set(assign.values())) == 5
+        counts.update(validate_morphism=0, validate_template=0)
+        assemble_global(g, assign)
+        # one check per distinct template, one per slot of each
+        assert counts == {"validate_morphism": 3 + 4 * 2, "validate_template": 5}
+
+    def test_star_checks_once_per_valency(self, counts):
+        g = _attempt(random.Random(7), 250)
+        assign = {v: star_template(g.valency(v)) for v in g.vertices}
+        valencies = {g.valency(v) for v in g.vertices}
+        assert len(valencies) > 3
+        counts.update(validate_morphism=0, validate_template=0)
+        assemble_global(g, assign)
+        assert counts == {
+            "validate_morphism": sum(valencies),
+            "validate_template": len(valencies),
+        }
+
+    def test_matches_the_validated_path(self):
+        rng = random.Random(11)
+        graphs = sample_graphs()
+        compared = 0
+        for g in graphs:
+            assigns = _builtin_assignments(g, rng)
+            assigns.append({v: star_template(g.valency(v)) for v in g.vertices})
+            for assign in assigns:
+                d = assembly_diagram(g, assign)
+                quiver._validate_diagram(d)
+                trusted, validated = assemble_global(g, assign), amalgamate(d)
+                assert trusted == validated
+                assert serialize(trusted) == serialize(validated)
+                assert export_dot(trusted) == export_dot(validated)
+                compared += 1
+        assert compared > len(graphs)
 
 
 class TestBasicness:

@@ -31,6 +31,7 @@ from ribboncalc import (
     tagged_triangulation,
     web_trajectory,
 )
+from ribboncalc import cli
 from ribboncalc.cli import main
 from ribboncalc.trajectory import curve_trajectory
 
@@ -413,3 +414,26 @@ class TestUsageAndErrors:
         assert code == 1
         assert out == ""
         assert err.startswith("error: at /: invalid JSON")
+
+    def test_repeated_calls_in_one_process(self, capsys, one_valent_file):
+        """The parser is built once per process; each call still answers
+        as it does on its own, usage and value errors in between."""
+        four_gon = fixture_path("four_gon")
+        calls = [
+            ("info", "--graph", four_gon),
+            ("traj", "--graph", four_gon, "--start", "a", "--orient", "sideways"),
+            ("info", "--graph", one_valent_file),
+            ("validate", "--graph", four_gon),
+            ("export", "--graph", four_gon, "--quiver", four_gon),
+            ("traj", "--graph", four_gon, "--start", "nowhere"),
+            ("info", "--graph", four_gon),
+        ]
+        alone = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            alone.append(run(capsys, *argv))
+        assert [code for code, _, _ in alone] == [0, 2, 1, 0, 2, 1, 0]
+        cli._build_parser.cache_clear()
+        together = [run(capsys, *argv) for argv in calls]
+        assert cli._build_parser.cache_info().misses == 1
+        assert together == alone
