@@ -23,7 +23,7 @@ from .quiver import (
     _require_frozen_cover,
     validate_morphism,
 )
-from .trajectory import CW, Itinerary, itinerary
+from .trajectory import CW, Itinerary, _itinerary
 
 PLAIN_TAG = "plain"
 NOTCHED_TAG = "notched"
@@ -41,13 +41,18 @@ class LocalTemplate:
     """A vertex quiver with one interface slot per incident edge.
 
     Slot images must be pairwise disjoint frozen components of the
-    quiver and together exhaust its frozen vertices.
+    quiver and together exhaust its frozen vertices.  Construction
+    checks this with `validate_template` and raises ValueError when it
+    fails, so every template in existence is valid.
     """
 
     name: str
     quiver: IceQuiver
     slots: tuple[TemplateSlot, ...]
     stalk: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        validate_template(self)
 
     @property
     def valency(self) -> int:
@@ -168,9 +173,7 @@ def builtin_template(name: str) -> LocalTemplate:
                 name, ", ".join(BUILTIN_TEMPLATE_NAMES)
             )
         )
-    t = _BUILTINS[name]()
-    validate_template(t)
-    return t
+    return _BUILTINS[name]()
 
 
 def star_template(n: int) -> LocalTemplate:
@@ -186,9 +189,7 @@ def star_template(n: int) -> LocalTemplate:
         verts.append(QuiverVertex(tip, True))
         arrows.append(QuiverArrow("s{}".format(s), "hub", tip))
         slots.append(TemplateSlot(_point_boundary(), {"u": tip}, {}))
-    t = LocalTemplate("star_{}".format(n), IceQuiver(verts, arrows), tuple(slots))
-    validate_template(t)
-    return t
+    return LocalTemplate("star_{}".format(n), IceQuiver(verts, arrows), tuple(slots))
 
 
 def _flag(frozen: bool) -> str:
@@ -244,15 +245,16 @@ TemplateAssignment = Mapping[str, Union[str, LocalTemplate]]
 
 
 def _resolve_assignment(g: RibbonGraph, assign: TemplateAssignment) -> dict[str, LocalTemplate]:
-    """The template of every vertex, each distinct template validated once.
+    """The template of every vertex, equal templates as one object.
 
-    A named built-in is built, and so validated, once.  Any other
-    template is validated the first time it is met; a later one that is
-    the same object, or equal to one already validated, resolves to that
-    first object without being checked again.
+    A named built-in is built once.  A template that is the same object
+    as, or equal to, one met before resolves to that first object:
+    `assembly_diagram` memoises slot morphisms by ``id(template)``, so
+    this keeps their number down to the distinct templates even when
+    the caller builds one per vertex.
     """
     builtins: dict[str, LocalTemplate] = {}
-    checked: dict[str, list[LocalTemplate]] = {}  # validated ones, by name
+    seen: dict[str, list[LocalTemplate]] = {}  # first ones, by name
     resolved = {}
     for v in g.vertices:
         if v not in assign:
@@ -263,10 +265,9 @@ def _resolve_assignment(g: RibbonGraph, assign: TemplateAssignment) -> dict[str,
                 builtins[t] = builtin_template(t)
             t = builtins[t]
         else:
-            same_name = checked.setdefault(t.name, [])
+            same_name = seen.setdefault(t.name, [])
             known = next((c for c in same_name if c is t or c == t), None)
             if known is None:
-                validate_template(t)
                 same_name.append(t)
             else:
                 t = known
@@ -286,8 +287,8 @@ def assembly_diagram(g: RibbonGraph, assign: TemplateAssignment) -> Amalgamation
     Template names are looked up among the built-ins.  Across each
     internal edge the two slot interfaces are identified in reversed
     vertex order; they must match under that identification.  The graph
-    and each distinct template are validated once; the incidences are
-    derived from them, one morphism per distinct slot or slot pair.
+    is validated once; the incidences are derived from the templates,
+    one morphism per distinct slot or slot pair.
     """
     require_valid(g)
     templates = _resolve_assignment(g, assign)
@@ -339,21 +340,14 @@ def assemble_global(g: RibbonGraph, assign: TemplateAssignment) -> IceQuiver:
     """Glue one local quiver per vertex into the global ice quiver.
 
     The result equals ``amalgamate(assembly_diagram(g, assign))``, but
-    the diagram is glued without `amalgamate`'s full check, because
-    `assembly_diagram` has proved it already.  The graph and each
-    distinct template are validated.  Every incidence is then either a
-    slot morphism of a validated template, or that morphism composed
-    with the isomorphism `_reversal_identification` found between the
-    two interfaces, so it is a valid morphism from its edge quiver into
-    its vertex quiver.  The slots of a validated template are disjoint
-    frozen components that cover its frozen vertices, and each slot
-    serves exactly one halfedge, so the incidence images cover every
-    vertex quiver in the same way.
+    the diagram is glued without `amalgamate`'s full check: templates
+    are valid by construction, and incidences are their slot morphisms
+    or those composed with `_reversal_identification`.
     """
     return _glue(assembly_diagram(g, assign), g.internal_edges())
 
 
-def basicness_check(g: RibbonGraph, assign: Optional[TemplateAssignment] = None) -> list[str]:
+def basicness_check(g: RibbonGraph) -> list[str]:
     """Warnings about vertices whose assembled summands may coincide.
 
     A 2-valent plain vertex induces the same object along both of its
@@ -361,8 +355,6 @@ def basicness_check(g: RibbonGraph, assign: Optional[TemplateAssignment] = None)
     2-valent vertices are fine.
     """
     require_valid(g)
-    if assign is not None:
-        _resolve_assignment(g, assign)
     warnings = []
     for v in g.vertices:
         if g.valency(v) == 2 and g.kind(v) == PLAIN:
@@ -444,7 +436,7 @@ def tagged_triangulation(
                     puncture=p,
                     via=via,
                     tagging=tag,
-                    path=itinerary(g, via, CW),
+                    path=_itinerary(g, via, CW),
                 )
             )
     return arcs

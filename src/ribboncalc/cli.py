@@ -113,9 +113,9 @@ def _cmd_amalgamate(args) -> int:
 def _cmd_assemble(args) -> int:
     g = _load_graph(args.graph)
     assign = parse_assignments(_read(args.templates))
-    for warning in basicness_check(g, assign):
-        print("warning: {}".format(warning), file=sys.stderr)
     q = assemble_global(g, assign)
+    for warning in basicness_check(g):
+        print("warning: {}".format(warning), file=sys.stderr)
     _emit(export_dot(q) if args.format == "dot" else serialize(q))
     return 0
 

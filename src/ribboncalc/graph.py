@@ -401,11 +401,9 @@ def surface_invariants(g: RibbonGraph) -> SurfaceInvariants:
 def dual(g: RibbonGraph) -> RibbonGraph:
     """The same graph with every cyclic order reversed.  Involutive."""
     require_valid(g)
-    return RibbonGraph(
-        {v: tuple(reversed(g.cyclic(v))) for v in g.vertices},
-        {h: g.twin_of(h) for h in g.halfedges if not g.is_external(h)},
-        {v: g.kind(v) for v in g.vertices},
-        {v: g.label(v) for v in g.vertices if g.label(v) is not None},
+    return RibbonGraph._from_tables(
+        {v: ring[::-1] for v, ring in g._cyclic.items()},
+        g._at, g._twin, g._kind, g._label,
     )
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from typing import Any, Optional
 
-from .assembly import LocalTemplate, TaggedArc, TemplateSlot, validate_template
+from .assembly import LocalTemplate, TaggedArc, TemplateSlot
 from .graph import (
     BoundaryWalk,
     RibbonGraph,
@@ -269,12 +269,10 @@ def template_from_jsonable(obj: Any, pointer: str = "") -> LocalTemplate:
     stalk = obj.get("stalk")
     if stalk is not None:
         stalk = _want_str(stalk, (pointer, "stalk"))
-    t = LocalTemplate(name, quiver, tuple(slots), stalk)
     try:
-        validate_template(t)
+        return LocalTemplate(name, quiver, tuple(slots), stalk)
     except ValueError as exc:
         raise ParseError(pointer + _ptr("slots"), str(exc)) from exc
-    return t
 
 
 def parse_template(text: str) -> LocalTemplate:

@@ -131,7 +131,7 @@ def web_trajectory(g: RibbonGraph, v: str, orient: str = CW) -> dict[str, Itiner
     _require_orient(orient)
     if not g.has_vertex(v):
         raise ValueError("unknown vertex {!r}".format(v))
-    return {h: itinerary(g, h, orient) for h in g.cyclic(v)}
+    return {h: _itinerary(g, h, orient) for h in g.cyclic(v)}
 
 
 def curve_trajectory(g: RibbonGraph, e: str, orient: str = CW) -> tuple[Itinerary, Itinerary]:
@@ -143,7 +143,7 @@ def curve_trajectory(g: RibbonGraph, e: str, orient: str = CW) -> tuple[Itinerar
     pair = g.halfedges_of(e)
     if len(pair) != 2:
         raise ValueError("curve trajectory needs internal edge, got {!r}".format(e))
-    return itinerary(g, pair[0], orient), itinerary(g, pair[1], orient)
+    return _itinerary(g, pair[0], orient), _itinerary(g, pair[1], orient)
 
 
 @dataclass(frozen=True)

@@ -154,6 +154,29 @@ class TestBuiltinTemplates:
 
 
 class TestValidateTemplate:
+    @pytest.mark.parametrize(
+        "name, frozen_arrow, images, message",
+        [
+            ("bad", False, ["z"],
+             "template bad: slot 0 morphism invalid: vertex u maps to unknown vertex z"),
+            ("half", True, ["x"], "template half: slot 0 image is not a frozen component"),
+            ("dup", False, ["x", "x"], "template dup: slot 1 overlaps another slot"),
+            ("gap", False, ["x"], "template gap: frozen vertices ['y'] belong to no slot"),
+        ],
+        ids=["morphism", "component", "overlap", "cover"],
+    )
+    def test_construction_checks_the_template(self, name, frozen_arrow, images, message):
+        # with the frozen arrow x -> y, {x} alone is not a frozen component
+        quiver = IceQuiver(
+            [QuiverVertex("m"), QuiverVertex("x", frozen=True), QuiverVertex("y", frozen=True)],
+            [QuiverArrow("xy", "x", "y", True)] if frozen_arrow else [],
+        )
+        point = IceQuiver([QuiverVertex("u", frozen=True)], [])
+        slots = tuple(TemplateSlot(point, {"u": x}, {}) for x in images)
+        with pytest.raises(ValueError) as info:
+            LocalTemplate(name, quiver, slots)
+        assert str(info.value) == message
+
     def test_image_must_be_a_frozen_component(self):
         quiver = IceQuiver(
             [QuiverVertex("m"), QuiverVertex("x", frozen=True), QuiverVertex("y", frozen=True)],
@@ -344,17 +367,17 @@ class TestTrustedAssembly:
         # one check per distinct template, one per slot of each
         assert counts == {"validate_morphism": 3 + 4 * 2, "validate_template": 5}
 
-    def test_star_checks_once_per_valency(self, counts):
+    def test_star_templates_are_checked_when_built(self, counts):
         g = _attempt(random.Random(7), 250)
         assign = {v: star_template(g.valency(v)) for v in g.vertices}
-        valencies = {g.valency(v) for v in g.vertices}
-        assert len(valencies) > 3
+        # one check per template built, one morphism check per slot
+        assert counts == {
+            "validate_morphism": sum(g.valency(v) for v in g.vertices),
+            "validate_template": len(g.vertices),
+        }
         counts.update(validate_morphism=0, validate_template=0)
         assemble_global(g, assign)
-        assert counts == {
-            "validate_morphism": sum(valencies),
-            "validate_template": len(valencies),
-        }
+        assert counts == {"validate_morphism": 0, "validate_template": 0}
 
     def test_matches_the_validated_path(self):
         rng = random.Random(11)
@@ -389,10 +412,6 @@ class TestBasicness:
     def test_silent_on_punctures_and_trivalents(self, once_punctured_4gon, four_gon):
         assert basicness_check(once_punctured_4gon) == []
         assert basicness_check(four_gon) == []
-
-    def test_checks_assignment_when_given(self, four_gon):
-        with pytest.raises(ValueError, match="has no template"):
-            basicness_check(four_gon, {"v1": "a2_trivalent"})
 
 
 class TestTaggedTriangulation:

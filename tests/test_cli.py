@@ -31,7 +31,7 @@ from ribboncalc import (
     tagged_triangulation,
     web_trajectory,
 )
-from ribboncalc import cli
+from ribboncalc import assembly, cli, serialization
 from ribboncalc.cli import main
 from ribboncalc.trajectory import curve_trajectory
 
@@ -267,7 +267,11 @@ class TestAssemble:
         assert code == 0
         assert out == (DATA / "four_gon_a2.dot").read_text()
 
-    def test_two_valent_warning_on_stderr(self, capsys, tmp_path):
+    @staticmethod
+    def _chain(tmp_path, u_template):
+        """A chain u - m - w with a plain 2-valent m: the graph file and an
+        assignment file with ``u_template`` at u and star templates at m
+        and w."""
         g = RibbonGraph(
             {"u": ("ua", "us1", "us2"), "m": ("ma", "mb"), "w": ("wb", "ws1", "ws2")},
             {"ua": "ma", "ma": "ua", "mb": "wb", "wb": "mb"},
@@ -276,27 +280,71 @@ class TestAssemble:
         graph_file.write_text(serialize(g) + "\n")
         assignments = {
             "assignments": {
-                "u": json.loads(serialize(star_template(3))),
+                "u": u_template,
                 "m": json.loads(serialize(star_template(2))),
                 "w": json.loads(serialize(star_template(3))),
             }
         }
         assign_file = tmp_path / "stars.json"
         assign_file.write_text(json.dumps(assignments))
-        code, out, err = run(
-            capsys,
-            "assemble",
-            "--graph",
-            str(graph_file),
-            "--templates",
-            str(assign_file),
-        )
+        return "assemble", "--graph", str(graph_file), "--templates", str(assign_file)
+
+    def test_two_valent_warning_on_stderr(self, capsys, tmp_path):
+        argv = self._chain(tmp_path, json.loads(serialize(star_template(3))))
+        code, out, err = run(capsys, *argv)
         assert code == 0
         assert err == (
             "warning: vertex m is 2-valent and plain: the objects induced "
             "along its two edges may coincide\n"
         )
         assert json.loads(out)["vertices"]
+
+    def test_failed_assembly_prints_no_warning(self, capsys, tmp_path):
+        code, out, err = run(capsys, *self._chain(tmp_path, "a2_trivalent"))
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: interface quivers across edge ma do not match: "
+            "vertex counts 1 against 2 (ma against ua)\n"
+        )
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        """Calls of the template check and of the built-in factory, in
+        every module namespace that may hold them."""
+        calls = {"validate_template": 0, "builtin_template": 0}
+
+        def counting(name, *modules):
+            original = getattr(assembly, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            for module in modules:
+                monkeypatch.setattr(module, name, wrapper, raising=False)
+
+        counting("validate_template", assembly, serialization)
+        counting("builtin_template", assembly)
+        return calls
+
+    def test_inline_templates_are_checked_once_each(self, capsys, counts, tmp_path):
+        argv = self._chain(tmp_path, json.loads(serialize(star_template(3))))
+        counts.update(validate_template=0)
+        assert run(capsys, *argv)[0] == 0
+        assert counts == {"validate_template": 3, "builtin_template": 0}
+
+    def test_builtin_is_built_once(self, capsys, counts):
+        code, _, _ = run(
+            capsys,
+            "assemble",
+            "--graph",
+            fixture_path("four_gon"),
+            "--templates",
+            fixture_path("four_gon_a2_templates"),
+        )
+        assert code == 0
+        assert counts == {"validate_template": 1, "builtin_template": 1}
 
 
 class TestTagged:

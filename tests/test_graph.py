@@ -1,6 +1,7 @@
 import pytest
 
 import ribboncalc.graph
+from conftest import sample_graphs
 from ribboncalc import (
     EdgeRef,
     InvalidGraphError,
@@ -12,6 +13,7 @@ from ribboncalc import (
     dual,
     require_valid,
     rotate_to_min,
+    serialize,
     subgraph,
     surface_invariants,
     twist_rotation_check,
@@ -225,6 +227,20 @@ class TestDual:
         d = dual(two_spider)
         assert d.kind("v") == "singular"
         assert d.label("v") == "puncture"
+
+    def test_matches_the_checked_constructor(self):
+        for g in sample_graphs():
+            expected = RibbonGraph(
+                {v: tuple(reversed(g.cyclic(v))) for v in g.vertices},
+                {h: g.twin_of(h) for h in g.halfedges if not g.is_external(h)},
+                {v: g.kind(v) for v in g.vertices},
+                {v: g.label(v) for v in g.vertices if g.label(v) is not None},
+            )
+            d = dual(g)
+            assert d == expected
+            assert serialize(d) == serialize(expected)
+            for h in g.halfedges:
+                assert (d.ccw_next(h), d.cw_next(h)) == (expected.ccw_next(h), expected.cw_next(h))
 
 
 class TestSubgraph:
