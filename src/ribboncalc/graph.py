@@ -11,6 +11,7 @@ boundary circles and `surface_invariants` its genus.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import filterfalse
 from typing import Iterable, Mapping, Optional
 
 PLAIN = "plain"
@@ -52,11 +53,16 @@ class RibbonGraph:
     meaningless input (a halfedge listed twice, an asymmetric twin table,
     a kind or label for an unknown vertex, an unknown kind).
     `ribboncalc.serialization.graph_from_jsonable` checks a superset of
-    these facts itself, with a JSON pointer to each fault, and hands its
-    tables straight to `_from_tables`; both paths end in `_build`.  Semantic
-    rules, loops, valency-1 vertices, connectivity and the marked-point
-    condition, are reported by `validate_graph` instead so that callers
-    can inspect broken graphs.
+    these facts itself, on whole tables, falling back to a pass that
+    locates the fault by a JSON pointer, and hands its tables straight to
+    `_from_tables`; both paths end in `_build`.  Semantic rules, loops,
+    valency-1 vertices, connectivity and the marked-point condition, are
+    reported by `validate_graph` instead so that callers can inspect
+    broken graphs.
+
+    A graph keeps its rings, twin table and successor table; the
+    predecessor table, which only counterclockwise walks and `cw_next`
+    read, is built on first use.
     """
 
     def __init__(
@@ -94,7 +100,7 @@ class RibbonGraph:
             if v not in rings:
                 raise ValueError("label given for unknown vertex {!r}".format(v))
         kinds = {v: vertex_kind.get(v, PLAIN) for v in rings}
-        self._build(rings, at, twin, kinds, vertex_label)
+        self._build(rings, at, twin, kinds, vertex_label, at)
 
     @classmethod
     def _from_tables(
@@ -104,35 +110,42 @@ class RibbonGraph:
         twin: dict[str, str],
         kinds: dict[str, str],
         labels: dict[str, str],
+        ids: Iterable[str],
     ) -> "RibbonGraph":
         """A graph from tables already checked as `__init__` checks them:
         string ids, every halfedge in exactly one ring and mapped by ``at``
         to its vertex, a symmetric ``twin`` on known halfedges, a known kind
-        for every vertex and labels only on known vertices.  The dicts
-        other than ``rings`` are kept, not copied."""
+        for every vertex and labels only on known vertices.  ``ids`` yields
+        every halfedge id once, in any order; sorting is fastest when it is
+        already sorted, as in canonical input.  The dicts other than
+        ``rings`` are kept, not copied."""
         g = cls.__new__(cls)
-        g._build(rings, at, twin, kinds, labels)
+        g._build(rings, at, twin, kinds, labels, ids)
         return g
 
-    def _build(self, rings, at, twin, kinds, labels) -> None:
+    def _build(self, rings, at, twin, kinds, labels, ids) -> None:
+        # a ring that already starts at its smallest halfedge, as every
+        # ring of canonical input does, is kept as it is
         self._cyclic: dict[str, tuple[str, ...]] = {
-            v: rotate_to_min(ring) for v, ring in rings.items()
+            v: tuple(ring) if ring and ring[0] == min(ring) else rotate_to_min(ring)
+            for v, ring in rings.items()
         }
         self._at = at
         self._twin = twin
         self._kind = kinds
         self._label = labels
         self._vertices = tuple(sorted(self._cyclic))
-        self._halfedges = tuple(sorted(at))
-        # successor and predecessor in the cyclic order, precomputed
-        flat: list[str] = []
-        turned: list[str] = []
+        self._halfedges = tuple(sorted(ids))
+        # successor in the cyclic order; the predecessor is built on first
+        # use by `_predecessors`
+        nxt: dict[str, str] = {}
         for ring in self._cyclic.values():
-            flat += ring
-            turned += ring[1:]
-            turned += ring[:1]
-        self._next: dict[str, str] = dict(zip(flat, turned))
-        self._prev: dict[str, str] = dict(zip(turned, flat))
+            if ring:
+                p = ring[-1]
+                for h in ring:
+                    nxt[p] = h
+                    p = h
+        self._next = nxt
         # an edge is named by its smaller halfedge, so the sorted edge list
         # is the sorted halfedges that name their own edge
         edges, internal, external = [], [], []
@@ -151,6 +164,7 @@ class RibbonGraph:
         self._hash: Optional[int] = None
         self._report: Optional[ValidationReport] = None
         self._orbits: Optional[tuple[tuple[str, ...], ...]] = None
+        self._prev: Optional[dict[str, str]] = None
         # itineraries by (start halfedge, orientation), filled by
         # `ribboncalc.trajectory`; sound because the graph never changes
         self._walks: dict = {}
@@ -200,7 +214,7 @@ class RibbonGraph:
         return self._next[h]
 
     def cw_next(self, h: str) -> str:
-        return self._prev[h]
+        return _predecessors(self)[h]
 
     # -- edges ------------------------------------------------------------
 
@@ -269,6 +283,15 @@ def corner_permutation(g: RibbonGraph) -> dict[str, str]:
     take one counterclockwise step.  Its orbits are the boundary walks."""
     twin, nxt = g._twin, g._next
     return {h: nxt[twin.get(h, h)] for h in g._halfedges}
+
+
+def _predecessors(g: RibbonGraph) -> dict[str, str]:
+    """The predecessor in the cyclic order.  Only counterclockwise walks and
+    `RibbonGraph.cw_next` read it, so it is built on the first of those, not
+    on load, and kept on the graph."""
+    if g._prev is None:
+        g._prev = {h: p for p, h in g._next.items()}
+    return g._prev
 
 
 def _corner_orbits(g: RibbonGraph) -> tuple[tuple[str, ...], ...]:
@@ -368,9 +391,10 @@ class BoundaryWalk:
 
 def boundary_walks(g: RibbonGraph) -> list[BoundaryWalk]:
     require_valid(g)
+    twin = g._twin
     # orbits start at their smallest halfedge and come sorted by it
     return [
-        BoundaryWalk(orbit, tuple(h for h in orbit if g.is_external(h)))
+        BoundaryWalk(orbit, tuple(filterfalse(twin.__contains__, orbit)))
         for orbit in _corner_orbits(g)
     ]
 
@@ -403,7 +427,7 @@ def dual(g: RibbonGraph) -> RibbonGraph:
     require_valid(g)
     return RibbonGraph._from_tables(
         {v: ring[::-1] for v, ring in g._cyclic.items()},
-        g._at, g._twin, g._kind, g._label,
+        g._at, g._twin, g._kind, g._label, g._halfedges,
     )
 
 

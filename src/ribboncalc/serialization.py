@@ -85,9 +85,80 @@ _LABELLED_VERTEX_KEYS = _VERTEX_KEYS | {"label"}
 
 
 def graph_from_jsonable(obj: Any, pointer: str = "") -> RibbonGraph:
-    """Check a graph object element by element and build the graph from
-    the checked tables.  Each check is inline; the ``_want*`` helpers run
-    only on a failed one, to raise its located error."""
+    """Check a graph object and build the graph from the checked tables.
+
+    Each list is read once with cheap checks per entry: exact types, entry
+    sizes (a halfedge has two keys, a vertex three, or four with a label)
+    and a known kind.  Uniqueness and membership are proved on whole
+    tables: as many ids as entries, a twin table equal to its inverse, as
+    many attachments as ring entries, and the attached ids the declared
+    ones.  On any failure, a missing key or an unhashable value included,
+    `_locate_graph_error` rechecks element by element to raise the located
+    `ParseError`, or returns the tables of input that only the exact-type
+    checks declined, such as ``str`` or ``dict`` subclasses."""
+    try:
+        tables = _graph_tables(obj)
+    except (KeyError, TypeError):
+        tables = None
+    if tables is None:
+        tables = _locate_graph_error(obj, pointer)
+    return RibbonGraph._from_tables(*tables)
+
+
+def _graph_tables(obj: Any):
+    """The tables of a well-formed graph object, or None when a whole-table
+    check fails; a missing key or an unhashable value raises instead."""
+    if type(obj) is not dict or len(obj) != 2:
+        return None
+    vertices, halfedges = obj["vertices"], obj["halfedges"]
+    if type(vertices) is not list or type(halfedges) is not list:
+        return None
+    declared: dict[str, Optional[str]] = {}
+    for entry in halfedges:
+        if type(entry) is not dict or len(entry) != 2:
+            return None
+        declared[entry["id"]] = entry["twin"]
+    if len(declared) != len(halfedges) or not set(map(type, declared)) <= {str}:
+        return None
+    # equal to its inverse, the twin table maps declared ids to declared ids
+    twins = {h: t for h, t in declared.items() if t is not None}
+    if {t: h for h, t in twins.items()} != twins:
+        return None
+
+    rings: dict[str, list[str]] = {}
+    kinds: dict[str, str] = {}
+    labels: dict[str, str] = {}
+    attached: dict[str, str] = {}
+    for entry in vertices:
+        if type(entry) is not dict:
+            return None
+        vid, ring, kind = entry["id"], entry["cyclic"], entry["kind"]
+        if len(entry) != 3:
+            if len(entry) != 4:
+                return None
+            labels[vid] = entry["label"]
+        if type(ring) is not list or kind not in VERTEX_KINDS:
+            return None
+        rings[vid] = ring
+        kinds[vid] = kind
+        for h in ring:
+            attached[h] = vid
+    if (
+        len(rings) != len(vertices)
+        or not set(map(type, rings)) <= {str}
+        or not set(map(type, labels.values())) <= {str}
+        or sum(map(len, rings.values())) != len(attached)
+        or attached.keys() != declared.keys()
+    ):
+        return None
+    return rings, attached, twins, kinds, labels, declared
+
+
+def _locate_graph_error(obj: Any, pointer: str):
+    """Check a graph object element by element, in input order, and raise
+    the `ParseError` of its first fault, located by a JSON pointer.  Each
+    check is inline; the ``_want*`` helpers run only on a failed one.
+    Returns the tables when there is no fault."""
     _want_keys(obj, (pointer,), ("vertices", "halfedges"))
     vertices = _want(obj["vertices"], list, (pointer, "vertices"), "a list")
     halfedges = _want(obj["halfedges"], list, (pointer, "halfedges"), "a list")
@@ -170,7 +241,7 @@ def graph_from_jsonable(obj: Any, pointer: str = "") -> RibbonGraph:
                     pointer + _ptr("halfedges"),
                     "halfedge {!r} is attached to no vertex".format(hid),
                 )
-    return RibbonGraph._from_tables(rings, attached, twins, kinds, labels)
+    return rings, attached, twins, kinds, labels, declared
 
 
 def _ring_entry_error(h, where, declared) -> None:
@@ -358,17 +429,19 @@ def _ref_jsonable(ref) -> Any:
 
 def to_jsonable(value: Any) -> Any:
     if isinstance(value, RibbonGraph):
-        return {
-            "vertices": [
-                dict(
-                    [("id", v), ("cyclic", list(value.cyclic(v))), ("kind", value.kind(v))]
-                    + ([("label", value.label(v))] if value.label(v) is not None else [])
+        cyclic, kind, label, twin = value._cyclic, value._kind, value._label, value._twin
+        vertices = []
+        for v in value._vertices:
+            lab = label.get(v)
+            if lab is None:
+                vertices.append({"id": v, "cyclic": list(cyclic[v]), "kind": kind[v]})
+            else:
+                vertices.append(
+                    {"id": v, "cyclic": list(cyclic[v]), "kind": kind[v], "label": lab}
                 )
-                for v in value.vertices
-            ],
-            "halfedges": [
-                {"id": h, "twin": value.twin_of(h)} for h in value.halfedges
-            ],
+        return {
+            "vertices": vertices,
+            "halfedges": [{"id": h, "twin": twin.get(h)} for h in value._halfedges],
         }
     if isinstance(value, IceQuiver):
         return {
@@ -480,7 +553,10 @@ def to_jsonable(value: Any) -> Any:
 
 
 def serialize(value: Any) -> str:
-    return json.dumps(to_jsonable(value), sort_keys=True, separators=(",", ":"))
+    # `to_jsonable` builds a fresh tree every call, so it has no cycle to find
+    return json.dumps(
+        to_jsonable(value), sort_keys=True, separators=(",", ":"), check_circular=False
+    )
 
 
 # -- DOT for graphs ------------------------------------------------------

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Union
 
-from .graph import RibbonGraph, require_valid
+from .graph import RibbonGraph, _predecessors, require_valid
 
 CW = "cw"
 CCW = "ccw"
@@ -87,7 +87,7 @@ def _itinerary(g: RibbonGraph, h: str, orient: str) -> Itinerary:
     if itin is not None:
         return itin
     twin, at = g._twin, g._at
-    turn = g._next if orient == CW else g._prev
+    turn = g._next if orient == CW else _predecessors(g)
     out, entries = [h], []
     x = h
     # ends on a valid graph: every orbit meets an external halfedge

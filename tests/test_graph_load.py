@@ -1,16 +1,21 @@
 """Differential tests of graph loading and validation.
 
-`graph_from_jsonable` checks each element inline and hands its tables to
-the graph's private builder, and `validate_graph` reads the graph's own
-tables.  The earlier formulations, which went through a ``_want*`` call
-per check, the public `RibbonGraph` constructor and the accessors, are
-kept below verbatim as oracles: every input must give the same graph or
-the same `ParseError` (message and pointer), and every graph the same
-violations in the same order.
+`graph_from_jsonable` proves uniqueness and membership on whole tables
+and hands them to the graph's private builder; when a whole-table check
+fails it reruns an element-by-element pass that raises the located error
+or, for input only the exact-type checks declined, returns the tables.
+`validate_graph` reads the graph's own tables.  The earlier formulations,
+which went through a ``_want*`` call per check, the public `RibbonGraph`
+constructor and the accessors, are kept below verbatim as oracles: every
+input, mutated at random or one of the hand-made cases that decline the
+whole-table checks, must give the same graph or the same `ParseError`
+(message and pointer), and every graph the same violations in the same
+order.
 """
 
 import copy
 import random
+from types import MappingProxyType
 from typing import Any, Optional
 
 from ribboncalc import (
@@ -330,6 +335,124 @@ def test_graph_parse_matches_the_oracle_on_mutated_inputs():
         kinds.add(want[0] if want[0] != "graph" else ("graph", want[2].ok))
     # the mutations reach rejected input, broken graphs and valid ones
     assert kinds == {"ParseError", ("graph", True), ("graph", False)}
+
+
+class _Str(str):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+def _subclassed(obj):
+    """The graph object with every dict a `_Dict` and every string a `_Str`."""
+    if isinstance(obj, dict):
+        return _Dict((_Str(k), _subclassed(v)) for k, v in obj.items())
+    if isinstance(obj, list):
+        return [_subclassed(v) for v in obj]
+    return _Str(obj) if isinstance(obj, str) else obj
+
+
+def _renamed(obj, old, new):
+    """The graph object with every id, twin and ring entry ``old`` renamed."""
+    if isinstance(obj, dict):
+        return {k: _renamed(v, old, new) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_renamed(v, old, new) for v in obj]
+    return new if obj == old else obj
+
+
+_DELETE = object()
+
+
+def _edited(obj, path, value):
+    """A copy of ``obj`` with the entry at ``path`` set to ``value``, or
+    deleted when ``value`` is `_DELETE`."""
+    root = obj = copy.deepcopy(obj)
+    *head, last = path
+    for key in head:
+        obj = obj[key]
+    if value is _DELETE:
+        del obj[last]
+    else:
+        obj[last] = value
+    return root
+
+
+def _edge_cases():
+    """(name, graph object, whether the whole-table checks decline it)."""
+    base = to_jsonable(fixture_graph("once_punctured_4gon"))
+    pw1, w1a, w1p = ("halfedges", 0), ("halfedges", 2), ("halfedges", 4)
+    p, w1, w2 = ("vertices", 0), ("vertices", 1), ("vertices", 2)
+    ring = base["vertices"][1]["cyclic"]  # w1: ["w1a", "w1b", "w1p"]
+    yield "canonical", base, False
+    yield "str-subclass ids", _subclassed(base), True
+    dicts = copy.deepcopy(base)
+    for entry in dicts["halfedges"] + dicts["vertices"]:
+        entry["id"] = _Str(entry["id"])
+    dicts["halfedges"] = [_Dict(e) for e in dicts["halfedges"]]
+    dicts["vertices"] = [_Dict(e) for e in dicts["vertices"]]
+    yield "dict-subclass entries", _Dict(dicts), True
+    for bad in ([], {}):
+        for name, path in (
+            ("halfedge id", w1a + ("id",)),
+            ("twin", pw1 + ("twin",)),
+            ("ring entry", w1 + ("cyclic", 1)),
+            ("vertex id", w1 + ("id",)),
+            ("kind", w1 + ("kind",)),
+            ("label", p + ("label",)),
+        ):
+            yield "{} {!r}".format(name, bad), _edited(base, path, bad), True
+    yield "numeric halfedge id", _renamed(base, "w1a", 7), True
+    yield "empty halfedge id", _renamed(base, "w1a", ""), False
+    yield "empty vertex id", _renamed(base, "w2", ""), False
+    yield "numeric label", _edited(base, p + ("label",), 1), True
+    yield "null label", _edited(base, p + ("label",), None), True
+    yield "4-key vertex without label", _edited(base, w1 + ("foo",), "x"), True
+    yield "vertex without kind", _edited(base, w1 + ("kind",), _DELETE), True
+    two_keys = _edited(base, w1a + ("foo",), None)
+    yield "2-key halfedge without twin", _edited(two_keys, w1a + ("twin",), _DELETE), True
+    other = base["vertices"][2]["cyclic"] + ["w1a"]
+    yield "halfedge in two rings", _edited(base, w2 + ("cyclic",), other), True
+    yield "halfedge twice in a ring", _edited(base, w1 + ("cyclic",), ring + ring[:1]), True
+    yield "halfedge in no ring", _edited(base, w1 + ("cyclic",), ring[1:]), True
+    yield "one-sided twin", _edited(base, w1p + ("twin",), None), True
+    yield "twin of another", _edited(base, w1a + ("twin",), "w1p"), True
+    for key, i in (("halfedges", 2), ("vertices", 1)):
+        doubled = base[key] + base[key][i:i + 1]
+        yield "duplicate entry", _edited(base, (key,), doubled), True
+        empty = dict({"vertices": [], "halfedges": []}, **{key: {}})
+        yield "empty object for a list", empty, True
+    yield "ring as an object", _edited(base, w1 + ("cyclic",), dict.fromkeys(ring)), True
+    yield "ring as a string", _edited(base, w1 + ("cyclic",), "w1a"), True
+    # not JSON, but `graph_from_jsonable` takes any object
+    for key in ("vertices", "halfedges"):
+        yield "tuple for a list", _edited(base, (key,), tuple(base[key])), True
+    for path in (w1a, w1):
+        proxy = MappingProxyType(copy.deepcopy(base[path[0]][path[1]]))
+        yield "mapping proxy entry", _edited(base, path, proxy), True
+    yield "mapping proxy graph", MappingProxyType(base), True
+
+
+def test_declined_input_matches_the_oracle_through_the_located_pass(monkeypatch):
+    located = []
+    locate = library_serialization._locate_graph_error
+    monkeypatch.setattr(
+        library_serialization,
+        "_locate_graph_error",
+        lambda obj, pointer: located.append(pointer) or locate(obj, pointer),
+    )
+    # neither parser changes its input, so both read the same object
+    for name, obj, declined in _edge_cases():
+        located.clear()
+        want = _outcome(graph_from_jsonable, obj, "/p")
+        assert _outcome(library_serialization.graph_from_jsonable, obj, "/p") == want, name
+        assert located == (["/p"] if declined else []), name
+        if want[0] == "graph":
+            _assert_same_graph(
+                library_serialization.graph_from_jsonable(obj), graph_from_jsonable(obj)
+            )
 
 
 # -- builder and validation differential tests ------------------------------

@@ -1,0 +1,94 @@
+"""Loading graphs whose input is not in canonical order.
+
+`serialize` writes every ring from its smallest halfedge and every list
+sorted, and the graph builder keeps such rings and orders as they are, so
+tests that parse serialized text never reach its rotation of a ring or
+its sort of unsorted ids.  Here every sample graph is written with its
+rings rotated off their smallest halfedge and its lists shuffled, and the
+parsed graph must be the one the public constructor builds from the same
+tables.  The predecessor table is built on the first counterclockwise
+use, so a graph walked only clockwise never builds it.
+"""
+
+import json
+import random
+
+from ribboncalc import (
+    CCW,
+    CW,
+    RibbonGraph,
+    dual,
+    itinerary,
+    parse_graph,
+    serialize,
+    to_jsonable,
+)
+
+from conftest import sample_graphs
+
+
+def _scrambled(g: RibbonGraph, rng: random.Random) -> dict:
+    """The graph object of ``g`` with each ring of two or more halfedges
+    rotated off its smallest one and both lists shuffled."""
+    obj = to_jsonable(g)
+    for entry in obj["vertices"]:
+        ring = entry["cyclic"]
+        if len(ring) > 1:
+            k = rng.randrange(1, len(ring))
+            entry["cyclic"] = ring[k:] + ring[:k]
+    rng.shuffle(obj["halfedges"])
+    rng.shuffle(obj["vertices"])
+    return obj
+
+
+def _constructed(obj: dict) -> RibbonGraph:
+    vertices = obj["vertices"]
+    return RibbonGraph(
+        {e["id"]: e["cyclic"] for e in vertices},
+        {e["id"]: e["twin"] for e in obj["halfedges"] if e["twin"] is not None},
+        {e["id"]: e["kind"] for e in vertices},
+        {e["id"]: e["label"] for e in vertices if "label" in e},
+    )
+
+
+def test_scrambled_input_parses_to_the_constructed_graph():
+    rng = random.Random(9)
+    rotated = shuffled = 0
+    for g in sample_graphs():
+        obj = _scrambled(g, rng)
+        rotated += sum(e["cyclic"][0] != min(e["cyclic"]) for e in obj["vertices"])
+        shuffled += [e["id"] for e in obj["halfedges"]] != list(g.halfedges)
+        parsed = parse_graph(json.dumps(obj))
+        built = _constructed(obj)
+        assert parsed == built == g
+        assert parsed.vertices == built.vertices == g.vertices
+        assert parsed.halfedges == built.halfedges == g.halfedges
+        assert parsed.edges() == built.edges()
+        assert parsed.internal_edges() == built.internal_edges()
+        assert parsed.external_edges() == built.external_edges()
+        for v in g.vertices:
+            assert parsed.cyclic(v) == built.cyclic(v) == g.cyclic(v)
+        for h in g.halfedges:
+            assert parsed.ccw_next(h) == built.ccw_next(h)
+            assert parsed.cw_next(h) == built.cw_next(h)
+        assert parsed.validation_report() == built.validation_report()
+        assert serialize(parsed) == serialize(g)
+    # the rotation and the sort of unsorted ids were both reached
+    assert rotated and shuffled
+
+
+def test_the_predecessor_table_is_built_on_first_counterclockwise_use():
+    for g in sample_graphs():
+        parsed = parse_graph(serialize(g))
+        built = _constructed(to_jsonable(g))
+        for h in g.halfedges:
+            assert itinerary(parsed, h, CW) == itinerary(built, h, CW)
+        assert parsed._prev is None
+        for h in g.halfedges:
+            assert itinerary(parsed, h, CCW) == itinerary(built, h, CCW)
+        assert parsed._prev is not None
+        flipped, flipped_built = dual(parse_graph(serialize(g))), dual(built)
+        assert flipped == flipped_built
+        for h in g.halfedges:
+            assert flipped.ccw_next(h) == parsed.cw_next(h)
+            assert itinerary(flipped, h, CW) == itinerary(flipped_built, h, CW)
