@@ -49,13 +49,13 @@ class RibbonGraph:
     a halfedge to its vertex.  ``twin`` pairs the two halfedges of every
     internal edge and omits external halfedges entirely.
 
-    The constructor turns ids into strings and rejects structurally
+    The constructor turns ids, the keys of ``vertex_kind`` and
+    ``vertex_label`` included, into strings and rejects structurally
     meaningless input (a halfedge listed twice, an asymmetric twin table,
-    a kind or label for an unknown vertex, an unknown kind).
-    `ribboncalc.serialization.graph_from_jsonable` checks a superset of
-    these facts itself, on whole tables, falling back to a pass that
-    locates the fault by a JSON pointer, and hands its tables straight to
-    `_from_tables`; both paths end in `_build`.  Semantic rules, loops,
+    a kind or label for an unknown vertex, an unknown kind, a label that
+    is not a string).  `ribboncalc.serialization.graph_from_jsonable`
+    checks a superset of these facts itself and hands its tables straight
+    to `_from_tables`; both paths end in `_build`.  Semantic rules, loops,
     valency-1 vertices, connectivity and the marked-point condition, are
     reported by `validate_graph` instead so that callers can inspect
     broken graphs.
@@ -72,8 +72,8 @@ class RibbonGraph:
         vertex_kind: Optional[Mapping[str, str]] = None,
         vertex_label: Optional[Mapping[str, str]] = None,
     ):
-        vertex_kind = dict(vertex_kind or {})
-        vertex_label = dict(vertex_label or {})
+        vertex_kind = {str(v): k for v, k in (vertex_kind or {}).items()}
+        vertex_label = {str(v): lab for v, lab in (vertex_label or {}).items()}
         rings: dict[str, list[str]] = {}
         at: dict[str, str] = {}
         for v in cyclic:
@@ -96,9 +96,11 @@ class RibbonGraph:
                 raise ValueError("vertex kind given for unknown vertex {!r}".format(v))
             if kind not in VERTEX_KINDS:
                 raise ValueError("unknown vertex kind {!r}".format(kind))
-        for v in vertex_label:
+        for v, label in vertex_label.items():
             if v not in rings:
                 raise ValueError("label given for unknown vertex {!r}".format(v))
+            if label is not None and not isinstance(label, str):
+                raise ValueError("label of vertex {!r} is not a string".format(v))
         kinds = {v: vertex_kind.get(v, PLAIN) for v in rings}
         self._build(rings, at, twin, kinds, vertex_label, at)
 

@@ -250,7 +250,8 @@ def amalgamate(
     """Glue the vertex quivers along the interface quivers.
 
     Vertices identified across internal edges melt into one mutable
-    vertex named by the smallest qualified id in its class.  Interfaces
+    vertex named by the smallest qualified id ``vertex.local`` in its
+    class; two vertices with one qualified id raise ValueError.  Interfaces
     on external edges stay frozen, frozen arrows included.  Interface
     arrows of an internal edge survive, unfrozen, exactly when both
     incidences keep them non-zero.
@@ -284,6 +285,8 @@ def _glue(d: AmalgamationDiagram, edge_order: Sequence[str]) -> IceQuiver:
         local = names[v] = {}
         for x in d.vertex_quivers[v].vertices:
             local[x.id] = qualified = v + "." + x.id
+            if qualified in origin:
+                raise ValueError("two vertices have qualified id {!r}".format(qualified))
             origin[qualified] = x
     glued = []
     for e in edge_order:

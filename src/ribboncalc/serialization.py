@@ -79,23 +79,11 @@ def _want_str(obj, where):
 # -- graphs -------------------------------------------------------------
 
 
-_HALFEDGE_KEYS = frozenset(("id", "twin"))
-_VERTEX_KEYS = frozenset(("id", "cyclic", "kind"))
-_LABELLED_VERTEX_KEYS = _VERTEX_KEYS | {"label"}
-
-
 def graph_from_jsonable(obj: Any, pointer: str = "") -> RibbonGraph:
     """Check a graph object and build the graph from the checked tables.
 
-    Each list is read once with cheap checks per entry: exact types, entry
-    sizes (a halfedge has two keys, a vertex three, or four with a label)
-    and a known kind.  Uniqueness and membership are proved on whole
-    tables: as many ids as entries, a twin table equal to its inverse, as
-    many attachments as ring entries, and the attached ids the declared
-    ones.  On any failure, a missing key or an unhashable value included,
-    `_locate_graph_error` rechecks element by element to raise the located
-    `ParseError`, or returns the tables of input that only the exact-type
-    checks declined, such as ``str`` or ``dict`` subclasses."""
+    `_graph_tables` proves a well-formed graph fast; when it declines,
+    `_locate_graph_error` finds the fault."""
     try:
         tables = _graph_tables(obj)
     except (KeyError, TypeError):
@@ -106,8 +94,9 @@ def graph_from_jsonable(obj: Any, pointer: str = "") -> RibbonGraph:
 
 
 def _graph_tables(obj: Any):
-    """The tables of a well-formed graph object, or None when a whole-table
-    check fails; a missing key or an unhashable value raises instead."""
+    """The tables of a well-formed graph object, proved fast: exact types
+    and sizes per entry, uniqueness and membership on whole tables.  None
+    when a check fails; a missing key or an unhashable value raises."""
     if type(obj) is not dict or len(obj) != 2:
         return None
     vertices, halfedges = obj["vertices"], obj["halfedges"]
@@ -156,37 +145,33 @@ def _graph_tables(obj: Any):
 
 def _locate_graph_error(obj: Any, pointer: str):
     """Check a graph object element by element, in input order, and raise
-    the `ParseError` of its first fault, located by a JSON pointer.  Each
-    check is inline; the ``_want*`` helpers run only on a failed one.
-    Returns the tables when there is no fault."""
+    the located `ParseError` of its first fault.  Returns the tables of
+    input that only the exact-type checks of `_graph_tables` declined,
+    such as ``str`` or ``dict`` subclasses."""
     _want_keys(obj, (pointer,), ("vertices", "halfedges"))
     vertices = _want(obj["vertices"], list, (pointer, "vertices"), "a list")
     halfedges = _want(obj["halfedges"], list, (pointer, "halfedges"), "a list")
 
     declared: dict[str, Optional[str]] = {}
     for i, entry in enumerate(halfedges):
-        if not isinstance(entry, dict) or entry.keys() != _HALFEDGE_KEYS:
-            _want_keys(entry, (pointer, "halfedges", i), ("id", "twin"))
-        hid, twin = entry["id"], entry["twin"]
-        if not isinstance(hid, str):
-            _want_str(hid, (pointer, "halfedges", i, "id"))
+        p = (pointer, "halfedges", i)
+        _want_keys(entry, p, ("id", "twin"))
+        hid = _want_str(entry["id"], p + ("id",))
         if hid in declared:
-            raise ParseError(
-                _loc((pointer, "halfedges", i, "id")),
-                "duplicate halfedge id {!r}".format(hid),
-            )
-        if twin is not None and not isinstance(twin, str):
-            _want_str(twin, (pointer, "halfedges", i, "twin"))
+            raise ParseError(_loc(p + ("id",)), "duplicate halfedge id {!r}".format(hid))
+        twin = entry["twin"]
+        if twin is not None:
+            twin = _want_str(twin, p + ("twin",))
         declared[hid] = twin
     twins: dict[str, str] = {}
     for i, (hid, twin) in enumerate(declared.items()):
         if twin is None:
             continue
-        if declared.get(twin) != hid:
-            where = _loc((pointer, "halfedges", i, "twin"))
-            if twin not in declared:
-                raise ParseError(where, "unknown halfedge id {!r}".format(twin))
-            raise ParseError(where, "twin of {!r} does not point back".format(hid))
+        p = (pointer, "halfedges", i, "twin")
+        if twin not in declared:
+            raise ParseError(_loc(p), "unknown halfedge id {!r}".format(twin))
+        if declared[twin] != hid:
+            raise ParseError(_loc(p), "twin of {!r} does not point back".format(hid))
         twins[hid] = twin
 
     rings: dict[str, list[str]] = {}
@@ -194,61 +179,33 @@ def _locate_graph_error(obj: Any, pointer: str):
     labels: dict[str, str] = {}
     attached: dict[str, str] = {}
     for i, entry in enumerate(vertices):
-        if not isinstance(entry, dict) or (
-            entry.keys() != _VERTEX_KEYS and entry.keys() != _LABELLED_VERTEX_KEYS
-        ):
-            _want_keys(
-                entry,
-                (pointer, "vertices", i),
-                ("id", "cyclic", "kind"),
-                optional=("label",),
-            )
-        vid = entry["id"]
-        if not isinstance(vid, str):
-            _want_str(vid, (pointer, "vertices", i, "id"))
+        p = (pointer, "vertices", i)
+        _want_keys(entry, p, ("id", "cyclic", "kind"), optional=("label",))
+        vid = _want_str(entry["id"], p + ("id",))
         if vid in rings:
-            raise ParseError(
-                _loc((pointer, "vertices", i, "id")),
-                "duplicate vertex id {!r}".format(vid),
-            )
-        ring = entry["cyclic"]
-        if not isinstance(ring, list):
-            _want(ring, list, (pointer, "vertices", i, "cyclic"), "a list")
+            raise ParseError(_loc(p + ("id",)), "duplicate vertex id {!r}".format(vid))
+        ring = rings[vid] = _want(entry["cyclic"], list, p + ("cyclic",), "a list")
         for j, h in enumerate(ring):
-            if not isinstance(h, str) or h not in declared or h in attached:
-                _ring_entry_error(h, (pointer, "vertices", i, "cyclic", j), declared)
+            hp = p + ("cyclic", j)
+            _want_str(h, hp)
+            if h not in declared:
+                raise ParseError(_loc(hp), "unknown halfedge id {!r}".format(h))
+            if h in attached:
+                raise ParseError(_loc(hp), "halfedge {!r} already attached".format(h))
             attached[h] = vid
-        rings[vid] = ring
-        kind = entry["kind"]
-        if not isinstance(kind, str):
-            _want_str(kind, (pointer, "vertices", i, "kind"))
+        kind = _want_str(entry["kind"], p + ("kind",))
         if kind not in VERTEX_KINDS:
-            raise ParseError(
-                _loc((pointer, "vertices", i, "kind")),
-                "unknown vertex kind {!r}".format(kind),
-            )
+            raise ParseError(_loc(p + ("kind",)), "unknown vertex kind {!r}".format(kind))
         kinds[vid] = kind
         if "label" in entry:
-            label = entry["label"]
-            if not isinstance(label, str):
-                _want_str(label, (pointer, "vertices", i, "label"))
-            labels[vid] = label
-    # every attached halfedge is declared, so equal sizes mean all are
-    if len(attached) != len(declared):
-        for hid in declared:
-            if hid not in attached:
-                raise ParseError(
-                    pointer + _ptr("halfedges"),
-                    "halfedge {!r} is attached to no vertex".format(hid),
-                )
+            labels[vid] = _want_str(entry["label"], p + ("label",))
+    for hid in declared:
+        if hid not in attached:
+            raise ParseError(
+                pointer + _ptr("halfedges"),
+                "halfedge {!r} is attached to no vertex".format(hid),
+            )
     return rings, attached, twins, kinds, labels, declared
-
-
-def _ring_entry_error(h, where, declared) -> None:
-    _want_str(h, where)
-    if h not in declared:
-        raise ParseError(_loc(where), "unknown halfedge id {!r}".format(h))
-    raise ParseError(_loc(where), "halfedge {!r} already attached".format(h))
 
 
 def parse_graph(text: str) -> RibbonGraph:

@@ -246,7 +246,7 @@ def decompose_subgraph(
     """
     require_valid(g)
     _require_side(side)
-    if sub.ambient != g:
+    if sub.ambient is not g and sub.ambient != g:
         raise ValueError("subgraph belongs to a different ambient graph")
     unit = skip = None
     if isinstance(target, EdgeRef):

@@ -4,7 +4,16 @@ from importlib import resources
 import pytest
 
 from randgraphs import random_graph
-from ribboncalc import IceQuiver, QuiverArrow, QuiverVertex, RibbonGraph, dual, parse_graph
+from ribboncalc import (
+    IceQuiver,
+    LocalTemplate,
+    QuiverArrow,
+    QuiverVertex,
+    RibbonGraph,
+    dual,
+    parse_graph,
+    star_template,
+)
 
 GRAPH_FIXTURES = ("two_spider", "three_spider", "four_gon", "annulus", "once_punctured_4gon")
 
@@ -26,6 +35,23 @@ def sample_graphs() -> list[RibbonGraph]:
     graphs = [fixture_graph(name) for name in GRAPH_FIXTURES]
     graphs += [random_graph(rng) for _ in range(60)]
     return [h for g in graphs for h in (g, dual(g))]
+
+
+def colliding_assembly() -> tuple[RibbonGraph, dict[str, LocalTemplate]]:
+    """Vertices ``a`` and ``a.b`` joined by one edge, with 2-valent star
+    templates whose hubs ``b.c`` and ``c`` both qualify to ``a.b.c``."""
+    g = RibbonGraph({"a": ("x", "s"), "a.b": ("y", "r")}, {"x": "y", "y": "x"})
+    return g, {"a": _two_star("b.c"), "a.b": _two_star("c")}
+
+
+def _two_star(hub: str) -> LocalTemplate:
+    """`star_template(2)` with its mutable hub named ``hub``."""
+    star = star_template(2)
+    quiver = IceQuiver(
+        [QuiverVertex(hub) if v.id == "hub" else v for v in star.quiver.vertices],
+        [QuiverArrow(a.id, hub, a.dst) for a in star.quiver.arrows],
+    )
+    return LocalTemplate("two_star", quiver, star.slots)
 
 
 @pytest.fixture

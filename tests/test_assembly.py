@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import sample_graphs
+from conftest import colliding_assembly, sample_graphs
 from randgraphs import _attempt
 from ribboncalc import (
     BUILTIN_TEMPLATE_NAMES,
@@ -287,6 +287,16 @@ class TestAssemble:
     def test_inline_template_assignment(self, four_gon):
         q = assemble_global(four_gon, {v: star_template(3) for v in four_gon.vertices})
         assert len(q.vertices) == 7
+
+    def test_colliding_qualified_ids_rejected(self):
+        g, assign = colliding_assembly()
+        for glue in (assemble_global, lambda g, a: amalgamate(assembly_diagram(g, a))):
+            with pytest.raises(ValueError) as info:
+                glue(g, assign)
+            assert str(info.value) == "two vertices have qualified id 'a.b.c'"
+        # with distinct qualified ids the same gluing keeps all five classes
+        assign["a"] = star_template(2)
+        assert len(assemble_global(g, assign).vertices) == 5
 
 
 def _punctured_path(n: int) -> RibbonGraph:

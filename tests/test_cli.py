@@ -29,11 +29,14 @@ from ribboncalc import (
     serialize,
     star_template,
     tagged_triangulation,
+    to_jsonable,
     web_trajectory,
 )
 from ribboncalc import assembly, cli, serialization
 from ribboncalc.cli import main
 from ribboncalc.trajectory import curve_trajectory
+
+from conftest import colliding_assembly
 
 DATA = Path(__file__).parent / "data"
 
@@ -288,6 +291,19 @@ class TestAssemble:
         assign_file = tmp_path / "stars.json"
         assign_file.write_text(json.dumps(assignments))
         return "assemble", "--graph", str(graph_file), "--templates", str(assign_file)
+
+    def test_colliding_qualified_ids_fail_with_one_line(self, capsys, tmp_path):
+        g, assign = colliding_assembly()
+        graph_file, assign_file = tmp_path / "g.json", tmp_path / "t.json"
+        graph_file.write_text(serialize(g))
+        assign_file.write_text(
+            json.dumps({"assignments": {v: to_jsonable(t) for v, t in assign.items()}})
+        )
+        code, out, err = run(
+            capsys, "assemble", "--graph", str(graph_file), "--templates", str(assign_file)
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: two vertices have qualified id 'a.b.c'\n"
 
     def test_two_valent_warning_on_stderr(self, capsys, tmp_path):
         argv = self._chain(tmp_path, json.loads(serialize(star_template(3))))

@@ -11,6 +11,7 @@ from ribboncalc import (
     boundary_walks,
     corner_permutation,
     dual,
+    parse_graph,
     require_valid,
     rotate_to_min,
     serialize,
@@ -51,6 +52,18 @@ class TestConstruction:
     def test_label_for_unknown_vertex_rejected(self):
         with pytest.raises(ValueError):
             RibbonGraph({"v": ("a", "b")}, {}, None, {"ghost": "x"})
+
+    def test_kind_and_label_keys_become_strings(self):
+        g = RibbonGraph(
+            {1: (10, 11), 2: (12, 13)}, {10: 12, 12: 10}, {1: "singular"}, {2: "x"}
+        )
+        assert (g.kind("1"), g.kind("2"), g.label("2")) == ("singular", "plain", "x")
+        assert parse_graph(serialize(g)) == g
+
+    def test_label_must_be_a_string(self):
+        with pytest.raises(ValueError, match="label of vertex '1' is not a string"):
+            RibbonGraph({"1": ("a", "b")}, {}, None, {"1": 5})
+        assert RibbonGraph({"1": ("a", "b")}, {}, None, {"1": None}).label("1") is None
 
     def test_equality_and_hash(self):
         g1 = RibbonGraph({"v": ("b", "a")}, {})

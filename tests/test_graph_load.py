@@ -2,12 +2,14 @@
 
 `graph_from_jsonable` proves uniqueness and membership on whole tables
 and hands them to the graph's private builder; when a whole-table check
-fails it reruns an element-by-element pass that raises the located error
-or, for input only the exact-type checks declined, returns the tables.
-`validate_graph` reads the graph's own tables.  The earlier formulations,
-which went through a ``_want*`` call per check, the public `RibbonGraph`
-constructor and the accessors, are kept below verbatim as oracles: every
-input, mutated at random or one of the hand-made cases that decline the
+fails, its element-by-element pass raises the located error or, for
+input only the exact-type checks declined, returns the tables.  That
+pass is the oracle's formulation below, one ``_want*`` call per check,
+returning tables instead of calling the public constructor.
+`validate_graph` reads the graph's own tables.  The earlier
+formulations, which went through the public `RibbonGraph` constructor
+and the accessors, are kept below verbatim as oracles: every input,
+mutated at random or one of the hand-made cases that decline the
 whole-table checks, must give the same graph or the same `ParseError`
 (message and pointer), and every graph the same violations in the same
 order.
@@ -453,6 +455,49 @@ def test_declined_input_matches_the_oracle_through_the_located_pass(monkeypatch)
             _assert_same_graph(
                 library_serialization.graph_from_jsonable(obj), graph_from_jsonable(obj)
             )
+
+
+def _single_faults():
+    """(path, value) edits of the `once_punctured_4gon` graph object that
+    each break one check, several of them in the same entry."""
+    yield ("extra",), 1
+    for i, edits in (
+        (0, ((("id",), 1), (("twin",), 5), (("foo",), None))),
+        (2, ((("id",), "w1b"), (("twin",), "zzz"), (("twin",), "w1p"))),
+    ):
+        for path, value in edits:
+            yield ("halfedges", i) + path, value
+    for i in (1, 2):
+        for path, value in (
+            (("id",), 1),
+            (("id",), "p"),
+            (("cyclic",), "w1a"),
+            (("cyclic",), []),
+            (("cyclic", 0), 1),
+            (("cyclic", 0), "zzz"),
+            (("cyclic", 1), "pw1"),
+            (("kind",), 1),
+            (("kind",), "sparkly"),
+            (("label",), 1),
+            (("foo",), None),
+        ):
+            yield ("vertices", i) + path, value
+
+
+def test_first_of_two_faults_matches_the_oracle():
+    base = to_jsonable(fixture_graph("once_punctured_4gon"))
+    faults = list(_single_faults())
+    compared = 0
+    for first in faults:
+        for second in faults:
+            try:
+                obj = _edited(_edited(base, *first), *second)
+            except (KeyError, IndexError, TypeError):
+                continue  # the first edit removed the place of the second
+            want = _outcome(graph_from_jsonable, obj, "/p")
+            assert _outcome(library_serialization.graph_from_jsonable, obj, "/p") == want
+            compared += 1
+    assert compared > 600
 
 
 # -- builder and validation differential tests ------------------------------

@@ -7,7 +7,9 @@ its sort of unsorted ids.  Here every sample graph is written with its
 rings rotated off their smallest halfedge and its lists shuffled, and the
 parsed graph must be the one the public constructor builds from the same
 tables.  The predecessor table is built on the first counterclockwise
-use, so a graph walked only clockwise never builds it.
+use, so a graph walked only clockwise never builds it.  Valid JSON, in
+canonical order or not, never reaches the element-by-element pass that
+locates parse errors.
 """
 
 import json
@@ -23,8 +25,9 @@ from ribboncalc import (
     serialize,
     to_jsonable,
 )
+from ribboncalc import serialization
 
-from conftest import sample_graphs
+from conftest import GRAPH_FIXTURES, fixture_text, sample_graphs
 
 
 def _scrambled(g: RibbonGraph, rng: random.Random) -> dict:
@@ -92,3 +95,20 @@ def test_the_predecessor_table_is_built_on_first_counterclockwise_use():
         for h in g.halfedges:
             assert flipped.ccw_next(h) == parsed.cw_next(h)
             assert itinerary(flipped, h, CW) == itinerary(flipped_built, h, CW)
+
+
+def test_valid_json_never_reaches_the_located_pass(monkeypatch):
+    located = []
+    locate = serialization._locate_graph_error
+    monkeypatch.setattr(
+        serialization,
+        "_locate_graph_error",
+        lambda obj, pointer: located.append(pointer) or locate(obj, pointer),
+    )
+    rng = random.Random(9)
+    texts = [fixture_text(name) for name in GRAPH_FIXTURES]
+    for g in sample_graphs():
+        texts += [serialize(g), json.dumps(_scrambled(g, rng))]
+    for text in texts:
+        parse_graph(text)
+    assert len(texts) > 200 and located == []

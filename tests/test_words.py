@@ -17,6 +17,7 @@ from ribboncalc import (
     decompose,
     decompose_subgraph,
     dual,
+    parse_graph,
     serialize,
     subgraph,
     trajectory_counts,
@@ -240,6 +241,14 @@ class TestDecomposeSubgraph:
         res = [s for s in dec.summands if s.marker.kind == "res"]
         assert len(res) == 1 and res[0].word.is_identity
         assert not any(s.constant for s in dec.summands if s.marker.kind == "ev")
+
+    def test_own_subgraph_builds_no_equality_key(self, four_gon):
+        tri = subgraph(four_gon, {"v1"})
+        dec = decompose_subgraph(four_gon, tri, EdgeRef("s2"))
+        assert four_gon._key is None
+        # an equal ambient graph that is another object is still accepted
+        equal = parse_graph(serialize(four_gon))
+        assert decompose_subgraph(equal, tri, EdgeRef("s2")) == dec
 
     def test_foreign_subgraph_rejected(self, four_gon, annulus):
         sub = subgraph(annulus, {"w"})
