@@ -41,9 +41,10 @@ class LocalTemplate:
     """A vertex quiver with one interface slot per incident edge.
 
     Slot images must be pairwise disjoint frozen components of the
-    quiver and together exhaust its frozen vertices.  Construction
-    checks this with `validate_template` and raises ValueError when it
-    fails, so every template in existence is valid.
+    quiver and together exhaust its frozen vertices, and the name and
+    stalk are strings or None.  Construction checks this with
+    `validate_template` and raises ValueError when it fails, so every
+    template in existence is valid.
     """
 
     name: str
@@ -64,6 +65,10 @@ class LocalTemplate:
 
 
 def validate_template(t: LocalTemplate) -> None:
+    for key, text in (("name", t.name), ("stalk", t.stalk)):
+        if text is not None and not isinstance(text, str):
+            raise ValueError("template {} {!r} is not a string".format(key, text))
+
     def images():
         # each slot's morphism is checked before its image is judged
         for i, slot in enumerate(t.slots):

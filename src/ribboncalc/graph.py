@@ -41,6 +41,17 @@ def rotate_to_min(seq: Iterable[str]) -> tuple[str, ...]:
     return seq[k:] + seq[:k]
 
 
+def _by_vertex_id(table: Mapping, name: str) -> dict:
+    """``table`` with string keys; two keys with the same string are an error."""
+    out = {}
+    for v, x in table.items():
+        vid = str(v)
+        if vid in out:
+            raise ValueError("{} names vertex {!r} twice".format(name, vid))
+        out[vid] = x
+    return out
+
+
 class RibbonGraph:
     """Immutable halfedge structure with a cyclic order at each vertex.
 
@@ -51,14 +62,14 @@ class RibbonGraph:
 
     The constructor turns ids, the keys of ``vertex_kind`` and
     ``vertex_label`` included, into strings and rejects structurally
-    meaningless input (a halfedge listed twice, an asymmetric twin table,
-    a kind or label for an unknown vertex, an unknown kind, a label that
-    is not a string).  `ribboncalc.serialization.graph_from_jsonable`
-    checks a superset of these facts itself and hands its tables straight
-    to `_from_tables`; both paths end in `_build`.  Semantic rules, loops,
-    valency-1 vertices, connectivity and the marked-point condition, are
-    reported by `validate_graph` instead so that callers can inspect
-    broken graphs.
+    meaningless input (two keys of one table with the same string, a
+    halfedge listed twice, an asymmetric twin table, a kind or label for an
+    unknown vertex, an unknown kind, a label that is not a string).
+    `ribboncalc.serialization.graph_from_jsonable` checks a superset of
+    these facts itself and hands its tables straight to `_from_tables`; both
+    paths end in `_build`.  Semantic rules, loops, valency-1 vertices,
+    connectivity and the marked-point condition, are reported by
+    `validate_graph` instead so that callers can inspect broken graphs.
 
     A graph keeps its rings, twin table and successor table; the
     predecessor table, which only counterclockwise walks and `cw_next`
@@ -72,17 +83,18 @@ class RibbonGraph:
         vertex_kind: Optional[Mapping[str, str]] = None,
         vertex_label: Optional[Mapping[str, str]] = None,
     ):
-        vertex_kind = {str(v): k for v, k in (vertex_kind or {}).items()}
-        vertex_label = {str(v): lab for v, lab in (vertex_label or {}).items()}
+        cyclic = _by_vertex_id(cyclic, "cyclic")
+        vertex_kind = _by_vertex_id(vertex_kind or {}, "vertex_kind")
+        vertex_label = _by_vertex_id(vertex_label or {}, "vertex_label")
         rings: dict[str, list[str]] = {}
         at: dict[str, str] = {}
-        for v in cyclic:
-            ring = [str(h) for h in cyclic[v]]
+        for v, hs in cyclic.items():
+            ring = [str(h) for h in hs]
             for h in ring:
                 if h in at:
                     raise ValueError("halfedge {!r} listed more than once".format(h))
-                at[h] = str(v)
-            rings[str(v)] = ring
+                at[h] = v
+            rings[v] = ring
         twin = {str(h): str(t) for h, t in twin.items()}
         for h, t in twin.items():
             if h not in at:

@@ -53,21 +53,33 @@ class IceQuiver:
     def __init__(self, vertices: Iterable[QuiverVertex], arrows: Iterable[QuiverArrow]):
         self._vertices = tuple(sorted(vertices, key=lambda v: v.id))
         self._arrows = tuple(sorted(arrows, key=lambda a: a.id))
-        self._by_id = {v.id: v for v in self._vertices}
-        if len(self._by_id) != len(self._vertices):
-            raise ValueError("duplicate vertex id")
+        by_id = self._by_id = {}
+        for v in self._vertices:
+            if not isinstance(v.id, str):
+                raise ValueError("vertex id {!r} is not a string".format(v.id))
+            if v.id in by_id:
+                raise ValueError("duplicate vertex id {!r}".format(v.id))
+            if not isinstance(v.frozen, bool):
+                raise ValueError("frozen flag of vertex {!r} is not a boolean".format(v.id))
+            if v.label is not None and not isinstance(v.label, str):
+                raise ValueError("label of vertex {!r} is not a string".format(v.id))
+            by_id[v.id] = v
         seen = set()
         for a in self._arrows:
+            if not isinstance(a.id, str):
+                raise ValueError("arrow id {!r} is not a string".format(a.id))
             if a.id in seen:
                 raise ValueError("duplicate arrow id {!r}".format(a.id))
+            if not isinstance(a.frozen, bool):
+                raise ValueError("frozen flag of arrow {!r} is not a boolean".format(a.id))
             seen.add(a.id)
             for end in (a.src, a.dst):
-                if end not in self._by_id:
+                if end not in by_id:
                     raise ValueError(
                         "arrow {!r} uses unknown vertex {!r}".format(a.id, end)
                     )
             if a.frozen:
-                if not (self._by_id[a.src].frozen and self._by_id[a.dst].frozen):
+                if not (by_id[a.src].frozen and by_id[a.dst].frozen):
                     raise ValueError(
                         "frozen arrow {!r} must join frozen vertices".format(a.id)
                     )

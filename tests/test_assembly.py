@@ -18,6 +18,7 @@ from ribboncalc import (
     basicness_check,
     builtin_template,
     export_dot,
+    parse_template,
     quivers_isomorphic,
     serialize,
     star_template,
@@ -176,6 +177,15 @@ class TestValidateTemplate:
         with pytest.raises(ValueError) as info:
             LocalTemplate(name, quiver, slots)
         assert str(info.value) == message
+
+    def test_name_and_stalk_must_be_strings(self):
+        star = star_template(2)
+        with pytest.raises(ValueError, match="template name 5 is not a string"):
+            LocalTemplate(5, star.quiver, star.slots)
+        with pytest.raises(ValueError, match="template stalk 5 is not a string"):
+            LocalTemplate("star", star.quiver, star.slots, 5)
+        unnamed = LocalTemplate(None, star.quiver, star.slots)
+        assert parse_template(serialize(unnamed)) == unnamed
 
     def test_image_must_be_a_frozen_component(self):
         quiver = IceQuiver(

@@ -65,6 +65,20 @@ class TestConstruction:
             RibbonGraph({"1": ("a", "b")}, {}, None, {"1": 5})
         assert RibbonGraph({"1": ("a", "b")}, {}, None, {"1": None}).label("1") is None
 
+    def test_colliding_vertex_ids_rejected(self):
+        with pytest.raises(ValueError, match="cyclic names vertex '1' twice"):
+            RibbonGraph(
+                {1: ["a", "b"], "1": ["c", "d"]}, {"a": "c", "c": "a", "b": "d", "d": "b"}
+            )
+
+    def test_colliding_kind_keys_rejected(self):
+        with pytest.raises(ValueError, match="vertex_kind names vertex '1' twice"):
+            RibbonGraph({"1": ("a", "b")}, {}, {1: "plain", "1": "singular"})
+
+    def test_colliding_label_keys_rejected(self):
+        with pytest.raises(ValueError, match="vertex_label names vertex '1' twice"):
+            RibbonGraph({"1": ("a", "b")}, {}, None, {1: "x", "1": "y"})
+
     def test_equality_and_hash(self):
         g1 = RibbonGraph({"v": ("b", "a")}, {})
         g2 = RibbonGraph({"v": ("a", "b")}, {})

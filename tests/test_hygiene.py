@@ -1,7 +1,8 @@
 """Source hygiene that a linter would check: no module of the package
 imports a name it never uses (`__init__.py` is skipped, because its
-imports are the public re-exports), and no private module-level function,
-class or constant is left that nothing in the package refers to."""
+imports are the public re-exports), no private module-level function,
+class or constant is left that nothing in the package refers to, and
+``__all__`` lists exactly the re-exports, sorted."""
 
 import ast
 from pathlib import Path
@@ -66,3 +67,19 @@ def test_every_private_definition_is_used():
         if name not in used
     ]
     assert unused == [], "private definitions never used: " + ", ".join(unused)
+
+
+def test_all_is_the_sorted_list_of_re_exports():
+    init = Path(ribboncalc.__file__)
+    imported = [
+        alias.asname or alias.name
+        for node in ast.parse(init.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    public = [name for name in imported if not name.startswith("_")]
+    names = ribboncalc.__all__
+    assert names == sorted(names)
+    assert len(set(names)) == len(names)
+    assert set(names) == set(public)
+    assert len(set(public)) == len(public)

@@ -40,8 +40,31 @@ class TestIceQuiver:
         assert q.has_vertex("b") and not q.has_vertex("c")
 
     def test_duplicate_vertex_id(self):
-        with pytest.raises(ValueError, match="duplicate"):
+        with pytest.raises(ValueError, match="duplicate vertex id 'a'"):
             IceQuiver([QuiverVertex("a"), QuiverVertex("a")], [])
+
+    @pytest.mark.parametrize(
+        "vertices, arrows, message",
+        [
+            ([QuiverVertex(1)], [], "vertex id 1 is not a string"),
+            ([QuiverVertex("a", frozen=1)], [], "frozen flag of vertex 'a' is not a boolean"),
+            ([QuiverVertex("a", label=5)], [], "label of vertex 'a' is not a string"),
+            (
+                [QuiverVertex("a")],
+                [QuiverArrow(2, "a", "a")],
+                "arrow id 2 is not a string",
+            ),
+            (
+                [QuiverVertex("a")],
+                [QuiverArrow("x", "a", "a", frozen=0)],
+                "frozen flag of arrow 'x' is not a boolean",
+            ),
+        ],
+        ids=["vertex id", "vertex frozen", "vertex label", "arrow id", "arrow frozen"],
+    )
+    def test_rejects_what_the_parser_rejects(self, vertices, arrows, message):
+        with pytest.raises(ValueError, match=message):
+            IceQuiver(vertices, arrows)
 
     def test_duplicate_arrow_id(self):
         with pytest.raises(ValueError, match="duplicate"):

@@ -1,17 +1,39 @@
+import dataclasses
 import json
+from types import MappingProxyType
 
 import pytest
 
 from ribboncalc import (
+    BUILTIN_TEMPLATE_NAMES,
+    AmalgamationDiagram,
+    Atom,
+    BoundaryWalk,
+    Decomposition,
     EdgeRef,
+    FunctorWord,
+    HalfedgeRef,
+    IceQuiver,
+    Itinerary,
+    LocalTemplate,
+    Marker,
     ParseError,
+    QuiverMorphism,
     RibbonGraph,
+    Subgraph,
+    Summand,
+    SurfaceInvariants,
+    TaggedArc,
+    ValidationReport,
     VertexRef,
+    assemble_global,
     assembly_diagram,
     amalgamate,
     boundary_walks,
     builtin_template,
+    curve_trajectory,
     decompose,
+    decompose_subgraph,
     graph_dot,
     itinerary,
     parse_choices,
@@ -23,12 +45,15 @@ from ribboncalc import (
     star_template,
     subgraph,
     surface_invariants,
+    tagged_triangulation,
     to_jsonable,
     validate_graph,
+    web_trajectory,
 )
-from ribboncalc.serialization import parse_assignments
+from ribboncalc import serialization
+from ribboncalc.serialization import _ATTRIBUTES, parse_assignments
 
-from conftest import fixture_graph, fixture_text
+from conftest import fixture_graph, fixture_text, sample_graphs
 
 
 ALL_GRAPH_FIXTURES = (
@@ -273,3 +298,265 @@ class TestGraphDot:
     def test_internal_edge_drawn_once(self, four_gon):
         text = graph_dot(four_gon)
         assert text.count('"v1" -- "v2"') == 1
+
+
+# -- differential oracle ------------------------------------------------
+
+
+def _oracle_ref(ref):
+    if ref is None:
+        return None
+    kind = {EdgeRef: "edge", VertexRef: "vertex", HalfedgeRef: "halfedge"}[type(ref)]
+    return {"kind": kind, "id": ref.id}
+
+
+def oracle(value):
+    """The library's `to_jsonable` when it built the JSON tree by hand,
+    one isinstance branch per type, verbatim but for its name."""
+    if isinstance(value, RibbonGraph):
+        cyclic, kind, label, twin = value._cyclic, value._kind, value._label, value._twin
+        vertices = []
+        for v in value._vertices:
+            lab = label.get(v)
+            if lab is None:
+                vertices.append({"id": v, "cyclic": list(cyclic[v]), "kind": kind[v]})
+            else:
+                vertices.append(
+                    {"id": v, "cyclic": list(cyclic[v]), "kind": kind[v], "label": lab}
+                )
+        return {
+            "vertices": vertices,
+            "halfedges": [{"id": h, "twin": twin.get(h)} for h in value._halfedges],
+        }
+    if isinstance(value, IceQuiver):
+        return {
+            "vertices": [
+                {"id": v.id, "frozen": v.frozen, "label": v.label}
+                for v in value.vertices
+            ],
+            "arrows": [
+                {"id": a.id, "src": a.src, "dst": a.dst, "frozen": a.frozen}
+                for a in value.arrows
+            ],
+        }
+    if isinstance(value, LocalTemplate):
+        base = oracle(value.quiver)
+        base["name"] = value.name
+        base["stalk"] = value.stalk
+        base["slots"] = [
+            {
+                "quiver": oracle(s.boundary),
+                "vertex_map": dict(sorted(s.vertex_map.items())),
+                "arrow_map": dict(sorted(s.arrow_map.items())),
+            }
+            for s in value.slots
+        ]
+        return base
+    if isinstance(value, AmalgamationDiagram):
+        return {
+            "graph": oracle(value.graph),
+            "vertex_quivers": {
+                v: oracle(q) for v, q in sorted(value.vertex_quivers.items())
+            },
+            "edge_quivers": {
+                e: oracle(q) for e, q in sorted(value.edge_quivers.items())
+            },
+            "incidences": {
+                h: {
+                    "vertex_map": dict(sorted(m.vertex_map.items())),
+                    "arrow_map": dict(sorted(m.arrow_map.items())),
+                }
+                for h, m in sorted(value.incidences.items())
+            },
+        }
+    if isinstance(value, Itinerary):
+        return {
+            "start": value.start,
+            "orient": value.orient,
+            "edges": list(value.edges),
+            "turns": list(value.turns),
+            "entries": list(value.entries),
+            "terminal": value.terminal,
+            "length": value.length,
+        }
+    if isinstance(value, FunctorWord):
+        return {
+            "atoms": [{"kind": a.kind, "halfedge": a.halfedge} for a in value.atoms],
+            "source": _oracle_ref(value.source),
+            "target": _oracle_ref(value.target),
+        }
+    if isinstance(value, Marker):
+        return {"kind": value.kind, "ref": value.ref}
+    if isinstance(value, Summand):
+        return {
+            "word": oracle(value.word),
+            "source_halfedge": value.source_halfedge,
+            "index": value.index,
+            "constant": value.constant,
+            "marker": oracle(value.marker) if value.marker else None,
+            "possibly_zero": value.possibly_zero,
+        }
+    if isinstance(value, Decomposition):
+        return {
+            "source": _oracle_ref(value.source),
+            "target": _oracle_ref(value.target),
+            "side": value.side,
+            "summands": [oracle(s) for s in value.summands],
+        }
+    if isinstance(value, ValidationReport):
+        return {"ok": value.ok, "violations": list(value.violations)}
+    if isinstance(value, SurfaceInvariants):
+        return {"genus": value.genus, "boundary": list(value.boundary)}
+    if isinstance(value, BoundaryWalk):
+        return {
+            "halfedges": list(value.halfedges),
+            "externals": list(value.externals),
+            "marked_points": value.marked_points,
+        }
+    if isinstance(value, Subgraph):
+        return {
+            "graph": oracle(value.graph),
+            "vertices": list(value.vertices),
+            "cut_halfedges": list(value.cut_halfedges),
+        }
+    if isinstance(value, TaggedArc):
+        return {
+            "kind": value.kind,
+            "edge": value.edge,
+            "puncture": value.puncture,
+            "via": value.via,
+            "tagging": value.tagging,
+            "path": oracle(value.path) if value.path else None,
+        }
+    if isinstance(value, (list, tuple)):
+        return [oracle(v) for v in value]
+    if isinstance(value, dict):
+        return {k: oracle(v) for k, v in sorted(value.items())}
+    if value is None or isinstance(value, (str, int, float, bool)):
+        return value
+    raise TypeError("cannot serialize {!r}".format(type(value)))
+
+
+def _graph_values(g):
+    """Every serializable value computed from one graph: a few vertices and
+    edges stand for all of them."""
+    yield "report", validate_graph(g)
+    if not validate_graph(g).ok:
+        return
+    yield "graph", g
+    yield "invariants", surface_invariants(g)
+    yield "walks", boundary_walks(g)
+    vertices, edges = g.vertices[:3], g.edges()[:3]
+    for orient in ("cw", "ccw"):
+        yield "web", {"web": web_trajectory(g, vertices[0], orient)}
+        for e in g.internal_edges()[:2]:
+            yield "curve", {"curve": list(curve_trajectory(g, e, orient))}
+    for side in ("L", "R"):
+        for v in vertices:
+            source = VertexRef(vertices[0])
+            yield "vertex decomposition", decompose(g, VertexRef(v), source, side)
+        for e in edges:
+            source = EdgeRef(edges[0])
+            yield "edge decomposition", decompose(g, EdgeRef(e), source, side)
+    for v in g.vertices:
+        try:
+            sub = subgraph(g, [v])
+        except ValueError:
+            continue
+        yield "subgraph", sub
+        for target in [EdgeRef(e) for e in edges] + [VertexRef(v)]:
+            yield "subgraph decomposition", decompose_subgraph(g, sub, target)
+        break
+    stars = {v: star_template(g.valency(v)) for v in g.vertices}
+    yield "star assembly", assemble_global(g, stars)
+    yield "star diagram", assembly_diagram(g, stars)
+    # tagged triangulations need trivalent vertices and singular 2-valent ones
+    punctures = [v for v in g.vertices if g.valency(v) == 2]
+    if all(g.valency(v) in (2, 3) for v in g.vertices) and all(
+        g.kind(p) == "singular" for p in punctures
+    ):
+        for i in range(4):
+            choices = {p: "T{}".format(1 + (i + j) % 4) for j, p in enumerate(punctures)}
+            yield "tagged arcs", {"arcs": tagged_triangulation(g, choices)}
+
+
+def _values():
+    invalid = [
+        RibbonGraph({"v": ("x", "y", "z")}, {"x": "y", "y": "x"}),
+        RibbonGraph({"u": ("a", "s"), "w": ("b",)}, {"a": "b", "b": "a"}),
+        RibbonGraph({"u": ("h1", "h2"), "w": ("k1", "k2")}, {}),
+        RibbonGraph({}, {}),
+    ]
+    for i, g in enumerate(sample_graphs() + invalid):
+        for what, value in _graph_values(g):
+            yield "graph {} {}".format(i, what), value
+    for name in BUILTIN_TEMPLATE_NAMES:
+        yield name, builtin_template(name)
+        yield name + " fixture", parse_template(fixture_text(name))
+    for n in range(2, 6):
+        yield "star {}".format(n), star_template(n)
+    for name, templates in (
+        ("four_gon", "four_gon_a2_templates"),
+        ("once_punctured_4gon", "once_punctured_4gon_templates"),
+    ):
+        g, assign = fixture_graph(name), parse_assignments(fixture_text(templates))
+        yield templates + " assembly", assemble_global(g, assign)
+        yield templates + " diagram", assembly_diagram(g, assign)
+    choices = parse_choices(fixture_text("once_punctured_4gon_choices"))
+    arcs = tagged_triangulation(fixture_graph("once_punctured_4gon"), choices)
+    yield "choices fixture", {"arcs": arcs}
+
+
+def test_serialize_agrees_with_the_oracle(monkeypatch):
+    encoded = set()
+
+    def encode(value):
+        encoded.add(type(value))
+        return hook(value)
+
+    hook = serialization._encode
+    monkeypatch.setattr(serialization, "_encode", encode)
+    for label, value in _values():
+        expected = oracle(value)
+        assert serialize(value) == json.dumps(
+            expected, sort_keys=True, separators=(",", ":")
+        ), label
+        assert to_jsonable(value) == expected, label
+    # the values reach every type the hook encodes but `HalfedgeRef`, which
+    # no domain value holds
+    assert encoded == set(_ATTRIBUTES) | {
+        RibbonGraph, IceQuiver, LocalTemplate, EdgeRef, VertexRef
+    }
+
+
+def test_attribute_names_are_fields_or_properties():
+    for cls, names in _ATTRIBUTES.items():
+        fields = {f.name for f in dataclasses.fields(cls)}
+        for name in names:
+            assert name in fields or isinstance(getattr(cls, name, None), property), (
+                cls.__name__,
+                name,
+            )
+
+
+def test_encoder_edge_cases():
+    # every domain value encodes, bare or nested, but only its exact type
+    assert serialize(HalfedgeRef("h")) == '{"id":"h","kind":"halfedge"}'
+    assert serialize(Atom("genL", "h")) == '{"halfedge":"h","kind":"genL"}'
+    m = star_template(2).slot_morphism(0)
+    assert serialize(m) == '{"arrow_map":{},"vertex_map":{"u":"t0"}}'
+    # a mapping that is not a dict is written as one
+    proxy = QuiverMorphism(m.source, m.target, MappingProxyType(m.vertex_map), {})
+    assert serialize(proxy) == serialize(m)
+
+    class SubRef(EdgeRef):
+        pass
+
+    class SubMarker(Marker):
+        pass
+
+    for value in (SubRef("e"), SubMarker("ev", "e")):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            serialize(value)
+    # as JSON does, dict keys come back as strings
+    assert to_jsonable({1: [EdgeRef("e")]}) == {"1": [{"kind": "edge", "id": "e"}]}
