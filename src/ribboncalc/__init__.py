@@ -1,160 +1,60 @@
-"""Ribbon graph calculus: trajectories, word decompositions and ice
-quiver assembly."""
+"""Ribbon graph calculus; a module is imported when one of its names is first used."""
 
-from .assembly import (
-    BUILTIN_TEMPLATE_NAMES,
-    LocalTemplate,
-    TaggedArc,
-    TemplateSlot,
-    assemble_global,
-    assembly_diagram,
-    basicness_check,
-    builtin_template,
-    star_template,
-    tagged_triangulation,
-    validate_template,
-)
-from .graph import (
-    BoundaryWalk,
-    InvalidGraphError,
-    PLAIN,
-    RibbonGraph,
-    SINGULAR,
-    Subgraph,
-    SurfaceInvariants,
-    ValidationReport,
-    boundary_walks,
-    corner_permutation,
-    dual,
-    require_valid,
-    rotate_to_min,
-    subgraph,
-    surface_invariants,
-    validate_graph,
-)
-from .quiver import (
-    AmalgamationDiagram,
-    IceQuiver,
-    QuiverArrow,
-    QuiverMorphism,
-    QuiverVertex,
-    amalgamate,
-    export_dot,
-    mutable_part,
-    quivers_isomorphic,
-    validate_morphism,
-)
-from .serialization import (
-    ParseError,
-    graph_dot,
-    parse_assignments,
-    parse_choices,
-    parse_diagram,
-    parse_graph,
-    parse_quiver,
-    parse_template,
-    serialize,
-    to_jsonable,
-)
-from .trajectory import (
-    CCW,
-    CW,
-    EdgeRef,
-    HalfedgeRef,
-    Itinerary,
-    TrajectoryHit,
-    VertexRef,
-    curve_trajectory,
-    itinerary,
-    terminal_external,
-    trajectory_counts,
-    web_trajectory,
-)
-from .words import (
-    Atom,
-    Decomposition,
-    FunctorWord,
-    Marker,
-    Summand,
-    check_unit_split,
-    decompose,
-    decompose_subgraph,
-    transport_word,
-    twist_rotation_check,
-    word_typechecks,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AmalgamationDiagram",
-    "Atom",
-    "BUILTIN_TEMPLATE_NAMES",
-    "BoundaryWalk",
-    "CCW",
-    "CW",
-    "Decomposition",
-    "EdgeRef",
-    "FunctorWord",
-    "HalfedgeRef",
-    "IceQuiver",
-    "InvalidGraphError",
-    "Itinerary",
-    "LocalTemplate",
-    "Marker",
-    "PLAIN",
-    "ParseError",
-    "QuiverArrow",
-    "QuiverMorphism",
-    "QuiverVertex",
-    "RibbonGraph",
-    "SINGULAR",
-    "Subgraph",
-    "Summand",
-    "SurfaceInvariants",
-    "TaggedArc",
-    "TemplateSlot",
-    "TrajectoryHit",
-    "ValidationReport",
-    "VertexRef",
-    "amalgamate",
-    "assemble_global",
-    "assembly_diagram",
-    "basicness_check",
-    "boundary_walks",
-    "builtin_template",
-    "check_unit_split",
-    "corner_permutation",
-    "curve_trajectory",
-    "decompose",
-    "decompose_subgraph",
-    "dual",
-    "export_dot",
-    "graph_dot",
-    "itinerary",
-    "mutable_part",
-    "parse_assignments",
-    "parse_choices",
-    "parse_diagram",
-    "parse_graph",
-    "parse_quiver",
-    "parse_template",
-    "quivers_isomorphic",
-    "require_valid",
-    "rotate_to_min",
-    "serialize",
-    "star_template",
-    "subgraph",
-    "surface_invariants",
-    "tagged_triangulation",
-    "terminal_external",
-    "to_jsonable",
-    "trajectory_counts",
-    "transport_word",
-    "twist_rotation_check",
-    "validate_graph",
-    "validate_morphism",
-    "validate_template",
-    "web_trajectory",
-    "word_typechecks",
-]
+# each module and the public names it defines
+_EXPORTS = {
+    "assembly": (
+        "BUILTIN_TEMPLATE_NAMES", "LocalTemplate", "TaggedArc", "TemplateSlot",
+        "assemble_global", "assembly_diagram", "basicness_check", "builtin_template",
+        "star_template", "tagged_triangulation", "validate_template",
+    ),
+    "graph": (
+        "BoundaryWalk", "InvalidGraphError", "PLAIN", "RibbonGraph", "SINGULAR",
+        "Subgraph", "SurfaceInvariants", "ValidationReport", "boundary_walks",
+        "corner_permutation", "dual", "require_valid", "rotate_to_min", "subgraph",
+        "surface_invariants", "validate_graph",
+    ),
+    "quiver": (
+        "AmalgamationDiagram", "IceQuiver", "QuiverArrow", "QuiverMorphism",
+        "QuiverVertex", "amalgamate", "mutable_part", "quivers_isomorphic",
+        "validate_morphism",
+    ),
+    "serialization": (
+        "ParseError", "export_dot", "graph_dot", "parse_assignments", "parse_choices",
+        "parse_diagram", "parse_graph", "parse_quiver", "parse_template", "serialize",
+        "to_jsonable",
+    ),
+    "trajectory": (
+        "CCW", "CW", "EdgeRef", "HalfedgeRef", "Itinerary", "TrajectoryHit",
+        "VertexRef", "curve_trajectory", "itinerary", "terminal_external",
+        "trajectory_counts", "web_trajectory",
+    ),
+    "words": (
+        "Atom", "Decomposition", "FunctorWord", "Marker", "Summand",
+        "check_unit_split", "decompose", "decompose_subgraph", "transport_word",
+        "twist_rotation_check", "word_typechecks",
+    ),
+}
+
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name: str):
+    """Import the module that defines a public name and bind all of that
+    module's public names here, so later reads are plain attribute reads
+    (PEP 562)."""
+    if name not in _OWNER:
+        raise AttributeError("module {!r} has no attribute {!r}".format(__name__, name))
+    module = import_module("." + _OWNER[name], __name__)
+    for export in _EXPORTS[_OWNER[name]]:
+        globals()[export] = getattr(module, export)
+    # CPython does not specialise attribute reads on a module that has a
+    # __getattr__, so the hook goes once every name is bound
+    if _OWNER.keys() <= globals().keys():
+        globals().pop("__getattr__", None)
+    return globals()[name]

@@ -12,15 +12,11 @@ import functools
 import sys
 from typing import Optional
 
-from .assembly import assemble_global, basicness_check, tagged_triangulation
-from .graph import (
-    RibbonGraph,
-    require_valid,
-    surface_invariants,
-    validate_graph,
-)
-from .quiver import amalgamate, export_dot
+# reading input and writing output need only these two modules; each
+# subcommand imports the computing modules it runs, so it loads no others
+from .graph import RibbonGraph, require_valid, surface_invariants, validate_graph
 from .serialization import (
+    export_dot,
     graph_dot,
     parse_assignments,
     parse_choices,
@@ -29,14 +25,6 @@ from .serialization import (
     parse_quiver,
     serialize,
 )
-from .trajectory import (
-    EdgeRef,
-    VertexRef,
-    curve_trajectory,
-    itinerary,
-    web_trajectory,
-)
-from .words import decompose
 
 
 def _read(path: str) -> str:
@@ -79,6 +67,8 @@ def _start_kind(g: RibbonGraph, start: str, kind: Optional[str]) -> str:
 
 
 def _cmd_traj(args) -> int:
+    from .trajectory import curve_trajectory, itinerary, web_trajectory
+
     g = _load_graph(args.graph)
     kind = _start_kind(g, args.start, args.kind)
     if kind == "halfedge":
@@ -92,10 +82,14 @@ def _cmd_traj(args) -> int:
 
 
 def _object_ref(kind: str, name: str):
+    from .trajectory import EdgeRef, VertexRef
+
     return EdgeRef(name) if kind == "edge" else VertexRef(name)
 
 
 def _cmd_decompose(args) -> int:
+    from .words import decompose
+
     g = _load_graph(args.graph)
     source = _object_ref(args.source_kind, args.source)
     target = _object_ref(args.target_kind, args.target)
@@ -104,6 +98,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_amalgamate(args) -> int:
+    from .quiver import amalgamate
+
     diagram = parse_diagram(_read(args.diagram))
     q = amalgamate(diagram)
     _emit(export_dot(q) if args.format == "dot" else serialize(q))
@@ -111,6 +107,8 @@ def _cmd_amalgamate(args) -> int:
 
 
 def _cmd_assemble(args) -> int:
+    from .assembly import assemble_global, basicness_check
+
     g = _load_graph(args.graph)
     assign = parse_assignments(_read(args.templates))
     q = assemble_global(g, assign)
@@ -121,6 +119,8 @@ def _cmd_assemble(args) -> int:
 
 
 def _cmd_tagged(args) -> int:
+    from .assembly import tagged_triangulation
+
     g = _load_graph(args.graph)
     choices = parse_choices(_read(args.choices))
     arcs = tagged_triangulation(g, choices)

@@ -49,10 +49,23 @@ def _classes(ids: Iterable[str], pairs: Iterable[tuple[str, str]]) -> dict[str, 
     return {x: find(x) for x in parent}
 
 
+def _sorted_by_id(items: Iterable, what: str) -> tuple:
+    """``items`` sorted by id.  Ids of mixed types, which cannot be
+    ordered, raise the ValueError of an id that is not a string."""
+    items = list(items)
+    try:
+        items.sort(key=lambda x: x.id)
+    except TypeError:
+        for x in items:
+            if not isinstance(x.id, str):
+                raise ValueError("{} id {!r} is not a string".format(what, x.id)) from None
+        raise
+    return tuple(items)
+
+
 class IceQuiver:
     def __init__(self, vertices: Iterable[QuiverVertex], arrows: Iterable[QuiverArrow]):
-        self._vertices = tuple(sorted(vertices, key=lambda v: v.id))
-        self._arrows = tuple(sorted(arrows, key=lambda a: a.id))
+        self._vertices = _sorted_by_id(vertices, "vertex")
         by_id = self._by_id = {}
         for v in self._vertices:
             if not isinstance(v.id, str):
@@ -64,6 +77,7 @@ class IceQuiver:
             if v.label is not None and not isinstance(v.label, str):
                 raise ValueError("label of vertex {!r} is not a string".format(v.id))
             by_id[v.id] = v
+        self._arrows = _sorted_by_id(arrows, "arrow")
         seen = set()
         for a in self._arrows:
             if not isinstance(a.id, str):
@@ -453,26 +467,3 @@ def quivers_isomorphic(q1: IceQuiver, q2: IceQuiver) -> bool:
             if stack:
                 used.remove(assignment.pop(order[len(stack) - 1]))
     return False
-
-
-def _gvquote(s: str) -> str:
-    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def export_dot(q: IceQuiver) -> str:
-    """Deterministic DOT text: frozen vertices are boxes, frozen arrows
-    are dashed."""
-    lines = ["digraph {"]
-    for v in q.vertices:
-        shape = "box" if v.frozen else "ellipse"
-        attrs = "shape={}".format(shape)
-        if v.label is not None:
-            attrs += ' label={}'.format(_gvquote("{} ({})".format(v.id, v.label)))
-        lines.append("  {} [{}];".format(_gvquote(v.id), attrs))
-    for a in q.arrows:
-        suffix = " [style=dashed]" if a.frozen else ""
-        lines.append(
-            "  {} -> {}{};".format(_gvquote(a.src), _gvquote(a.dst), suffix)
-        )
-    lines.append("}")
-    return "\n".join(lines) + "\n"

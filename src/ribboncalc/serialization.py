@@ -1,4 +1,4 @@
-"""Canonical JSON for every domain value, with located parse errors.
+"""Canonical JSON for every domain value, located parse errors, and DOT.
 
 Serialization is canonical: ids are sorted, cyclic orders are rotated
 to start at their smallest halfedge, keys are sorted and the encoding
@@ -8,35 +8,25 @@ rejects.
 
 `serialize` is one call of the JSON encoder, which hands each domain
 value to one hook, `_encode`, for a plain object to write in its place.
-Most types are written as the attributes `_ATTRIBUTES` names, so their
-JSON keys are attribute names; graphs, quivers, templates and references
-have their own branch.
+The hook knows domain types by class name, so this module imports only
+`ribboncalc.graph`; each parser imports the constructors it calls.  Most
+types are written as the attributes `_ATTRIBUTES` names, so their JSON
+keys are attribute names; graphs, quivers, templates and references have
+their own branch.
+
+`graph_dot` and `export_dot` write graphs and quivers as Graphviz DOT.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Mapping, Optional
 
-from .assembly import LocalTemplate, TaggedArc, TemplateSlot
-from .graph import (
-    BoundaryWalk,
-    RibbonGraph,
-    Subgraph,
-    SurfaceInvariants,
-    ValidationReport,
-    VERTEX_KINDS,
-)
-from .quiver import (
-    AmalgamationDiagram,
-    IceQuiver,
-    QuiverArrow,
-    QuiverMorphism,
-    QuiverVertex,
-    _gvquote,
-)
-from .trajectory import EdgeRef, HalfedgeRef, Itinerary, VertexRef
-from .words import Atom, Decomposition, FunctorWord, Marker, Summand
+from .graph import RibbonGraph, VERTEX_KINDS
+
+if TYPE_CHECKING:
+    from .assembly import LocalTemplate
+    from .quiver import AmalgamationDiagram, IceQuiver
 
 
 class ParseError(ValueError):
@@ -222,6 +212,8 @@ def parse_graph(text: str) -> RibbonGraph:
 
 
 def quiver_from_jsonable(obj: Any, pointer: str = "") -> IceQuiver:
+    from .quiver import IceQuiver, QuiverArrow, QuiverVertex
+
     _want_keys(obj, (pointer,), ("vertices", "arrows"))
     vlist = _want(obj["vertices"], list, (pointer, "vertices"), "a list")
     alist = _want(obj["arrows"], list, (pointer, "arrows"), "a list")
@@ -281,6 +273,8 @@ def _morphism_maps_from_jsonable(obj: Any, where):
 
 
 def template_from_jsonable(obj: Any, pointer: str = "") -> LocalTemplate:
+    from .assembly import LocalTemplate, TemplateSlot
+
     _want_keys(
         obj, (pointer,), ("vertices", "arrows", "slots"), optional=("name", "stalk")
     )
@@ -314,6 +308,8 @@ def parse_template(text: str) -> LocalTemplate:
 
 
 def diagram_from_jsonable(obj: Any, pointer: str = "") -> AmalgamationDiagram:
+    from .quiver import AmalgamationDiagram, QuiverMorphism
+
     _want_keys(
         obj, (pointer,), ("graph", "vertex_quivers", "edge_quivers", "incidences")
     )
@@ -382,36 +378,59 @@ def _loads(text: str):
 
 # -- serialization ------------------------------------------------------
 
-# The JSON keys of each type written as a plain object of its attributes;
-# each key is an attribute name, a dataclass field or a property.
+# The JSON keys of each type written as a plain object of its attributes,
+# by class name; each key is an attribute name, a dataclass field or a
+# property.
 _ATTRIBUTES = {
-    Itinerary: ("start", "orient", "edges", "turns", "entries", "terminal", "length"),
-    Atom: ("kind", "halfedge"),
-    FunctorWord: ("atoms", "source", "target"),
-    Marker: ("kind", "ref"),
-    Summand: ("word", "source_halfedge", "index", "constant", "marker", "possibly_zero"),
-    Decomposition: ("source", "target", "side", "summands"),
-    ValidationReport: ("ok", "violations"),
-    SurfaceInvariants: ("genus", "boundary"),
-    BoundaryWalk: ("halfedges", "externals", "marked_points"),
-    Subgraph: ("graph", "vertices", "cut_halfedges"),
-    TaggedArc: ("kind", "edge", "puncture", "via", "tagging", "path"),
-    QuiverMorphism: ("vertex_map", "arrow_map"),
-    AmalgamationDiagram: ("graph", "vertex_quivers", "edge_quivers", "incidences"),
+    "Itinerary": ("start", "orient", "edges", "turns", "entries", "terminal", "length"),
+    "Atom": ("kind", "halfedge"),
+    "FunctorWord": ("atoms", "source", "target"),
+    "Marker": ("kind", "ref"),
+    "Summand": ("word", "source_halfedge", "index", "constant", "marker", "possibly_zero"),
+    "Decomposition": ("source", "target", "side", "summands"),
+    "ValidationReport": ("ok", "violations"),
+    "SurfaceInvariants": ("genus", "boundary"),
+    "BoundaryWalk": ("halfedges", "externals", "marked_points"),
+    "Subgraph": ("graph", "vertices", "cut_halfedges"),
+    "TaggedArc": ("kind", "edge", "puncture", "via", "tagging", "path"),
+    "QuiverMorphism": ("vertex_map", "arrow_map"),
+    "AmalgamationDiagram": ("graph", "vertex_quivers", "edge_quivers", "incidences"),
 }
 
-_REF_KINDS = {EdgeRef: "edge", VertexRef: "vertex", HalfedgeRef: "halfedge"}
+# The types with a branch of their own in `_encode`, by class name; a
+# reference's branch is its kind.
+_BRANCHES = {
+    "RibbonGraph": "graph",
+    "IceQuiver": "quiver",
+    "LocalTemplate": "template",
+    "EdgeRef": "edge",
+    "VertexRef": "vertex",
+    "HalfedgeRef": "halfedge",
+}
+
+# Each domain class `_encode` has met, to its entry in one of the tables
+# above: a class is matched by name once, then found by one lookup.
+_BY_CLASS: dict[type, Any] = {}
 
 
 def _encode(value: Any) -> Any:
     """The encoder's hook for a value it cannot write itself: a JSON
     object whose members the encoder then writes, calling back here for
-    each domain value among them.  Dispatch is on the exact type."""
+    each domain value among them.  Dispatch is on the exact class, which
+    matches a table entry only if a ``ribboncalc`` module defines it."""
     cls = type(value)
-    names = _ATTRIBUTES.get(cls)
-    if names is not None:
-        return {name: getattr(value, name) for name in names}
-    if cls is RibbonGraph:
+    how = _BY_CLASS.get(cls)
+    if how is None:
+        if cls.__module__.startswith("ribboncalc."):
+            how = _ATTRIBUTES.get(cls.__name__) or _BRANCHES.get(cls.__name__)
+        if how is None:
+            if isinstance(value, Mapping):
+                return dict(value)
+            raise TypeError("cannot serialize {!r}".format(cls))
+        _BY_CLASS[cls] = how
+    if type(how) is tuple:
+        return {name: getattr(value, name) for name in how}
+    if how == "graph":
         cyclic, kind, label, twin = value._cyclic, value._kind, value._label, value._twin
         vertices = []
         for v in value._vertices:
@@ -424,7 +443,7 @@ def _encode(value: Any) -> Any:
             "vertices": vertices,
             "halfedges": [{"id": h, "twin": twin.get(h)} for h in value._halfedges],
         }
-    if cls is IceQuiver:
+    if how == "quiver":
         # literal dicts: a hook call per vertex and arrow is about 40% slower
         return {
             "vertices": [
@@ -436,9 +455,7 @@ def _encode(value: Any) -> Any:
                 for a in value.arrows
             ],
         }
-    if cls in _REF_KINDS:
-        return {"kind": _REF_KINDS[cls], "id": value.id}
-    if cls is LocalTemplate:
+    if how == "template":
         slots = [
             {"quiver": s.boundary, "vertex_map": s.vertex_map, "arrow_map": s.arrow_map}
             for s in value.slots
@@ -446,9 +463,7 @@ def _encode(value: Any) -> Any:
         out = _encode(value.quiver)
         out.update(name=value.name, stalk=value.stalk, slots=slots)
         return out
-    if isinstance(value, Mapping):
-        return dict(value)
-    raise TypeError("cannot serialize {!r}".format(cls))
+    return {"kind": how, "id": value.id}
 
 
 def serialize(value: Any) -> str:
@@ -466,7 +481,11 @@ def to_jsonable(value: Any) -> Any:
     return json.loads(serialize(value))
 
 
-# -- DOT for graphs ------------------------------------------------------
+# -- DOT ----------------------------------------------------------------
+
+
+def _gvquote(s: str) -> str:
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def graph_dot(g: RibbonGraph) -> str:
@@ -490,5 +509,24 @@ def graph_dot(g: RibbonGraph) -> str:
             lines.append(
                 "  {} -- {} [label={}];".format(quoted[at[e]], stub, _gvquote(e))
             )
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def export_dot(q: IceQuiver) -> str:
+    """Deterministic DOT text: frozen vertices are boxes, frozen arrows
+    are dashed."""
+    lines = ["digraph {"]
+    for v in q.vertices:
+        shape = "box" if v.frozen else "ellipse"
+        attrs = "shape={}".format(shape)
+        if v.label is not None:
+            attrs += ' label={}'.format(_gvquote("{} ({})".format(v.id, v.label)))
+        lines.append("  {} [{}];".format(_gvquote(v.id), attrs))
+    for a in q.arrows:
+        suffix = " [style=dashed]" if a.frozen else ""
+        lines.append(
+            "  {} -> {}{};".format(_gvquote(a.src), _gvquote(a.dst), suffix)
+        )
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -1,9 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
 from randgraphs import random_graph
+import ribboncalc
 from ribboncalc import (
     IceQuiver,
     LocalTemplate,
@@ -18,14 +23,27 @@ from ribboncalc import (
 GRAPH_FIXTURES = ("two_spider", "three_spider", "four_gon", "annulus", "once_punctured_4gon")
 
 
+def fixture_path(name: str) -> str:
+    return str(resources.files("ribboncalc").joinpath("fixtures", name + ".json"))
+
+
 def fixture_text(name: str) -> str:
-    return (
-        resources.files("ribboncalc").joinpath("fixtures", name + ".json").read_text()
-    )
+    return Path(fixture_path(name)).read_text()
 
 
 def fixture_graph(name: str) -> RibbonGraph:
     return parse_graph(fixture_text(name))
+
+
+def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this package."""
+    src = str(Path(ribboncalc.__file__).parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
 
 
 def sample_graphs() -> list[RibbonGraph]:

@@ -7,7 +7,6 @@ goldens.
 """
 
 import json
-from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -20,12 +19,14 @@ from ribboncalc import (
     RibbonGraph,
     VertexRef,
     amalgamate,
+    assemble_global,
     assembly_diagram,
     decompose,
     export_dot,
     graph_dot,
     itinerary,
     parse_assignments,
+    parse_graph,
     serialize,
     star_template,
     tagged_triangulation,
@@ -36,17 +37,9 @@ from ribboncalc import assembly, cli, serialization
 from ribboncalc.cli import main
 from ribboncalc.trajectory import curve_trajectory
 
-from conftest import colliding_assembly
+from conftest import colliding_assembly, fixture_path, fixture_text, run_python
 
 DATA = Path(__file__).parent / "data"
-
-
-def fixture_path(name: str) -> str:
-    return str(resources.files("ribboncalc").joinpath("fixtures", name + ".json"))
-
-
-def fixture_text(name: str) -> str:
-    return Path(fixture_path(name)).read_text()
 
 
 def run(capsys, *argv):
@@ -501,3 +494,67 @@ class TestUsageAndErrors:
         together = [run(capsys, *argv) for argv in calls]
         assert cli._build_parser.cache_info().misses == 1
         assert together == alone
+
+
+# runs the command line as `python -m ribboncalc.cli` does, then writes
+# its exit status and the package modules it loaded as stderr's last line
+_PROBE = """
+import runpy, sys
+try:
+    runpy.run_module("ribboncalc.cli", run_name="__main__")
+except SystemExit as exc:
+    print(exc.code, *sorted(m for m in sys.modules if m.split(".")[0] == "ribboncalc"),
+          file=sys.stderr)
+"""
+
+
+class TestLoadedModules:
+    """Each subcommand loads only the modules it runs."""
+
+    @pytest.fixture(scope="class")
+    def generated(self, tmp_path_factory):
+        four_gon = parse_graph(fixture_text("four_gon"))
+        assign = {"v1": "a2_trivalent", "v2": "a2_trivalent"}
+        root = tmp_path_factory.mktemp("inputs")
+        (root / "diagram").write_text(serialize(assembly_diagram(four_gon, assign)))
+        (root / "quiver").write_text(serialize(assemble_global(four_gon, assign)))
+        return root
+
+    # "%name" is a bundled fixture, "@name" a file written by `generated`
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("info --graph %four_gon", ""),
+            ("validate --graph %four_gon", ""),
+            ("export --graph %four_gon", ""),
+            ("export --graph %four_gon --format dot", ""),
+            ("traj --graph %annulus --start wi", "trajectory"),
+            (
+                "decompose --graph %annulus --source wi --source-kind edge "
+                "--target wi --target-kind edge",
+                "trajectory words",
+            ),
+            ("export --quiver @quiver --format dot", "quiver"),
+            ("amalgamate --diagram @diagram", "quiver"),
+            (
+                "assemble --graph %four_gon --templates %four_gon_a2_templates",
+                "assembly quiver trajectory",
+            ),
+            (
+                "tagged --graph %once_punctured_4gon "
+                "--choices %once_punctured_4gon_choices",
+                "assembly quiver trajectory",
+            ),
+        ],
+    )
+    def test_a_subcommand_loads_only_what_it_runs(self, generated, command, extra):
+        argv = [
+            fixture_path(a[1:]) if a[0] == "%" else str(generated / a[1:]) if a[0] == "@"
+            else a
+            for a in command.split()
+        ]
+        done = run_python(_PROBE, *argv)
+        code, *loaded = done.stderr.splitlines()[-1].split()
+        assert code == "0", done.stderr
+        modules = ["graph", "serialization"] + extra.split()
+        assert loaded == sorted(["ribboncalc"] + ["ribboncalc." + m for m in modules])

@@ -1,21 +1,23 @@
 """Source hygiene that a linter would check: no module of the package
-imports a name it never uses (`__init__.py` is skipped, because its
-imports are the public re-exports), no private module-level function,
-class or constant is left that nothing in the package refers to, and
-``__all__`` lists exactly the re-exports, sorted."""
+imports a name it never uses, no private module-level function, class or
+constant is left that nothing in the package refers to, and ``__all__``
+is the sorted list of the names the package's table exports, each of
+which resolves, on first use, to the object its module defines."""
 
 import ast
+from importlib import import_module
 from pathlib import Path
 
 import pytest
 
 import ribboncalc
 
+from conftest import run_python
+
 SOURCES = sorted(Path(ribboncalc.__file__).parent.glob("*.py"))
-MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = {}
@@ -70,16 +72,59 @@ def test_every_private_definition_is_used():
 
 
 def test_all_is_the_sorted_list_of_re_exports():
-    init = Path(ribboncalc.__file__)
-    imported = [
-        alias.asname or alias.name
-        for node in ast.parse(init.read_text(encoding="utf-8")).body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    ]
-    public = [name for name in imported if not name.startswith("_")]
     names = ribboncalc.__all__
     assert names == sorted(names)
     assert len(set(names)) == len(names)
-    assert set(names) == set(public)
-    assert len(set(public)) == len(public)
+    # the table names each export once, under its module
+    table = [name for exports in ribboncalc._EXPORTS.values() for name in exports]
+    assert sorted(table) == names
+    for module, exports in ribboncalc._EXPORTS.items():
+        owner = import_module("ribboncalc." + module)
+        for name in exports:
+            namespace = {}
+            exec("from ribboncalc import {}".format(name), namespace)
+            assert namespace[name] is getattr(owner, name), name
+            assert getattr(ribboncalc, name) is getattr(owner, name), name
+    namespace = {}
+    exec("from ribboncalc import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == names
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        ribboncalc.no_such_name
+
+
+# run in a fresh interpreter, where no module of the package is loaded yet
+_FIRST_USE = """
+import sys
+import ribboncalc
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("ribboncalc."))
+
+assert loaded() == [], loaded()
+package = vars(ribboncalc)
+assert "dual" not in package
+dual = ribboncalc.dual
+assert loaded() == ["ribboncalc.graph"], loaded()
+assert package["dual"] is dual is ribboncalc.graph.dual
+assert package["subgraph"] is ribboncalc.graph.subgraph
+assert "EdgeRef" not in package
+from ribboncalc import EdgeRef
+assert loaded() == ["ribboncalc.graph", "ribboncalc.trajectory"], loaded()
+assert package["EdgeRef"] is EdgeRef is ribboncalc.trajectory.EdgeRef
+assert "__getattr__" in package
+for name in ribboncalc.__all__:
+    getattr(ribboncalc, name)
+assert "__getattr__" not in package
+try:
+    ribboncalc.no_such_name
+except AttributeError as exc:
+    assert "no attribute 'no_such_name'" in str(exc)
+else:
+    raise AssertionError("no AttributeError")
+"""
+
+
+def test_a_module_is_imported_when_one_of_its_names_is_first_used():
+    done = run_python(_FIRST_USE)
+    assert done.returncode == 0, done.stderr

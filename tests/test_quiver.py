@@ -59,8 +59,19 @@ class TestIceQuiver:
                 [QuiverArrow("x", "a", "a", frozen=0)],
                 "frozen flag of arrow 'x' is not a boolean",
             ),
+            # ids are checked before they are sorted
+            ([QuiverVertex(1), QuiverVertex("a")], [], "^vertex id 1 is not a string$"),
+            ([QuiverVertex(None), QuiverVertex("a")], [], "^vertex id None is not a string$"),
+            (
+                [QuiverVertex("a"), QuiverVertex("b")],
+                [QuiverArrow(1, "a", "b"), QuiverArrow("b", "b", "a")],
+                "^arrow id 1 is not a string$",
+            ),
         ],
-        ids=["vertex id", "vertex frozen", "vertex label", "arrow id", "arrow frozen"],
+        ids=[
+            "vertex id", "vertex frozen", "vertex label", "arrow id", "arrow frozen",
+            "vertex id beside a string", "vertex id None", "arrow id beside a string",
+        ],
     )
     def test_rejects_what_the_parser_rejects(self, vertices, arrows, message):
         with pytest.raises(ValueError, match=message):
