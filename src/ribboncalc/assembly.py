@@ -5,10 +5,15 @@ edge; a slot is a morphism of an interface quiver onto one frozen
 component.  Assembly instantiates a template at every graph vertex,
 matches slots across edges (reversing the interface, see
 `assemble_global`) and amalgamates.
+
+The built-in templates are data, not code: each is the canonical JSON
+file ``fixtures/<name>.json`` shipped with the package, read by
+`builtin_template`.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
@@ -90,95 +95,34 @@ def validate_template(t: LocalTemplate) -> None:
     )
 
 
-def _point_boundary() -> IceQuiver:
-    return IceQuiver([QuiverVertex("u", True)], [])
-
-
-def _rank1_trivalent() -> LocalTemplate:
-    verts = [QuiverVertex(str(i), True) for i in (1, 2, 3)]
-    arrows = [
-        QuiverArrow("c1", "2", "1"),
-        QuiverArrow("c2", "3", "2"),
-        QuiverArrow("c3", "1", "3"),
-    ]
-    slots = tuple(
-        TemplateSlot(_point_boundary(), {"u": str(s + 1)}, {}) for s in range(3)
-    )
-    return LocalTemplate("rank1_trivalent", IceQuiver(verts, arrows), slots, "rank1")
-
-
-def _a2_boundary() -> IceQuiver:
-    return IceQuiver(
-        [QuiverVertex("u1", True, "1"), QuiverVertex("u2", True, "2")],
-        [QuiverArrow("a12", "u1", "u2", True), QuiverArrow("a21", "u2", "u1", True)],
-    )
-
-
-def _a2_trivalent() -> LocalTemplate:
-    verts = [QuiverVertex("m", False)]
-    arrows = []
-    for s in range(3):
-        r, f = "r{}".format(s), "f{}".format(s)
-        verts.append(QuiverVertex(r, True, "1"))
-        verts.append(QuiverVertex(f, True, "2"))
-        arrows.append(QuiverArrow("fr{}".format(s), r, f, True))
-    for s in range(3):
-        r_next = "r{}".format((s + 1) % 3)
-        f = "f{}".format(s)
-        arrows.append(QuiverArrow("a{}".format(s), f, "m"))
-        arrows.append(QuiverArrow("b{}".format(s), "m", r_next))
-        arrows.append(QuiverArrow("c{}".format(s), r_next, f))
-    slots = tuple(
-        TemplateSlot(
-            _a2_boundary(),
-            {"u1": "r{}".format(s), "u2": "f{}".format(s)},
-            {"a12": "fr{}".format(s), "a21": None},
-        )
-        for s in range(3)
-    )
-    return LocalTemplate("a2_trivalent", IceQuiver(verts, arrows), slots, "A2")
-
-
-def _punctured(name: str, arrow_spec) -> LocalTemplate:
-    verts = [
-        QuiverVertex("1", True),
-        QuiverVertex("2", False),
-        QuiverVertex("3", False),
-        QuiverVertex("4", True),
-    ]
-    arrows = [
-        QuiverArrow("a{}".format(i), src, dst) for i, (src, dst) in enumerate(arrow_spec, 1)
-    ]
-    slots = (
-        TemplateSlot(_point_boundary(), {"u": "1"}, {}),
-        TemplateSlot(_point_boundary(), {"u": "4"}, {}),
-    )
-    return LocalTemplate(name, IceQuiver(verts, arrows), slots, "puncture")
-
-
-_CYCLE_SPEC = (("1", "2"), ("2", "4"), ("4", "3"), ("3", "1"))
-_FLIP_SPEC = (("1", "4"), ("4", "2"), ("2", "1"), ("4", "3"), ("3", "1"))
-
-_BUILTINS = {
-    "rank1_trivalent": _rank1_trivalent,
-    "a2_trivalent": _a2_trivalent,
-    "punctured_2gon_T1": lambda: _punctured("punctured_2gon_T1", _CYCLE_SPEC),
-    "punctured_2gon_T2": lambda: _punctured("punctured_2gon_T2", _CYCLE_SPEC),
-    "punctured_2gon_T3": lambda: _punctured("punctured_2gon_T3", _FLIP_SPEC),
-    "punctured_2gon_T4": lambda: _punctured("punctured_2gon_T4", _FLIP_SPEC),
-}
-
-BUILTIN_TEMPLATE_NAMES = tuple(sorted(_BUILTINS))
+# a new built-in is its file ``fixtures/<name>.json`` and its name here,
+# in sorted order
+BUILTIN_TEMPLATE_NAMES = (
+    "a2_trivalent",
+    "punctured_2gon_T1",
+    "punctured_2gon_T2",
+    "punctured_2gon_T3",
+    "punctured_2gon_T4",
+    "rank1_trivalent",
+)
 
 
 def builtin_template(name: str) -> LocalTemplate:
-    if name not in _BUILTINS:
+    """A new copy of the built-in template ``name``, parsed from
+    ``fixtures/<name>.json``.  Names come from user input, so the name is
+    checked against `BUILTIN_TEMPLATE_NAMES` before any path is built:
+    no other name reaches the file system."""
+    from .serialization import parse_template
+
+    if name not in BUILTIN_TEMPLATE_NAMES:
         raise ValueError(
             "unknown template {!r}; built in: {}".format(
                 name, ", ".join(BUILTIN_TEMPLATE_NAMES)
             )
         )
-    return _BUILTINS[name]()
+    path = os.path.join(os.path.dirname(__file__), "fixtures", name + ".json")
+    with open(path, encoding="utf-8") as fh:
+        return parse_template(fh.read())
 
 
 def star_template(n: int) -> LocalTemplate:
@@ -193,7 +137,8 @@ def star_template(n: int) -> LocalTemplate:
         tip = "t{}".format(s)
         verts.append(QuiverVertex(tip, True))
         arrows.append(QuiverArrow("s{}".format(s), "hub", tip))
-        slots.append(TemplateSlot(_point_boundary(), {"u": tip}, {}))
+        point = IceQuiver([QuiverVertex("u", True)], [])
+        slots.append(TemplateSlot(point, {"u": tip}, {}))
     return LocalTemplate("star_{}".format(n), IceQuiver(verts, arrows), tuple(slots))
 
 
@@ -387,7 +332,14 @@ class TaggedArc:
     path: Optional[Itinerary] = None
 
 
-_PUNCTURE_CHOICES = ("T1", "T2", "T3", "T4")
+# each local choice at a puncture: its two arcs, as (index in the
+# puncture's ring, tagging) pairs
+_PUNCTURE_ARCS = {
+    "T1": ((0, PLAIN_TAG), (1, PLAIN_TAG)),
+    "T2": ((0, NOTCHED_TAG), (1, NOTCHED_TAG)),
+    "T3": ((0, PLAIN_TAG), (0, NOTCHED_TAG)),
+    "T4": ((1, PLAIN_TAG), (1, NOTCHED_TAG)),
+}
 
 
 def tagged_triangulation(
@@ -419,21 +371,13 @@ def tagged_triangulation(
     for v, choice in puncture_choices.items():
         if v not in punctures:
             raise ValueError("choice given for non-puncture vertex {!r}".format(v))
-        if choice not in _PUNCTURE_CHOICES:
+        if not isinstance(choice, str) or choice not in _PUNCTURE_ARCS:
             raise ValueError("unknown puncture choice {!r}".format(choice))
 
     arcs = [TaggedArc("dual", edge=e) for e in g.internal_edges()]
     for p in punctures:
-        h_left, h_right = g.cyclic(p)
-        choice = puncture_choices[p]
-        if choice == "T1":
-            picks = [(h_left, PLAIN_TAG), (h_right, PLAIN_TAG)]
-        elif choice == "T2":
-            picks = [(h_left, NOTCHED_TAG), (h_right, NOTCHED_TAG)]
-        elif choice == "T3":
-            picks = [(h_left, PLAIN_TAG), (h_left, NOTCHED_TAG)]
-        else:
-            picks = [(h_right, PLAIN_TAG), (h_right, NOTCHED_TAG)]
+        ring = g.cyclic(p)
+        picks = [(ring[i], tag) for i, tag in _PUNCTURE_ARCS[puncture_choices[p]]]
         for via, tag in sorted(picks):
             arcs.append(
                 TaggedArc(

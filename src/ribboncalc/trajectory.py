@@ -116,6 +116,8 @@ def itinerary(g: RibbonGraph, h: str, orient: str = CW) -> Itinerary:
     """
     require_valid(g)
     _require_orient(orient)
+    # checked inline: a memoised walk costs less than the HalfedgeRef
+    # that `_source_halfedges` would need
     if not g.has_halfedge(h):
         raise ValueError("unknown halfedge {!r}".format(h))
     return _itinerary(g, h, orient)
@@ -129,17 +131,13 @@ def web_trajectory(g: RibbonGraph, v: str, orient: str = CW) -> dict[str, Itiner
     """One trajectory per halfedge at ``v``, keyed in cyclic order."""
     require_valid(g)
     _require_orient(orient)
-    if not g.has_vertex(v):
-        raise ValueError("unknown vertex {!r}".format(v))
-    return {h: _itinerary(g, h, orient) for h in g.cyclic(v)}
+    return {h: _itinerary(g, h, orient) for h in _source_halfedges(g, VertexRef(v))}
 
 
 def curve_trajectory(g: RibbonGraph, e: str, orient: str = CW) -> tuple[Itinerary, Itinerary]:
     """The two trajectories leaving an internal edge, in halfedge order."""
     require_valid(g)
     _require_orient(orient)
-    if not g.is_edge(e):
-        raise ValueError("unknown edge {!r}".format(e))
     pair = g.halfedges_of(e)
     if len(pair) != 2:
         raise ValueError("curve trajectory needs internal edge, got {!r}".format(e))
@@ -193,8 +191,6 @@ def _source_halfedges(g: RibbonGraph, source: SourceRef) -> tuple[str, ...]:
             raise ValueError("unknown halfedge {!r}".format(source.id))
         return (source.id,)
     if isinstance(source, EdgeRef):
-        if not g.is_edge(source.id):
-            raise ValueError("unknown edge {!r}".format(source.id))
         return g.halfedges_of(source.id)
     if isinstance(source, VertexRef):
         if not g.has_vertex(source.id):

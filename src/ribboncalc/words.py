@@ -81,22 +81,20 @@ def _adjoint_kind(orient: str) -> str:
     return GEN_L if orient == CW else GEN_R
 
 
-def transport_word(hit: TrajectoryHit, orient: str) -> FunctorWord:
+def transport_word(hit: TrajectoryHit) -> FunctorWord:
     """The word a trajectory prefix transports along.
 
     Reading right to left: enter the first turning vertex through the
     adjoint atom of the entry halfedge, leave it through the generator
-    of the out halfedge, and so on.  Prefix length 1 transports nothing.
+    of the out halfedge, and so on.  The adjoints are left ones for a
+    clockwise hit and right ones for a counterclockwise hit.  Prefix
+    length 1 transports nothing.
     """
     itin = hit.itinerary
-    if orient != itin.orient:
-        raise ValueError(
-            "hit was computed from {} trajectories, not {}".format(itin.orient, orient)
-        )
     src = EdgeRef(itin.edges[0])
     if hit.constant or hit.index == 1:
         return FunctorWord((ID_ATOM,), src, src)
-    adj = _adjoint_kind(orient)
+    adj = _adjoint_kind(itin.orient)
     atoms = []
     for j in range(hit.index - 1, 0, -1):
         atoms.append(Atom(GEN, itin.out_halfedges[j]))
@@ -194,10 +192,10 @@ def _decompose(
     if isinstance(target, EdgeRef):
         ring = ((target, ()),)
     elif isinstance(target, VertexRef):
-        if not g.has_vertex(target.id):
-            raise ValueError("unknown vertex {!r}".format(target.id))
         adj = _adjoint_kind(orient)
-        ring = tuple((HalfedgeRef(hp), (Atom(adj, hp),)) for hp in g.cyclic(target.id))
+        ring = tuple(
+            (HalfedgeRef(hp), (Atom(adj, hp),)) for hp in _source_halfedges(g, target)
+        )
     else:
         raise TypeError("target must be an edge or vertex reference")
     summands: list[Summand] = []
@@ -207,7 +205,7 @@ def _decompose(
                 if diagonal and hit.constant:
                     continue
                 suffix = (Atom(GEN, hit.source),) if from_vertex else ()
-                atoms = _chain(prefix, transport_word(hit, orient).atoms, suffix)
+                atoms = _chain(prefix, transport_word(hit).atoms, suffix)
                 summands.append(_make_summand(g, atoms, source, target, hit, marker))
     if diagonal:
         summands.append(_make_summand(g, (ID_ATOM,), source, target, marker=unit))
@@ -250,8 +248,7 @@ def decompose_subgraph(
         raise ValueError("subgraph belongs to a different ambient graph")
     unit = skip = None
     if isinstance(target, EdgeRef):
-        if not g.is_edge(target.id):
-            raise ValueError("unknown edge {!r}".format(target.id))
+        _source_halfedges(g, target)
         preimages = [
             k for k in sub.graph.edges() if sub.ambient_edge_of(k) == target.id
         ]
@@ -311,7 +308,8 @@ def word_typechecks(g: RibbonGraph, word: FunctorWord) -> bool:
 
     Generators map the stalk at a halfedge's vertex to the stalk at its
     edge; adjoints go back.  The identity word typechecks between any
-    equal endpoints.
+    equal endpoints.  An atom whose halfedge is not in ``g`` raises
+    ValueError.
     """
     if word.is_identity:
         return word.source == word.target or word.source is None
@@ -319,6 +317,7 @@ def word_typechecks(g: RibbonGraph, word: FunctorWord) -> bool:
     for atom in reversed(word.atoms):
         if atom.kind == ID:
             return False  # identity atoms never appear inside composites
+        _source_halfedges(g, HalfedgeRef(atom.halfedge))
         v = VertexRef(g.at_vertex(atom.halfedge))
         e = EdgeRef(g.edge_of(atom.halfedge))
         if atom.kind == GEN:

@@ -68,6 +68,27 @@ class TestBuiltinTemplates:
         with pytest.raises(ValueError, match="unknown template"):
             builtin_template("rank9000")
 
+    # graph fixtures and path-like names are unknown too: the name is
+    # checked before any file is looked for
+    @pytest.mark.parametrize(
+        "name",
+        ["rank9000", "annulus", "../fixtures/annulus", "a2_trivalent.json", "", ["a2_trivalent"]],
+    )
+    def test_unknown_name_message(self, name):
+        message = "unknown template {!r}; built in: {}".format(
+            name, ", ".join(BUILTIN_TEMPLATE_NAMES)
+        )
+        with pytest.raises(ValueError) as info:
+            builtin_template(name)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("name", BUILTIN_TEMPLATE_NAMES)
+    def test_each_call_returns_a_fresh_copy(self, name):
+        first, second = builtin_template(name), builtin_template(name)
+        assert first == second
+        assert first is not second
+        assert first.name == name
+
     def test_rank1_exact(self):
         q = builtin_template("rank1_trivalent").quiver
         assert q == IceQuiver(
@@ -508,3 +529,9 @@ class TestTaggedTriangulation:
     def test_unknown_choice(self, once_punctured_4gon):
         with pytest.raises(ValueError, match="unknown puncture choice"):
             tagged_triangulation(once_punctured_4gon, {"p": "T9"})
+
+    @pytest.mark.parametrize("choice", ["T9", "t1", "", None, 1, ["T1"]])
+    def test_unknown_choice_message(self, once_punctured_4gon, choice):
+        with pytest.raises(ValueError) as info:
+            tagged_triangulation(once_punctured_4gon, {"p": choice})
+        assert str(info.value) == "unknown puncture choice {!r}".format(choice)

@@ -2,15 +2,26 @@
 imports a name it never uses, no private module-level function, class or
 constant is left that nothing in the package refers to, and ``__all__``
 is the sorted list of the names the package's table exports, each of
-which resolves, on first use, to the object its module defines."""
+which resolves, on first use, to the object its module defines.  Every
+fixture file the package ships is one of the input kinds it reads, and
+the built-in templates are exactly its template files."""
 
 import ast
+import fnmatch
 from importlib import import_module
 from pathlib import Path
 
 import pytest
 
 import ribboncalc
+from ribboncalc import (
+    BUILTIN_TEMPLATE_NAMES,
+    ParseError,
+    parse_assignments,
+    parse_choices,
+    parse_graph,
+    parse_template,
+)
 
 from conftest import run_python
 
@@ -128,3 +139,47 @@ else:
 def test_a_module_is_imported_when_one_of_its_names_is_first_used():
     done = run_python(_FIRST_USE)
     assert done.returncode == 0, done.stderr
+
+
+PACKAGE = Path(ribboncalc.__file__).parent
+FIXTURES = sorted((PACKAGE / "fixtures").glob("*.json"))
+PARSERS = {
+    "graph": parse_graph,
+    "template": parse_template,
+    "assignments": parse_assignments,
+    "choices": parse_choices,
+}
+
+
+@pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.name)
+def test_every_fixture_is_one_input_kind(path):
+    text = path.read_text(encoding="utf-8")
+    kinds = {}
+    for kind, parse in PARSERS.items():
+        try:
+            kinds[kind] = parse(text)
+        except ParseError:
+            pass
+    assert len(kinds) == 1, "{} parses as {}".format(path.name, sorted(kinds) or "nothing")
+    if "template" in kinds:
+        assert kinds["template"].name == path.stem
+        assert path.stem in BUILTIN_TEMPLATE_NAMES
+
+
+def test_every_builtin_template_has_a_file():
+    stems = {path.stem for path in FIXTURES}
+    assert [n for n in BUILTIN_TEMPLATE_NAMES if n not in stems] == []
+
+
+def test_package_data_ships_every_fixture():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((PACKAGE.parents[1] / "pyproject.toml").read_text(encoding="utf-8"))
+    patterns = project["tool"]["setuptools"]["package-data"]["ribboncalc"]
+    unshipped = [
+        path.name
+        for path in FIXTURES
+        if not any(
+            fnmatch.fnmatch(path.relative_to(PACKAGE).as_posix(), p) for p in patterns
+        )
+    ]
+    assert unshipped == []

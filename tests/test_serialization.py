@@ -164,17 +164,7 @@ class TestGraphParseErrors:
 
 
 class TestQuiverAndTemplates:
-    @pytest.mark.parametrize(
-        "name",
-        [
-            "a2_trivalent",
-            "rank1_trivalent",
-            "punctured_2gon_T1",
-            "punctured_2gon_T2",
-            "punctured_2gon_T3",
-            "punctured_2gon_T4",
-        ],
-    )
+    @pytest.mark.parametrize("name", BUILTIN_TEMPLATE_NAMES)
     def test_template_fixture_bytes_are_canonical(self, name):
         text = fixture_text(name)
         t = parse_template(text)

@@ -40,34 +40,30 @@ def words_of(dec):
 class TestTransportWord:
     def test_constant_hit_gives_identity(self, two_spider):
         hits = trajectory_counts(two_spider, HalfedgeRef("h1"), EdgeRef("h1"), "cw")
-        w = transport_word(hits[0], "cw")
+        w = transport_word(hits[0])
         assert w.is_identity
         assert str(w) == "Id"
 
     def test_one_turning_step(self, two_spider):
         hits = trajectory_counts(two_spider, HalfedgeRef("h1"), EdgeRef("h2"), "cw")
-        w = transport_word(hits[0], "cw")
+        w = transport_word(hits[0])
         assert str(w) == "F[h2] F[h1]^L"
         assert w.source == EdgeRef("h1")
         assert w.target == EdgeRef("h2")
 
     def test_ccw_uses_right_adjoints(self, two_spider):
         hits = trajectory_counts(two_spider, HalfedgeRef("h2"), EdgeRef("h1"), "ccw")
-        w = transport_word(hits[0], "ccw")
+        w = transport_word(hits[0])
         assert all(a.kind in ("gen", "genR") for a in w.atoms)
+        assert str(w) == "F[h1] F[h2]^R"
 
     def test_word_length_is_twice_the_steps(self, annulus):
         for h in annulus.halfedges:
             for f in annulus.edges():
                 for hit in trajectory_counts(annulus, HalfedgeRef(h), EdgeRef(f), "cw"):
-                    w = transport_word(hit, "cw")
+                    w = transport_word(hit)
                     expect = 1 if hit.index == 1 else 2 * (hit.index - 1)
                     assert len(w.atoms) == expect
-
-    def test_orientation_mismatch_rejected(self, two_spider):
-        hits = trajectory_counts(two_spider, HalfedgeRef("h1"), EdgeRef("h2"), "cw")
-        with pytest.raises(ValueError, match="cw trajectories, not ccw"):
-            transport_word(hits[0], "ccw")
 
 
 class TestDecompose:
@@ -158,9 +154,9 @@ class TestDecompose:
             decompose(two_spider, EdgeRef("h1"), EdgeRef("h1"), side="Q")
 
     def test_unknown_targets(self, two_spider):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^unknown vertex 'zzz'$"):
             decompose(two_spider, VertexRef("zzz"), EdgeRef("h1"))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^unknown edge 'zzz'$"):
             decompose(two_spider, EdgeRef("zzz"), VertexRef("v"))
 
 
@@ -255,6 +251,21 @@ class TestDecomposeSubgraph:
         with pytest.raises(ValueError, match="different ambient graph"):
             decompose_subgraph(four_gon, sub, EdgeRef("m1"))
 
+    def test_unknown_targets(self, four_gon, annulus):
+        tri = subgraph(four_gon, {"v1"})
+        # the whole graph has no cut, so no walk would meet the target
+        whole = subgraph(four_gon, four_gon.vertices)
+        for sub in (tri, whole):
+            # m2 is a halfedge of four_gon but not the name of its edge
+            for name in ("zzz", "m2"):
+                with pytest.raises(ValueError, match="^unknown edge '{}'$".format(name)):
+                    decompose_subgraph(four_gon, sub, EdgeRef(name))
+            with pytest.raises(ValueError, match="^unknown vertex 'zzz'$"):
+                decompose_subgraph(four_gon, sub, VertexRef("zzz"))
+        # the ambient graph is checked first
+        with pytest.raises(ValueError, match="different ambient graph"):
+            decompose_subgraph(annulus, tri, EdgeRef("zzz"))
+
 
 class TestChecks:
     def test_unit_split_everywhere(self, four_gon, annulus):
@@ -301,6 +312,11 @@ class TestWordTypechecks:
             EdgeRef("m1"),
         )
         assert not word_typechecks(four_gon, bad)
+
+    def test_unknown_halfedge(self, four_gon):
+        word = FunctorWord((Atom("gen", "zzz"),), VertexRef("v1"), EdgeRef("m1"))
+        with pytest.raises(ValueError, match="^unknown halfedge 'zzz'$"):
+            word_typechecks(four_gon, word)
 
     def test_str_forms(self):
         assert str(Atom("gen", "h")) == "F[h]"
