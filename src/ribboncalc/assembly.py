@@ -292,9 +292,10 @@ def assemble_global(g: RibbonGraph, assign: TemplateAssignment) -> IceQuiver:
     The result equals ``amalgamate(assembly_diagram(g, assign))``, but
     the diagram is glued without `amalgamate`'s full check: templates
     are valid by construction, and incidences are their slot morphisms
-    or those composed with `_reversal_identification`.
+    or those composed with `_reversal_identification`, so each is a
+    morphism, which `_glue` relies on to place kept interface arrows.
     """
-    return _glue(assembly_diagram(g, assign), g.internal_edges())
+    return _glue(assembly_diagram(g, assign))
 
 
 def basicness_check(g: RibbonGraph) -> list[str]:

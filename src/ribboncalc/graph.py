@@ -328,8 +328,6 @@ def _corner_orbits(g: RibbonGraph) -> tuple[tuple[str, ...], ...]:
 
 
 def _connected(g: RibbonGraph) -> bool:
-    if not g._vertices:
-        return True
     cyclic, twin, at = g._cyclic, g._twin, g._at
     todo = [g._vertices[0]]
     seen = {g._vertices[0]}

@@ -9,6 +9,7 @@ are the gluing interfaces of the amalgamation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from .graph import RibbonGraph, ValidationReport, require_valid
@@ -49,25 +50,14 @@ def _classes(ids: Iterable[str], pairs: Iterable[tuple[str, str]]) -> dict[str, 
     return {x: find(x) for x in parent}
 
 
-def _sorted_by_id(items: Iterable, what: str) -> tuple:
-    """``items`` sorted by id.  Ids of mixed types, which cannot be
-    ordered, raise the ValueError of an id that is not a string."""
-    items = list(items)
-    try:
-        items.sort(key=lambda x: x.id)
-    except TypeError:
-        for x in items:
-            if not isinstance(x.id, str):
-                raise ValueError("{} id {!r} is not a string".format(what, x.id)) from None
-        raise
-    return tuple(items)
-
-
 class IceQuiver:
+    """An ice quiver, its vertices and arrows in id order.  Construction
+    checks each vertex, then each arrow, once and in input order, and
+    raises ValueError at the first fault; only checked ids are sorted."""
+
     def __init__(self, vertices: Iterable[QuiverVertex], arrows: Iterable[QuiverArrow]):
-        self._vertices = _sorted_by_id(vertices, "vertex")
         by_id = self._by_id = {}
-        for v in self._vertices:
+        for v in vertices:
             if not isinstance(v.id, str):
                 raise ValueError("vertex id {!r} is not a string".format(v.id))
             if v.id in by_id:
@@ -77,9 +67,9 @@ class IceQuiver:
             if v.label is not None and not isinstance(v.label, str):
                 raise ValueError("label of vertex {!r} is not a string".format(v.id))
             by_id[v.id] = v
-        self._arrows = _sorted_by_id(arrows, "arrow")
+        arrows = list(arrows)
         seen = set()
-        for a in self._arrows:
+        for a in arrows:
             if not isinstance(a.id, str):
                 raise ValueError("arrow id {!r} is not a string".format(a.id))
             if a.id in seen:
@@ -89,14 +79,11 @@ class IceQuiver:
             seen.add(a.id)
             for end in (a.src, a.dst):
                 if end not in by_id:
-                    raise ValueError(
-                        "arrow {!r} uses unknown vertex {!r}".format(a.id, end)
-                    )
-            if a.frozen:
-                if not (by_id[a.src].frozen and by_id[a.dst].frozen):
-                    raise ValueError(
-                        "frozen arrow {!r} must join frozen vertices".format(a.id)
-                    )
+                    raise ValueError("arrow {!r} uses unknown vertex {!r}".format(a.id, end))
+            if a.frozen and not (by_id[a.src].frozen and by_id[a.dst].frozen):
+                raise ValueError("frozen arrow {!r} must join frozen vertices".format(a.id))
+        self._vertices = tuple(sorted(by_id.values(), key=attrgetter("id")))
+        self._arrows = tuple(sorted(arrows, key=attrgetter("id")))
 
     @property
     def vertices(self) -> tuple[QuiverVertex, ...]:
@@ -282,8 +269,8 @@ def amalgamate(
     arrows of an internal edge survive, unfrozen, exactly when both
     incidences keep them non-zero.
 
-    ``edge_order`` optionally fixes the processing order of the internal
-    edges; the result does not depend on it.
+    ``edge_order``, when given, must list the internal edges and has no
+    other effect: the result does not depend on the gluing order.
 
     The diagram is validated in full first (the graph, one quiver per
     vertex and edge, every incidence as a morphism, and the frozen cover
@@ -292,17 +279,15 @@ def amalgamate(
     check; see there why that is sound.
     """
     _validate_diagram(d)
-    internal = d.graph.internal_edges()
-    if edge_order is None:
-        edge_order = internal
-    elif sorted(edge_order) != sorted(internal):
+    if edge_order is not None and sorted(edge_order) != sorted(d.graph.internal_edges()):
         raise ValueError("edge_order must enumerate the internal edges")
-    return _glue(d, edge_order)
+    return _glue(d)
 
 
-def _glue(d: AmalgamationDiagram, edge_order: Sequence[str]) -> IceQuiver:
-    """`amalgamate` without its checks: ``d`` must be a diagram that
-    `_validate_diagram` accepts and ``edge_order`` its internal edges."""
+def _glue(d: AmalgamationDiagram) -> IceQuiver:
+    """`amalgamate` without its checks, for a diagram that `_validate_diagram`
+    accepts: a morphism sends a kept interface arrow between the images
+    of its ends, so those give the ends of the glued arrow."""
     g = d.graph
     # qualified ids "vertex.local", built once per vertex quiver
     names: dict[str, dict[str, str]] = {}
@@ -315,7 +300,7 @@ def _glue(d: AmalgamationDiagram, edge_order: Sequence[str]) -> IceQuiver:
                 raise ValueError("two vertices have qualified id {!r}".format(qualified))
             origin[qualified] = x
     glued = []
-    for e in edge_order:
+    for e in g.internal_edges():
         t = g.twin_of(e)
         map1, map2 = d.incidences[e].vertex_map, d.incidences[t].vertex_map
         names1, names2 = names[g.at_vertex(e)], names[g.at_vertex(t)]
@@ -347,22 +332,14 @@ def _glue(d: AmalgamationDiagram, edge_order: Sequence[str]) -> IceQuiver:
                 arrows.append(
                     QuiverArrow(v + "." + a.id, rep[src], rep[local[a.dst]], True)
                 )
-    # each vertex quiver's arrows by id, built once per quiver object
-    arrows_by_id: dict[int, dict[str, QuiverArrow]] = {}
     for e in g.internal_edges():
         m1, m2 = d.incidences[e], d.incidences[g.twin_of(e)]
-        local = names[g.at_vertex(e)]
-        target1 = arrows_by_id.get(id(m1.target))
-        if target1 is None:
-            target1 = arrows_by_id[id(m1.target)] = {a.id: a for a in m1.target.arrows}
+        local, map1 = names[g.at_vertex(e)], m1.vertex_map
         for a in d.edge_quivers[e].arrows:
-            i1 = m1.arrow_map.get(a.id)
-            i2 = m2.arrow_map.get(a.id)
-            if i1 is None or i2 is None:
+            if m1.arrow_map.get(a.id) is None or m2.arrow_map.get(a.id) is None:
                 continue
-            image = target1[i1]
             arrows.append(
-                QuiverArrow(e + "." + a.id, rep[local[image.src]], rep[local[image.dst]])
+                QuiverArrow(e + "." + a.id, rep[local[map1[a.src]]], rep[local[map1[a.dst]]])
             )
 
     return IceQuiver(vertices, arrows)

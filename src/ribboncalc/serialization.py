@@ -11,8 +11,9 @@ value to one hook, `_encode`, for a plain object to write in its place.
 The hook knows domain types by class name, so this module imports only
 `ribboncalc.graph`; each parser imports the constructors it calls.  Most
 types are written as the attributes `_ATTRIBUTES` names, so their JSON
-keys are attribute names; graphs, quivers, templates and references have
-their own branch.
+keys are attribute names, which for quiver vertices and arrows are the
+keys of the quiver format.  Graphs, quivers, templates, template slots
+and references have their own branch.
 
 `graph_dot` and `export_dot` write graphs and quivers as Graphviz DOT.
 """
@@ -393,6 +394,9 @@ _ATTRIBUTES = {
     "BoundaryWalk": ("halfedges", "externals", "marked_points"),
     "Subgraph": ("graph", "vertices", "cut_halfedges"),
     "TaggedArc": ("kind", "edge", "puncture", "via", "tagging", "path"),
+    "TrajectoryHit": ("source", "index", "target_kind", "target", "constant"),
+    "QuiverVertex": ("id", "frozen", "label"),
+    "QuiverArrow": ("id", "src", "dst", "frozen"),
     "QuiverMorphism": ("vertex_map", "arrow_map"),
     "AmalgamationDiagram": ("graph", "vertex_quivers", "edge_quivers", "incidences"),
 }
@@ -403,6 +407,7 @@ _BRANCHES = {
     "RibbonGraph": "graph",
     "IceQuiver": "quiver",
     "LocalTemplate": "template",
+    "TemplateSlot": "slot",
     "EdgeRef": "edge",
     "VertexRef": "vertex",
     "HalfedgeRef": "halfedge",
@@ -456,13 +461,11 @@ def _encode(value: Any) -> Any:
             ],
         }
     if how == "template":
-        slots = [
-            {"quiver": s.boundary, "vertex_map": s.vertex_map, "arrow_map": s.arrow_map}
-            for s in value.slots
-        ]
         out = _encode(value.quiver)
-        out.update(name=value.name, stalk=value.stalk, slots=slots)
+        out.update(name=value.name, stalk=value.stalk, slots=value.slots)
         return out
+    if how == "slot":
+        return dict(quiver=value.boundary, vertex_map=value.vertex_map, arrow_map=value.arrow_map)
     return {"kind": how, "id": value.id}
 
 

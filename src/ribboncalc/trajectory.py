@@ -215,15 +215,13 @@ def trajectory_counts(
     _require_orient(orient)
     starts = _source_halfedges(g, source)
     if isinstance(target, EdgeRef):
-        if not g.is_edge(target.id):
-            raise ValueError("unknown edge {!r}".format(target.id))
-        hits = [h for s in starts for h in _hits_on_edge(_itinerary(g, s, orient), target.id)]
+        hits_on = _hits_on_edge
     elif isinstance(target, HalfedgeRef):
-        if not g.has_halfedge(target.id):
-            raise ValueError("unknown halfedge {!r}".format(target.id))
-        hits = [h for s in starts for h in _hits_on_halfedge(_itinerary(g, s, orient), target.id)]
+        hits_on = _hits_on_halfedge
     else:
         raise TypeError("target must be an edge or halfedge reference")
+    _source_halfedges(g, target)
+    hits = [h for s in starts for h in hits_on(_itinerary(g, s, orient), target.id)]
     if (
         isinstance(source, EdgeRef)
         and isinstance(target, EdgeRef)

@@ -45,6 +45,22 @@ def _one_arrow_a2() -> LocalTemplate:
     return LocalTemplate("one_arrow_a2", IceQuiver(verts, arrows), tuple(slots))
 
 
+def _kept_arrows_a2() -> LocalTemplate:
+    """`a2_trivalent` with a frozen arrow ``gr<i>: f<i> -> r<i>`` as the
+    image of each slot's ``a21``, so that an interface glued from two of
+    its slots keeps both of its arrows."""
+    t = builtin_template("a2_trivalent")
+    grs = tuple(
+        QuiverArrow("gr{}".format(i), "f{}".format(i), "r{}".format(i), True) for i in range(3)
+    )
+    slots = tuple(
+        TemplateSlot(s.boundary, s.vertex_map, dict(s.arrow_map, a21=gr.id))
+        for s, gr in zip(t.slots, grs)
+    )
+    q = IceQuiver(t.quiver.vertices, t.quiver.arrows + grs)
+    return LocalTemplate(t.name, q, slots, t.stalk)
+
+
 def _mutable_point_star() -> LocalTemplate:
     """`star_template(3)` with a mutable interface vertex in every slot."""
     star = star_template(3)
@@ -265,6 +281,17 @@ class TestAssemble:
             a for a in q.arrows if {a.src, a.dst} == glued
         ]
         assert between == []
+
+    def test_interface_arrows_kept_by_both_sides(self, four_gon):
+        t = _kept_arrows_a2()
+        assign = {"v1": t, "v2": t}
+        kept = [
+            QuiverArrow("m1.a12", "v1.r0", "v1.f0"),
+            QuiverArrow("m1.a21", "v1.f0", "v1.r0"),
+        ]
+        validated = amalgamate(assembly_diagram(four_gon, assign))
+        for q in assemble_global(four_gon, assign), validated:
+            assert [a for a in q.arrows if a.id.startswith("m1.")] == kept
 
     def test_once_punctured_4gon(self, once_punctured_4gon):
         q = assemble_global(

@@ -224,6 +224,27 @@ class TestAmalgamate:
         assert code == 0
         assert out == serialize(amalgamate(d)) + "\n"
 
+    @pytest.mark.parametrize(
+        "table, name, halfedges, message",
+        [
+            ("vertex_quivers", "v2", ("m2", "r2", "s2"), "vertex v2 has no quiver"),
+            ("edge_quivers", "p1", ("p1",), "edge p1 has no interface quiver"),
+        ],
+        ids=["vertex", "edge"],
+    )
+    def test_missing_quiver(
+        self, capsys, tmp_path, diagram_file, table, name, halfedges, message
+    ):
+        # the parser needs a quiver only where an incidence names one
+        obj = json.loads(Path(diagram_file[0]).read_text())
+        del obj[table][name]
+        for h in halfedges:
+            del obj["incidences"][h]
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "amalgamate", "--diagram", str(path))
+        assert (code, out, err) == (1, "", "error: {}\n".format(message))
+
     def test_dot_output_matches_assemble(self, capsys, diagram_file):
         path, _ = diagram_file
         code, out, err = run(
@@ -427,6 +448,22 @@ class TestExport:
         code, out, err = run(capsys, "export", "--quiver", path, "--format", "dot")
         assert code == 0
         assert out == export_dot(q)
+
+    def test_quiver_fault_first_in_input_order(self, capsys, tmp_path):
+        # frozen arrows "z" then "a" both join the mutable vertex "m"
+        vertices = [
+            {"id": "a", "frozen": True, "label": None},
+            {"id": "m", "frozen": False, "label": None},
+        ]
+        arrows = [
+            {"id": "z", "src": "a", "dst": "m", "frozen": True},
+            {"id": "a", "src": "m", "dst": "a", "frozen": True},
+        ]
+        path = tmp_path / "quiver.json"
+        path.write_text(json.dumps({"vertices": vertices, "arrows": arrows}))
+        code, out, err = run(capsys, "export", "--quiver", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: at /: frozen arrow 'z' must join frozen vertices\n"
 
     def test_graph_and_quiver_are_exclusive(self, capsys, quiver_file):
         path, _ = quiver_file

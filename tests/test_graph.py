@@ -41,6 +41,10 @@ class TestConstruction:
         with pytest.raises(ValueError, match="unknown halfedge"):
             RibbonGraph({"v": ("a", "b")}, {"a": "zzz", "zzz": "a"})
 
+    def test_twin_key_in_no_ring_rejected(self):
+        with pytest.raises(ValueError, match="^twin table mentions unknown halfedge 'zzz'$"):
+            RibbonGraph({"v": ("a", "b")}, {"zzz": "a", "a": "zzz"})
+
     def test_asymmetric_twin_rejected(self):
         with pytest.raises(ValueError, match="not symmetric"):
             RibbonGraph({"v": ("a", "b", "c")}, {"a": "b", "b": "c", "c": "a"})
@@ -48,6 +52,10 @@ class TestConstruction:
     def test_unknown_vertex_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
             RibbonGraph({"v": ("a", "b")}, {}, {"v": "spicy"})
+
+    def test_kind_for_unknown_vertex_rejected(self):
+        with pytest.raises(ValueError, match="^vertex kind given for unknown vertex 'ghost'$"):
+            RibbonGraph({"v": ("a", "b")}, {}, {"ghost": "plain"})
 
     def test_label_for_unknown_vertex_rejected(self):
         with pytest.raises(ValueError):
@@ -114,6 +122,9 @@ class TestAccessors:
         assert set(four_gon.external_edges()) == {"q1", "p1", "s2", "r2"}
         assert four_gon.is_edge("m1")
         assert not four_gon.is_edge("m2")
+
+    def test_repr(self, four_gon):
+        assert repr(four_gon) == "RibbonGraph(2 vertices, 5 edges)"
 
     def test_unknown_edge(self, four_gon):
         with pytest.raises(ValueError, match="unknown edge"):

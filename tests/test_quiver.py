@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import sys
@@ -67,10 +68,22 @@ class TestIceQuiver:
                 [QuiverArrow(1, "a", "b"), QuiverArrow("b", "b", "a")],
                 "^arrow id 1 is not a string$",
             ),
+            # of two faults, the first in input order is reported
+            (
+                [QuiverVertex("b", frozen=1), QuiverVertex("a", label=5)],
+                [],
+                "^frozen flag of vertex 'b' is not a boolean$",
+            ),
+            (
+                [QuiverVertex("a", frozen=True), QuiverVertex("m")],
+                [QuiverArrow("z", "a", "m", True), QuiverArrow("a", "m", "a", True)],
+                "^frozen arrow 'z' must join frozen vertices$",
+            ),
         ],
         ids=[
             "vertex id", "vertex frozen", "vertex label", "arrow id", "arrow frozen",
             "vertex id beside a string", "vertex id None", "arrow id beside a string",
+            "first vertex fault in input order", "first arrow fault in input order",
         ],
     )
     def test_rejects_what_the_parser_rejects(self, vertices, arrows, message):
@@ -109,6 +122,10 @@ class TestIceQuiver:
             frozenset({"a", "b"}),
             frozenset({"c"}),
         )
+
+    def test_repr(self):
+        q = IceQuiver([QuiverVertex("a"), QuiverVertex("b")], [QuiverArrow("x", "a", "b")])
+        assert repr(q) == "IceQuiver(2 vertices, 1 arrows)"
 
     def test_equality(self):
         q1 = IceQuiver([QuiverVertex("a")], [])
@@ -221,6 +238,30 @@ class TestAmalgamate:
         with pytest.raises(ValueError, match="dangling incidence"):
             amalgamate(broken)
 
+    def test_diagram_faults(self, four_gon):
+        d = assembly_diagram(four_gon, star_assignment(four_gon))
+        m = d.incidences["m1"]
+        point = IceQuiver([QuiverVertex("w", True)], [])
+        from_point = QuiverMorphism(point, m.target, {"w": "t0"}, {})
+        into_star4 = QuiverMorphism(m.source, star(4), m.vertex_map, {})
+        without_p1 = {e: q for e, q in d.edge_quivers.items() if e != "p1"}
+        cases = [
+            ({"vertex_quivers": {"v1": d.vertex_quivers["v1"]}}, "vertex v2 has no quiver"),
+            ({"edge_quivers": without_p1}, "edge p1 has no interface quiver"),
+            (
+                {"incidences": dict(d.incidences, m1=from_point)},
+                "incidence at m1 does not start from the edge quiver",
+            ),
+            (
+                {"incidences": dict(d.incidences, m1=into_star4)},
+                "incidence at m1 does not land in the vertex quiver",
+            ),
+        ]
+        for parts, message in cases:
+            with pytest.raises(ValueError) as info:
+                amalgamate(dataclasses.replace(d, **parts))
+            assert str(info.value) == message
+
     def test_frozen_coverage_enforced(self, four_gon):
         d = assembly_diagram(four_gon, star_assignment(four_gon))
         # rewire two incidences at v1 onto the same tip: overlap plus a gap
@@ -301,6 +342,17 @@ class TestIsomorphism:
         q1 = IceQuiver([QuiverVertex("a", label="1")], [])
         q2 = IceQuiver([QuiverVertex("b", label="2")], [])
         assert quivers_isomorphic(q1, q2)
+
+    def test_empty_quivers(self):
+        assert quivers_isomorphic(IceQuiver([], []), IceQuiver([], []))
+
+    def test_self_loops_against_a_two_cycle(self):
+        # every vertex has the same degrees, so only the loops tell them apart
+        ab = [QuiverVertex("a"), QuiverVertex("b")]
+        loops = IceQuiver(ab, [QuiverArrow("x", "a", "a"), QuiverArrow("y", "b", "b")])
+        cycle = IceQuiver(ab, [QuiverArrow("x", "a", "b"), QuiverArrow("y", "b", "a")])
+        assert not quivers_isomorphic(loops, cycle)
+        assert not quivers_isomorphic(cycle, loops)
 
     def test_self_loops(self):
         q1 = IceQuiver([QuiverVertex("a"), QuiverVertex("b")], [QuiverArrow("x", "a", "a")])

@@ -18,12 +18,16 @@ from ribboncalc import (
     LocalTemplate,
     Marker,
     ParseError,
+    QuiverArrow,
     QuiverMorphism,
+    QuiverVertex,
     RibbonGraph,
     Subgraph,
     Summand,
     SurfaceInvariants,
     TaggedArc,
+    TemplateSlot,
+    TrajectoryHit,
     ValidationReport,
     VertexRef,
     assemble_global,
@@ -47,6 +51,7 @@ from ribboncalc import (
     surface_invariants,
     tagged_triangulation,
     to_jsonable,
+    trajectory_counts,
     validate_graph,
     web_trajectory,
 )
@@ -303,7 +308,9 @@ def _oracle_ref(ref):
 
 def oracle(value):
     """The library's `to_jsonable` when it built the JSON tree by hand,
-    one isinstance branch per type, verbatim but for its name."""
+    one isinstance branch per type, verbatim but for its name and the
+    branches of the four types it could not write: quiver vertices and
+    arrows, template slots and trajectory hits."""
     if isinstance(value, RibbonGraph):
         cyclic, kind, label, twin = value._cyclic, value._kind, value._label, value._twin
         vertices = []
@@ -419,6 +426,24 @@ def oracle(value):
             "tagging": value.tagging,
             "path": oracle(value.path) if value.path else None,
         }
+    if isinstance(value, QuiverVertex):
+        return {"id": value.id, "frozen": value.frozen, "label": value.label}
+    if isinstance(value, QuiverArrow):
+        return {"id": value.id, "src": value.src, "dst": value.dst, "frozen": value.frozen}
+    if isinstance(value, TemplateSlot):
+        return {
+            "quiver": oracle(value.boundary),
+            "vertex_map": dict(sorted(value.vertex_map.items())),
+            "arrow_map": dict(sorted(value.arrow_map.items())),
+        }
+    if isinstance(value, TrajectoryHit):
+        return {
+            "source": value.source,
+            "index": value.index,
+            "target_kind": value.target_kind,
+            "target": value.target,
+            "constant": value.constant,
+        }
     if isinstance(value, (list, tuple)):
         return [oracle(v) for v in value]
     if isinstance(value, dict):
@@ -442,6 +467,8 @@ def _graph_values(g):
         yield "web", {"web": web_trajectory(g, vertices[0], orient)}
         for e in g.internal_edges()[:2]:
             yield "curve", {"curve": list(curve_trajectory(g, e, orient))}
+        for e in edges:
+            yield "hits", trajectory_counts(g, VertexRef(vertices[0]), EdgeRef(e), orient)
     for side in ("L", "R"):
         for v in vertices:
             source = VertexRef(vertices[0])
@@ -482,7 +509,10 @@ def _values():
         for what, value in _graph_values(g):
             yield "graph {} {}".format(i, what), value
     for name in BUILTIN_TEMPLATE_NAMES:
-        yield name, builtin_template(name)
+        t = builtin_template(name)
+        yield name, t
+        yield name + " slots", t.slots
+        yield name + " quiver items", {"vertices": t.quiver.vertices, "arrows": t.quiver.arrows}
         yield name + " fixture", parse_template(fixture_text(name))
     for n in range(2, 6):
         yield "star {}".format(n), star_template(n)
@@ -516,6 +546,13 @@ def test_serialize_agrees_with_the_oracle(monkeypatch):
     # the values reach every type the hook encodes but `HalfedgeRef`, which
     # no domain value holds
     assert encoded == set(_ATTRIBUTES) | set(_BRANCHES) - {"HalfedgeRef"}
+
+
+@pytest.mark.parametrize("name", BUILTIN_TEMPLATE_NAMES)
+def test_quiver_items_are_written_as_in_a_quiver(name):
+    q = builtin_template(name).quiver
+    items = {"vertices": list(q.vertices), "arrows": list(q.arrows)}
+    assert serialize(q) == serialize(items)
 
 
 def test_attribute_names_are_fields_or_properties():

@@ -170,6 +170,22 @@ class TestHitCounting:
         with pytest.raises(ValueError):
             trajectory_counts(four_gon, VertexRef("zzz"), EdgeRef("m1"), "cw")
 
+    def test_unknown_targets(self, four_gon):
+        with pytest.raises(ValueError, match="^unknown edge 'm2'$"):
+            trajectory_counts(four_gon, EdgeRef("m1"), EdgeRef("m2"), "cw")
+        with pytest.raises(ValueError, match="^unknown halfedge 'zzz'$"):
+            trajectory_counts(four_gon, EdgeRef("m1"), HalfedgeRef("zzz"), "cw")
+
+    @pytest.mark.parametrize("target", ["m1", VertexRef("v1")], ids=["str", "vertex"])
+    def test_target_must_be_an_edge_or_halfedge_reference(self, four_gon, target):
+        with pytest.raises(TypeError, match="^target must be an edge or halfedge reference$"):
+            trajectory_counts(four_gon, EdgeRef("m1"), target, "cw")
+
+    def test_source_must_be_a_reference(self, four_gon):
+        message = "^source must be a halfedge, edge or vertex reference$"
+        with pytest.raises(TypeError, match=message):
+            trajectory_counts(four_gon, "m1", EdgeRef("m1"), "cw")
+
     def test_genus_one_curve_meets_an_edge_three_times(self):
         # on a handle the two rays of one curve can pass the same edge
         # three times in total, even though each single ray stays <= 2

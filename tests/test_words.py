@@ -159,6 +159,12 @@ class TestDecompose:
         with pytest.raises(ValueError, match="^unknown edge 'zzz'$"):
             decompose(two_spider, EdgeRef("zzz"), VertexRef("v"))
 
+    def test_source_and_target_must_be_edge_or_vertex_references(self, two_spider):
+        with pytest.raises(TypeError, match="^source must be an edge or vertex reference$"):
+            decompose(two_spider, EdgeRef("h1"), HalfedgeRef("h1"))
+        with pytest.raises(TypeError, match="^target must be an edge or vertex reference$"):
+            decompose(two_spider, HalfedgeRef("h1"), EdgeRef("h1"))
+
 
 def identified_multiset(dec, target):
     """Word multiset with each marker folded back into a generator
@@ -312,6 +318,10 @@ class TestWordTypechecks:
             EdgeRef("m1"),
         )
         assert not word_typechecks(four_gon, bad)
+
+    def test_identity_atom_inside_a_composite(self, four_gon):
+        word = FunctorWord((Atom("gen", "m1"), Atom("id")), VertexRef("v1"), EdgeRef("m1"))
+        assert not word_typechecks(four_gon, word)
 
     def test_unknown_halfedge(self, four_gon):
         word = FunctorWord((Atom("gen", "zzz"),), VertexRef("v1"), EdgeRef("m1"))
