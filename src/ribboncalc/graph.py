@@ -41,14 +41,14 @@ def rotate_to_min(seq: Iterable[str]) -> tuple[str, ...]:
     return seq[k:] + seq[:k]
 
 
-def _by_vertex_id(table: Mapping, name: str) -> dict:
+def _by_string_key(table: Mapping, name: str, what: str = "vertex") -> dict:
     """``table`` with string keys; two keys with the same string are an error."""
     out = {}
-    for v, x in table.items():
-        vid = str(v)
-        if vid in out:
-            raise ValueError("{} names vertex {!r} twice".format(name, vid))
-        out[vid] = x
+    for k, x in table.items():
+        key = str(k)
+        if key in out:
+            raise ValueError("{} names {} {!r} twice".format(name, what, key))
+        out[key] = x
     return out
 
 
@@ -60,7 +60,7 @@ class RibbonGraph:
     a halfedge to its vertex.  ``twin`` pairs the two halfedges of every
     internal edge and omits external halfedges entirely.
 
-    The constructor turns ids, the keys of ``vertex_kind`` and
+    The constructor turns ids, the keys of ``twin``, ``vertex_kind`` and
     ``vertex_label`` included, into strings and rejects structurally
     meaningless input (two keys of one table with the same string, a
     halfedge listed twice, an asymmetric twin table, a kind or label for an
@@ -83,9 +83,9 @@ class RibbonGraph:
         vertex_kind: Optional[Mapping[str, str]] = None,
         vertex_label: Optional[Mapping[str, str]] = None,
     ):
-        cyclic = _by_vertex_id(cyclic, "cyclic")
-        vertex_kind = _by_vertex_id(vertex_kind or {}, "vertex_kind")
-        vertex_label = _by_vertex_id(vertex_label or {}, "vertex_label")
+        cyclic = _by_string_key(cyclic, "cyclic")
+        vertex_kind = _by_string_key(vertex_kind or {}, "vertex_kind")
+        vertex_label = _by_string_key(vertex_label or {}, "vertex_label")
         rings: dict[str, list[str]] = {}
         at: dict[str, str] = {}
         for v, hs in cyclic.items():
@@ -95,7 +95,7 @@ class RibbonGraph:
                     raise ValueError("halfedge {!r} listed more than once".format(h))
                 at[h] = v
             rings[v] = ring
-        twin = {str(h): str(t) for h, t in twin.items()}
+        twin = {h: str(t) for h, t in _by_string_key(twin, "twin", "halfedge").items()}
         for h, t in twin.items():
             if h not in at:
                 raise ValueError("twin table mentions unknown halfedge {!r}".format(h))
@@ -179,9 +179,10 @@ class RibbonGraph:
         self._report: Optional[ValidationReport] = None
         self._orbits: Optional[tuple[tuple[str, ...], ...]] = None
         self._prev: Optional[dict[str, str]] = None
-        # itineraries by (start halfedge, orientation), filled by
-        # `ribboncalc.trajectory`; sound because the graph never changes
-        self._walks: dict = {}
+        # itineraries, one table per orientation keyed by start halfedge,
+        # filled by `ribboncalc.trajectory`; sound because the graph never
+        # changes
+        self._walks: dict = {"cw": {}, "ccw": {}}
 
     # -- basic accessors ------------------------------------------------
 

@@ -17,9 +17,11 @@ the next external halfedge.  It passes each halfedge at most once,
 except an external start that is also its own terminal; an edge has at
 most two halfedges, so a ray meets any edge at most twice.
 
-Each walk is memoised on its graph, keyed by start halfedge and
-orientation, and is freed with the graph; there is no global cache.
-This is sound because a `RibbonGraph` never changes after construction.
+A ray is recorded in one pass: the step loop notes each edge, turn and
+entry as it goes.  Each walk is memoised on its graph, in one table per orientation keyed by
+start halfedge, and is freed with the graph; there is no global cache.
+This is sound because a `RibbonGraph` never changes after construction,
+and every public entry checks the orientation before the memo is read.
 """
 
 from __future__ import annotations
@@ -83,26 +85,29 @@ def _require_orient(orient: str) -> None:
 
 
 def _itinerary(g: RibbonGraph, h: str, orient: str) -> Itinerary:
-    itin = g._walks.get((h, orient))
+    walks = g._walks[orient]
+    itin = walks.get(h)
     if itin is not None:
         return itin
     twin, at = g._twin, g._at
     turn = g._next if orient == CW else _predecessors(g)
-    out, entries = [h], []
+    out, edges, turns, entries = [h], [], [], []
     x = h
     # ends on a valid graph: every orbit meets an external halfedge
     while True:
         t = twin.get(x, x)
-        x = turn[t]
+        # an edge is named by the smaller of its halfedges; the walk turns
+        # at the vertex of ``t``, which is also the vertex of the next ``x``
+        edges.append(x if x < t else t)
+        turns.append(at[t])
         entries.append(t)
+        x = turn[t]
         out.append(x)
         if x not in twin:
             break
-    # an edge is named by the smaller of its halfedges; ``x`` is the terminal
-    edges = tuple(map(min, out, entries)) + (x,)
-    turns = tuple(at[y] for y in out[1:])
-    itin = Itinerary(h, orient, tuple(out), edges, turns, tuple(entries), x)
-    g._walks[(h, orient)] = itin
+    edges.append(x)  # the terminal external edge
+    itin = Itinerary(h, orient, tuple(out), tuple(edges), tuple(turns), tuple(entries), x)
+    walks[h] = itin
     return itin
 
 

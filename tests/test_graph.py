@@ -87,6 +87,12 @@ class TestConstruction:
         with pytest.raises(ValueError, match="vertex_label names vertex '1' twice"):
             RibbonGraph({"1": ("a", "b")}, {}, None, {1: "x", "1": "y"})
 
+    def test_colliding_twin_keys_rejected(self):
+        # 1 and "1" both name halfedge "1"; merged, the table would pass as
+        # the pairing of "1" and "a"
+        with pytest.raises(ValueError, match="^twin names halfedge '1' twice$"):
+            RibbonGraph({"v": ["1", "x"], "w": ["a", "y"]}, {1: "a", "1": "a", "a": "1"})
+
     def test_equality_and_hash(self):
         g1 = RibbonGraph({"v": ("b", "a")}, {})
         g2 = RibbonGraph({"v": ("a", "b")}, {})

@@ -1,4 +1,5 @@
-"""Source hygiene that a linter would check: no module of the package
+"""Source hygiene that a linter would check: the package imports nothing
+at run time but the standard library and itself, no module of it
 imports a name it never uses, no private module-level function, class or
 constant is left that nothing in the package refers to, and ``__all__``
 is the sorted list of the names the package's table exports, each of
@@ -8,6 +9,7 @@ the built-in templates are exactly its template files."""
 
 import ast
 import fnmatch
+import sys
 from importlib import import_module
 from pathlib import Path
 
@@ -44,6 +46,36 @@ def test_no_unused_imports(path):
     assert unused == [], "{} imports unused names: {}".format(
         path.name, ", ".join("{} (line {})".format(n, imported[n]) for n in unused)
     )
+
+
+def _type_checking_only(tree):
+    """The nodes under ``if TYPE_CHECKING:``, which never run."""
+    skipped = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.If) and "TYPE_CHECKING" in ast.unparse(node.test):
+            skipped.update(id(n) for stmt in node.body for n in ast.walk(stmt))
+    return skipped
+
+
+def test_runtime_imports_only_the_standard_library():
+    foreign = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        skipped = _type_checking_only(tree)
+        for node in ast.walk(tree):
+            if id(node) in skipped:
+                continue
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue  # relative imports stay inside the package
+            for name in names:
+                top = name.split(".")[0]
+                if top != "ribboncalc" and top not in sys.stdlib_module_names:
+                    foreign.append("{} (line {} of {})".format(name, node.lineno, path.name))
+    assert foreign == [], "imports outside the standard library: " + ", ".join(foreign)
 
 
 def _private_definitions(tree):

@@ -1,17 +1,24 @@
+import dataclasses
 import gc
+import re
 import weakref
+from pathlib import Path
 
 import pytest
 
+import ribboncalc
 from ribboncalc import (
     EdgeRef,
     HalfedgeRef,
+    ParseError,
     RibbonGraph,
     VertexRef,
     boundary_walks,
+    check_unit_split,
     curve_trajectory,
     decompose,
     decompose_subgraph,
+    dual,
     itinerary,
     parse_graph,
     serialize,
@@ -248,6 +255,21 @@ class TestHitCounting:
             assert len(per_ray) <= 2
 
 
+BAD_ORIENTATIONS = ("up", None, ["cw"])
+BAD_SIDES = ("up", None, ["L"])
+
+
+def _each_rejects(g: RibbonGraph, calls, expected: str) -> None:
+    """Every call raises a plain ``ValueError`` with the whole message
+    ``expected`` and leaves the walk memo of ``g`` as it was."""
+    before = {o: dict(walks) for o, walks in g._walks.items()}
+    for call in calls:
+        with pytest.raises(ValueError, match="^{}$".format(re.escape(expected))) as raised:
+            call()
+        assert type(raised.value) is ValueError
+    assert g._walks == before
+
+
 class TestWalkMemo:
     def test_warm_memo_matches_a_fresh_copy(self):
         for g in sample_graphs():
@@ -256,6 +278,31 @@ class TestWalkMemo:
             for (h, o), itin in warm.items():
                 assert itinerary(g, h, o) is itin
                 assert itinerary(fresh, h, o) == itin
+
+    @pytest.mark.parametrize("orient", BAD_ORIENTATIONS, ids=repr)
+    def test_a_bad_orientation_fails_the_same_way_everywhere(self, four_gon, orient):
+        # every public entry checks the orientation before the memo, which
+        # has one table per orientation, is read or written
+        itinerary(four_gon, "m1", "cw")
+        calls = (
+            lambda: itinerary(four_gon, "m1", orient),
+            lambda: terminal_external(four_gon, "m1", orient),
+            lambda: web_trajectory(four_gon, "v1", orient),
+            lambda: curve_trajectory(four_gon, "m1", orient),
+            lambda: trajectory_counts(four_gon, EdgeRef("m1"), EdgeRef("q1"), orient),
+        )
+        expected = "orientation must be 'cw' or 'ccw', got {!r}".format(orient)
+        _each_rejects(four_gon, calls, expected)
+
+    @pytest.mark.parametrize("side", BAD_SIDES, ids=repr)
+    def test_a_bad_side_fails_the_same_way_everywhere(self, four_gon, side):
+        v1, m1 = VertexRef("v1"), EdgeRef("m1")
+        calls = (
+            lambda: decompose(four_gon, v1, m1, side),
+            lambda: decompose_subgraph(four_gon, subgraph(four_gon, ["v1"]), v1, side),
+            lambda: check_unit_split(four_gon, m1, side),
+        )
+        _each_rejects(four_gon, calls, "side must be 'L' or 'R', got {!r}".format(side))
 
     def test_dropped_graph_is_freed(self):
         # ids no other test uses, so no equal graph was walked before
@@ -318,12 +365,38 @@ def _oracle_itinerary(g: RibbonGraph, h: str, orient: str) -> Itinerary:
     return Itinerary(h, orient, tuple(out), edges, turns, entries, edges[-1])
 
 
+def _fixture_graphs() -> list[RibbonGraph]:
+    """Every fixture file the package ships that parses as a graph."""
+    graphs = []
+    for path in sorted((Path(ribboncalc.__file__).parent / "fixtures").glob("*.json")):
+        try:
+            graphs.append(parse_graph(path.read_text(encoding="utf-8")))
+        except ParseError:
+            pass
+    return graphs
+
+
 class TestOneWalkEngine:
     def test_matches_the_stepwise_oracle(self):
-        for g in sample_graphs():
+        samples = sample_graphs()
+        graphs = _fixture_graphs() + samples + [dual(g) for g in samples]
+        for g in graphs:
             for h in g.halfedges:
                 for orient in ("cw", "ccw"):
-                    assert itinerary(g, h, orient) == _oracle_itinerary(g, h, orient)
+                    it, oracle = itinerary(g, h, orient), _oracle_itinerary(g, h, orient)
+                    assert it == oracle
+                    assert repr(it) == repr(oracle)
+                    assert hash(it) == hash(oracle)
+                    assert serialize(it) == serialize(oracle)
+
+    def test_an_engine_built_itinerary_is_frozen(self, four_gon):
+        it = itinerary(four_gon, "m1", "cw")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            it.terminal = "q1"
+        moved = dataclasses.replace(it, terminal="q1")
+        assert type(moved) is Itinerary
+        assert moved.terminal == "q1" and it.terminal != "q1"
+        assert dataclasses.replace(moved, terminal=it.terminal) == it
 
     def test_terminal_is_the_next_marked_point_on_the_boundary_walk(self):
         for g in sample_graphs():
