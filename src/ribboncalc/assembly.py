@@ -24,6 +24,7 @@ from .quiver import (
     QuiverArrow,
     QuiverMorphism,
     QuiverVertex,
+    _fault,
     _glue,
     _require_frozen_cover,
     validate_morphism,
@@ -72,7 +73,7 @@ class LocalTemplate:
 def validate_template(t: LocalTemplate) -> None:
     for key, text in (("name", t.name), ("stalk", t.stalk)):
         if text is not None and not isinstance(text, str):
-            raise ValueError("template {} {!r} is not a string".format(key, text))
+            raise _fault((key,), "template {} {!r} is not a string", key, text)
 
     def images():
         # each slot's morphism is checked before its image is judged

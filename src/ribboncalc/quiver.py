@@ -50,38 +50,57 @@ def _classes(ids: Iterable[str], pairs: Iterable[tuple[str, str]]) -> dict[str, 
     return {x: find(x) for x in parent}
 
 
+def _fault(location: tuple, message: str, *args) -> ValueError:
+    """A ValueError whose text is ``message.format(*args)`` and which keeps
+    the ``location`` of the input at fault, such as ``("arrows", 3, "src")``."""
+    exc = ValueError(message.format(*args))
+    exc.location = location
+    return exc
+
+
 class IceQuiver:
     """An ice quiver, its vertices and arrows in id order.  Construction
     checks each vertex, then each arrow, once and in input order, and
-    raises ValueError at the first fault; only checked ids are sorted."""
+    raises ValueError at the first fault; only checked ids are sorted.
+    A fault of one vertex or arrow is located (see `_fault`)."""
 
     def __init__(self, vertices: Iterable[QuiverVertex], arrows: Iterable[QuiverArrow]):
+        # the items checked so far fill `by_id`, then `seen`: its size indexes a fault
         by_id = self._by_id = {}
         for v in vertices:
             if not isinstance(v.id, str):
-                raise ValueError("vertex id {!r} is not a string".format(v.id))
-            if v.id in by_id:
-                raise ValueError("duplicate vertex id {!r}".format(v.id))
-            if not isinstance(v.frozen, bool):
-                raise ValueError("frozen flag of vertex {!r} is not a boolean".format(v.id))
-            if v.label is not None and not isinstance(v.label, str):
-                raise ValueError("label of vertex {!r} is not a string".format(v.id))
-            by_id[v.id] = v
+                field, message = "id", "vertex id {!r} is not a string"
+            elif v.id in by_id:
+                field, message = "id", "duplicate vertex id {!r}"
+            elif not isinstance(v.frozen, bool):
+                field, message = "frozen", "frozen flag of vertex {!r} is not a boolean"
+            elif v.label is not None and not isinstance(v.label, str):
+                field, message = "label", "label of vertex {!r} is not a string"
+            else:
+                by_id[v.id] = v
+                continue
+            raise _fault(("vertices", len(by_id), field), message, v.id)
         arrows = list(arrows)
         seen = set()
         for a in arrows:
             if not isinstance(a.id, str):
-                raise ValueError("arrow id {!r} is not a string".format(a.id))
-            if a.id in seen:
-                raise ValueError("duplicate arrow id {!r}".format(a.id))
-            if not isinstance(a.frozen, bool):
-                raise ValueError("frozen flag of arrow {!r} is not a boolean".format(a.id))
-            seen.add(a.id)
-            for end in (a.src, a.dst):
-                if end not in by_id:
-                    raise ValueError("arrow {!r} uses unknown vertex {!r}".format(a.id, end))
-            if a.frozen and not (by_id[a.src].frozen and by_id[a.dst].frozen):
+                field, message = "id", "arrow id {!r} is not a string"
+            elif a.id in seen:
+                field, message = "id", "duplicate arrow id {!r}"
+            # vertex ids are strings: an end of another type names no vertex
+            elif not isinstance(a.src, str) or a.src not in by_id:
+                field, message = "src", "arrow {!r} uses unknown vertex {!r}"
+            elif not isinstance(a.dst, str) or a.dst not in by_id:
+                field, message = "dst", "arrow {!r} uses unknown vertex {!r}"
+            elif not isinstance(a.frozen, bool):
+                field, message = "frozen", "frozen flag of arrow {!r} is not a boolean"
+            elif a.frozen and not (by_id[a.src].frozen and by_id[a.dst].frozen):
                 raise ValueError("frozen arrow {!r} must join frozen vertices".format(a.id))
+            else:
+                seen.add(a.id)
+                continue
+            # the value at fault fills the message's second field, if any
+            raise _fault(("arrows", len(seen), field), message, a.id, getattr(a, field))
         self._vertices = tuple(sorted(by_id.values(), key=attrgetter("id")))
         self._arrows = tuple(sorted(arrows, key=attrgetter("id")))
 
@@ -151,9 +170,9 @@ def validate_morphism(m: QuiverMorphism) -> ValidationReport:
     for v in m.source.vertex_ids():
         if v not in vmap:
             violations.append("vertex {} has no image".format(v))
-        elif not m.target.has_vertex(vmap[v]):
+        elif not (isinstance(vmap[v], str) and m.target.has_vertex(vmap[v])):
             violations.append("vertex {} maps to unknown vertex {}".format(v, vmap[v]))
-    images = [vmap[v] for v in sorted(vmap) if m.target.has_vertex(vmap.get(v, ""))]
+    images = [x for x in vmap.values() if isinstance(x, str) and m.target.has_vertex(x)]
     if len(set(images)) != len(images):
         violations.append("vertex map is not injective")
     target_arrows = {a.id: a for a in m.target.arrows}
@@ -164,7 +183,7 @@ def validate_morphism(m: QuiverMorphism) -> ValidationReport:
         image = m.arrow_map[a.id]
         if image is None:
             continue
-        if image not in target_arrows:
+        if not isinstance(image, str) or image not in target_arrows:
             violations.append("arrow {} maps to unknown arrow {}".format(a.id, image))
             continue
         ta = target_arrows[image]
@@ -348,13 +367,10 @@ def _glue(d: AmalgamationDiagram) -> IceQuiver:
 def mutable_part(q: IceQuiver) -> IceQuiver:
     """Drop frozen vertices, their arrows, and all frozen flags."""
     keep = {v.id for v in q.vertices if not v.frozen}
+    # an arrow between mutable vertices is mutable: frozen ones join frozen ones
     return IceQuiver(
-        [QuiverVertex(v.id, False, v.label) for v in q.vertices if v.id in keep],
-        [
-            QuiverArrow(a.id, a.src, a.dst, False)
-            for a in q.arrows
-            if a.src in keep and a.dst in keep
-        ],
+        [v for v in q.vertices if not v.frozen],
+        [a for a in q.arrows if a.src in keep and a.dst in keep],
     )
 
 

@@ -39,11 +39,7 @@ class ParseError(ValueError):
 
 
 def _ptr(*tokens) -> str:
-    out = []
-    for t in tokens:
-        t = str(t).replace("~", "~0").replace("/", "~1")
-        out.append(t)
-    return "/" + "/".join(out) if out else ""
+    return "".join("/" + str(t).replace("~", "~0").replace("/", "~1") for t in tokens)
 
 
 def _loc(where) -> str:
@@ -63,9 +59,11 @@ def _want_keys(obj, where, required, optional=()):
     for key in required:
         if key not in obj:
             raise ParseError(_loc(where), "missing key {!r}".format(key))
-    for key in obj:
-        if key not in required and key not in optional:
-            raise ParseError(_loc(where + (key,)), "unknown key")
+    # with every required key present, only a larger object has an unknown key
+    if len(obj) > len(required):
+        for key in obj:
+            if key not in required and key not in optional:
+                raise ParseError(_loc(where + (key,)), "unknown key")
     return obj
 
 
@@ -213,67 +211,52 @@ def parse_graph(text: str) -> RibbonGraph:
 
 
 def quiver_from_jsonable(obj: Any, pointer: str = "") -> IceQuiver:
+    """Check the structure of a quiver object and build each vertex and
+    arrow straight from its entry; `IceQuiver` checks the values."""
     from .quiver import IceQuiver, QuiverArrow, QuiverVertex
 
     _want_keys(obj, (pointer,), ("vertices", "arrows"))
     vlist = _want(obj["vertices"], list, (pointer, "vertices"), "a list")
     alist = _want(obj["arrows"], list, (pointer, "arrows"), "a list")
-    vertices = []
-    ids = set()
-    for i, entry in enumerate(vlist):
-        p = (pointer, "vertices", i)
-        _want_keys(entry, p, ("id", "frozen", "label"))
-        vid = _want_str(entry["id"], p + ("id",))
-        if vid in ids:
-            raise ParseError(_loc(p + ("id",)), "duplicate vertex id {!r}".format(vid))
-        ids.add(vid)
-        frozen = _want(entry["frozen"], bool, p + ("frozen",), "a boolean")
-        label = entry["label"]
-        if label is not None:
-            label = _want_str(label, p + ("label",))
-        vertices.append(QuiverVertex(vid, frozen, label))
-    arrows = []
-    aids = set()
-    for i, entry in enumerate(alist):
-        p = (pointer, "arrows", i)
-        _want_keys(entry, p, ("id", "src", "dst", "frozen"))
-        aid = _want_str(entry["id"], p + ("id",))
-        if aid in aids:
-            raise ParseError(_loc(p + ("id",)), "duplicate arrow id {!r}".format(aid))
-        aids.add(aid)
-        src = _want_str(entry["src"], p + ("src",))
-        dst = _want_str(entry["dst"], p + ("dst",))
-        for end, key in ((src, "src"), (dst, "dst")):
-            if end not in ids:
-                raise ParseError(_loc(p + (key,)), "unknown vertex id {!r}".format(end))
-        frozen = _want(entry["frozen"], bool, p + ("frozen",), "a boolean")
-        arrows.append(QuiverArrow(aid, src, dst, frozen))
+    vertices = [
+        QuiverVertex(**_want_keys(entry, (pointer, "vertices", i), ("id", "frozen", "label")))
+        for i, entry in enumerate(vlist)
+    ]
+    arrows = [
+        QuiverArrow(**_want_keys(entry, (pointer, "arrows", i), ("id", "src", "dst", "frozen")))
+        for i, entry in enumerate(alist)
+    ]
     try:
         return IceQuiver(vertices, arrows)
     except ValueError as exc:
-        raise ParseError(pointer or "/", str(exc)) from exc
+        raise _located(exc, pointer) from exc
+
+
+def _located(exc: ValueError, pointer: str, default: tuple = ()) -> ParseError:
+    """A constructor's fault, at the location it keeps or else ``default``."""
+    return ParseError(pointer + _ptr(*getattr(exc, "location", default)), str(exc))
 
 
 def parse_quiver(text: str) -> IceQuiver:
     return quiver_from_jsonable(_loads(text))
 
 
-def _morphism_maps_from_jsonable(obj: Any, where):
-    _want_keys(obj, where, ("vertex_map", "arrow_map"))
-    vmap_obj = _want(obj["vertex_map"], dict, where + ("vertex_map",), "an object")
-    amap_obj = _want(obj["arrow_map"], dict, where + ("arrow_map",), "an object")
-    vmap = {}
-    for k, v in vmap_obj.items():
-        vmap[k] = _want_str(v, where + ("vertex_map", k))
-    amap = {}
-    for k, v in amap_obj.items():
+def _morphism_maps(obj: Any, where):
+    """Copies of the maps of an object whose keys are checked: the vertex
+    map's values are strings, the arrow map's strings or nulls."""
+    vmap = _want(obj["vertex_map"], dict, where + ("vertex_map",), "an object")
+    amap = _want(obj["arrow_map"], dict, where + ("arrow_map",), "an object")
+    for k, v in vmap.items():
+        _want_str(v, where + ("vertex_map", k))
+    for k, v in amap.items():
         if v is not None:
-            v = _want_str(v, where + ("arrow_map", k))
-        amap[k] = v
-    return vmap, amap
+            _want_str(v, where + ("arrow_map", k))
+    return dict(vmap), dict(amap)
 
 
 def template_from_jsonable(obj: Any, pointer: str = "") -> LocalTemplate:
+    """Check a template object's structure and build the template, which
+    checks the values; a fault of the slots as a whole points at them."""
     from .assembly import LocalTemplate, TemplateSlot
 
     _want_keys(
@@ -283,25 +266,15 @@ def template_from_jsonable(obj: Any, pointer: str = "") -> LocalTemplate:
         {"vertices": obj["vertices"], "arrows": obj["arrows"]}, pointer
     )
     slots = []
-    slot_list = _want(obj["slots"], list, (pointer, "slots"), "a list")
-    for i, entry in enumerate(slot_list):
+    for i, entry in enumerate(_want(obj["slots"], list, (pointer, "slots"), "a list")):
         p = (pointer, "slots", i)
         _want_keys(entry, p, ("quiver", "vertex_map", "arrow_map"))
         boundary = quiver_from_jsonable(entry["quiver"], _loc(p + ("quiver",)))
-        vmap, amap = _morphism_maps_from_jsonable(
-            {"vertex_map": entry["vertex_map"], "arrow_map": entry["arrow_map"]}, p
-        )
-        slots.append(TemplateSlot(boundary, vmap, amap))
-    name = obj.get("name", "template")
-    if name is not None:
-        name = _want_str(name, (pointer, "name"))
-    stalk = obj.get("stalk")
-    if stalk is not None:
-        stalk = _want_str(stalk, (pointer, "stalk"))
+        slots.append(TemplateSlot(boundary, *_morphism_maps(entry, p)))
     try:
-        return LocalTemplate(name, quiver, tuple(slots), stalk)
+        return LocalTemplate(obj.get("name", "template"), quiver, tuple(slots), obj.get("stalk"))
     except ValueError as exc:
-        raise ParseError(pointer + _ptr("slots"), str(exc)) from exc
+        raise _located(exc, pointer, ("slots",)) from exc
 
 
 def parse_template(text: str) -> LocalTemplate:
@@ -315,16 +288,13 @@ def diagram_from_jsonable(obj: Any, pointer: str = "") -> AmalgamationDiagram:
         obj, (pointer,), ("graph", "vertex_quivers", "edge_quivers", "incidences")
     )
     g = graph_from_jsonable(obj["graph"], pointer + _ptr("graph"))
-    vq = {}
-    for v, q in _want(
-        obj["vertex_quivers"], dict, (pointer, "vertex_quivers"), "an object"
-    ).items():
-        vq[v] = quiver_from_jsonable(q, pointer + _ptr("vertex_quivers", v))
-    eq = {}
-    for e, q in _want(
-        obj["edge_quivers"], dict, (pointer, "edge_quivers"), "an object"
-    ).items():
-        eq[e] = quiver_from_jsonable(q, pointer + _ptr("edge_quivers", e))
+    vq, eq = (
+        {
+            k: quiver_from_jsonable(q, pointer + _ptr(key, k))
+            for k, q in _want(obj[key], dict, (pointer, key), "an object").items()
+        }
+        for key in ("vertex_quivers", "edge_quivers")
+    )
     incidences = {}
     for h, m in _want(
         obj["incidences"], dict, (pointer, "incidences"), "an object"
@@ -332,7 +302,8 @@ def diagram_from_jsonable(obj: Any, pointer: str = "") -> AmalgamationDiagram:
         p = (pointer, "incidences", h)
         if not g.has_halfedge(h):
             raise ParseError(_loc(p), "unknown halfedge id {!r}".format(h))
-        vmap, amap = _morphism_maps_from_jsonable(m, p)
+        _want_keys(m, p, ("vertex_map", "arrow_map"))
+        vmap, amap = _morphism_maps(m, p)
         e = g.edge_of(h)
         v = g.at_vertex(h)
         if e not in eq:
@@ -359,13 +330,10 @@ def parse_assignments(text: str):
     obj = _loads(text)
     _want_keys(obj, ("",), ("assignments",))
     raw = _want(obj["assignments"], dict, ("", "assignments"), "an object")
-    out = {}
-    for v, t in raw.items():
-        if isinstance(t, str):
-            out[v] = t
-        else:
-            out[v] = template_from_jsonable(t, _ptr("assignments", v))
-    return out
+    return {
+        v: t if isinstance(t, str) else template_from_jsonable(t, _ptr("assignments", v))
+        for v, t in raw.items()
+    }
 
 
 def _loads(text: str):

@@ -200,8 +200,10 @@ class TestValidateTemplate:
             ("half", True, ["x"], "template half: slot 0 image is not a frozen component"),
             ("dup", False, ["x", "x"], "template dup: slot 1 overlaps another slot"),
             ("gap", False, ["x"], "template gap: frozen vertices ['y'] belong to no slot"),
+            ("list", False, [["x"], "y"],
+             "template list: slot 0 morphism invalid: vertex u maps to unknown vertex ['x']"),
         ],
-        ids=["morphism", "component", "overlap", "cover"],
+        ids=["morphism", "component", "overlap", "cover", "unhashable image"],
     )
     def test_construction_checks_the_template(self, name, frozen_arrow, images, message):
         # with the frozen arrow x -> y, {x} alone is not a frozen component
@@ -217,10 +219,12 @@ class TestValidateTemplate:
 
     def test_name_and_stalk_must_be_strings(self):
         star = star_template(2)
-        with pytest.raises(ValueError, match="template name 5 is not a string"):
+        with pytest.raises(ValueError, match="template name 5 is not a string") as info:
             LocalTemplate(5, star.quiver, star.slots)
-        with pytest.raises(ValueError, match="template stalk 5 is not a string"):
+        assert info.value.location == ("name",)
+        with pytest.raises(ValueError, match="template stalk 5 is not a string") as info:
             LocalTemplate("star", star.quiver, star.slots, 5)
+        assert info.value.location == ("stalk",)
         unnamed = LocalTemplate(None, star.quiver, star.slots)
         assert parse_template(serialize(unnamed)) == unnamed
 

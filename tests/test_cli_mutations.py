@@ -16,6 +16,8 @@ import json
 import random
 from collections import Counter
 
+import pytest
+
 from ribboncalc import assemble_global, assembly_diagram, builtin_template, to_jsonable
 from ribboncalc.cli import main
 
@@ -159,9 +161,11 @@ def test_mutated_inputs_give_a_result_or_one_error_line(tmp_path):
     assert all(codes[command, 0] and codes[command, 1] for command in commands), codes
 
 
-def test_any_one_value_replaced_by_a_list_gives_a_result_or_one_error_line(tmp_path):
-    """Every node of every input, in turn, replaced by ``[]``: a value of
-    the wrong type, and unhashable, wherever a string is expected."""
+@pytest.mark.parametrize("value", [[], {}, None], ids=["list", "object", "null"])
+def test_any_one_value_replaced_gives_a_result_or_one_error_line(tmp_path, value):
+    """Every node of every input, in turn, replaced by ``value``: a list or
+    an object is of the wrong type, and unhashable, wherever a string is
+    expected, and null reaches every field that may be null."""
     path = tmp_path / "input.json"
     seen = set()
     for argv, option, document in _bases():
@@ -170,5 +174,5 @@ def test_any_one_value_replaced_by_a_list_gives_a_result_or_one_error_line(tmp_p
             continue
         seen.add(text)
         for where in _paths(document):
-            obj = _put(copy.deepcopy(document), where, [])
+            obj = _put(copy.deepcopy(document), where, copy.deepcopy(value))
             _run(argv + [option], path, obj, "{} {}".format(argv[0], where))

@@ -79,16 +79,66 @@ class TestIceQuiver:
                 [QuiverArrow("z", "a", "m", True), QuiverArrow("a", "m", "a", True)],
                 "^frozen arrow 'z' must join frozen vertices$",
             ),
+            # an end that is no string names no vertex, hashable or not
+            (
+                [QuiverVertex("a")],
+                [QuiverArrow("x", ["a"], "a")],
+                r"^arrow 'x' uses unknown vertex \['a'\]$",
+            ),
+            (
+                [QuiverVertex("a")],
+                [QuiverArrow("x", "a", {})],
+                r"^arrow 'x' uses unknown vertex \{\}$",
+            ),
+            (
+                [QuiverVertex("a")],
+                [QuiverArrow("x", 1, "a")],
+                "^arrow 'x' uses unknown vertex 1$",
+            ),
         ],
         ids=[
             "vertex id", "vertex frozen", "vertex label", "arrow id", "arrow frozen",
             "vertex id beside a string", "vertex id None", "arrow id beside a string",
             "first vertex fault in input order", "first arrow fault in input order",
+            "list as source", "object as target", "number as source",
         ],
     )
     def test_rejects_what_the_parser_rejects(self, vertices, arrows, message):
         with pytest.raises(ValueError, match=message):
             IceQuiver(vertices, arrows)
+
+    @pytest.mark.parametrize(
+        "vertices, arrows, location",
+        [
+            ([QuiverVertex("a"), QuiverVertex(1)], [], ("vertices", 1, "id")),
+            ([QuiverVertex("a"), QuiverVertex("a")], [], ("vertices", 1, "id")),
+            ([QuiverVertex("b"), QuiverVertex("a", frozen=0)], [], ("vertices", 1, "frozen")),
+            ([QuiverVertex("a", label=[])], [], ("vertices", 0, "label")),
+            (
+                [QuiverVertex("a")],
+                [QuiverArrow("x", "a", "a"), QuiverArrow(None, "a", "a")],
+                ("arrows", 1, "id"),
+            ),
+            (
+                [QuiverVertex("a")],
+                [QuiverArrow("y", "a", "a"), QuiverArrow("y", "a", "a")],
+                ("arrows", 1, "id"),
+            ),
+            ([QuiverVertex("a")], [QuiverArrow("x", "ghost", "ghost")], ("arrows", 0, "src")),
+            ([QuiverVertex("a")], [QuiverArrow("x", "a", ["a"])], ("arrows", 0, "dst")),
+            ([QuiverVertex("a")], [QuiverArrow("x", "a", "a", None)], ("arrows", 0, "frozen")),
+            # a fault of the quiver as a whole has no location
+            (
+                [QuiverVertex("a", frozen=True), QuiverVertex("b")],
+                [QuiverArrow("x", "a", "b", frozen=True)],
+                None,
+            ),
+        ],
+    )
+    def test_a_fault_keeps_the_location_of_its_item(self, vertices, arrows, location):
+        with pytest.raises(ValueError) as info:
+            IceQuiver(vertices, arrows)
+        assert getattr(info.value, "location", None) == location
 
     def test_duplicate_arrow_id(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -148,8 +198,19 @@ class TestMorphism:
         assert "vertex u has no image" in validate_morphism(m).violations
 
     def test_unknown_image(self):
-        m = QuiverMorphism(self.point, self.target, {"u": "ghost"}, {})
-        assert any("unknown vertex" in v for v in validate_morphism(m).violations)
+        # an image that is no string, hashable or not, is no vertex
+        for image in ("ghost", 5, {}, ["t0"]):
+            m = QuiverMorphism(self.point, self.target, {"u": image}, {})
+            violations = validate_morphism(m).violations
+            assert violations == ("vertex u maps to unknown vertex {}".format(image),)
+        src = IceQuiver(
+            [QuiverVertex("u1", frozen=True), QuiverVertex("u2", frozen=True)],
+            [QuiverArrow("a", "u1", "u2", frozen=True)],
+        )
+        for image in ("ghost", 5, {}, ["s0"]):
+            m = QuiverMorphism(src, self.target, {"u1": "t0", "u2": "t1"}, {"a": image})
+            violations = validate_morphism(m).violations
+            assert violations == ("arrow a maps to unknown arrow {}".format(image),)
 
     def test_non_injective(self):
         two = IceQuiver(
