@@ -24,10 +24,9 @@ from .quiver import (
     QuiverArrow,
     QuiverMorphism,
     QuiverVertex,
+    _check_slots,
     _fault,
     _glue,
-    _require_frozen_cover,
-    validate_morphism,
 )
 from .trajectory import CW, Itinerary, _itinerary
 
@@ -75,25 +74,8 @@ def validate_template(t: LocalTemplate) -> None:
         if text is not None and not isinstance(text, str):
             raise _fault((key,), "template {} {!r} is not a string", key, text)
 
-    def images():
-        # each slot's morphism is checked before its image is judged
-        for i, slot in enumerate(t.slots):
-            report = validate_morphism(t.slot_morphism(i))
-            if not report.ok:
-                raise ValueError(
-                    "template {}: slot {} morphism invalid: {}".format(
-                        t.name, i, "; ".join(report.violations)
-                    )
-                )
-            yield i, frozenset(slot.vertex_map.values())
-
-    _require_frozen_cover(
-        t.quiver,
-        images(),
-        lambda i: "template {}: slot {} image is not a frozen component".format(t.name, i),
-        lambda i: "template {}: slot {} overlaps another slot".format(t.name, i),
-        lambda rest: "template {}: frozen vertices {} belong to no slot".format(t.name, rest),
-    )
+    slots = ((i, t.slot_morphism(i)) for i in range(len(t.slots)))
+    _check_slots(t.quiver, slots, "template {}".format(t.name), "slot")
 
 
 # a new built-in is its file ``fixtures/<name>.json`` and its name here,
@@ -354,7 +336,7 @@ def tagged_triangulation(
     must come with a choice.  All remaining vertices must be trivalent.
     """
     require_valid(g)
-    punctures = []
+    punctures = {}  # each puncture's choice, in vertex order
     for v in g.vertices:
         n = g.valency(v)
         if n == 2:
@@ -364,7 +346,7 @@ def tagged_triangulation(
                 )
             if v not in puncture_choices:
                 raise ValueError("puncture {} has no T1..T4 choice".format(v))
-            punctures.append(v)
+            punctures[v] = puncture_choices[v]
         elif n != 3:
             raise ValueError(
                 "vertex {} has valency {}; tagged triangulations need "
@@ -377,9 +359,9 @@ def tagged_triangulation(
             raise ValueError("unknown puncture choice {!r}".format(choice))
 
     arcs = [TaggedArc("dual", edge=e) for e in g.internal_edges()]
-    for p in punctures:
+    for p, choice in punctures.items():
         ring = g.cyclic(p)
-        picks = [(ring[i], tag) for i, tag in _PUNCTURE_ARCS[puncture_choices[p]]]
+        picks = [(ring[i], tag) for i, tag in _PUNCTURE_ARCS[choice]]
         for via, tag in sorted(picks):
             arcs.append(
                 TaggedArc(

@@ -55,19 +55,22 @@ def sample_graphs() -> list[RibbonGraph]:
     return [h for g in graphs for h in (g, dual(g))]
 
 
-def colliding_assembly() -> tuple[RibbonGraph, dict[str, LocalTemplate]]:
+def colliding_assembly(part: str = "hub") -> tuple[RibbonGraph, dict[str, LocalTemplate]]:
     """Vertices ``a`` and ``a.b`` joined by one edge, with 2-valent star
-    templates whose hubs ``b.c`` and ``c`` both qualify to ``a.b.c``."""
+    templates whose ``part``, the hub or the arrow ``s0``, is named ``b.c``
+    at ``a`` and ``c`` at ``a.b``: both qualify to ``a.b.c``."""
     g = RibbonGraph({"a": ("x", "s"), "a.b": ("y", "r")}, {"x": "y", "y": "x"})
-    return g, {"a": _two_star("b.c"), "a.b": _two_star("c")}
+    return g, {"a": _two_star(part, "b.c"), "a.b": _two_star(part, "c")}
 
 
-def _two_star(hub: str) -> LocalTemplate:
-    """`star_template(2)` with its mutable hub named ``hub``."""
+def _two_star(part: str, name: str) -> LocalTemplate:
+    """`star_template(2)` with its vertex ``hub`` or its arrow ``s0``
+    renamed ``name``."""
     star = star_template(2)
+    hub = name if part == "hub" else "hub"
     quiver = IceQuiver(
         [QuiverVertex(hub) if v.id == "hub" else v for v in star.quiver.vertices],
-        [QuiverArrow(a.id, hub, a.dst) for a in star.quiver.arrows],
+        [QuiverArrow(name if a.id == part else a.id, hub, a.dst) for a in star.quiver.arrows],
     )
     return LocalTemplate("two_star", quiver, star.slots)
 

@@ -245,6 +245,25 @@ class TestAmalgamate:
         code, out, err = run(capsys, "amalgamate", "--diagram", str(path))
         assert (code, out, err) == (1, "", "error: {}\n".format(message))
 
+    @pytest.mark.parametrize(
+        "table, name, message",
+        [
+            ("vertex_quivers", "ghost", "quiver given for unknown vertex 'ghost'"),
+            ("edge_quivers", "m2", "interface quiver given for unknown edge 'm2'"),
+        ],
+        ids=["vertex", "edge"],
+    )
+    def test_quiver_for_unknown_item(
+        self, capsys, tmp_path, diagram_file, table, name, message
+    ):
+        # m2 is a halfedge, but its edge is named m1
+        obj = json.loads(Path(diagram_file[0]).read_text())
+        obj[table][name] = obj["edge_quivers"]["m1"]
+        path = tmp_path / "extra.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "amalgamate", "--diagram", str(path))
+        assert (code, out, err) == (1, "", "error: {}\n".format(message))
+
     def test_dot_output_matches_assemble(self, capsys, diagram_file):
         path, _ = diagram_file
         code, out, err = run(
@@ -318,6 +337,18 @@ class TestAssemble:
         )
         assert (code, out) == (1, "")
         assert err == "error: two vertices have qualified id 'a.b.c'\n"
+
+    def test_colliding_glued_arrow_ids_fail_with_one_line(self, capsys, tmp_path):
+        g, assign = colliding_assembly("s0")
+        graph_file, assign_file = tmp_path / "g.json", tmp_path / "t.json"
+        graph_file.write_text(serialize(g))
+        assign_file.write_text(
+            json.dumps({"assignments": {v: to_jsonable(t) for v, t in assign.items()}})
+        )
+        code, out, err = run(
+            capsys, "assemble", "--graph", str(graph_file), "--templates", str(assign_file)
+        )
+        assert (code, out, err) == (1, "", "error: duplicate arrow id 'a.b.c'\n")
 
     def test_two_valent_warning_on_stderr(self, capsys, tmp_path):
         argv = self._chain(tmp_path, json.loads(serialize(star_template(3))))

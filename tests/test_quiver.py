@@ -306,6 +306,14 @@ class TestAmalgamate:
         from_point = QuiverMorphism(point, m.target, {"w": "t0"}, {})
         into_star4 = QuiverMorphism(m.source, star(4), m.vertex_map, {})
         without_p1 = {e: q for e, q in d.edge_quivers.items() if e != "p1"}
+        # v1's ring is m1, q1, p1; p1 lands on t2
+        p1, hub = d.incidences["p1"], {"u": "hub"}
+        # v1's quiver with one more frozen vertex, which no incidence covers
+        q = m.target
+        wider = IceQuiver(q.vertices + (QuiverVertex("x", True),), q.arrows)
+        widened = {
+            h: dataclasses.replace(d.incidences[h], target=wider) for h in ("m1", "q1", "p1")
+        }
         cases = [
             ({"vertex_quivers": {"v1": d.vertex_quivers["v1"]}}, "vertex v2 has no quiver"),
             ({"edge_quivers": without_p1}, "edge p1 has no interface quiver"),
@@ -316,6 +324,34 @@ class TestAmalgamate:
             (
                 {"incidences": dict(d.incidences, m1=into_star4)},
                 "incidence at m1 does not land in the vertex quiver",
+            ),
+            (
+                {"vertex_quivers": dict(d.vertex_quivers, ghost=q)},
+                "quiver given for unknown vertex 'ghost'",
+            ),
+            (
+                # m2 is a halfedge, but its edge is named m1
+                {"edge_quivers": dict(d.edge_quivers, m2=m.source)},
+                "interface quiver given for unknown edge 'm2'",
+            ),
+            (
+                {"incidences": dict(d.incidences, ghost=m)},
+                "incidence given for unknown halfedge 'ghost'",
+            ),
+            (
+                {"incidences": dict(d.incidences, p1=dataclasses.replace(p1, vertex_map={}))},
+                "vertex v1: incidence p1 morphism invalid: vertex u has no image",
+            ),
+            (
+                {"incidences": dict(d.incidences, p1=dataclasses.replace(p1, vertex_map=hub))},
+                "vertex v1: incidence p1 image is not a frozen component",
+            ),
+            (
+                {
+                    "vertex_quivers": dict(d.vertex_quivers, v1=wider),
+                    "incidences": dict(d.incidences, **widened),
+                },
+                "vertex v1: frozen vertices ['x'] belong to no incidence",
             ),
         ]
         for parts, message in cases:
@@ -332,8 +368,10 @@ class TestAmalgamate:
             bad["p1"].source, m.target, dict(m.vertex_map), dict(m.arrow_map)
         )
         broken = AmalgamationDiagram(d.graph, d.vertex_quivers, d.edge_quivers, bad)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             amalgamate(broken)
+        # the overlap is met first: p1 comes after q1 in v1's ring
+        assert str(info.value) == "vertex v1: incidence p1 overlaps another incidence"
 
 
 class TestMutablePart:
