@@ -10,7 +10,10 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from typing import Optional
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Optional
 
 # reading input and writing output need only these two modules; each
 # subcommand imports the computing modules it runs, so it loads no others

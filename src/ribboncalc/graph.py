@@ -10,9 +10,11 @@ boundary circles and `surface_invariants` its genus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import filterfalse
-from typing import Iterable, Mapping, Optional
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Iterable, Mapping, Optional
 
 PLAIN = "plain"
 SINGULAR = "singular"
@@ -23,9 +25,46 @@ class InvalidGraphError(ValueError):
     """An operation was handed a graph that fails validation."""
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[str, ...] = ()
+class _Record:
+    """A frozen value like ``@dataclass(frozen=True)`` makes, without importing
+    `dataclasses`: a subclass sets ``__slots__ = _fields`` to its field names,
+    with defaults in ``_defaults``; ``repr``, ``==`` (within one class), hash,
+    copy and pickle use the field values."""
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        # a field given twice is a TypeError from dict()
+        values = dict(self._defaults, **dict(zip(self._fields, args)), **kwargs)
+        if len(args) > len(self._fields) or values.keys() != set(self._fields):
+            raise TypeError("{}() takes {}".format(type(self).__name__, self._fields))
+        for name in self._fields:
+            object.__setattr__(self, name, values[name])
+
+    def __reduce__(self):
+        return type(self), tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other):
+        same = type(other) is type(self)
+        return self.__reduce__() == other.__reduce__() if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__()[1])
+
+    def __repr__(self) -> str:
+        fields = map("{}={!r}".format, self._fields, self.__reduce__()[1])
+        return "{}({})".format(type(self).__qualname__, ", ".join(fields))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("cannot assign to or delete field {!r}".format(name))
+
+    __delattr__ = __setattr__
+
+
+class ValidationReport(_Record):
+    __slots__ = _fields = ("violations",)  # tuple of messages, empty when valid
+    _defaults = {"violations": ()}
 
     @property
     def ok(self) -> bool:
@@ -385,8 +424,7 @@ def require_valid(g: RibbonGraph) -> None:
         raise InvalidGraphError("; ".join(report.violations))
 
 
-@dataclass(frozen=True)
-class BoundaryWalk:
+class BoundaryWalk(_Record):
     """One boundary circle of the thickened surface.
 
     ``halfedges`` is the orbit of the corner permutation, rotated to
@@ -394,8 +432,7 @@ class BoundaryWalk:
     is one marked point on this circle.
     """
 
-    halfedges: tuple[str, ...]
-    externals: tuple[str, ...]
+    __slots__ = _fields = ("halfedges", "externals")
 
     @property
     def marked_points(self) -> int:
@@ -412,10 +449,8 @@ def boundary_walks(g: RibbonGraph) -> list[BoundaryWalk]:
     ]
 
 
-@dataclass(frozen=True)
-class SurfaceInvariants:
-    genus: int
-    boundary: tuple[int, ...]  # marked-point counts, largest first
+class SurfaceInvariants(_Record):
+    __slots__ = _fields = ("genus", "boundary")  # boundary: marked-point counts, largest first
 
 
 def surface_invariants(g: RibbonGraph) -> SurfaceInvariants:
@@ -444,9 +479,8 @@ def dual(g: RibbonGraph) -> RibbonGraph:
     )
 
 
-@dataclass(frozen=True)
-class Subgraph:
-    """A vertex-induced piece of an ambient graph.
+class Subgraph(_Record):
+    """A vertex-induced piece ``graph`` of an ``ambient`` graph.
 
     Halfedge ids are shared with the ambient graph, so the ambient map
     is the identity on ids.  ``cut_halfedges`` lists, in sorted order,
@@ -454,10 +488,7 @@ class Subgraph:
     ambient graph; these are exactly the gluing sites.
     """
 
-    graph: RibbonGraph
-    ambient: RibbonGraph
-    vertices: tuple[str, ...]
-    cut_halfedges: tuple[str, ...]
+    __slots__ = _fields = ("graph", "ambient", "vertices", "cut_halfedges")
 
     def ambient_edge_of(self, sub_edge: str) -> str:
         return self.ambient.edge_of(sub_edge)

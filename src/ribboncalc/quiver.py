@@ -195,24 +195,29 @@ def validate_morphism(m: QuiverMorphism) -> ValidationReport:
 
 
 def _check_slots(
-    q: IceQuiver, slots: Iterable[tuple[Any, QuiverMorphism]], owner: str, part: str
+    q: IceQuiver, slots: Iterable[tuple[Any, QuiverMorphism]], owner: str, part: str,
+    valid: dict[int, QuiverMorphism],
 ) -> None:
     """Check the local data at a vertex: a quiver ``q`` and its ``(place,
     morphism)`` slots, such as a template's slots or a diagram's incidences
     at one vertex.  Each morphism, in order, must be valid, with as image a
     frozen component of ``q`` disjoint from the earlier ones; together the
     images must cover the frozen vertices of ``q``.  The first fault raises
-    ValueError, its message starting ``owner:`` and naming the ``part``."""
+    ValueError, its message starting ``owner:`` and naming the ``part``.
+    A morphism in ``valid``, by id, was found valid earlier in the same
+    check and is not validated again; holding it keeps its id unique."""
     components = set(q.frozen_components())
     claimed: set[str] = set()
     for place, m in slots:
-        report = validate_morphism(m)
-        if not report.ok:
-            raise ValueError(
-                "{}: {} {} morphism invalid: {}".format(
-                    owner, part, place, "; ".join(report.violations)
+        if id(m) not in valid:
+            report = validate_morphism(m)
+            if not report.ok:
+                raise ValueError(
+                    "{}: {} {} morphism invalid: {}".format(
+                        owner, part, place, "; ".join(report.violations)
+                    )
                 )
-            )
+            valid[id(m)] = m
         image = frozenset(m.vertex_map.values())
         if image not in components:
             raise ValueError(
@@ -274,9 +279,11 @@ def _validate_diagram(d: AmalgamationDiagram) -> None:
     ):
         if len(table) > len(ids):
             raise ValueError(what.format(next(k for k in table if not has(k))))
+    # many halfedges may share one morphism; each is validated once
+    valid: dict[int, QuiverMorphism] = {}
     for v in g.vertices:
         incidences = ((h, d.incidences[h]) for h in g.cyclic(v))
-        _check_slots(d.vertex_quivers[v], incidences, "vertex {}".format(v), "incidence")
+        _check_slots(d.vertex_quivers[v], incidences, "vertex {}".format(v), "incidence", valid)
 
 
 def amalgamate(

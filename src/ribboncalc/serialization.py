@@ -21,11 +21,14 @@ and references have their own branch.
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Any, Mapping, Optional
+from collections.abc import Mapping
 
 from .graph import RibbonGraph, VERTEX_KINDS
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from typing import Any, Optional
+
     from .assembly import LocalTemplate
     from .quiver import AmalgamationDiagram, IceQuiver
 
@@ -348,7 +351,7 @@ def _loads(text: str):
 # -- serialization ------------------------------------------------------
 
 # The JSON keys of each type written as a plain object of its attributes,
-# by class name; each key is an attribute name, a dataclass field or a
+# by class name; each key is an attribute name, a stored field or a
 # property.
 _ATTRIBUTES = {
     "Itinerary": ("start", "orient", "edges", "turns", "entries", "terminal", "length"),

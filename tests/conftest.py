@@ -35,13 +35,14 @@ def fixture_graph(name: str) -> RibbonGraph:
     return parse_graph(fixture_text(name))
 
 
-def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
-    """Run ``code`` in a fresh interpreter that imports this package."""
+def run_python(code: str, *args: str, options: tuple = ()) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this package,
+    started with the interpreter ``options``."""
     src = str(Path(ribboncalc.__file__).parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     return subprocess.run(
-        [sys.executable, "-c", code, *args],
+        [sys.executable, *options, "-c", code, *args],
         capture_output=True, text=True, env=env, timeout=60,
     )
 

@@ -571,9 +571,22 @@ import runpy, sys
 try:
     runpy.run_module("ribboncalc.cli", run_name="__main__")
 except SystemExit as exc:
-    print(exc.code, *sorted(m for m in sys.modules if m.split(".")[0] == "ribboncalc"),
-          file=sys.stderr)
+    print(exc.code, *sorted(sys.modules), file=sys.stderr)
 """
+
+
+def _loaded_modules(command: str, generated=None, options: tuple = ()) -> list[str]:
+    """The modules loaded when ``ribboncalc <command>`` exits, run cold in a
+    fresh interpreter with ``options``; the command must succeed."""
+    argv = [
+        fixture_path(a[1:]) if a[0] == "%" else str(generated / a[1:]) if a[0] == "@"
+        else a
+        for a in command.split()
+    ]
+    done = run_python(_PROBE, *argv, options=options)
+    code, *loaded = done.stderr.splitlines()[-1].split()
+    assert code == "0", done.stderr
+    return loaded
 
 
 class TestLoadedModules:
@@ -616,13 +629,23 @@ class TestLoadedModules:
         ],
     )
     def test_a_subcommand_loads_only_what_it_runs(self, generated, command, extra):
-        argv = [
-            fixture_path(a[1:]) if a[0] == "%" else str(generated / a[1:]) if a[0] == "@"
-            else a
-            for a in command.split()
-        ]
-        done = run_python(_PROBE, *argv)
-        code, *loaded = done.stderr.splitlines()[-1].split()
-        assert code == "0", done.stderr
+        loaded = _loaded_modules(command, generated)
         modules = ["graph", "serialization"] + extra.split()
-        assert loaded == sorted(["ribboncalc"] + ["ribboncalc." + m for m in modules])
+        assert [m for m in loaded if m.split(".")[0] == "ribboncalc"] == sorted(
+            ["ribboncalc"] + ["ribboncalc." + m for m in modules]
+        )
+
+    # without `site`, which may import `typing` itself
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "info --graph %four_gon",
+            "validate --graph %four_gon",
+            "export --graph %four_gon",
+            "export --graph %four_gon --format dot",
+        ],
+    )
+    def test_a_cold_graph_call_loads_no_dataclasses_inspect_or_typing(self, command):
+        loaded = _loaded_modules(command, options=("-S",))
+        assert "ribboncalc.graph" in loaded
+        assert [m for m in ("dataclasses", "inspect", "typing") if m in loaded] == []

@@ -1,12 +1,18 @@
+import copy
+import pickle
+
 import pytest
 
 import ribboncalc.graph
-from conftest import sample_graphs
+from conftest import fixture_graph, sample_graphs
 from ribboncalc import (
     EdgeRef,
     InvalidGraphError,
+    BoundaryWalk,
     RibbonGraph,
     Subgraph,
+    SurfaceInvariants,
+    ValidationReport,
     VertexRef,
     boundary_walks,
     corner_permutation,
@@ -338,3 +344,112 @@ class TestSubgraph:
         sub = Subgraph(h, g, ("u", "w"), ("ub", "wb"))
         assert sub.ambient_edge_of("ub") == "ub"
         assert sub.ambient_edge_of("wb") == "ub"
+
+
+def _records():
+    """A value of each of the graph module's value types: the value, its
+    field names and values in order, and its repr."""
+    sub = subgraph(fixture_graph("once_punctured_4gon"), {"p"})
+    return [
+        (
+            ValidationReport(("graph is empty",)),
+            {"violations": ("graph is empty",)},
+            "ValidationReport(violations=('graph is empty',))",
+        ),
+        (
+            BoundaryWalk(("a", "b", "c"), ("b",)),
+            {"halfedges": ("a", "b", "c"), "externals": ("b",)},
+            "BoundaryWalk(halfedges=('a', 'b', 'c'), externals=('b',))",
+        ),
+        (
+            SurfaceInvariants(1, (2,)),
+            {"genus": 1, "boundary": (2,)},
+            "SurfaceInvariants(genus=1, boundary=(2,))",
+        ),
+        (
+            sub,
+            {
+                "graph": sub.graph,
+                "ambient": sub.ambient,
+                "vertices": ("p",),
+                "cut_halfedges": ("pw1", "pw2"),
+            },
+            "Subgraph(graph=RibbonGraph(1 vertices, 2 edges), ambient=RibbonGraph(3 "
+            "vertices, 6 edges), vertices=('p',), cut_halfedges=('pw1', 'pw2'))",
+        ),
+    ]
+
+
+RECORDS = _records()
+
+
+@pytest.mark.parametrize(
+    "value, fields, text", RECORDS, ids=[type(r[0]).__name__ for r in RECORDS]
+)
+class TestValueTypes:
+    """The value types compare, hash, print, copy and refuse changes as
+    frozen dataclasses do."""
+
+    def test_repr(self, value, fields, text):
+        assert repr(value) == text
+
+    def test_equality_needs_the_same_type(self, value, fields, text):
+        values = tuple(fields.values())
+        assert value == type(value)(*values)
+        assert not value != type(value)(*values)
+        assert value != values and not value == values
+        assert value.__eq__(values) is NotImplemented
+        subclass = type("Sub", (type(value),), {"__slots__": ()})
+        assert value != subclass(*values)
+
+    def test_hash_is_the_hash_of_the_field_values(self, value, fields, text):
+        assert hash(value) == hash(tuple(fields.values()))
+
+    def test_fields_cannot_be_assigned_or_deleted(self, value, fields, text):
+        for name in [*fields, "other"]:
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+        for name in fields:
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        assert [getattr(value, name) for name in fields] == list(fields.values())
+
+    def test_keyword_construction(self, value, fields, text):
+        assert type(value)(**fields) == value
+        first, *rest = fields
+        assert type(value)(fields[first], **{n: fields[n] for n in rest}) == value
+
+    def test_wrong_arguments(self, value, fields, text):
+        cls, values = type(value), tuple(fields.values())
+        for args, kwargs in [
+            (values + (None,), {}),
+            (values, {"other": None}),
+            (values, {next(iter(fields)): None}),
+        ]:
+            with pytest.raises(TypeError):
+                cls(*args, **kwargs)
+        if cls is not ValidationReport:
+            with pytest.raises(TypeError):
+                cls(*values[:-1])
+
+    def test_copies_are_equal(self, value, fields, text):
+        for other in (
+            copy.copy(value),
+            copy.deepcopy(value),
+            pickle.loads(pickle.dumps(value)),
+        ):
+            assert type(other) is type(value)
+            assert other == value
+            assert hash(other) == hash(value)
+
+
+def test_value_type_defaults_and_properties():
+    assert ValidationReport() == ValidationReport(()) == ValidationReport(violations=())
+    assert ValidationReport().violations == ()
+    assert ValidationReport().ok and not ValidationReport(("x",)).ok
+    assert BoundaryWalk(("a", "b", "c"), ("b",)).marked_points == 1
+    assert BoundaryWalk(halfedges=("a",), externals=()).marked_points == 0
+    sub = RECORDS[3][0]
+    assert sub.ambient_edge_of("pw1") == sub.ambient.edge_of("pw1")
+    with pytest.raises(TypeError):
+        SurfaceInvariants()
