@@ -218,9 +218,10 @@ class RibbonGraph:
         self._report: Optional[ValidationReport] = None
         self._orbits: Optional[tuple[tuple[str, ...], ...]] = None
         self._prev: Optional[dict[str, str]] = None
-        # itineraries, one table per orientation keyed by start halfedge,
-        # filled by `ribboncalc.trajectory`; sound because the graph never
-        # changes
+        # itineraries, one table per orientation, filled by
+        # `ribboncalc.trajectory`: each halfedge a ray stepped maps to that
+        # ray, which starts there or runs through it; sound because the
+        # graph never changes
         self._walks: dict = {"cw": {}, "ccw": {}}
 
     # -- basic accessors ------------------------------------------------
@@ -419,8 +420,9 @@ def validate_graph(g: RibbonGraph) -> ValidationReport:
 
 
 def require_valid(g: RibbonGraph) -> None:
-    report = g.validation_report()
-    if not report.ok:
+    # every public walk call comes here, so read the kept report directly
+    report = g._report or g.validation_report()
+    if report.violations:
         raise InvalidGraphError("; ".join(report.violations))
 
 

@@ -17,16 +17,25 @@ the next external halfedge.  It passes each halfedge at most once,
 except an external start that is also its own terminal; an edge has at
 most two halfedges, so a ray meets any edge at most twice.
 
-A ray is recorded in one pass: the step loop notes each edge, turn and
-entry as it goes.  Each walk is memoised on its graph, in one table per orientation keyed by
-start halfedge, and is freed with the graph; there is no global cache.
-This is sound because a `RibbonGraph` never changes after construction,
-and every public entry checks the orientation before the memo is read.
+The ray from an internal out halfedge ``out[k]`` of a ray is that ray's
+suffix from ``k``: the same out halfedges, edges, turns and entries from
+``k`` on, and the same terminal.  So each halfedge is stepped at most once
+per orientation.  The step loop notes each edge, turn and entry as it
+goes, and stops at the terminal or at the first halfedge that an earlier
+ray already stepped, whose rest it then splices on.  The new ray is
+memoised under every halfedge it stepped, in one table per orientation on
+its graph.  A lookup that finds a ray with another start slices out the
+suffix that is its own ray and memoises that in its place; suffixes are
+built only when asked for.  The memo is freed with the graph; there is
+no global cache.  This is sound because a `RibbonGraph` never changes
+after construction, and every public entry checks the orientation before
+the memo is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Union
 
 from .graph import RibbonGraph, _predecessors, require_valid
@@ -55,7 +64,7 @@ SourceRef = Union[HalfedgeRef, EdgeRef, VertexRef]
 TargetRef = Union[HalfedgeRef, EdgeRef]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Itinerary:
     """One directed trajectory.
 
@@ -84,10 +93,40 @@ def _require_orient(orient: str) -> None:
         raise ValueError("orientation must be 'cw' or 'ccw', got {!r}".format(orient))
 
 
+# The engine builds its records without the dataclass ``__init__``: each
+# slot descriptor's ``__set__`` writes its field, past the frozen
+# ``__setattr__``, for about half the cost of the type call.
+_set_start, _set_orient, _set_out, _set_edges, _set_turns, _set_entries, _set_terminal = (
+    Itinerary.__dict__[name].__set__ for name in Itinerary.__slots__
+)
+
+
+def _new_itinerary(start, orient, out_halfedges, edges, turns, entries, terminal):
+    itin = object.__new__(Itinerary)
+    _set_start(itin, start)
+    _set_orient(itin, orient)
+    _set_out(itin, out_halfedges)
+    _set_edges(itin, edges)
+    _set_turns(itin, turns)
+    _set_entries(itin, entries)
+    _set_terminal(itin, terminal)
+    return itin
+
+
+def _suffix(itin: Itinerary, h: str) -> tuple:
+    """The out halfedges, edges, turns and entries of ``itin`` from its out
+    halfedge ``h`` on; with the terminal, they are the ray from ``h``."""
+    k = itin.out_halfedges.index(h)
+    return itin.out_halfedges[k:], itin.edges[k:], itin.turns[k:], itin.entries[k:]
+
+
 def _itinerary(g: RibbonGraph, h: str, orient: str) -> Itinerary:
     walks = g._walks[orient]
     itin = walks.get(h)
     if itin is not None:
+        if itin.start != h:
+            # ``h`` is an internal out halfedge of the memoised ray
+            itin = walks[h] = _new_itinerary(h, orient, *_suffix(itin, h), itin.terminal)
         return itin
     twin, at = g._twin, g._at
     turn = g._next if orient == CW else _predecessors(g)
@@ -102,12 +141,21 @@ def _itinerary(g: RibbonGraph, h: str, orient: str) -> Itinerary:
         turns.append(at[t])
         entries.append(t)
         x = turn[t]
-        out.append(x)
-        if x not in twin:
+        if x not in twin:  # the terminal external edge
+            itin = _new_itinerary(
+                h, orient, (*out, x), (*edges, x), tuple(turns), tuple(entries), x
+            )
             break
-    edges.append(x)  # the terminal external edge
-    itin = Itinerary(h, orient, tuple(out), tuple(edges), tuple(turns), tuple(entries), x)
-    walks[h] = itin
+        rest = walks.get(x)
+        if rest is not None:  # an earlier ray stepped ``x``: splice on its rest
+            rest_out, rest_edges, rest_turns, rest_entries = _suffix(rest, x)
+            itin = _new_itinerary(
+                h, orient, (*out, *rest_out), (*edges, *rest_edges), (*turns, *rest_turns),
+                (*entries, *rest_entries), rest.terminal,
+            )
+            break
+        out.append(x)
+    walks.update(zip(out, repeat(itin)))
     return itin
 
 

@@ -1,7 +1,11 @@
+import copy
 import dataclasses
 import gc
+import pickle
+import random
 import re
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -376,18 +380,96 @@ def _fixture_graphs() -> list[RibbonGraph]:
     return graphs
 
 
+@pytest.fixture(scope="module")
+def engine_cases() -> list[tuple[str, dict]]:
+    """The text of every fixture graph, every sample graph and its dual,
+    each with the oracle's ray for every (halfedge, orientation)."""
+    samples = sample_graphs()
+    cases = []
+    for g in _fixture_graphs() + samples + [dual(g) for g in samples]:
+        oracle = {(h, o): _oracle_itinerary(g, h, o) for h in g.halfedges for o in ("cw", "ccw")}
+        cases.append((serialize(g), oracle))
+    return cases
+
+
+# (halfedge order, whether both orientations of a halfedge come in turn)
+REQUEST_ORDERS = [
+    (order, interleaved)
+    for order in ("sorted", "reversed", "shuffled-1", "shuffled-2", "shuffled-3")
+    for interleaved in (False, True)
+]
+
+
+def _requests(g: RibbonGraph, order: str, interleaved: bool) -> list[tuple[str, str]]:
+    """Every (halfedge, orientation) of ``g``, halfedges in the named order,
+    either both orientations of one halfedge in turn or one orientation
+    after the other.  Sorted and shuffled requests splice many walks onto
+    earlier rays; reverse-sorted ones mostly slice their ray out of one."""
+    hs = sorted(g.halfedges, reverse=order == "reversed")
+    if order.startswith("shuffled"):
+        random.Random(order).shuffle(hs)
+    if interleaved:
+        return [(h, o) for h in hs for o in ("cw", "ccw")]
+    return [(h, o) for o in ("cw", "ccw") for h in hs]
+
+
+class _CountingTwin(dict):
+    """A twin table that counts, per orientation and halfedge, the lookups
+    of the walk's step loop, which makes exactly one per step."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.orient = None
+        self.steps = Counter()
+
+    def get(self, key, default=None):
+        self.steps[self.orient, key] += 1
+        return dict.get(self, key, default)
+
+
 class TestOneWalkEngine:
-    def test_matches_the_stepwise_oracle(self):
-        samples = sample_graphs()
-        graphs = _fixture_graphs() + samples + [dual(g) for g in samples]
-        for g in graphs:
-            for h in g.halfedges:
+    def test_matches_the_stepwise_oracle(self, engine_cases):
+        # a fresh graph per order, so that each order fills an empty memo
+        for order, interleaved in REQUEST_ORDERS:
+            for text, oracle in engine_cases:
+                g = parse_graph(text)
+                first = {}
+                for h, orient in _requests(g, order, interleaved):
+                    it = first[h, orient] = itinerary(g, h, orient)
+                    expected = oracle[h, orient]
+                    assert it.start == h
+                    assert it == expected
+                    assert repr(it) == repr(expected)
+                    assert hash(it) == hash(expected)
+                    assert serialize(it) == serialize(expected)
+                for (h, orient), it in first.items():
+                    assert itinerary(g, h, orient) is it
+
+    def test_each_halfedge_is_stepped_at_most_once_per_orientation(self, engine_cases):
+        for order, interleaved in REQUEST_ORDERS:
+            for text, _ in engine_cases:
+                g = parse_graph(text)
+                g.validation_report()
+                g._twin = counting = _CountingTwin(g._twin)
+                for h, orient in _requests(g, order, interleaved):
+                    counting.orient = orient
+                    itinerary(g, h, orient)
                 for orient in ("cw", "ccw"):
-                    it, oracle = itinerary(g, h, orient), _oracle_itinerary(g, h, orient)
-                    assert it == oracle
-                    assert repr(it) == repr(oracle)
-                    assert hash(it) == hash(oracle)
-                    assert serialize(it) == serialize(oracle)
+                    steps = [n for (o, _), n in counting.steps.items() if o == orient]
+                    assert max(steps) == 1, (order, interleaved, orient)
+                    assert sum(steps) <= len(g.halfedges)
+
+    def test_an_engine_built_itinerary_is_a_plain_value(self, annulus):
+        for order in ("sorted", "reversed"):
+            # each order builds records by walking, splicing and slicing
+            g = parse_graph(serialize(annulus))
+            for h, orient in _requests(g, order, False):
+                it = itinerary(g, h, orient)
+                assert not hasattr(it, "__dict__")
+                for twin in (pickle.loads(pickle.dumps(it)), copy.deepcopy(it)):
+                    assert type(twin) is Itinerary
+                    assert twin == it and hash(twin) == hash(it)
+                    assert repr(twin) == repr(it)
 
     def test_an_engine_built_itinerary_is_frozen(self, four_gon):
         it = itinerary(four_gon, "m1", "cw")
