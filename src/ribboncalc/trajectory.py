@@ -227,14 +227,14 @@ def _hits_on_edge(itin: Itinerary, f: str) -> list[TrajectoryHit]:
     ]
 
 
-def _hits_on_halfedge(itin: Itinerary, hp: str) -> list[TrajectoryHit]:
+def _hits_on_halfedges(itin: Itinerary, ring: tuple[str, ...]) -> list[TrajectoryHit]:
     hits = []
-    if hp == itin.start:
+    if itin.start in ring:
         # the constant visit: stand on the source and apply nothing
-        hits.append(TrajectoryHit(itin.start, 1, "halfedge", hp, True, itin))
-    for i in range(1, itin.length):
-        if itin.entries[i - 1] == hp:
-            hits.append(TrajectoryHit(itin.start, i, "halfedge", hp, False, itin))
+        hits.append(TrajectoryHit(itin.start, 1, "halfedge", itin.start, True, itin))
+    for i, t in enumerate(itin.entries, start=1):
+        if t in ring:
+            hits.append(TrajectoryHit(itin.start, i, "halfedge", t, False, itin))
     return hits
 
 
@@ -252,6 +252,21 @@ def _source_halfedges(g: RibbonGraph, source: SourceRef) -> tuple[str, ...]:
     raise TypeError("source must be a halfedge, edge or vertex reference")
 
 
+def _hits(g: RibbonGraph, source: SourceRef, target, orient: str) -> list[TrajectoryHit]:
+    """The hits of the walks from ``source`` on the checked ``target``, each
+    start's walk read once; a vertex target's hits name the halfedge met."""
+    starts = _source_halfedges(g, source)
+    if isinstance(target, EdgeRef):
+        hits = [h for s in starts for h in _hits_on_edge(_itinerary(g, s, orient), target.id)]
+    else:
+        ring = g.cyclic(target.id) if isinstance(target, VertexRef) else (target.id,)
+        hits = [h for s in starts for h in _hits_on_halfedges(_itinerary(g, s, orient), ring)]
+    if source == target:
+        # an internal edge meeting itself: its two constant visits are one curve
+        hits = [h for h in hits if not h.constant or h.source == starts[0]]
+    return hits
+
+
 def trajectory_counts(
     g: RibbonGraph, source: SourceRef, target: TargetRef, orient: str = CW
 ) -> tuple[TrajectoryHit, ...]:
@@ -260,27 +275,17 @@ def trajectory_counts(
     Edge targets are hit whenever the visited edge matches, the terminal
     index included.  Halfedge targets are hit when the walk enters the
     target's vertex along it, terminal index excluded, plus the constant
-    visit when the target is the source halfedge itself.  For an
-    internal source edge and the same edge as target, the two constant
-    visits are one and the same curve, so only one is kept.
+    visit when the target is the source halfedge itself.  An internal
+    source edge that is its own target keeps one of its two constant
+    visits, which are the same curve.  Each start's walk is read once,
+    by `_hits`, the one hit reader.
     """
     require_valid(g)
     _require_orient(orient)
-    starts = _source_halfedges(g, source)
-    if isinstance(target, EdgeRef):
-        hits_on = _hits_on_edge
-    elif isinstance(target, HalfedgeRef):
-        hits_on = _hits_on_halfedge
-    else:
+    _source_halfedges(g, source)  # a bad source is reported before a bad target
+    if not isinstance(target, (EdgeRef, HalfedgeRef)):
         raise TypeError("target must be an edge or halfedge reference")
     _source_halfedges(g, target)
-    hits = [h for s in starts for h in hits_on(_itinerary(g, s, orient), target.id)]
-    if (
-        isinstance(source, EdgeRef)
-        and isinstance(target, EdgeRef)
-        and source.id == target.id
-        and len(starts) == 2
-    ):
-        hits = [h for h in hits if not (h.constant and h.source == starts[1])]
+    hits = _hits(g, source, target, orient)
     hits.sort(key=_hit_key)
     return tuple(hits)

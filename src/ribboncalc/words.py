@@ -26,9 +26,9 @@ from .trajectory import (
     SourceRef,
     TrajectoryHit,
     VertexRef,
+    _hits,
     _itinerary,
     _source_halfedges,
-    trajectory_counts,
 )
 
 ID = "id"
@@ -178,35 +178,30 @@ def _decompose(
     """The hit-to-summand loop behind both decompositions.
 
     ``starts`` pairs each trajectory source with the marker its summands
-    carry.  An edge target is met directly; a vertex target is met
-    through each halfedge of its ring, behind that halfedge's adjoint
-    atom.  A vertex ``source`` appends the generator of the hit's source
-    halfedge.  On the diagonal, where a vertex source is its own target
-    or a restriction marker ``unit`` is given, the constant hits are
-    dropped and one identity summand, marked ``unit``, stands in for
-    them.
+    carry.  The target is checked once and `_hits` reads each start's
+    walk once.  A vertex target is met through the ring halfedge each
+    hit names, behind its adjoint atom, and a vertex ``source`` appends
+    the generator of the hit's source halfedge.  On the diagonal, where
+    a vertex source is its own target or a restriction marker ``unit``
+    is given, one identity summand, marked ``unit``, stands in for the
+    constant hits.
     """
+    if not isinstance(target, (EdgeRef, VertexRef)):
+        raise TypeError("target must be an edge or vertex reference")
+    _source_halfedges(g, target)
     from_vertex = isinstance(source, VertexRef)
     diagonal = unit is not None or (from_vertex and source == target)
     orient = CW if side == "L" else CCW
-    if isinstance(target, EdgeRef):
-        ring = ((target, ()),)
-    elif isinstance(target, VertexRef):
-        adj = _adjoint_kind(orient)
-        ring = tuple(
-            (HalfedgeRef(hp), (Atom(adj, hp),)) for hp in _source_halfedges(g, target)
-        )
-    else:
-        raise TypeError("target must be an edge or vertex reference")
+    adj = _adjoint_kind(orient) if isinstance(target, VertexRef) else None
     summands: list[Summand] = []
     for start, marker in starts:
-        for ref, prefix in ring:
-            for hit in trajectory_counts(g, start, ref, orient):
-                if diagonal and hit.constant:
-                    continue
-                suffix = (Atom(GEN, hit.source),) if from_vertex else ()
-                atoms = _chain(prefix, transport_word(hit).atoms, suffix)
-                summands.append(_make_summand(g, atoms, source, target, hit, marker))
+        for hit in _hits(g, start, target, orient):
+            if diagonal and hit.constant:
+                continue
+            prefix = (Atom(adj, hit.target),) if adj else ()
+            suffix = (Atom(GEN, hit.source),) if from_vertex else ()
+            atoms = _chain(prefix, transport_word(hit).atoms, suffix)
+            summands.append(_make_summand(g, atoms, source, target, hit, marker))
     if diagonal:
         summands.append(_make_summand(g, (ID_ATOM,), source, target, marker=unit))
     summands.sort(key=_summand_key)
@@ -248,7 +243,6 @@ def decompose_subgraph(
         raise ValueError("subgraph belongs to a different ambient graph")
     unit = skip = None
     if isinstance(target, EdgeRef):
-        _source_halfedges(g, target)
         preimages = [
             k for k in sub.graph.edges() if sub.ambient_edge_of(k) == target.id
         ]

@@ -4,22 +4,29 @@ The order of a quiver's vertices and arrows, of a graph's vertices and
 halfedges, and of the keys of any object carries no meaning, so a
 shuffled document must parse to an equal object with the same canonical
 JSON, and the constructors must build that object from shuffled lists.
+Nor do the ids of a graph's halfedges and vertices, so renaming them
+renames every decomposition and changes nothing else.
 """
 
 import json
 import random
+from collections import Counter
 
 import pytest
 
 from ribboncalc import (
     BUILTIN_TEMPLATE_NAMES,
+    EdgeRef,
     IceQuiver,
     LocalTemplate,
     QuiverArrow,
     QuiverVertex,
+    RibbonGraph,
     TemplateSlot,
+    VertexRef,
     assemble_global,
     assembly_diagram,
+    decompose,
     parse_assignments,
     parse_diagram,
     parse_quiver,
@@ -29,7 +36,8 @@ from ribboncalc import (
     to_jsonable,
 )
 
-from conftest import fixture_graph, fixture_text
+from conftest import GRAPH_FIXTURES, fixture_graph, fixture_text
+from randgraphs import random_graph
 
 # the lists whose order carries no meaning
 _UNORDERED = ("vertices", "arrows", "halfedges")
@@ -113,3 +121,70 @@ def test_a_shuffled_document_gives_the_same_object(kind, document):
             for e, q in shuffled["edge_quivers"].items():
                 assert _quiver(q) == expected.edge_quivers[e]
     assert texts - {text}, "no shuffle changed the document"
+
+
+def _renamings(ids, prefix, rng):
+    """A seeded random bijection of ``ids`` onto fresh names, and one that
+    reverses their order."""
+    ordered = sorted(ids)
+    names = ["{}{:04d}".format(prefix, i) for i in range(len(ordered))]
+    shuffled = names[:]
+    rng.shuffle(shuffled)
+    return dict(zip(ordered, shuffled)), dict(zip(ordered, reversed(names)))
+
+
+def _renamed(g, hmap, vmap) -> RibbonGraph:
+    return RibbonGraph(
+        {vmap[v]: [hmap[h] for h in g.cyclic(v)] for v in g.vertices},
+        {hmap[h]: hmap[g.twin_of(h)] for h in g.halfedges if not g.is_external(h)},
+        {vmap[v]: g.kind(v) for v in g.vertices},
+        {vmap[v]: g.label(v) for v in g.vertices if g.label(v) is not None},
+    )
+
+
+def _image(x, r, hmap, vmap):
+    """The reference in the renamed graph ``r`` to what ``x`` names."""
+    if isinstance(x, VertexRef):
+        return VertexRef(vmap[x.id])
+    return EdgeRef(r.edge_of(hmap[x.id]))
+
+
+def _summands(dec, r, hmap, vmap) -> dict:
+    """The summands of ``dec`` as a multiset over the ids of ``r``, into
+    which ``hmap`` and ``vmap`` carry its halfedge and vertex ids."""
+    # the one constant visit a curve keeps is labelled by its edge's
+    # smaller halfedge, which a renaming may make the other one
+    curve = isinstance(dec.source, EdgeRef) and dec.source == dec.target
+    out = Counter()
+    for s in dec.summands:
+        start = s.source_halfedge and hmap[s.source_halfedge]
+        if curve and s.constant:
+            start = r.edge_of(start)
+        atoms = tuple((a.kind, a.halfedge and hmap[a.halfedge]) for a in s.word.atoms)
+        ends = (_image(s.word.source, r, hmap, vmap), _image(s.word.target, r, hmap, vmap))
+        out[atoms, ends, start, s.index, s.constant, s.marker, s.possibly_zero] += 1
+    return dict(out)  # compared as a dict, which is faster than a Counter
+
+
+def _naturality_graphs():
+    rng = random.Random(20)
+    graphs = [fixture_graph(name) for name in GRAPH_FIXTURES]
+    return graphs + [random_graph(rng, max_vertices=5) for _ in range(20)]
+
+
+@pytest.mark.parametrize("seed, g", list(enumerate(_naturality_graphs())))
+def test_decompositions_commute_with_renaming(seed, g):
+    rng = random.Random(seed)
+    renamings = []
+    for hmap, vmap in zip(_renamings(g.halfedges, "h", rng), _renamings(g.vertices, "v", rng)):
+        r = _renamed(g, hmap, vmap)
+        renamings.append((r, hmap, vmap, {h: h for h in r.halfedges}, {v: v for v in r.vertices}))
+    objects = [EdgeRef(e) for e in g.edges()] + [VertexRef(v) for v in g.vertices]
+    for source in objects:
+        for target in objects:
+            for side in ("L", "R"):
+                dec = decompose(g, target, source, side)
+                for r, hmap, vmap, same_h, same_v in renamings:
+                    image = (_image(target, r, hmap, vmap), _image(source, r, hmap, vmap))
+                    renamed = decompose(r, *image, side)
+                    assert _summands(dec, r, hmap, vmap) == _summands(renamed, r, same_h, same_v)

@@ -6,12 +6,15 @@ import pytest
 
 from ribboncalc import (
     Atom,
+    Decomposition,
     EdgeRef,
     FunctorWord,
     HalfedgeRef,
     InvalidGraphError,
+    Marker,
     RibbonGraph,
     Subgraph,
+    Summand,
     VertexRef,
     check_unit_split,
     decompose,
@@ -26,9 +29,10 @@ from ribboncalc import (
     word_typechecks,
 )
 
+from ribboncalc import trajectory
 from ribboncalc.graph import boundary_walks
 from ribboncalc.trajectory import _itinerary, _source_halfedges
-from ribboncalc.words import _external_support
+from ribboncalc.words import _chain, _external_support, _possibly_zero, _summand_key
 
 from conftest import fixture_graph, sample_graphs
 
@@ -164,13 +168,46 @@ class TestDecompose:
             decompose(two_spider, EdgeRef("h1"), HalfedgeRef("h1"))
         with pytest.raises(TypeError, match="^target must be an edge or vertex reference$"):
             decompose(two_spider, HalfedgeRef("h1"), EdgeRef("h1"))
+        # the source's type is checked before the target's
+        with pytest.raises(TypeError, match="^source must be an edge or vertex reference$"):
+            decompose(two_spider, HalfedgeRef("h1"), HalfedgeRef("h1"))
+
+    @pytest.mark.parametrize("source_kind", [EdgeRef, VertexRef])
+    @pytest.mark.parametrize(
+        "target_kind, message",
+        [(EdgeRef, "^unknown edge 'tt'$"), (VertexRef, "^unknown vertex 'tt'$")],
+    )
+    def test_an_unknown_target_is_reported_before_an_unknown_source(
+        self, four_gon, source_kind, target_kind, message
+    ):
+        with pytest.raises(ValueError, match=message):
+            decompose(four_gon, target_kind("tt"), source_kind("ss"))
+
+    def test_each_start_walk_is_read_once(self, four_gon, annulus, monkeypatch):
+        reads = []
+
+        def counting(g, h, orient):
+            reads.append(h)
+            return _itinerary(g, h, orient)
+
+        monkeypatch.setattr(trajectory, "_itinerary", counting)
+        for g in (four_gon, annulus):
+            for v in g.vertices:
+                for w in g.vertices:
+                    for side in ("L", "R"):
+                        reads.clear()
+                        decompose(g, VertexRef(w), VertexRef(v), side)
+                        assert sorted(reads) == sorted(g.cyclic(v))
+            for e in g.internal_edges():
+                for w in g.vertices:
+                    reads.clear()
+                    decompose(g, VertexRef(w), EdgeRef(e))
+                    assert sorted(reads) == sorted(g.halfedges_of(e))
 
 
 def identified_multiset(dec, target):
     """Word multiset with each marker folded back into a generator
     atom, matching the vertex-source form of the same summand."""
-    from ribboncalc.words import _chain
-
     out = Counter()
     for s in dec.summands:
         atoms = s.word.atoms
@@ -430,3 +467,84 @@ def test_twist_rotation_check_matches_the_boundary_walk_oracle():
             answers[answer] += 1
     # both answers occur, so the comparison is not vacuous
     assert answers[True] and answers[False]
+
+
+def _decompose_per_ring_halfedge(g, target, side, starts, source=None, unit=None):
+    """The decomposition loop that one read per start replaced, kept as
+    its oracle: a vertex target is met through one public
+    `trajectory_counts` call per start and ring halfedge."""
+    orient = "cw" if side == "L" else "ccw"
+    from_vertex = isinstance(source, VertexRef)
+    diagonal = unit is not None or (from_vertex and source == target)
+    if isinstance(target, EdgeRef):
+        ring = ((target, ()),)
+    else:
+        adj = "genL" if orient == "cw" else "genR"
+        ring = [(HalfedgeRef(hp), (Atom(adj, hp),)) for hp in g.cyclic(target.id)]
+    summands = []
+    for start, marker in starts:
+        for ref, prefix in ring:
+            for hit in trajectory_counts(g, start, ref, orient):
+                if diagonal and hit.constant:
+                    continue
+                suffix = (Atom("gen", hit.source),) if from_vertex else ()
+                atoms = _chain(prefix, transport_word(hit).atoms, suffix)
+                word = FunctorWord(atoms, source, target)
+                summands.append(Summand(
+                    word, hit.source, hit.index, hit.constant, marker,
+                    _possibly_zero(g, atoms),
+                ))
+    if diagonal:
+        word = FunctorWord((Atom("id"),), source, target)
+        summands.append(Summand(word, None, 0, False, unit, False))
+    summands.sort(key=_summand_key)
+    return Decomposition(source, target, side, tuple(summands))
+
+
+def _decompose_subgraph_per_ring_halfedge(g, sub, target, side):
+    unit = skip = None
+    if isinstance(target, EdgeRef):
+        preimages = [k for k in sub.graph.edges() if sub.ambient_edge_of(k) == target.id]
+        if len(preimages) == 1:
+            skip = preimages[0]
+            unit = Marker("res", skip)
+    elif target.id in sub.vertices:
+        unit = Marker("res", target.id)
+    starts = [
+        (HalfedgeRef(cut), Marker("ev", cut)) for cut in sub.cut_halfedges if cut != skip
+    ]
+    return _decompose_per_ring_halfedge(g, target, side, starts, unit=unit)
+
+
+# the graphs the per-ring-halfedge oracle runs on: its calls cost about
+# valency(target) times one read per start, so larger graphs are left to
+# the golden digest and the naturality suite
+_ORACLE_MAX_VERTICES = 3
+
+
+def test_decompositions_match_the_per_ring_halfedge_loop():
+    graphs = sample_graphs()
+    small = [g for g in graphs if len(g.vertices) <= _ORACLE_MAX_VERTICES]
+    # most of the fixtures and random draws
+    assert len(small) > len(graphs) // 2
+    for g in small:
+        objects = [EdgeRef(e) for e in g.edges()] + [VertexRef(v) for v in g.vertices]
+        for side in ("L", "R"):
+            for source in objects:
+                for target in objects:
+                    expected = _decompose_per_ring_halfedge(
+                        g, target, side, ((source, None),), source
+                    )
+                    assert serialize(decompose(g, target, source, side)) == serialize(expected)
+        for size in range(1, len(g.vertices) + 1):
+            for kept in itertools.combinations(g.vertices, size):
+                try:
+                    sub = subgraph(g, kept)
+                except InvalidGraphError:
+                    continue
+                for target in objects:
+                    for side in ("L", "R"):
+                        expected = _decompose_subgraph_per_ring_halfedge(g, sub, target, side)
+                        assert serialize(decompose_subgraph(g, sub, target, side)) == (
+                            serialize(expected)
+                        )
