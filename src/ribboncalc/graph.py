@@ -91,6 +91,19 @@ def _by_string_key(table: Mapping, name: str, what: str = "vertex") -> dict:
     return out
 
 
+def _build_tables(rings, at, twin, kinds, labels) -> tuple:
+    """The tables `RibbonGraph._from_tables` takes, from checked tables
+    whose rings may start anywhere: the rotated rings, the successor table
+    and the internal and external edges are derived here.
+    `serialization._graph_tables` derives the same tables in its own fused
+    loops, which must agree with these."""
+    cyclic = {v: rotate_to_min(ring) for v, ring in rings.items()}
+    nxt = {p: h for ring in cyclic.values() for p, h in zip(ring[-1:] + ring[:-1], ring)}
+    internal = [h for h, t in twin.items() if h <= t]
+    external = [h for h in at if h not in twin]
+    return cyclic, at, nxt, twin, internal, external, kinds, labels
+
+
 class RibbonGraph:
     """Immutable halfedge structure with a cyclic order at each vertex.
 
@@ -106,9 +119,16 @@ class RibbonGraph:
     unknown vertex, an unknown kind, a label that is not a string).
     `ribboncalc.serialization.graph_from_jsonable` checks a superset of
     these facts itself and hands its tables straight to `_from_tables`; both
-    paths end in `_build`.  Semantic rules, loops, valency-1 vertices,
-    connectivity and the marked-point condition, are reported by
-    `validate_graph` instead so that callers can inspect broken graphs.
+    paths end in `_build`, which only sorts and stores.  `_from_tables`
+    receives the tables a graph keeps: each ring rotated to start at its
+    smallest halfedge, the vertex and successor of each halfedge, the twin
+    table, the internal and external edges in any order, kinds and
+    labels.  The parser fills them while it reads each entry; the
+    constructor and the located parse pass derive them in
+    `_build_tables`, and `dual` takes them from its argument.  Semantic
+    rules, loops, valency-1 vertices, connectivity and the marked-point
+    condition, are reported by `validate_graph` instead so that callers can
+    inspect broken graphs.
 
     A graph keeps its rings, twin table and successor table; the
     predecessor table, which only counterclockwise walks and `cw_next`
@@ -153,66 +173,50 @@ class RibbonGraph:
             if label is not None and not isinstance(label, str):
                 raise ValueError("label of vertex {!r} is not a string".format(v))
         kinds = {v: vertex_kind.get(v, PLAIN) for v in rings}
-        self._build(rings, at, twin, kinds, vertex_label, at)
+        self._build(*_build_tables(rings, at, twin, kinds, vertex_label))
 
     @classmethod
     def _from_tables(
         cls,
-        rings: dict[str, list[str]],
+        cyclic: dict[str, tuple[str, ...]],
         at: dict[str, str],
+        nxt: dict[str, str],
         twin: dict[str, str],
+        internal: Iterable[str],
+        external: Iterable[str],
         kinds: dict[str, str],
         labels: dict[str, str],
-        ids: Iterable[str],
     ) -> "RibbonGraph":
         """A graph from tables already checked as `__init__` checks them:
-        string ids, every halfedge in exactly one ring and mapped by ``at``
-        to its vertex, a symmetric ``twin`` on known halfedges, a known kind
-        for every vertex and labels only on known vertices.  ``ids`` yields
-        every halfedge id once, in any order; sorting is fastest when it is
-        already sorted, as in canonical input.  The dicts other than
-        ``rings`` are kept, not copied."""
+        string ids, each ring a tuple that starts at its smallest halfedge,
+        every halfedge in exactly one ring, mapped by ``at`` to its vertex
+        and by ``nxt`` to its successor in that ring, a symmetric ``twin``
+        on known halfedges, the edges that ``internal`` (twinned, named by
+        the smaller halfedge) and ``external`` (every untwinned halfedge)
+        list, a known kind for every vertex and labels only on known
+        vertices.  The halfedges are the keys of ``twin`` and the external
+        edges.  Edges and ``twin`` may come in any order; sorting is fastest
+        when they are already sorted, as in canonical input.  The dicts are
+        kept, not copied."""
         g = cls.__new__(cls)
-        g._build(rings, at, twin, kinds, labels, ids)
+        g._build(cyclic, at, nxt, twin, internal, external, kinds, labels)
         return g
 
-    def _build(self, rings, at, twin, kinds, labels, ids) -> None:
-        # a ring that already starts at its smallest halfedge, as every
-        # ring of canonical input does, is kept as it is
-        self._cyclic: dict[str, tuple[str, ...]] = {
-            v: tuple(ring) if ring and ring[0] == min(ring) else rotate_to_min(ring)
-            for v, ring in rings.items()
-        }
+    def _build(self, cyclic, at, nxt, twin, internal, external, kinds, labels) -> None:
+        self._cyclic: dict[str, tuple[str, ...]] = cyclic
         self._at = at
+        # successor in the cyclic order; the predecessor is built on first
+        # use by `_predecessors`
+        self._next = nxt
         self._twin = twin
         self._kind = kinds
         self._label = labels
-        self._vertices = tuple(sorted(self._cyclic))
-        self._halfedges = tuple(sorted(ids))
-        # successor in the cyclic order; the predecessor is built on first
-        # use by `_predecessors`
-        nxt: dict[str, str] = {}
-        for ring in self._cyclic.values():
-            if ring:
-                p = ring[-1]
-                for h in ring:
-                    nxt[p] = h
-                    p = h
-        self._next = nxt
-        # an edge is named by its smaller halfedge, so the sorted edge list
-        # is the sorted halfedges that name their own edge
-        edges, internal, external = [], [], []
-        for h in self._halfedges:
-            t = twin.get(h)
-            if t is None:
-                edges.append(h)
-                external.append(h)
-            elif h <= t:
-                edges.append(h)
-                internal.append(h)
-        self._edges = tuple(edges)
-        self._internal_edges = tuple(internal)
-        self._external_edges = tuple(external)
+        self._vertices = tuple(sorted(cyclic))
+        self._internal_edges = tuple(sorted(internal))
+        self._external_edges = tuple(sorted(external))
+        # each of these lists is made of sorted runs, which the sort merges
+        self._halfedges = tuple(sorted([*twin, *self._external_edges]))
+        self._edges = tuple(sorted(self._internal_edges + self._external_edges))
         self._key: Optional[tuple] = None
         self._hash: Optional[int] = None
         self._report: Optional[ValidationReport] = None
@@ -475,9 +479,11 @@ def surface_invariants(g: RibbonGraph) -> SurfaceInvariants:
 def dual(g: RibbonGraph) -> RibbonGraph:
     """The same graph with every cyclic order reversed.  Involutive."""
     require_valid(g)
+    # a reversed ring, rotated to its smallest halfedge, keeps that one first
     return RibbonGraph._from_tables(
-        {v: ring[::-1] for v, ring in g._cyclic.items()},
-        g._at, g._twin, g._kind, g._label, g._halfedges,
+        {v: ring[:1] + ring[:0:-1] for v, ring in g._cyclic.items()},
+        g._at, _predecessors(g), g._twin, g._internal_edges, g._external_edges,
+        g._kind, g._label,
     )
 
 

@@ -293,10 +293,12 @@ def amalgamate(
 
     Vertices identified across internal edges melt into one mutable
     vertex named by the smallest qualified id ``vertex.local`` in its
-    class; two vertices with one qualified id raise ValueError.  Interfaces
-    on external edges stay frozen, frozen arrows included.  Interface
-    arrows of an internal edge survive, unfrozen, exactly when both
-    incidences keep them non-zero.
+    class; two vertices with one qualified id raise ValueError.  The glued
+    vertex keeps a label only when every member of its class carries that
+    same label, and has none otherwise, so labels do not depend on how the
+    graph's vertices are named.  Interfaces on external edges stay frozen,
+    frozen arrows included.  Interface arrows of an internal edge survive,
+    unfrozen, exactly when both incidences keep them non-zero.
 
     ``edge_order``, when given, must list the internal edges and has no
     other effect: the result does not depend on the gluing order.
@@ -343,11 +345,17 @@ def _glue(d: AmalgamationDiagram) -> IceQuiver:
     for e in g.external_edges():
         local = names[g.at_vertex(e)]
         frozen_ids.update(local[x] for x in d.incidences[e].vertex_map.values())
-    # a class is frozen when one of its members lies on an external edge
+    # a class is frozen when one of its members lies on an external edge,
+    # and keeps a label only when all of its members carry that label
     frozen_classes = {rep[x] for x in frozen_ids}
+    labels: dict[str, Optional[str]] = {}
+    for x, r in rep.items():
+        label = origin[x].label
+        if labels.setdefault(r, label) != label:
+            labels[r] = None
     vertices = [
-        QuiverVertex(r, frozen=r in frozen_classes, label=origin[r].label)
-        for r in dict.fromkeys(rep.values())
+        QuiverVertex(r, frozen=r in frozen_classes, label=label)
+        for r, label in labels.items()
     ]
 
     arrows = []

@@ -6,14 +6,17 @@ is compact.  Parsing canonical text and serializing again returns the
 same bytes, and the serializer never emits anything the parser
 rejects.
 
-`serialize` is one call of the JSON encoder, which hands each domain
-value to one hook, `_encode`, for a plain object to write in its place.
-The hook knows domain types by class name, so this module imports only
-`ribboncalc.graph`; each parser imports the constructors it calls.  Most
-types are written as the attributes `_ATTRIBUTES` names, so their JSON
-keys are attribute names, which for quiver vertices and arrows are the
-keys of the quiver format.  Graphs, quivers, templates, template slots
-and references have their own branch.
+`serialize` writes a bare `RibbonGraph` itself, filling templates whose
+keys are in sorted order with ids quoted as the encoder quotes them.  Any
+other value is one call of the JSON encoder, which hands each domain
+value to one hook, `_encode`, for a plain object to write in its place;
+a graph inside another value reaches the hook's graph branch, which
+decodes that same text.  The hook knows domain types by class name, so this module
+imports only `ribboncalc.graph`; each parser imports the constructors it
+calls.  Most types are written as the attributes `_ATTRIBUTES` names, so
+their JSON keys are attribute names, which for quiver vertices and arrows
+are the keys of the quiver format.  Graphs, quivers, templates, template
+slots and references have their own branch.
 
 `graph_dot` and `export_dot` write graphs and quivers as Graphviz DOT.
 """
@@ -22,8 +25,9 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping
+from json.encoder import encode_basestring_ascii
 
-from .graph import RibbonGraph, VERTEX_KINDS
+from .graph import RibbonGraph, VERTEX_KINDS, _build_tables, rotate_to_min
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -80,8 +84,9 @@ def _want_str(obj, where):
 def graph_from_jsonable(obj: Any, pointer: str = "") -> RibbonGraph:
     """Check a graph object and build the graph from the checked tables.
 
-    `_graph_tables` proves a well-formed graph fast; when it declines,
-    `_locate_graph_error` finds the fault."""
+    `_graph_tables` proves a well-formed graph fast and builds the graph's
+    tables as it reads; when it declines, `_locate_graph_error` finds the
+    fault."""
     try:
         tables = _graph_tables(obj)
     except (KeyError, TypeError):
@@ -92,30 +97,22 @@ def graph_from_jsonable(obj: Any, pointer: str = "") -> RibbonGraph:
 
 
 def _graph_tables(obj: Any):
-    """The tables of a well-formed graph object, proved fast: exact types
-    and sizes per entry, uniqueness and membership on whole tables.  None
-    when a check fails; a missing key or an unhashable value raises."""
+    """The tables `RibbonGraph._from_tables` takes, built while a
+    well-formed graph object is proved fast: exact types and sizes per
+    entry, uniqueness and membership on whole tables, and each halfedge id
+    struck off the ring entries once.  None when a check fails; a missing
+    key, an unknown or repeated halfedge id, an unhashable value or ids
+    that do not compare raise."""
     if type(obj) is not dict or len(obj) != 2:
         return None
     vertices, halfedges = obj["vertices"], obj["halfedges"]
     if type(vertices) is not list or type(halfedges) is not list:
         return None
-    declared: dict[str, Optional[str]] = {}
-    for entry in halfedges:
-        if type(entry) is not dict or len(entry) != 2:
-            return None
-        declared[entry["id"]] = entry["twin"]
-    if len(declared) != len(halfedges) or not set(map(type, declared)) <= {str}:
-        return None
-    # equal to its inverse, the twin table maps declared ids to declared ids
-    twins = {h: t for h, t in declared.items() if t is not None}
-    if {t: h for h, t in twins.items()} != twins:
-        return None
-
-    rings: dict[str, list[str]] = {}
+    cyclic: dict[str, tuple[str, ...]] = {}
     kinds: dict[str, str] = {}
     labels: dict[str, str] = {}
-    attached: dict[str, str] = {}
+    at: dict[str, str] = {}
+    nxt: dict[str, str] = {}
     for entry in vertices:
         if type(entry) is not dict:
             return None
@@ -126,19 +123,53 @@ def _graph_tables(obj: Any):
             labels[vid] = entry["label"]
         if type(ring) is not list or kind not in VERTEX_KINDS:
             return None
-        rings[vid] = ring
         kinds[vid] = kind
-        for h in ring:
-            attached[h] = vid
+        ring = tuple(ring)
+        if ring:
+            first = p = ring[-1]
+            for h in ring:
+                at[h] = vid
+                nxt[p] = h
+                p = h
+                if h < first:
+                    first = h
+            # every ring of canonical input already starts at its smallest
+            if ring[0] is not first:
+                ring = rotate_to_min(ring)
+        cyclic[vid] = ring
     if (
-        len(rings) != len(vertices)
-        or not set(map(type, rings)) <= {str}
+        len(cyclic) != len(vertices)
+        or not set(map(type, cyclic)) <= {str}
         or not set(map(type, labels.values())) <= {str}
-        or sum(map(len, rings.values())) != len(attached)
-        or attached.keys() != declared.keys()
+        or not set(map(type, at)) <= {str}
+        or sum(map(len, cyclic.values())) != len(at)
     ):
         return None
-    return rings, attached, twins, kinds, labels, declared
+
+    # every table holds one string object per id, the ring entry's, so
+    # lookups across tables stop at identity; `undeclared` keeps each ring
+    # entry until a halfedge entry declares it
+    ids = dict(zip(at, at))
+    undeclared = ids.copy()
+    twin: dict[str, str] = {}
+    internal: list[str] = []
+    external: list[str] = []
+    for entry in halfedges:
+        if type(entry) is not dict or len(entry) != 2:
+            return None
+        h = undeclared.pop(entry["id"])
+        t = entry["twin"]
+        if t is None:
+            external.append(h)
+        else:
+            t = twin[h] = ids[t]
+            # an edge is named by its smaller halfedge
+            if h <= t:
+                internal.append(h)
+    # an involution, the twin table maps declared ids to declared ids
+    if undeclared or list(map(twin.get, twin.values())) != list(twin):
+        return None
+    return cyclic, at, nxt, twin, internal, external, kinds, labels
 
 
 def _locate_graph_error(obj: Any, pointer: str):
@@ -203,7 +234,7 @@ def _locate_graph_error(obj: Any, pointer: str):
                 pointer + _ptr("halfedges"),
                 "halfedge {!r} is attached to no vertex".format(hid),
             )
-    return rings, attached, twins, kinds, labels, declared
+    return _build_tables(rings, attached, twins, kinds, labels)
 
 
 def parse_graph(text: str) -> RibbonGraph:
@@ -407,18 +438,8 @@ def _encode(value: Any) -> Any:
     if type(how) is tuple:
         return {name: getattr(value, name) for name in how}
     if how == "graph":
-        cyclic, kind, label, twin = value._cyclic, value._kind, value._label, value._twin
-        vertices = []
-        for v in value._vertices:
-            entry = {"id": v, "cyclic": cyclic[v], "kind": kind[v]}
-            lab = label.get(v)
-            if lab is not None:
-                entry["label"] = lab
-            vertices.append(entry)
-        return {
-            "vertices": vertices,
-            "halfedges": [{"id": h, "twin": twin.get(h)} for h in value._halfedges],
-        }
+        # a graph inside another value; `serialize` writes a bare one itself
+        return json.loads(_graph_text(value))
     if how == "quiver":
         # literal dicts: a hook call per vertex and arrow is about 40% slower
         return {
@@ -442,11 +463,37 @@ def _encode(value: Any) -> Any:
 
 def serialize(value: Any) -> str:
     """Canonical JSON text: sorted keys, compact separators, ASCII."""
+    if type(value) is RibbonGraph:
+        return _graph_text(value)
     # domain values hold no cycles and each object `_encode` returns is
     # fresh, so there is no cycle to find
     return json.dumps(
         value, default=_encode, sort_keys=True, separators=(",", ":"), check_circular=False
     )
+
+
+def _graph_text(g: RibbonGraph) -> str:
+    """The canonical text of ``g``, the one writer of the graph layout:
+    ids are quoted as the JSON encoder quotes them and each template lists
+    its keys in sorted order."""
+    quote = encode_basestring_ascii
+    twin, cyclic, kind, label = g._twin, g._cyclic, g._kind, g._label
+    halfedges = [
+        '{"id":%s,"twin":%s}' % (quote(h), quote(twin[h]) if h in twin else "null")
+        for h in g._halfedges
+    ]
+    vertices = []
+    for v in g._vertices:
+        lab = label.get(v)
+        ring = ",".join(map(quote, cyclic[v]))
+        if lab is None:
+            vertices.append('{"cyclic":[%s],"id":%s,"kind":%s}' % (ring, quote(v), quote(kind[v])))
+        else:
+            vertices.append(
+                '{"cyclic":[%s],"id":%s,"kind":%s,"label":%s}'
+                % (ring, quote(v), quote(kind[v]), quote(lab))
+            )
+    return '{"halfedges":[%s],"vertices":[%s]}' % (",".join(halfedges), ",".join(vertices))
 
 
 def to_jsonable(value: Any) -> Any:

@@ -9,7 +9,10 @@ parsed graph must be the one the public constructor builds from the same
 tables.  The predecessor table is built on the first counterclockwise
 use, so a graph walked only clockwise never builds it.  Valid JSON, in
 canonical order or not, never reaches the element-by-element pass that
-locates parse errors.
+locates parse errors.  Every presentation of a graph, the keys of each
+entry and of the constructor's tables shuffled too, builds the same
+tables through the parser, the constructor and the located pass, and a
+dual has the tables the constructor builds from the reversed rings.
 """
 
 import json
@@ -112,3 +115,76 @@ def test_valid_json_never_reaches_the_located_pass(monkeypatch):
     for text in texts:
         parse_graph(text)
     assert len(texts) > 200 and located == []
+
+
+class _Str(str):
+    pass
+
+
+def _presented(g: RibbonGraph, rng: random.Random) -> tuple[dict, tuple]:
+    """Another presentation of ``g``: its graph object with every ring of
+    two or more halfedges rotated off its smallest one, both lists and the
+    keys of every entry shuffled, and the public constructor's arguments
+    with the keys of ``cyclic`` and ``twin`` shuffled too."""
+    obj = _scrambled(g, rng)
+    obj["vertices"] = [dict(rng.sample(list(e.items()), len(e))) for e in obj["vertices"]]
+    obj["halfedges"] = [dict(rng.sample(list(e.items()), len(e))) for e in obj["halfedges"]]
+    vertices = rng.sample(obj["vertices"], len(obj["vertices"]))
+    halfedges = rng.sample(obj["halfedges"], len(obj["halfedges"]))
+    args = (
+        {e["id"]: e["cyclic"] for e in vertices},
+        {e["id"]: e["twin"] for e in halfedges if e["twin"] is not None},
+        {e["id"]: e["kind"] for e in vertices},
+        {e["id"]: e["label"] for e in vertices if "label" in e},
+    )
+    return obj, args
+
+
+def _tables(g: RibbonGraph) -> tuple:
+    return (
+        g._cyclic, g._next, g._at, g._twin, g._kind, g._label, g._vertices, g._halfedges,
+        g._edges, g._internal_edges, g._external_edges,
+    )
+
+
+def test_every_presentation_builds_the_same_tables(monkeypatch):
+    located = []
+    locate = serialization._locate_graph_error
+    monkeypatch.setattr(
+        serialization,
+        "_locate_graph_error",
+        lambda obj, pointer: located.append(pointer) or locate(obj, pointer),
+    )
+    rng = random.Random(21)
+    for g in sample_graphs():
+        text = serialize(g)
+        for _ in range(3):
+            obj, args = _presented(g, rng)
+            parsed, built = parse_graph(json.dumps(obj)), RibbonGraph(*args)
+            assert parsed == built == g
+            assert _tables(parsed) == _tables(built) == _tables(g)
+            assert serialize(parsed) == serialize(built) == text
+            # the reversed rings of the dual, given to the constructor
+            flipped = RibbonGraph({v: ring[::-1] for v, ring in args[0].items()}, *args[1:])
+            assert _tables(dual(parsed)) == _tables(flipped)
+        assert located == []
+        # exact types only on the fast path: a `str` subclass is located
+        sub = serialization.graph_from_jsonable(
+            dict(obj, vertices=[dict(e, id=_Str(e["id"])) for e in obj["vertices"]])
+        )
+        assert located == [""]
+        located.clear()
+        assert _tables(sub) == _tables(g) and serialize(sub) == text
+
+
+def test_a_parsed_graph_holds_one_string_object_per_halfedge_id():
+    rng = random.Random(5)
+    for g in sample_graphs():
+        for text in (serialize(g), json.dumps(_scrambled(g, rng))):
+            parsed = parse_graph(text)
+            entries = {h: h for ring in parsed._cyclic.values() for h in ring}
+            for table in (
+                parsed._halfedges, parsed._edges, parsed._at, parsed._next,
+                parsed._next.values(), parsed._twin, parsed._twin.values(),
+            ):
+                assert all(h is entries[h] for h in table)

@@ -103,6 +103,85 @@ class TestGraphRoundTrip:
         assert '"label"' not in serialize(to_jsonable(three_spider))
 
 
+def _encoded(value) -> str:
+    """The canonical text of `oracle`'s tree for ``value``."""
+    return json.dumps(oracle(value), sort_keys=True, separators=(",", ":"))
+
+
+# ids the encoder escapes: a quote, a backslash, control characters, a
+# line separator, non-ASCII and an astral character (a surrogate pair)
+_ESCAPED_IDS = ('"', "\\", "a\x00b", "\x1f\n\t", "\u00e9t\u00e9", "\u2028", "\U0001d538", "~/")
+
+
+def _escaped_graph() -> RibbonGraph:
+    """A path through one vertex per id of `_ESCAPED_IDS`, each named by its
+    id with a stub of that name, labelled by the id of another vertex."""
+    names = _ESCAPED_IDS
+    cyclic = {v: [v] for v in names}
+    twin = {}
+    for i, (u, w) in enumerate(zip(names, names[1:])):
+        a, b = "{}<{}".format(u, i), "{}>{}".format(w, i)
+        cyclic[u].append(a)
+        cyclic[w].insert(0, b)
+        twin.update({a: b, b: a})
+    labels = dict(zip(names, reversed(names)))
+    return RibbonGraph(cyclic, twin, {names[0]: "singular"}, labels)
+
+
+class TestGraphWriter:
+    """`serialize` writes a bare `RibbonGraph` itself; every byte is the one
+    the encoder writes for `oracle`'s tree of the graph."""
+
+    def test_sample_graphs_and_fixtures(self):
+        graphs = sample_graphs() + [parse_graph(fixture_text(n)) for n in ALL_GRAPH_FIXTURES]
+        for g in graphs:
+            assert serialize(g) == _encoded(g)
+
+    def test_labels_empty_rings_and_fixed_points(self):
+        graphs = [
+            RibbonGraph({}, {}),
+            RibbonGraph({"v": ()}, {}, {"v": "singular"}, {"v": "lonely"}),
+            RibbonGraph(
+                {"u": (), "w": ("b", "a", "c"), "x": ("d",)},
+                {"a": "d", "d": "a", "c": "c"},
+                {"w": "singular"},
+                {"w": "puncture", "x": "", "u": None},
+            ),
+        ]
+        for g in graphs:
+            assert serialize(g) == _encoded(g)
+        assert '"cyclic":[],"id":"u","kind":"plain"}' in serialize(graphs[2])
+        assert '"label":""' in serialize(graphs[2])
+
+    def test_escaped_ids(self):
+        g = _escaped_graph()
+        text = serialize(g)
+        assert text == _encoded(g)
+        assert text.isascii() and "\\ud835\\udd38" in text
+        assert parse_graph(text) == g and serialize(parse_graph(text)) == text
+
+    def test_a_nested_graph_goes_through_the_encoder(self, monkeypatch, four_gon):
+        hooked = []
+        hook = serialization._encode
+        monkeypatch.setattr(
+            serialization, "_encode", lambda v: hooked.append(type(v).__name__) or hook(v)
+        )
+        g = _escaped_graph()
+        serialize(g)
+        assert hooked == []
+        nested = [
+            subgraph(g, _ESCAPED_IDS[:3]),
+            subgraph(four_gon, ["v1"]),
+            assembly_diagram(four_gon, {"v1": "a2_trivalent", "v2": "a2_trivalent"}),
+        ]
+        for value in nested:
+            text = serialize(value)
+            assert text == _encoded(value)
+            assert '"graph":' + serialize(value.graph) in text
+            assert "RibbonGraph" in hooked
+            hooked.clear()
+
+
 class TestGraphParseErrors:
     def test_invalid_json(self):
         with pytest.raises(ParseError, match="at /: invalid JSON"):
