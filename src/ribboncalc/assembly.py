@@ -14,10 +14,8 @@ file ``fixtures/<name>.json`` shipped with the package, read by
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Mapping, Optional, Union
 
-from .graph import PLAIN, RibbonGraph, SINGULAR, require_valid
+from .graph import PLAIN, RibbonGraph, SINGULAR, _Record, require_valid
 from .quiver import (
     AmalgamationDiagram,
     IceQuiver,
@@ -28,21 +26,27 @@ from .quiver import (
     _fault,
     _glue,
 )
-from .trajectory import CW, Itinerary, _itinerary
+from .trajectory import CW, _itinerary
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Mapping, Union
+
+    TemplateAssignment = Mapping[str, Union[str, LocalTemplate]]
 
 PLAIN_TAG = "plain"
 NOTCHED_TAG = "notched"
 
 
-@dataclass(frozen=True)
-class TemplateSlot:
-    boundary: IceQuiver
-    vertex_map: Mapping[str, str]
-    arrow_map: Mapping[str, Optional[str]]
+class TemplateSlot(_Record):
+    """A slot's interface quiver ``boundary`` and the maps of its morphism
+    into a template's quiver, as in `QuiverMorphism`: an ``arrow_map``
+    value of None means zero."""
+
+    __slots__ = _fields = ("boundary", "vertex_map", "arrow_map")
 
 
-@dataclass(frozen=True)
-class LocalTemplate:
+class LocalTemplate(_Record):
     """A vertex quiver with one interface slot per incident edge.
 
     Slot images must be pairwise disjoint frozen components of the
@@ -52,10 +56,8 @@ class LocalTemplate:
     template in existence is valid.
     """
 
-    name: str
-    quiver: IceQuiver
-    slots: tuple[TemplateSlot, ...]
-    stalk: Optional[str] = None
+    __slots__ = _fields = ("name", "quiver", "slots", "stalk")
+    _defaults = {"stalk": None}
 
     def __post_init__(self) -> None:
         validate_template(self)
@@ -172,9 +174,6 @@ def _reversal_identification(b1: IceQuiver, b2: IceQuiver):
         for a, b in zip(group1, grouped2[key]):
             amap[a.id] = b.id
     return vmap, amap
-
-
-TemplateAssignment = Mapping[str, Union[str, LocalTemplate]]
 
 
 def _resolve_assignment(g: RibbonGraph, assign: TemplateAssignment) -> dict[str, LocalTemplate]:
@@ -299,21 +298,18 @@ def basicness_check(g: RibbonGraph) -> list[str]:
     return warnings
 
 
-@dataclass(frozen=True)
-class TaggedArc:
+class TaggedArc(_Record):
     """An arc of the tagged triangulation read off a trivalent graph.
 
-    Dual arcs cross the internal edges.  Puncture arcs run from a
-    puncture along a trajectory; their ``via`` halfedge and plain or
-    notched tagging distinguish the four local choices.
+    Its ``kind`` is ``"dual"`` or ``"puncture"``.  Dual arcs cross the
+    internal ``edge``.  Puncture arcs run from a ``puncture`` along a
+    trajectory, their ``path``; their ``via`` halfedge and plain or
+    notched ``tagging`` distinguish the four local choices.  The fields
+    an arc's kind does not use are None.
     """
 
-    kind: str  # "dual" or "puncture"
-    edge: Optional[str] = None
-    puncture: Optional[str] = None
-    via: Optional[str] = None
-    tagging: Optional[str] = None
-    path: Optional[Itinerary] = None
+    __slots__ = _fields = ("kind", "edge", "puncture", "via", "tagging", "path")
+    _defaults = dict.fromkeys(_fields[1:])
 
 
 # each local choice at a puncture: its two arcs, as (index in the

@@ -26,34 +26,53 @@ class InvalidGraphError(ValueError):
 
 
 class _Record:
-    """A frozen value like ``@dataclass(frozen=True)`` makes, without importing
-    `dataclasses`: a subclass sets ``__slots__ = _fields`` to its field names,
-    with defaults in ``_defaults``; ``repr``, ``==`` (within one class), hash,
-    copy and pickle use the field values."""
+    """The base of every value type of the package: a frozen value like
+    ``@dataclass(frozen=True)`` makes, without importing `dataclasses`.
+
+    A subclass sets ``__slots__ = _fields`` to its field names, with
+    defaults in ``_defaults`` and the fields its repr leaves out in
+    ``_unprinted``; a ``__post_init__`` it defines runs at the end of
+    construction.  For each class that names fields, `__init_subclass__`
+    writes ``__init__``, ``==`` (within one class) and hash once, by
+    `exec`, as `dataclasses` and `namedtuple` do; ``__init__`` sets each
+    field through its slot's descriptor, past the frozen ``__setattr__``.
+    ``repr``, copy and pickle use the field values."""
 
     __slots__ = ()
     _defaults: dict = {}
+    _unprinted = ()
 
-    def __init__(self, *args, **kwargs):
-        # a field given twice is a TypeError from dict()
-        values = dict(self._defaults, **dict(zip(self._fields, args)), **kwargs)
-        if len(args) > len(self._fields) or values.keys() != set(self._fields):
-            raise TypeError("{}() takes {}".format(type(self).__name__, self._fields))
-        for name in self._fields:
-            object.__setattr__(self, name, values[name])
+    def __init_subclass__(cls):
+        if "_fields" not in vars(cls):
+            return  # a subclass without fields of its own keeps its parent's methods
+        fields = cls._fields
+        scope = {"_set_" + f: vars(cls)[f].__set__ for f in fields}
+        scope.update(("_default_" + f, v) for f, v in cls._defaults.items())
+        params = (f + "=_default_" + f if f in cls._defaults else f for f in fields)
+        # the field values of "{0}" as a tuple display
+        values = "({})".format("".join("{{0}}.{},".format(f) for f in fields))
+        source = [
+            "def __init__(self, {}):".format(", ".join(params)),
+            *("    _set_{0}(self, {0})".format(f) for f in fields),
+            "    self.__post_init__()" if hasattr(cls, "__post_init__") else "",
+            "def __eq__(self, other):",
+            "    if other.__class__ is self.__class__:",
+            "        return {} == {}".format(values.format("self"), values.format("other")),
+            "    return NotImplemented",
+            "def __hash__(self):",
+            "    return hash({})".format(values.format("self")),
+        ]
+        exec("\n".join(source), scope)
+        for name in ("__init__", "__eq__", "__hash__"):
+            scope[name].__qualname__ = "{}.{}".format(cls.__qualname__, name)
+            setattr(cls, name, scope[name])
 
     def __reduce__(self):
         return type(self), tuple(map(self.__getattribute__, self._fields))
 
-    def __eq__(self, other):
-        same = type(other) is type(self)
-        return self.__reduce__() == other.__reduce__() if same else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.__reduce__()[1])
-
     def __repr__(self) -> str:
-        fields = map("{}={!r}".format, self._fields, self.__reduce__()[1])
+        shown = [f for f in self._fields if f not in self._unprinted]
+        fields = map("{}={!r}".format, shown, map(self.__getattribute__, shown))
         return "{}({})".format(type(self).__qualname__, ", ".join(fields))
 
     def __setattr__(self, name, value=None):

@@ -8,26 +8,27 @@ are the gluing interfaces of the amalgamation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import attrgetter
-from typing import Any, Iterable, Mapping, Optional, Sequence
 
-from .graph import RibbonGraph, ValidationReport, require_valid
+from .graph import ValidationReport, _Record, require_valid
 
-
-@dataclass(frozen=True)
-class QuiverVertex:
-    id: str
-    frozen: bool = False
-    label: Optional[str] = None
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Any, Iterable, Optional, Sequence
 
 
-@dataclass(frozen=True)
-class QuiverArrow:
-    id: str
-    src: str
-    dst: str
-    frozen: bool = False
+class QuiverVertex(_Record):
+    """A vertex and its frozen flag; its label is a string or None."""
+
+    __slots__ = _fields = ("id", "frozen", "label")
+    _defaults = {"frozen": False, "label": None}
+
+
+class QuiverArrow(_Record):
+    """An arrow from the vertex id ``src`` to ``dst``, and its frozen flag."""
+
+    __slots__ = _fields = ("id", "src", "dst", "frozen")
+    _defaults = {"frozen": False}
 
 
 def _classes(ids: Iterable[str], pairs: Iterable[tuple[str, str]]) -> dict[str, str]:
@@ -150,18 +151,16 @@ class IceQuiver:
         )
 
 
-@dataclass(frozen=True)
-class QuiverMorphism:
+class QuiverMorphism(_Record):
     """A vertex-injective quiver map that may send arrows to zero.
 
-    ``arrow_map`` values are target arrow ids, or None for zero.
-    Distinct arrows may share a non-zero image.
+    ``vertex_map`` and ``arrow_map`` are mappings from the ids of
+    ``source`` to those of ``target``.  ``arrow_map`` values are target
+    arrow ids, or None for zero.  Distinct arrows may share a non-zero
+    image.
     """
 
-    source: IceQuiver
-    target: IceQuiver
-    vertex_map: Mapping[str, str]
-    arrow_map: Mapping[str, Optional[str]]
+    __slots__ = _fields = ("source", "target", "vertex_map", "arrow_map")
 
 
 def validate_morphism(m: QuiverMorphism) -> ValidationReport:
@@ -233,20 +232,18 @@ def _check_slots(
         )
 
 
-@dataclass(frozen=True)
-class AmalgamationDiagram:
+class AmalgamationDiagram(_Record):
     """Gluing data over a ribbon graph.
 
     Each vertex carries a local quiver, each edge an interface quiver,
     and each halfedge a morphism from its edge's interface into its
-    vertex's quiver.  At every vertex the incident interfaces must land
-    on pairwise disjoint frozen components, one per halfedge.
+    vertex's quiver: ``vertex_quivers``, ``edge_quivers`` and
+    ``incidences`` map ids of ``graph`` to them.  At every vertex the
+    incident interfaces must land on pairwise disjoint frozen components,
+    one per halfedge.
     """
 
-    graph: RibbonGraph
-    vertex_quivers: Mapping[str, IceQuiver]
-    edge_quivers: Mapping[str, IceQuiver]
-    incidences: Mapping[str, QuiverMorphism]
+    __slots__ = _fields = ("graph", "vertex_quivers", "edge_quivers", "incidences")
 
 
 def _validate_diagram(d: AmalgamationDiagram) -> None:

@@ -34,54 +34,49 @@ the memo is read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Union
 
-from .graph import RibbonGraph, _predecessors, require_valid
+from .graph import RibbonGraph, _Record, _predecessors, require_valid
 
 CW = "cw"
 CCW = "ccw"
 ORIENTATIONS = (CW, CCW)
 
 
-@dataclass(frozen=True)
-class HalfedgeRef:
-    id: str
+class HalfedgeRef(_Record):
+    __slots__ = _fields = ("id",)
 
 
-@dataclass(frozen=True)
-class EdgeRef:
-    id: str
+class EdgeRef(_Record):
+    __slots__ = _fields = ("id",)
 
 
-@dataclass(frozen=True)
-class VertexRef:
-    id: str
+class VertexRef(_Record):
+    __slots__ = _fields = ("id",)
 
 
-SourceRef = Union[HalfedgeRef, EdgeRef, VertexRef]
-TargetRef = Union[HalfedgeRef, EdgeRef]
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Union
+
+    SourceRef = Union[HalfedgeRef, EdgeRef, VertexRef]
+    TargetRef = Union[HalfedgeRef, EdgeRef]
 
 
-@dataclass(frozen=True, slots=True)
-class Itinerary:
+class Itinerary(_Record):
     """One directed trajectory.
 
     ``edges`` is the visited edge sequence e_1 .. e_m with e_1 the edge
     of the start halfedge and e_m the terminal external edge.  The walk
     turns at ``turns[i-1]`` when moving from e_i to e_(i+1), entering
     that vertex along ``entries[i-1]`` and leaving along
-    ``out_halfedges[i]``.
+    ``out_halfedges[i]``.  Every field but ``orient`` holds halfedge,
+    edge or vertex ids, the sequences as tuples.
     """
 
-    start: str
-    orient: str
-    out_halfedges: tuple[str, ...]
-    edges: tuple[str, ...]
-    turns: tuple[str, ...]
-    entries: tuple[str, ...]
-    terminal: str
+    __slots__ = _fields = (
+        "start", "orient", "out_halfedges", "edges", "turns", "entries", "terminal"
+    )
 
     @property
     def length(self) -> int:
@@ -91,26 +86,6 @@ class Itinerary:
 def _require_orient(orient: str) -> None:
     if orient not in ORIENTATIONS:
         raise ValueError("orientation must be 'cw' or 'ccw', got {!r}".format(orient))
-
-
-# The engine builds its records without the dataclass ``__init__``: each
-# slot descriptor's ``__set__`` writes its field, past the frozen
-# ``__setattr__``, for about half the cost of the type call.
-_set_start, _set_orient, _set_out, _set_edges, _set_turns, _set_entries, _set_terminal = (
-    Itinerary.__dict__[name].__set__ for name in Itinerary.__slots__
-)
-
-
-def _new_itinerary(start, orient, out_halfedges, edges, turns, entries, terminal):
-    itin = object.__new__(Itinerary)
-    _set_start(itin, start)
-    _set_orient(itin, orient)
-    _set_out(itin, out_halfedges)
-    _set_edges(itin, edges)
-    _set_turns(itin, turns)
-    _set_entries(itin, entries)
-    _set_terminal(itin, terminal)
-    return itin
 
 
 def _suffix(itin: Itinerary, h: str) -> tuple:
@@ -126,7 +101,7 @@ def _itinerary(g: RibbonGraph, h: str, orient: str) -> Itinerary:
     if itin is not None:
         if itin.start != h:
             # ``h`` is an internal out halfedge of the memoised ray
-            itin = walks[h] = _new_itinerary(h, orient, *_suffix(itin, h), itin.terminal)
+            itin = walks[h] = Itinerary(h, orient, *_suffix(itin, h), itin.terminal)
         return itin
     twin, at = g._twin, g._at
     turn = g._next if orient == CW else _predecessors(g)
@@ -142,14 +117,14 @@ def _itinerary(g: RibbonGraph, h: str, orient: str) -> Itinerary:
         entries.append(t)
         x = turn[t]
         if x not in twin:  # the terminal external edge
-            itin = _new_itinerary(
+            itin = Itinerary(
                 h, orient, (*out, x), (*edges, x), tuple(turns), tuple(entries), x
             )
             break
         rest = walks.get(x)
         if rest is not None:  # an earlier ray stepped ``x``: splice on its rest
             rest_out, rest_edges, rest_turns, rest_entries = _suffix(rest, x)
-            itin = _new_itinerary(
+            itin = Itinerary(
                 h, orient, (*out, *rest_out), (*edges, *rest_edges), (*turns, *rest_turns),
                 (*entries, *rest_entries), rest.terminal,
             )
@@ -197,22 +172,19 @@ def curve_trajectory(g: RibbonGraph, e: str, orient: str = CW) -> tuple[Itinerar
     return _itinerary(g, pair[0], orient), _itinerary(g, pair[1], orient)
 
 
-@dataclass(frozen=True)
-class TrajectoryHit:
+class TrajectoryHit(_Record):
     """One visit of a trajectory prefix to the target.
 
-    ``index`` is the 1-based prefix length; index 1 with ``constant``
-    set is the degenerate visit that never leaves the source.  The full
-    itinerary rides along so that transport words can be built without
-    walking the graph again.
+    ``source`` is the start halfedge and ``target_kind``, ``"edge"`` or
+    ``"halfedge"``, says what ``target`` names.  ``index`` is the 1-based
+    prefix length; index 1 with ``constant`` set is the degenerate visit
+    that never leaves the source.  The full itinerary rides along, left
+    out of the repr, so that transport words can be built without walking
+    the graph again.
     """
 
-    source: str
-    index: int
-    target_kind: str  # "edge" or "halfedge"
-    target: str
-    constant: bool
-    itinerary: Itinerary = field(repr=False)
+    __slots__ = _fields = ("source", "index", "target_kind", "target", "constant", "itinerary")
+    _unprinted = ("itinerary",)
 
 
 def _hit_key(hit: TrajectoryHit):

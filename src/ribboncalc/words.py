@@ -14,22 +14,27 @@ graph matches the other side on the dual graph.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Optional, Union
 
-from .graph import RibbonGraph, SINGULAR, Subgraph, require_valid
+from .graph import RibbonGraph, SINGULAR, Subgraph, _Record, require_valid
 from .trajectory import (
     CCW,
     CW,
     EdgeRef,
     HalfedgeRef,
-    SourceRef,
     TrajectoryHit,
     VertexRef,
     _hits,
     _itinerary,
     _source_halfedges,
 )
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Iterable, Optional, Union
+
+    from .trajectory import SourceRef
+
+    ObjectRef = Union[EdgeRef, VertexRef]
 
 ID = "id"
 GEN = "gen"
@@ -39,10 +44,12 @@ GEN_R = "genR"
 SIDES = ("L", "R")
 
 
-@dataclass(frozen=True)
-class Atom:
-    kind: str
-    halfedge: Optional[str] = None
+class Atom(_Record):
+    """An atom of kind ``ID``, ``GEN``, ``GEN_L`` or ``GEN_R``; all but the
+    identity name their halfedge."""
+
+    __slots__ = _fields = ("kind", "halfedge")
+    _defaults = {"halfedge": None}
 
     def __str__(self) -> str:
         if self.kind == ID:
@@ -53,16 +60,14 @@ class Atom:
 
 ID_ATOM = Atom(ID)
 
-ObjectRef = Union[EdgeRef, VertexRef]
 
+class FunctorWord(_Record):
+    """A composite of a tuple of atoms, leftmost atom applied last, from
+    the edge or vertex reference ``source`` to ``target``; an end may be
+    None, unknown."""
 
-@dataclass(frozen=True)
-class FunctorWord:
-    """A composite of atoms, leftmost atom applied last."""
-
-    atoms: tuple[Atom, ...]
-    source: Optional[ObjectRef] = None
-    target: Optional[ObjectRef] = None
+    __slots__ = _fields = ("atoms", "source", "target")
+    _defaults = {"source": None, "target": None}
 
     @property
     def is_identity(self) -> bool:
@@ -102,34 +107,31 @@ def transport_word(hit: TrajectoryHit) -> FunctorWord:
     return FunctorWord(tuple(atoms), src, EdgeRef(itin.edges[hit.index - 1]))
 
 
-@dataclass(frozen=True)
-class Marker:
+class Marker(_Record):
     """Extra structure on subgraph summands.
 
     kind "ev": the summand arises through the named cut halfedge.
     kind "res": the plain restriction summand at the named object.
     """
 
-    kind: str
-    ref: str
+    __slots__ = _fields = ("kind", "ref")
 
 
-@dataclass(frozen=True)
-class Summand:
-    word: FunctorWord
-    source_halfedge: Optional[str]
-    index: int
-    constant: bool
-    marker: Optional[Marker]
-    possibly_zero: bool
+class Summand(_Record):
+    """One word of a decomposition, from the trajectory hit at ``index``
+    from ``source_halfedge`` (None and 0 for the identity summand on the
+    diagonal), with its marker, if any."""
+
+    __slots__ = _fields = (
+        "word", "source_halfedge", "index", "constant", "marker", "possibly_zero"
+    )
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    source: Optional[ObjectRef]  # None for subgraph decompositions
-    target: ObjectRef
-    side: str
-    summands: tuple[Summand, ...]
+class Decomposition(_Record):
+    """The summands, in order, of the evaluation at ``target`` on ``side``;
+    ``source`` is None for subgraph decompositions."""
+
+    __slots__ = _fields = ("source", "target", "side", "summands")
 
     def word_multiset(self) -> Counter:
         return Counter(s.word.atoms for s in self.summands)

@@ -589,6 +589,33 @@ def _loaded_modules(command: str, generated=None, options: tuple = ()) -> list[s
     return loaded
 
 
+# a call of each subcommand and the package modules it loads beyond `graph`
+# and `serialization`; "%name" is a bundled fixture, "@name" a file written
+# by `TestLoadedModules.generated`
+SUBCOMMAND_CALLS = [
+    ("info --graph %four_gon", ""),
+    ("validate --graph %four_gon", ""),
+    ("export --graph %four_gon", ""),
+    ("export --graph %four_gon --format dot", ""),
+    ("traj --graph %annulus --start wi", "trajectory"),
+    (
+        "decompose --graph %annulus --source wi --source-kind edge "
+        "--target wi --target-kind edge",
+        "trajectory words",
+    ),
+    ("export --quiver @quiver --format dot", "quiver"),
+    ("amalgamate --diagram @diagram", "quiver"),
+    (
+        "assemble --graph %four_gon --templates %four_gon_a2_templates",
+        "assembly quiver trajectory",
+    ),
+    (
+        "tagged --graph %once_punctured_4gon --choices %once_punctured_4gon_choices",
+        "assembly quiver trajectory",
+    ),
+]
+
+
 class TestLoadedModules:
     """Each subcommand loads only the modules it runs."""
 
@@ -601,33 +628,7 @@ class TestLoadedModules:
         (root / "quiver").write_text(serialize(assemble_global(four_gon, assign)))
         return root
 
-    # "%name" is a bundled fixture, "@name" a file written by `generated`
-    @pytest.mark.parametrize(
-        "command, extra",
-        [
-            ("info --graph %four_gon", ""),
-            ("validate --graph %four_gon", ""),
-            ("export --graph %four_gon", ""),
-            ("export --graph %four_gon --format dot", ""),
-            ("traj --graph %annulus --start wi", "trajectory"),
-            (
-                "decompose --graph %annulus --source wi --source-kind edge "
-                "--target wi --target-kind edge",
-                "trajectory words",
-            ),
-            ("export --quiver @quiver --format dot", "quiver"),
-            ("amalgamate --diagram @diagram", "quiver"),
-            (
-                "assemble --graph %four_gon --templates %four_gon_a2_templates",
-                "assembly quiver trajectory",
-            ),
-            (
-                "tagged --graph %once_punctured_4gon "
-                "--choices %once_punctured_4gon_choices",
-                "assembly quiver trajectory",
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("command, extra", SUBCOMMAND_CALLS)
     def test_a_subcommand_loads_only_what_it_runs(self, generated, command, extra):
         loaded = _loaded_modules(command, generated)
         modules = ["graph", "serialization"] + extra.split()
@@ -636,16 +637,8 @@ class TestLoadedModules:
         )
 
     # without `site`, which may import `typing` itself
-    @pytest.mark.parametrize(
-        "command",
-        [
-            "info --graph %four_gon",
-            "validate --graph %four_gon",
-            "export --graph %four_gon",
-            "export --graph %four_gon --format dot",
-        ],
-    )
-    def test_a_cold_graph_call_loads_no_dataclasses_inspect_or_typing(self, command):
-        loaded = _loaded_modules(command, options=("-S",))
+    @pytest.mark.parametrize("command", [command for command, _ in SUBCOMMAND_CALLS])
+    def test_a_cold_call_loads_no_dataclasses_inspect_or_typing(self, generated, command):
+        loaded = _loaded_modules(command, generated, options=("-S",))
         assert "ribboncalc.graph" in loaded
         assert [m for m in ("dataclasses", "inspect", "typing") if m in loaded] == []

@@ -5,18 +5,35 @@ import pytest
 
 import ribboncalc.graph
 from conftest import fixture_graph, sample_graphs
+from ribboncalc.graph import _Record
 from ribboncalc import (
-    EdgeRef,
-    InvalidGraphError,
+    AmalgamationDiagram,
+    Atom,
     BoundaryWalk,
+    Decomposition,
+    EdgeRef,
+    FunctorWord,
+    HalfedgeRef,
+    IceQuiver,
+    InvalidGraphError,
+    LocalTemplate,
+    Marker,
+    QuiverArrow,
+    QuiverMorphism,
+    QuiverVertex,
     RibbonGraph,
     Subgraph,
+    Summand,
     SurfaceInvariants,
+    TaggedArc,
+    TemplateSlot,
+    TrajectoryHit,
     ValidationReport,
     VertexRef,
     boundary_walks,
     corner_permutation,
     dual,
+    itinerary,
     parse_graph,
     require_valid,
     rotate_to_min,
@@ -347,9 +364,31 @@ class TestSubgraph:
 
 
 def _records():
-    """A value of each of the graph module's value types: the value, its
-    field names and values in order, and its repr."""
+    """A value of each of the package's record types: the value, its field
+    names and values in order, and its repr."""
     sub = subgraph(fixture_graph("once_punctured_4gon"), {"p"})
+    itin = itinerary(fixture_graph("four_gon"), "m1", "cw")
+    itin_text = (
+        "Itinerary(start='m1', orient='cw', out_halfedges=('m1', 's2'), edges=('m1', 's2'), "
+        "turns=('v2',), entries=('m2',), terminal='s2')"
+    )
+    point = IceQuiver([QuiverVertex("u", True)], [])
+    tip = IceQuiver([QuiverVertex("t0", True)], [])
+    point_text = "IceQuiver(1 vertices, 0 arrows)"
+    slot = TemplateSlot(point, {"u": "t0"}, {})
+    slot_text = "TemplateSlot(boundary={0}, vertex_map={{'u': 't0'}}, arrow_map={{}})".format(
+        point_text
+    )
+    word = FunctorWord((Atom("gen", "h"),), EdgeRef("e"), VertexRef("v"))
+    word_text = (
+        "FunctorWord(atoms=(Atom(kind='gen', halfedge='h'),), source=EdgeRef(id='e'), "
+        "target=VertexRef(id='v'))"
+    )
+    summand = Summand(word, "h", 2, False, Marker("ev", "h"), True)
+    summand_text = (
+        "Summand(word={}, source_halfedge='h', index=2, constant=False, "
+        "marker=Marker(kind='ev', ref='h'), possibly_zero=True)".format(word_text)
+    )
     return [
         (
             ValidationReport(("graph is empty",)),
@@ -377,10 +416,120 @@ def _records():
             "Subgraph(graph=RibbonGraph(1 vertices, 2 edges), ambient=RibbonGraph(3 "
             "vertices, 6 edges), vertices=('p',), cut_halfedges=('pw1', 'pw2'))",
         ),
+        (HalfedgeRef("h"), {"id": "h"}, "HalfedgeRef(id='h')"),
+        (EdgeRef("e"), {"id": "e"}, "EdgeRef(id='e')"),
+        (VertexRef("v"), {"id": "v"}, "VertexRef(id='v')"),
+        (
+            itin,
+            {
+                "start": "m1",
+                "orient": "cw",
+                "out_halfedges": ("m1", "s2"),
+                "edges": ("m1", "s2"),
+                "turns": ("v2",),
+                "entries": ("m2",),
+                "terminal": "s2",
+            },
+            itin_text,
+        ),
+        (
+            TrajectoryHit("m1", 2, "edge", "s2", False, itin),
+            {
+                "source": "m1",
+                "index": 2,
+                "target_kind": "edge",
+                "target": "s2",
+                "constant": False,
+                "itinerary": itin,
+            },
+            # the itinerary is left out
+            "TrajectoryHit(source='m1', index=2, target_kind='edge', target='s2', constant=False)",
+        ),
+        (Atom("genL", "h"), {"kind": "genL", "halfedge": "h"}, "Atom(kind='genL', halfedge='h')"),
+        (
+            word,
+            {"atoms": (Atom("gen", "h"),), "source": EdgeRef("e"), "target": VertexRef("v")},
+            word_text,
+        ),
+        (Marker("ev", "h"), {"kind": "ev", "ref": "h"}, "Marker(kind='ev', ref='h')"),
+        (
+            summand,
+            {
+                "word": word,
+                "source_halfedge": "h",
+                "index": 2,
+                "constant": False,
+                "marker": Marker("ev", "h"),
+                "possibly_zero": True,
+            },
+            summand_text,
+        ),
+        (
+            Decomposition(None, VertexRef("v"), "L", (summand,)),
+            {"source": None, "target": VertexRef("v"), "side": "L", "summands": (summand,)},
+            "Decomposition(source=None, target=VertexRef(id='v'), side='L', summands=({},))".format(
+                summand_text
+            ),
+        ),
+        (
+            QuiverVertex("u", True, "x"),
+            {"id": "u", "frozen": True, "label": "x"},
+            "QuiverVertex(id='u', frozen=True, label='x')",
+        ),
+        (
+            QuiverArrow("a", "u", "w", True),
+            {"id": "a", "src": "u", "dst": "w", "frozen": True},
+            "QuiverArrow(id='a', src='u', dst='w', frozen=True)",
+        ),
+        (
+            QuiverMorphism(point, tip, {"u": "t0"}, {}),
+            {"source": point, "target": tip, "vertex_map": {"u": "t0"}, "arrow_map": {}},
+            "QuiverMorphism(source={0}, target={0}, vertex_map={{'u': 't0'}}, "
+            "arrow_map={{}})".format(point_text),
+        ),
+        (
+            AmalgamationDiagram(sub.graph, {"p": tip}, {}, {}),
+            {"graph": sub.graph, "vertex_quivers": {"p": tip}, "edge_quivers": {}, "incidences": {}},
+            "AmalgamationDiagram(graph=RibbonGraph(1 vertices, 2 edges), "
+            "vertex_quivers={{'p': {}}}, edge_quivers={{}}, incidences={{}})".format(point_text),
+        ),
+        (
+            slot,
+            {"boundary": point, "vertex_map": {"u": "t0"}, "arrow_map": {}},
+            slot_text,
+        ),
+        (
+            LocalTemplate("t", tip, (slot,), "s"),
+            {"name": "t", "quiver": tip, "slots": (slot,), "stalk": "s"},
+            "LocalTemplate(name='t', quiver={}, slots=({},), stalk='s')".format(
+                point_text, slot_text
+            ),
+        ),
+        (
+            TaggedArc("puncture", None, "p", "m1", "plain", itin),
+            {
+                "kind": "puncture",
+                "edge": None,
+                "puncture": "p",
+                "via": "m1",
+                "tagging": "plain",
+                "path": itin,
+            },
+            "TaggedArc(kind='puncture', edge=None, puncture='p', via='m1', tagging='plain', "
+            "path={})".format(itin_text),
+        ),
     ]
 
 
 RECORDS = _records()
+
+
+def _hash_or_error(value):
+    """The hash of ``value``, or TypeError if it holds an unhashable field."""
+    try:
+        return hash(value)
+    except TypeError:
+        return TypeError
 
 
 @pytest.mark.parametrize(
@@ -388,7 +537,7 @@ RECORDS = _records()
 )
 class TestValueTypes:
     """The value types compare, hash, print, copy and refuse changes as
-    frozen dataclasses do."""
+    frozen dataclasses would, without importing `dataclasses`."""
 
     def test_repr(self, value, fields, text):
         assert repr(value) == text
@@ -400,10 +549,13 @@ class TestValueTypes:
         assert value != values and not value == values
         assert value.__eq__(values) is NotImplemented
         subclass = type("Sub", (type(value),), {"__slots__": ()})
-        assert value != subclass(*values)
+        assert value != subclass(*values) and not value == subclass(*values)
+        assert subclass(*values) == subclass(**fields)
+        assert repr(subclass(*values)) == "Sub" + text[len(type(value).__name__):]
 
     def test_hash_is_the_hash_of_the_field_values(self, value, fields, text):
-        assert hash(value) == hash(tuple(fields.values()))
+        # a mapping field makes both unhashable
+        assert _hash_or_error(value) == _hash_or_error(tuple(fields.values()))
 
     def test_fields_cannot_be_assigned_or_deleted(self, value, fields, text):
         for name in [*fields, "other"]:
@@ -413,6 +565,7 @@ class TestValueTypes:
             with pytest.raises(AttributeError):
                 delattr(value, name)
         assert [getattr(value, name) for name in fields] == list(fields.values())
+        assert not hasattr(value, "__dict__")
 
     def test_keyword_construction(self, value, fields, text):
         assert type(value)(**fields) == value
@@ -428,7 +581,7 @@ class TestValueTypes:
         ]:
             with pytest.raises(TypeError):
                 cls(*args, **kwargs)
-        if cls is not ValidationReport:
+        if list(fields)[-1] not in cls._defaults:
             with pytest.raises(TypeError):
                 cls(*values[:-1])
 
@@ -440,7 +593,14 @@ class TestValueTypes:
         ):
             assert type(other) is type(value)
             assert other == value
-            assert hash(other) == hash(value)
+            assert _hash_or_error(other) == _hash_or_error(value)
+
+
+def test_every_exported_record_type_is_covered():
+    exported = {getattr(ribboncalc, name) for name in ribboncalc.__all__}
+    records = {x for x in exported if isinstance(x, type) and issubclass(x, _Record)}
+    assert len(records) == 21
+    assert {type(r[0]) for r in RECORDS} == records
 
 
 def test_value_type_defaults_and_properties():
@@ -449,7 +609,15 @@ def test_value_type_defaults_and_properties():
     assert ValidationReport().ok and not ValidationReport(("x",)).ok
     assert BoundaryWalk(("a", "b", "c"), ("b",)).marked_points == 1
     assert BoundaryWalk(halfedges=("a",), externals=()).marked_points == 0
-    sub = RECORDS[3][0]
+    sub = next(r[0] for r in RECORDS if type(r[0]) is Subgraph)
     assert sub.ambient_edge_of("pw1") == sub.ambient.edge_of("pw1")
     with pytest.raises(TypeError):
         SurfaceInvariants()
+    assert Atom("id") == Atom("id", None)
+    assert FunctorWord(()) == FunctorWord((), None, None)
+    assert QuiverVertex("u") == QuiverVertex("u", False, None)
+    assert QuiverArrow("a", "u", "w") == QuiverArrow("a", "u", "w", False)
+    assert TaggedArc("dual", edge="e") == TaggedArc("dual", "e", None, None, None, None)
+    template = next(r[0] for r in RECORDS if type(r[0]) is LocalTemplate)
+    assert LocalTemplate(template.name, template.quiver, template.slots).stalk is None
+    assert template.valency == 1

@@ -1,6 +1,6 @@
 """Source hygiene that a linter would check: the package imports nothing
-at run time but the standard library and itself, the modules a cold
-graph call loads import `typing` for annotations only, no module of it
+at run time but the standard library and itself, its modules import
+`typing` for annotations only and `dataclasses` not at all, no module of it
 imports a name it never uses, no private module-level function, class or
 constant is left that nothing in the package refers to, and ``__all__``
 is the sorted list of the names the package's table exports, each of
@@ -79,24 +79,31 @@ def test_runtime_imports_only_the_standard_library():
     assert foreign == [], "imports outside the standard library: " + ", ".join(foreign)
 
 
-# the modules a cold `info`, `validate` or `export --graph` call loads
-COLD_PATH = [p for p in SOURCES if p.name in ("cli.py", "graph.py", "serialization.py")]
+def _imports_of(tree, module):
+    """The import statements in ``tree`` that load ``module``."""
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) and any(a.name == module for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == module
+    ]
 
 
-@pytest.mark.parametrize("path", COLD_PATH, ids=lambda p: p.name)
+# every subcommand's cold call is the cold path of the modules it loads
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_the_cold_path_imports_typing_only_for_annotations(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     skipped = _type_checking_only(tree)
-    runtime = [
-        node.lineno
-        for node in ast.walk(tree)
-        if id(node) not in skipped
-        and (
-            isinstance(node, ast.Import) and any(a.name == "typing" for a in node.names)
-            or isinstance(node, ast.ImportFrom) and node.module == "typing"
-        )
-    ]
+    runtime = [n.lineno for n in _imports_of(tree, "typing") if id(n) not in skipped]
     assert runtime == [], "{} imports typing at run time (lines {})".format(path.name, runtime)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    # every value type is a `graph._Record`
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = [n.lineno for n in _imports_of(tree, "dataclasses")]
+    assert lines == [], "{} imports dataclasses (lines {})".format(path.name, lines)
 
 
 def _private_definitions(tree):

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 import sys
@@ -307,12 +306,16 @@ class TestAmalgamate:
         into_star4 = QuiverMorphism(m.source, star(4), m.vertex_map, {})
         without_p1 = {e: q for e, q in d.edge_quivers.items() if e != "p1"}
         # v1's ring is m1, q1, p1; p1 lands on t2
-        p1, hub = d.incidences["p1"], {"u": "hub"}
+        p1 = d.incidences["p1"]
+        unmapped = QuiverMorphism(p1.source, p1.target, {}, p1.arrow_map)
+        onto_hub = QuiverMorphism(p1.source, p1.target, {"u": "hub"}, p1.arrow_map)
         # v1's quiver with one more frozen vertex, which no incidence covers
         q = m.target
         wider = IceQuiver(q.vertices + (QuiverVertex("x", True),), q.arrows)
         widened = {
-            h: dataclasses.replace(d.incidences[h], target=wider) for h in ("m1", "q1", "p1")
+            h: QuiverMorphism(i.source, wider, i.vertex_map, i.arrow_map)
+            for h, i in d.incidences.items()
+            if h in ("m1", "q1", "p1")
         }
         cases = [
             ({"vertex_quivers": {"v1": d.vertex_quivers["v1"]}}, "vertex v2 has no quiver"),
@@ -339,11 +342,11 @@ class TestAmalgamate:
                 "incidence given for unknown halfedge 'ghost'",
             ),
             (
-                {"incidences": dict(d.incidences, p1=dataclasses.replace(p1, vertex_map={}))},
+                {"incidences": dict(d.incidences, p1=unmapped)},
                 "vertex v1: incidence p1 morphism invalid: vertex u has no image",
             ),
             (
-                {"incidences": dict(d.incidences, p1=dataclasses.replace(p1, vertex_map=hub))},
+                {"incidences": dict(d.incidences, p1=onto_hub)},
                 "vertex v1: incidence p1 image is not a frozen component",
             ),
             (
@@ -354,9 +357,15 @@ class TestAmalgamate:
                 "vertex v1: frozen vertices ['x'] belong to no incidence",
             ),
         ]
+        whole = {
+            "graph": d.graph,
+            "vertex_quivers": d.vertex_quivers,
+            "edge_quivers": d.edge_quivers,
+            "incidences": d.incidences,
+        }
         for parts, message in cases:
             with pytest.raises(ValueError) as info:
-                amalgamate(dataclasses.replace(d, **parts))
+                amalgamate(AmalgamationDiagram(**dict(whole, **parts)))
             assert str(info.value) == message
 
     def test_frozen_coverage_enforced(self, four_gon):

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from types import MappingProxyType
 
@@ -637,12 +636,8 @@ def test_quiver_items_are_written_as_in_a_quiver(name):
 def test_attribute_names_are_fields_or_properties():
     for cls_name, names in _ATTRIBUTES.items():
         cls = getattr(ribboncalc, cls_name)
-        if dataclasses.is_dataclass(cls):
-            fields = {f.name for f in dataclasses.fields(cls)}
-        else:
-            fields = set(cls.__slots__)
         for name in names:
-            assert name in fields or isinstance(getattr(cls, name, None), property), (
+            assert name in cls._fields or isinstance(getattr(cls, name, None), property), (
                 cls.__name__,
                 name,
             )

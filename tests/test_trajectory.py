@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import gc
 import pickle
 import random
@@ -473,12 +472,13 @@ class TestOneWalkEngine:
 
     def test_an_engine_built_itinerary_is_frozen(self, four_gon):
         it = itinerary(four_gon, "m1", "cw")
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             it.terminal = "q1"
-        moved = dataclasses.replace(it, terminal="q1")
+        fields = it.start, it.orient, it.out_halfedges, it.edges, it.turns, it.entries
+        moved = Itinerary(*fields, "q1")
         assert type(moved) is Itinerary
         assert moved.terminal == "q1" and it.terminal != "q1"
-        assert dataclasses.replace(moved, terminal=it.terminal) == it
+        assert Itinerary(*fields, terminal=it.terminal) == it
 
     def test_terminal_is_the_next_marked_point_on_the_boundary_walk(self):
         for g in sample_graphs():
