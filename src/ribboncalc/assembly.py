@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import os
 
-from .graph import PLAIN, RibbonGraph, SINGULAR, _Record, require_valid
+from .graph import PLAIN, RibbonGraph, SINGULAR, _Record, _fault, require_valid
 from .quiver import (
     AmalgamationDiagram,
     IceQuiver,
@@ -23,7 +23,6 @@ from .quiver import (
     QuiverMorphism,
     QuiverVertex,
     _check_slots,
-    _fault,
     _glue,
 )
 from .trajectory import CW, _itinerary

@@ -81,6 +81,14 @@ class _Record:
     __delattr__ = __setattr__
 
 
+def _fault(location: tuple, message: str, *args) -> ValueError:
+    """A ValueError whose text is ``message.format(*args)`` and which keeps
+    the ``location`` of the input at fault, such as ``("arrows", 3, "src")``."""
+    exc = ValueError(message.format(*args))
+    exc.location = location
+    return exc
+
+
 class ValidationReport(_Record):
     __slots__ = _fields = ("violations",)  # tuple of messages, empty when valid
     _defaults = {"violations": ()}
@@ -110,19 +118,6 @@ def _by_string_key(table: Mapping, name: str, what: str = "vertex") -> dict:
     return out
 
 
-def _build_tables(rings, at, twin, kinds, labels) -> tuple:
-    """The tables `RibbonGraph._from_tables` takes, from checked tables
-    whose rings may start anywhere: the rotated rings, the successor table
-    and the internal and external edges are derived here.
-    `serialization._graph_tables` derives the same tables in its own fused
-    loops, which must agree with these."""
-    cyclic = {v: rotate_to_min(ring) for v, ring in rings.items()}
-    nxt = {p: h for ring in cyclic.values() for p, h in zip(ring[-1:] + ring[:-1], ring)}
-    internal = [h for h, t in twin.items() if h <= t]
-    external = [h for h in at if h not in twin]
-    return cyclic, at, nxt, twin, internal, external, kinds, labels
-
-
 class RibbonGraph:
     """Immutable halfedge structure with a cyclic order at each vertex.
 
@@ -132,22 +127,18 @@ class RibbonGraph:
     internal edge and omits external halfedges entirely.
 
     The constructor turns ids, the keys of ``twin``, ``vertex_kind`` and
-    ``vertex_label`` included, into strings and rejects structurally
-    meaningless input (two keys of one table with the same string, a
-    halfedge listed twice, an asymmetric twin table, a kind or label for an
-    unknown vertex, an unknown kind, a label that is not a string).
-    `ribboncalc.serialization.graph_from_jsonable` checks a superset of
-    these facts itself and hands its tables straight to `_from_tables`; both
-    paths end in `_build`, which only sorts and stores.  `_from_tables`
-    receives the tables a graph keeps: each ring rotated to start at its
-    smallest halfedge, the vertex and successor of each halfedge, the twin
-    table, the internal and external edges in any order, kinds and
-    labels.  The parser fills them while it reads each entry; the
-    constructor and the located parse pass derive them in
-    `_build_tables`, and `dual` takes them from its argument.  Semantic
-    rules, loops, valency-1 vertices, connectivity and the marked-point
-    condition, are reported by `validate_graph` instead so that callers can
-    inspect broken graphs.
+    ``vertex_label`` included, into strings and checks every value: two
+    keys of one table with the same string, a kind or label for an unknown
+    vertex, then a twin that names a halfedge of no ring or does not point
+    back, then, vertex by vertex, a halfedge already in a ring, an unknown
+    kind and a label that is not a string.  A fault of one entry keeps its
+    location (see `_fault`), such as ``("cyclic", v, j)``, ``("twin", h)``,
+    ``("vertex_kind", v)`` or ``("vertex_label", v)``.  `_from_tables`
+    takes the tables a graph keeps, already checked: the parser's fast
+    pass fills them as it reads, and `dual` takes them from its argument.
+    Semantic rules, loops, valency-1 vertices, connectivity and the
+    marked-point condition, are reported by `validate_graph` instead so
+    that callers can inspect broken graphs.
 
     A graph keeps its rings, twin table and successor table; the
     predecessor table, which only counterclockwise walks and `cw_next`
@@ -161,38 +152,40 @@ class RibbonGraph:
         vertex_kind: Optional[Mapping[str, str]] = None,
         vertex_label: Optional[Mapping[str, str]] = None,
     ):
-        cyclic = _by_string_key(cyclic, "cyclic")
+        rings = {v: tuple(map(str, hs)) for v, hs in _by_string_key(cyclic, "cyclic").items()}
         vertex_kind = _by_string_key(vertex_kind or {}, "vertex_kind")
-        vertex_label = _by_string_key(vertex_label or {}, "vertex_label")
-        rings: dict[str, list[str]] = {}
-        at: dict[str, str] = {}
-        for v, hs in cyclic.items():
-            ring = [str(h) for h in hs]
-            for h in ring:
-                if h in at:
-                    raise ValueError("halfedge {!r} listed more than once".format(h))
-                at[h] = v
-            rings[v] = ring
+        labels = _by_string_key(vertex_label or {}, "vertex_label")
+        for v in vertex_kind:
+            if v not in rings:
+                raise _fault(("vertex_kind", v), "vertex kind given for unknown vertex {!r}", v)
+        for v in labels:
+            if v not in rings:
+                raise _fault(("vertex_label", v), "label given for unknown vertex {!r}", v)
+        at = {h: v for v, ring in rings.items() for h in ring}
         twin = {h: str(t) for h, t in _by_string_key(twin, "twin", "halfedge").items()}
         for h, t in twin.items():
-            if h not in at:
-                raise ValueError("twin table mentions unknown halfedge {!r}".format(h))
-            if t not in at:
-                raise ValueError("twin table mentions unknown halfedge {!r}".format(t))
+            if h not in at or t not in at:
+                unknown = t if h in at else h
+                raise _fault(("twin", h), "twin table mentions unknown halfedge {!r}", unknown)
             if twin.get(t) != h:
-                raise ValueError("twin table is not symmetric at {!r}".format(h))
-        for v, kind in vertex_kind.items():
-            if v not in rings:
-                raise ValueError("vertex kind given for unknown vertex {!r}".format(v))
+                raise _fault(("twin", h), "twin of {!r} does not point back", h)
+        seen = set()
+        for v, ring in rings.items():
+            for j, h in enumerate(ring):
+                if h in seen:
+                    raise _fault(("cyclic", v, j), "halfedge {!r} already attached", h)
+                seen.add(h)
+            kind = vertex_kind.setdefault(v, PLAIN)
             if kind not in VERTEX_KINDS:
-                raise ValueError("unknown vertex kind {!r}".format(kind))
-        for v, label in vertex_label.items():
-            if v not in rings:
-                raise ValueError("label given for unknown vertex {!r}".format(v))
+                raise _fault(("vertex_kind", v), "unknown vertex kind {!r}", kind)
+            label = labels.get(v)
             if label is not None and not isinstance(label, str):
-                raise ValueError("label of vertex {!r} is not a string".format(v))
-        kinds = {v: vertex_kind.get(v, PLAIN) for v in rings}
-        self._build(*_build_tables(rings, at, twin, kinds, vertex_label))
+                raise _fault(("vertex_label", v), "label of vertex {!r} is not a string", v)
+        cyclic = {v: rotate_to_min(ring) for v, ring in rings.items()}
+        nxt = {p: h for ring in cyclic.values() for p, h in zip(ring[-1:] + ring[:-1], ring)}
+        internal = [h for h, t in twin.items() if h <= t]
+        external = [h for h in at if h not in twin]
+        self._build(cyclic, at, nxt, twin, internal, external, vertex_kind, labels)
 
     @classmethod
     def _from_tables(

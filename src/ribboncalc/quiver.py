@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from operator import attrgetter
 
-from .graph import ValidationReport, _Record, require_valid
+from .graph import ValidationReport, _Record, _fault, require_valid
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -49,14 +49,6 @@ def _classes(ids: Iterable[str], pairs: Iterable[tuple[str, str]]) -> dict[str, 
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
     return {x: find(x) for x in parent}
-
-
-def _fault(location: tuple, message: str, *args) -> ValueError:
-    """A ValueError whose text is ``message.format(*args)`` and which keeps
-    the ``location`` of the input at fault, such as ``("arrows", 3, "src")``."""
-    exc = ValueError(message.format(*args))
-    exc.location = location
-    return exc
 
 
 class IceQuiver:
@@ -430,7 +422,8 @@ def quivers_isomorphic(q1: IceQuiver, q2: IceQuiver) -> bool:
     backtracking with degree-signature pruning, so its reach is small: on
     a 2-vCPU host, ``q`` against itself took 3 s for a star assembly of
     2631 vertices, but a relabelled copy took 2 s at 33 vertices and 17 s
-    at 40.  ROADMAP item 2 plans a test that scales.
+    at 40.  The ROADMAP item "Quiver isomorphism that scales" plans a test
+    that scales.
     """
     if len(q1.vertices) != len(q2.vertices) or len(q1.arrows) != len(q2.arrows):
         return False

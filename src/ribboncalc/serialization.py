@@ -27,7 +27,7 @@ import json
 from collections.abc import Mapping
 from json.encoder import encode_basestring_ascii
 
-from .graph import RibbonGraph, VERTEX_KINDS, _build_tables, rotate_to_min
+from .graph import RibbonGraph, VERTEX_KINDS, rotate_to_min
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -82,17 +82,18 @@ def _want_str(obj, where):
 
 
 def graph_from_jsonable(obj: Any, pointer: str = "") -> RibbonGraph:
-    """Check a graph object and build the graph from the checked tables.
+    """Check a graph object and build the graph.
 
     `_graph_tables` proves a well-formed graph fast and builds the graph's
-    tables as it reads; when it declines, `_locate_graph_error` finds the
-    fault."""
+    tables as it reads; when it declines, `_locate_graph_error` checks the
+    structure and builds the graph with `RibbonGraph`, which checks the
+    values."""
     try:
         tables = _graph_tables(obj)
     except (KeyError, TypeError):
         tables = None
     if tables is None:
-        tables = _locate_graph_error(obj, pointer)
+        return _locate_graph_error(obj, pointer)
     return RibbonGraph._from_tables(*tables)
 
 
@@ -172,11 +173,10 @@ def _graph_tables(obj: Any):
     return cyclic, at, nxt, twin, internal, external, kinds, labels
 
 
-def _locate_graph_error(obj: Any, pointer: str):
-    """Check a graph object element by element, in input order, and raise
-    the located `ParseError` of its first fault.  Returns the tables of
-    input that only the exact-type checks of `_graph_tables` declined,
-    such as ``str`` or ``dict`` subclasses."""
+def _locate_graph_error(obj: Any, pointer: str) -> RibbonGraph:
+    """Check a graph object's structure entry by entry, in input order, then
+    build the graph with `RibbonGraph`, which checks the values; the first
+    fault, structure before value, raises a located `ParseError`."""
     _want_keys(obj, (pointer,), ("vertices", "halfedges"))
     vertices = _want(obj["vertices"], list, (pointer, "vertices"), "a list")
     halfedges = _want(obj["halfedges"], list, (pointer, "halfedges"), "a list")
@@ -192,21 +192,15 @@ def _locate_graph_error(obj: Any, pointer: str):
         if twin is not None:
             twin = _want_str(twin, p + ("twin",))
         declared[hid] = twin
-    twins: dict[str, str] = {}
-    for i, (hid, twin) in enumerate(declared.items()):
-        if twin is None:
-            continue
-        p = (pointer, "halfedges", i, "twin")
-        if twin not in declared:
-            raise ParseError(_loc(p), "unknown halfedge id {!r}".format(twin))
-        if declared[twin] != hid:
-            raise ParseError(_loc(p), "twin of {!r} does not point back".format(hid))
-        twins[hid] = twin
+    for i, twin in enumerate(declared.values()):
+        if twin is not None and twin not in declared:
+            raise ParseError(
+                _loc((pointer, "halfedges", i, "twin")), "unknown halfedge id {!r}".format(twin)
+            )
 
     rings: dict[str, list[str]] = {}
-    kinds: dict[str, str] = {}
+    kinds: dict[str, Any] = {}
     labels: dict[str, str] = {}
-    attached: dict[str, str] = {}
     for i, entry in enumerate(vertices):
         p = (pointer, "vertices", i)
         _want_keys(entry, p, ("id", "cyclic", "kind"), optional=("label",))
@@ -215,26 +209,30 @@ def _locate_graph_error(obj: Any, pointer: str):
             raise ParseError(_loc(p + ("id",)), "duplicate vertex id {!r}".format(vid))
         ring = rings[vid] = _want(entry["cyclic"], list, p + ("cyclic",), "a list")
         for j, h in enumerate(ring):
-            hp = p + ("cyclic", j)
-            _want_str(h, hp)
-            if h not in declared:
-                raise ParseError(_loc(hp), "unknown halfedge id {!r}".format(h))
-            if h in attached:
-                raise ParseError(_loc(hp), "halfedge {!r} already attached".format(h))
-            attached[h] = vid
-        kind = _want_str(entry["kind"], p + ("kind",))
-        if kind not in VERTEX_KINDS:
-            raise ParseError(_loc(p + ("kind",)), "unknown vertex kind {!r}".format(kind))
-        kinds[vid] = kind
+            if _want_str(h, p + ("cyclic", j)) not in declared:
+                raise ParseError(_loc(p + ("cyclic", j)), "unknown halfedge id {!r}".format(h))
+        kinds[vid] = entry["kind"]
         if "label" in entry:
             labels[vid] = _want_str(entry["label"], p + ("label",))
+    attached = {h for ring in rings.values() for h in ring}
     for hid in declared:
         if hid not in attached:
             raise ParseError(
                 pointer + _ptr("halfedges"),
                 "halfedge {!r} is attached to no vertex".format(hid),
             )
-    return _build_tables(rings, attached, twins, kinds, labels)
+    twins = {h: t for h, t in declared.items() if t is not None}
+    try:
+        return RibbonGraph(rings, twins, kinds, labels)
+    except ValueError as exc:
+        # a halfedge of ``twin``, or a vertex of ``cyclic``, ``vertex_kind``
+        # or ``vertex_label`` and the field of its entry
+        table, key, *rest = exc.location
+        if table == "twin":
+            where = ("halfedges", list(declared).index(key), "twin")
+        else:
+            where = ("vertices", list(rings).index(key), table.replace("vertex_", ""), *rest)
+        raise ParseError(pointer + _ptr(*where), str(exc)) from exc
 
 
 def parse_graph(text: str) -> RibbonGraph:

@@ -532,6 +532,21 @@ class TestUsageAndErrors:
         assert out == ""
         assert "invalid JSON" in err
 
+    @pytest.mark.parametrize(
+        "ring, message",
+        [
+            (["m2", "zzz", "r2"], "at /vertices/1/cyclic/1: unknown halfedge id 'zzz'"),
+            (["m2", "m1", "s2", "r2"], "at /vertices/1/cyclic/1: halfedge 'm1' already attached"),
+        ],
+        ids=["structure", "value"],
+    )
+    def test_graph_fault_is_one_located_line(self, capsys, tmp_path, ring, message):
+        obj = json.loads(fixture_text("four_gon"))
+        obj["vertices"][1]["cyclic"] = ring
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(obj))
+        assert run(capsys, "info", "--graph", str(path)) == (1, "", "error: {}\n".format(message))
+
     def test_deeply_nested_json_file(self, capsys, tmp_path):
         deep = tmp_path / "deep.json"
         deep.write_text("[" * 100000)

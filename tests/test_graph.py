@@ -57,7 +57,7 @@ class TestConstruction:
         assert g.cyclic("v") == ("a", "c", "b")
 
     def test_duplicate_halfedge_rejected(self):
-        with pytest.raises(ValueError, match="listed more than once"):
+        with pytest.raises(ValueError, match="^halfedge 'h' already attached$"):
             RibbonGraph({"u": ("h", "k"), "w": ("h",)}, {})
 
     def test_unknown_twin_rejected(self):
@@ -69,7 +69,7 @@ class TestConstruction:
             RibbonGraph({"v": ("a", "b")}, {"zzz": "a", "a": "zzz"})
 
     def test_asymmetric_twin_rejected(self):
-        with pytest.raises(ValueError, match="not symmetric"):
+        with pytest.raises(ValueError, match="^twin of 'a' does not point back$"):
             RibbonGraph({"v": ("a", "b", "c")}, {"a": "b", "b": "c", "c": "a"})
 
     def test_unknown_vertex_kind_rejected(self):
@@ -115,6 +115,82 @@ class TestConstruction:
         # the pairing of "1" and "a"
         with pytest.raises(ValueError, match="^twin names halfedge '1' twice$"):
             RibbonGraph({"v": ["1", "x"], "w": ["a", "y"]}, {1: "a", "1": "a", "a": "1"})
+
+    @pytest.mark.parametrize(
+        "args, message, location",
+        [
+            (
+                ({"v": ("a", "b")}, {"a": "zzz", "zzz": "a"}),
+                "twin table mentions unknown halfedge 'zzz'",
+                ("twin", "a"),
+            ),
+            (
+                ({"v": ("a", "b")}, {"zzz": "a", "a": "zzz"}),
+                "twin table mentions unknown halfedge 'zzz'",
+                ("twin", "zzz"),
+            ),
+            (
+                ({"v": ("a", "b", "c")}, {"a": "b", "b": "c", "c": "a"}),
+                "twin of 'a' does not point back",
+                ("twin", "a"),
+            ),
+            (
+                ({"u": ("h", "k"), "w": ("j", "h")}, {}),
+                "halfedge 'h' already attached",
+                ("cyclic", "w", 1),
+            ),
+            (({"v": ("a", "b", "a")}, {}), "halfedge 'a' already attached", ("cyclic", "v", 2)),
+            (
+                ({"v": ("a", "b")}, {}, {"v": "spicy"}),
+                "unknown vertex kind 'spicy'",
+                ("vertex_kind", "v"),
+            ),
+            (({1: ("a", "b")}, {}, {1: 5}), "unknown vertex kind 5", ("vertex_kind", "1")),
+            (
+                ({"v": ("a", "b")}, {}, None, {"v": 5}),
+                "label of vertex 'v' is not a string",
+                ("vertex_label", "v"),
+            ),
+            (
+                ({"v": ("a", "b")}, {}, {"ghost": "plain"}),
+                "vertex kind given for unknown vertex 'ghost'",
+                ("vertex_kind", "ghost"),
+            ),
+            (
+                ({"v": ("a", "b")}, {}, None, {"ghost": "x"}),
+                "label given for unknown vertex 'ghost'",
+                ("vertex_label", "ghost"),
+            ),
+            # the twin table before the vertices, then each vertex in order:
+            # its ring, its kind, its label
+            (
+                ({"u": ("a", "b"), "w": ("a",)}, {"a": "b"}),
+                "twin of 'a' does not point back",
+                ("twin", "a"),
+            ),
+            (
+                ({"u": ("a", "b"), "w": ("c", "a")}, {}, {"u": "spicy"}, {"u": 5}),
+                "unknown vertex kind 'spicy'",
+                ("vertex_kind", "u"),
+            ),
+            (
+                ({"u": ("a", "b"), "w": ("c", "a")}, {}, None, {"u": 5}),
+                "label of vertex 'u' is not a string",
+                ("vertex_label", "u"),
+            ),
+        ],
+        ids=[
+            "unknown twin", "unknown twin key", "twin not pointing back",
+            "halfedge in two rings", "halfedge twice in a ring", "unknown kind",
+            "kind not a string", "label not a string", "kind of unknown vertex",
+            "label of unknown vertex", "twin before ring", "kind before label",
+            "vertex before vertex",
+        ],
+    )
+    def test_a_value_fault_keeps_its_location(self, args, message, location):
+        with pytest.raises(ValueError) as info:
+            RibbonGraph(*args)
+        assert (str(info.value), info.value.location) == (message, location)
 
     def test_equality_and_hash(self):
         g1 = RibbonGraph({"v": ("b", "a")}, {})

@@ -2,21 +2,27 @@
 
 `graph_from_jsonable` proves uniqueness and membership on whole tables
 and hands them to the graph's private builder; when a whole-table check
-fails, its element-by-element pass raises the located error or, for
-input only the exact-type checks declined, returns the tables.  That
-pass is the oracle's formulation below, one ``_want*`` call per check,
-returning tables instead of calling the public constructor.
-`validate_graph` reads the graph's own tables.  The earlier
-formulations, which went through the public `RibbonGraph` constructor
-and the accessors, are kept below verbatim as oracles: every input,
-mutated at random or one of the hand-made cases that decline the
-whole-table checks, must give the same graph or the same `ParseError`
-(message and pointer), and every graph the same violations in the same
-order.
+fails, its element-by-element pass checks the structure of the document
+(keys, lists, string ids, ring entries and labels, duplicate ids, ring
+entries and twins that name a declared halfedge, every halfedge in a
+ring) and ends in the public `RibbonGraph` constructor, which checks the
+values (a halfedge in two rings, a twin that does not point back, the
+kind) and whose fault keeps the location that the pass turns into a JSON
+pointer.  `validate_graph` reads the graph's own tables.  The earlier
+formulations, which checked every fact in one element-by-element pass and
+went through the accessors, are kept below verbatim as oracles: every
+input, mutated at random or one of the hand-made cases that decline the
+whole-table checks, must be accepted or rejected by both; an accepted
+input must give the same graph and every graph the same violations in the
+same order.  A rejected input must give the same pointer, with the
+message unchanged or changed as `_CHANGED` lists, with one exception: the
+structure of the whole document is now checked before any value, so where
+an input has both kinds of fault, the structure fault is reported first.
 """
 
 import copy
 import random
+import re
 from types import MappingProxyType
 from typing import Any, Optional
 
@@ -327,16 +333,65 @@ def _mutation_cases(count: int, seed: int):
         yield obj
 
 
+# every message that changed: the pointer it is at, and the message before
+# and after as one text ``before -> after``, each a regular expression
+_CHANGED = ((r".*/vertices/\d+/kind", r"expected a string -> unknown vertex kind .*"),)
+
+# the faults the oracle reports that are now the constructor's, as
+# (pointer, message) regular expressions; every other fault is structure
+_VALUE = (
+    (r".*/vertices/\d+/cyclic/\d+", r"halfedge '.*' already attached"),
+    (r".*/halfedges/\d+/twin", r"twin of '.*' does not point back"),
+    (r".*/vertices/\d+/kind", r".*"),
+)
+
+
+def _is_value(pointer: str, message: str) -> bool:
+    return any(
+        re.fullmatch(p, pointer) and re.fullmatch(m, message) for p, m in _VALUE
+    )
+
+
+def _compare(new, old, used: set) -> str:
+    """How the outcome ``new`` differs from the oracle's ``old``: "same",
+    "changed" (a `_CHANGED` row, whose index is added to ``used``) or
+    "structure first" (a structure fault reported before the oracle's
+    value fault)."""
+    if new == old:
+        return "same"
+    assert new[0] == old[0] == "ParseError", (new, old)
+    (_, new_text, new_pointer), (_, old_text, old_pointer) = new, old
+    after = new_text[len("at {}: ".format(new_pointer)):]
+    before = old_text[len("at {}: ".format(old_pointer)):]
+    if new_pointer != old_pointer:
+        assert not _is_value(new_pointer, after), (new, old)
+        assert _is_value(old_pointer, before), (new, old)
+        return "structure first"
+    change = "{} -> {}".format(before, after)
+    rows = [
+        i
+        for i, (pointer, pattern) in enumerate(_CHANGED)
+        if re.fullmatch(pointer, new_pointer) and re.fullmatch(pattern, change)
+    ]
+    assert rows, (new_pointer, change)
+    used.update(rows)
+    return "changed"
+
+
 def test_graph_parse_matches_the_oracle_on_mutated_inputs():
-    kinds = set()
+    kinds, used, counts = set(), set(), {"same": 0, "changed": 0, "structure first": 0}
     for obj in _mutation_cases(3000, seed=5):
         want = _outcome(graph_from_jsonable, copy.deepcopy(obj), "/p")
-        assert _outcome(library_serialization.graph_from_jsonable, obj, "/p") == want
+        got = _outcome(library_serialization.graph_from_jsonable, obj, "/p")
+        counts[_compare(got, want, used)] += 1
         nested = _outcome(graph_from_jsonable, copy.deepcopy(obj), "/graph")
-        assert _outcome(_graph_in_diagram, obj, "") == nested
+        _compare(_outcome(_graph_in_diagram, obj, ""), nested, used)
         kinds.add(want[0] if want[0] != "graph" else ("graph", want[2].ok))
     # the mutations reach rejected input, broken graphs and valid ones
     assert kinds == {"ParseError", ("graph", True), ("graph", False)}
+    # every row of the table occurs, and so does a structure fault first
+    assert used == set(range(len(_CHANGED))), counts
+    assert counts["structure first"], counts
 
 
 class _Str(str):
@@ -445,21 +500,26 @@ def test_declined_input_matches_the_oracle_through_the_located_pass(monkeypatch)
         "_locate_graph_error",
         lambda obj, pointer: located.append(pointer) or locate(obj, pointer),
     )
+    used = set()
     # neither parser changes its input, so both read the same object
     for name, obj, declined in _edge_cases():
         located.clear()
         want = _outcome(graph_from_jsonable, obj, "/p")
-        assert _outcome(library_serialization.graph_from_jsonable, obj, "/p") == want, name
+        got = _outcome(library_serialization.graph_from_jsonable, obj, "/p")
+        assert _compare(got, want, used) != "structure first", name
         assert located == (["/p"] if declined else []), name
         if want[0] == "graph":
             _assert_same_graph(
                 library_serialization.graph_from_jsonable(obj), graph_from_jsonable(obj)
             )
+    assert used == set(range(len(_CHANGED)))
 
 
 def _single_faults():
     """(path, value) edits of the `once_punctured_4gon` graph object that
-    each break one check, several of them in the same entry."""
+    each break one check, several of them in the same entry, except the
+    ring entry replaced by ``"pw1"``, which breaks two: ``"pw1"`` is then in
+    two rings and the replaced halfedge in none."""
     yield ("extra",), 1
     for i, edits in (
         (0, ((("id",), 1), (("twin",), 5), (("foo",), None))),
@@ -487,7 +547,15 @@ def _single_faults():
 def test_first_of_two_faults_matches_the_oracle():
     base = to_jsonable(fixture_graph("once_punctured_4gon"))
     faults = list(_single_faults())
-    compared = 0
+    used, counts = set(), {"same": 0, "changed": 0, "structure first": 0}
+    for fault in faults:
+        obj = _edited(base, *fault)
+        got = _outcome(library_serialization.graph_from_jsonable, obj, "/p")
+        want = _outcome(graph_from_jsonable, obj, "/p")
+        if _compare(got, want, used) == "structure first":
+            # only the edits that break two checks; every other keeps its pointer
+            assert fault[0][2:] == ("cyclic", 1) and fault[1] == "pw1", fault
+            assert "already attached" in want[1] and "attached to no vertex" in got[1]
     for first in faults:
         for second in faults:
             try:
@@ -495,9 +563,11 @@ def test_first_of_two_faults_matches_the_oracle():
             except (KeyError, IndexError, TypeError):
                 continue  # the first edit removed the place of the second
             want = _outcome(graph_from_jsonable, obj, "/p")
-            assert _outcome(library_serialization.graph_from_jsonable, obj, "/p") == want
-            compared += 1
-    assert compared > 600
+            got = _outcome(library_serialization.graph_from_jsonable, obj, "/p")
+            counts[_compare(got, want, used)] += 1
+    assert sum(counts.values()) > 600
+    assert used == set(range(len(_CHANGED))), counts
+    assert counts["structure first"], counts
 
 
 # -- builder and validation differential tests ------------------------------

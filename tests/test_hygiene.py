@@ -1,7 +1,7 @@
 """Source hygiene that a linter would check: the package imports nothing
 at run time but the standard library and itself, its modules import
 `typing` for annotations only and `dataclasses` not at all, no module of it
-imports a name it never uses, no private module-level function, class or
+and no script under ``tools/`` imports a name it never uses, no private module-level function, class or
 constant is left that nothing in the package refers to, and ``__all__``
 is the sorted list of the names the package's table exports, each of
 which resolves, on first use, to the object its module defines.  Every
@@ -29,9 +29,10 @@ from ribboncalc import (
 from conftest import run_python
 
 SOURCES = sorted(Path(ribboncalc.__file__).parent.glob("*.py"))
+TOOLS = sorted((Path(__file__).parent.parent / "tools").glob("*.py"))
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES + TOOLS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = {}

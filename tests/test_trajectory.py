@@ -257,6 +257,51 @@ class TestHitCounting:
             per_ray = trajectory_counts(g, HalfedgeRef(h), EdgeRef("e0a"), "cw")
             assert len(per_ray) <= 2
 
+    def test_genus_zero_curve_meets_an_edge_four_times(self):
+        # `randgraphs.random_graph(Random(1618398467))`, written out: on a
+        # sphere with three boundary circles a curve can pass the same edge
+        # four times, so the sharpening to 2 at genus 0 asserted by
+        # `test_hit_counts_sharpen_with_the_topology` does not hold
+        g = RibbonGraph(
+            {
+                "v0": ("e0a", "e1a", "s6"),
+                "v1": ("e0b", "e4a", "s8", "e3a"),
+                "v2": ("e1b", "e5a", "s7", "e2a"),
+                "v3": ("e2b", "e5b"),
+                "v4": ("e3b", "e4b"),
+            },
+            {
+                "e0a": "e0b",
+                "e0b": "e0a",
+                "e1a": "e1b",
+                "e1b": "e1a",
+                "e2a": "e2b",
+                "e2b": "e2a",
+                "e3a": "e3b",
+                "e3b": "e3a",
+                "e4a": "e4b",
+                "e4b": "e4a",
+                "e5a": "e5b",
+                "e5b": "e5a",
+            },
+            {"v2": "singular"},
+            {"v2": "puncture"},
+        )
+        inv = surface_invariants(g)
+        assert (inv.genus, inv.boundary) == (0, (1, 1, 1))
+
+        hits = trajectory_counts(g, EdgeRef("e0a"), EdgeRef("e1a"), "cw")
+        assert [(h.source, h.index) for h in hits] == [
+            ("e0a", 5),
+            ("e0a", 8),
+            ("e0b", 2),
+            ("e0b", 5),
+        ]
+        # each ray still stays within its bound of 2
+        for h in ("e0a", "e0b"):
+            per_ray = trajectory_counts(g, HalfedgeRef(h), EdgeRef("e1a"), "cw")
+            assert len(per_ray) == 2
+
 
 BAD_ORIENTATIONS = ("up", None, ["cw"])
 BAD_SIDES = ("up", None, ["L"])
