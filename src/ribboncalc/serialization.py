@@ -6,17 +6,18 @@ is compact.  Parsing canonical text and serializing again returns the
 same bytes, and the serializer never emits anything the parser
 rejects.
 
-`serialize` writes a bare `RibbonGraph` itself, filling templates whose
-keys are in sorted order with ids quoted as the encoder quotes them.  Any
-other value is one call of the JSON encoder, which hands each domain
-value to one hook, `_encode`, for a plain object to write in its place;
-a graph inside another value reaches the hook's graph branch, which
-decodes that same text.  The hook knows domain types by class name, so this module
-imports only `ribboncalc.graph`; each parser imports the constructors it
-calls.  Most types are written as the attributes `_ATTRIBUTES` names, so
-their JSON keys are attribute names, which for quiver vertices and arrows
-are the keys of the quiver format.  Graphs, quivers, templates, template
-slots and references have their own branch.
+`serialize` writes a bare `RibbonGraph` or `IceQuiver` itself, filling
+templates whose keys are in sorted order with ids quoted as the encoder
+quotes them.  Any other value is one call of the JSON encoder, which
+hands each domain value to one hook, `_encode`, for a plain object to
+write in its place; a graph or quiver inside another value reaches the
+hook's graph or quiver branch, which decodes that same text.  The hook
+knows domain types by class name, so this module imports only
+`ribboncalc.graph`; each parser imports the constructors it calls.  Most
+types are written as the attributes `_ATTRIBUTES` names, so their JSON
+keys are attribute names, which for quiver vertices and arrows are the
+keys of the quiver format.  Graphs, quivers, templates, template slots
+and references have their own branch.
 
 `graph_dot` and `export_dot` write graphs and quivers as Graphviz DOT.
 """
@@ -418,38 +419,32 @@ _BRANCHES = {
 _BY_CLASS: dict[type, Any] = {}
 
 
+def _how(cls: type) -> Any:
+    """The entry of ``cls`` in `_ATTRIBUTES` or `_BRANCHES`, or None; a
+    class matches an entry only if a ``ribboncalc`` module defines it."""
+    how = _BY_CLASS.get(cls)
+    if how is None and cls.__module__.startswith("ribboncalc."):
+        how = _BY_CLASS[cls] = _ATTRIBUTES.get(cls.__name__) or _BRANCHES.get(cls.__name__)
+    return how
+
+
 def _encode(value: Any) -> Any:
     """The encoder's hook for a value it cannot write itself: a JSON
     object whose members the encoder then writes, calling back here for
     each domain value among them.  Dispatch is on the exact class, which
     matches a table entry only if a ``ribboncalc`` module defines it."""
-    cls = type(value)
-    how = _BY_CLASS.get(cls)
+    how = _how(type(value))
     if how is None:
-        if cls.__module__.startswith("ribboncalc."):
-            how = _ATTRIBUTES.get(cls.__name__) or _BRANCHES.get(cls.__name__)
-        if how is None:
-            if isinstance(value, Mapping):
-                return dict(value)
-            raise TypeError("cannot serialize {!r}".format(cls))
-        _BY_CLASS[cls] = how
+        if isinstance(value, Mapping):
+            return dict(value)
+        raise TypeError("cannot serialize {!r}".format(type(value)))
     if type(how) is tuple:
         return {name: getattr(value, name) for name in how}
+    # a graph or quiver inside another value; `serialize` writes a bare one itself
     if how == "graph":
-        # a graph inside another value; `serialize` writes a bare one itself
         return json.loads(_graph_text(value))
     if how == "quiver":
-        # literal dicts: a hook call per vertex and arrow is about 40% slower
-        return {
-            "vertices": [
-                {"id": v.id, "frozen": v.frozen, "label": v.label}
-                for v in value.vertices
-            ],
-            "arrows": [
-                {"id": a.id, "src": a.src, "dst": a.dst, "frozen": a.frozen}
-                for a in value.arrows
-            ],
-        }
+        return json.loads(_quiver_text(value))
     if how == "template":
         out = _encode(value.quiver)
         out.update(name=value.name, stalk=value.stalk, slots=value.slots)
@@ -461,8 +456,11 @@ def _encode(value: Any) -> Any:
 
 def serialize(value: Any) -> str:
     """Canonical JSON text: sorted keys, compact separators, ASCII."""
-    if type(value) is RibbonGraph:
+    cls = type(value)
+    if cls is RibbonGraph:
         return _graph_text(value)
+    if _how(cls) == "quiver":
+        return _quiver_text(value)
     # domain values hold no cycles and each object `_encode` returns is
     # fresh, so there is no cycle to find
     return json.dumps(
@@ -494,6 +492,24 @@ def _graph_text(g: RibbonGraph) -> str:
     return '{"halfedges":[%s],"vertices":[%s]}' % (",".join(halfedges), ",".join(vertices))
 
 
+def _quiver_text(q: IceQuiver) -> str:
+    """The canonical text of ``q``, the one writer of the quiver layout,
+    quoted and ordered as `_graph_text` writes a graph."""
+    quote = encode_basestring_ascii
+    vertices = [
+        '{"frozen":%s,"id":%s,"label":%s}'
+        % ("true" if v.frozen else "false", quote(v.id),
+           "null" if v.label is None else quote(v.label))
+        for v in q._vertices
+    ]
+    arrows = [
+        '{"dst":%s,"frozen":%s,"id":%s,"src":%s}'
+        % (quote(a.dst), "true" if a.frozen else "false", quote(a.id), quote(a.src))
+        for a in q._arrows
+    ]
+    return '{"arrows":[%s],"vertices":[%s]}' % (",".join(arrows), ",".join(vertices))
+
+
 def to_jsonable(value: Any) -> Any:
     """The plain JSON value that `serialize` writes for ``value``: dicts,
     lists, strings, numbers, booleans and None, every dict key a string."""
@@ -510,42 +526,40 @@ def _gvquote(s: str) -> str:
 def graph_dot(g: RibbonGraph) -> str:
     """A plain undirected rendering: vertices as nodes, external stubs
     as points."""
-    twin, at = g._twin, g._at
-    quoted = {v: _gvquote(v) for v in g.vertices}
+    twin, at, kind = g._twin, g._at, g._kind
+    quoted = {v: _gvquote(v) for v in g._vertices}
     lines = ["graph {"]
-    for v in g.vertices:
-        shape = "doublecircle" if g.kind(v) == "singular" else "circle"
-        lines.append("  {} [shape={}];".format(quoted[v], shape))
-    for e in g.edges():
+    lines += [
+        "  %s [shape=%s];" % (q, "doublecircle" if kind[v] == "singular" else "circle")
+        for v, q in quoted.items()
+    ]
+    for e in g._edges:
         t = twin.get(e, e)
         if t != e:
-            lines.append(
-                "  {} -- {} [label={}];".format(quoted[at[e]], quoted[at[t]], _gvquote(e))
-            )
+            lines.append("  %s -- %s [label=%s];" % (quoted[at[e]], quoted[at[t]], _gvquote(e)))
         else:
-            stub = _gvquote("stub:{}".format(e))
-            lines.append("  {} [shape=point];".format(stub))
-            lines.append(
-                "  {} -- {} [label={}];".format(quoted[at[e]], stub, _gvquote(e))
-            )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            stub = _gvquote("stub:" + e)
+            lines.append("  %s [shape=point];" % stub)
+            lines.append("  %s -- %s [label=%s];" % (quoted[at[e]], stub, _gvquote(e)))
+    lines.append("}\n")
+    return "\n".join(lines)
 
 
 def export_dot(q: IceQuiver) -> str:
     """Deterministic DOT text: frozen vertices are boxes, frozen arrows
     are dashed."""
+    quoted = {v.id: _gvquote(v.id) for v in q._vertices}
     lines = ["digraph {"]
-    for v in q.vertices:
+    for v in q._vertices:
         shape = "box" if v.frozen else "ellipse"
-        attrs = "shape={}".format(shape)
-        if v.label is not None:
-            attrs += ' label={}'.format(_gvquote("{} ({})".format(v.id, v.label)))
-        lines.append("  {} [{}];".format(_gvquote(v.id), attrs))
-    for a in q.arrows:
-        suffix = " [style=dashed]" if a.frozen else ""
-        lines.append(
-            "  {} -> {}{};".format(_gvquote(a.src), _gvquote(a.dst), suffix)
-        )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        if v.label is None:
+            lines.append("  %s [shape=%s];" % (quoted[v.id], shape))
+        else:
+            label = _gvquote(v.id + " (" + v.label + ")")
+            lines.append("  %s [shape=%s label=%s];" % (quoted[v.id], shape, label))
+    lines += [
+        "  %s -> %s%s;" % (quoted[a.src], quoted[a.dst], " [style=dashed]" if a.frozen else "")
+        for a in q._arrows
+    ]
+    lines.append("}\n")
+    return "\n".join(lines)

@@ -22,19 +22,22 @@ suffix from ``k``: the same out halfedges, edges, turns and entries from
 ``k`` on, and the same terminal.  So each halfedge is stepped at most once
 per orientation.  The step loop notes each edge, turn and entry as it
 goes, and stops at the terminal or at the first halfedge that an earlier
-ray already stepped, whose rest it then splices on.  The new ray is
-memoised under every halfedge it stepped, in one table per orientation on
-its graph.  A lookup that finds a ray with another start slices out the
-suffix that is its own ray and memoises that in its place; suffixes are
-built only when asked for.  The memo is freed with the graph; there is
-no global cache.  This is sound because a `RibbonGraph` never changes
-after construction, and every public entry checks the orientation before
-the memo is read.
+ray already stepped.  The new ray is memoised under every halfedge it
+stepped, in one table per orientation on its graph.  A lookup that finds
+a ray with another start slices out the suffix that is its own ray and
+memoises that in its place; suffixes are built only when asked for.
+
+So every out halfedge of a memoised ray but its terminal is memoised,
+and a ray memoised under a halfedge it does not start at reaches that
+halfedge from another memoised one.  The step loop reaches its first
+memoised halfedge from one it stepped, which is not memoised, so that
+halfedge starts the ray memoised there, and the loop appends that ray
+whole.  The memo is freed with the graph; there is no global cache.
+This is sound because a `RibbonGraph` never changes after construction,
+and every public entry checks the orientation before the memo is read.
 """
 
 from __future__ import annotations
-
-from itertools import repeat
 
 from .graph import RibbonGraph, _Record, _predecessors, require_valid
 
@@ -88,23 +91,20 @@ def _require_orient(orient: str) -> None:
         raise ValueError("orientation must be 'cw' or 'ccw', got {!r}".format(orient))
 
 
-def _suffix(itin: Itinerary, h: str) -> tuple:
-    """The out halfedges, edges, turns and entries of ``itin`` from its out
-    halfedge ``h`` on; with the terminal, they are the ray from ``h``."""
-    k = itin.out_halfedges.index(h)
-    return itin.out_halfedges[k:], itin.edges[k:], itin.turns[k:], itin.entries[k:]
-
-
 def _itinerary(g: RibbonGraph, h: str, orient: str) -> Itinerary:
     walks = g._walks[orient]
     itin = walks.get(h)
     if itin is not None:
         if itin.start != h:
-            # ``h`` is an internal out halfedge of the memoised ray
-            itin = walks[h] = Itinerary(h, orient, *_suffix(itin, h), itin.terminal)
+            # ``h`` is an internal out halfedge of the memoised ray: its suffix
+            k = itin.out_halfedges.index(h)
+            itin = walks[h] = Itinerary(
+                h, orient, itin.out_halfedges[k:], itin.edges[k:], itin.turns[k:],
+                itin.entries[k:], itin.terminal,
+            )
         return itin
     twin, at = g._twin, g._at
-    turn = g._next if orient == CW else _predecessors(g)
+    turn = g._next if orient == CW else g._prev or _predecessors(g)
     out, edges, turns, entries = [h], [], [], []
     x = h
     # ends on a valid graph: every orbit meets an external halfedge
@@ -122,15 +122,17 @@ def _itinerary(g: RibbonGraph, h: str, orient: str) -> Itinerary:
             )
             break
         rest = walks.get(x)
-        if rest is not None:  # an earlier ray stepped ``x``: splice on its rest
-            rest_out, rest_edges, rest_turns, rest_entries = _suffix(rest, x)
+        if rest is not None:
+            # an earlier ray stepped ``x``; the halfedge before it is not
+            # memoised, so ``rest`` is the ray from ``x``: splice it on whole
             itin = Itinerary(
-                h, orient, (*out, *rest_out), (*edges, *rest_edges), (*turns, *rest_turns),
-                (*entries, *rest_entries), rest.terminal,
+                h, orient, (*out, *rest.out_halfedges), (*edges, *rest.edges),
+                (*turns, *rest.turns), (*entries, *rest.entries), rest.terminal,
             )
             break
         out.append(x)
-    walks.update(zip(out, repeat(itin)))
+    for y in out:
+        walks[y] = itin
     return itin
 
 

@@ -37,6 +37,7 @@ from ribboncalc import (
     curve_trajectory,
     decompose,
     decompose_subgraph,
+    export_dot,
     graph_dot,
     itinerary,
     parse_choices,
@@ -179,6 +180,80 @@ class TestGraphWriter:
             assert '"graph":' + serialize(value.graph) in text
             assert "RibbonGraph" in hooked
             hooked.clear()
+
+
+def _escaped_quiver() -> IceQuiver:
+    """One vertex per id of `_ESCAPED_IDS`, every other one frozen, every
+    third one unlabelled and the rest labelled by another id or the empty
+    string; an arrow from each vertex to the next two, named by its ends,
+    frozen where both ends are."""
+    names = _ESCAPED_IDS
+    labels = [None if i % 3 == 0 else w for i, w in enumerate(reversed(names))]
+    labels[-1] = ""
+    vertices = [QuiverVertex(v, i % 2 == 0, lab) for i, (v, lab) in enumerate(zip(names, labels))]
+    frozen = {v.id: v.frozen for v in vertices}
+    arrows = [
+        QuiverArrow("{}->{}".format(u, w), u, w, frozen[u] and frozen[w])
+        for i, u in enumerate(names)
+        for w in names[i + 1:i + 3]
+    ]
+    return IceQuiver(vertices, arrows)
+
+
+def _quivers() -> list[IceQuiver]:
+    """The quiver and slot boundaries of every builtin template, star
+    templates, assemblies of the fixture assignments and of star templates
+    on the sample graphs, the empty quiver and `_escaped_quiver`."""
+    templates = [builtin_template(n) for n in BUILTIN_TEMPLATE_NAMES]
+    templates += [star_template(n) for n in range(2, 6)]
+    quivers = [q for t in templates for q in (t.quiver, *(s.boundary for s in t.slots))]
+    for name, assignment in (
+        ("four_gon", "four_gon_a2_templates"),
+        ("once_punctured_4gon", "once_punctured_4gon_templates"),
+    ):
+        assign = parse_assignments(fixture_text(assignment))
+        quivers.append(assemble_global(fixture_graph(name), assign))
+    for g in sample_graphs()[::7]:
+        quivers.append(assemble_global(g, {v: star_template(g.valency(v)) for v in g.vertices}))
+    return quivers + [IceQuiver([], []), _escaped_quiver()]
+
+
+class TestQuiverWriter:
+    """`serialize` writes a bare `IceQuiver` itself; every byte is the one
+    the encoder writes for `oracle`'s tree of the quiver."""
+
+    def test_templates_and_assemblies(self):
+        for q in _quivers():
+            assert serialize(q) == _encoded(q)
+
+    def test_labels_frozen_arrows_and_escaped_ids(self):
+        q = _escaped_quiver()
+        text = serialize(q)
+        assert text == _encoded(q)
+        assert text.isascii() and "\\ud835\\udd38" in text
+        assert '"label":null' in text and '"label":""' in text
+        assert any(a.frozen for a in q.arrows) and any(not a.frozen for a in q.arrows)
+        assert parse_quiver(text) == q and serialize(parse_quiver(text)) == text
+
+    def test_a_nested_quiver_goes_through_the_encoder(self, monkeypatch, four_gon):
+        hooked = []
+        hook = serialization._encode
+        monkeypatch.setattr(
+            serialization, "_encode", lambda v: hooked.append(type(v).__name__) or hook(v)
+        )
+        q = _escaped_quiver()
+        serialize(q)
+        assert hooked == []
+        template = builtin_template("a2_trivalent")
+        diagram = assembly_diagram(four_gon, {"v1": "a2_trivalent", "v2": "a2_trivalent"})
+        for value in (template, diagram, {"quiver": q}):
+            text = serialize(value)
+            assert text == _encoded(value)
+            assert "IceQuiver" in hooked
+            hooked.clear()
+        assert '"quiver":' + serialize(q) in serialize({"quiver": q})
+        for vq in diagram.vertex_quivers.values():
+            assert serialize(vq) in serialize(diagram)
 
 
 class TestGraphParseErrors:
@@ -372,6 +447,73 @@ class TestGraphDot:
     def test_internal_edge_drawn_once(self, four_gon):
         text = graph_dot(four_gon)
         assert text.count('"v1" -- "v2"') == 1
+
+
+def _oracle_gvquote(s: str) -> str:
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def _oracle_graph_dot(g: RibbonGraph) -> str:
+    """The library's `graph_dot` before it wrote a line from one template,
+    verbatim but for its name and its quoting helper's."""
+    twin, at = g._twin, g._at
+    quoted = {v: _oracle_gvquote(v) for v in g.vertices}
+    lines = ["graph {"]
+    for v in g.vertices:
+        shape = "doublecircle" if g.kind(v) == "singular" else "circle"
+        lines.append("  {} [shape={}];".format(quoted[v], shape))
+    for e in g.edges():
+        t = twin.get(e, e)
+        if t != e:
+            lines.append(
+                "  {} -- {} [label={}];".format(quoted[at[e]], quoted[at[t]], _oracle_gvquote(e))
+            )
+        else:
+            stub = _oracle_gvquote("stub:{}".format(e))
+            lines.append("  {} [shape=point];".format(stub))
+            lines.append(
+                "  {} -- {} [label={}];".format(quoted[at[e]], stub, _oracle_gvquote(e))
+            )
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def _oracle_export_dot(q: IceQuiver) -> str:
+    """The library's `export_dot` before it wrote a line from one template,
+    verbatim but for its name and its quoting helper's."""
+    lines = ["digraph {"]
+    for v in q.vertices:
+        shape = "box" if v.frozen else "ellipse"
+        attrs = "shape={}".format(shape)
+        if v.label is not None:
+            attrs += ' label={}'.format(_oracle_gvquote("{} ({})".format(v.id, v.label)))
+        lines.append("  {} [{}];".format(_oracle_gvquote(v.id), attrs))
+    for a in q.arrows:
+        suffix = " [style=dashed]" if a.frozen else ""
+        lines.append(
+            "  {} -> {}{};".format(_oracle_gvquote(a.src), _oracle_gvquote(a.dst), suffix)
+        )
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+class TestDotWriters:
+    """The DOT writers against their earlier versions, kept as oracles."""
+
+    def test_graph_dot_matches_the_oracle(self):
+        graphs = sample_graphs() + [_escaped_graph(), RibbonGraph({}, {})]
+        graphs.append(RibbonGraph({"v": ()}, {}, {"v": "singular"}, {"v": "lonely"}))
+        for g in graphs:
+            assert graph_dot(g) == _oracle_graph_dot(g)
+        text = graph_dot(_escaped_graph())
+        assert '"\\""' in text and '"\\\\"' in text and "\u00e9t\u00e9" in text
+
+    def test_export_dot_matches_the_oracle(self):
+        for q in _quivers():
+            assert export_dot(q) == _oracle_export_dot(q)
+        text = export_dot(_escaped_quiver())
+        assert '"\\""' in text and '"\\\\"' in text and "\u00e9t\u00e9" in text
+        assert "label=" in text and "[style=dashed]" in text
 
 
 # -- differential oracle ------------------------------------------------

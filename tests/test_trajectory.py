@@ -35,6 +35,7 @@ from ribboncalc import (
 from ribboncalc.trajectory import CW, Itinerary
 
 from conftest import fixture_graph, sample_graphs
+from randgraphs import random_graph
 
 
 class TestItinerary:
@@ -471,6 +472,38 @@ class _CountingTwin(dict):
         return dict.get(self, key, default)
 
 
+def _memo_faults(g: RibbonGraph, checked: dict) -> list[tuple[str, str, str]]:
+    """The entries ``y -> itin`` of the walk memo of ``g`` that break what
+    the engine's splice relies on: ``itin`` is one run along its orbit,
+    ``y`` is one of its non-terminal out halfedges, each of which is
+    memoised too, and ``itin`` starts at ``y`` unless the halfedge that
+    steps to ``y`` is memoised.  An entry found in ``checked`` as it is
+    was checked before and still holds, as rays never change and the
+    memo only gains keys; every other entry is checked and noted there."""
+    faults = []
+    for orient, walks in g._walks.items():
+        back = g.cw_next if orient == CW else g.ccw_next
+        rays = set()
+        for y, itin in walks.items():
+            if checked.get((orient, y)) is itin:
+                continue
+            checked[orient, y] = itin
+            out = itin.out_halfedges
+            if id(itin) not in rays:
+                rays.add(id(itin))
+                if out[0] != itin.start or any(
+                    _step(g, a, orient) != b for a, b in zip(out, out[1:])
+                ):
+                    faults.append((orient, y, "not a ray"))
+                if any(z not in walks for z in out[:-1]):
+                    faults.append((orient, y, "an out halfedge of its ray is not memoised"))
+            if y not in out[:-1]:
+                faults.append((orient, y, "not a non-terminal out halfedge of its ray"))
+            elif itin.start != y and g.ext_twin(back(y)) not in walks:
+                faults.append((orient, y, "its ray starts elsewhere"))
+    return faults
+
+
 class TestOneWalkEngine:
     def test_matches_the_stepwise_oracle(self, engine_cases):
         # a fresh graph per order, so that each order fills an empty memo
@@ -502,6 +535,19 @@ class TestOneWalkEngine:
                     steps = [n for (o, _), n in counting.steps.items() if o == orient]
                     assert max(steps) == 1, (order, interleaved, orient)
                     assert sum(steps) <= len(g.halfedges)
+
+    def test_the_memo_holds_what_the_splice_relies_on(self, engine_cases):
+        # a walk reaches its first memoised halfedge from one it stepped,
+        # which is not memoised, so the ray memoised there starts there
+        rng = random.Random("memo")
+        texts = [text for text, _ in engine_cases]
+        texts += [serialize(random_graph(rng)) for _ in range(60)]
+        for order, interleaved in REQUEST_ORDERS:
+            for text in texts:
+                g, checked = parse_graph(text), {}
+                for h, orient in _requests(g, order, interleaved):
+                    itinerary(g, h, orient)
+                    assert _memo_faults(g, checked) == [], (order, interleaved, h, orient)
 
     def test_an_engine_built_itinerary_is_a_plain_value(self, annulus):
         for order in ("sorted", "reversed"):

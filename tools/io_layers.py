@@ -6,10 +6,14 @@ For one graph of each `bench/gen.py` family, at V=4000 and seed 1, it
 times `json.loads`, `graph_from_jsonable`, `validate_graph`, `serialize`
 and `graph_dot`, interleaved in one process over 40 repeats: each repeat
 runs every stage once on every graph, so a change of host speed touches
-all stages alike.  It prints, per family and stage, the best and the
-median time and the best time as a ratio to the best `json.loads`.  Each
-repeat decodes and builds afresh, so no stage meets a graph or string an
-earlier repeat has used.
+all stages alike.  On the `trivalent_punctured` graph it also times the
+quiver writers, `serialize(q)` and `export_dot(q)`, on the global quiver
+that `assemble_global` glues with every singular vertex on
+``punctured_2gon_T1`` and every other on ``rank1_trivalent``.  It prints,
+per family and stage, the best and the median time and the best time as
+a ratio to the best `json.loads`.  Each repeat decodes, builds and
+assembles afresh (assembly is not timed), so no stage meets a graph,
+quiver or string an earlier repeat has used.
 
 The library is imported from ``src/`` next to this directory and the
 generator loaded from ``bench/gen.py`` by path; neither is changed.
@@ -28,11 +32,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from ribboncalc.assembly import assemble_global  # noqa: E402
 from ribboncalc.graph import validate_graph  # noqa: E402
-from ribboncalc.serialization import graph_dot, graph_from_jsonable, serialize  # noqa: E402
+from ribboncalc.serialization import (  # noqa: E402
+    export_dot,
+    graph_dot,
+    graph_from_jsonable,
+    serialize,
+)
 
 VERTICES, REPEATS, SEED = 4000, 40, 1
 STAGES = ("json.loads", "graph_from_jsonable", "validate_graph", "serialize", "graph_dot")
+QUIVER_FAMILY = "trivalent_punctured"
+QUIVER_STAGES = ("serialize(q)", "export_dot(q)")
 
 
 def _load_gen():
@@ -53,15 +65,29 @@ def _timed(times: dict, stage: str, fn, arg):
     return result
 
 
-def measure(text: str) -> dict[str, float]:
+def _assignment(g) -> dict[str, str]:
+    """Every singular vertex on a punctured 2-gon, every other on the
+    rank-one trivalent template."""
+    return {
+        v: "punctured_2gon_T1" if g.kind(v) == "singular" else "rank1_trivalent"
+        for v in g.vertices
+    }
+
+
+def measure(text: str, quiver: bool) -> dict[str, float]:
     """One time per stage for the graph written as ``text``, each stage fed
-    by the one before, as a command line call feeds them."""
+    by the one before, as a command line call feeds them; with ``quiver``,
+    also the quiver stages on the graph's assembly."""
     times: dict[str, float] = {}
     obj = _timed(times, "json.loads", json.loads, text)
     g = _timed(times, "graph_from_jsonable", graph_from_jsonable, obj)
     _timed(times, "validate_graph", validate_graph, g)
     _timed(times, "serialize", serialize, g)
     _timed(times, "graph_dot", graph_dot, g)
+    if quiver:
+        q = assemble_global(g, _assignment(g))
+        _timed(times, "serialize(q)", serialize, q)
+        _timed(times, "export_dot(q)", export_dot, q)
     return times
 
 
@@ -74,10 +100,15 @@ def main() -> int:
     for text in texts.values():
         if serialize(graph_from_jsonable(json.loads(text))) != text:
             raise SystemExit("serialize does not reproduce the generated text")
-    times = {family: {stage: [] for stage in STAGES} for family in texts}
+    times = {
+        family: {
+            stage: [] for stage in STAGES + (QUIVER_STAGES if family == QUIVER_FAMILY else ())
+        }
+        for family in texts
+    }
     for _ in range(REPEATS):
         for family, text in texts.items():
-            for stage, t in measure(text).items():
+            for stage, t in measure(text, family == QUIVER_FAMILY).items():
                 times[family][stage].append(t)
 
     print("V={} repeats={} seed={} python={}".format(
