@@ -229,8 +229,6 @@ class RibbonGraph:
         # each of these lists is made of sorted runs, which the sort merges
         self._halfedges = tuple(sorted([*twin, *self._external_edges]))
         self._edges = tuple(sorted(self._internal_edges + self._external_edges))
-        self._key: Optional[tuple] = None
-        self._hash: Optional[int] = None
         self._report: Optional[ValidationReport] = None
         self._orbits: Optional[tuple[tuple[str, ...], ...]] = None
         self._prev: Optional[dict[str, str]] = None
@@ -315,26 +313,16 @@ class RibbonGraph:
     # -- equality ---------------------------------------------------------
 
     def _equality_key(self) -> tuple:
-        if self._key is None:
-            self._key = (
-                tuple(
-                    (v, self._cyclic[v], self._kind[v], self._label.get(v))
-                    for v in self._vertices
-                ),
-                tuple(sorted(self._twin.items())),
-            )
-        return self._key
-
-    def __eq__(self, other) -> bool:
         return (
-            isinstance(other, RibbonGraph)
-            and self._equality_key() == other._equality_key()
+            tuple((v, self._cyclic[v], self._kind[v], self._label.get(v)) for v in self._vertices),
+            tuple(sorted(self._twin.items())),
         )
 
+    def __eq__(self, other) -> bool:
+        return isinstance(other, RibbonGraph) and self._equality_key() == other._equality_key()
+
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self._equality_key())
-        return self._hash
+        return hash(self._equality_key())
 
     def __repr__(self) -> str:
         return "RibbonGraph({} vertices, {} edges)".format(

@@ -10,14 +10,14 @@ rejects.
 templates whose keys are in sorted order with ids quoted as the encoder
 quotes them.  Any other value is one call of the JSON encoder, which
 hands each domain value to one hook, `_encode`, for a plain object to
-write in its place; a graph or quiver inside another value reaches the
-hook's graph or quiver branch, which decodes that same text.  The hook
-knows domain types by class name, so this module imports only
-`ribboncalc.graph`; each parser imports the constructors it calls.  Most
-types are written as the attributes `_ATTRIBUTES` names, so their JSON
-keys are attribute names, which for quiver vertices and arrows are the
-keys of the quiver format.  Graphs, quivers, templates, template slots
-and references have their own branch.
+write in its place.  One table, `_LAYOUTS`, says how each domain type is
+written: most types by the attributes it names, so their JSON keys are
+attribute names, which for quiver vertices and arrows are the keys of
+the quiver format; graphs, quivers, templates, template slots and
+references by a function of their own, and a graph or quiver inside
+another value decodes the text written for a bare one.  The hook knows
+domain types by class name, so this module imports only
+`ribboncalc.graph`; each parser imports the constructors it calls.
 
 `graph_dot` and `export_dot` write graphs and quivers as Graphviz DOT.
 """
@@ -380,10 +380,10 @@ def _loads(text: str):
 
 # -- serialization ------------------------------------------------------
 
-# The JSON keys of each type written as a plain object of its attributes,
-# by class name; each key is an attribute name, a stored field or a
-# property.
-_ATTRIBUTES = {
+# How each domain type is written, by class name: a tuple names the
+# attributes that are the keys of a plain object, each a stored field or
+# a property; a function builds the object.
+_LAYOUTS: dict[str, Any] = {
     "Itinerary": ("start", "orient", "edges", "turns", "entries", "terminal", "length"),
     "Atom": ("kind", "halfedge"),
     "FunctorWord": ("atoms", "source", "target"),
@@ -400,31 +400,30 @@ _ATTRIBUTES = {
     "QuiverArrow": ("id", "src", "dst", "frozen"),
     "QuiverMorphism": ("vertex_map", "arrow_map"),
     "AmalgamationDiagram": ("graph", "vertex_quivers", "edge_quivers", "incidences"),
+    "RibbonGraph": lambda g: json.loads(_graph_text(g)),
+    "IceQuiver": lambda q: json.loads(_quiver_text(q)),
+    "LocalTemplate": lambda t: dict(
+        json.loads(_quiver_text(t.quiver)), name=t.name, stalk=t.stalk, slots=t.slots
+    ),
+    "TemplateSlot": lambda s: dict(
+        quiver=s.boundary, vertex_map=s.vertex_map, arrow_map=s.arrow_map
+    ),
+    "EdgeRef": lambda r: {"kind": "edge", "id": r.id},
+    "VertexRef": lambda r: {"kind": "vertex", "id": r.id},
+    "HalfedgeRef": lambda r: {"kind": "halfedge", "id": r.id},
 }
 
-# The types with a branch of their own in `_encode`, by class name; a
-# reference's branch is its kind.
-_BRANCHES = {
-    "RibbonGraph": "graph",
-    "IceQuiver": "quiver",
-    "LocalTemplate": "template",
-    "TemplateSlot": "slot",
-    "EdgeRef": "edge",
-    "VertexRef": "vertex",
-    "HalfedgeRef": "halfedge",
-}
-
-# Each domain class `_encode` has met, to its entry in one of the tables
-# above: a class is matched by name once, then found by one lookup.
+# Each domain class `_encode` has met, to its entry in `_LAYOUTS`: a class
+# is matched by name once, then found by one lookup.
 _BY_CLASS: dict[type, Any] = {}
 
 
 def _how(cls: type) -> Any:
-    """The entry of ``cls`` in `_ATTRIBUTES` or `_BRANCHES`, or None; a
-    class matches an entry only if a ``ribboncalc`` module defines it."""
+    """The entry of ``cls`` in `_LAYOUTS`, or None; a class matches an
+    entry only if a ``ribboncalc`` module defines it."""
     how = _BY_CLASS.get(cls)
     if how is None and cls.__module__.startswith("ribboncalc."):
-        how = _BY_CLASS[cls] = _ATTRIBUTES.get(cls.__name__) or _BRANCHES.get(cls.__name__)
+        how = _BY_CLASS[cls] = _LAYOUTS.get(cls.__name__)
     return how
 
 
@@ -440,18 +439,7 @@ def _encode(value: Any) -> Any:
         raise TypeError("cannot serialize {!r}".format(type(value)))
     if type(how) is tuple:
         return {name: getattr(value, name) for name in how}
-    # a graph or quiver inside another value; `serialize` writes a bare one itself
-    if how == "graph":
-        return json.loads(_graph_text(value))
-    if how == "quiver":
-        return json.loads(_quiver_text(value))
-    if how == "template":
-        out = _encode(value.quiver)
-        out.update(name=value.name, stalk=value.stalk, slots=value.slots)
-        return out
-    if how == "slot":
-        return dict(quiver=value.boundary, vertex_map=value.vertex_map, arrow_map=value.arrow_map)
-    return {"kind": how, "id": value.id}
+    return how(value)
 
 
 def serialize(value: Any) -> str:
@@ -459,7 +447,7 @@ def serialize(value: Any) -> str:
     cls = type(value)
     if cls is RibbonGraph:
         return _graph_text(value)
-    if _how(cls) == "quiver":
+    if _how(cls) is _LAYOUTS["IceQuiver"]:
         return _quiver_text(value)
     # domain values hold no cycles and each object `_encode` returns is
     # fresh, so there is no cycle to find

@@ -157,18 +157,6 @@ def _require_side(side: str) -> None:
         raise ValueError("side must be 'L' or 'R', got {!r}".format(side))
 
 
-def _make_summand(g, atoms, source, target, hit=None, marker=None) -> Summand:
-    word = FunctorWord(atoms, source, target)
-    return Summand(
-        word,
-        hit.source if hit is not None else None,
-        hit.index if hit is not None else 0,
-        hit.constant if hit is not None else False,
-        marker,
-        _possibly_zero(g, atoms),
-    )
-
-
 def _decompose(
     g: RibbonGraph,
     target: ObjectRef,
@@ -203,9 +191,13 @@ def _decompose(
             prefix = (Atom(adj, hit.target),) if adj else ()
             suffix = (Atom(GEN, hit.source),) if from_vertex else ()
             atoms = _chain(prefix, transport_word(hit).atoms, suffix)
-            summands.append(_make_summand(g, atoms, source, target, hit, marker))
+            word = FunctorWord(atoms, source, target)
+            summands.append(
+                Summand(word, hit.source, hit.index, hit.constant, marker, _possibly_zero(g, atoms))
+            )
     if diagonal:
-        summands.append(_make_summand(g, (ID_ATOM,), source, target, marker=unit))
+        word = FunctorWord((ID_ATOM,), source, target)
+        summands.append(Summand(word, None, 0, False, unit, False))
     summands.sort(key=_summand_key)
     return Decomposition(source, target, side, tuple(summands))
 

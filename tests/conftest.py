@@ -76,6 +76,61 @@ def _two_star(part: str, name: str) -> LocalTemplate:
     return LocalTemplate("two_star", quiver, star.slots)
 
 
+def same_labelled_quiver(nx, q1: IceQuiver, q2: IceQuiver) -> bool:
+    """Whether networkx finds ``q1`` and ``q2`` isomorphic with frozen flags
+    and labels of vertices and frozen flags of arrows kept.  A vertex is
+    matched only to one of its colour under colour refinement (1-dimensional
+    Weisfeiler-Leman) of both quivers together, which every isomorphism
+    keeps, so the search does not try every order of alike vertices."""
+    g1, g2 = _labelled_quiver(nx, q1), _labelled_quiver(nx, q2)
+    _refine_colours(g1, g2)
+    return nx.is_isomorphic(g1, g2, node_match=lambda a, b: a == b, edge_match=_same_arrows)
+
+
+def _labelled_quiver(nx, q: IceQuiver):
+    """``q`` as a networkx multigraph whose nodes carry ``frozen`` and
+    ``label`` and whose edges carry ``frozen``."""
+    out = nx.MultiDiGraph()
+    for v in q.vertices:
+        out.add_node(v.id, frozen=v.frozen, label=v.label)
+    for a in q.arrows:
+        out.add_edge(a.src, a.dst, frozen=a.frozen)
+    return out
+
+
+def _refine_colours(*graphs) -> None:
+    """Give every node of ``graphs`` a ``colour``: its frozen flag and label,
+    refined by the colours of its out- and in-neighbours, with the frozen
+    flag of each arrow, until the number of colours stops growing.  One
+    table numbers the colours of all graphs, so equal numbers mean equal
+    colours across them."""
+    colour = {
+        (i, v): repr((d["frozen"], d["label"]))
+        for i, g in enumerate(graphs)
+        for v, d in g.nodes(data=True)
+    }
+    count = 0
+    while len(set(colour.values())) > count:
+        count = len(set(colour.values()))
+        signatures = {
+            (i, v): (
+                colour[i, v],
+                sorted((colour[i, w], d["frozen"]) for _, w, d in g.out_edges(v, data=True)),
+                sorted((colour[i, u], d["frozen"]) for u, _, d in g.in_edges(v, data=True)),
+            )
+            for i, g in enumerate(graphs)
+            for v in g
+        }
+        numbers = {}
+        colour = {k: numbers.setdefault(repr(sig), len(numbers)) for k, sig in signatures.items()}
+    for (i, v), c in colour.items():
+        graphs[i].nodes[v]["colour"] = c
+
+
+def _same_arrows(a: dict, b: dict) -> bool:
+    return sorted(d["frozen"] for d in a.values()) == sorted(d["frozen"] for d in b.values())
+
+
 @pytest.fixture
 def two_spider() -> RibbonGraph:
     return fixture_graph("two_spider")

@@ -84,3 +84,33 @@ def _attempt(rng: random.Random, n: int) -> RibbonGraph | None:
             serial += 1
     return None
 
+
+def trivalent_graph(rng: random.Random, n: int) -> RibbonGraph:
+    """A seeded connected graph of ``n`` trivalent plain vertices: a random
+    tree of valency at most 3, then random edges between free slots of
+    distinct vertices, then stubs on the slots left; drawn again until
+    valid."""
+    while True:
+        names = ["v{}".format(i) for i in range(n)]
+        rings = {v: [] for v in names}
+        twin = {}
+
+        def join(u, w):
+            a, b = "{}-{}a".format(u, len(twin)), "{}-{}b".format(w, len(twin))
+            rings[u].append(a)
+            rings[w].append(b)
+            twin.update({a: b, b: a})
+
+        for i in range(1, n):
+            join(rng.choice([v for v in names[:i] if len(rings[v]) < 3]), names[i])
+        for _ in range(rng.randint(0, n // 2)):
+            free = [v for v in names if len(rings[v]) < 3]
+            if len(free) >= 2:
+                join(*rng.sample(free, 2))
+        for v in names:
+            while len(rings[v]) < 3:
+                rings[v].append("{}-s{}".format(v, len(rings[v])))
+            rng.shuffle(rings[v])
+        g = RibbonGraph(rings, twin)
+        if g.validation_report().ok:
+            return g

@@ -37,8 +37,8 @@ from ribboncalc import (
     to_jsonable,
 )
 
-from conftest import GRAPH_FIXTURES, fixture_graph, fixture_text
-from randgraphs import random_graph
+from conftest import GRAPH_FIXTURES, fixture_graph, fixture_text, same_labelled_quiver
+from randgraphs import random_graph, trivalent_graph
 
 # the lists whose order carries no meaning
 _UNORDERED = ("vertices", "arrows", "halfedges")
@@ -191,59 +191,13 @@ def test_decompositions_commute_with_renaming(seed, g):
                     assert _summands(dec, r, hmap, vmap) == _summands(renamed, r, same_h, same_v)
 
 
-def _trivalent_graph(rng: random.Random, n: int) -> RibbonGraph:
-    """A seeded connected graph of ``n`` trivalent plain vertices: a random
-    tree of valency at most 3, then random edges between free slots of
-    distinct vertices, then stubs on the slots left; drawn again until
-    valid."""
-    while True:
-        names = ["v{}".format(i) for i in range(n)]
-        rings = {v: [] for v in names}
-        twin = {}
-
-        def join(u, w):
-            a, b = "{}-{}a".format(u, len(twin)), "{}-{}b".format(w, len(twin))
-            rings[u].append(a)
-            rings[w].append(b)
-            twin.update({a: b, b: a})
-
-        for i in range(1, n):
-            join(rng.choice([v for v in names[:i] if len(rings[v]) < 3]), names[i])
-        for _ in range(rng.randint(0, n // 2)):
-            free = [v for v in names if len(rings[v]) < 3]
-            if len(free) >= 2:
-                join(*rng.sample(free, 2))
-        for v in names:
-            while len(rings[v]) < 3:
-                rings[v].append("{}-s{}".format(v, len(rings[v])))
-            rng.shuffle(rings[v])
-        g = RibbonGraph(rings, twin)
-        if g.validation_report().ok:
-            return g
-
-
-def _labelled_quiver(nx, q):
-    """``q`` as a networkx multigraph whose nodes carry ``frozen`` and
-    ``label`` and whose edges carry ``frozen``."""
-    out = nx.MultiDiGraph()
-    for v in q.vertices:
-        out.add_node(v.id, frozen=v.frozen, label=v.label)
-    for a in q.arrows:
-        out.add_edge(a.src, a.dst, frozen=a.frozen)
-    return out
-
-
-def _same_arrows(a: dict, b: dict) -> bool:
-    return sorted(d["frozen"] for d in a.values()) == sorted(d["frozen"] for d in b.values())
-
-
 def _glued_label_cases():
     rng = random.Random(31)
     for name in ("four_gon_a2", "once_punctured_4gon"):
         g = fixture_graph(name.replace("_a2", ""))
         yield name + " templates", g, parse_assignments(fixture_text(name + "_templates"))
     for i in range(12):
-        g = _trivalent_graph(rng, rng.randint(2, 9))
+        g = trivalent_graph(rng, rng.randint(2, 9))
         yield "trivalent {} a2".format(i), g, {v: "a2_trivalent" for v in g.vertices}
     for name in ("four_gon", "annulus", "once_punctured_4gon"):
         g = fixture_graph(name)
@@ -259,9 +213,4 @@ def test_glued_labels_commute_with_renaming(case):
     for hmap, vmap in zip(_renamings(g.halfedges, "h", rng), _renamings(g.vertices, "v", rng)):
         r = _renamed(g, hmap, vmap)
         renamed = assemble_global(r, {vmap[v]: t for v, t in assign.items()})
-        assert nx.is_isomorphic(
-            _labelled_quiver(nx, q),
-            _labelled_quiver(nx, renamed),
-            node_match=lambda a, b: a == b,
-            edge_match=_same_arrows,
-        ), name
+        assert same_labelled_quiver(nx, q, renamed), name

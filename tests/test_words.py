@@ -281,13 +281,18 @@ class TestDecomposeSubgraph:
         assert len(res) == 1 and res[0].word.is_identity
         assert not any(s.constant for s in dec.summands if s.marker.kind == "ev")
 
-    def test_own_subgraph_builds_no_equality_key(self, four_gon):
+    def test_own_subgraph_builds_no_equality_key(self, four_gon, monkeypatch):
         tri = subgraph(four_gon, {"v1"})
+        calls = []
+        key = RibbonGraph._equality_key
+        monkeypatch.setattr(RibbonGraph, "_equality_key", lambda g: calls.append(g) or key(g))
         dec = decompose_subgraph(four_gon, tri, EdgeRef("s2"))
-        assert four_gon._key is None
+        assert calls == []
         # an equal ambient graph that is another object is still accepted
         equal = parse_graph(serialize(four_gon))
         assert decompose_subgraph(equal, tri, EdgeRef("s2")) == dec
+        # the one comparison builds both keys
+        assert len(calls) == 2
 
     def test_foreign_subgraph_rejected(self, four_gon, annulus):
         sub = subgraph(annulus, {"w"})

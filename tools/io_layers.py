@@ -15,6 +15,12 @@ a ratio to the best `json.loads`.  Each repeat decodes, builds and
 assembles afresh (assembly is not timed), so no stage meets a graph,
 quiver or string an earlier repeat has used.
 
+It then times the writers of values that hold a quiver, where the JSON
+encoder writes the nested quiver: `serialize` of each built-in template
+and of the ``four_gon`` diagram that `assembly_diagram` builds from the
+``four_gon_a2_templates`` assignment, interleaved over 2000 repeats, and
+prints the best and the median time of each.
+
 The library is imported from ``src/`` next to this directory and the
 generator loaded from ``bench/gen.py`` by path; neither is changed.
 Standard library only.
@@ -32,12 +38,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from ribboncalc.assembly import assemble_global  # noqa: E402
+from ribboncalc.assembly import (  # noqa: E402
+    BUILTIN_TEMPLATE_NAMES,
+    assemble_global,
+    assembly_diagram,
+    builtin_template,
+)
 from ribboncalc.graph import validate_graph  # noqa: E402
 from ribboncalc.serialization import (  # noqa: E402
     export_dot,
     graph_dot,
     graph_from_jsonable,
+    parse_assignments,
+    parse_graph,
     serialize,
 )
 
@@ -45,6 +58,8 @@ VERTICES, REPEATS, SEED = 4000, 40, 1
 STAGES = ("json.loads", "graph_from_jsonable", "validate_graph", "serialize", "graph_dot")
 QUIVER_FAMILY = "trivalent_punctured"
 QUIVER_STAGES = ("serialize(q)", "export_dot(q)")
+NESTED_REPEATS = 2000
+FIXTURES = ROOT / "src" / "ribboncalc" / "fixtures"
 
 
 def _load_gen():
@@ -120,7 +135,28 @@ def main() -> int:
         for stage, ts in stages.items():
             print("{:<20} {:<20} {:>9.2f} {:>9.2f} {:>7.2f}".format(
                 family, stage, 1e3 * min(ts), 1e3 * statistics.median(ts), min(ts) / base))
+    measure_nested()
     return 0
+
+
+def measure_nested() -> None:
+    """Time `serialize` of each built-in template and of the ``four_gon``
+    diagram, interleaved, and print the best and the median time."""
+    g = parse_graph((FIXTURES / "four_gon.json").read_text())
+    assign = parse_assignments((FIXTURES / "four_gon_a2_templates.json").read_text())
+    values = {name: builtin_template(name) for name in BUILTIN_TEMPLATE_NAMES}
+    values["four_gon diagram"] = assembly_diagram(g, assign)
+    times: dict[str, list[float]] = {name: [] for name in values}
+    for _ in range(NESTED_REPEATS):
+        for name, value in values.items():
+            start = time.perf_counter()
+            serialize(value)
+            times[name].append(time.perf_counter() - start)
+    print()
+    print("serialize of nested quivers, repeats={}".format(NESTED_REPEATS))
+    print("{:<20} {:>9} {:>9}".format("value", "best us", "p50 us"))
+    for name, ts in times.items():
+        print("{:<20} {:>9.1f} {:>9.1f}".format(name, 1e6 * min(ts), 1e6 * statistics.median(ts)))
 
 
 if __name__ == "__main__":
