@@ -140,9 +140,14 @@ class RibbonGraph:
     marked-point condition, are reported by `validate_graph` instead so
     that callers can inspect broken graphs.
 
-    A graph keeps its rings, twin table and successor table; the
-    predecessor table, which only counterclockwise walks and `cw_next`
-    read, is built on first use.
+    On load a graph keeps only the tables the parser fills: its rings,
+    each halfedge's vertex, successor and twin, the kinds, the labels and
+    the unsorted external halfedges.  The sorted id tables, `vertices`,
+    `halfedges`, `edges`, `internal_edges` and `external_edges`, are built
+    on first read, and so is the predecessor table, which only
+    counterclockwise walks and `cw_next` read.  Validation reads none of
+    them: it walks the rings once and the boundary once (see
+    `validate_graph`).
     """
 
     def __init__(
@@ -183,9 +188,8 @@ class RibbonGraph:
                 raise _fault(("vertex_label", v), "label of vertex {!r} is not a string", v)
         cyclic = {v: rotate_to_min(ring) for v, ring in rings.items()}
         nxt = {p: h for ring in cyclic.values() for p, h in zip(ring[-1:] + ring[:-1], ring)}
-        internal = [h for h, t in twin.items() if h <= t]
         external = [h for h in at if h not in twin]
-        self._build(cyclic, at, nxt, twin, internal, external, vertex_kind, labels)
+        self._build(cyclic, at, nxt, twin, external, vertex_kind, labels)
 
     @classmethod
     def _from_tables(
@@ -194,8 +198,7 @@ class RibbonGraph:
         at: dict[str, str],
         nxt: dict[str, str],
         twin: dict[str, str],
-        internal: Iterable[str],
-        external: Iterable[str],
+        external: list[str],
         kinds: dict[str, str],
         labels: dict[str, str],
     ) -> "RibbonGraph":
@@ -203,18 +206,18 @@ class RibbonGraph:
         string ids, each ring a tuple that starts at its smallest halfedge,
         every halfedge in exactly one ring, mapped by ``at`` to its vertex
         and by ``nxt`` to its successor in that ring, a symmetric ``twin``
-        on known halfedges, the edges that ``internal`` (twinned, named by
-        the smaller halfedge) and ``external`` (every untwinned halfedge)
-        list, a known kind for every vertex and labels only on known
-        vertices.  The halfedges are the keys of ``twin`` and the external
-        edges.  Edges and ``twin`` may come in any order; sorting is fastest
-        when they are already sorted, as in canonical input.  The dicts are
-        kept, not copied."""
+        on known halfedges, ``external`` listing every untwinned halfedge,
+        a known kind for every vertex and labels only on known vertices.
+        The halfedges are the keys of ``twin`` and the external ones.
+        ``twin`` and ``external`` may come in any order; the sorted id
+        tables, built on first read, sort fastest when they are already
+        sorted, as in canonical input.  The dicts and the list are kept,
+        not copied."""
         g = cls.__new__(cls)
-        g._build(cyclic, at, nxt, twin, internal, external, kinds, labels)
+        g._build(cyclic, at, nxt, twin, external, kinds, labels)
         return g
 
-    def _build(self, cyclic, at, nxt, twin, internal, external, kinds, labels) -> None:
+    def _build(self, cyclic, at, nxt, twin, external, kinds, labels) -> None:
         self._cyclic: dict[str, tuple[str, ...]] = cyclic
         self._at = at
         # successor in the cyclic order; the predecessor is built on first
@@ -223,13 +226,17 @@ class RibbonGraph:
         self._twin = twin
         self._kind = kinds
         self._label = labels
-        self._vertices = tuple(sorted(cyclic))
-        self._internal_edges = tuple(sorted(internal))
-        self._external_edges = tuple(sorted(external))
-        # each of these lists is made of sorted runs, which the sort merges
-        self._halfedges = tuple(sorted([*twin, *self._external_edges]))
-        self._edges = tuple(sorted(self._internal_edges + self._external_edges))
+        self._external = external
+        # the sorted id tables, built on first read by their accessors
+        self._vertices: Optional[tuple[str, ...]] = None
+        self._halfedges: Optional[tuple[str, ...]] = None
+        self._edges: Optional[tuple[str, ...]] = None
+        self._internal_edges: Optional[tuple[str, ...]] = None
+        self._external_edges: Optional[tuple[str, ...]] = None
         self._report: Optional[ValidationReport] = None
+        # each external halfedge's next marked point along its boundary
+        # circle, filled by `validate_graph`
+        self._marked: Optional[dict[str, str]] = None
         self._orbits: Optional[tuple[tuple[str, ...], ...]] = None
         self._prev: Optional[dict[str, str]] = None
         # itineraries, one table per orientation, filled by
@@ -242,10 +249,15 @@ class RibbonGraph:
 
     @property
     def vertices(self) -> tuple[str, ...]:
+        if self._vertices is None:
+            self._vertices = tuple(sorted(self._cyclic))
         return self._vertices
 
     @property
     def halfedges(self) -> tuple[str, ...]:
+        if self._halfedges is None:
+            # two runs, sorted in canonical input, which the sort merges
+            self._halfedges = tuple(sorted([*self._twin, *self._external]))
         return self._halfedges
 
     def has_vertex(self, v: str) -> bool:
@@ -299,12 +311,19 @@ class RibbonGraph:
         return (e,) if t is None or t == e else (e, t)
 
     def edges(self) -> tuple[str, ...]:
+        if self._edges is None:
+            self._edges = tuple(sorted(self.internal_edges() + self.external_edges()))
         return self._edges
 
     def internal_edges(self) -> tuple[str, ...]:
+        if self._internal_edges is None:
+            # an edge is named by its smaller halfedge
+            self._internal_edges = tuple(sorted(h for h, t in self._twin.items() if h <= t))
         return self._internal_edges
 
     def external_edges(self) -> tuple[str, ...]:
+        if self._external_edges is None:
+            self._external_edges = tuple(sorted(self._external))
         return self._external_edges
 
     def is_edge(self, e: str) -> bool:
@@ -314,7 +333,7 @@ class RibbonGraph:
 
     def _equality_key(self) -> tuple:
         return (
-            tuple((v, self._cyclic[v], self._kind[v], self._label.get(v)) for v in self._vertices),
+            tuple((v, self._cyclic[v], self._kind[v], self._label.get(v)) for v in self.vertices),
             tuple(sorted(self._twin.items())),
         )
 
@@ -326,7 +345,7 @@ class RibbonGraph:
 
     def __repr__(self) -> str:
         return "RibbonGraph({} vertices, {} edges)".format(
-            len(self._vertices), len(self.edges())
+            len(self._cyclic), len(self.edges())
         )
 
     # -- validation (cached) -----------------------------------------------
@@ -341,7 +360,7 @@ def corner_permutation(g: RibbonGraph) -> dict[str, str]:
     """The face-traversal permutation: follow the extended twin, then
     take one counterclockwise step.  Its orbits are the boundary walks."""
     twin, nxt = g._twin, g._next
-    return {h: nxt[twin.get(h, h)] for h in g._halfedges}
+    return {h: nxt[twin.get(h, h)] for h in g.halfedges}
 
 
 def _predecessors(g: RibbonGraph) -> dict[str, str]:
@@ -355,11 +374,13 @@ def _predecessors(g: RibbonGraph) -> dict[str, str]:
 
 def _corner_orbits(g: RibbonGraph) -> tuple[tuple[str, ...], ...]:
     """The orbits of `corner_permutation`, each starting at its smallest
-    halfedge, in order of those; computed once per graph and kept on it."""
+    halfedge, in order of those; computed once per graph and kept on it.
+    `boundary_walks` reads them, and `validate_graph` only to name the
+    orbits that meet no external halfedge."""
     if g._orbits is None:
         perm = corner_permutation(g)
         orbits = []
-        for start in g._halfedges:
+        for start in g.halfedges:
             h = perm.pop(start, None)
             if h is None:
                 continue
@@ -372,54 +393,87 @@ def _corner_orbits(g: RibbonGraph) -> tuple[tuple[str, ...], ...]:
     return g._orbits
 
 
-def _connected(g: RibbonGraph) -> bool:
-    cyclic, twin, at = g._cyclic, g._twin, g._at
-    todo = [g._vertices[0]]
-    seen = {g._vertices[0]}
-    while todo:
-        for h in cyclic[todo.pop()]:
-            t = twin.get(h)
-            if t is None:
-                continue
-            w = at[t]
-            if w not in seen:
-                seen.add(w)
-                todo.append(w)
-    return len(seen) == len(g._vertices)
-
-
 def validate_graph(g: RibbonGraph) -> ValidationReport:
     """Report every violated graph invariant; an empty report means valid.
 
+    Two walks over the tables a graph builds on load find every fault, and
+    neither reads a sorted id table.  The ring walk starts a traversal from
+    each vertex not yet seen and counts the components; it collects the
+    halfedges whose twin sits at their own vertex, which are the fixed
+    points and the loops, and the vertices of valency below 2.  The
+    boundary walk follows `corner_permutation` from each external halfedge
+    to the next and keeps that next marked point on the graph.  Its steps
+    cover exactly the corner orbits that meet an external halfedge, so
+    every boundary circle carries a marked point exactly when they number
+    all the halfedges; only when they do not are the orbits computed, to
+    name those without one.  Each kind of message comes sorted by the id
+    it names.
+
     Downstream operations refuse graphs whose report is non-empty.
     """
-    twin, at = g._twin, g._at
+    cyclic, twin, at, nxt = g._cyclic, g._twin, g._at, g._next
     violations = []
-    if not g._vertices:
+    if not cyclic:
         violations.append("graph is empty")
-    for h in sorted(h for h, t in twin.items() if h == t):
-        violations.append("twin has a fixed point: {}".format(h))
-    for e in g._internal_edges:
-        t = twin[e]
-        if t != e and at[e] == at[t]:
-            violations.append(
-                "loop: edge {} has both halfedges at vertex {}".format(e, at[e])
-            )
-    for v in g._vertices:
-        n = len(g._cyclic[v])
-        if n == 0:
-            violations.append("isolated vertex: {}".format(v))
-        elif n == 1:
-            violations.append("valency-1 vertex: {}".format(v))
-    if g._vertices and not _connected(g):
+    seen = set()
+    components = 0
+    own = []  # halfedges whose twin sits at their own vertex
+    low = []  # vertices of valency below 2
+    for root in cyclic:
+        if root in seen:
+            continue
+        components += 1
+        seen.add(root)
+        todo = [root]
+        while todo:
+            v = todo.pop()
+            ring = cyclic[v]
+            if len(ring) < 2:
+                low.append(v)
+            for h in ring:
+                t = twin.get(h)
+                if t is None:
+                    continue
+                w = at[t]
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+                elif w == v:
+                    own.append(h)
+    own.sort()
+    violations += ["twin has a fixed point: {}".format(h) for h in own if twin[h] == h]
+    violations += [
+        "loop: edge {} has both halfedges at vertex {}".format(h, at[h])
+        for h in own
+        if h < twin[h]
+    ]
+    low.sort()
+    violations += [
+        ("valency-1 vertex: {}" if cyclic[v] else "isolated vertex: {}").format(v)
+        for v in low
+    ]
+    if components > 1:
         violations.append("graph is not connected")
-    for orbit in _corner_orbits(g):
-        if all(h in twin for h in orbit):
-            violations.append(
-                "boundary walk without external halfedge (through {})".format(
-                    orbit[0]
+
+    marked = {}
+    steps = len(g._external)
+    for x in g._external:
+        h = nxt[x]
+        t = twin.get(h)
+        while t is not None:
+            h = nxt[t]
+            t = twin.get(h)
+            steps += 1
+        marked[x] = h
+    g._marked = marked
+    if steps != len(at):
+        for orbit in _corner_orbits(g):
+            if all(h in twin for h in orbit):
+                violations.append(
+                    "boundary walk without external halfedge (through {})".format(
+                        orbit[0]
+                    )
                 )
-            )
     return ValidationReport(tuple(violations))
 
 
@@ -460,11 +514,29 @@ class SurfaceInvariants(_Record):
 
 
 def surface_invariants(g: RibbonGraph) -> SurfaceInvariants:
-    walks = boundary_walks(g)
+    """The genus and the number of marked points on each boundary circle.
+
+    On a valid graph every boundary circle carries a marked point, so the
+    circles are the cycles of the next-marked-point map that
+    `validate_graph` keeps on the graph, and each cycle's length is its
+    circle's count of marked points; no sorted id table is read."""
+    require_valid(g)
+    marked = g._marked
+    left = marked.copy()
+    counts = []
+    for x in marked:
+        y = left.pop(x, None)
+        if y is None:
+            continue
+        n = 1
+        while y != x:
+            y = left.pop(y)
+            n += 1
+        counts.append(n)
     # external stubs retract onto their vertex, so the homotopy type is
-    # carried by the internal edges alone
-    chi = len(g.vertices) - len(g.internal_edges())
-    b = len(walks)
+    # carried by the internal edges alone, and a valid twin has no fixed point
+    chi = len(g._cyclic) - len(g._twin) // 2
+    b = len(counts)
     doubled_genus = 2 - b - chi
     if doubled_genus < 0 or doubled_genus % 2 != 0:
         raise RuntimeError(
@@ -472,8 +544,8 @@ def surface_invariants(g: RibbonGraph) -> SurfaceInvariants:
                 doubled_genus, chi, b
             )
         )
-    counts = tuple(sorted((w.marked_points for w in walks), reverse=True))
-    return SurfaceInvariants(doubled_genus // 2, counts)
+    counts.sort(reverse=True)
+    return SurfaceInvariants(doubled_genus // 2, tuple(counts))
 
 
 def dual(g: RibbonGraph) -> RibbonGraph:
@@ -482,8 +554,7 @@ def dual(g: RibbonGraph) -> RibbonGraph:
     # a reversed ring, rotated to its smallest halfedge, keeps that one first
     return RibbonGraph._from_tables(
         {v: ring[:1] + ring[:0:-1] for v, ring in g._cyclic.items()},
-        g._at, _predecessors(g), g._twin, g._internal_edges, g._external_edges,
-        g._kind, g._label,
+        g._at, _predecessors(g), g._twin, g._external, g._kind, g._label,
     )
 
 

@@ -154,7 +154,6 @@ def _graph_tables(obj: Any):
     ids = dict(zip(at, at))
     undeclared = ids.copy()
     twin: dict[str, str] = {}
-    internal: list[str] = []
     external: list[str] = []
     for entry in halfedges:
         if type(entry) is not dict or len(entry) != 2:
@@ -164,14 +163,11 @@ def _graph_tables(obj: Any):
         if t is None:
             external.append(h)
         else:
-            t = twin[h] = ids[t]
-            # an edge is named by its smaller halfedge
-            if h <= t:
-                internal.append(h)
+            twin[h] = ids[t]
     # an involution, the twin table maps declared ids to declared ids
     if undeclared or list(map(twin.get, twin.values())) != list(twin):
         return None
-    return cyclic, at, nxt, twin, internal, external, kinds, labels
+    return cyclic, at, nxt, twin, external, kinds, labels
 
 
 def _locate_graph_error(obj: Any, pointer: str) -> RibbonGraph:
@@ -464,10 +460,10 @@ def _graph_text(g: RibbonGraph) -> str:
     twin, cyclic, kind, label = g._twin, g._cyclic, g._kind, g._label
     halfedges = [
         '{"id":%s,"twin":%s}' % (quote(h), quote(twin[h]) if h in twin else "null")
-        for h in g._halfedges
+        for h in g.halfedges
     ]
     vertices = []
-    for v in g._vertices:
+    for v in g.vertices:
         lab = label.get(v)
         ring = ",".join(map(quote, cyclic[v]))
         if lab is None:
@@ -515,13 +511,13 @@ def graph_dot(g: RibbonGraph) -> str:
     """A plain undirected rendering: vertices as nodes, external stubs
     as points."""
     twin, at, kind = g._twin, g._at, g._kind
-    quoted = {v: _gvquote(v) for v in g._vertices}
+    quoted = {v: _gvquote(v) for v in g.vertices}
     lines = ["graph {"]
     lines += [
         "  %s [shape=%s];" % (q, "doublecircle" if kind[v] == "singular" else "circle")
         for v, q in quoted.items()
     ]
-    for e in g._edges:
+    for e in g.edges():
         t = twin.get(e, e)
         if t != e:
             lines.append("  %s -- %s [label=%s];" % (quoted[at[e]], quoted[at[t]], _gvquote(e)))

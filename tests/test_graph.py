@@ -32,7 +32,9 @@ from ribboncalc import (
     VertexRef,
     boundary_walks,
     corner_permutation,
+    decompose,
     dual,
+    graph_dot,
     itinerary,
     parse_graph,
     require_valid,
@@ -42,6 +44,7 @@ from ribboncalc import (
     surface_invariants,
     twist_rotation_check,
     validate_graph,
+    web_trajectory,
 )
 
 
@@ -245,6 +248,45 @@ class TestAccessors:
         assert two_spider.label("v") == "puncture"
 
 
+class TestSortedTables:
+    """The sorted id tables are built on first read, and only then."""
+
+    TABLES = ("_vertices", "_halfedges", "_edges", "_internal_edges", "_external_edges")
+
+    def test_validation_walks_and_decompositions_build_none(self):
+        for name in ("four_gon", "annulus", "once_punctured_4gon", "two_spider"):
+            g = parse_graph(serialize(fixture_graph(name)))
+            v = next(iter(g._cyclic))
+            e = EdgeRef(g.edge_of(g.cyclic(v)[0]))
+            assert validate_graph(g).ok
+            require_valid(g)
+            surface_invariants(g)
+            web_trajectory(g, v)
+            for target, source in ((e, e), (VertexRef(v), e), (e, VertexRef(v))):
+                decompose(g, target, source, "L")
+            assert [getattr(g, t) for t in self.TABLES] == [None] * len(self.TABLES)
+            g.vertices
+            assert g._vertices is not None  # the check sees a built table
+
+    def test_writers_do_not_depend_on_which_table_was_read_first(self):
+        readers = (
+            lambda g: g.vertices,
+            lambda g: g.halfedges,
+            lambda g: g.edges(),
+            lambda g: g.internal_edges(),
+            lambda g: g.external_edges(),
+        )
+        for g in sample_graphs():
+            text = serialize(g)
+            for make in (parse_graph, lambda t: dual(parse_graph(t))):
+                want = {serialize: serialize(make(text)), graph_dot: graph_dot(make(text))}
+                for read in readers:
+                    for writers in ((serialize, graph_dot), (graph_dot, serialize)):
+                        fresh = make(text)
+                        read(fresh)
+                        assert {write: write(fresh) for write in writers} == want
+
+
 class TestValidation:
     def test_valid_fixtures(
         self, two_spider, three_spider, four_gon, annulus, once_punctured_4gon
@@ -355,6 +397,18 @@ class TestSurfaceInvariants:
         inv = surface_invariants(g)
         assert inv.genus == 1
         assert inv.boundary == (2,)
+
+    def test_agrees_with_the_boundary_walks(self):
+        # the invariants read the cycles of the next-marked-point map that
+        # validation keeps; the boundary walks are the corner orbits
+        for g in sample_graphs():
+            for x in (g, dual(g)):
+                walks = boundary_walks(x)
+                inv = surface_invariants(x)
+                counts = sorted((w.marked_points for w in walks), reverse=True)
+                assert inv.boundary == tuple(counts)
+                chi = len(x.vertices) - len(x.internal_edges())
+                assert 2 * inv.genus == 2 - len(walks) - chi
 
     def test_boundary_sorted_descending(self, annulus):
         assert surface_invariants(annulus).boundary == tuple(

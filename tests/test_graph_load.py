@@ -620,30 +620,45 @@ def _broken_graphs():
     """Invalid graphs built through the public constructor: draws with
     their stubs stripped, draws with one twin pair moved onto one vertex,
     draws with one or every stub twinned to itself, disjoint unions, and
-    the empty graph."""
+    the empty graph.  Each broken draw also comes beside a valid draw whose
+    ids sort first and which comes first in every table, so that a walk
+    from the first vertex meets none of the faults."""
     rng = random.Random(11)
     graphs = [RibbonGraph({}, {})]
     for g in sample_graphs():
         cyclic = {v: list(g.cyclic(v)) for v in g.vertices}
         twin = {h: g.twin_of(h) for h in g.halfedges if not g.is_external(h)}
         kinds = {v: g.kind(v) for v in g.vertices}
+        draws = []
         stripped = {v: [h for h in ring if h in twin] for v, ring in cyclic.items()}
-        graphs.append(RibbonGraph(stripped, twin, kinds))
+        draws.append((stripped, twin, kinds))
         if g.internal_edges():
             e = rng.choice(g.internal_edges())
             t = g.twin_of(e)
             moved = {v: [h for h in ring if h != t] for v, ring in cyclic.items()}
             moved[g.at_vertex(e)].insert(rng.randrange(len(cyclic[g.at_vertex(e)]) + 1), t)
-            graphs.append(RibbonGraph(moved, twin, kinds))
+            draws.append((moved, twin, kinds))
         if g.external_edges():
             s = rng.choice(g.external_edges())
-            graphs.append(RibbonGraph(cyclic, dict(twin, **{s: s}), kinds))
+            draws.append((cyclic, dict(twin, **{s: s}), kinds))
             # every stub a fixed point, listed in descending order
             fixed = {s: s for s in reversed(g.external_edges())}
-            graphs.append(RibbonGraph(cyclic, dict(fixed, **twin), kinds))
+            draws.append((cyclic, dict(fixed, **twin), kinds))
         other = {"x" + v: ["x" + h for h in ring] for v, ring in cyclic.items()}
         other_twin = {"x" + h: "x" + t for h, t in twin.items()}
-        graphs.append(RibbonGraph(dict(cyclic, **other), dict(twin, **other_twin)))
+        draws.append((dict(cyclic, **other), dict(twin, **other_twin), {}))
+        # "!" sorts before every character of the drawn ids
+        first = {"!" + v: ["!" + h for h in ring] for v, ring in cyclic.items()}
+        first_twin = {"!" + h: "!" + t for h, t in twin.items()}
+        first_kinds = {"!" + v: k for v, k in kinds.items()}
+        for broken, broken_twin, broken_kinds in draws:
+            graphs.append(RibbonGraph(broken, broken_twin, broken_kinds))
+            graphs.append(
+                RibbonGraph(
+                    {**first, **broken}, {**first_twin, **broken_twin},
+                    {**first_kinds, **broken_kinds},
+                )
+            )
     return graphs
 
 

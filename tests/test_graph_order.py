@@ -142,8 +142,8 @@ def _presented(g: RibbonGraph, rng: random.Random) -> tuple[dict, tuple]:
 
 def _tables(g: RibbonGraph) -> tuple:
     return (
-        g._cyclic, g._next, g._at, g._twin, g._kind, g._label, g._vertices, g._halfedges,
-        g._edges, g._internal_edges, g._external_edges,
+        g._cyclic, g._next, g._at, g._twin, g._kind, g._label, g.vertices, g.halfedges,
+        g.edges(), g.internal_edges(), g.external_edges(),
     )
 
 
@@ -184,7 +184,7 @@ def test_a_parsed_graph_holds_one_string_object_per_halfedge_id():
             parsed = parse_graph(text)
             entries = {h: h for ring in parsed._cyclic.values() for h in ring}
             for table in (
-                parsed._halfedges, parsed._edges, parsed._at, parsed._next,
+                parsed.halfedges, parsed.edges(), parsed._at, parsed._next,
                 parsed._next.values(), parsed._twin, parsed._twin.values(),
             ):
                 assert all(h is entries[h] for h in table)

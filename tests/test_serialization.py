@@ -534,7 +534,7 @@ def oracle(value):
     if isinstance(value, RibbonGraph):
         cyclic, kind, label, twin = value._cyclic, value._kind, value._label, value._twin
         vertices = []
-        for v in value._vertices:
+        for v in value.vertices:
             lab = label.get(v)
             if lab is None:
                 vertices.append({"id": v, "cyclic": list(cyclic[v]), "kind": kind[v]})
@@ -544,7 +544,7 @@ def oracle(value):
                 )
         return {
             "vertices": vertices,
-            "halfedges": [{"id": h, "twin": twin.get(h)} for h in value._halfedges],
+            "halfedges": [{"id": h, "twin": twin.get(h)} for h in value.halfedges],
         }
     if isinstance(value, IceQuiver):
         return {

@@ -3,10 +3,17 @@
     python3 tools/io_layers.py
 
 For one graph of each `bench/gen.py` family, at V=4000 and seed 1, it
-times `json.loads`, `graph_from_jsonable`, `validate_graph`, `serialize`
-and `graph_dot`, interleaved in one process over 40 repeats: each repeat
-runs every stage once on every graph, so a change of host speed touches
-all stages alike.  On the `trivalent_punctured` graph it also times the
+times `json.loads`, `graph_from_jsonable`, `validate_graph`,
+`surface_invariants`, `serialize` and `graph_dot`, interleaved in one
+process over 40 repeats: each repeat runs every stage once on every graph,
+so a change of host speed touches all stages alike.  Validation is timed
+through `RibbonGraph.validation_report`, which keeps the report as
+`require_valid` does, so `surface_invariants` times itself alone, as in
+``cli info``.  A graph sorts its id tables on first read, and the stages
+pay for them in this order: the build, validation and
+`surface_invariants` read none; `serialize` sorts `vertices` and
+`halfedges`; `graph_dot` sorts `edges()`, and with it `internal_edges()`
+and `external_edges()`.  On the `trivalent_punctured` graph it also times the
 quiver writers, `serialize(q)` and `export_dot(q)`, on the global quiver
 that `assemble_global` glues with every singular vertex on
 ``punctured_2gon_T1`` and every other on ``rank1_trivalent``.  It prints,
@@ -44,7 +51,7 @@ from ribboncalc.assembly import (  # noqa: E402
     assembly_diagram,
     builtin_template,
 )
-from ribboncalc.graph import validate_graph  # noqa: E402
+from ribboncalc.graph import RibbonGraph, surface_invariants  # noqa: E402
 from ribboncalc.serialization import (  # noqa: E402
     export_dot,
     graph_dot,
@@ -55,7 +62,10 @@ from ribboncalc.serialization import (  # noqa: E402
 )
 
 VERTICES, REPEATS, SEED = 4000, 40, 1
-STAGES = ("json.loads", "graph_from_jsonable", "validate_graph", "serialize", "graph_dot")
+STAGES = (
+    "json.loads", "graph_from_jsonable", "validate_graph", "surface_invariants", "serialize",
+    "graph_dot",
+)
 QUIVER_FAMILY = "trivalent_punctured"
 QUIVER_STAGES = ("serialize(q)", "export_dot(q)")
 NESTED_REPEATS = 2000
@@ -96,7 +106,8 @@ def measure(text: str, quiver: bool) -> dict[str, float]:
     times: dict[str, float] = {}
     obj = _timed(times, "json.loads", json.loads, text)
     g = _timed(times, "graph_from_jsonable", graph_from_jsonable, obj)
-    _timed(times, "validate_graph", validate_graph, g)
+    _timed(times, "validate_graph", RibbonGraph.validation_report, g)
+    _timed(times, "surface_invariants", surface_invariants, g)
     _timed(times, "serialize", serialize, g)
     _timed(times, "graph_dot", graph_dot, g)
     if quiver:
