@@ -283,11 +283,11 @@ def twist_rotation_check(g: RibbonGraph, x: ObjectRef) -> bool:
     vertices can fail it honestly.
     """
     require_valid(g)
-    # the next marked point after an external halfedge on its boundary
-    # walk is where the clockwise walk from it ends
+    # validation keeps each external halfedge's next marked point
+    marked = g._marked
     rotated = Counter()
     for f, n in _external_support(g, x, CCW).items():
-        rotated[_itinerary(g, f, CW).terminal] += n
+        rotated[marked[f]] += n
     return rotated == _external_support(g, x, CW)
 
 

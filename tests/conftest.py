@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from importlib import resources
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from ribboncalc import (
     parse_graph,
     star_template,
 )
+from ribboncalc.quiver import _refine
 
 GRAPH_FIXTURES = ("two_spider", "three_spider", "four_gon", "annulus", "once_punctured_4gon")
 
@@ -77,13 +79,17 @@ def _two_star(part: str, name: str) -> LocalTemplate:
 
 
 def same_labelled_quiver(nx, q1: IceQuiver, q2: IceQuiver) -> bool:
-    """Whether networkx finds ``q1`` and ``q2`` isomorphic with frozen flags
-    and labels of vertices and frozen flags of arrows kept.  A vertex is
-    matched only to one of its colour under colour refinement (1-dimensional
-    Weisfeiler-Leman) of both quivers together, which every isomorphism
-    keeps, so the search does not try every order of alike vertices."""
+    """Whether ``q1`` and ``q2`` are isomorphic with frozen flags and labels
+    of vertices and frozen flags of arrows kept.  Unless `quiver._refine`
+    from frozen flags and labels tells them apart, networkx decides, and
+    matches a vertex only to one of its colour, which every such
+    isomorphism keeps, so it does not try every order of alike vertices."""
+    refined = _refine((q1, q2), attrgetter("frozen", "label"))
+    if refined is None:
+        return False
     g1, g2 = _labelled_quiver(nx, q1), _labelled_quiver(nx, q2)
-    _refine_colours(g1, g2)
+    for g, (colour, _) in zip((g1, g2), refined):
+        nx.set_node_attributes(g, colour, "colour")
     return nx.is_isomorphic(g1, g2, node_match=lambda a, b: a == b, edge_match=_same_arrows)
 
 
@@ -96,35 +102,6 @@ def _labelled_quiver(nx, q: IceQuiver):
     for a in q.arrows:
         out.add_edge(a.src, a.dst, frozen=a.frozen)
     return out
-
-
-def _refine_colours(*graphs) -> None:
-    """Give every node of ``graphs`` a ``colour``: its frozen flag and label,
-    refined by the colours of its out- and in-neighbours, with the frozen
-    flag of each arrow, until the number of colours stops growing.  One
-    table numbers the colours of all graphs, so equal numbers mean equal
-    colours across them."""
-    colour = {
-        (i, v): repr((d["frozen"], d["label"]))
-        for i, g in enumerate(graphs)
-        for v, d in g.nodes(data=True)
-    }
-    count = 0
-    while len(set(colour.values())) > count:
-        count = len(set(colour.values()))
-        signatures = {
-            (i, v): (
-                colour[i, v],
-                sorted((colour[i, w], d["frozen"]) for _, w, d in g.out_edges(v, data=True)),
-                sorted((colour[i, u], d["frozen"]) for u, _, d in g.in_edges(v, data=True)),
-            )
-            for i, g in enumerate(graphs)
-            for v in g
-        }
-        numbers = {}
-        colour = {k: numbers.setdefault(repr(sig), len(numbers)) for k, sig in signatures.items()}
-    for (i, v), c in colour.items():
-        graphs[i].nodes[v]["colour"] = c
 
 
 def _same_arrows(a: dict, b: dict) -> bool:

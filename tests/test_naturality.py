@@ -32,6 +32,7 @@ from ribboncalc import (
     parse_diagram,
     parse_quiver,
     parse_template,
+    quivers_isomorphic,
     serialize,
     star_template,
     to_jsonable,
@@ -214,3 +215,31 @@ def test_glued_labels_commute_with_renaming(case):
         r = _renamed(g, hmap, vmap)
         renamed = assemble_global(r, {vmap[v]: t for v, t in assign.items()})
         assert same_labelled_quiver(nx, q, renamed), name
+
+
+def test_a_large_assembly_commutes_with_renaming():
+    # networkx takes minutes at this size, so the library's own test decides
+    g = trivalent_graph(random.Random(31), 1000)
+    rng = random.Random(31)
+    (hmap, _), (vmap, _) = _renamings(g.halfedges, "h", rng), _renamings(g.vertices, "v", rng)
+    r = _renamed(g, hmap, vmap)
+    q = assemble_global(g, {v: "a2_trivalent" for v in g.vertices})
+    renamed = assemble_global(r, {v: "a2_trivalent" for v in r.vertices})
+    assert len(q.vertices) == 4800
+    assert quivers_isomorphic(q, renamed)
+    # a near-miss: two mutable arrows swap targets, so every degree is kept,
+    # and the first lands beside an arrow with its new ends; fewer distinct
+    # pairs of ends prove that no isomorphism is left
+    arrows = list(renamed.arrows)
+    ends = {(a.src, a.dst) for a in arrows}
+    i, j = next(
+        (i, j)
+        for i, a in enumerate(arrows)
+        for j, b in enumerate(arrows)
+        if not (a.frozen or b.frozen) and a.src != b.src and a.dst != b.dst
+        and (a.src, b.dst) in ends
+    )
+    a, b = arrows[i], arrows[j]
+    arrows[i], arrows[j] = QuiverArrow(a.id, a.src, b.dst), QuiverArrow(b.id, b.src, a.dst)
+    assert len({(a.src, a.dst) for a in arrows}) < len(ends)
+    assert not quivers_isomorphic(q, IceQuiver(renamed.vertices, arrows))

@@ -2,6 +2,7 @@ import itertools
 import random
 import sys
 from collections import Counter
+from operator import attrgetter
 
 import pytest
 
@@ -21,6 +22,9 @@ from ribboncalc import (
     star_template,
     validate_morphism,
 )
+from ribboncalc.quiver import _refine
+
+from conftest import _labelled_quiver, _same_arrows
 
 
 def star(n: int) -> IceQuiver:
@@ -482,37 +486,81 @@ class TestIsomorphism:
                 for perm in itertools.permutations(ids2)
             )
 
-        def random_quiver(rng, n):
-            ids = ["v{}".format(i) for i in range(n)]
-            verts = [QuiverVertex(v, rng.random() < 0.3) for v in ids]
-            arrows = [
-                QuiverArrow("a{}".format(j), rng.choice(ids), rng.choice(ids))
-                for j in range(rng.randint(0, 2 * n))
-            ]
-            return IceQuiver(verts, arrows)
-
         rng = random.Random(3)
         answers = Counter()
         for _ in range(300):
             n = rng.randint(1, 5)
-            q1 = random_quiver(rng, n)
+            q1 = _random_quiver(rng, n, rng.randint(0, 2 * n))
             if rng.random() < 0.5:
-                q2 = random_quiver(rng, n)
+                q2 = _random_quiver(rng, n, rng.randint(0, 2 * n))
             else:  # a relabelled copy, sometimes with one arrow reversed
-                fresh = ["w{}".format(k) for k in range(n)]
-                rng.shuffle(fresh)
-                names = dict(zip((v.id for v in q1.vertices), fresh))
-                arrows = [QuiverArrow(a.id, names[a.src], names[a.dst]) for a in q1.arrows]
-                if arrows and rng.random() < 0.5:
-                    a = arrows[0]
-                    arrows[0] = QuiverArrow(a.id, a.dst, a.src)
-                q2 = IceQuiver(
-                    [QuiverVertex(names[v.id], v.frozen) for v in q1.vertices], arrows
-                )
+                q2 = _relabelled(q1, rng)
+                if q2.arrows and rng.random() < 0.5:
+                    a = q2.arrows[0]
+                    q2 = IceQuiver(
+                        q2.vertices, [QuiverArrow(a.id, a.dst, a.src, a.frozen), *q2.arrows[1:]]
+                    )
             answer = quivers_isomorphic(q1, q2)
             assert answer == brute_force(q1, q2)
             answers[answer] += 1
         assert min(answers[True], answers[False]) > 50
+        q1, q2 = _frozen_loop_pair()
+        assert not brute_force(q1, q2)
+        assert not quivers_isomorphic(q1, q2) and not quivers_isomorphic(q2, q1)
+
+    def test_the_search_decides_what_colour_refinement_cannot_see(self):
+        def quiver(n, ends):
+            return IceQuiver(
+                [QuiverVertex(str(i)) for i in range(n)],
+                [QuiverArrow("a{}".format(k), str(s), str(d)) for k, (s, d) in enumerate(ends)],
+            )
+
+        def bipartite(doubled):  # every row to every column, twice on ``doubled``
+            return quiver(8, [(i, 4 + j) for i in range(4) for j in range(4)] + doubled)
+
+        hexagon = quiver(6, [(i, (i + 1) % 6) for i in range(6)])
+        triangles = quiver(6, [(i, i + 1 - 3 * (i % 3 == 2)) for i in range(6)])
+        # the doubled arrows form one 8-cycle, or two 4-cycles: each vertex
+        # meets two either way, so only their multiplicities tell them apart
+        cycle = bipartite([(i, 4 + (i + k) % 4) for i in range(4) for k in (0, 1)])
+        squares = bipartite([(i, 4 + (i ^ k)) for i in range(4) for k in (0, 1)])
+        for q1, q2 in ((hexagon, triangles), (cycle, squares)):
+            assert _refine((q1, q2), attrgetter("frozen")) is not None
+            assert not quivers_isomorphic(q1, q2)
+            assert not quivers_isomorphic(q2, q1)
+            assert quivers_isomorphic(q1, _relabelled(q1, random.Random(5)))
+
+    def test_agrees_with_networkx_on_small_quivers(self):
+        nx = pytest.importorskip("networkx")
+
+        def networkx_isomorphic(q1, q2):
+            return nx.is_isomorphic(
+                _labelled_quiver(nx, q1), _labelled_quiver(nx, q2),
+                node_match=lambda a, b: a["frozen"] == b["frozen"], edge_match=_same_arrows,
+            )
+
+        rng = random.Random(27)
+        answers = Counter()
+        pairs = [_frozen_loop_pair()]
+        for _ in range(600):
+            q1 = _random_quiver(rng, rng.randint(1, 8), rng.randint(0, 12))
+            kind = rng.randrange(3)
+            if kind == 0:
+                q2 = _random_quiver(rng, len(q1.vertices), len(q1.arrows))
+            else:
+                q2 = _relabelled(q1, rng)
+            if kind == 2 and q2.arrows:  # a near-miss: one arrow drawn again
+                arrows = list(q2.arrows)
+                a = arrows.pop(rng.randrange(len(arrows)))
+                ends = [v.id for v in q2.vertices if v.frozen or not a.frozen]
+                arrows.append(QuiverArrow(a.id, rng.choice(ends), rng.choice(ends), a.frozen))
+                q2 = IceQuiver(q2.vertices, arrows)
+            pairs.append((q1, q2))
+        for q1, q2 in pairs:
+            answer = quivers_isomorphic(q1, q2)
+            assert answer == networkx_isomorphic(q1, q2)
+            answers[answer] += 1
+        assert min(answers[True], answers[False]) > 150
 
     def test_quiver_larger_than_the_recursion_limit(self):
         # trivalent vertices in a row, each with a stub, the ends with two
@@ -532,6 +580,44 @@ class TestIsomorphism:
         q = assemble_global(g, {v: "a2_trivalent" for v in g.vertices})
         assert len(q.vertices) > sys.getrecursionlimit()
         assert quivers_isomorphic(q, q)
+
+
+def _random_quiver(rng: random.Random, n: int, m: int) -> IceQuiver:
+    """``n`` vertices, each frozen with chance 0.3, and ``m`` arrows with
+    random ends; when there are frozen vertices, an arrow is a frozen one
+    between two of them with chance 0.3, loops included."""
+    ids = ["v{}".format(i) for i in range(n)]
+    verts = [QuiverVertex(v, rng.random() < 0.3) for v in ids]
+    frozen = [v.id for v in verts if v.frozen]
+    arrows = []
+    for j in range(m):
+        ends = frozen if frozen and rng.random() < 0.3 else ids
+        src, dst = rng.choice(ends), rng.choice(ends)
+        arrows.append(QuiverArrow("a{}".format(j), src, dst, ends is frozen))
+    return IceQuiver(verts, arrows)
+
+
+def _relabelled(q: IceQuiver, rng: random.Random) -> IceQuiver:
+    """``q`` with its vertices renamed by a seeded shuffle of fresh names."""
+    fresh = ["w{}".format(k) for k in range(len(q.vertices))]
+    rng.shuffle(fresh)
+    names = dict(zip((v.id for v in q.vertices), fresh))
+    return IceQuiver(
+        [QuiverVertex(names[v.id], v.frozen) for v in q.vertices],
+        [QuiverArrow(a.id, names[a.src], names[a.dst], a.frozen) for a in q.arrows],
+    )
+
+
+def _frozen_loop_pair() -> tuple[IceQuiver, IceQuiver]:
+    """A frozen vertex with three frozen loops and one mutable loop, and
+    one with two of each, the other arrows equal: the same loops as a
+    set of flags, different as a multiset."""
+    verts = [QuiverVertex("f", frozen=True), QuiverVertex("m")]
+    pair = []
+    for flags in ((True, True, True, False), (True, True, False, False)):
+        loops = [QuiverArrow("l{}".format(i), "f", "f", flag) for i, flag in enumerate(flags)]
+        pair.append(IceQuiver(verts, [*loops, QuiverArrow("x", "f", "m")]))
+    return pair[0], pair[1]
 
 
 class TestExportDot:

@@ -30,8 +30,8 @@ from ribboncalc import (
 )
 
 from ribboncalc import trajectory
-from ribboncalc.graph import boundary_walks
-from ribboncalc.trajectory import _itinerary, _source_halfedges
+from ribboncalc.graph import boundary_walks, require_valid
+from ribboncalc.trajectory import CW, _itinerary, _source_halfedges
 from ribboncalc.words import _chain, _external_support, _possibly_zero, _summand_key
 
 from conftest import fixture_graph, sample_graphs
@@ -472,6 +472,13 @@ def test_twist_rotation_check_matches_the_boundary_walk_oracle():
             answers[answer] += 1
     # both answers occur, so the comparison is not vacuous
     assert answers[True] and answers[False]
+
+
+def test_the_kept_next_marked_point_is_where_the_clockwise_walk_ends():
+    # the twist check reads the map validation keeps; the walk is its oracle
+    for g in sample_graphs():
+        require_valid(g)
+        assert g._marked == {f: _itinerary(g, f, CW).terminal for f in g.external_edges()}
 
 
 def _decompose_per_ring_halfedge(g, target, side, starts, source=None, unit=None):
