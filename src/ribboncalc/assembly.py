@@ -130,49 +130,43 @@ def _flag(frozen: bool) -> str:
     return "frozen" if frozen else "mutable"
 
 
-def _reversal_identification(b1: IceQuiver, b2: IceQuiver):
-    """Match two interface quivers in reversed vertex order.
+def _reversal_identification(b1: IceQuiver, slot: TemplateSlot, target: IceQuiver):
+    """The morphism from the interface ``b1`` into ``target`` through
+    ``slot``, whose interface ``b1`` matches in reversed vertex order.
 
     Gluing two thickened pieces along an edge reverses the boundary
     orientation of one side, so the interface vertex lists pair up in
-    opposite order.  Returns (vertex map, arrow map) from b1 to b2.
-    When the pairing is not an isomorphism, raises ValueError naming the
-    first difference, b1's side before b2's: the vertex counts, a frozen
-    flag, or an arrow group (source, target, flag), in b2's ids, with
-    its two multiplicities.
+    opposite order, and the arrows of each group (source, target, flag)
+    in id order.  When the pairing is not an isomorphism, raises
+    ValueError naming the first difference, b1's side before the slot's:
+    the vertex counts, a frozen flag, or an arrow group, in the slot
+    interface's ids, with its two multiplicities.
     """
-    ids1 = sorted(v.id for v in b1.vertices)
-    ids2 = sorted((v.id for v in b2.vertices), reverse=True)
-    if len(ids1) != len(ids2):
-        raise ValueError("vertex counts {} against {}".format(len(ids1), len(ids2)))
-    vmap = dict(zip(ids1, ids2))
-    for vid in ids1:
-        frozen1, frozen2 = b1.vertex(vid).frozen, b2.vertex(vmap[vid]).frozen
-        if frozen1 != frozen2:
+    b2 = slot.boundary
+    if len(b1.vertices) != len(b2.vertices):
+        raise ValueError("vertex counts {} against {}".format(len(b1.vertices), len(b2.vertices)))
+    pairs = tuple(zip(b1.vertices, reversed(b2.vertices)))  # both in id order
+    for x, y in pairs:
+        if x.frozen != y.frozen:
             raise ValueError(
                 "{} vertex {} against {} vertex {}".format(
-                    _flag(frozen1), vid, _flag(frozen2), vmap[vid]
+                    _flag(x.frozen), x.id, _flag(y.frozen), y.id
                 )
             )
-    grouped1: dict[tuple, list[QuiverArrow]] = {}
-    for a in b1.arrows:
-        grouped1.setdefault((vmap[a.src], vmap[a.dst], a.frozen), []).append(a)
-    grouped2: dict[tuple, list[QuiverArrow]] = {}
-    for a in b2.arrows:
-        grouped2.setdefault((a.src, a.dst, a.frozen), []).append(a)
-    for key in sorted(grouped1.keys() | grouped2.keys()):
-        n1, n2 = len(grouped1.get(key, ())), len(grouped2.get(key, ()))
-        if n1 != n2:
-            raise ValueError(
-                "arrow group ({}, {}, {}) has multiplicity {} against {}".format(
-                    key[0], key[1], _flag(key[2]), n1, n2
-                )
+    vmap = {x.id: y.id for x, y in pairs}
+    side1 = sorted(((vmap[a.src], vmap[a.dst], a.frozen), a.id) for a in b1.arrows)
+    side2 = sorted(((a.src, a.dst, a.frozen), a.id) for a in b2.arrows)
+    keys1, keys2 = [k for k, _ in side1], [k for k, _ in side2]
+    if keys1 != keys2:
+        key = min(k for k in {*keys1, *keys2} if keys1.count(k) != keys2.count(k))
+        raise ValueError(
+            "arrow group ({}, {}, {}) has multiplicity {} against {}".format(
+                key[0], key[1], _flag(key[2]), keys1.count(key), keys2.count(key)
             )
-    amap: dict[str, str] = {}
-    for key, group1 in grouped1.items():
-        for a, b in zip(group1, grouped2[key]):
-            amap[a.id] = b.id
-    return vmap, amap
+        )
+    vertex_map = {x: slot.vertex_map[y] for x, y in vmap.items()}
+    arrow_map = {a: slot.arrow_map.get(b) for (_, a), (_, b) in zip(side1, side2)}
+    return QuiverMorphism(b1, target, vertex_map, arrow_map)
 
 
 def _resolve_assignment(g: RibbonGraph, assign: TemplateAssignment) -> dict[str, LocalTemplate]:
@@ -209,6 +203,10 @@ def _resolve_assignment(g: RibbonGraph, assign: TemplateAssignment) -> dict[str,
                 )
             )
         resolved[v] = t
+    # every vertex has its entry, so more entries name a vertex the graph lacks
+    if len(assign) > len(resolved):
+        unknown = next(v for v in assign if not g.has_vertex(v))
+        raise ValueError("template given for unknown vertex {!r}".format(unknown))
     return resolved
 
 
@@ -249,20 +247,13 @@ def assembly_diagram(g: RibbonGraph, assign: TemplateAssignment) -> Amalgamation
             t2, i2 = slot_at[h2]
             key += (id(t2), i2)
             if key not in morphisms:
-                slot2 = t2.slots[i2]
                 try:
-                    vmap, amap = _reversal_identification(boundary, slot2.boundary)
+                    morphisms[key] = _reversal_identification(boundary, t2.slots[i2], t2.quiver)
                 except ValueError as exc:
                     raise ValueError(
                         "interface quivers across edge {} do not match: {} "
                         "({} against {})".format(e, exc, e, h2)
                     ) from None
-                morphisms[key] = QuiverMorphism(
-                    boundary,
-                    t2.quiver,
-                    {x: slot2.vertex_map[vmap[x]] for x in vmap},
-                    {a: slot2.arrow_map.get(amap[a]) for a in amap},
-                )
             incidences[h2] = morphisms[key]
     return AmalgamationDiagram(g, vertex_quivers, edge_quivers, incidences)
 

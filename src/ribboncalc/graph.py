@@ -583,12 +583,16 @@ def subgraph(g: RibbonGraph, vertices: Iterable[str]) -> Subgraph:
             raise ValueError("unknown vertex {!r}".format(v))
     kept_set = set(keep)
     cyclic = {v: g.cyclic(v) for v in keep}
-    kept_halfedges = {h for v in keep for h in g.cyclic(v)}
-    twin = {}
-    for h in kept_halfedges:
-        t = g.twin_of(h)
-        if t is not None and g.at_vertex(t) in kept_set:
-            twin[h] = t
+    # each kept internal halfedge keeps its twin, or is cut from it
+    twin, cuts = {}, []
+    for ring in cyclic.values():
+        for h in ring:
+            t = g._twin.get(h)
+            if t is not None:
+                if g._at[t] in kept_set:
+                    twin[h] = t
+                else:
+                    cuts.append(h)
     sub = RibbonGraph(
         cyclic,
         twin,
@@ -601,7 +605,4 @@ def subgraph(g: RibbonGraph, vertices: Iterable[str]) -> Subgraph:
             "induced subgraph is not a valid ribbon graph: "
             + "; ".join(report.violations)
         )
-    cuts = tuple(
-        sorted(h for h in kept_halfedges if sub.is_external(h) and not g.is_external(h))
-    )
-    return Subgraph(sub, g, tuple(keep), cuts)
+    return Subgraph(sub, g, tuple(keep), tuple(sorted(cuts)))

@@ -161,7 +161,9 @@ def web_trajectory(g: RibbonGraph, v: str, orient: str = CW) -> dict[str, Itiner
     """One trajectory per halfedge at ``v``, keyed in cyclic order."""
     require_valid(g)
     _require_orient(orient)
-    return {h: _itinerary(g, h, orient) for h in _source_halfedges(g, VertexRef(v))}
+    if not g.has_vertex(v):
+        raise ValueError("unknown vertex {!r}".format(v))
+    return {h: _itinerary(g, h, orient) for h in g.cyclic(v)}
 
 
 def curve_trajectory(g: RibbonGraph, e: str, orient: str = CW) -> tuple[Itinerary, Itinerary]:
@@ -226,17 +228,17 @@ def _source_halfedges(g: RibbonGraph, source: SourceRef) -> tuple[str, ...]:
     raise TypeError("source must be a halfedge, edge or vertex reference")
 
 
-def _hits(g: RibbonGraph, source: SourceRef, target, orient: str) -> list[TrajectoryHit]:
-    """The hits of the walks from ``source`` on the checked ``target``, each
-    start's walk read once; a vertex target's hits name the halfedge met."""
-    starts = _source_halfedges(g, source)
+def _hits(g: RibbonGraph, starts, target, orient: str, curve: bool) -> list[TrajectoryHit]:
+    """The hits of the walks from the halfedges ``starts`` on the checked
+    ``target``, each start's walk read once; a vertex target's hits name
+    the halfedge met.  A ``curve``, an internal edge that is its own
+    target, makes one constant visit, so only its first start keeps one."""
     if isinstance(target, EdgeRef):
         hits = [h for s in starts for h in _hits_on_edge(_itinerary(g, s, orient), target.id)]
     else:
         ring = g.cyclic(target.id) if isinstance(target, VertexRef) else (target.id,)
         hits = [h for s in starts for h in _hits_on_halfedges(_itinerary(g, s, orient), ring)]
-    if source == target:
-        # an internal edge meeting itself: its two constant visits are one curve
+    if curve:
         hits = [h for h in hits if not h.constant or h.source == starts[0]]
     return hits
 
@@ -256,10 +258,10 @@ def trajectory_counts(
     """
     require_valid(g)
     _require_orient(orient)
-    _source_halfedges(g, source)  # a bad source is reported before a bad target
+    starts = _source_halfedges(g, source)  # a bad source is reported before a bad target
     if not isinstance(target, (EdgeRef, HalfedgeRef)):
         raise TypeError("target must be an edge or halfedge reference")
     _source_halfedges(g, target)
-    hits = _hits(g, source, target, orient)
+    hits = _hits(g, starts, target, orient, source == target)
     hits.sort(key=_hit_key)
     return tuple(hits)

@@ -20,7 +20,6 @@ from .trajectory import (
     CCW,
     CW,
     EdgeRef,
-    HalfedgeRef,
     TrajectoryHit,
     VertexRef,
     _hits,
@@ -31,8 +30,6 @@ from .trajectory import (
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from typing import Iterable, Optional, Union
-
-    from .trajectory import SourceRef
 
     ObjectRef = Union[EdgeRef, VertexRef]
 
@@ -161,31 +158,34 @@ def _decompose(
     g: RibbonGraph,
     target: ObjectRef,
     side: str,
-    starts: Iterable[tuple[SourceRef, Optional[Marker]]],
+    starts: Iterable[tuple[tuple[str, ...], Optional[Marker]]],
     source: Optional[ObjectRef] = None,
     unit: Optional[Marker] = None,
 ) -> Decomposition:
     """The hit-to-summand loop behind both decompositions.
 
-    ``starts`` pairs each trajectory source with the marker its summands
-    carry.  The target is checked once and `_hits` reads each start's
-    walk once.  A vertex target is met through the ring halfedge each
-    hit names, behind its adjoint atom, and a vertex ``source`` appends
-    the generator of the hit's source halfedge.  On the diagonal, where
-    a vertex source is its own target or a restriction marker ``unit``
-    is given, one identity summand, marked ``unit``, stands in for the
-    constant hits.
+    ``starts`` pairs the start halfedges of each trajectory source with
+    the marker its summands carry; a decomposition from ``source`` passes
+    none, and the source is resolved once the target is checked.  `_hits`
+    reads each start's walk once.  A vertex target is met through the ring
+    halfedge each hit names, behind its adjoint atom, and a vertex
+    ``source`` appends the generator of the hit's source halfedge.  On the
+    diagonal, where a vertex source is its own target or a restriction
+    marker ``unit`` is given, one identity summand, marked ``unit``, stands
+    in for the constant hits.
     """
     if not isinstance(target, (EdgeRef, VertexRef)):
         raise TypeError("target must be an edge or vertex reference")
     _source_halfedges(g, target)
+    if source is not None:
+        starts = ((_source_halfedges(g, source), None),)
     from_vertex = isinstance(source, VertexRef)
     diagonal = unit is not None or (from_vertex and source == target)
     orient = CW if side == "L" else CCW
     adj = _adjoint_kind(orient) if isinstance(target, VertexRef) else None
     summands: list[Summand] = []
-    for start, marker in starts:
-        for hit in _hits(g, start, target, orient):
+    for halfedges, marker in starts:
+        for hit in _hits(g, halfedges, target, orient, source == target):
             if diagonal and hit.constant:
                 continue
             prefix = (Atom(adj, hit.target),) if adj else ()
@@ -217,7 +217,7 @@ def decompose(
     _require_side(side)
     if not isinstance(source, (EdgeRef, VertexRef)):
         raise TypeError("source must be an edge or vertex reference")
-    return _decompose(g, target, side, ((source, None),), source)
+    return _decompose(g, target, side, (), source)
 
 
 def decompose_subgraph(
@@ -247,9 +247,7 @@ def decompose_subgraph(
             unit = Marker("res", skip)
     elif isinstance(target, VertexRef) and target.id in sub.vertices:
         unit = Marker("res", target.id)
-    starts = (
-        (HalfedgeRef(cut), Marker("ev", cut)) for cut in sub.cut_halfedges if cut != skip
-    )
+    starts = (((cut,), Marker("ev", cut)) for cut in sub.cut_halfedges if cut != skip)
     return _decompose(g, target, side, starts, unit=unit)
 
 
@@ -305,7 +303,8 @@ def word_typechecks(g: RibbonGraph, word: FunctorWord) -> bool:
     for atom in reversed(word.atoms):
         if atom.kind == ID:
             return False  # identity atoms never appear inside composites
-        _source_halfedges(g, HalfedgeRef(atom.halfedge))
+        if not g.has_halfedge(atom.halfedge):
+            raise ValueError("unknown halfedge {!r}".format(atom.halfedge))
         v = VertexRef(g.at_vertex(atom.halfedge))
         e = EdgeRef(g.edge_of(atom.halfedge))
         if atom.kind == GEN:

@@ -69,6 +69,27 @@ def _mutable_point_star() -> LocalTemplate:
     return LocalTemplate("mutable_point_star", star.quiver, slots)
 
 
+def _parallel_arrows_template(*zero: str) -> LocalTemplate:
+    """Two slots on one interface: frozen u1 and u2 with arrows p, q:
+    u1 -> u2 and r, s: u2 -> u1.  Slot k sends u1 and u2 to frozen i<k>
+    and o<k>, and p, q to the frozen arrow x<k>: i<k> -> o<k> and r, s to
+    y<k>: o<k> -> i<k>, the arrows ``zero`` to zero."""
+    ends = {"p": ("u1", "u2"), "q": ("u1", "u2"), "r": ("u2", "u1"), "s": ("u2", "u1")}
+    boundary = IceQuiver(
+        [QuiverVertex("u1", True), QuiverVertex("u2", True)],
+        [QuiverArrow(a, src, dst, True) for a, (src, dst) in ends.items()],
+    )
+    verts, arrows, slots = [], [], []
+    for k in range(2):
+        i, o, x, y = ("{}{}".format(c, k) for c in "ioxy")
+        verts += [QuiverVertex(i, True), QuiverVertex(o, True)]
+        arrows += [QuiverArrow(x, i, o, True), QuiverArrow(y, o, i, True)]
+        images = {"p": x, "q": x, "r": y, "s": y}
+        images.update(dict.fromkeys(zero))
+        slots.append(TemplateSlot(boundary, {"u1": i, "u2": o}, images))
+    return LocalTemplate("parallel", IceQuiver(verts, arrows), tuple(slots))
+
+
 class TestBuiltinTemplates:
     def test_registry(self):
         assert BUILTIN_TEMPLATE_NAMES == (
@@ -318,6 +339,14 @@ class TestAssemble:
         with pytest.raises(ValueError, match="has no template"):
             assemble_global(four_gon, {"v1": "a2_trivalent"})
 
+    @pytest.mark.parametrize("name", ["a2_trivalent", "no_such_template"])
+    def test_template_for_unknown_vertex(self, four_gon, name):
+        assign = {"v1": "a2_trivalent", "v2": "a2_trivalent", "nope": name}
+        for build in assemble_global, assembly_diagram:
+            with pytest.raises(ValueError) as info:
+                build(four_gon, assign)
+            assert str(info.value) == "template given for unknown vertex 'nope'"
+
     def test_valency_mismatch(self, two_spider):
         with pytest.raises(ValueError, match="valency"):
             assemble_global(two_spider, {"v": "rank1_trivalent"})
@@ -345,6 +374,17 @@ class TestAssemble:
             "interface quivers across edge m1 do not match: "
             "frozen vertex u against mutable vertex u (m1 against m2)"
         )
+
+    def test_parallel_interface_arrows_pair_in_id_order(self):
+        # a1 -> b1 is the one internal edge; both ends are slot 0.  Across
+        # it p, q: u1 -> u2 meet r, s: u2 -> u1, so p pairs with r and q
+        # with s, which b's slot sends to zero: q alone is dropped
+        g = RibbonGraph({"a": ("a1", "a2"), "b": ("b1", "b2")}, {"a1": "b1", "b1": "a1"})
+        assign = {"a": _parallel_arrows_template(), "b": _parallel_arrows_template("s")}
+        d = assembly_diagram(g, assign)
+        assert d.incidences["b1"].arrow_map == {"p": "y0", "q": None, "r": "x0", "s": "x0"}
+        for q in assemble_global(g, assign), amalgamate(d):
+            assert [a.id for a in q.arrows if a.id.startswith("a1.")] == ["a1.p", "a1.r", "a1.s"]
 
     def test_inline_template_assignment(self, four_gon):
         q = assemble_global(four_gon, {v: star_template(3) for v in four_gon.vertices})

@@ -350,6 +350,15 @@ class TestAssemble:
         )
         assert (code, out, err) == (1, "", "error: duplicate arrow id 'a.b.c'\n")
 
+    def test_template_for_unknown_vertex_fails_with_one_line(self, capsys, tmp_path):
+        assignments = dict.fromkeys(("v1", "v2", "nope"), "a2_trivalent")
+        assign_file = tmp_path / "t.json"
+        assign_file.write_text(json.dumps({"assignments": assignments}))
+        code, out, err = run(
+            capsys, "assemble", "--graph", fixture_path("four_gon"), "--templates", str(assign_file)
+        )
+        assert (code, out, err) == (1, "", "error: template given for unknown vertex 'nope'\n")
+
     def test_two_valent_warning_on_stderr(self, capsys, tmp_path):
         argv = self._chain(tmp_path, json.loads(serialize(star_template(3))))
         code, out, err = run(capsys, *argv)

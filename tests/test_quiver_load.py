@@ -25,45 +25,12 @@ from ribboncalc import ParseError, serialize
 from ribboncalc import serialization as library
 from ribboncalc.serialization import graph_from_jsonable
 
+from parse_oracle import _loc, _ptr, _want, _want_keys, _want_str
 from test_cli_mutations import _ODD_VALUES, _bases, _get, _mutate, _paths, _put
 
 
-# -- oracles: the parsers before values moved to the constructors, verbatim
-
-
-def _ptr(*tokens) -> str:
-    out = []
-    for t in tokens:
-        t = str(t).replace("~", "~0").replace("/", "~1")
-        out.append(t)
-    return "/" + "/".join(out) if out else ""
-
-
-def _loc(where) -> str:
-    """The pointer of a location ``(pointer, token, ...)``.  Locations stay
-    tuples until an error is raised, so valid input builds no pointers."""
-    return where[0] + _ptr(*where[1:])
-
-
-def _want(obj, typ, where, what):
-    if not isinstance(obj, typ):
-        raise ParseError(_loc(where), "expected {}".format(what))
-    return obj
-
-
-def _want_keys(obj, where, required, optional=()):
-    _want(obj, dict, where, "an object")
-    for key in required:
-        if key not in obj:
-            raise ParseError(_loc(where), "missing key {!r}".format(key))
-    for key in obj:
-        if key not in required and key not in optional:
-            raise ParseError(_loc(where + (key,)), "unknown key")
-    return obj
-
-
-def _want_str(obj, where):
-    return _want(obj, str, where, "a string")
+# -- oracles: the parsers before values moved to the constructors, verbatim,
+# their located-input helpers in `parse_oracle`
 
 
 def quiver_from_jsonable(obj: Any, pointer: str = ""):
