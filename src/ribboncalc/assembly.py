@@ -176,10 +176,12 @@ def _resolve_assignment(g: RibbonGraph, assign: TemplateAssignment) -> dict[str,
     as, or equal to, one met before resolves to that first object:
     `assembly_diagram` memoises slot morphisms by ``id(template)``, so
     this keeps their number down to the distinct templates even when
-    the caller builds one per vertex.
+    the caller builds one per vertex.  Templates are filed by their
+    hashable fields, name, quiver and stalk, so a template is compared
+    only with earlier ones that agree in those.
     """
     builtins: dict[str, LocalTemplate] = {}
-    seen: dict[str, list[LocalTemplate]] = {}  # first ones, by name
+    seen: dict[tuple, list[LocalTemplate]] = {}  # first ones, by (name, quiver, stalk)
     resolved = {}
     for v in g.vertices:
         if v not in assign:
@@ -190,10 +192,10 @@ def _resolve_assignment(g: RibbonGraph, assign: TemplateAssignment) -> dict[str,
                 builtins[t] = builtin_template(t)
             t = builtins[t]
         else:
-            same_name = seen.setdefault(t.name, [])
-            known = next((c for c in same_name if c is t or c == t), None)
+            alike = seen.setdefault((t.name, t.quiver, t.stalk), [])
+            known = next((c for c in alike if c is t or c == t), None)
             if known is None:
-                same_name.append(t)
+                alike.append(t)
             else:
                 t = known
         if t.valency != g.valency(v):

@@ -142,12 +142,15 @@ class RibbonGraph:
 
     On load a graph keeps only the tables the parser fills: its rings,
     each halfedge's vertex, successor and twin, the kinds, the labels and
-    the unsorted external halfedges.  The sorted id tables, `vertices`,
-    `halfedges`, `edges`, `internal_edges` and `external_edges`, are built
-    on first read, and so is the predecessor table, which only
-    counterclockwise walks and `cw_next` read.  Validation reads none of
-    them: it walks the rings once and the boundary once (see
-    `validate_graph`).
+    the unsorted external halfedges.  Beyond those it keeps only what is
+    read again: the sorted `vertices` and `halfedges`, built on first
+    read, the predecessor table, which only counterclockwise walks and
+    `cw_next` read, the validation report with its next-marked-point map,
+    and the walked itineraries.  `edges`, `internal_edges` and
+    `external_edges` sort on each call, and the corner orbits are walked
+    on each call of `_corner_orbits`; a caller that reads one twice holds
+    it.  Validation reads no sorted table: it walks the rings once and
+    the boundary once (see `validate_graph`).
     """
 
     def __init__(
@@ -210,14 +213,15 @@ class RibbonGraph:
         a known kind for every vertex and labels only on known vertices.
         The halfedges are the keys of ``twin`` and the external ones.
         ``twin`` and ``external`` may come in any order; the sorted id
-        tables, built on first read, sort fastest when they are already
-        sorted, as in canonical input.  The dicts and the list are kept,
-        not copied."""
+        tables sort fastest when they are already sorted, as in canonical
+        input.  The dicts and the list are kept, not copied."""
         g = cls.__new__(cls)
         g._build(cyclic, at, nxt, twin, external, kinds, labels)
         return g
 
     def _build(self, cyclic, at, nxt, twin, external, kinds, labels) -> None:
+        """Set the 13 attributes of a graph: the seven tables it is given,
+        then the slots, empty at first, of what is built on use and kept."""
         self._cyclic: dict[str, tuple[str, ...]] = cyclic
         self._at = at
         # successor in the cyclic order; the predecessor is built on first
@@ -227,17 +231,14 @@ class RibbonGraph:
         self._kind = kinds
         self._label = labels
         self._external = external
-        # the sorted id tables, built on first read by their accessors
+        # the sorted vertex and halfedge ids, built on first read by their
+        # properties
         self._vertices: Optional[tuple[str, ...]] = None
         self._halfedges: Optional[tuple[str, ...]] = None
-        self._edges: Optional[tuple[str, ...]] = None
-        self._internal_edges: Optional[tuple[str, ...]] = None
-        self._external_edges: Optional[tuple[str, ...]] = None
         self._report: Optional[ValidationReport] = None
         # each external halfedge's next marked point along its boundary
         # circle, filled by `validate_graph`
         self._marked: Optional[dict[str, str]] = None
-        self._orbits: Optional[tuple[tuple[str, ...], ...]] = None
         self._prev: Optional[dict[str, str]] = None
         # itineraries, one table per orientation, filled by
         # `ribboncalc.trajectory`: each halfedge a ray stepped maps to that
@@ -311,20 +312,14 @@ class RibbonGraph:
         return (e,) if t is None or t == e else (e, t)
 
     def edges(self) -> tuple[str, ...]:
-        if self._edges is None:
-            self._edges = tuple(sorted(self.internal_edges() + self.external_edges()))
-        return self._edges
+        return tuple(sorted(self.internal_edges() + self.external_edges()))
 
     def internal_edges(self) -> tuple[str, ...]:
-        if self._internal_edges is None:
-            # an edge is named by its smaller halfedge
-            self._internal_edges = tuple(sorted(h for h, t in self._twin.items() if h <= t))
-        return self._internal_edges
+        # an edge is named by its smaller halfedge
+        return tuple(sorted(h for h, t in self._twin.items() if h <= t))
 
     def external_edges(self) -> tuple[str, ...]:
-        if self._external_edges is None:
-            self._external_edges = tuple(sorted(self._external))
-        return self._external_edges
+        return tuple(sorted(self._external))
 
     def is_edge(self, e: str) -> bool:
         return e in self._at and self.edge_of(e) == e
@@ -372,25 +367,23 @@ def _predecessors(g: RibbonGraph) -> dict[str, str]:
     return g._prev
 
 
-def _corner_orbits(g: RibbonGraph) -> tuple[tuple[str, ...], ...]:
+def _corner_orbits(g: RibbonGraph) -> list[tuple[str, ...]]:
     """The orbits of `corner_permutation`, each starting at its smallest
-    halfedge, in order of those; computed once per graph and kept on it.
-    `boundary_walks` reads them, and `validate_graph` only to name the
-    orbits that meet no external halfedge."""
-    if g._orbits is None:
-        perm = corner_permutation(g)
-        orbits = []
-        for start in g.halfedges:
-            h = perm.pop(start, None)
-            if h is None:
-                continue
-            orbit = [start]
-            while h != start:
-                orbit.append(h)
-                h = perm.pop(h)
-            orbits.append(tuple(orbit))
-        g._orbits = tuple(orbits)
-    return g._orbits
+    halfedge, in order of those; computed on each call, as nothing reads
+    them twice: `boundary_walks` reads them, and `validate_graph` only to
+    name the orbits that meet no external halfedge."""
+    perm = corner_permutation(g)
+    orbits = []
+    for start in g.halfedges:
+        h = perm.pop(start, None)
+        if h is None:
+            continue
+        orbit = [start]
+        while h != start:
+            orbit.append(h)
+            h = perm.pop(h)
+        orbits.append(tuple(orbit))
+    return orbits
 
 
 def validate_graph(g: RibbonGraph) -> ValidationReport:

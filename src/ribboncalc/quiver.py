@@ -244,7 +244,8 @@ def _validate_diagram(d: AmalgamationDiagram) -> None:
     for v in g.vertices:
         if v not in d.vertex_quivers:
             raise ValueError("vertex {} has no quiver".format(v))
-    for e in g.edges():
+    edges = g.edges()
+    for e in edges:
         if e not in d.edge_quivers:
             raise ValueError("edge {} has no interface quiver".format(e))
     for h in g.halfedges:
@@ -263,7 +264,7 @@ def _validate_diagram(d: AmalgamationDiagram) -> None:
     # the graph lacks, which the gluing would ignore
     for table, ids, has, what in (
         (d.vertex_quivers, g.vertices, g.has_vertex, "quiver given for unknown vertex {!r}"),
-        (d.edge_quivers, g.edges(), g.is_edge, "interface quiver given for unknown edge {!r}"),
+        (d.edge_quivers, edges, g.is_edge, "interface quiver given for unknown edge {!r}"),
         (d.incidences, g.halfedges, g.has_halfedge, "incidence given for unknown halfedge {!r}"),
     ):
         if len(table) > len(ids):
@@ -322,7 +323,8 @@ def _glue(d: AmalgamationDiagram) -> IceQuiver:
                 raise ValueError("two vertices have qualified id {!r}".format(qualified))
             origin[qualified] = x
     glued = []
-    for e in g.internal_edges():
+    internal = g.internal_edges()
+    for e in internal:
         t = g.twin_of(e)
         map1, map2 = d.incidences[e].vertex_map, d.incidences[t].vertex_map
         names1, names2 = names[g.at_vertex(e)], names[g.at_vertex(t)]
@@ -360,7 +362,7 @@ def _glue(d: AmalgamationDiagram) -> IceQuiver:
                 arrows.append(
                     QuiverArrow(v + "." + a.id, rep[src], rep[local[a.dst]], True)
                 )
-    for e in g.internal_edges():
+    for e in internal:
         m1, m2 = d.incidences[e], d.incidences[g.twin_of(e)]
         local, map1 = names[g.at_vertex(e)], m1.vertex_map
         for a in d.edge_quivers[e].arrows:

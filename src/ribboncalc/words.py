@@ -237,9 +237,8 @@ def decompose_subgraph(
         raise ValueError("subgraph belongs to a different ambient graph")
     unit = skip = None
     if isinstance(target, EdgeRef):
-        preimages = [
-            k for k in sub.graph.edges() if sub.ambient_edge_of(k) == target.id
-        ]
+        # an edge of the piece is named by a halfedge of its ambient edge
+        preimages = [h for h in g.halfedges_of(target.id) if sub.graph.is_edge(h)]
         # a unique preimage gives the restriction summand, which also
         # stands for the preimage's own cut when it is one
         if len(preimages) == 1:

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import random
 import subprocess
@@ -35,6 +36,27 @@ def fixture_text(name: str) -> str:
 
 def fixture_graph(name: str) -> RibbonGraph:
     return parse_graph(fixture_text(name))
+
+
+def bench_gen():
+    """The benchmark's graph generator, ``bench/gen.py``, loaded by path
+    once per session."""
+    gen = sys.modules.get("bench_gen")
+    if gen is None:
+        path = Path(__file__).parent.parent / "bench" / "gen.py"
+        spec = importlib.util.spec_from_file_location("bench_gen", path)
+        gen = importlib.util.module_from_spec(spec)
+        # dataclasses looks the module up by name while it builds `Spec`
+        sys.modules[spec.name] = gen
+        spec.loader.exec_module(gen)
+    return gen
+
+
+def bench_graph(family: str, n: int, seed) -> RibbonGraph:
+    """The ``bench/gen.py`` graph of ``family`` with about ``n`` vertices,
+    drawn with ``seed`` and parsed from its canonical text."""
+    gen = bench_gen()
+    return parse_graph(gen.to_text(gen.generate(family, n, seed)))
 
 
 def run_python(code: str, *args: str, options: tuple = ()) -> subprocess.CompletedProcess:

@@ -26,7 +26,7 @@ from ribboncalc import (
     surface_invariants,
 )
 
-from conftest import fixture_graph, fixture_text
+from conftest import bench_graph, fixture_graph, fixture_text
 from randgraphs import random_graph, trivalent_graph
 from test_assembly import _builtin_assignments, _punctured_path
 
@@ -155,10 +155,21 @@ def _two_acyclic(q) -> bool:
     )
 
 
+def _punctured_assignment(g: RibbonGraph, rng: random.Random) -> dict[str, str]:
+    """A random punctured 2-gon on every singular vertex and rank 1 on every
+    other, as the benchmark's command line rounds assign them."""
+    return {
+        v: "punctured_2gon_T{}".format(rng.randint(1, 4)) if g.kind(v) == "singular"
+        else "rank1_trivalent"
+        for v in g.vertices
+    }
+
+
 def _builtin_assemblies():
     """Star templates on seeded random graphs, the trivalent built-ins on
     seeded trivalent graphs, and the punctured 2-gons, with rank 1 around
-    them, on punctured paths and on the once-punctured 4-gon."""
+    them, on punctured paths, on the once-punctured 4-gon and on the
+    benchmark's punctured trivalent graphs."""
     rng = random.Random(28)
     for _ in range(100):
         g = random_graph(rng)
@@ -175,6 +186,10 @@ def _builtin_assemblies():
     base = parse_assignments(fixture_text("once_punctured_4gon_templates"))
     for k in range(1, 5):
         yield g, dict(base, p="punctured_2gon_T{}".format(k))
+    for n in (24, 60, 150):
+        for seed in range(40):
+            g = bench_graph("trivalent_punctured", n, "{}/flip".format(seed))
+            yield g, _punctured_assignment(g, rng)
 
 
 def test_every_builtin_assembly_is_two_acyclic():

@@ -1,11 +1,12 @@
 import copy
+import itertools
 import pickle
 
 import pytest
 
 import ribboncalc.graph
 from conftest import fixture_graph, sample_graphs
-from ribboncalc.graph import _Record
+from ribboncalc.graph import _Record, _corner_orbits
 from ribboncalc import (
     AmalgamationDiagram,
     Atom,
@@ -249,9 +250,10 @@ class TestAccessors:
 
 
 class TestSortedTables:
-    """The sorted id tables are built on first read, and only then."""
+    """The sorted vertex and halfedge tables are built on first read, and
+    only then."""
 
-    TABLES = ("_vertices", "_halfedges", "_edges", "_internal_edges", "_external_edges")
+    TABLES = ("_vertices", "_halfedges")
 
     def test_validation_walks_and_decompositions_build_none(self):
         for name in ("four_gon", "annulus", "once_punctured_4gon", "two_spider"):
@@ -285,6 +287,77 @@ class TestSortedTables:
                         fresh = make(text)
                         read(fresh)
                         assert {write: write(fresh) for write in writers} == want
+
+
+def _tables_from_twins(g):
+    """The edge tables and corner orbits of ``g`` derived afresh from its
+    twin table, its external halfedges and its successor map: an edge is
+    named by its smaller halfedge, and an orbit starts at its smallest."""
+    twin, external = g._twin, set(g._external)
+    internal = tuple(sorted({min(h, t) for h, t in twin.items()}))
+    left = set(twin) | external
+    walks = []
+    while left:
+        start = h = min(left)
+        orbit = []
+        while not orbit or h != start:
+            orbit.append(h)
+            left.remove(h)
+            h = g.ccw_next(twin.get(h, h))
+        walks.append(BoundaryWalk(tuple(orbit), tuple(x for x in orbit if x in external)))
+    return {
+        "edges": tuple(sorted(internal + tuple(external))),
+        "internal_edges": internal,
+        "external_edges": tuple(sorted(external)),
+        "walks": walks,
+    }
+
+
+def _fixed_point_graphs():
+    """Graphs whose twin fixes a halfedge: a one-vertex one, then each
+    seeded random graph with the two halfedges of its first internal edge
+    made fixed points."""
+    yield RibbonGraph({"v": ("x", "y", "z")}, {"y": "y"})
+    for g in sample_graphs()[::8]:
+        e = g.internal_edges()[:1]
+        if e:
+            broken = {h: t for h, t in g._twin.items() if g.edge_of(h) != e[0]}
+            broken.update((h, h) for h in g.halfedges_of(e[0]))
+            yield RibbonGraph({v: g.cyclic(v) for v in g.vertices}, broken)
+
+
+class TestEdgeTables:
+    """The edge tables sort, and the corner orbits are walked, on each call,
+    so every read agrees with the twin table whatever was read before."""
+
+    READERS = {
+        "edges": RibbonGraph.edges,
+        "internal_edges": RibbonGraph.internal_edges,
+        "external_edges": RibbonGraph.external_edges,
+        "walks": boundary_walks,
+    }
+
+    def test_every_read_order_matches_the_twin_table(self):
+        orders = list(itertools.permutations(self.READERS))
+        for i, g in enumerate(sample_graphs()):
+            want = _tables_from_twins(g)
+            fresh = parse_graph(serialize(g))
+            for order in orders[i % len(orders)], orders[-1 - i % len(orders)]:
+                for name in order * 2:
+                    assert self.READERS[name](fresh) == want[name], name
+
+    def test_graphs_with_twin_fixed_points(self):
+        graphs = list(_fixed_point_graphs())
+        assert len(graphs) > 5
+        for g in graphs:
+            want = _tables_from_twins(g)
+            for _ in range(2):
+                for name in ("external_edges", "internal_edges", "edges"):
+                    assert self.READERS[name](g) == want[name], name
+                assert _corner_orbits(g) == [w.halfedges for w in want["walks"]]
+            assert any("fixed point" in m for m in validate_graph(g).violations)
+            with pytest.raises(InvalidGraphError, match="fixed point"):
+                boundary_walks(g)
 
 
 class TestValidation:

@@ -19,7 +19,10 @@ from ribboncalc import (
     BUILTIN_TEMPLATE_NAMES,
     EdgeRef,
     IceQuiver,
+    InvalidGraphError,
+    Itinerary,
     LocalTemplate,
+    Marker,
     QuiverArrow,
     QuiverVertex,
     RibbonGraph,
@@ -27,18 +30,30 @@ from ribboncalc import (
     VertexRef,
     assemble_global,
     assembly_diagram,
+    boundary_walks,
     decompose,
+    decompose_subgraph,
+    itinerary,
     parse_assignments,
     parse_diagram,
     parse_quiver,
     parse_template,
     quivers_isomorphic,
+    rotate_to_min,
     serialize,
     star_template,
+    subgraph,
     to_jsonable,
 )
 
-from conftest import GRAPH_FIXTURES, fixture_graph, fixture_text, same_labelled_quiver
+from conftest import (
+    GRAPH_FIXTURES,
+    bench_gen,
+    bench_graph,
+    fixture_graph,
+    fixture_text,
+    same_labelled_quiver,
+)
 from randgraphs import random_graph, trivalent_graph
 
 # the lists whose order carries no meaning
@@ -146,9 +161,24 @@ def _renamed(g, hmap, vmap) -> RibbonGraph:
 
 def _image(x, r, hmap, vmap):
     """The reference in the renamed graph ``r`` to what ``x`` names."""
+    if x is None:
+        return None
     if isinstance(x, VertexRef):
         return VertexRef(vmap[x.id])
     return EdgeRef(r.edge_of(hmap[x.id]))
+
+
+def _marker_image(m, target, r, hmap, vmap):
+    """The marker ``m`` of a summand evaluated at ``target``, over the ids
+    of ``r``: a cut by its halfedge, a restriction by its vertex or by its
+    edge's name in ``r``, as a renaming may swap which halfedge names it."""
+    if m is None:
+        return None
+    if m.kind == "ev":
+        return Marker("ev", hmap[m.ref])
+    if isinstance(target, VertexRef):
+        return Marker("res", vmap[m.ref])
+    return Marker("res", r.edge_of(hmap[m.ref]))
 
 
 def _summands(dec, r, hmap, vmap) -> dict:
@@ -164,8 +194,21 @@ def _summands(dec, r, hmap, vmap) -> dict:
             start = r.edge_of(start)
         atoms = tuple((a.kind, a.halfedge and hmap[a.halfedge]) for a in s.word.atoms)
         ends = (_image(s.word.source, r, hmap, vmap), _image(s.word.target, r, hmap, vmap))
-        out[atoms, ends, start, s.index, s.constant, s.marker, s.possibly_zero] += 1
+        marker = _marker_image(s.marker, dec.target, r, hmap, vmap)
+        out[atoms, ends, start, s.index, s.constant, marker, s.possibly_zero] += 1
     return dict(out)  # compared as a dict, which is faster than a Counter
+
+
+def _renamed_copies(g, rng):
+    """``g`` under a random and under an order-reversing renaming, each
+    with the maps of its halfedge and vertex ids into the copy, and the
+    identity maps of the copy's ids."""
+    copies = []
+    for hmap, vmap in zip(_renamings(g.halfedges, "h", rng), _renamings(g.vertices, "v", rng)):
+        r = _renamed(g, hmap, vmap)
+        same_h, same_v = {h: h for h in r.halfedges}, {v: v for v in r.vertices}
+        copies.append((r, hmap, vmap, same_h, same_v))
+    return copies
 
 
 def _naturality_graphs():
@@ -176,11 +219,7 @@ def _naturality_graphs():
 
 @pytest.mark.parametrize("seed, g", list(enumerate(_naturality_graphs())))
 def test_decompositions_commute_with_renaming(seed, g):
-    rng = random.Random(seed)
-    renamings = []
-    for hmap, vmap in zip(_renamings(g.halfedges, "h", rng), _renamings(g.vertices, "v", rng)):
-        r = _renamed(g, hmap, vmap)
-        renamings.append((r, hmap, vmap, {h: h for h in r.halfedges}, {v: v for v in r.vertices}))
+    renamings = _renamed_copies(g, random.Random(seed))
     objects = [EdgeRef(e) for e in g.edges()] + [VertexRef(v) for v in g.vertices]
     for source in objects:
         for target in objects:
@@ -190,6 +229,84 @@ def test_decompositions_commute_with_renaming(seed, g):
                     image = (_image(target, r, hmap, vmap), _image(source, r, hmap, vmap))
                     renamed = decompose(r, *image, side)
                     assert _summands(dec, r, hmap, vmap) == _summands(renamed, r, same_h, same_v)
+
+
+def _walk_graphs():
+    """The naturality graphs, then one ``bench/gen.py`` graph of each family
+    at V=1000."""
+    graphs = [(str(i), g) for i, g in enumerate(_naturality_graphs())]
+    graphs += [(f, bench_graph(f, 1000, "1/naturality")) for f in bench_gen().FAMILIES]
+    return [pytest.param(name, g, id=name) for name, g in graphs]
+
+
+def _itinerary_image(it, r, hmap, vmap) -> Itinerary:
+    return Itinerary(
+        hmap[it.start],
+        it.orient,
+        tuple(hmap[h] for h in it.out_halfedges),
+        tuple(r.edge_of(hmap[e]) for e in it.edges),
+        tuple(vmap[v] for v in it.turns),
+        tuple(hmap[h] for h in it.entries),
+        hmap[it.terminal],
+    )
+
+
+def _walk_set(walks, hmap):
+    """Boundary walks as a set of cyclic words, of halfedges and of marked
+    points, each rotated to its smallest id after ``hmap``."""
+    return {
+        (rotate_to_min(map(hmap.get, w.halfedges)), rotate_to_min(map(hmap.get, w.externals)))
+        for w in walks
+    }
+
+
+def _balls(g, rng):
+    """Connected vertex sets grown breadth first from random vertices: one
+    vertex, two, three and half the graph."""
+    for size in (1, 2, 3, max(1, len(g.vertices) // 2)):
+        ball = [rng.choice(g.vertices)]
+        kept = set(ball)
+        for v in ball:
+            for h in g.cyclic(v):
+                w = g.at_vertex(g.ext_twin(h))
+                if len(ball) < size and w not in kept:
+                    ball.append(w)
+                    kept.add(w)
+        yield ball
+
+
+@pytest.mark.parametrize("name, g", _walk_graphs())
+def test_walks_and_restriction_commute_with_renaming(name, g):
+    rng = random.Random(name)
+    copies = _renamed_copies(g, rng)
+    for r, hmap, vmap, same_h, _ in copies:
+        for h in g.halfedges:
+            for orient in ("cw", "ccw"):
+                want = _itinerary_image(itinerary(g, h, orient), r, hmap, vmap)
+                assert itinerary(r, hmap[h], orient) == want
+        assert _walk_set(boundary_walks(r), same_h) == _walk_set(boundary_walks(g), hmap)
+    objects = [EdgeRef(e) for e in g.edges()] + [VertexRef(v) for v in g.vertices]
+    pieces = 0
+    for ball in _balls(g, rng):
+        try:
+            sub = subgraph(g, ball)
+        except InvalidGraphError:
+            continue
+        pieces += 1
+        images = [
+            (subgraph(r, [vmap[v] for v in ball]), r, hmap, vmap, same_h, same_v)
+            for r, hmap, vmap, same_h, same_v in copies
+        ]
+        # random objects, and some of the piece's vertices and cut edges
+        targets = rng.sample(objects, min(len(objects), 24)) + [VertexRef(v) for v in ball[:3]]
+        targets += [EdgeRef(g.edge_of(h)) for h in sub.cut_halfedges[:3]]
+        for target in targets:
+            for side in ("L", "R"):
+                dec = decompose_subgraph(g, sub, target, side)
+                for image, r, hmap, vmap, same_h, same_v in images:
+                    renamed = decompose_subgraph(r, image, _image(target, r, hmap, vmap), side)
+                    assert _summands(dec, r, hmap, vmap) == _summands(renamed, r, same_h, same_v)
+    assert pieces
 
 
 def _glued_label_cases():

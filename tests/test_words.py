@@ -32,7 +32,7 @@ from ribboncalc import (
 from ribboncalc import trajectory
 from ribboncalc.graph import boundary_walks, require_valid
 from ribboncalc.trajectory import CW, _itinerary, _source_halfedges
-from ribboncalc.words import _chain, _external_support, _possibly_zero, _summand_key
+from ribboncalc.words import _chain, _decompose, _external_support, _possibly_zero, _summand_key
 
 from conftest import fixture_graph, sample_graphs
 
@@ -560,3 +560,64 @@ def test_decompositions_match_the_per_ring_halfedge_loop():
                         assert serialize(decompose_subgraph(g, sub, target, side)) == (
                             serialize(expected)
                         )
+
+
+def _decompose_subgraph_by_scan(g, sub, target, side):
+    """`decompose_subgraph` past its checks, finding an edge target's
+    preimages by the scan it once ran over every edge of the piece; kept as
+    the oracle of the read of the target's own halfedges."""
+    unit = skip = None
+    if isinstance(target, EdgeRef):
+        preimages = [k for k in sub.graph.edges() if sub.ambient_edge_of(k) == target.id]
+        if len(preimages) == 1:
+            skip = preimages[0]
+            unit = Marker("res", skip)
+    elif target.id in sub.vertices:
+        unit = Marker("res", target.id)
+    starts = (((cut,), Marker("ev", cut)) for cut in sub.cut_halfedges if cut != skip)
+    return _decompose(g, target, side, starts, unit=unit)
+
+
+def _pieces(g):
+    """The pieces of ``g`` that `subgraph` accepts among these: each vertex,
+    the two ends of each internal edge, all vertices but one, and all."""
+    kept = {(v,) for v in g.vertices} | {g.vertices}
+    kept |= {tuple(sorted({g.at_vertex(e), g.at_vertex(g.twin_of(e))})) for e in g.internal_edges()}
+    kept |= {tuple(w for w in g.vertices if w != v) for v in g.vertices}
+    for vertices in sorted(kept - {()}):
+        try:
+            yield subgraph(g, vertices)
+        except InvalidGraphError:
+            pass
+
+
+def test_edge_preimages_match_the_scan_over_the_piece():
+    severed = RibbonGraph(
+        {"u": ("uz", "ua", "ux", "ub"), "w": ("wy", "wa", "wb")},
+        {"ua": "wa", "wa": "ua", "ub": "wb", "wb": "ub"},
+    )
+    piece = RibbonGraph(
+        {"u": ("uz", "ua", "ux", "ub"), "w": ("wy", "wa", "wb")},
+        {"ua": "wa", "wa": "ua"},
+    )
+    cases = [(g, sub) for g in sample_graphs() for sub in _pieces(g)]
+    # a hand-built cut on both sides of one edge gives it two preimages
+    cases.append((severed, Subgraph(piece, severed, ("u", "w"), ("ub", "wb"))))
+    preimages = Counter()
+    for g, sub in cases:
+        for e in g.edges():
+            target = EdgeRef(e)
+            preimages[sum(map(sub.graph.is_edge, g.halfedges_of(e)))] += 1
+            # the preimages do not depend on the side
+            assert decompose_subgraph(g, sub, target) == (
+                _decompose_subgraph_by_scan(g, sub, target, "L")
+            )
+        # a halfedge that does not name its edge, and an id of no halfedge
+        for name in [*(g.twin_of(e) for e in g.internal_edges()[:1]), "zzz"]:
+            with pytest.raises(ValueError) as scanned:
+                _decompose_subgraph_by_scan(g, sub, EdgeRef(name), "L")
+            with pytest.raises(ValueError, match="^unknown edge ") as read:
+                decompose_subgraph(g, sub, EdgeRef(name))
+            assert str(read.value) == str(scanned.value)
+    # targets with no preimage, with one and with two all occur
+    assert sorted(preimages) == [0, 1, 2]

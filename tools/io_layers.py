@@ -9,18 +9,21 @@ process over 40 repeats: each repeat runs every stage once on every graph,
 so a change of host speed touches all stages alike.  Validation is timed
 through `RibbonGraph.validation_report`, which keeps the report as
 `require_valid` does, so `surface_invariants` times itself alone, as in
-``cli info``.  A graph sorts its id tables on first read, and the stages
-pay for them in this order: the build, validation and
-`surface_invariants` read none; `serialize` sorts `vertices` and
-`halfedges`; `graph_dot` sorts `edges()`, and with it `internal_edges()`
-and `external_edges()`.  On the `trivalent_punctured` graph it also times the
-quiver writers, `serialize(q)` and `export_dot(q)`, on the global quiver
-that `assemble_global` glues with every singular vertex on
-``punctured_2gon_T1`` and every other on ``rank1_trivalent``.  It prints,
-per family and stage, the best and the median time and the best time as
-a ratio to the best `json.loads`.  Each repeat decodes, builds and
-assembles afresh (assembly is not timed), so no stage meets a graph,
-quiver or string an earlier repeat has used.
+``cli info``.  A graph sorts `vertices` and `halfedges` on first read and
+keeps them, and sorts its edge tables on each call, so the stages pay for
+the sorts in this order: the build, validation and `surface_invariants`
+read none; `serialize` sorts `vertices` and `halfedges`; `graph_dot` sorts
+`edges()`, which sorts `internal_edges()` and `external_edges()` on the
+way.  On the `trivalent_punctured` graph it then times `edges()` alone,
+the sort each later reader repeats, and `assemble_global`, with every
+singular vertex on ``punctured_2gon_T1`` and every other on
+``rank1_trivalent``; the assembly sorts `edges()` once, and
+`internal_edges()` and `external_edges()` once more to glue.  Last it
+times the quiver writers, `serialize(q)` and `export_dot(q)`, on the
+glued quiver.  It prints, per family and stage, the best and the median
+time and the best time as a ratio to the best `json.loads`.  Each repeat
+decodes, builds and assembles afresh, so no stage meets a graph, quiver
+or string an earlier repeat has used.
 
 It then times the writers of values that hold a quiver, where the JSON
 encoder writes the nested quiver: `serialize` of each built-in template
@@ -40,6 +43,7 @@ import json
 import statistics
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -67,7 +71,7 @@ STAGES = (
     "graph_dot",
 )
 QUIVER_FAMILY = "trivalent_punctured"
-QUIVER_STAGES = ("serialize(q)", "export_dot(q)")
+QUIVER_STAGES = ("edges()", "assemble_global", "serialize(q)", "export_dot(q)")
 NESTED_REPEATS = 2000
 FIXTURES = ROOT / "src" / "ribboncalc" / "fixtures"
 
@@ -102,7 +106,7 @@ def _assignment(g) -> dict[str, str]:
 def measure(text: str, quiver: bool) -> dict[str, float]:
     """One time per stage for the graph written as ``text``, each stage fed
     by the one before, as a command line call feeds them; with ``quiver``,
-    also the quiver stages on the graph's assembly."""
+    also its edge sort, its assembly and the quiver stages on that."""
     times: dict[str, float] = {}
     obj = _timed(times, "json.loads", json.loads, text)
     g = _timed(times, "graph_from_jsonable", graph_from_jsonable, obj)
@@ -111,7 +115,8 @@ def measure(text: str, quiver: bool) -> dict[str, float]:
     _timed(times, "serialize", serialize, g)
     _timed(times, "graph_dot", graph_dot, g)
     if quiver:
-        q = assemble_global(g, _assignment(g))
+        _timed(times, "edges()", RibbonGraph.edges, g)
+        q = _timed(times, "assemble_global", partial(assemble_global, g), _assignment(g))
         _timed(times, "serialize(q)", serialize, q)
         _timed(times, "export_dot(q)", export_dot, q)
     return times
