@@ -134,8 +134,7 @@ class RibbonGraph:
     kind and a label that is not a string.  A fault of one entry keeps its
     location (see `_fault`), such as ``("cyclic", v, j)``, ``("twin", h)``,
     ``("vertex_kind", v)`` or ``("vertex_label", v)``.  `_from_tables`
-    takes the tables a graph keeps, already checked: the parser's fast
-    pass fills them as it reads, and `dual` takes them from its argument.
+    takes the tables a graph keeps, already checked.
     Semantic rules, loops, valency-1 vertices, connectivity and the
     marked-point condition, are reported by `validate_graph` instead so
     that callers can inspect broken graphs.
@@ -214,7 +213,9 @@ class RibbonGraph:
         The halfedges are the keys of ``twin`` and the external ones.
         ``twin`` and ``external`` may come in any order; the sorted id
         tables sort fastest when they are already sorted, as in canonical
-        input.  The dicts and the list are kept, not copied."""
+        input.  The dicts and the list are kept, not copied.  The parser's
+        fast pass fills them as it reads, `dual` takes its argument's and
+        `subgraph` restricts its ambient's."""
         g = cls.__new__(cls)
         g._build(cyclic, at, nxt, twin, external, kinds, labels)
         return g
@@ -339,9 +340,9 @@ class RibbonGraph:
         return hash(self._equality_key())
 
     def __repr__(self) -> str:
-        return "RibbonGraph({} vertices, {} edges)".format(
-            len(self._cyclic), len(self.edges())
-        )
+        # counts what `edges()` lists, twin fixed points included, unsorted
+        edges = sum(h <= t for h, t in self._twin.items()) + len(self._external)
+        return "RibbonGraph({} vertices, {} edges)".format(len(self._cyclic), edges)
 
     # -- validation (cached) -----------------------------------------------
 
@@ -567,6 +568,10 @@ class Subgraph(_Record):
 
 
 def subgraph(g: RibbonGraph, vertices: Iterable[str]) -> Subgraph:
+    """The piece of ``g`` induced by ``vertices``, built, as `dual` builds
+    its graph, from the tables of ``g``, here restricted to the piece.  A
+    restriction can disconnect, so the piece is validated; an invalid one
+    raises `InvalidGraphError`."""
     require_valid(g)
     keep = sorted(set(vertices))
     if not keep:
@@ -574,21 +579,14 @@ def subgraph(g: RibbonGraph, vertices: Iterable[str]) -> Subgraph:
     for v in keep:
         if not g.has_vertex(v):
             raise ValueError("unknown vertex {!r}".format(v))
-    kept_set = set(keep)
-    cyclic = {v: g.cyclic(v) for v in keep}
-    # each kept internal halfedge keeps its twin, or is cut from it
-    twin, cuts = {}, []
-    for ring in cyclic.values():
-        for h in ring:
-            t = g._twin.get(h)
-            if t is not None:
-                if g._at[t] in kept_set:
-                    twin[h] = t
-                else:
-                    cuts.append(h)
-    sub = RibbonGraph(
-        cyclic,
-        twin,
+    cyclic = {v: g._cyclic[v] for v in keep}
+    at = {h: v for v, ring in cyclic.items() for h in ring}
+    # a kept halfedge keeps its twin when that is kept too; a stub or a cut
+    # is external, listed as the checking constructor lists it
+    twin = {h: g._twin[h] for h in at if g._twin.get(h) in at}
+    external = [h for h in at if h not in twin]
+    sub = RibbonGraph._from_tables(
+        cyclic, at, {h: g._next[h] for h in at}, twin, external,
         {v: g.kind(v) for v in keep},
         {v: g.label(v) for v in keep if g.label(v) is not None},
     )
@@ -598,4 +596,5 @@ def subgraph(g: RibbonGraph, vertices: Iterable[str]) -> Subgraph:
             "induced subgraph is not a valid ribbon graph: "
             + "; ".join(report.violations)
         )
-    return Subgraph(sub, g, tuple(keep), tuple(sorted(cuts)))
+    cuts = sorted(h for h in external if h in g._twin)
+    return Subgraph(sub, g, tuple(keep), tuple(cuts))

@@ -310,7 +310,9 @@ def amalgamate(
 def _glue(d: AmalgamationDiagram) -> IceQuiver:
     """`amalgamate` without its checks, for a diagram that `_validate_diagram`
     accepts: a morphism sends a kept interface arrow between the images
-    of its ends, so those give the ends of the glued arrow."""
+    of its ends, so those give the ends of the glued arrow.  One pass over
+    ``d.edge_quivers``, whose keys are the graph's edges, in any order,
+    glues each internal interface and freezes each external one."""
     g = d.graph
     # qualified ids "vertex.local", built once per vertex quiver
     names: dict[str, dict[str, str]] = {}
@@ -322,20 +324,20 @@ def _glue(d: AmalgamationDiagram) -> IceQuiver:
             if qualified in origin:
                 raise ValueError("two vertices have qualified id {!r}".format(qualified))
             origin[qualified] = x
-    glued = []
-    internal = g.internal_edges()
-    for e in internal:
+    glued, internal = [], []
+    frozen_ids: set[str] = set()
+    for e, interface in d.edge_quivers.items():
+        local, map1 = names[g.at_vertex(e)], d.incidences[e].vertex_map
         t = g.twin_of(e)
-        map1, map2 = d.incidences[e].vertex_map, d.incidences[t].vertex_map
-        names1, names2 = names[g.at_vertex(e)], names[g.at_vertex(t)]
-        for x in d.edge_quivers[e].vertices:
-            glued.append((names1[map1[x.id]], names2[map2[x.id]]))
+        if t is None:
+            frozen_ids.update(local[x] for x in map1.values())
+            continue
+        internal.append((e, t, interface))
+        names2, map2 = names[g.at_vertex(t)], d.incidences[t].vertex_map
+        for x in interface.vertices:
+            glued.append((local[map1[x.id]], names2[map2[x.id]]))
     rep = _classes(origin, glued)
 
-    frozen_ids: set[str] = set()
-    for e in g.external_edges():
-        local = names[g.at_vertex(e)]
-        frozen_ids.update(local[x] for x in d.incidences[e].vertex_map.values())
     # a class is frozen when one of its members lies on an external edge,
     # and keeps a label only when all of its members carry that label
     frozen_classes = {rep[x] for x in frozen_ids}
@@ -354,18 +356,16 @@ def _glue(d: AmalgamationDiagram) -> IceQuiver:
         local = names[v]
         for a in d.vertex_quivers[v].arrows:
             src = local[a.src]
-            if not a.frozen:
-                arrows.append(QuiverArrow(v + "." + a.id, rep[src], rep[local[a.dst]]))
-            elif src in frozen_ids:
-                # frozen arrows live inside one frozen component, so the
-                # source tells whether the component is an external one
+            # frozen arrows live inside one frozen component, so the source
+            # tells whether the component is an external one
+            if not a.frozen or src in frozen_ids:
                 arrows.append(
-                    QuiverArrow(v + "." + a.id, rep[src], rep[local[a.dst]], True)
+                    QuiverArrow(v + "." + a.id, rep[src], rep[local[a.dst]], a.frozen)
                 )
-    for e in internal:
-        m1, m2 = d.incidences[e], d.incidences[g.twin_of(e)]
+    for e, t, interface in internal:
+        m1, m2 = d.incidences[e], d.incidences[t]
         local, map1 = names[g.at_vertex(e)], m1.vertex_map
-        for a in d.edge_quivers[e].arrows:
+        for a in interface.arrows:
             if m1.arrow_map.get(a.id) is None or m2.arrow_map.get(a.id) is None:
                 continue
             arrows.append(

@@ -244,7 +244,7 @@ def decompose_subgraph(
         if len(preimages) == 1:
             skip = preimages[0]
             unit = Marker("res", skip)
-    elif isinstance(target, VertexRef) and target.id in sub.vertices:
+    elif isinstance(target, VertexRef) and sub.graph.has_vertex(target.id):
         unit = Marker("res", target.id)
     starts = (((cut,), Marker("ev", cut)) for cut in sub.cut_halfedges if cut != skip)
     return _decompose(g, target, side, starts, unit=unit)

@@ -4,10 +4,12 @@ The paper assembles a global object from local pieces along restriction
 and induction functors; here that is amalgamation, a colimit.  So gluing
 a whole assembly diagram at once must give the quiver that gluing each
 piece of a cut first, and then the pieces, gives.  `cut` splits a
-graph's vertices into two pieces, glues each piece's part of the
-diagram, and builds the diagram of the pieces over the graph with each
-piece contracted to one vertex.  The two quivers are compared up to
-isomorphism, frozen flags and labels included.
+graph's vertices into two or more connected pieces, glues each piece's
+part of the diagram, and builds the diagram of the pieces over the graph
+with each piece contracted to one vertex.  The two quivers are compared
+up to isomorphism, frozen flags and labels included.  Gluing reads the
+diagram's tables in their own order, so it must also not depend on that
+order.
 """
 
 import random
@@ -27,8 +29,9 @@ from ribboncalc import (
     subgraph,
 )
 
-from conftest import fixture_graph, fixture_text, same_labelled_quiver
+from conftest import bench_graph, fixture_graph, fixture_text, same_labelled_quiver
 from randgraphs import random_graph, trivalent_graph
+from test_flips import _punctured_assignment
 
 
 def _restricted(d: AmalgamationDiagram, sub) -> AmalgamationDiagram:
@@ -55,18 +58,18 @@ def _lifted(m: QuiverMorphism, v: str, q) -> QuiverMorphism:
     )
 
 
-def cut(d: AmalgamationDiagram, piece, names) -> AmalgamationDiagram:
-    """The diagram of the glued pieces of ``d``: the vertex set ``piece`` and
-    the rest of the graph, each contracted to one vertex named by
-    ``names``, with the quiver that gluing that piece's part of ``d``
-    gives.  A contracted vertex's ring lists its piece's external
+def cut(d: AmalgamationDiagram, pieces, names) -> AmalgamationDiagram:
+    """The diagram of the glued pieces of ``d``: each vertex set of the
+    partition ``pieces`` contracted to one vertex, named by the matching
+    entry of ``names``, with the quiver that gluing that piece's part of
+    ``d`` gives.  A contracted vertex's ring lists its piece's external
     halfedges in `boundary_walks` order, cut halfedges keep their twins,
     and each incidence is lifted into its piece quiver.  A piece, or the
     contracted graph, that is not a valid graph raises
     `InvalidGraphError`."""
     g = d.graph
     rings, quivers, incidences = {}, {}, {}
-    for name, vertices in zip(names, (piece, set(g.vertices) - set(piece))):
+    for name, vertices in zip(names, pieces):
         sub = subgraph(g, vertices)
         q = quivers[name] = amalgamate(_restricted(d, sub))
         ring = rings[name] = [h for walk in boundary_walks(sub.graph) for h in walk.externals]
@@ -83,38 +86,115 @@ def _neighbours(g: RibbonGraph, v: str) -> list[str]:
 
 
 def _pieces(g: RibbonGraph, rng: random.Random, tries: int = 20):
-    """Up to ``tries`` seeded connected proper vertex sets of ``g``, each
-    grown from a random vertex to a random size."""
+    """Up to ``tries`` seeded cuts of ``g`` into two pieces: a connected
+    proper vertex set, grown from a random vertex to a random size, and
+    the rest."""
     for _ in range(tries):
         piece = {rng.choice(g.vertices)}
         size = rng.randint(1, len(g.vertices) - 1)
         while len(piece) < size:
             piece.add(rng.choice([w for v in sorted(piece) for w in _neighbours(g, v)]))
-        yield piece
+        yield [piece, set(g.vertices) - piece]
 
 
-def _check(g: RibbonGraph, assign, pieces, rng: random.Random, most: int = 1) -> int:
+def _partitions(g: RibbonGraph, rng: random.Random, k: int, tries: int = 20):
+    """Up to ``tries`` seeded partitions of ``g``'s vertices into ``k``
+    connected pieces: each grown from its own random vertex, one random
+    edge from a piece to a vertex of none at a time."""
+    for _ in range(tries):
+        owner = {v: i for i, v in enumerate(rng.sample(g.vertices, k))}
+        frontier = [(v, w) for v in owner for w in _neighbours(g, v)]
+        while frontier:
+            j = rng.randrange(len(frontier))
+            frontier[j], frontier[-1] = frontier[-1], frontier[j]
+            v, w = frontier.pop()
+            if w not in owner:
+                owner[w] = owner[v]
+                frontier += [(w, u) for u in _neighbours(g, w) if u not in owner]
+        pieces = [set() for _ in range(k)]
+        for v, i in owner.items():
+            pieces[i].add(v)
+        yield pieces
+
+
+def _glued_by_pieces(d: AmalgamationDiagram, pieces, rng: random.Random):
+    """The quiver that gluing along the cut ``pieces`` gives, the contracted
+    vertices named ``@0``, ``@1``, ... in a seeded order, or None when a
+    piece or the contracted graph is not valid."""
+    names = ["@{}".format(i) for i in range(len(pieces))]
+    try:
+        return amalgamate(cut(d, pieces, rng.sample(names, len(names))))
+    except InvalidGraphError:
+        return None
+
+
+def _check(g: RibbonGraph, assign, cuts, rng: random.Random, most: int = 1) -> int:
     """Compare gluing at once with gluing by the first ``most`` valid cuts
-    along ``pieces``, the contracted vertices named in a seeded order; the
-    number of cuts compared."""
+    among ``cuts``; the number of cuts compared."""
     nx = pytest.importorskip("networkx")
     d = assembly_diagram(g, assign)
     whole = amalgamate(d)
     compared = 0
-    for piece in pieces:
-        try:
-            by_pieces = amalgamate(cut(d, piece, rng.sample(("x", "y"), 2)))
-        except InvalidGraphError:
+    for pieces in cuts:
+        by_pieces = _glued_by_pieces(d, pieces, rng)
+        if by_pieces is None:
             continue
-        assert same_labelled_quiver(nx, whole, by_pieces), sorted(piece)
+        assert same_labelled_quiver(nx, whole, by_pieces), [sorted(p) for p in pieces]
+        assert _follows_arrow_ids(whole, by_pieces), [sorted(p) for p in pieces]
         compared += 1
         if compared == most:
             break
     return compared
 
 
+def _follows_arrow_ids(whole, by_pieces) -> bool:
+    """Whether the map that the arrow ids give is an isomorphism from
+    ``by_pieces`` onto ``whole``, frozen flags and labels kept.  Gluing by
+    pieces names an arrow as gluing at once does, with the contracted
+    vertex's name ``@i.`` in front when it comes from a piece; the ends of
+    matched arrows give the vertex map, and vertices on no arrow are
+    matched by their flags and labels.  This is an isomorphism test that
+    needs no search, for quivers where networkx's search is too slow."""
+    arrows = {a.id: a for a in whole.arrows}
+    image = {}
+    for a in by_pieces.arrows:
+        head, _, rest = a.id.partition(".")
+        b = arrows.pop(rest if head.startswith("@") else a.id, None)
+        if b is None or b.frozen != a.frozen:
+            return False
+        for x, y in ((a.src, b.src), (a.dst, b.dst)):
+            if image.setdefault(x, y) != y:
+                return False
+    if arrows or len(set(image.values())) != len(image):
+        return False
+    ours = {v.id: (v.frozen, v.label) for v in by_pieces.vertices}
+    theirs = {v.id: (v.frozen, v.label) for v in whole.vertices}
+    if any(ours.pop(x) != theirs.pop(y) for x, y in image.items()):
+        return False
+    # what is left lies on no arrow
+    return sorted(map(repr, ours.values())) == sorted(map(repr, theirs.values()))
+
+
 def _stars(g: RibbonGraph) -> dict:
     return {v: star_template(g.valency(v)) for v in g.vertices}
+
+
+def _assemblies(rng: random.Random):
+    """Seeded assemblies of every kind the cuts below cover: star templates
+    on random graphs, ``rank1_trivalent`` and ``a2_trivalent`` on trivalent
+    graphs, and the punctured 2-gons on the benchmark's punctured
+    trivalent graphs."""
+    for _ in range(15):
+        g = random_graph(rng)
+        yield g, _stars(g)
+    for name in ("rank1_trivalent", "a2_trivalent"):
+        for _ in range(8):
+            g = trivalent_graph(rng, rng.randint(3, 12))
+            yield g, {v: name for v in g.vertices}
+    for n in (24, 60):
+        for seed in range(4):
+            g = bench_graph("trivalent_punctured", n, "{}/glue".format(seed))
+            yield g, _punctured_assignment(g, rng)
 
 
 @pytest.mark.parametrize("name", ["four_gon_a2", "once_punctured_4gon"])
@@ -124,7 +204,8 @@ def test_fixture_assemblies_glue_by_every_cut(name):
     # every proper vertex set, so each piece is cut off under both names
     pieces = [{v for i, v in enumerate(g.vertices) if mask >> i & 1}
               for mask in range(1, 2 ** len(g.vertices) - 1)]
-    assert _check(g, assign, pieces, random.Random(name), len(pieces)) >= 2
+    cuts = [[piece, set(g.vertices) - piece] for piece in pieces]
+    assert _check(g, assign, cuts, random.Random(name), len(cuts)) >= 2
 
 
 def test_star_assemblies_glue_by_cuts():
@@ -148,3 +229,88 @@ def test_a2_assemblies_glue_by_cuts():
         assign = {v: "a2_trivalent" for v in g.vertices}
         compared += _check(g, assign, _pieces(g, rng), rng)
     assert compared >= 10
+
+
+def test_rank1_assemblies_glue_by_cuts():
+    rng = random.Random(30)
+    compared = 0
+    for _ in range(12):
+        g = trivalent_graph(rng, rng.randint(2, 12))
+        assign = {v: "rank1_trivalent" for v in g.vertices}
+        compared += _check(g, assign, _pieces(g, rng), rng)
+    assert compared >= 10
+
+
+def test_punctured_assemblies_glue_by_cuts():
+    rng = random.Random(31)
+    compared = 0
+    for n in (24, 36):
+        for seed in range(4):
+            g = bench_graph("trivalent_punctured", n, "{}/cut".format(seed))
+            compared += _check(g, _punctured_assignment(g, rng), _pieces(g, rng), rng)
+    assert compared >= 7
+
+
+def test_assemblies_glue_by_cuts_into_many_pieces():
+    rng = random.Random(32)
+    compared = drawn = 0
+    for g, assign in _assemblies(rng):
+        if len(g.vertices) < 3:
+            continue
+        drawn += 1
+        k = rng.randint(3, min(6, len(g.vertices)))
+        compared += _check(g, assign, _partitions(g, rng, k), rng)
+    # a small graph may have no valid cut into k pieces among its tries
+    assert drawn > 30 and compared >= drawn - 3
+
+
+def test_large_a2_assembly_glues_by_cuts():
+    rng = random.Random(33)
+    g = trivalent_graph(rng, 1000)
+    d = assembly_diagram(g, {v: "a2_trivalent" for v in g.vertices})
+    whole = amalgamate(d)
+    for k in (2, 7):
+        cuts = (_glued_by_pieces(d, pieces, rng) for pieces in _partitions(g, rng, k))
+        assert _follows_arrow_ids(whole, next(filter(None, cuts))), k
+
+
+def _shuffled(d: AmalgamationDiagram, rng: random.Random) -> AmalgamationDiagram:
+    """``d`` with its edge quivers and incidences listed in a seeded order."""
+    edges, incidences = list(d.edge_quivers.items()), list(d.incidences.items())
+    rng.shuffle(edges)
+    rng.shuffle(incidences)
+    return AmalgamationDiagram(d.graph, d.vertex_quivers, dict(edges), dict(incidences))
+
+
+def _order_cases(rng: random.Random):
+    """`_assemblies`, the fixture assemblies, and the once-punctured 4-gon
+    with each punctured 2-gon on its puncture."""
+    yield from _assemblies(rng)
+    for name in ("four_gon_a2", "once_punctured_4gon"):
+        g = fixture_graph(name.replace("_a2", ""))
+        base = parse_assignments(fixture_text(name + "_templates"))
+        yield g, base
+    for k in range(1, 5):
+        yield g, dict(base, p="punctured_2gon_T{}".format(k))
+
+
+def test_gluing_does_not_depend_on_the_order_of_the_tables():
+    rng = random.Random(34)
+    for g, assign in _order_cases(rng):
+        d = assembly_diagram(g, assign)
+        want = amalgamate(d)
+        for _ in range(3):
+            assert amalgamate(_shuffled(d, rng)) == want
+
+
+def test_a_glued_vertex_is_named_by_the_smaller_of_its_two_members():
+    # the slots at a vertex are disjoint, so a class of glued vertices is
+    # one interface vertex's two images across one internal edge
+    for g, assign in _order_cases(random.Random(35)):
+        d = assembly_diagram(g, assign)
+        ids = {v.id for v in amalgamate(d).vertices}
+        for e in g.internal_edges():
+            ends = [(g.at_vertex(h), d.incidences[h].vertex_map) for h in g.halfedges_of(e)]
+            for x in d.edge_quivers[e].vertices:
+                pair = sorted(v + "." + vmap[x.id] for v, vmap in ends)
+                assert pair[0] in ids and pair[1] not in ids, pair

@@ -1,11 +1,12 @@
 import copy
 import itertools
 import pickle
+import random
 
 import pytest
 
 import ribboncalc.graph
-from conftest import fixture_graph, sample_graphs
+from conftest import bench_gen, bench_graph, fixture_graph, sample_graphs
 from ribboncalc.graph import _Record, _corner_orbits
 from ribboncalc import (
     AmalgamationDiagram,
@@ -359,6 +360,12 @@ class TestEdgeTables:
             with pytest.raises(InvalidGraphError, match="fixed point"):
                 boundary_walks(g)
 
+    def test_repr_counts_every_edge_unsorted(self):
+        graphs = [*sample_graphs(), *_fixed_point_graphs()]
+        for g in graphs:
+            text = "RibbonGraph({} vertices, {} edges)".format(len(g.vertices), len(g.edges()))
+            assert repr(g) == text
+
 
 class TestValidation:
     def test_valid_fixtures(
@@ -518,7 +525,96 @@ class TestDual:
                 assert (d.ccw_next(h), d.cw_next(h)) == (expected.ccw_next(h), expected.cw_next(h))
 
 
+def _subgraph_by_constructor(g, vertices):
+    """The oracle for `subgraph`: the same piece built by the checking
+    constructor from the restricted rings, twins, kinds and labels, its
+    cuts found by a scan of the kept rings."""
+    keep = sorted(set(vertices))
+    kept = set(keep)
+    cyclic = {v: g.cyclic(v) for v in keep}
+    twin, cuts = {}, []
+    for ring in cyclic.values():
+        for h in ring:
+            t = g.twin_of(h)
+            if t is not None:
+                if g.at_vertex(t) in kept:
+                    twin[h] = t
+                else:
+                    cuts.append(h)
+    sub = RibbonGraph(
+        cyclic,
+        twin,
+        {v: g.kind(v) for v in keep},
+        {v: g.label(v) for v in keep if g.label(v) is not None},
+    )
+    report = sub.validation_report()
+    if not report.ok:
+        raise InvalidGraphError(
+            "induced subgraph is not a valid ribbon graph: " + "; ".join(report.violations)
+        )
+    return Subgraph(sub, g, tuple(keep), tuple(sorted(cuts)))
+
+
+def _same_restriction(g, vertices) -> bool:
+    """Assert that `subgraph` and its oracle build the same piece, table by
+    table, with the external halfedges in the same order, or raise the
+    same error; whether the piece is valid."""
+    try:
+        want = _subgraph_by_constructor(g, vertices)
+    except InvalidGraphError as exc:
+        with pytest.raises(InvalidGraphError) as got:
+            subgraph(g, vertices)
+        assert str(got.value) == str(exc)
+        return False
+    sub = subgraph(g, vertices)
+    for table in ("_cyclic", "_at", "_next", "_twin", "_kind", "_label", "_external"):
+        assert getattr(sub.graph, table) == getattr(want.graph, table), table
+    assert sub.graph.validation_report() == want.graph.validation_report()
+    assert sub == want and sub.ambient is g
+    return True
+
+
+def _ball(g, size: int, centre) -> set:
+    """The first ``size`` vertices that a breadth-first search of ``g``
+    from ``centre`` meets, neighbours in ring order."""
+    ball = [centre]
+    for v in ball:  # grows as it is read
+        for h in g.cyclic(v):
+            t = g.twin_of(h)
+            if t is not None and g.at_vertex(t) not in ball:
+                ball.append(g.at_vertex(t))
+                if len(ball) == size:
+                    return set(ball)
+    return set(ball)
+
+
 class TestSubgraph:
+    def test_restriction_matches_the_checking_constructor(self):
+        rng = random.Random(30)
+        valid = invalid = 0
+        for g in sample_graphs():
+            for _ in range(6):
+                vertices = rng.sample(g.vertices, rng.randint(1, len(g.vertices)))
+                if _same_restriction(g, vertices):
+                    valid += 1
+                else:
+                    invalid += 1
+        assert valid > 300 and invalid > 100
+
+    @pytest.mark.parametrize("family", sorted(bench_gen().FAMILIES))
+    def test_restriction_of_balls_in_benchmark_graphs(self, family):
+        g = bench_graph(family, 1000, "1/restrict")
+        rng = random.Random(family)
+        for centre in [g.vertices[0], *rng.sample(g.vertices, 9)]:
+            assert _same_restriction(g, _ball(g, 40, centre))
+        # a ball and a vertex off it and its neighbours make a disconnected piece
+        ball = _ball(g, 40, g.vertices[0])
+        far = next(
+            v for v in g.vertices
+            if v not in ball and all(g.at_vertex(g.ext_twin(h)) not in ball for h in g.cyclic(v))
+        )
+        assert not _same_restriction(g, ball | {far})
+
     def test_induced_single_vertex(self, once_punctured_4gon):
         sub = subgraph(once_punctured_4gon, {"p"})
         assert sub.vertices == ("p",)

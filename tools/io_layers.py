@@ -15,13 +15,16 @@ the sorts in this order: the build, validation and `surface_invariants`
 read none; `serialize` sorts `vertices` and `halfedges`; `graph_dot` sorts
 `edges()`, which sorts `internal_edges()` and `external_edges()` on the
 way.  On the `trivalent_punctured` graph it then times `edges()` alone,
-the sort each later reader repeats, and `assemble_global`, with every
+the sort each later reader repeats; `subgraph` of a fixed 40-vertex ball,
+grown breadth-first from the smallest vertex, which restricts the graph's
+tables and validates the piece; and `assemble_global`, with every
 singular vertex on ``punctured_2gon_T1`` and every other on
-``rank1_trivalent``; the assembly sorts `edges()` once, and
-`internal_edges()` and `external_edges()` once more to glue.  Last it
-times the quiver writers, `serialize(q)` and `export_dot(q)`, on the
-glued quiver.  It prints, per family and stage, the best and the median
-time and the best time as a ratio to the best `json.loads`.  Each repeat
+``rank1_trivalent``.  The assembly sorts `edges()` once, to build the
+diagram, and glues in one pass over the diagram's edge table, which it
+does not sort.  Last it times the quiver writers, `serialize(q)` and
+`export_dot(q)`, on the glued quiver.  It prints, per family and stage,
+the best and the median time and the best time as a ratio to the best
+`json.loads`.  Each repeat
 decodes, builds and assembles afresh, so no stage meets a graph, quiver
 or string an earlier repeat has used.
 
@@ -55,7 +58,7 @@ from ribboncalc.assembly import (  # noqa: E402
     assembly_diagram,
     builtin_template,
 )
-from ribboncalc.graph import RibbonGraph, surface_invariants  # noqa: E402
+from ribboncalc.graph import RibbonGraph, subgraph, surface_invariants  # noqa: E402
 from ribboncalc.serialization import (  # noqa: E402
     export_dot,
     graph_dot,
@@ -71,7 +74,8 @@ STAGES = (
     "graph_dot",
 )
 QUIVER_FAMILY = "trivalent_punctured"
-QUIVER_STAGES = ("edges()", "assemble_global", "serialize(q)", "export_dot(q)")
+QUIVER_STAGES = ("edges()", "subgraph", "assemble_global", "serialize(q)", "export_dot(q)")
+BALL = 40
 NESTED_REPEATS = 2000
 FIXTURES = ROOT / "src" / "ribboncalc" / "fixtures"
 
@@ -103,10 +107,23 @@ def _assignment(g) -> dict[str, str]:
     }
 
 
+def _ball(g) -> list[str]:
+    """The first `BALL` vertices that a breadth-first search from the
+    smallest vertex meets, neighbours in ring order."""
+    ball = [g.vertices[0]]
+    for v in ball:  # grows as it is read
+        for h in g.cyclic(v):
+            t = g.twin_of(h)
+            if t is not None and g.at_vertex(t) not in ball and len(ball) < BALL:
+                ball.append(g.at_vertex(t))
+    return ball
+
+
 def measure(text: str, quiver: bool) -> dict[str, float]:
     """One time per stage for the graph written as ``text``, each stage fed
     by the one before, as a command line call feeds them; with ``quiver``,
-    also its edge sort, its assembly and the quiver stages on that."""
+    also its edge sort, its restriction to `_ball`, its assembly and the
+    quiver stages on that."""
     times: dict[str, float] = {}
     obj = _timed(times, "json.loads", json.loads, text)
     g = _timed(times, "graph_from_jsonable", graph_from_jsonable, obj)
@@ -116,6 +133,7 @@ def measure(text: str, quiver: bool) -> dict[str, float]:
     _timed(times, "graph_dot", graph_dot, g)
     if quiver:
         _timed(times, "edges()", RibbonGraph.edges, g)
+        _timed(times, "subgraph", partial(subgraph, g), _ball(g))
         q = _timed(times, "assemble_global", partial(assemble_global, g), _assignment(g))
         _timed(times, "serialize(q)", serialize, q)
         _timed(times, "export_dot(q)", export_dot, q)
