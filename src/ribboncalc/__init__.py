@@ -19,8 +19,7 @@ _EXPORTS = {
     ),
     "quiver": (
         "AmalgamationDiagram", "IceQuiver", "QuiverArrow", "QuiverMorphism",
-        "QuiverVertex", "amalgamate", "mutable_part", "quivers_isomorphic",
-        "validate_morphism",
+        "QuiverVertex", "amalgamate", "quivers_isomorphic", "validate_morphism",
     ),
     "serialization": (
         "ParseError", "export_dot", "graph_dot", "parse_assignments", "parse_choices",
@@ -29,8 +28,8 @@ _EXPORTS = {
     ),
     "trajectory": (
         "CCW", "CW", "EdgeRef", "HalfedgeRef", "Itinerary", "TrajectoryHit",
-        "VertexRef", "curve_trajectory", "itinerary", "terminal_external",
-        "trajectory_counts", "web_trajectory",
+        "VertexRef", "curve_trajectory", "itinerary", "trajectory_counts",
+        "web_trajectory",
     ),
     "words": (
         "Atom", "Decomposition", "FunctorWord", "Marker", "Summand",

@@ -55,10 +55,13 @@ class IceQuiver:
     """An ice quiver, its vertices and arrows in id order.  Construction
     checks each vertex, then each arrow, once and in input order, and
     raises ValueError at the first fault; only checked ids are sorted.
-    A fault of one vertex or arrow is located (see `_fault`)."""
+    A fault of one vertex or arrow is located (see `_fault`).  The
+    check files each vertex and arrow by id, and the quiver keeps both
+    indexes, so `validate_morphism` looks an image up without building
+    a table of its own."""
 
     def __init__(self, vertices: Iterable[QuiverVertex], arrows: Iterable[QuiverArrow]):
-        # the items checked so far fill `by_id`, then `seen`: its size indexes a fault
+        # the items checked so far fill `by_id`, then `arrow_by_id`: its size indexes a fault
         by_id = self._by_id = {}
         for v in vertices:
             if not isinstance(v.id, str):
@@ -74,11 +77,11 @@ class IceQuiver:
                 continue
             raise _fault(("vertices", len(by_id), field), message, v.id)
         arrows = list(arrows)
-        seen = set()
+        arrow_by_id = self._arrow_by_id = {}
         for a in arrows:
             if not isinstance(a.id, str):
                 field, message = "id", "arrow id {!r} is not a string"
-            elif a.id in seen:
+            elif a.id in arrow_by_id:
                 field, message = "id", "duplicate arrow id {!r}"
             # vertex ids are strings: an end of another type names no vertex
             elif not isinstance(a.src, str) or a.src not in by_id:
@@ -90,10 +93,10 @@ class IceQuiver:
             elif a.frozen and not (by_id[a.src].frozen and by_id[a.dst].frozen):
                 raise ValueError("frozen arrow {!r} must join frozen vertices".format(a.id))
             else:
-                seen.add(a.id)
+                arrow_by_id[a.id] = a
                 continue
             # the value at fault fills the message's second field, if any
-            raise _fault(("arrows", len(seen), field), message, a.id, getattr(a, field))
+            raise _fault(("arrows", len(arrow_by_id), field), message, a.id, getattr(a, field))
         self._vertices = tuple(sorted(by_id.values(), key=attrgetter("id")))
         self._arrows = tuple(sorted(arrows, key=attrgetter("id")))
 
@@ -128,7 +131,8 @@ class IceQuiver:
         return tuple(frozenset(groups[r]) for r in sorted(groups))
 
     def __eq__(self, other) -> bool:
-        return (
+        # a diagram's incidences mostly share their quivers' objects
+        return self is other or (
             isinstance(other, IceQuiver)
             and self._vertices == other._vertices
             and self._arrows == other._arrows
@@ -156,6 +160,9 @@ class QuiverMorphism(_Record):
 
 
 def validate_morphism(m: QuiverMorphism) -> ValidationReport:
+    """Every fault of ``m``.  Images are looked up in the target's own
+    indexes, which its constructor built, so the check costs the size of
+    the source, whatever the size of the target."""
     violations = []
     vmap = dict(m.vertex_map)
     for v in m.source.vertex_ids():
@@ -166,7 +173,7 @@ def validate_morphism(m: QuiverMorphism) -> ValidationReport:
     images = [x for x in vmap.values() if isinstance(x, str) and m.target.has_vertex(x)]
     if len(set(images)) != len(images):
         violations.append("vertex map is not injective")
-    target_arrows = {a.id: a for a in m.target.arrows}
+    target_arrows = m.target._arrow_by_id
     for a in m.source.arrows:
         if a.id not in m.arrow_map:
             violations.append("arrow {} has no image".format(a.id))
@@ -297,9 +304,10 @@ def amalgamate(
     vertex and edge and one incidence per halfedge, with no entry for
     anything the graph lacks, then the incidences at each vertex, in ring
     order, as `LocalTemplate` checks its slots (`_check_slots`).  So any
-    diagram, parsed ones included, is safe to pass.  `assemble_global`
-    glues the diagram it builds without this check; see there why that
-    is sound.
+    diagram, parsed ones included, is safe to pass.  The check reads
+    each quiver's own arrow index and is linear in the diagram.
+    `assemble_global` glues the diagram it builds without this check; see
+    there why that is sound.
     """
     _validate_diagram(d)
     if edge_order is not None and sorted(edge_order) != sorted(d.graph.internal_edges()):
@@ -373,16 +381,6 @@ def _glue(d: AmalgamationDiagram) -> IceQuiver:
             )
 
     return IceQuiver(vertices, arrows)
-
-
-def mutable_part(q: IceQuiver) -> IceQuiver:
-    """Drop frozen vertices, their arrows, and all frozen flags."""
-    keep = {v.id for v in q.vertices if not v.frozen}
-    # an arrow between mutable vertices is mutable: frozen ones join frozen ones
-    return IceQuiver(
-        [v for v in q.vertices if not v.frozen],
-        [a for a in q.arrows if a.src in keep and a.dst in keep],
-    )
 
 
 def _refine(

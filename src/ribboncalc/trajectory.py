@@ -153,10 +153,6 @@ def itinerary(g: RibbonGraph, h: str, orient: str = CW) -> Itinerary:
     return _itinerary(g, h, orient)
 
 
-def terminal_external(g: RibbonGraph, h: str, orient: str = CW) -> str:
-    return itinerary(g, h, orient).terminal
-
-
 def web_trajectory(g: RibbonGraph, v: str, orient: str = CW) -> dict[str, Itinerary]:
     """One trajectory per halfedge at ``v``, keyed in cyclic order."""
     require_valid(g)

@@ -12,19 +12,29 @@ named by where it sits, so no isomorphism search is needed.
 
 Cluster structures also need quivers with no loop and no 2-cycle
 outside frozen-frozen pairs (Buan, Iyama, Reiten & Scott 2009).
+
+At a puncture the local choice T1 to T4 of `tagged_triangulation` picks
+two tagged arcs.  Changing every tag at a puncture keeps the quiver, and
+flipping a puncture arc is one mutation at its local vertex, which lands
+on the choice the flipped arcs make (Fomin, Shapiro & Thurston 2008).
+A flip of a dual arc next to a puncture is one mutation too.
 """
 
 import random
 from collections import Counter
 
+import pytest
+
 from ribboncalc import (
     RibbonGraph,
     assemble_global,
     assembly_diagram,
+    builtin_template,
     parse_assignments,
     star_template,
     surface_invariants,
 )
+from ribboncalc.assembly import _PUNCTURE_ARCS, NOTCHED_TAG, PLAIN_TAG
 
 from conftest import bench_graph, fixture_graph, fixture_text
 from randgraphs import random_graph, trivalent_graph
@@ -41,15 +51,20 @@ def flip(g: RibbonGraph, e: str, wrong: bool = False) -> RibbonGraph:
     vertices ``u = (e, x1, x2)`` and ``w = (t, y1, y2)``, ``t`` the twin of
     ``e``: they become ``(e, x2, y1)`` and ``(t, y2, x1)``.  The ``wrong``
     rewiring, ``(e, y1, x2)`` and ``(t, x1, y2)``, is the negative control.
-    The result may be invalid: a loop appears when ``x1`` and ``y2``, or
-    ``x2`` and ``y1``, are twins."""
+    Vertex kinds and labels are kept.  The result may be invalid: a loop
+    appears when ``x1`` and ``y2``, or ``x2`` and ``y1``, are twins."""
     t = g.twin_of(e)
     u, w = g.at_vertex(e), g.at_vertex(t)
     _, x1, x2 = _from(g.cyclic(u), e)
     _, y1, y2 = _from(g.cyclic(w), t)
     rings = {v: g.cyclic(v) for v in g.vertices}
     rings[u], rings[w] = ((e, y1, x2), (t, x1, y2)) if wrong else ((e, x2, y1), (t, y2, x1))
-    return RibbonGraph(rings, {h: g.twin_of(h) for h in g.halfedges if not g.is_external(h)})
+    return RibbonGraph(
+        rings,
+        {h: g.twin_of(h) for h in g.halfedges if not g.is_external(h)},
+        {v: g.kind(v) for v in g.vertices},
+        {v: g.label(v) for v in g.vertices if g.label(v) is not None},
+    )
 
 
 def _exchange(g: RibbonGraph, assign) -> tuple[dict, set]:
@@ -202,3 +217,95 @@ def test_every_builtin_assembly_is_two_acyclic():
         "star", "rank1_trivalent", "a2_trivalent",
         *("punctured_2gon_T{}".format(k) for k in range(1, 5)),
     }
+
+
+def _puncture_cases():
+    """Graphs, each with a puncture ``p`` and an assignment of the other
+    vertices: the once-punctured 4-gon, and three punctures each of two
+    benchmark graphs, with rank 1 at every trivalent vertex and a random
+    choice at every other puncture."""
+    g = fixture_graph("once_punctured_4gon")
+    yield g, "p", parse_assignments(fixture_text("once_punctured_4gon_templates"))
+    rng = random.Random(32)
+    for n, seed in ((60, "x/2"), (40, "f/3")):
+        g = bench_graph("trivalent_punctured", n, seed)
+        assign = _punctured_assignment(g, rng)
+        for p in [v for v in g.vertices if g.kind(v) == "singular"][:3]:
+            yield g, p, assign
+
+
+def _arc_vertex(template, i: int) -> str:
+    """The local vertex of the puncture arc through ``ring[i]``: the one
+    mutable vertex that slot ``i``'s frozen image has an arrow to.  Read
+    each of the 2-gon's two triangles as `rank1_trivalent` reads one, with
+    an arrow from the side at ``ring[k + 1]`` to the side at ``ring[k]``:
+    the side at ``ring[i]`` then has an arrow to the arc to the marked
+    point in the corner from ``ring[i - 1]`` to ``ring[i]``.  The arc's
+    path, the clockwise walk from ``ring[i]``, runs along that corner's
+    boundary walk."""
+    q = template.quiver
+    side = template.slots[i].vertex_map["u"]
+    (x,) = [a.dst for a in q.arrows if a.src == side and not q.vertex(a.dst).frozen]
+    return x
+
+
+def _flip_landing(choice: str, i: int) -> str:
+    """The choice that flipping the arc through ``ring[i]`` gives.  In a
+    punctured 2-gon the arc to one marked point flips to the loop around
+    the puncture at the other, which is the arc of the other tagging
+    there."""
+    arcs = set(_PUNCTURE_ARCS[choice])
+    (tag,) = [t for j, t in arcs if j == i]
+    arcs = arcs - {(i, tag)} | {(1 - i, NOTCHED_TAG if tag == PLAIN_TAG else PLAIN_TAG)}
+    (landing,) = [c for c, picks in _PUNCTURE_ARCS.items() if set(picks) == arcs]
+    return landing
+
+
+def test_switching_every_tag_at_a_puncture_keeps_the_assembly():
+    for g, p, assign in _puncture_cases():
+        t1, t2 = (
+            assemble_global(g, {**assign, p: "punctured_2gon_" + c}) for c in ("T1", "T2")
+        )
+        assert t1 == t2, p
+
+
+@pytest.mark.parametrize("choice", ("T1", "T2"))
+@pytest.mark.parametrize("i", (
+    0,
+    pytest.param(1, marks=pytest.mark.xfail(strict=True, reason=(
+        "flipping the arc through ring[1] should give T3; it gives T3 with its "
+        "slots swapped, and the built-in T3 equals T4"
+    ))),
+))
+def test_flipping_a_puncture_arc_is_one_mutation(choice, i):
+    template = builtin_template("punctured_2gon_" + choice)
+    landing = "punctured_2gon_" + _flip_landing(choice, i)
+    for g, p, assign in _puncture_cases():
+        b, frozen = _exchange(g, {**assign, p: template})
+        mutated = mutate(b, (p, _arc_vertex(template, i)))
+        kept = {k: n for k, n in mutated.items() if k[0] not in frozen or k[1] not in frozen}
+        assert kept == _exchange(g, {**assign, p: landing})[0], p
+
+
+def test_a_dual_flip_on_a_punctured_graph_is_one_mutation():
+    flips = near = 0
+    for seed in range(4):
+        g = bench_graph("trivalent_punctured", 40, "f/{}".format(seed))
+        # every puncture on one choice, each choice on one graph
+        choice = "punctured_2gon_T{}".format(seed + 1)
+        assign = {v: choice if g.kind(v) == "singular" else "rank1_trivalent" for v in g.vertices}
+        b, frozen = _exchange(g, assign)
+        for e in g.internal_edges():
+            u, w = g.at_vertex(e), g.at_vertex(g.twin_of(e))
+            if u == w or g.valency(u) != 3 or g.valency(w) != 3:
+                continue
+            h = flip(g, e)
+            if not h.validation_report().ok:
+                continue
+            flips += 1
+            near += any(
+                g.kind(g.at_vertex(g.twin_of(x))) == "singular"
+                for x in g.cyclic(u) + g.cyclic(w) if not g.is_external(x)
+            )
+            assert _exchange(h, assign)[0] == _flipped(g, e, "rank1_trivalent", b, frozen), e
+    assert flips > 100 and near > 30, (flips, near)

@@ -4,12 +4,14 @@ at run time but the standard library and itself, its modules import
 and no script under ``tools/`` imports a name it never uses, no private module-level function, class or
 constant is left that nothing in the package refers to, and ``__all__``
 is the sorted list of the names the package's table exports, each of
-which resolves, on first use, to the object its module defines.  Every
+which resolves, on first use, to the object its module defines and is
+used by the package, a bench or tool script or the README.  Every
 fixture file the package ships is one of the input kinds it reads, and
 the built-in templates are exactly its template files."""
 
 import ast
 import fnmatch
+import re
 import sys
 from importlib import import_module
 from pathlib import Path
@@ -28,8 +30,9 @@ from ribboncalc import (
 
 from conftest import run_python
 
+ROOT = Path(__file__).parent.parent
 SOURCES = sorted(Path(ribboncalc.__file__).parent.glob("*.py"))
-TOOLS = sorted((Path(__file__).parent.parent / "tools").glob("*.py"))
+TOOLS = sorted((ROOT / "tools").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", SOURCES + TOOLS, ids=lambda p: p.name)
@@ -163,6 +166,62 @@ def test_all_is_the_sorted_list_of_re_exports():
     assert sorted(namespace) == names
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         ribboncalc.no_such_name
+
+
+# exports that only the tests call, each with the test that uses it and why
+TEST_ONLY_EXPORTS = {
+    "word_typechecks": "tests/test_words.py runs it on every emitted word as the typing check",
+}
+
+
+def _readers(trees):
+    """Each name the package reads, with the ``(module, top-level
+    definition)`` pairs that read it; the definition is None outside
+    functions and classes."""
+    readers = {}
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            owner = getattr(stmt, "name", None)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                    readers.setdefault(node.id, set()).add((module, owner))
+                elif isinstance(node, ast.Attribute):
+                    readers.setdefault(node.attr, set()).add((module, owner))
+    return readers
+
+
+def test_every_public_name_is_used():
+    # the export table in __init__ is not a use
+    trees = {
+        p.stem: ast.parse(p.read_text(encoding="utf-8"))
+        for p in SOURCES if p.name != "__init__.py"
+    }
+    readers = _readers(trees)
+    scripts = [
+        p.read_text(encoding="utf-8") for d in ("bench", "tools") for p in (ROOT / d).rglob("*.py")
+    ]
+    # README code: fenced blocks and inline spans
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    readme_code = re.findall(r"```.*?```|`[^`\n]+`", readme, re.S)
+    outside = "\n".join(scripts + readme_code)
+
+    def used(module, name):
+        # a name's own definition, its recursive calls included, is not a use
+        return readers.get(name, set()) - {(module, name)} or re.search(
+            r"\b{}\b".format(re.escape(name)), outside
+        )
+
+    unused = [
+        name for module, names in ribboncalc._EXPORTS.items() for name in names
+        if not used(module, name)
+    ]
+    unexplained = [
+        "{} ({})".format(n, ribboncalc._OWNER[n]) for n in unused if n not in TEST_ONLY_EXPORTS
+    ]
+    assert unexplained == [], "public names only the tests use: " + ", ".join(unexplained)
+    # an entry goes once its name is used again or no longer exported
+    stale = [name for name in TEST_ONLY_EXPORTS if name not in unused]
+    assert stale == [], "test-only entries for names that are used or gone: " + ", ".join(stale)
 
 
 # run in a fresh interpreter, where no module of the package is loaded yet

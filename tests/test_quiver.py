@@ -17,7 +17,6 @@ from ribboncalc import (
     assemble_global,
     assembly_diagram,
     export_dot,
-    mutable_part,
     quivers_isomorphic,
     star_template,
     validate_morphism,
@@ -387,25 +386,28 @@ class TestAmalgamate:
         assert str(info.value) == "vertex v1: incidence p1 overlaps another incidence"
 
 
-class TestMutablePart:
-    def test_drops_frozen_data(self):
-        q = star(3)
-        m = mutable_part(q)
-        assert [v.id for v in m.vertices] == ["hub"]
-        assert m.arrows == ()
+class TestSlotCheckCost:
+    def test_the_check_lists_no_arrows_per_incidence(self, monkeypatch):
+        # k external stubs at one vertex: amalgamate validates k morphisms
+        # into one quiver, and must not list its arrows once for each
+        diagrams = {
+            k: assembly_diagram(
+                RibbonGraph({"v": tuple("s{}".format(i) for i in range(k))}, {}),
+                {"v": star_template(k)},
+            )
+            for k in (10, 100)
+        }
+        reads = Counter()
+        arrows = IceQuiver.arrows.fget
 
-    def test_keeps_mutable_arrows(self, four_gon):
-        q = amalgamate(
-            assembly_diagram(four_gon, {"v1": "a2_trivalent", "v2": "a2_trivalent"})
-        )
-        m = mutable_part(q)
-        assert len(m.vertices) == 4
-        assert sorted((a.src, a.dst) for a in m.arrows) == [
-            ("v1.f0", "v1.m"),
-            ("v1.m", "v1.r0"),
-            ("v1.r0", "v2.m"),
-            ("v2.m", "v1.f0"),
-        ]
+        def counting(self):
+            reads[id(self)] += 1
+            return arrows(self)
+
+        monkeypatch.setattr(IceQuiver, "arrows", property(counting))
+        for d in diagrams.values():
+            amalgamate(d)
+        assert [reads[id(d.vertex_quivers["v"])] for d in diagrams.values()] == [1, 1]
 
 
 class TestIsomorphism:

@@ -1,5 +1,6 @@
 import copy
 import gc
+import itertools
 import pickle
 import random
 import re
@@ -13,6 +14,7 @@ import ribboncalc
 from ribboncalc import (
     EdgeRef,
     HalfedgeRef,
+    InvalidGraphError,
     ParseError,
     RibbonGraph,
     VertexRef,
@@ -27,15 +29,16 @@ from ribboncalc import (
     serialize,
     subgraph,
     surface_invariants,
-    terminal_external,
     trajectory_counts,
     twist_rotation_check,
     web_trajectory,
 )
 from ribboncalc.trajectory import CW, Itinerary
 
-from conftest import fixture_graph, sample_graphs
-from randgraphs import random_graph
+from conftest import bench_gen, bench_graph, fixture_graph, sample_graphs
+from randgraphs import random_graph, trivalent_graph
+from test_gluing import _partitions
+from test_graph import _ball
 
 
 class TestItinerary:
@@ -100,9 +103,6 @@ class TestItinerary:
         g = RibbonGraph({"u": ("a", "s"), "w": ("b",)}, {"a": "b", "b": "a"})
         with pytest.raises(Exception, match="valency-1"):
             itinerary(g, "a")
-
-    def test_terminal_external(self, four_gon):
-        assert terminal_external(four_gon, "p1", "cw") == "s2"
 
 
 class TestBundles:
@@ -335,7 +335,6 @@ class TestWalkMemo:
         itinerary(four_gon, "m1", "cw")
         calls = (
             lambda: itinerary(four_gon, "m1", orient),
-            lambda: terminal_external(four_gon, "m1", orient),
             lambda: web_trajectory(four_gon, "v1", orient),
             lambda: curve_trajectory(four_gon, "m1", orient),
             lambda: trajectory_counts(four_gon, EdgeRef("m1"), EdgeRef("q1"), orient),
@@ -588,3 +587,77 @@ class TestOneWalkEngine:
                 assert it.length <= orbit_size[h] + 1
                 repeated = len(it.out_halfedges) - len(set(it.out_halfedges))
                 assert repeated == (1 if it.terminal == h else 0)
+
+
+def _check_restriction(g: RibbonGraph, piece, orient: str) -> int:
+    """Restriction commutes with walks.  Every time an itinerary of ``g``
+    enters the piece along a cut halfedge ``c``, its stretch up to the
+    first out halfedge that is a cut of the piece or external in ``g`` is
+    the piece's itinerary from ``c``: the same out halfedges after ``c``
+    and the same entries.  So is every walk of the piece's webs and
+    curves, read off the ambient walk from its start, or from the start's
+    twin for a cut.  Halfedges are compared, since a cut's edge has
+    another name in the piece.  Returns the number of entries along cuts."""
+    cuts, p = set(piece.cut_halfedges), piece.graph
+    ambient = {h: itinerary(g, h, orient) for h in g.halfedges}
+
+    def stretch(itin: Itinerary, j: int) -> tuple:
+        out = itin.out_halfedges
+        stop = next(i for i in range(j + 1, len(out)) if out[i] in cuts or g.is_external(out[i]))
+        return out[j + 1:stop + 1], itin.entries[j:stop]
+
+    def local(itin: Itinerary) -> tuple:
+        return itin.out_halfedges[1:], itin.entries
+
+    entered = 0
+    for itin in ambient.values():
+        for j, c in enumerate(itin.entries):
+            if c in cuts:
+                assert local(itinerary(p, c, orient)) == stretch(itin, j), (itin.start, c)
+                entered += 1
+    for v in p.vertices:
+        for h, itin in web_trajectory(p, v, orient).items():
+            assert local(itin) == stretch(ambient[g.twin_of(h) if h in cuts else h], 0), h
+    for e in p.internal_edges():
+        for itin in curve_trajectory(p, e, orient):
+            assert local(itin) == stretch(ambient[itin.start], 0), itin.start
+    return entered
+
+
+class TestRestriction:
+    def test_walks_of_sample_pieces(self):
+        rng = random.Random(10)
+        pieces = entered = 0
+        for g in sample_graphs():
+            for _ in range(6):
+                try:
+                    piece = subgraph(g, rng.sample(g.vertices, rng.randint(1, len(g.vertices))))
+                except InvalidGraphError:
+                    continue
+                pieces += 1
+                entered += sum(_check_restriction(g, piece, o) for o in ("cw", "ccw"))
+        assert pieces > 600 and entered > 5000
+
+    @pytest.mark.parametrize("family", sorted(bench_gen().FAMILIES))
+    def test_walks_of_balls_in_benchmark_graphs(self, family):
+        g = bench_graph(family, 1000, "1/restrict")
+        rng = random.Random(family)
+        for centre in rng.sample(g.vertices, 3):
+            piece = subgraph(g, _ball(g, 40, centre))
+            assert sum(_check_restriction(g, piece, o) for o in ("cw", "ccw")) > 0
+
+    def test_walks_of_gluing_partitions(self):
+        rng = random.Random(12)
+        checked = 0
+        for _ in range(6):
+            g = trivalent_graph(rng, rng.randint(6, 14))
+            for pieces in itertools.islice(_partitions(g, rng, rng.randint(2, 4)), 3):
+                for vertices in pieces:
+                    try:
+                        piece = subgraph(g, vertices)
+                    except InvalidGraphError:
+                        continue
+                    checked += 1
+                    for orient in ("cw", "ccw"):
+                        _check_restriction(g, piece, orient)
+        assert checked > 40

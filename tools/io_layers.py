@@ -21,7 +21,10 @@ tables and validates the piece; and `assemble_global`, with every
 singular vertex on ``punctured_2gon_T1`` and every other on
 ``rank1_trivalent``.  The assembly sorts `edges()` once, to build the
 diagram, and glues in one pass over the diagram's edge table, which it
-does not sort.  Last it times the quiver writers, `serialize(q)` and
+does not sort.  Beside it, ``amalgamate`` times
+``amalgamate(assembly_diagram(g, assign))``, which builds the same
+diagram and checks it in full before it glues, so the difference is what
+the check costs.  Last it times the quiver writers, `serialize(q)` and
 `export_dot(q)`, on the glued quiver.  It prints, per family and stage,
 the best and the median time and the best time as a ratio to the best
 `json.loads`.  Each repeat
@@ -59,6 +62,7 @@ from ribboncalc.assembly import (  # noqa: E402
     builtin_template,
 )
 from ribboncalc.graph import RibbonGraph, subgraph, surface_invariants  # noqa: E402
+from ribboncalc.quiver import amalgamate  # noqa: E402
 from ribboncalc.serialization import (  # noqa: E402
     export_dot,
     graph_dot,
@@ -74,7 +78,9 @@ STAGES = (
     "graph_dot",
 )
 QUIVER_FAMILY = "trivalent_punctured"
-QUIVER_STAGES = ("edges()", "subgraph", "assemble_global", "serialize(q)", "export_dot(q)")
+QUIVER_STAGES = (
+    "edges()", "subgraph", "assemble_global", "amalgamate", "serialize(q)", "export_dot(q)",
+)
 BALL = 40
 NESTED_REPEATS = 2000
 FIXTURES = ROOT / "src" / "ribboncalc" / "fixtures"
@@ -122,8 +128,8 @@ def _ball(g) -> list[str]:
 def measure(text: str, quiver: bool) -> dict[str, float]:
     """One time per stage for the graph written as ``text``, each stage fed
     by the one before, as a command line call feeds them; with ``quiver``,
-    also its edge sort, its restriction to `_ball`, its assembly and the
-    quiver stages on that."""
+    also its edge sort, its restriction to `_ball`, its assembly, checked
+    and unchecked, and the quiver stages on that."""
     times: dict[str, float] = {}
     obj = _timed(times, "json.loads", json.loads, text)
     g = _timed(times, "graph_from_jsonable", graph_from_jsonable, obj)
@@ -135,6 +141,7 @@ def measure(text: str, quiver: bool) -> dict[str, float]:
         _timed(times, "edges()", RibbonGraph.edges, g)
         _timed(times, "subgraph", partial(subgraph, g), _ball(g))
         q = _timed(times, "assemble_global", partial(assemble_global, g), _assignment(g))
+        _timed(times, "amalgamate", lambda a: amalgamate(assembly_diagram(g, a)), _assignment(g))
         _timed(times, "serialize(q)", serialize, q)
         _timed(times, "export_dot(q)", export_dot, q)
     return times
