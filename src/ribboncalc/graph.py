@@ -313,7 +313,7 @@ class RibbonGraph:
         return (e,) if t is None or t == e else (e, t)
 
     def edges(self) -> tuple[str, ...]:
-        return tuple(sorted(self.internal_edges() + self.external_edges()))
+        return tuple(sorted([h for h, t in self._twin.items() if h <= t] + self._external))
 
     def internal_edges(self) -> tuple[str, ...]:
         # an edge is named by its smaller halfedge

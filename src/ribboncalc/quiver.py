@@ -193,8 +193,7 @@ def validate_morphism(m: QuiverMorphism) -> ValidationReport:
 
 
 def _check_slots(
-    q: IceQuiver, slots: Iterable[tuple[Any, QuiverMorphism]], owner: str, part: str,
-    valid: dict[int, QuiverMorphism],
+    q: IceQuiver, slots: Iterable[tuple[Any, QuiverMorphism]], owner: str, part: str
 ) -> None:
     """Check the local data at a vertex: a quiver ``q`` and its ``(place,
     morphism)`` slots, such as a template's slots or a diagram's incidences
@@ -202,20 +201,14 @@ def _check_slots(
     frozen component of ``q`` disjoint from the earlier ones; together the
     images must cover the frozen vertices of ``q``.  The first fault raises
     ValueError, its message starting ``owner:`` and naming the ``part``.
-    A morphism in ``valid``, by id, was found valid earlier in the same
-    check and is not validated again; holding it keeps its id unique."""
+    It keeps no memo: `_validate_diagram` holds the one it needs."""
     components = set(q.frozen_components())
     claimed: set[str] = set()
     for place, m in slots:
-        if id(m) not in valid:
-            report = validate_morphism(m)
-            if not report.ok:
-                raise ValueError(
-                    "{}: {} {} morphism invalid: {}".format(
-                        owner, part, place, "; ".join(report.violations)
-                    )
-                )
-            valid[id(m)] = m
+        violations = validate_morphism(m).violations
+        if violations:
+            message = "{}: {} {} morphism invalid: {}"
+            raise ValueError(message.format(owner, part, place, "; ".join(violations)))
         image = frozenset(m.vertex_map.values())
         if image not in components:
             raise ValueError(
@@ -246,6 +239,10 @@ class AmalgamationDiagram(_Record):
 
 
 def _validate_diagram(d: AmalgamationDiagram) -> None:
+    """`amalgamate`'s check.  `_check_slots` runs only at the first vertex
+    with each quiver and incidences in ring order, compared by id: it reads
+    only those objects, which ``d`` keeps alive, so a later vertex with the
+    same ones would fare as the first, and a fault raises at the first."""
     g = d.graph
     require_valid(g)
     for v in g.vertices:
@@ -276,11 +273,12 @@ def _validate_diagram(d: AmalgamationDiagram) -> None:
     ):
         if len(table) > len(ids):
             raise ValueError(what.format(next(k for k in table if not has(k))))
-    # many halfedges may share one morphism; each is validated once
-    valid: dict[int, QuiverMorphism] = {}
+    first: dict[tuple[int, ...], str] = {}
     for v in g.vertices:
+        first.setdefault((id(d.vertex_quivers[v]), *(id(d.incidences[h]) for h in g.cyclic(v))), v)
+    for v in first.values():
         incidences = ((h, d.incidences[h]) for h in g.cyclic(v))
-        _check_slots(d.vertex_quivers[v], incidences, "vertex {}".format(v), "incidence", valid)
+        _check_slots(d.vertex_quivers[v], incidences, "vertex {}".format(v), "incidence")
 
 
 def amalgamate(
@@ -304,10 +302,10 @@ def amalgamate(
     vertex and edge and one incidence per halfedge, with no entry for
     anything the graph lacks, then the incidences at each vertex, in ring
     order, as `LocalTemplate` checks its slots (`_check_slots`).  So any
-    diagram, parsed ones included, is safe to pass.  The check reads
-    each quiver's own arrow index and is linear in the diagram.
-    `assemble_global` glues the diagram it builds without this check; see
-    there why that is sound.
+    diagram, parsed ones included, is safe to pass.  A vertex whose
+    quiver and incidences are the objects of an earlier one is not checked
+    again (`_validate_diagram`).  `assemble_global` glues the diagram it
+    builds without this check; see there why that is sound.
     """
     _validate_diagram(d)
     if edge_order is not None and sorted(edge_order) != sorted(d.graph.internal_edges()):

@@ -31,6 +31,7 @@ from ribboncalc import (
     assemble_global,
     assembly_diagram,
     boundary_walks,
+    builtin_template,
     decompose,
     decompose_subgraph,
     itinerary,
@@ -43,6 +44,7 @@ from ribboncalc import (
     serialize,
     star_template,
     subgraph,
+    tagged_triangulation,
     to_jsonable,
 )
 
@@ -360,3 +362,94 @@ def test_a_large_assembly_commutes_with_renaming():
     arrows[i], arrows[j] = QuiverArrow(a.id, a.src, b.dst), QuiverArrow(b.id, b.src, a.dst)
     assert len({(a.src, a.dst) for a in arrows}) < len(ends)
     assert not quivers_isomorphic(q, IceQuiver(renamed.vertices, arrows))
+
+
+def _arc_set(g, arcs, hmap, vmap) -> set:
+    """The arcs of ``g`` over the ids ``hmap`` and ``vmap`` give: a dual arc
+    by its edge's halfedges, a puncture arc by its puncture, via halfedge,
+    tagging and path, so that no edge name is compared."""
+    return {
+        ("dual", frozenset(hmap[h] for h in g.halfedges_of(a.edge))) if a.kind == "dual"
+        else (
+            "puncture", vmap[a.puncture], hmap[a.via], a.tagging,
+            tuple(hmap[h] for h in a.path.out_halfedges),
+        )
+        for a in arcs
+    }
+
+
+def _tagged_cases():
+    yield pytest.param(fixture_graph("once_punctured_4gon"), id="once_punctured_4gon")
+    for seed in ("1/arcs", "2/arcs", "3/arcs"):
+        yield pytest.param(bench_graph("trivalent_punctured", 200, seed), id=seed)
+
+
+@pytest.mark.parametrize("g", list(_tagged_cases()))
+def test_tagged_arcs_commute_with_renaming(g):
+    # T3 and T4 take a puncture's two arcs through ring[0], resp. ring[1],
+    # and a ring starts at its smallest halfedge: where a renaming makes
+    # the other halfedge the smallest, T3 and T4 trade places
+    punctures = [v for v in g.vertices if g.valency(v) == 2]
+    swap = {"T1": "T1", "T2": "T2", "T3": "T4", "T4": "T3"}
+    flips = []
+    for r, hmap, vmap, same_h, same_v in _renamed_copies(g, random.Random(len(g.vertices))):
+        flipped = {p for p in punctures if hmap[g.cyclic(p)[0]] != r.cyclic(vmap[p])[0]}
+        flips.append(len(flipped))
+        for choice in swap:
+            arcs = tagged_triangulation(g, dict.fromkeys(punctures, choice))
+            expected = _arc_set(g, arcs, hmap, vmap)
+            choices = {vmap[p]: swap[choice] if p in flipped else choice for p in punctures}
+            assert _arc_set(r, tagged_triangulation(r, choices), same_h, same_v) == expected
+            if choice != swap[choice] and flipped:
+                unswapped = tagged_triangulation(r, dict.fromkeys(choices, choice))
+                assert _arc_set(r, unswapped, same_h, same_v) != expected
+    # the random renaming keeps some punctures' order, the order-reversing
+    # one flips every puncture
+    assert flips[0] < len(punctures) == flips[1]
+
+
+def _renamed_template(t: LocalTemplate, rng: random.Random) -> LocalTemplate:
+    """``t`` with its quiver's vertex and arrow ids renamed by a seeded
+    bijection.  Its slots keep their interface ids: the reversal across
+    an edge reads their order."""
+    q = t.quiver
+    vmap = _renamings(q.vertex_ids(), "x", rng)[0]
+    amap = _renamings([a.id for a in q.arrows], "y", rng)[0]
+    quiver = IceQuiver(
+        [QuiverVertex(vmap[v.id], v.frozen, v.label) for v in q.vertices],
+        [QuiverArrow(amap[a.id], vmap[a.src], vmap[a.dst], a.frozen) for a in q.arrows],
+    )
+    slots = tuple(
+        TemplateSlot(
+            s.boundary,
+            {u: vmap[x] for u, x in s.vertex_map.items()},
+            {b: None if x is None else amap[x] for b, x in s.arrow_map.items()},
+        )
+        for s in t.slots
+    )
+    return LocalTemplate(t.name, quiver, slots, t.stalk)
+
+
+def _template_cases():
+    rng = random.Random(33)
+    for name in ("rank1_trivalent", "a2_trivalent"):
+        for i in range(3):
+            g = trivalent_graph(rng, rng.randint(4, 40))
+            yield pytest.param(g, dict.fromkeys(g.vertices, name), id="{} {}".format(name, i))
+    g = fixture_graph("once_punctured_4gon")
+    for k in range(1, 5):
+        assign = {
+            v: "punctured_2gon_T{}".format(k) if g.kind(v) == "singular" else "rank1_trivalent"
+            for v in g.vertices
+        }
+        yield pytest.param(g, assign, id="once_punctured_4gon T{}".format(k))
+
+
+@pytest.mark.parametrize("g, assign", list(_template_cases()))
+def test_assembly_commutes_with_renaming_template_ids(g, assign):
+    rng = random.Random(len(g.halfedges))
+    names = sorted(set(assign.values()))
+    renamed = {name: _renamed_template(builtin_template(name), rng) for name in names}
+    q = assemble_global(g, assign)
+    r = assemble_global(g, {v: renamed[name] for v, name in assign.items()})
+    assert quivers_isomorphic(q, r)

@@ -24,6 +24,7 @@ from ribboncalc import (
 from ribboncalc.quiver import _refine
 
 from conftest import _labelled_quiver, _same_arrows
+from randgraphs import trivalent_graph
 
 
 def star(n: int) -> IceQuiver:
@@ -408,6 +409,42 @@ class TestSlotCheckCost:
         for d in diagrams.values():
             amalgamate(d)
         assert [reads[id(d.vertex_quivers["v"])] for d in diagrams.values()] == [1, 1]
+
+    def test_a_vertex_like_an_earlier_one_is_not_checked_again(self, monkeypatch):
+        # every vertex carries one rank1_trivalent quiver, and each slot's
+        # incidence is its slot morphism or the reversal from one of the 3
+        # slots across the edge: at most 4**3 distinct vertices to check
+        diagrams = {
+            n: assembly_diagram(g, dict.fromkeys(g.vertices, "rank1_trivalent"))
+            for n in (400, 1600)
+            for g in [trivalent_graph(random.Random(3), n)]
+        }
+        calls = Counter()
+        components = IceQuiver.frozen_components
+
+        def counting(self):
+            calls[n] += 1
+            return components(self)
+
+        monkeypatch.setattr(IceQuiver, "frozen_components", counting)
+        for n, d in diagrams.items():
+            amalgamate(d)
+        assert all(calls[n] <= 4 ** 3 for n in diagrams), calls
+
+    def test_a_shared_quiver_is_checked_with_each_vertex_incidences(self, four_gon):
+        # v1 and v2 carry one star quiver; v2, checked after v1, sends r2
+        # onto s2's frozen component, so v1 passing must not pass v2
+        d = assembly_diagram(four_gon, star_assignment(four_gon))
+        assert d.vertex_quivers["v1"] is d.vertex_quivers["v2"]
+        bad = dict(d.incidences)
+        m = bad["s2"]
+        bad["r2"] = QuiverMorphism(
+            bad["r2"].source, m.target, dict(m.vertex_map), dict(m.arrow_map)
+        )
+        broken = AmalgamationDiagram(d.graph, d.vertex_quivers, d.edge_quivers, bad)
+        with pytest.raises(ValueError) as info:
+            amalgamate(broken)
+        assert str(info.value) == "vertex v2: incidence r2 overlaps another incidence"
 
 
 class TestIsomorphism:

@@ -303,6 +303,53 @@ class TestHitCounting:
             per_ray = trajectory_counts(g, HalfedgeRef(h), EdgeRef("e1a"), "cw")
             assert len(per_ray) == 2
 
+    def test_a_second_genus_zero_curve_meets_an_edge_four_times(self):
+        # `randgraphs.random_graph(Random(26857))`, written out: a draw of
+        # `test_hit_counts_sharpen_with_the_topology` that breaks its bound
+        # of 2 per curve at genus 0, here on a sphere with boundary (2, 1, 1)
+        g = RibbonGraph(
+            {
+                "v0": ("e0a", "e4a", "e1a"),
+                "v1": ("e0b", "e3a", "e5a"),
+                "v2": ("e1b", "e6a", "e2a"),
+                "v3": ("e2b", "s8", "e6b"),
+                "v4": ("e3b", "e5b", "s10"),
+                "v5": ("e4b", "s9", "s7"),
+            },
+            {
+                "e0a": "e0b",
+                "e0b": "e0a",
+                "e1a": "e1b",
+                "e1b": "e1a",
+                "e2a": "e2b",
+                "e2b": "e2a",
+                "e3a": "e3b",
+                "e3b": "e3a",
+                "e4a": "e4b",
+                "e4b": "e4a",
+                "e5a": "e5b",
+                "e5b": "e5a",
+                "e6a": "e6b",
+                "e6b": "e6a",
+            },
+            {"v1": "singular", "v4": "singular"},
+            {"v1": "puncture", "v4": "puncture"},
+        )
+        inv = surface_invariants(g)
+        assert (inv.genus, inv.boundary) == (0, (2, 1, 1))
+        assert (len(g.vertices), len(g.halfedges)) == (6, 18)
+
+        hits = trajectory_counts(g, EdgeRef("e1a"), EdgeRef("e0a"), "cw")
+        assert [(h.source, h.index) for h in hits] == [
+            ("e1a", 5),
+            ("e1a", 8),
+            ("e1b", 2),
+            ("e1b", 5),
+        ]
+        for h in ("e1a", "e1b"):
+            per_ray = trajectory_counts(g, HalfedgeRef(h), EdgeRef("e0a"), "cw")
+            assert len(per_ray) == 2
+
 
 BAD_ORIENTATIONS = ("up", None, ["cw"])
 BAD_SIDES = ("up", None, ["L"])
@@ -597,7 +644,12 @@ def _check_restriction(g: RibbonGraph, piece, orient: str) -> int:
     and the same entries.  So is every walk of the piece's webs and
     curves, read off the ambient walk from its start, or from the start's
     twin for a cut.  Halfedges are compared, since a cut's edge has
-    another name in the piece.  Returns the number of entries along cuts."""
+    another name in the piece.  And restriction commutes with hits: from
+    every start of the piece, `trajectory_counts` on an edge of the piece
+    whose halfedges are twinned there lists the indices, and constancy,
+    at which that ambient walk's edges are the target, up to the
+    stretch's length.  Cut targets are left out: the piece names their
+    edge by the cut.  Returns the number of entries along cuts."""
     cuts, p = set(piece.cut_halfedges), piece.graph
     ambient = {h: itinerary(g, h, orient) for h in g.halfedges}
 
@@ -621,6 +673,14 @@ def _check_restriction(g: RibbonGraph, piece, orient: str) -> int:
     for e in p.internal_edges():
         for itin in curve_trajectory(p, e, orient):
             assert local(itin) == stretch(ambient[itin.start], 0), itin.start
+    targets = p.internal_edges()
+    for s in p.halfedges:
+        itin = ambient[g.twin_of(s) if s in cuts else s]
+        edges = itin.edges[:len(stretch(itin, 0)[0]) + 1]
+        for e in targets:
+            hits = trajectory_counts(p, HalfedgeRef(s), EdgeRef(e), orient)
+            expected = [(i, i == 1) for i, f in enumerate(edges, start=1) if f == e]
+            assert [(h.index, h.constant) for h in hits] == expected, (s, e)
     return entered
 
 

@@ -13,8 +13,8 @@ through `RibbonGraph.validation_report`, which keeps the report as
 keeps them, and sorts its edge tables on each call, so the stages pay for
 the sorts in this order: the build, validation and `surface_invariants`
 read none; `serialize` sorts `vertices` and `halfedges`; `graph_dot` sorts
-`edges()`, which sorts `internal_edges()` and `external_edges()` on the
-way.  On the `trivalent_punctured` graph it then times `edges()` alone,
+`edges()`, in one sort over the internal and the external edges.  On the
+`trivalent_punctured` graph it then times `edges()` alone,
 the sort each later reader repeats; `subgraph` of a fixed 40-vertex ball,
 grown breadth-first from the smallest vertex, which restricts the graph's
 tables and validates the piece; and `assemble_global`, with every
@@ -24,12 +24,14 @@ diagram, and glues in one pass over the diagram's edge table, which it
 does not sort.  Beside it, ``amalgamate`` times
 ``amalgamate(assembly_diagram(g, assign))``, which builds the same
 diagram and checks it in full before it glues, so the difference is what
-the check costs.  Last it times the quiver writers, `serialize(q)` and
-`export_dot(q)`, on the glued quiver.  It prints, per family and stage,
-the best and the median time and the best time as a ratio to the best
-`json.loads`.  Each repeat
-decodes, builds and assembles afresh, so no stage meets a graph, quiver
-or string an earlier repeat has used.
+the check costs.  The diagram shares its two template quivers and their
+slot morphisms, and the check runs once per distinct quiver and ring of
+incidences, not once per vertex.  Last it times the quiver writers,
+`serialize(q)` and `export_dot(q)`, on the glued quiver.  It prints,
+per family and stage, the best and the median time and the best time as
+a ratio to the best `json.loads`.  Each repeat decodes, builds and
+assembles afresh, so no stage meets a graph, quiver or string an earlier
+repeat has used.
 
 It then times the writers of values that hold a quiver, where the JSON
 encoder writes the nested quiver: `serialize` of each built-in template
