@@ -563,9 +563,6 @@ class Subgraph(_Record):
 
     __slots__ = _fields = ("graph", "ambient", "vertices", "cut_halfedges")
 
-    def ambient_edge_of(self, sub_edge: str) -> str:
-        return self.ambient.edge_of(sub_edge)
-
 
 def subgraph(g: RibbonGraph, vertices: Iterable[str]) -> Subgraph:
     """The piece of ``g`` induced by ``vertices``, built, as `dual` builds

@@ -170,6 +170,13 @@ def validate_morphism(m: QuiverMorphism) -> ValidationReport:
             violations.append("vertex {} has no image".format(v))
         elif not (isinstance(vmap[v], str) and m.target.has_vertex(vmap[v])):
             violations.append("vertex {} maps to unknown vertex {}".format(v, vmap[v]))
+    # a key the source lacks would add its value to the image
+    for v in vmap:
+        if not m.source.has_vertex(v):
+            violations.append("vertex map names unknown vertex {}".format(v))
+    for a in m.arrow_map:
+        if a not in m.source._arrow_by_id:
+            violations.append("arrow map names unknown arrow {}".format(a))
     images = [x for x in vmap.values() if isinstance(x, str) and m.target.has_vertex(x)]
     if len(set(images)) != len(images):
         violations.append("vertex map is not injective")
@@ -281,9 +288,7 @@ def _validate_diagram(d: AmalgamationDiagram) -> None:
         _check_slots(d.vertex_quivers[v], incidences, "vertex {}".format(v), "incidence")
 
 
-def amalgamate(
-    d: AmalgamationDiagram, edge_order: Optional[Sequence[str]] = None
-) -> IceQuiver:
+def amalgamate(d: AmalgamationDiagram) -> IceQuiver:
     """Glue the vertex quivers along the interface quivers.
 
     Vertices identified across internal edges melt into one mutable
@@ -293,10 +298,10 @@ def amalgamate(
     same label, and has none otherwise, so labels do not depend on how the
     graph's vertices are named.  Interfaces on external edges stay frozen,
     frozen arrows included.  Interface arrows of an internal edge survive,
-    unfrozen, exactly when both incidences keep them non-zero.
-
-    ``edge_order``, when given, must list the internal edges and has no
-    other effect: the result does not depend on the gluing order.
+    unfrozen, exactly when both incidences keep them non-zero.  The
+    result does not depend on the order of the diagram's tables, as the
+    table-order tests in ``tests/test_gluing.py``, ``tests/test_quiver.py``
+    and ``tests/test_properties.py`` check.
 
     The diagram is validated in full first: the graph, one quiver per
     vertex and edge and one incidence per halfedge, with no entry for
@@ -308,8 +313,6 @@ def amalgamate(
     builds without this check; see there why that is sound.
     """
     _validate_diagram(d)
-    if edge_order is not None and sorted(edge_order) != sorted(d.graph.internal_edges()):
-        raise ValueError("edge_order must enumerate the internal edges")
     return _glue(d)
 
 

@@ -130,9 +130,6 @@ class Decomposition(_Record):
 
     __slots__ = _fields = ("source", "target", "side", "summands")
 
-    def word_multiset(self) -> Counter:
-        return Counter(s.word.atoms for s in self.summands)
-
 
 def _possibly_zero(g: RibbonGraph, atoms: tuple[Atom, ...]) -> bool:
     # conservative: any atom sitting at a singular vertex may die in a

@@ -12,9 +12,11 @@ import pytest
 from randgraphs import random_graph
 import ribboncalc
 from ribboncalc import (
+    AmalgamationDiagram,
     IceQuiver,
     LocalTemplate,
     QuiverArrow,
+    QuiverMorphism,
     QuiverVertex,
     RibbonGraph,
     dual,
@@ -78,6 +80,33 @@ def sample_graphs() -> list[RibbonGraph]:
     graphs = [fixture_graph(name) for name in GRAPH_FIXTURES]
     graphs += [random_graph(rng) for _ in range(60)]
     return [h for g in graphs for h in (g, dual(g))]
+
+
+def shuffled_diagram(d: AmalgamationDiagram, rng: random.Random) -> AmalgamationDiagram:
+    """``d`` with its edge quivers and incidences listed in a seeded order."""
+    edges, incidences = list(d.edge_quivers.items()), list(d.incidences.items())
+    rng.shuffle(edges)
+    rng.shuffle(incidences)
+    return AmalgamationDiagram(d.graph, d.vertex_quivers, dict(edges), dict(incidences))
+
+
+def extra_key_diagram() -> AmalgamationDiagram:
+    """Vertices ``v`` and ``w`` joined by the edge ``h``/``k``, each with a
+    stub, and one quiver at both: mutable ``m`` and frozen ``a``, ``b`` and
+    ``c``, with the frozen arrow ``a -> b``.  Every interface is the frozen
+    point ``u``.  A stub maps ``u`` to ``c``; ``h`` and ``k`` map it to ``a``
+    and also send a key ``extra``, which the point lacks, to ``b``, so the
+    map's values are the component {a, b}."""
+    g = RibbonGraph({"v": ("h", "x"), "w": ("k", "y")}, {"h": "k", "k": "h"})
+    q = IceQuiver(
+        [QuiverVertex("m")] + [QuiverVertex(x, frozen=True) for x in "abc"],
+        [QuiverArrow("ab", "a", "b", frozen=True)],
+    )
+    point = IceQuiver([QuiverVertex("u", frozen=True)], [])
+    maps = {"h": {"u": "a", "extra": "b"}, "x": {"u": "c"}}
+    maps.update(k=maps["h"], y=maps["x"])
+    incidences = {h: QuiverMorphism(point, q, m, {}) for h, m in maps.items()}
+    return AmalgamationDiagram(g, {"v": q, "w": q}, dict.fromkeys(g.edges(), point), incidences)
 
 
 def colliding_assembly(part: str = "hub") -> tuple[RibbonGraph, dict[str, LocalTemplate]]:

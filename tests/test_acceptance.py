@@ -13,6 +13,7 @@ import pytest
 from randgraphs import random_graph
 
 from ribboncalc import (
+    AmalgamationDiagram,
     EdgeRef,
     IceQuiver,
     QuiverArrow,
@@ -212,7 +213,12 @@ def test_randomized_property_suite():
         reference = amalgamate(diagram)
         order = list(g.internal_edges())
         rng.shuffle(order)
-        if amalgamate(diagram, edge_order=order) != reference:
+        ordered = AmalgamationDiagram(
+            g, diagram.vertex_quivers,
+            {e: diagram.edge_quivers[e] for e in order + list(g.external_edges())},
+            diagram.incidences,
+        )
+        if amalgamate(ordered) != reference:
             record("amalgamation order", g, tuple(order))
 
         # Euler characteristic stays consistent with the walk count

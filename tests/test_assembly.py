@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import colliding_assembly, sample_graphs
+from conftest import colliding_assembly, extra_key_diagram, sample_graphs
 from randgraphs import _attempt, trivalent_graph
 from ribboncalc import (
     BUILTIN_TEMPLATE_NAMES,
@@ -237,6 +237,19 @@ class TestValidateTemplate:
         with pytest.raises(ValueError) as info:
             LocalTemplate(name, quiver, slots)
         assert str(info.value) == message
+
+    def test_a_slot_key_the_interface_lacks_is_rejected(self):
+        d = extra_key_diagram()
+        point = d.edge_quivers["h"]
+        slots = (
+            TemplateSlot(point, d.incidences["h"].vertex_map, {}),
+            TemplateSlot(point, {"u": "c"}, {}),
+        )
+        with pytest.raises(ValueError) as info:
+            LocalTemplate("t", d.vertex_quivers["v"], slots)
+        assert str(info.value) == (
+            "template t: slot 0 morphism invalid: vertex map names unknown vertex extra"
+        )
 
     def test_name_and_stalk_must_be_strings(self):
         star = star_template(2)

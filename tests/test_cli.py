@@ -17,6 +17,7 @@ from ribboncalc import (
     QuiverArrow,
     QuiverVertex,
     RibbonGraph,
+    TemplateSlot,
     VertexRef,
     amalgamate,
     assemble_global,
@@ -37,7 +38,9 @@ from ribboncalc import assembly, cli, serialization
 from ribboncalc.cli import main
 from ribboncalc.trajectory import curve_trajectory
 
-from conftest import colliding_assembly, fixture_path, fixture_text, run_python
+from conftest import (
+    colliding_assembly, extra_key_diagram, fixture_path, fixture_text, run_python,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -264,6 +267,13 @@ class TestAmalgamate:
         code, out, err = run(capsys, "amalgamate", "--diagram", str(path))
         assert (code, out, err) == (1, "", "error: {}\n".format(message))
 
+    def test_an_incidence_key_the_interface_lacks_fails_with_one_line(self, capsys, tmp_path):
+        path = tmp_path / "extra.json"
+        path.write_text(serialize(extra_key_diagram()))
+        code, out, err = run(capsys, "amalgamate", "--diagram", str(path))
+        message = "vertex v: incidence h morphism invalid: vertex map names unknown vertex extra"
+        assert (code, out, err) == (1, "", "error: {}\n".format(message))
+
     def test_dot_output_matches_assemble(self, capsys, diagram_file):
         path, _ = diagram_file
         code, out, err = run(
@@ -349,6 +359,25 @@ class TestAssemble:
             capsys, "assemble", "--graph", str(graph_file), "--templates", str(assign_file)
         )
         assert (code, out, err) == (1, "", "error: duplicate arrow id 'a.b.c'\n")
+
+    def test_a_slot_key_the_interface_lacks_fails_with_one_line(self, capsys, tmp_path):
+        d = extra_key_diagram()
+        template = to_jsonable(d.vertex_quivers["v"])
+        template.update(name="t", slots=[
+            to_jsonable(TemplateSlot(m.source, m.vertex_map, m.arrow_map))
+            for m in (d.incidences[h] for h in d.graph.cyclic("v"))
+        ])
+        graph_file, assign_file = tmp_path / "g.json", tmp_path / "t.json"
+        graph_file.write_text(serialize(d.graph))
+        assign_file.write_text(json.dumps({"assignments": {"v": template, "w": template}}))
+        code, out, err = run(
+            capsys, "assemble", "--graph", str(graph_file), "--templates", str(assign_file)
+        )
+        message = (
+            "at /assignments/v/slots: template t: slot 0 morphism invalid: "
+            "vertex map names unknown vertex extra"
+        )
+        assert (code, out, err) == (1, "", "error: {}\n".format(message))
 
     def test_template_for_unknown_vertex_fails_with_one_line(self, capsys, tmp_path):
         assignments = dict.fromkeys(("v1", "v2", "nope"), "a2_trivalent")

@@ -29,7 +29,9 @@ from ribboncalc import (
     subgraph,
 )
 
-from conftest import bench_graph, fixture_graph, fixture_text, same_labelled_quiver
+from conftest import (
+    bench_graph, fixture_graph, fixture_text, same_labelled_quiver, shuffled_diagram,
+)
 from randgraphs import random_graph, trivalent_graph
 from test_flips import _punctured_assignment
 
@@ -274,14 +276,6 @@ def test_large_a2_assembly_glues_by_cuts():
         assert _follows_arrow_ids(whole, next(filter(None, cuts))), k
 
 
-def _shuffled(d: AmalgamationDiagram, rng: random.Random) -> AmalgamationDiagram:
-    """``d`` with its edge quivers and incidences listed in a seeded order."""
-    edges, incidences = list(d.edge_quivers.items()), list(d.incidences.items())
-    rng.shuffle(edges)
-    rng.shuffle(incidences)
-    return AmalgamationDiagram(d.graph, d.vertex_quivers, dict(edges), dict(incidences))
-
-
 def _order_cases(rng: random.Random):
     """`_assemblies`, the fixture assemblies, and the once-punctured 4-gon
     with each punctured 2-gon on its puncture."""
@@ -300,7 +294,7 @@ def test_gluing_does_not_depend_on_the_order_of_the_tables():
         d = assembly_diagram(g, assign)
         want = amalgamate(d)
         for _ in range(3):
-            assert amalgamate(_shuffled(d, rng)) == want
+            assert amalgamate(shuffled_diagram(d, rng)) == want
 
 
 def test_a_glued_vertex_is_named_by_the_smaller_of_its_two_members():

@@ -5,12 +5,15 @@ and no script under ``tools/`` imports a name it never uses, no private module-l
 constant is left that nothing in the package refers to, and ``__all__``
 is the sorted list of the names the package's table exports, each of
 which resolves, on first use, to the object its module defines and is
-used by the package, a bench or tool script or the README.  Every
+used by the package, a bench or tool script or the README.  So is each
+public method and property of an exported class, and each defaulted
+parameter of an exported function is passed by some call there.  Every
 fixture file the package ships is one of the input kinds it reads, and
 the built-in templates are exactly its template files."""
 
 import ast
 import fnmatch
+import inspect
 import re
 import sys
 from importlib import import_module
@@ -190,20 +193,28 @@ def _readers(trees):
     return readers
 
 
-def test_every_public_name_is_used():
+def _package_trees():
     # the export table in __init__ is not a use
-    trees = {
+    return {
         p.stem: ast.parse(p.read_text(encoding="utf-8"))
         for p in SOURCES if p.name != "__init__.py"
     }
-    readers = _readers(trees)
+
+
+def _outside_code():
+    """The bench and tool scripts, then README code: fenced blocks and
+    inline spans."""
     scripts = [
         p.read_text(encoding="utf-8") for d in ("bench", "tools") for p in (ROOT / d).rglob("*.py")
     ]
-    # README code: fenced blocks and inline spans
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    readme_code = re.findall(r"```.*?```|`[^`\n]+`", readme, re.S)
-    outside = "\n".join(scripts + readme_code)
+    return scripts + re.findall(r"```.*?```|`[^`\n]+`", readme, re.S)
+
+
+def test_every_public_name_is_used():
+    trees = _package_trees()
+    readers = _readers(trees)
+    outside = "\n".join(_outside_code())
 
     def used(module, name):
         # a name's own definition, its recursive calls included, is not a use
@@ -222,6 +233,91 @@ def test_every_public_name_is_used():
     # an entry goes once its name is used again or no longer exported
     stale = [name for name in TEST_ONLY_EXPORTS if name not in unused]
     assert stale == [], "test-only entries for names that are used or gone: " + ", ".join(stale)
+
+
+# public methods and defaulted parameters that only the tests use, each with why
+TEST_ONLY_MEMBERS = {
+    "RibbonGraph.ccw_next": "the walk oracles step the graph through it, not the engine's"
+    " tables (tests/test_trajectory.py::_step, tests/test_graph_load.py::corner_permutation);"
+    " its pair cw_next is in README",
+    "RibbonGraph.ext_twin": "the walk oracles step the graph through it, not the engine's"
+    " tables (tests/test_trajectory.py::_step, tests/test_graph_load.py::corner_permutation)",
+    "trajectory_counts(orient)": "every walk entry point takes an orientation",
+}
+
+
+def _exported():
+    for module, names in ribboncalc._EXPORTS.items():
+        owner = import_module("ribboncalc." + module)
+        for name in names:
+            yield name, getattr(owner, name)
+
+
+def _public_members(cls):
+    """The public methods and properties an exported class defines or
+    inherits from the package; record fields are neither."""
+    return sorted({
+        name
+        for klass in cls.__mro__ if klass.__module__.startswith("ribboncalc")
+        for name, value in vars(klass).items()
+        if not name.startswith("_") and (callable(value) or isinstance(value, property))
+    })
+
+
+def _code_trees(texts):
+    """The texts that parse as Python, README's fences stripped."""
+    for text in texts:
+        try:
+            yield ast.parse(re.sub(r"^```\w*|```$|^`|`$", "", text))
+        except SyntaxError:
+            pass
+
+
+def _passes(call, index, name):
+    """Whether ``call`` passes the parameter ``name``, ``index``-th in
+    order, by keyword, by position or through unpacking."""
+    return (
+        len(call.args) > index
+        or any(isinstance(a, ast.Starred) for a in call.args)
+        or any(k.arg in (name, None) for k in call.keywords)
+    )
+
+
+def test_every_public_method_and_parameter_is_used():
+    trees = _package_trees()
+    outside = _outside_code()
+    # src reads a method as an attribute, or writes it by a layout name
+    read = {n.attr for t in trees.values() for n in ast.walk(t) if isinstance(n, ast.Attribute)}
+    layouts = import_module("ribboncalc.serialization")._LAYOUTS.values()
+    read.update(f for layout in layouts if isinstance(layout, tuple) for f in layout)
+    named = "\n".join(outside)
+    calls = {}
+    for tree in [*trees.values(), *_code_trees(outside)]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(callee, []).append(node)
+    unused = []
+    for name, obj in _exported():
+        if isinstance(obj, type):
+            unused += [
+                "{}.{}".format(name, m) for m in _public_members(obj)
+                if m not in read and not re.search(r"\b{}\b".format(m), named)
+            ]
+        elif inspect.isfunction(obj):
+            unused += [
+                "{}({})".format(name, p.name)
+                for index, p in enumerate(inspect.signature(obj).parameters.values())
+                if p.default is not p.empty
+                and not any(_passes(c, index, p.name) for c in calls.get(name, ()))
+            ]
+    unexplained = [n for n in unused if n not in TEST_ONLY_MEMBERS]
+    assert unexplained == [], "public methods or parameters only the tests use: " + ", ".join(
+        unexplained
+    )
+    # an entry goes once its name is used again or no longer exists
+    stale = [name for name in TEST_ONLY_MEMBERS if name not in unused]
+    assert stale == [], "test-only entries for members that are used or gone: " + ", ".join(stale)
 
 
 # run in a fresh interpreter, where no module of the package is loaded yet

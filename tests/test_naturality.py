@@ -262,6 +262,23 @@ def _walk_set(walks, hmap):
     }
 
 
+def _edge_pairs(g, hmap) -> dict:
+    """Each edge of ``g`` by name, as the set of its halfedges after ``hmap``."""
+    return {e: frozenset(hmap[h] for h in g.halfedges_of(e)) for e in g.edges()}
+
+
+@pytest.mark.parametrize("name, g", _walk_graphs())
+def test_edges_commute_with_renaming(name, g):
+    for r, hmap, _, same_h, _ in _renamed_copies(g, random.Random(name)):
+        got, want = _edge_pairs(r, same_h), _edge_pairs(g, hmap)
+        for part in ("edges", "internal_edges", "external_edges"):
+            assert {got[e] for e in getattr(r, part)()} == {want[e] for e in getattr(g, part)()}
+        for h in g.halfedges:
+            # a KeyError here is an edge name that is no edge
+            pair = got[r.edge_of(hmap[h])]
+            assert hmap[h] in pair and pair == want[g.edge_of(h)]
+
+
 def _balls(g, rng):
     """Connected vertex sets grown breadth first from random vertices: one
     vertex, two, three and half the graph."""

@@ -10,6 +10,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import shuffled_diagram
 from randgraphs import random_graph
 
 from ribboncalc import (
@@ -161,12 +162,10 @@ def test_hit_counts_sharpen_with_the_topology(seed):
 
 @settings(max_examples=30, deadline=None)
 @given(seeds)
-def test_amalgamation_ignores_edge_order(seed):
+def test_amalgamation_ignores_the_order_of_the_tables(seed):
     rng = random.Random(seed)
     g = random_graph(rng)
     assign = {v: star_template(g.valency(v)) for v in g.vertices}
     d = assembly_diagram(g, assign)
     reference = amalgamate(d)
-    order = list(g.internal_edges())
-    rng.shuffle(order)
-    assert amalgamate(d, edge_order=order) == reference
+    assert amalgamate(shuffled_diagram(d, rng)) == reference

@@ -23,7 +23,7 @@ from ribboncalc import (
 )
 from ribboncalc.quiver import _refine
 
-from conftest import _labelled_quiver, _same_arrows
+from conftest import _labelled_quiver, _same_arrows, extra_key_diagram, shuffled_diagram
 from randgraphs import trivalent_graph
 
 
@@ -236,6 +236,13 @@ class TestMorphism:
         ok = QuiverMorphism(src, tgt, {"u1": "y", "u2": "x"}, {"a": "b"})
         assert validate_morphism(ok).ok
 
+    def test_a_map_key_the_source_lacks(self):
+        # its value would join the image that the slot check reads
+        m = QuiverMorphism(self.point, self.target, {"u": "t0", "ghost": "t1"}, {})
+        assert validate_morphism(m).violations == ("vertex map names unknown vertex ghost",)
+        m = QuiverMorphism(self.point, self.target, {"u": "t0"}, {"ghost": None})
+        assert validate_morphism(m).violations == ("arrow map names unknown arrow ghost",)
+
     def test_zero_arrow_image_allowed(self):
         src = IceQuiver(
             [QuiverVertex("u1", frozen=True), QuiverVertex("u2", frozen=True)],
@@ -267,19 +274,12 @@ class TestAmalgamate:
         assert q.vertex("v1.r1").label == "1"
         assert q.vertex("v1.f1").label == "2"
 
-    def test_edge_order_is_irrelevant(self, annulus):
+    def test_the_order_of_the_tables_is_irrelevant(self, annulus):
         d = assembly_diagram(annulus, star_assignment(annulus))
         base = amalgamate(d)
         rng = random.Random(7)
-        orders = [list(annulus.internal_edges()) for _ in range(4)]
-        for order in orders:
-            rng.shuffle(order)
-            assert amalgamate(d, edge_order=order) == base
-
-    def test_edge_order_must_cover_internal_edges(self, four_gon):
-        d = assembly_diagram(four_gon, star_assignment(four_gon))
-        with pytest.raises(ValueError, match="edge_order must enumerate"):
-            amalgamate(d, edge_order=[])
+        for _ in range(4):
+            assert amalgamate(shuffled_diagram(d, rng)) == base
 
     def test_dotted_vertex_ids(self):
         g = RibbonGraph(
@@ -371,6 +371,14 @@ class TestAmalgamate:
             with pytest.raises(ValueError) as info:
                 amalgamate(AmalgamationDiagram(**dict(whole, **parts)))
             assert str(info.value) == message
+
+    def test_an_incidence_key_the_interface_lacks_is_rejected(self):
+        # without the check, {a, b} passes as h's image and only a is glued
+        with pytest.raises(ValueError) as info:
+            amalgamate(extra_key_diagram())
+        assert str(info.value) == (
+            "vertex v: incidence h morphism invalid: vertex map names unknown vertex extra"
+        )
 
     def test_frozen_coverage_enforced(self, four_gon):
         d = assembly_diagram(four_gon, star_assignment(four_gon))

@@ -145,7 +145,7 @@ class TestDecompose:
 
     def test_word_multiset(self, two_spider):
         dec = decompose(two_spider, VertexRef("v"), EdgeRef("h2"), side="L")
-        ms = dec.word_multiset()
+        ms = Counter(s.word.atoms for s in dec.summands)
         assert list(ms.values()) == [2]
 
     def test_one_valent_graph_rejected(self):
@@ -516,7 +516,7 @@ def _decompose_per_ring_halfedge(g, target, side, starts, source=None, unit=None
 def _decompose_subgraph_per_ring_halfedge(g, sub, target, side):
     unit = skip = None
     if isinstance(target, EdgeRef):
-        preimages = [k for k in sub.graph.edges() if sub.ambient_edge_of(k) == target.id]
+        preimages = [k for k in sub.graph.edges() if sub.ambient.edge_of(k) == target.id]
         if len(preimages) == 1:
             skip = preimages[0]
             unit = Marker("res", skip)
@@ -568,7 +568,7 @@ def _decompose_subgraph_by_scan(g, sub, target, side):
     the oracle of the read of the target's own halfedges."""
     unit = skip = None
     if isinstance(target, EdgeRef):
-        preimages = [k for k in sub.graph.edges() if sub.ambient_edge_of(k) == target.id]
+        preimages = [k for k in sub.graph.edges() if sub.ambient.edge_of(k) == target.id]
         if len(preimages) == 1:
             skip = preimages[0]
             unit = Marker("res", skip)
