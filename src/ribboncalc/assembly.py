@@ -42,7 +42,7 @@ class TemplateSlot(_Record):
     into a template's quiver, as in `QuiverMorphism`: an ``arrow_map``
     value of None means zero."""
 
-    __slots__ = _fields = ("boundary", "vertex_map", "arrow_map")
+    __slots__ = ("_boundary", "_vertex_map", "_arrow_map")
 
 
 class LocalTemplate(_Record):
@@ -55,7 +55,7 @@ class LocalTemplate(_Record):
     template in existence is valid.
     """
 
-    __slots__ = _fields = ("name", "quiver", "slots", "stalk")
+    __slots__ = ("_name", "_quiver", "_slots", "_stalk")
     _defaults = {"stalk": None}
 
     def __post_init__(self) -> None:
@@ -142,20 +142,20 @@ def _reversal_identification(b1: IceQuiver, slot: TemplateSlot, target: IceQuive
     the vertex counts, a frozen flag, or an arrow group, in the slot
     interface's ids, with its two multiplicities.
     """
-    b2 = slot.boundary
+    b2 = slot._boundary
     if len(b1.vertices) != len(b2.vertices):
         raise ValueError("vertex counts {} against {}".format(len(b1.vertices), len(b2.vertices)))
     pairs = tuple(zip(b1.vertices, reversed(b2.vertices)))  # both in id order
     for x, y in pairs:
-        if x.frozen != y.frozen:
+        if x._frozen != y._frozen:
             raise ValueError(
                 "{} vertex {} against {} vertex {}".format(
                     _flag(x.frozen), x.id, _flag(y.frozen), y.id
                 )
             )
-    vmap = {x.id: y.id for x, y in pairs}
-    side1 = sorted(((vmap[a.src], vmap[a.dst], a.frozen), a.id) for a in b1.arrows)
-    side2 = sorted(((a.src, a.dst, a.frozen), a.id) for a in b2.arrows)
+    vmap = {x._id: y._id for x, y in pairs}
+    side1 = sorted(((vmap[a._src], vmap[a._dst], a._frozen), a._id) for a in b1.arrows)
+    side2 = sorted(((a._src, a._dst, a._frozen), a._id) for a in b2.arrows)
     keys1, keys2 = [k for k, _ in side1], [k for k, _ in side2]
     if keys1 != keys2:
         key = min(k for k in {*keys1, *keys2} if keys1.count(k) != keys2.count(k))
@@ -164,8 +164,8 @@ def _reversal_identification(b1: IceQuiver, slot: TemplateSlot, target: IceQuive
                 key[0], key[1], _flag(key[2]), keys1.count(key), keys2.count(key)
             )
         )
-    vertex_map = {x: slot.vertex_map[y] for x, y in vmap.items()}
-    arrow_map = {a: slot.arrow_map.get(b) for (_, a), (_, b) in zip(side1, side2)}
+    vertex_map = {x: slot._vertex_map[y] for x, y in vmap.items()}
+    arrow_map = {a: slot._arrow_map.get(b) for (_, a), (_, b) in zip(side1, side2)}
     return QuiverMorphism(b1, target, vertex_map, arrow_map)
 
 
@@ -223,7 +223,7 @@ def assembly_diagram(g: RibbonGraph, assign: TemplateAssignment) -> Amalgamation
     """
     require_valid(g)
     templates = _resolve_assignment(g, assign)
-    vertex_quivers = {v: templates[v].quiver for v in g.vertices}
+    vertex_quivers = {v: templates[v]._quiver for v in g.vertices}
     # slots follow the stored cyclic order, which starts at the smallest
     # halfedge id
     slot_at = {
@@ -238,7 +238,7 @@ def assembly_diagram(g: RibbonGraph, assign: TemplateAssignment) -> Amalgamation
     for e in g.edges():
         # an edge is named by its first halfedge
         t1, i1 = slot_at[e]
-        boundary = t1.slots[i1].boundary
+        boundary = t1._slots[i1]._boundary
         edge_quivers[e] = boundary
         key = (id(t1), i1)
         if key not in morphisms:
@@ -250,7 +250,7 @@ def assembly_diagram(g: RibbonGraph, assign: TemplateAssignment) -> Amalgamation
             key += (id(t2), i2)
             if key not in morphisms:
                 try:
-                    morphisms[key] = _reversal_identification(boundary, t2.slots[i2], t2.quiver)
+                    morphisms[key] = _reversal_identification(boundary, t2._slots[i2], t2._quiver)
                 except ValueError as exc:
                     raise ValueError(
                         "interface quivers across edge {} do not match: {} "
@@ -300,8 +300,8 @@ class TaggedArc(_Record):
     an arc's kind does not use are None.
     """
 
-    __slots__ = _fields = ("kind", "edge", "puncture", "via", "tagging", "path")
-    _defaults = dict.fromkeys(_fields[1:])
+    __slots__ = ("_kind", "_edge", "_puncture", "_via", "_tagging", "_path")
+    _defaults = dict.fromkeys(("edge", "puncture", "via", "tagging", "path"))
 
 
 # each local choice at a puncture: its two arcs, as (index in the

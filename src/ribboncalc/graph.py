@@ -11,6 +11,7 @@ boundary circles and `surface_invariants` its genus.
 from __future__ import annotations
 
 from itertools import filterfalse
+from operator import attrgetter
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -29,31 +30,37 @@ class _Record:
     """The base of every value type of the package: a frozen value like
     ``@dataclass(frozen=True)`` makes, without importing `dataclasses`.
 
-    A subclass sets ``__slots__ = _fields`` to its field names, with
-    defaults in ``_defaults`` and the fields its repr leaves out in
-    ``_unprinted``; a ``__post_init__`` it defines runs at the end of
-    construction.  For each class that names fields, `__init_subclass__`
-    writes ``__init__``, ``==`` (within one class) and hash once, by
-    `exec`, as `dataclasses` and `namedtuple` do; ``__init__`` sets each
-    field through its slot's descriptor, past the frozen ``__setattr__``.
-    ``repr``, copy and pickle use the field values."""
+    A subclass sets ``__slots__`` to its field names, each prefixed with
+    ``_``, with defaults in ``_defaults`` and the fields its repr leaves
+    out in ``_unprinted``; a ``__post_init__`` it defines runs at the end
+    of construction.  For each class that names fields,
+    `__init_subclass__` derives ``_fields`` from its slots, makes each
+    field a read-only property over its slot, and writes ``__init__``,
+    ``==`` (within one class) and hash once, by `exec`, as `dataclasses`
+    and `namedtuple` do.  ``__init__`` stores each value in its slot, and
+    ``==`` and hash read the slots.  A field has no setter or deleter, so
+    it cannot be assigned or deleted; the package's loops read the slots,
+    which costs less than the property.  ``repr``, copy and pickle use the
+    field values."""
 
     __slots__ = ()
     _defaults: dict = {}
     _unprinted = ()
 
     def __init_subclass__(cls):
-        if "_fields" not in vars(cls):
-            return  # a subclass without fields of its own keeps its parent's methods
-        fields = cls._fields
-        scope = {"_set_" + f: vars(cls)[f].__set__ for f in fields}
-        scope.update(("_default_" + f, v) for f, v in cls._defaults.items())
+        slots = vars(cls).get("__slots__")
+        if not slots:
+            return  # a subclass without fields of its own keeps its parent's
+        fields = cls._fields = tuple(s[1:] for s in slots)
+        for f, s in zip(fields, slots):
+            setattr(cls, f, property(attrgetter(s)))
+        scope = {"_default_" + f: v for f, v in cls._defaults.items()}
         params = (f + "=_default_" + f if f in cls._defaults else f for f in fields)
-        # the field values of "{0}" as a tuple display
-        values = "({})".format("".join("{{0}}.{},".format(f) for f in fields))
+        # the slot values of "{0}" as a tuple display
+        values = "({})".format("".join("{{0}}._{},".format(f) for f in fields))
         source = [
             "def __init__(self, {}):".format(", ".join(params)),
-            *("    _set_{0}(self, {0})".format(f) for f in fields),
+            *("    self._{0} = {0}".format(f) for f in fields),
             "    self.__post_init__()" if hasattr(cls, "__post_init__") else "",
             "def __eq__(self, other):",
             "    if other.__class__ is self.__class__:",
@@ -75,11 +82,6 @@ class _Record:
         fields = map("{}={!r}".format, shown, map(self.__getattribute__, shown))
         return "{}({})".format(type(self).__qualname__, ", ".join(fields))
 
-    def __setattr__(self, name, value=None):
-        raise AttributeError("cannot assign to or delete field {!r}".format(name))
-
-    __delattr__ = __setattr__
-
 
 def _fault(location: tuple, message: str, *args) -> ValueError:
     """A ValueError whose text is ``message.format(*args)`` and which keeps
@@ -90,7 +92,7 @@ def _fault(location: tuple, message: str, *args) -> ValueError:
 
 
 class ValidationReport(_Record):
-    __slots__ = _fields = ("violations",)  # tuple of messages, empty when valid
+    __slots__ = ("_violations",)  # tuple of messages, empty when valid
     _defaults = {"violations": ()}
 
     @property
@@ -474,8 +476,8 @@ def validate_graph(g: RibbonGraph) -> ValidationReport:
 def require_valid(g: RibbonGraph) -> None:
     # every public walk call comes here, so read the kept report directly
     report = g._report or g.validation_report()
-    if report.violations:
-        raise InvalidGraphError("; ".join(report.violations))
+    if report._violations:
+        raise InvalidGraphError("; ".join(report._violations))
 
 
 class BoundaryWalk(_Record):
@@ -486,7 +488,7 @@ class BoundaryWalk(_Record):
     is one marked point on this circle.
     """
 
-    __slots__ = _fields = ("halfedges", "externals")
+    __slots__ = ("_halfedges", "_externals")
 
     @property
     def marked_points(self) -> int:
@@ -504,7 +506,7 @@ def boundary_walks(g: RibbonGraph) -> list[BoundaryWalk]:
 
 
 class SurfaceInvariants(_Record):
-    __slots__ = _fields = ("genus", "boundary")  # boundary: marked-point counts, largest first
+    __slots__ = ("_genus", "_boundary")  # boundary: marked-point counts, largest first
 
 
 def surface_invariants(g: RibbonGraph) -> SurfaceInvariants:
@@ -561,7 +563,7 @@ class Subgraph(_Record):
     ambient graph; these are exactly the gluing sites.
     """
 
-    __slots__ = _fields = ("graph", "ambient", "vertices", "cut_halfedges")
+    __slots__ = ("_graph", "_ambient", "_vertices", "_cut_halfedges")
 
 
 def subgraph(g: RibbonGraph, vertices: Iterable[str]) -> Subgraph:

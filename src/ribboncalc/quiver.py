@@ -20,14 +20,14 @@ if TYPE_CHECKING:
 class QuiverVertex(_Record):
     """A vertex and its frozen flag; its label is a string or None."""
 
-    __slots__ = _fields = ("id", "frozen", "label")
+    __slots__ = ("_id", "_frozen", "_label")
     _defaults = {"frozen": False, "label": None}
 
 
 class QuiverArrow(_Record):
     """An arrow from the vertex id ``src`` to ``dst``, and its frozen flag."""
 
-    __slots__ = _fields = ("id", "src", "dst", "frozen")
+    __slots__ = ("_id", "_src", "_dst", "_frozen")
     _defaults = {"frozen": False}
 
 
@@ -64,41 +64,41 @@ class IceQuiver:
         # the items checked so far fill `by_id`, then `arrow_by_id`: its size indexes a fault
         by_id = self._by_id = {}
         for v in vertices:
-            if not isinstance(v.id, str):
+            if not isinstance(v._id, str):
                 field, message = "id", "vertex id {!r} is not a string"
-            elif v.id in by_id:
+            elif v._id in by_id:
                 field, message = "id", "duplicate vertex id {!r}"
-            elif not isinstance(v.frozen, bool):
+            elif not isinstance(v._frozen, bool):
                 field, message = "frozen", "frozen flag of vertex {!r} is not a boolean"
-            elif v.label is not None and not isinstance(v.label, str):
+            elif v._label is not None and not isinstance(v._label, str):
                 field, message = "label", "label of vertex {!r} is not a string"
             else:
-                by_id[v.id] = v
+                by_id[v._id] = v
                 continue
             raise _fault(("vertices", len(by_id), field), message, v.id)
         arrows = list(arrows)
         arrow_by_id = self._arrow_by_id = {}
         for a in arrows:
-            if not isinstance(a.id, str):
+            if not isinstance(a._id, str):
                 field, message = "id", "arrow id {!r} is not a string"
-            elif a.id in arrow_by_id:
+            elif a._id in arrow_by_id:
                 field, message = "id", "duplicate arrow id {!r}"
             # vertex ids are strings: an end of another type names no vertex
-            elif not isinstance(a.src, str) or a.src not in by_id:
+            elif not isinstance(a._src, str) or a._src not in by_id:
                 field, message = "src", "arrow {!r} uses unknown vertex {!r}"
-            elif not isinstance(a.dst, str) or a.dst not in by_id:
+            elif not isinstance(a._dst, str) or a._dst not in by_id:
                 field, message = "dst", "arrow {!r} uses unknown vertex {!r}"
-            elif not isinstance(a.frozen, bool):
+            elif not isinstance(a._frozen, bool):
                 field, message = "frozen", "frozen flag of arrow {!r} is not a boolean"
-            elif a.frozen and not (by_id[a.src].frozen and by_id[a.dst].frozen):
+            elif a._frozen and not (by_id[a._src]._frozen and by_id[a._dst]._frozen):
                 raise ValueError("frozen arrow {!r} must join frozen vertices".format(a.id))
             else:
-                arrow_by_id[a.id] = a
+                arrow_by_id[a._id] = a
                 continue
             # the value at fault fills the message's second field, if any
             raise _fault(("arrows", len(arrow_by_id), field), message, a.id, getattr(a, field))
-        self._vertices = tuple(sorted(by_id.values(), key=attrgetter("id")))
-        self._arrows = tuple(sorted(arrows, key=attrgetter("id")))
+        self._vertices = tuple(sorted(by_id.values(), key=attrgetter("_id")))
+        self._arrows = tuple(sorted(arrows, key=attrgetter("_id")))
 
     @property
     def vertices(self) -> tuple[QuiverVertex, ...]:
@@ -156,7 +156,7 @@ class QuiverMorphism(_Record):
     image.
     """
 
-    __slots__ = _fields = ("source", "target", "vertex_map", "arrow_map")
+    __slots__ = ("_source", "_target", "_vertex_map", "_arrow_map")
 
 
 def validate_morphism(m: QuiverMorphism) -> ValidationReport:
@@ -242,7 +242,7 @@ class AmalgamationDiagram(_Record):
     one per halfedge.
     """
 
-    __slots__ = _fields = ("graph", "vertex_quivers", "edge_quivers", "incidences")
+    __slots__ = ("_graph", "_vertex_quivers", "_edge_quivers", "_incidences")
 
 
 def _validate_diagram(d: AmalgamationDiagram) -> None:
@@ -322,29 +322,29 @@ def _glue(d: AmalgamationDiagram) -> IceQuiver:
     of its ends, so those give the ends of the glued arrow.  One pass over
     ``d.edge_quivers``, whose keys are the graph's edges, in any order,
     glues each internal interface and freezes each external one."""
-    g = d.graph
+    g, vertex_quivers, incidences = d._graph, d._vertex_quivers, d._incidences
     # qualified ids "vertex.local", built once per vertex quiver
     names: dict[str, dict[str, str]] = {}
     origin: dict[str, QuiverVertex] = {}
     for v in g.vertices:
         local = names[v] = {}
-        for x in d.vertex_quivers[v].vertices:
-            local[x.id] = qualified = v + "." + x.id
+        for x in vertex_quivers[v].vertices:
+            local[x._id] = qualified = v + "." + x._id
             if qualified in origin:
                 raise ValueError("two vertices have qualified id {!r}".format(qualified))
             origin[qualified] = x
     glued, internal = [], []
     frozen_ids: set[str] = set()
-    for e, interface in d.edge_quivers.items():
-        local, map1 = names[g.at_vertex(e)], d.incidences[e].vertex_map
+    for e, interface in d._edge_quivers.items():
+        local, map1 = names[g.at_vertex(e)], incidences[e]._vertex_map
         t = g.twin_of(e)
         if t is None:
             frozen_ids.update(local[x] for x in map1.values())
             continue
         internal.append((e, t, interface))
-        names2, map2 = names[g.at_vertex(t)], d.incidences[t].vertex_map
+        names2, map2 = names[g.at_vertex(t)], incidences[t]._vertex_map
         for x in interface.vertices:
-            glued.append((local[map1[x.id]], names2[map2[x.id]]))
+            glued.append((local[map1[x._id]], names2[map2[x._id]]))
     rep = _classes(origin, glued)
 
     # a class is frozen when one of its members lies on an external edge,
@@ -352,7 +352,7 @@ def _glue(d: AmalgamationDiagram) -> IceQuiver:
     frozen_classes = {rep[x] for x in frozen_ids}
     labels: dict[str, Optional[str]] = {}
     for x, r in rep.items():
-        label = origin[x].label
+        label = origin[x]._label
         if labels.setdefault(r, label) != label:
             labels[r] = None
     vertices = [
@@ -363,22 +363,22 @@ def _glue(d: AmalgamationDiagram) -> IceQuiver:
     arrows = []
     for v in g.vertices:
         local = names[v]
-        for a in d.vertex_quivers[v].arrows:
-            src = local[a.src]
+        for a in vertex_quivers[v].arrows:
+            src = local[a._src]
             # frozen arrows live inside one frozen component, so the source
             # tells whether the component is an external one
-            if not a.frozen or src in frozen_ids:
+            if not a._frozen or src in frozen_ids:
                 arrows.append(
-                    QuiverArrow(v + "." + a.id, rep[src], rep[local[a.dst]], a.frozen)
+                    QuiverArrow(v + "." + a._id, rep[src], rep[local[a._dst]], a._frozen)
                 )
     for e, t, interface in internal:
-        m1, m2 = d.incidences[e], d.incidences[t]
-        local, map1 = names[g.at_vertex(e)], m1.vertex_map
+        m1, m2 = incidences[e], incidences[t]
+        local, map1 = names[g.at_vertex(e)], m1._vertex_map
         for a in interface.arrows:
-            if m1.arrow_map.get(a.id) is None or m2.arrow_map.get(a.id) is None:
+            if m1._arrow_map.get(a._id) is None or m2._arrow_map.get(a._id) is None:
                 continue
             arrows.append(
-                QuiverArrow(e + "." + a.id, rep[local[map1[a.src]]], rep[local[map1[a.dst]]])
+                QuiverArrow(e + "." + a._id, rep[local[map1[a._src]]], rep[local[map1[a._dst]]])
             )
 
     return IceQuiver(vertices, arrows)

@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 
 from .graph import RibbonGraph, VERTEX_KINDS, rotate_to_min
 
@@ -409,18 +410,30 @@ _LAYOUTS: dict[str, Any] = {
     "HalfedgeRef": lambda r: {"kind": "halfedge", "id": r.id},
 }
 
-# Each domain class `_encode` has met, to its entry in `_LAYOUTS`: a class
-# is matched by name once, then found by one lookup.
+# Each domain class `_encode` has met, to the function that writes it: a
+# class is matched by name once, then found by one lookup.
 _BY_CLASS: dict[type, Any] = {}
 
 
 def _how(cls: type) -> Any:
-    """The entry of ``cls`` in `_LAYOUTS`, or None; a class matches an
-    entry only if a ``ribboncalc`` module defines it."""
+    """The function that writes an instance of ``cls`` as a plain object,
+    made from its entry in `_LAYOUTS`, or None; a class matches an entry
+    only if a ``ribboncalc`` module defines it."""
     how = _BY_CLASS.get(cls)
     if how is None and cls.__module__.startswith("ribboncalc."):
-        how = _BY_CLASS[cls] = _LAYOUTS.get(cls.__name__)
+        how = _LAYOUTS.get(cls.__name__)
+        if type(how) is tuple:
+            how = _attribute_writer(cls, how)
+        _BY_CLASS[cls] = how
     return how
+
+
+def _attribute_writer(cls: type, names: tuple[str, ...]) -> Any:
+    """Writes an instance of ``cls`` as the object of its attributes
+    ``names``, read by one getter: each field from its slot, each other
+    property by name."""
+    get = attrgetter(*("_" + n if n in cls._fields else n for n in names))
+    return lambda value: dict(zip(names, get(value)))
 
 
 def _encode(value: Any) -> Any:
@@ -433,8 +446,6 @@ def _encode(value: Any) -> Any:
         if isinstance(value, Mapping):
             return dict(value)
         raise TypeError("cannot serialize {!r}".format(type(value)))
-    if type(how) is tuple:
-        return {name: getattr(value, name) for name in how}
     return how(value)
 
 
@@ -482,13 +493,13 @@ def _quiver_text(q: IceQuiver) -> str:
     quote = encode_basestring_ascii
     vertices = [
         '{"frozen":%s,"id":%s,"label":%s}'
-        % ("true" if v.frozen else "false", quote(v.id),
-           "null" if v.label is None else quote(v.label))
+        % ("true" if v._frozen else "false", quote(v._id),
+           "null" if v._label is None else quote(v._label))
         for v in q._vertices
     ]
     arrows = [
         '{"dst":%s,"frozen":%s,"id":%s,"src":%s}'
-        % (quote(a.dst), "true" if a.frozen else "false", quote(a.id), quote(a.src))
+        % (quote(a._dst), "true" if a._frozen else "false", quote(a._id), quote(a._src))
         for a in q._arrows
     ]
     return '{"arrows":[%s],"vertices":[%s]}' % (",".join(arrows), ",".join(vertices))
@@ -532,17 +543,17 @@ def graph_dot(g: RibbonGraph) -> str:
 def export_dot(q: IceQuiver) -> str:
     """Deterministic DOT text: frozen vertices are boxes, frozen arrows
     are dashed."""
-    quoted = {v.id: _gvquote(v.id) for v in q._vertices}
+    quoted = {v._id: _gvquote(v._id) for v in q._vertices}
     lines = ["digraph {"]
     for v in q._vertices:
-        shape = "box" if v.frozen else "ellipse"
-        if v.label is None:
-            lines.append("  %s [shape=%s];" % (quoted[v.id], shape))
+        shape = "box" if v._frozen else "ellipse"
+        if v._label is None:
+            lines.append("  %s [shape=%s];" % (quoted[v._id], shape))
         else:
-            label = _gvquote(v.id + " (" + v.label + ")")
-            lines.append("  %s [shape=%s label=%s];" % (quoted[v.id], shape, label))
+            label = _gvquote(v._id + " (" + v._label + ")")
+            lines.append("  %s [shape=%s label=%s];" % (quoted[v._id], shape, label))
     lines += [
-        "  %s -> %s%s;" % (quoted[a.src], quoted[a.dst], " [style=dashed]" if a.frozen else "")
+        "  %s -> %s%s;" % (quoted[a._src], quoted[a._dst], " [style=dashed]" if a._frozen else "")
         for a in q._arrows
     ]
     lines.append("}\n")

@@ -47,15 +47,15 @@ ORIENTATIONS = (CW, CCW)
 
 
 class HalfedgeRef(_Record):
-    __slots__ = _fields = ("id",)
+    __slots__ = ("_id",)
 
 
 class EdgeRef(_Record):
-    __slots__ = _fields = ("id",)
+    __slots__ = ("_id",)
 
 
 class VertexRef(_Record):
-    __slots__ = _fields = ("id",)
+    __slots__ = ("_id",)
 
 
 TYPE_CHECKING = False
@@ -77,8 +77,8 @@ class Itinerary(_Record):
     edge or vertex ids, the sequences as tuples.
     """
 
-    __slots__ = _fields = (
-        "start", "orient", "out_halfedges", "edges", "turns", "entries", "terminal"
+    __slots__ = (
+        "_start", "_orient", "_out_halfedges", "_edges", "_turns", "_entries", "_terminal"
     )
 
     @property
@@ -95,12 +95,12 @@ def _itinerary(g: RibbonGraph, h: str, orient: str) -> Itinerary:
     walks = g._walks[orient]
     itin = walks.get(h)
     if itin is not None:
-        if itin.start != h:
+        if itin._start != h:
             # ``h`` is an internal out halfedge of the memoised ray: its suffix
-            k = itin.out_halfedges.index(h)
+            k = itin._out_halfedges.index(h)
             itin = walks[h] = Itinerary(
-                h, orient, itin.out_halfedges[k:], itin.edges[k:], itin.turns[k:],
-                itin.entries[k:], itin.terminal,
+                h, orient, itin._out_halfedges[k:], itin._edges[k:], itin._turns[k:],
+                itin._entries[k:], itin._terminal,
             )
         return itin
     twin, at = g._twin, g._at
@@ -126,8 +126,8 @@ def _itinerary(g: RibbonGraph, h: str, orient: str) -> Itinerary:
             # an earlier ray stepped ``x``; the halfedge before it is not
             # memoised, so ``rest`` is the ray from ``x``: splice it on whole
             itin = Itinerary(
-                h, orient, (*out, *rest.out_halfedges), (*edges, *rest.edges),
-                (*turns, *rest.turns), (*entries, *rest.entries), rest.terminal,
+                h, orient, (*out, *rest._out_halfedges), (*edges, *rest._edges),
+                (*turns, *rest._turns), (*entries, *rest._entries), rest._terminal,
             )
             break
         out.append(x)
@@ -183,7 +183,7 @@ class TrajectoryHit(_Record):
     the graph again.
     """
 
-    __slots__ = _fields = ("source", "index", "target_kind", "target", "constant", "itinerary")
+    __slots__ = ("_source", "_index", "_target_kind", "_target", "_constant", "_itinerary")
     _unprinted = ("itinerary",)
 
 

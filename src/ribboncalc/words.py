@@ -45,7 +45,7 @@ class Atom(_Record):
     """An atom of kind ``ID``, ``GEN``, ``GEN_L`` or ``GEN_R``; all but the
     identity name their halfedge."""
 
-    __slots__ = _fields = ("kind", "halfedge")
+    __slots__ = ("_kind", "_halfedge")
     _defaults = {"halfedge": None}
 
     def __str__(self) -> str:
@@ -63,7 +63,7 @@ class FunctorWord(_Record):
     the edge or vertex reference ``source`` to ``target``; an end may be
     None, unknown."""
 
-    __slots__ = _fields = ("atoms", "source", "target")
+    __slots__ = ("_atoms", "_source", "_target")
     _defaults = {"source": None, "target": None}
 
     @property
@@ -111,7 +111,7 @@ class Marker(_Record):
     kind "res": the plain restriction summand at the named object.
     """
 
-    __slots__ = _fields = ("kind", "ref")
+    __slots__ = ("_kind", "_ref")
 
 
 class Summand(_Record):
@@ -119,8 +119,8 @@ class Summand(_Record):
     from ``source_halfedge`` (None and 0 for the identity summand on the
     diagonal), with its marker, if any."""
 
-    __slots__ = _fields = (
-        "word", "source_halfedge", "index", "constant", "marker", "possibly_zero"
+    __slots__ = (
+        "_word", "_source_halfedge", "_index", "_constant", "_marker", "_possibly_zero"
     )
 
 
@@ -128,7 +128,7 @@ class Decomposition(_Record):
     """The summands, in order, of the evaluation at ``target`` on ``side``;
     ``source`` is None for subgraph decompositions."""
 
-    __slots__ = _fields = ("source", "target", "side", "summands")
+    __slots__ = ("_source", "_target", "_side", "_summands")
 
 
 def _possibly_zero(g: RibbonGraph, atoms: tuple[Atom, ...]) -> bool:

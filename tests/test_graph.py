@@ -847,6 +847,18 @@ class TestValueTypes:
         assert [getattr(value, name) for name in fields] == list(fields.values())
         assert not hasattr(value, "__dict__")
 
+    def test_fields_are_read_only_properties_over_private_slots(self, value, fields, text):
+        cls = type(value)
+        assert cls._fields == tuple(fields)
+        assert vars(cls)["__slots__"] == tuple("_" + f for f in cls._fields)
+        for name in cls._fields:
+            field = vars(cls)[name]
+            assert isinstance(field, property)
+            assert field.fset is None and field.fdel is None
+            assert getattr(value, "_" + name) is getattr(value, name)
+        subclass = type("Sub", (cls,), {"__slots__": ()})
+        assert not hasattr(subclass(**fields), "__dict__")
+
     def test_keyword_construction(self, value, fields, text):
         assert type(value)(**fields) == value
         first, *rest = fields

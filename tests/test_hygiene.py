@@ -255,7 +255,8 @@ def _exported():
 
 def _public_members(cls):
     """The public methods and properties an exported class defines or
-    inherits from the package; record fields are neither."""
+    inherits from the package; a record's fields are read-only properties
+    over its slots, so they are covered too."""
     return sorted({
         name
         for klass in cls.__mro__ if klass.__module__.startswith("ribboncalc")

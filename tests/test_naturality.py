@@ -381,6 +381,53 @@ def test_a_large_assembly_commutes_with_renaming():
     assert not quivers_isomorphic(q, IceQuiver(renamed.vertices, arrows))
 
 
+def _bench_assemblies():
+    """A ``bench/gen.py`` graph of V=1000 and its assignment: a star at
+    every vertex of a higher-genus graph, and the built-ins on a punctured
+    trivalent one, each puncture with a seeded choice of T1/T2 or of
+    T3/T4."""
+    g = bench_graph("higher_genus", 1000, "1/assembly")
+    stars = {n: star_template(n) for n in {g.valency(v) for v in g.vertices}}
+    yield pytest.param(g, {v: stars[g.valency(v)] for v in g.vertices}, id="higher_genus stars")
+    g = bench_graph("trivalent_punctured", 1000, "1/assembly")
+    for choices, marks in (
+        ("12", ()),
+        # T3 and T4 take a puncture's two arcs through ring[0], resp.
+        # ring[1], and a ring starts at its smallest halfedge, so a renaming
+        # that makes the other halfedge the smallest swaps them (as in
+        # `test_tagged_arcs_commute_with_renaming`).  The built-in T3 and T4
+        # are equal, slots included, so the swap changes nothing; with T4
+        # built as T3 with its two slots swapped, both renamings hold
+        (
+            "34",
+            pytest.mark.xfail(
+                strict=True, reason="the built-in punctured_2gon_T3 and _T4 are equal"
+            ),
+        ),
+    ):
+        rng = random.Random(35)
+        assign = {
+            v: "punctured_2gon_T" + rng.choice(choices) if g.valency(v) == 2
+            else "rank1_trivalent"
+            for v in g.vertices
+        }
+        yield pytest.param(
+            g, assign, marks=marks, id="trivalent_punctured T{}".format("/T".join(choices))
+        )
+
+
+@pytest.mark.parametrize("g, assign", list(_bench_assemblies()))
+def test_bench_assemblies_commute_with_renaming(g, assign):
+    q = assemble_global(g, assign)
+    swap = {"punctured_2gon_T3": "punctured_2gon_T4", "punctured_2gon_T4": "punctured_2gon_T3"}
+    for r, hmap, vmap, _, _ in _renamed_copies(g, random.Random(len(g.vertices))):
+        renamed = {vmap[v]: t for v, t in assign.items()}
+        for v, t in assign.items():
+            if isinstance(t, str) and t in swap and hmap[g.cyclic(v)[0]] != r.cyclic(vmap[v])[0]:
+                renamed[vmap[v]] = swap[t]
+        assert quivers_isomorphic(q, assemble_global(r, renamed))
+
+
 def _arc_set(g, arcs, hmap, vmap) -> set:
     """The arcs of ``g`` over the ids ``hmap`` and ``vmap`` give: a dual arc
     by its edge's halfedges, a puncture arc by its puncture, via halfedge,
