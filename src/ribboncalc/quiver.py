@@ -31,26 +31,6 @@ class QuiverArrow(_Record):
     _defaults = {"frozen": False}
 
 
-def _classes(ids: Iterable[str], pairs: Iterable[tuple[str, str]]) -> dict[str, str]:
-    """Union-find: the representative of each id's class once every
-    pair is joined.  The smaller root wins each union, so the
-    representative is the smallest id of its class, whatever the order
-    of the pairs."""
-    parent = {x: x for x in ids}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    return {x: find(x) for x in parent}
-
-
 class IceQuiver:
     """An ice quiver, its vertices and arrows in id order.  Construction
     checks each vertex, then each arrow, once and in input order, and
@@ -121,13 +101,26 @@ class IceQuiver:
         return tuple(v.id for v in self._vertices if v.frozen)
 
     def frozen_components(self) -> tuple[frozenset[str], ...]:
-        """Connected components of the frozen vertices under frozen arrows."""
-        rep = _classes(
-            self.frozen_vertex_ids(), ((a.src, a.dst) for a in self._arrows if a.frozen)
-        )
+        """Connected components of the frozen vertices under frozen arrows,
+        in the order of their smallest ids.  This is the package's one
+        union-find: the smaller root wins each union, so each root is the
+        smallest id of its component."""
+        parent = {v._id: v._id for v in self._vertices if v._frozen}
+
+        def find(x: str) -> str:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for a in self._arrows:
+            if a._frozen:
+                ra, rb = find(a._src), find(a._dst)
+                if ra != rb:
+                    parent[max(ra, rb)] = min(ra, rb)
         groups: dict[str, set[str]] = {}
-        for v, r in rep.items():
-            groups.setdefault(r, set()).add(v)
+        for x in parent:
+            groups.setdefault(find(x), set()).add(x)
         return tuple(frozenset(groups[r]) for r in sorted(groups))
 
     def __eq__(self, other) -> bool:
@@ -291,17 +284,17 @@ def _validate_diagram(d: AmalgamationDiagram) -> None:
 def amalgamate(d: AmalgamationDiagram) -> IceQuiver:
     """Glue the vertex quivers along the interface quivers.
 
-    Vertices identified across internal edges melt into one mutable
-    vertex named by the smallest qualified id ``vertex.local`` in its
-    class; two vertices with one qualified id raise ValueError.  The glued
-    vertex keeps a label only when every member of its class carries that
-    same label, and has none otherwise, so labels do not depend on how the
-    graph's vertices are named.  Interfaces on external edges stay frozen,
-    frozen arrows included.  Interface arrows of an internal edge survive,
-    unfrozen, exactly when both incidences keep them non-zero.  The
-    result does not depend on the order of the diagram's tables, as the
-    table-order tests in ``tests/test_gluing.py``, ``tests/test_quiver.py``
-    and ``tests/test_properties.py`` check.
+    Across an internal edge, the two images of each interface vertex melt
+    into one mutable vertex, named by the smaller of their qualified ids
+    ``vertex.local``; two vertices with one qualified id raise ValueError.
+    The glued vertex keeps a label only when both of its members carry
+    that same label, and has none otherwise, so labels do not depend on
+    how the graph's vertices are named.  Interfaces on external edges stay
+    frozen, frozen arrows included.  Interface arrows of an internal edge
+    survive, unfrozen, exactly when both incidences keep them non-zero.
+    The result does not depend on the order of the diagram's tables, as
+    the table-order tests in ``tests/test_gluing.py``,
+    ``tests/test_quiver.py`` and ``tests/test_properties.py`` check.
 
     The diagram is validated in full first: the graph, one quiver per
     vertex and edge and one incidence per halfedge, with no entry for
@@ -318,49 +311,52 @@ def amalgamate(d: AmalgamationDiagram) -> IceQuiver:
 
 def _glue(d: AmalgamationDiagram) -> IceQuiver:
     """`amalgamate` without its checks, for a diagram that `_validate_diagram`
-    accepts: a morphism sends a kept interface arrow between the images
-    of its ends, so those give the ends of the glued arrow.  One pass over
-    ``d.edge_quivers``, whose keys are the graph's edges, in any order,
-    glues each internal interface and freezes each external one."""
+    accepts.  Its incidences are vertex-injective (`validate_morphism`),
+    their images at a vertex are disjoint frozen components that cover the
+    frozen vertices (`_check_slots`), and no edge is a loop
+    (`validate_graph`).  So an internal edge pairs the two images of each
+    interface vertex, no vertex lies in two pairs, and the larger member of
+    a pair is renamed to the smaller.  A morphism sends a kept interface
+    arrow between the images of its ends, so those give the ends of the
+    glued arrow.  One pass over ``d.edge_quivers``, whose keys are the
+    graph's edges, in any order, glues each internal interface and freezes
+    each external one."""
     g, vertex_quivers, incidences = d._graph, d._vertex_quivers, d._incidences
-    # qualified ids "vertex.local", built once per vertex quiver
+    # each local vertex's qualified id "vertex.local", and its label; the
+    # edge pass renames both members of a glued pair to the smaller one
     names: dict[str, dict[str, str]] = {}
-    origin: dict[str, QuiverVertex] = {}
+    labels: dict[str, Optional[str]] = {}
     for v in g.vertices:
         local = names[v] = {}
         for x in vertex_quivers[v].vertices:
             local[x._id] = qualified = v + "." + x._id
-            if qualified in origin:
+            if qualified in labels:
                 raise ValueError("two vertices have qualified id {!r}".format(qualified))
-            origin[qualified] = x
-    glued, internal = [], []
+            labels[qualified] = x._label
     frozen_ids: set[str] = set()
+    arrows = []
     for e, interface in d._edge_quivers.items():
-        local, map1 = names[g.at_vertex(e)], incidences[e]._vertex_map
-        t = g.twin_of(e)
+        m1, t = incidences[e], g.twin_of(e)
+        local, map1 = names[g.at_vertex(e)], m1._vertex_map
         if t is None:
             frozen_ids.update(local[x] for x in map1.values())
             continue
-        internal.append((e, t, interface))
-        names2, map2 = names[g.at_vertex(t)], incidences[t]._vertex_map
+        names2, m2 = names[g.at_vertex(t)], incidences[t]
         for x in interface.vertices:
-            glued.append((local[map1[x._id]], names2[map2[x._id]]))
-    rep = _classes(origin, glued)
+            i, j = map1[x._id], m2._vertex_map[x._id]
+            keep, drop = sorted((local[i], names2[j]))
+            # no other edge pairs either member, and the pair keeps a label
+            # only when both members carry it
+            local[i] = names2[j] = keep
+            if labels.pop(drop) != labels[keep]:
+                labels[keep] = None
+        for a in interface.arrows:
+            if m1._arrow_map.get(a._id) is not None and m2._arrow_map.get(a._id) is not None:
+                src, dst = local[map1[a._src]], local[map1[a._dst]]
+                arrows.append(QuiverArrow(e + "." + a._id, src, dst))
 
-    # a class is frozen when one of its members lies on an external edge,
-    # and keeps a label only when all of its members carry that label
-    frozen_classes = {rep[x] for x in frozen_ids}
-    labels: dict[str, Optional[str]] = {}
-    for x, r in rep.items():
-        label = origin[x]._label
-        if labels.setdefault(r, label) != label:
-            labels[r] = None
-    vertices = [
-        QuiverVertex(r, frozen=r in frozen_classes, label=label)
-        for r, label in labels.items()
-    ]
-
-    arrows = []
+    # external images are in no pair, so they keep their ids and stay frozen
+    vertices = [QuiverVertex(x, x in frozen_ids, label) for x, label in labels.items()]
     for v in g.vertices:
         local = names[v]
         for a in vertex_quivers[v].arrows:
@@ -368,19 +364,7 @@ def _glue(d: AmalgamationDiagram) -> IceQuiver:
             # frozen arrows live inside one frozen component, so the source
             # tells whether the component is an external one
             if not a._frozen or src in frozen_ids:
-                arrows.append(
-                    QuiverArrow(v + "." + a._id, rep[src], rep[local[a._dst]], a._frozen)
-                )
-    for e, t, interface in internal:
-        m1, m2 = incidences[e], incidences[t]
-        local, map1 = names[g.at_vertex(e)], m1._vertex_map
-        for a in interface.arrows:
-            if m1._arrow_map.get(a._id) is None or m2._arrow_map.get(a._id) is None:
-                continue
-            arrows.append(
-                QuiverArrow(e + "." + a._id, rep[local[map1[a._src]]], rep[local[map1[a._dst]]])
-            )
-
+                arrows.append(QuiverArrow(v + "." + a._id, src, local[a._dst], a._frozen))
     return IceQuiver(vertices, arrows)
 
 

@@ -9,7 +9,9 @@ part of the diagram, and builds the diagram of the pieces over the graph
 with each piece contracted to one vertex.  The two quivers are compared
 up to isomorphism, frozen flags and labels included.  Gluing reads the
 diagram's tables in their own order, so it must also not depend on that
-order.
+order.  Gluing joins pairs, so the glued quiver's vertices are counted
+by the local and interface quivers, and for the built-in templates by
+the surface.
 """
 
 import random
@@ -27,13 +29,15 @@ from ribboncalc import (
     parse_assignments,
     star_template,
     subgraph,
+    surface_invariants,
 )
+from ribboncalc.quiver import _glue
 
 from conftest import (
     bench_graph, fixture_graph, fixture_text, same_labelled_quiver, shuffled_diagram,
 )
 from randgraphs import random_graph, trivalent_graph
-from test_flips import _punctured_assignment
+from test_flips import _builtin_assemblies, _punctured_assignment
 
 
 def _restricted(d: AmalgamationDiagram, sub) -> AmalgamationDiagram:
@@ -308,3 +312,52 @@ def test_a_glued_vertex_is_named_by_the_smaller_of_its_two_members():
             for x in d.edge_quivers[e].vertices:
                 pair = sorted(v + "." + vmap[x.id] for v, vmap in ends)
                 assert pair[0] in ids and pair[1] not in ids, pair
+
+
+def _counted_assemblies():
+    """`test_flips._builtin_assemblies`, and the assemblies that
+    `test_quiver.TestAmalgamate` glues: stars on the 4-gon, on the annulus
+    and on a graph with dotted vertex ids, and ``a2_trivalent`` on the
+    4-gon."""
+    yield from _builtin_assemblies()
+    dotted = RibbonGraph(
+        {"a.b": ("h1", "h2", "x1"), "c.d": ("k1", "k2", "x2")},
+        {"h1": "k1", "k1": "h1", "h2": "k2", "k2": "h2"},
+    )
+    for g in (fixture_graph("four_gon"), fixture_graph("annulus"), dotted):
+        yield g, _stars(g)
+    yield fixture_graph("four_gon"), {"v1": "a2_trivalent", "v2": "a2_trivalent"}
+
+
+_RANK1 = {"rank1_trivalent", *("punctured_2gon_T{}".format(k) for k in range(1, 5))}
+
+
+def test_gluing_joins_pairs_and_counts_the_surface():
+    # each internal interface vertex glues its two images into one vertex,
+    # and each external one stays frozen.  On the surface, with g, b, c the
+    # genus, boundary circles and marked points and p the punctures, rank 1
+    # with any puncture choice glues FST's 6g + 3b + 3p + c - 6 arcs and c
+    # boundary segments; a2_trivalent glues two vertices per arc and one
+    # per triangle, 16g + 8b + 3c - 16, and two per boundary segment.  The
+    # diagrams come from valid templates, so they are glued unchecked, as
+    # `assemble_global` glues them
+    kinds = set()
+    for g, assign in _counted_assemblies():
+        d = assembly_diagram(g, assign)
+        q = _glue(d)
+        interface = {e: len(d.edge_quivers[e].vertices) for e in g.edges()}
+        internal = sum(interface[e] for e in g.internal_edges())
+        local = sum(len(d.vertex_quivers[v].vertices) for v in g.vertices)
+        frozen = len(q.frozen_vertex_ids())
+        assert (len(q.vertices), frozen) == (local - internal, sum(interface.values()) - internal)
+        names = {t if isinstance(t, str) else "star" for t in assign.values()}
+        s = surface_invariants(g)
+        b, c = len(s.boundary), sum(s.boundary)
+        p = sum(g.kind(v) == "singular" for v in g.vertices)
+        mutable = len(q.vertices) - frozen
+        if names <= _RANK1:
+            assert (mutable, frozen) == (6 * s.genus + 3 * b + 3 * p + c - 6, c), names
+        elif names == {"a2_trivalent"}:
+            assert (mutable, frozen) == (16 * s.genus + 8 * b + 3 * c - 16, 2 * c)
+        kinds |= names
+    assert kinds == {"star", "a2_trivalent", *_RANK1}, kinds
