@@ -193,7 +193,7 @@ def validate_morphism(m: QuiverMorphism) -> ValidationReport:
 
 
 def _check_slots(
-    q: IceQuiver, slots: Iterable[tuple[Any, QuiverMorphism]], owner: str, part: str
+    q: IceQuiver, slots: Iterable[tuple[Any, QuiverMorphism]], owner: str, part: str, valid: set
 ) -> None:
     """Check the local data at a vertex: a quiver ``q`` and its ``(place,
     morphism)`` slots, such as a template's slots or a diagram's incidences
@@ -201,14 +201,17 @@ def _check_slots(
     frozen component of ``q`` disjoint from the earlier ones; together the
     images must cover the frozen vertices of ``q``.  The first fault raises
     ValueError, its message starting ``owner:`` and naming the ``part``.
-    It keeps no memo: `_validate_diagram` holds the one it needs."""
+    ``valid`` holds the ids of morphisms found valid by the caller's earlier
+    checks, which it keeps alive; a morphism found valid here joins them."""
     components = set(q.frozen_components())
     claimed: set[str] = set()
     for place, m in slots:
-        violations = validate_morphism(m).violations
-        if violations:
-            message = "{}: {} {} morphism invalid: {}"
-            raise ValueError(message.format(owner, part, place, "; ".join(violations)))
+        if id(m) not in valid:
+            violations = validate_morphism(m).violations
+            if violations:
+                message = "{}: {} {} morphism invalid: {}"
+                raise ValueError(message.format(owner, part, place, "; ".join(violations)))
+            valid.add(id(m))
         image = frozenset(m.vertex_map.values())
         if image not in components:
             raise ValueError(
@@ -240,9 +243,11 @@ class AmalgamationDiagram(_Record):
 
 def _validate_diagram(d: AmalgamationDiagram) -> None:
     """`amalgamate`'s check.  `_check_slots` runs only at the first vertex
-    with each quiver and incidences in ring order, compared by id: it reads
-    only those objects, which ``d`` keeps alive, so a later vertex with the
-    same ones would fare as the first, and a fault raises at the first."""
+    with each quiver and incidences in ring order, compared by id, and
+    validates each distinct morphism, by id, only where it first meets it:
+    it reads only those objects, which ``d`` keeps alive, so a later vertex
+    or morphism with the same ones would fare as the first, and a fault
+    raises at the first."""
     g = d.graph
     require_valid(g)
     for v in g.vertices:
@@ -276,9 +281,10 @@ def _validate_diagram(d: AmalgamationDiagram) -> None:
     first: dict[tuple[int, ...], str] = {}
     for v in g.vertices:
         first.setdefault((id(d.vertex_quivers[v]), *(id(d.incidences[h]) for h in g.cyclic(v))), v)
+    valid: set[int] = set()
     for v in first.values():
         incidences = ((h, d.incidences[h]) for h in g.cyclic(v))
-        _check_slots(d.vertex_quivers[v], incidences, "vertex {}".format(v), "incidence")
+        _check_slots(d.vertex_quivers[v], incidences, "vertex {}".format(v), "incidence", valid)
 
 
 def amalgamate(d: AmalgamationDiagram) -> IceQuiver:

@@ -124,10 +124,15 @@ def _itinerary(g: RibbonGraph, h: str, orient: str) -> Itinerary:
         rest = walks.get(x)
         if rest is not None:
             # an earlier ray stepped ``x``; the halfedge before it is not
-            # memoised, so ``rest`` is the ray from ``x``: splice it on whole
+            # memoised, so ``rest`` is the ray from ``x``: splice it on whole,
+            # extending the step lists in place; ``out`` stays the halfedges
+            # stepped here, which the memo takes
+            edges += rest._edges
+            turns += rest._turns
+            entries += rest._entries
             itin = Itinerary(
-                h, orient, (*out, *rest._out_halfedges), (*edges, *rest._edges),
-                (*turns, *rest._turns), (*entries, *rest._entries), rest._terminal,
+                h, orient, (*out, *rest._out_halfedges), tuple(edges), tuple(turns),
+                tuple(entries), rest._terminal,
             )
             break
         out.append(x)
@@ -144,28 +149,38 @@ def itinerary(g: RibbonGraph, h: str, orient: str = CW) -> Itinerary:
     at least two edges and at most one more than the corner orbit it
     runs along has halfedges.
     """
-    require_valid(g)
-    _require_orient(orient)
-    # checked inline: a memoised walk costs less than the HalfedgeRef
-    # that `_source_halfedges` would need
-    if not g.has_halfedge(h):
+    # checked inline, in the order `trajectory_counts` checks: a memoised
+    # walk costs less than the calls, so `require_valid` runs only on a
+    # graph not yet validated or invalid, and `_require_orient` only to raise
+    report = g._report
+    if report is None or report._violations:
+        require_valid(g)
+    if orient not in ORIENTATIONS:
+        _require_orient(orient)
+    if h not in g._at:
         raise ValueError("unknown halfedge {!r}".format(h))
     return _itinerary(g, h, orient)
 
 
 def web_trajectory(g: RibbonGraph, v: str, orient: str = CW) -> dict[str, Itinerary]:
     """One trajectory per halfedge at ``v``, keyed in cyclic order."""
-    require_valid(g)
-    _require_orient(orient)
-    if not g.has_vertex(v):
+    report = g._report  # checked inline, as `itinerary` checks
+    if report is None or report._violations:
+        require_valid(g)
+    if orient not in ORIENTATIONS:
+        _require_orient(orient)
+    if v not in g._cyclic:
         raise ValueError("unknown vertex {!r}".format(v))
-    return {h: _itinerary(g, h, orient) for h in g.cyclic(v)}
+    return {h: _itinerary(g, h, orient) for h in g._cyclic[v]}
 
 
 def curve_trajectory(g: RibbonGraph, e: str, orient: str = CW) -> tuple[Itinerary, Itinerary]:
     """The two trajectories leaving an internal edge, in halfedge order."""
-    require_valid(g)
-    _require_orient(orient)
+    report = g._report  # checked inline, as `itinerary` checks
+    if report is None or report._violations:
+        require_valid(g)
+    if orient not in ORIENTATIONS:
+        _require_orient(orient)
     pair = g.halfedges_of(e)
     if len(pair) != 2:
         raise ValueError("curve trajectory needs internal edge, got {!r}".format(e))

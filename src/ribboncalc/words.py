@@ -31,6 +31,8 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from typing import Iterable, Optional, Union
 
+    from .trajectory import Itinerary
+
     ObjectRef = Union[EdgeRef, VertexRef]
 
 ID = "id"
@@ -74,34 +76,32 @@ class FunctorWord(_Record):
         return " ".join(str(a) for a in self.atoms)
 
 
-def _chain(*groups) -> tuple[Atom, ...]:
-    atoms = tuple(a for group in groups for a in group if a.kind != ID)
-    return atoms or (ID_ATOM,)
+def _transport(atoms: list, itin: Itinerary, index: int) -> list:
+    """Append to ``atoms`` the atoms of the prefix of length ``index`` of
+    ``itin``, leftmost first, and return it.
 
-
-def _adjoint_kind(orient: str) -> str:
-    return GEN_L if orient == CW else GEN_R
+    Reading right to left: enter the first turning vertex through the
+    adjoint atom of the entry halfedge, leave it through the generator of
+    the out halfedge, and so on.  The adjoints are left ones for a
+    clockwise walk and right ones for a counterclockwise walk.  Prefix
+    length 1 appends nothing.  This is the one transport rule: it builds
+    the atoms of `transport_word` and of every summand of `_decompose`.
+    """
+    adj = GEN_L if itin._orient == CW else GEN_R
+    out, entries = itin._out_halfedges, itin._entries
+    for j in range(index - 1, 0, -1):
+        atoms.append(Atom(GEN, out[j]))
+        atoms.append(Atom(adj, entries[j - 1]))
+    return atoms
 
 
 def transport_word(hit: TrajectoryHit) -> FunctorWord:
-    """The word a trajectory prefix transports along.
-
-    Reading right to left: enter the first turning vertex through the
-    adjoint atom of the entry halfedge, leave it through the generator
-    of the out halfedge, and so on.  The adjoints are left ones for a
-    clockwise hit and right ones for a counterclockwise hit.  Prefix
-    length 1 transports nothing.
-    """
-    itin = hit.itinerary
-    src = EdgeRef(itin.edges[0])
-    if hit.constant or hit.index == 1:
-        return FunctorWord((ID_ATOM,), src, src)
-    adj = _adjoint_kind(itin.orient)
-    atoms = []
-    for j in range(hit.index - 1, 0, -1):
-        atoms.append(Atom(GEN, itin.out_halfedges[j]))
-        atoms.append(Atom(adj, itin.entries[j - 1]))
-    return FunctorWord(tuple(atoms), src, EdgeRef(itin.edges[hit.index - 1]))
+    """The word a trajectory prefix transports along, from the edge of its
+    start to the edge it has reached: the atoms of `_transport`, or the
+    identity when the prefix has length 1, as a constant hit's has."""
+    itin, index = hit._itinerary, hit._index
+    atoms = tuple(_transport([], itin, index)) or (ID_ATOM,)
+    return FunctorWord(atoms, EdgeRef(itin._edges[0]), EdgeRef(itin._edges[index - 1]))
 
 
 class Marker(_Record):
@@ -131,19 +131,10 @@ class Decomposition(_Record):
     __slots__ = ("_source", "_target", "_side", "_summands")
 
 
-def _possibly_zero(g: RibbonGraph, atoms: tuple[Atom, ...]) -> bool:
-    # conservative: any atom sitting at a singular vertex may die in a
-    # stalk where the relevant composite vanishes
-    return any(
-        a.halfedge is not None and g.kind(g.at_vertex(a.halfedge)) == SINGULAR
-        for a in atoms
-    )
-
-
 def _summand_key(s: Summand):
-    rank = 0 if s.source_halfedge is None else 1
-    atoms = tuple((a.kind, a.halfedge or "") for a in s.word.atoms)
-    return (rank, s.source_halfedge or "", s.index, not s.constant, atoms)
+    h = s._source_halfedge
+    atoms = tuple((a._kind, a._halfedge or "") for a in s._word._atoms)
+    return (h is not None, h or "", s._index, not s._constant, atoms)
 
 
 def _require_side(side: str) -> None:
@@ -170,6 +161,12 @@ def _decompose(
     diagonal, where a vertex source is its own target or a restriction
     marker ``unit`` is given, one identity summand, marked ``unit``, stands
     in for the constant hits.
+
+    Each summand's atoms are built once, into one list: the prefix atom,
+    the transport atoms of `_transport` and the suffix atom; a word with
+    none is the identity.  A summand is possibly zero when an atom's
+    halfedge sits at a singular vertex.  The loop reads the slots of hits,
+    walks and atoms, and sorts only a decomposition of two summands or more.
     """
     if not isinstance(target, (EdgeRef, VertexRef)):
         raise TypeError("target must be an edge or vertex reference")
@@ -179,23 +176,28 @@ def _decompose(
     from_vertex = isinstance(source, VertexRef)
     diagonal = unit is not None or (from_vertex and source == target)
     orient = CW if side == "L" else CCW
-    adj = _adjoint_kind(orient) if isinstance(target, VertexRef) else None
+    adj = (GEN_L if side == "L" else GEN_R) if isinstance(target, VertexRef) else None
+    kind, at = g._kind, g._at
     summands: list[Summand] = []
     for halfedges, marker in starts:
         for hit in _hits(g, halfedges, target, orient, source == target):
-            if diagonal and hit.constant:
+            constant = hit._constant
+            if diagonal and constant:
                 continue
-            prefix = (Atom(adj, hit.target),) if adj else ()
-            suffix = (Atom(GEN, hit.source),) if from_vertex else ()
-            atoms = _chain(prefix, transport_word(hit).atoms, suffix)
-            word = FunctorWord(atoms, source, target)
-            summands.append(
-                Summand(word, hit.source, hit.index, hit.constant, marker, _possibly_zero(g, atoms))
-            )
+            h, index = hit._source, hit._index
+            atoms = _transport([Atom(adj, hit._target)] if adj else [], hit._itinerary, index)
+            if from_vertex:
+                atoms.append(Atom(GEN, h))
+            word = FunctorWord(tuple(atoms) or (ID_ATOM,), source, target)
+            # conservative: any atom sitting at a singular vertex may die in
+            # a stalk where the relevant composite vanishes
+            zero = SINGULAR in [kind[at[a._halfedge]] for a in atoms]
+            summands.append(Summand(word, h, index, constant, marker, zero))
     if diagonal:
         word = FunctorWord((ID_ATOM,), source, target)
         summands.append(Summand(word, None, 0, False, unit, False))
-    summands.sort(key=_summand_key)
+    if len(summands) > 1:
+        summands.sort(key=_summand_key)
     return Decomposition(source, target, side, tuple(summands))
 
 

@@ -20,6 +20,7 @@ on the choice the flipped arcs make (Fomin, Shapiro & Thurston 2008).
 A flip of a dual arc next to a puncture is one mutation too.
 """
 
+import functools
 import random
 from collections import Counter
 
@@ -180,7 +181,15 @@ def _punctured_assignment(g: RibbonGraph, rng: random.Random) -> dict[str, str]:
     }
 
 
-def _builtin_assemblies():
+@functools.cache
+def _builtin_assemblies() -> tuple:
+    """The pairs of `_draw_builtin_assemblies`, drawn once per session:
+    this test and ``tests/test_gluing.py`` read them, and neither changes
+    a graph or an assignment."""
+    return tuple(_draw_builtin_assemblies())
+
+
+def _draw_builtin_assemblies():
     """Star templates on seeded random graphs, the trivalent built-ins on
     seeded trivalent graphs, and the punctured 2-gons, with rank 1 around
     them, on punctured paths, on the once-punctured 4-gon and on the

@@ -174,6 +174,9 @@ def test_all_is_the_sorted_list_of_re_exports():
 # exports that only the tests call, each with the test that uses it and why
 TEST_ONLY_EXPORTS = {
     "word_typechecks": "tests/test_words.py runs it on every emitted word as the typing check",
+    "transport_word": "the public form of one hit's transport: tests/test_words.py's oracles"
+    " build summands from it, and `_decompose` calls the private `_transport` it is built"
+    " from, so that no summand builds its atoms twice",
 }
 
 

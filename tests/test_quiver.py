@@ -21,9 +21,16 @@ from ribboncalc import (
     star_template,
     validate_morphism,
 )
+from ribboncalc import quiver
 from ribboncalc.quiver import _refine
 
-from conftest import _labelled_quiver, _same_arrows, extra_key_diagram, shuffled_diagram
+from conftest import (
+    _labelled_quiver,
+    _same_arrows,
+    bench_graph,
+    extra_key_diagram,
+    shuffled_diagram,
+)
 from randgraphs import trivalent_graph
 
 
@@ -438,6 +445,24 @@ class TestSlotCheckCost:
         for n, d in diagrams.items():
             amalgamate(d)
         assert all(calls[n] <= 4 ** 3 for n in diagrams), calls
+
+    def test_each_distinct_morphism_is_validated_once(self, monkeypatch):
+        # a star at every vertex: a reversal incidence depends on the slot
+        # across its edge, so one morphism sits under many vertex keys
+        g = bench_graph("higher_genus", 2000, "x/1")
+        d = assembly_diagram(g, {v: star_template(g.valency(v)) for v in g.vertices})
+        calls = []
+        original = quiver.validate_morphism
+
+        def counting(m):
+            calls.append(id(m))
+            return original(m)
+
+        monkeypatch.setattr(quiver, "validate_morphism", counting)
+        amalgamate(d)
+        # 2554 calls when each vertex key validated its morphisms again
+        assert len(calls) == len(set(calls)) == len({id(m) for m in d.incidences.values()})
+        assert len(calls) == 553
 
     def test_a_shared_quiver_is_checked_with_each_vertex_incidences(self, four_gon):
         # v1 and v2 carry one star quiver; v2, checked after v1, sends r2

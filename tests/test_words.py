@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -32,9 +33,9 @@ from ribboncalc import (
 from ribboncalc import trajectory
 from ribboncalc.graph import boundary_walks, require_valid
 from ribboncalc.trajectory import CW, _itinerary, _source_halfedges
-from ribboncalc.words import _chain, _decompose, _external_support, _possibly_zero, _summand_key
+from ribboncalc.words import ID_ATOM, _decompose, _external_support, _summand_key
 
-from conftest import fixture_graph, sample_graphs
+from conftest import bench_graph, fixture_graph, sample_graphs
 
 
 def words_of(dec):
@@ -183,6 +184,34 @@ class TestDecompose:
         with pytest.raises(ValueError, match=message):
             decompose(four_gon, target_kind("tt"), source_kind("ss"))
 
+    def test_each_atom_is_built_once(self, two_spider, four_gon, annulus, monkeypatch):
+        # a summand's atoms are built straight into its word: as many
+        # constructions as atoms, the identity word's one shared atom aside
+        built = []
+        init = Atom.__init__
+
+        def counting(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(Atom, "__init__", counting)
+        counted = Counter()
+        for g in (two_spider, four_gon, annulus):
+            objects = [EdgeRef(e) for e in g.edges()] + [VertexRef(v) for v in g.vertices]
+            pieces = [subgraph(g, g.vertices[:1]), subgraph(g, g.vertices)]
+            calls = [(decompose, g, t, x, side) for t in objects for x in objects for side in "LR"]
+            calls += [(decompose_subgraph, g, sub, t, side)
+                      for sub in pieces for t in objects for side in "LR"]
+            for fn, *args in calls:
+                built.clear()
+                dec = fn(*args)
+                atoms = [a for s in dec.summands for a in s.word.atoms]
+                assert all(a is ID_ATOM for a in atoms if a.kind == "id")
+                assert sorted(map(id, built)) == sorted(id(a) for a in atoms if a.kind != "id")
+                counted[len(built) > 0] += 1
+        # both kinds occur: words of atoms, and calls with none to build
+        assert counted[True] and counted[False], counted
+
     def test_each_start_walk_is_read_once(self, four_gon, annulus, monkeypatch):
         reads = []
 
@@ -203,6 +232,13 @@ class TestDecompose:
                     reads.clear()
                     decompose(g, VertexRef(w), EdgeRef(e))
                     assert sorted(reads) == sorted(g.halfedges_of(e))
+
+
+def _chain(*groups):
+    """The atoms of ``groups`` in order, identities dropped, or the
+    identity word's one atom when nothing is left."""
+    atoms = tuple(a for group in groups for a in group if a.kind != "id")
+    return atoms or (Atom("id"),)
 
 
 def identified_multiset(dec, target):
@@ -481,6 +517,13 @@ def test_the_kept_next_marked_point_is_where_the_clockwise_walk_ends():
         assert g._marked == {f: _itinerary(g, f, CW).terminal for f in g.external_edges()}
 
 
+def _possibly_zero(g, atoms):
+    return any(
+        a.halfedge is not None and g.kind(g.at_vertex(a.halfedge)) == "singular"
+        for a in atoms
+    )
+
+
 def _decompose_per_ring_halfedge(g, target, side, starts, source=None, unit=None):
     """The decomposition loop that one read per start replaced, kept as
     its oracle: a vertex target is met through one public
@@ -560,6 +603,62 @@ def test_decompositions_match_the_per_ring_halfedge_loop():
                         assert serialize(decompose_subgraph(g, sub, target, side)) == (
                             serialize(expected)
                         )
+
+
+def _ball(g, centre, size):
+    """The first ``size`` vertices of a breadth-first search from ``centre``."""
+    ball, todo = [centre], [centre]
+    while todo and len(ball) < size:
+        v = todo.pop(0)
+        for h in g.cyclic(v):
+            t = g.twin_of(h)
+            w = None if t is None else g.at_vertex(t)
+            if w is not None and w not in ball and len(ball) < size:
+                ball.append(w)
+                todo.append(w)
+    return ball
+
+
+def test_decompositions_match_the_per_ring_halfedge_loop_at_bench_size():
+    # the benchmark's graph, with a seeded tenth of its vertices made
+    # singular so that the possibly-zero flags are compared too; each
+    # target lies on a walk from its source, so most samples have summands
+    rng = random.Random(37)
+    plain = bench_graph("higher_genus", 1000, "oracle/1")
+    twin = {h: plain.twin_of(h) for h in plain.halfedges if not plain.is_external(h)}
+    singular = rng.sample(plain.vertices, len(plain.vertices) // 10)
+    g = RibbonGraph(
+        {v: plain.cyclic(v) for v in plain.vertices}, twin, dict.fromkeys(singular, "singular")
+    )
+    edges, sizes, zero = g.internal_edges(), Counter(), Counter()
+    for kinds in ("ee", "ev", "ve", "vv"):
+        for side in ("L", "R"):
+            for _ in range(8):
+                source = EdgeRef(rng.choice(edges)) if kinds[0] == "e" else (
+                    VertexRef(rng.choice(g.vertices)))
+                start = rng.choice(_source_halfedges(g, source))
+                h = rng.choice(_itinerary(g, start, "cw" if side == "L" else "ccw").entries)
+                target = EdgeRef(g.edge_of(h)) if kinds[1] == "e" else VertexRef(g.at_vertex(h))
+                dec = decompose(g, target, source, side)
+                expected = _decompose_per_ring_halfedge(g, target, side, ((source, None),), source)
+                assert serialize(dec) == serialize(expected)
+                sizes[len(dec.summands) > 0] += 1
+                zero.update(s.possibly_zero for s in dec.summands)
+    centre = rng.choice(g.vertices)
+    sub = subgraph(g, _ball(g, centre, 40))
+    assert len(sub.vertices) == 40
+    for target in (VertexRef(centre), VertexRef(rng.choice(g.vertices)), *(
+            EdgeRef(rng.choice(edges)) for _ in range(2))):
+        for side in ("L", "R"):
+            dec = decompose_subgraph(g, sub, target, side)
+            expected = _decompose_subgraph_per_ring_halfedge(g, sub, target, side)
+            assert serialize(dec) == serialize(expected)
+            sizes[len(dec.summands) > 0] += 1
+            zero.update(s.possibly_zero for s in dec.summands)
+    # the comparison is not vacuous: most samples have summands, and both
+    # flags occur
+    assert sizes[True] > 3 * sizes[False], sizes
+    assert zero[True] and zero[False], zero
 
 
 def _decompose_subgraph_by_scan(g, sub, target, side):
