@@ -518,6 +518,7 @@ def test_the_kept_next_marked_point_is_where_the_clockwise_walk_ends():
 
 
 def _possibly_zero(g, atoms):
+    """The possibly-zero flag read through the graph's public methods."""
     return any(
         a.halfedge is not None and g.kind(g.at_vertex(a.halfedge)) == "singular"
         for a in atoms
@@ -610,10 +611,9 @@ def _ball(g, centre, size):
     ball, todo = [centre], [centre]
     while todo and len(ball) < size:
         v = todo.pop(0)
-        for h in g.cyclic(v):
-            t = g.twin_of(h)
-            w = None if t is None else g.at_vertex(t)
-            if w is not None and w not in ball and len(ball) < size:
+        for t in filter(None, map(g.twin_of, g.cyclic(v))):
+            w = g.at_vertex(t)
+            if w not in ball and len(ball) < size:
                 ball.append(w)
                 todo.append(w)
     return ball
