@@ -76,7 +76,7 @@ def validate_template(t: LocalTemplate) -> None:
             raise _fault((key,), "template {} {!r} is not a string", key, text)
 
     slots = ((i, t.slot_morphism(i)) for i in range(len(t.slots)))
-    _check_slots(t.quiver, slots, "template {}".format(t.name), "slot", set())
+    _check_slots(t.quiver, slots, "template {}".format(t.name), "slot")
 
 
 # a new built-in is its file ``fixtures/<name>.json`` and its name here,

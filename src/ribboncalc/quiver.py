@@ -193,7 +193,8 @@ def validate_morphism(m: QuiverMorphism) -> ValidationReport:
 
 
 def _check_slots(
-    q: IceQuiver, slots: Iterable[tuple[Any, QuiverMorphism]], owner: str, part: str, valid: set
+    q: IceQuiver, slots: Iterable[tuple[Any, QuiverMorphism]], owner: str, part: str,
+    valid: Optional[set] = None,
 ) -> None:
     """Check the local data at a vertex: a quiver ``q`` and its ``(place,
     morphism)`` slots, such as a template's slots or a diagram's incidences
@@ -201,17 +202,20 @@ def _check_slots(
     frozen component of ``q`` disjoint from the earlier ones; together the
     images must cover the frozen vertices of ``q``.  The first fault raises
     ValueError, its message starting ``owner:`` and naming the ``part``.
-    ``valid`` holds the ids of morphisms found valid by the caller's earlier
-    checks, which it keeps alive; a morphism found valid here joins them."""
+    Given, ``valid`` holds the ids of morphisms found valid by the caller's
+    earlier checks, which the caller must keep alive, as an id is reused
+    once its object is freed; a morphism found valid here joins them.
+    Without it, every morphism is validated."""
     components = set(q.frozen_components())
     claimed: set[str] = set()
     for place, m in slots:
-        if id(m) not in valid:
+        if valid is None or id(m) not in valid:
             violations = validate_morphism(m).violations
             if violations:
                 message = "{}: {} {} morphism invalid: {}"
                 raise ValueError(message.format(owner, part, place, "; ".join(violations)))
-            valid.add(id(m))
+            if valid is not None:
+                valid.add(id(m))
         image = frozenset(m.vertex_map.values())
         if image not in components:
             raise ValueError(

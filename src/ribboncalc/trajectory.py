@@ -86,7 +86,14 @@ class Itinerary(_Record):
         return len(self.edges)
 
 
-def _require_orient(orient: str) -> None:
+def _require_walk(g: RibbonGraph, orient: str) -> None:
+    """The first checks of every public walk entry: a valid graph, then a
+    known orientation.  A memoised walk costs less than a call, so the
+    kept report is read here and `require_valid` runs only on a graph not
+    yet validated or invalid."""
+    report = g._report
+    if report is None or report._violations:
+        require_valid(g)
     if orient not in ORIENTATIONS:
         raise ValueError("orientation must be 'cw' or 'ccw', got {!r}".format(orient))
 
@@ -149,14 +156,7 @@ def itinerary(g: RibbonGraph, h: str, orient: str = CW) -> Itinerary:
     at least two edges and at most one more than the corner orbit it
     runs along has halfedges.
     """
-    # checked inline, in the order `trajectory_counts` checks: a memoised
-    # walk costs less than the calls, so `require_valid` runs only on a
-    # graph not yet validated or invalid, and `_require_orient` only to raise
-    report = g._report
-    if report is None or report._violations:
-        require_valid(g)
-    if orient not in ORIENTATIONS:
-        _require_orient(orient)
+    _require_walk(g, orient)
     if h not in g._at:
         raise ValueError("unknown halfedge {!r}".format(h))
     return _itinerary(g, h, orient)
@@ -164,11 +164,7 @@ def itinerary(g: RibbonGraph, h: str, orient: str = CW) -> Itinerary:
 
 def web_trajectory(g: RibbonGraph, v: str, orient: str = CW) -> dict[str, Itinerary]:
     """One trajectory per halfedge at ``v``, keyed in cyclic order."""
-    report = g._report  # checked inline, as `itinerary` checks
-    if report is None or report._violations:
-        require_valid(g)
-    if orient not in ORIENTATIONS:
-        _require_orient(orient)
+    _require_walk(g, orient)
     if v not in g._cyclic:
         raise ValueError("unknown vertex {!r}".format(v))
     return {h: _itinerary(g, h, orient) for h in g._cyclic[v]}
@@ -176,11 +172,7 @@ def web_trajectory(g: RibbonGraph, v: str, orient: str = CW) -> dict[str, Itiner
 
 def curve_trajectory(g: RibbonGraph, e: str, orient: str = CW) -> tuple[Itinerary, Itinerary]:
     """The two trajectories leaving an internal edge, in halfedge order."""
-    report = g._report  # checked inline, as `itinerary` checks
-    if report is None or report._violations:
-        require_valid(g)
-    if orient not in ORIENTATIONS:
-        _require_orient(orient)
+    _require_walk(g, orient)
     pair = g.halfedges_of(e)
     if len(pair) != 2:
         raise ValueError("curve trajectory needs internal edge, got {!r}".format(e))
@@ -267,8 +259,7 @@ def trajectory_counts(
     visits, which are the same curve.  Each start's walk is read once,
     by `_hits`, the one hit reader.
     """
-    require_valid(g)
-    _require_orient(orient)
+    _require_walk(g, orient)
     starts = _source_halfedges(g, source)  # a bad source is reported before a bad target
     if not isinstance(target, (EdgeRef, HalfedgeRef)):
         raise TypeError("target must be an edge or halfedge reference")

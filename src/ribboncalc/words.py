@@ -76,6 +76,10 @@ class FunctorWord(_Record):
         return " ".join(str(a) for a in self.atoms)
 
 
+def _adjoint_kind(orient: str) -> str:
+    return GEN_L if orient == CW else GEN_R
+
+
 def _transport(atoms: list, itin: Itinerary, index: int) -> list:
     """Append to ``atoms`` the atoms of the prefix of length ``index`` of
     ``itin``, leftmost first, and return it.
@@ -87,7 +91,7 @@ def _transport(atoms: list, itin: Itinerary, index: int) -> list:
     length 1 appends nothing.  This is the one transport rule: it builds
     the atoms of `transport_word` and of every summand of `_decompose`.
     """
-    adj = GEN_L if itin._orient == CW else GEN_R
+    adj = _adjoint_kind(itin._orient)
     out, entries = itin._out_halfedges, itin._entries
     for j in range(index - 1, 0, -1):
         atoms.append(Atom(GEN, out[j]))
@@ -176,7 +180,7 @@ def _decompose(
     from_vertex = isinstance(source, VertexRef)
     diagonal = unit is not None or (from_vertex and source == target)
     orient = CW if side == "L" else CCW
-    adj = (GEN_L if side == "L" else GEN_R) if isinstance(target, VertexRef) else None
+    adj = _adjoint_kind(orient) if isinstance(target, VertexRef) else None
     kind, at = g._kind, g._at
     summands: list[Summand] = []
     for halfedges, marker in starts:

@@ -251,6 +251,24 @@ class TestValidateTemplate:
             "template t: slot 0 morphism invalid: vertex map names unknown vertex extra"
         )
 
+    @pytest.mark.parametrize(
+        "arrow_map, fault",
+        [
+            ({"a12": "fr0"}, "arrow a12 does not respect endpoints under the vertex map"),
+            ({"a12": "zz"}, "arrow a12 maps to unknown arrow zz"),
+            ({"a12": "fr2", "b": None}, "arrow map names unknown arrow b"),
+        ],
+        ids=["endpoints", "unknown image", "unknown key"],
+    )
+    def test_a_later_slot_morphism_is_validated(self, arrow_map, fault):
+        # each slot's morphism is built afresh and freed after its check,
+        # so a later one may reuse an earlier one's id: every one is checked
+        t = _one_arrow_a2()
+        slots = t.slots[:2] + (TemplateSlot(t.slots[2].boundary, t.slots[2].vertex_map, arrow_map),)
+        with pytest.raises(ValueError) as info:
+            LocalTemplate(t.name, t.quiver, slots)
+        assert str(info.value) == "template one_arrow_a2: slot 2 morphism invalid: " + fault
+
     def test_name_and_stalk_must_be_strings(self):
         star = star_template(2)
         with pytest.raises(ValueError, match="template name 5 is not a string") as info:
