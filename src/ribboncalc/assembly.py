@@ -76,7 +76,7 @@ def validate_template(t: LocalTemplate) -> None:
             raise _fault((key,), "template {} {!r} is not a string", key, text)
 
     slots = ((i, t.slot_morphism(i)) for i in range(len(t.slots)))
-    _check_slots(t.quiver, slots, "template {}".format(t.name), "slot")
+    _check_slots(t.quiver, slots, "template {}".format(t.name), "slot", {})
 
 
 # a new built-in is its file ``fixtures/<name>.json`` and its name here,
@@ -169,20 +169,21 @@ def _reversal_identification(b1: IceQuiver, slot: TemplateSlot, target: IceQuive
     return QuiverMorphism(b1, target, vertex_map, arrow_map)
 
 
-def _resolve_assignment(g: RibbonGraph, assign: TemplateAssignment) -> dict[str, LocalTemplate]:
-    """The template of every vertex, equal templates as one object.
+def assembly_diagram(g: RibbonGraph, assign: TemplateAssignment) -> AmalgamationDiagram:
+    """Instantiate one template per vertex and wire up the gluing diagram.
 
-    A named built-in is built once.  A template that is the same object
-    as, or equal to, one met before resolves to that first object:
-    `assembly_diagram` memoises slot morphisms by ``id(template)``, so
-    this keeps their number down to the distinct templates even when
-    the caller builds one per vertex.  Templates are filed by their
-    hashable fields, name, quiver and stalk, so a template is compared
-    only with earlier ones that agree in those.
+    Template names are looked up among the built-ins, each built once per
+    call; a template object is taken as given.  Across each internal edge
+    the two slot interfaces are identified in reversed vertex order; they
+    must match under that identification.  The graph is validated once;
+    the incidences are derived from the templates, one morphism per slot
+    or slot pair of each distinct template object, so a caller that shares
+    one object per distinct template shares its morphisms.
     """
+    require_valid(g)
     builtins: dict[str, LocalTemplate] = {}
-    seen: dict[tuple, list[LocalTemplate]] = {}  # first ones, by (name, quiver, stalk)
-    resolved = {}
+    vertex_quivers: dict[str, IceQuiver] = {}
+    slot_at: dict[str, tuple[LocalTemplate, int]] = {}
     for v in g.vertices:
         if v not in assign:
             raise ValueError("vertex {} has no template".format(v))
@@ -191,49 +192,28 @@ def _resolve_assignment(g: RibbonGraph, assign: TemplateAssignment) -> dict[str,
             if t not in builtins:
                 builtins[t] = builtin_template(t)
             t = builtins[t]
-        else:
-            alike = seen.setdefault((t.name, t.quiver, t.stalk), [])
-            known = next((c for c in alike if c is t or c == t), None)
-            if known is None:
-                alike.append(t)
-            else:
-                t = known
-        if t.valency != g.valency(v):
+        ring = g.cyclic(v)
+        if t.valency != len(ring):
             raise ValueError(
                 "template {} has valency {} but vertex {} has valency {}".format(
-                    t.name, t.valency, v, g.valency(v)
+                    t.name, t.valency, v, len(ring)
                 )
             )
-        resolved[v] = t
-    # every vertex has its entry, so more entries name a vertex the graph lacks
-    if len(assign) > len(resolved):
+        vertex_quivers[v] = t._quiver
+        # slots follow the stored cyclic order, which starts at the
+        # smallest halfedge id
+        for i, h in enumerate(ring):
+            slot_at[h] = (t, i)
+    # every vertex has its quiver, so more entries name a vertex the graph lacks
+    if len(assign) > len(vertex_quivers):
         unknown = next(v for v in assign if not g.has_vertex(v))
         raise ValueError("template given for unknown vertex {!r}".format(unknown))
-    return resolved
-
-
-def assembly_diagram(g: RibbonGraph, assign: TemplateAssignment) -> AmalgamationDiagram:
-    """Instantiate one template per vertex and wire up the gluing diagram.
-
-    Template names are looked up among the built-ins.  Across each
-    internal edge the two slot interfaces are identified in reversed
-    vertex order; they must match under that identification.  The graph
-    is validated once; the incidences are derived from the templates,
-    one morphism per distinct slot or slot pair.
-    """
-    require_valid(g)
-    templates = _resolve_assignment(g, assign)
-    vertex_quivers = {v: templates[v]._quiver for v in g.vertices}
-    # slots follow the stored cyclic order, which starts at the smallest
-    # halfedge id
-    slot_at = {
-        h: (t, i) for v, t in templates.items() for i, h in enumerate(g.cyclic(v))
-    }
     edge_quivers: dict[str, IceQuiver] = {}
     incidences: dict[str, QuiverMorphism] = {}
     # (id(template), slot) -> its slot morphism, and (id(template1),
     # slot1, id(template2), slot2) -> the morphism from slot1's interface
-    # into template2 through slot2; `templates` keeps the ids taken
+    # into template2 through slot2; `assign` and `builtins` keep the ids
+    # taken
     morphisms: dict[tuple, QuiverMorphism] = {}
     for e in g.edges():
         # an edge is named by its first halfedge
@@ -268,6 +248,7 @@ def assemble_global(g: RibbonGraph, assign: TemplateAssignment) -> IceQuiver:
     are valid by construction, and incidences are their slot morphisms
     or those composed with `_reversal_identification`, so each is a
     morphism, which `_glue` relies on to place kept interface arrows.
+    Templates are taken as given, as in `assembly_diagram`.
     """
     return _glue(assembly_diagram(g, assign))
 

@@ -194,7 +194,7 @@ def validate_morphism(m: QuiverMorphism) -> ValidationReport:
 
 def _check_slots(
     q: IceQuiver, slots: Iterable[tuple[Any, QuiverMorphism]], owner: str, part: str,
-    valid: Optional[set] = None,
+    valid: dict[int, QuiverMorphism],
 ) -> None:
     """Check the local data at a vertex: a quiver ``q`` and its ``(place,
     morphism)`` slots, such as a template's slots or a diagram's incidences
@@ -202,20 +202,18 @@ def _check_slots(
     frozen component of ``q`` disjoint from the earlier ones; together the
     images must cover the frozen vertices of ``q``.  The first fault raises
     ValueError, its message starting ``owner:`` and naming the ``part``.
-    Given, ``valid`` holds the ids of morphisms found valid by the caller's
-    earlier checks, which the caller must keep alive, as an id is reused
-    once its object is freed; a morphism found valid here joins them.
-    Without it, every morphism is validated."""
+    ``valid`` maps the id of each morphism found valid so far to that
+    morphism, which it keeps alive so that the id stays its own; a morphism
+    it holds is not validated again, and one found valid here joins it."""
     components = set(q.frozen_components())
     claimed: set[str] = set()
     for place, m in slots:
-        if valid is None or id(m) not in valid:
+        if id(m) not in valid:
             violations = validate_morphism(m).violations
             if violations:
                 message = "{}: {} {} morphism invalid: {}"
                 raise ValueError(message.format(owner, part, place, "; ".join(violations)))
-            if valid is not None:
-                valid.add(id(m))
+            valid[id(m)] = m
         image = frozenset(m.vertex_map.values())
         if image not in components:
             raise ValueError(
@@ -285,7 +283,7 @@ def _validate_diagram(d: AmalgamationDiagram) -> None:
     first: dict[tuple[int, ...], str] = {}
     for v in g.vertices:
         first.setdefault((id(d.vertex_quivers[v]), *(id(d.incidences[h]) for h in g.cyclic(v))), v)
-    valid: set[int] = set()
+    valid: dict[int, QuiverMorphism] = {}
     for v in first.values():
         incidences = ((h, d.incidences[h]) for h in g.cyclic(v))
         _check_slots(d.vertex_quivers[v], incidences, "vertex {}".format(v), "incidence", valid)

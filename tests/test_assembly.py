@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import colliding_assembly, extra_key_diagram, sample_graphs
-from randgraphs import _attempt, trivalent_graph
+from randgraphs import _attempt
 from ribboncalc import (
     BUILTIN_TEMPLATE_NAMES,
     IceQuiver,
@@ -528,40 +528,30 @@ class TestTrustedAssembly:
         assemble_global(g, assign)
         assert counts == {"validate_morphism": 0, "validate_template": 0}
 
-    def test_equal_templates_are_found_by_value_in_linear_time(self, monkeypatch):
-        g = trivalent_graph(random.Random(5), 450)
-        star = star_template(3)
-
-        def labelled(label):
-            # an inline template without a name, as a templates file gives it
-            q = IceQuiver(
-                [QuiverVertex(x.id, x.frozen, label if x.id == "hub" else None)
-                 for x in star.quiver.vertices],
-                star.quiver.arrows,
-            )
-            return LocalTemplate("template", q, star.slots)
-
-        # every third vertex gets a new copy equal to its predecessor's template
-        assign, firsts = {}, {}
-        for i, v in enumerate(g.vertices):
-            if i % 3 == 2:
-                assign[v] = labelled(str(i - 1))
-                firsts[v] = assign[g.vertices[i - 1]]
-            else:
-                assign[v] = firsts[v] = labelled(str(i))
+    def test_templates_are_taken_as_given(self, monkeypatch):
+        # per-vertex copies, and one object per valency: no template quiver
+        # is hashed and no two templates are compared
+        g = _attempt(random.Random(7), 250)
+        stars = {n: star_template(n) for n in {g.valency(v) for v in g.vertices}}
+        assigns = (
+            {v: star_template(g.valency(v)) for v in g.vertices},
+            {v: stars[g.valency(v)] for v in g.vertices},
+        )
         calls = []
-        original = LocalTemplate.__eq__
+        for cls, name in ((IceQuiver, "__hash__"), (LocalTemplate, "__eq__")):
 
-        def counting(self, other):
-            calls.append(self)
-            return original(self, other)
+            def counting(self, *args, original=getattr(cls, name), name=name):
+                calls.append(name)
+                return original(self, *args)
 
-        monkeypatch.setattr(LocalTemplate, "__eq__", counting)
-        resolved = assembly._resolve_assignment(g, assign)
-        assert all(resolved[v] is firsts[v] for v in g.vertices)
-        assert len({id(t) for t in resolved.values()}) == 300
-        # at most one comparison per vertex, not one per earlier template
-        assert 0 < len(calls) <= len(g.vertices)
+            monkeypatch.setattr(cls, name, counting)
+        for assign in assigns:
+            assemble_global(g, assign)
+        assert calls == []
+        v = g.vertices[0]
+        hash(assigns[1][v].quiver)
+        assert assigns[1][v] == assigns[0][v]
+        assert calls == ["__hash__", "__eq__"]
 
     def test_matches_the_validated_path(self):
         rng = random.Random(11)

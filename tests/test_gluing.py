@@ -11,9 +11,12 @@ up to isomorphism, frozen flags and labels included.  Gluing reads the
 diagram's tables in their own order, so it must also not depend on that
 order.  Gluing joins pairs, so the glued quiver's vertices are counted
 by the local and interface quivers, and for the built-in templates by
-the surface.
+the surface.  Assembly takes templates as given, so a new copy of each
+template per vertex, one object per distinct template and built-in names
+must glue to the same output.
 """
 
+import json
 import random
 
 import pytest
@@ -24,17 +27,23 @@ from ribboncalc import (
     QuiverMorphism,
     RibbonGraph,
     amalgamate,
+    assemble_global,
     assembly_diagram,
     boundary_walks,
+    builtin_template,
+    export_dot,
     parse_assignments,
+    serialize,
     star_template,
     subgraph,
     surface_invariants,
+    to_jsonable,
 )
 from ribboncalc.quiver import _glue
 
 from conftest import (
-    bench_graph, fixture_graph, fixture_text, same_labelled_quiver, shuffled_diagram,
+    bench_graph, fixture_graph, fixture_text, same_labelled_quiver, sample_graphs,
+    shuffled_diagram,
 )
 from randgraphs import random_graph, trivalent_graph
 from test_flips import _builtin_assemblies, _punctured_assignment
@@ -361,3 +370,37 @@ def test_gluing_joins_pairs_and_counts_the_surface():
             assert (mutable, frozen) == (16 * s.genus + 8 * b + 3 * c - 16, 2 * c)
         kinds |= names
     assert kinds == {"star", "a2_trivalent", *_RANK1}, kinds
+
+
+def _assignment_forms(assign: dict) -> list[dict]:
+    """``assign`` three ways: as an assignments file parses it, a new copy
+    of the template at each vertex; with one object per distinct template;
+    and, when it names built-ins only, as given.  Templates with one name
+    must be equal, as built-ins and stars are."""
+    keys = {v: t if isinstance(t, str) else t.name for v, t in assign.items()}
+    shared = {}  # the one object of each name
+    for v, key in keys.items():
+        if key not in shared:
+            t = assign[v]
+            shared[key] = builtin_template(t) if isinstance(t, str) else t
+        assert isinstance(assign[v], str) or assign[v] == shared[key]
+    jsonable = {key: to_jsonable(t) for key, t in shared.items()}
+    text = json.dumps({"assignments": {v: jsonable[key] for v, key in keys.items()}})
+    copies = parse_assignments(text)
+    assert len({id(t) for t in copies.values()}) == len(assign)
+    forms = [copies, {v: shared[key] for v, key in keys.items()}]
+    if all(isinstance(t, str) for t in assign.values()):
+        forms.append(assign)
+    return forms
+
+
+def test_copied_shared_and_named_templates_assemble_alike():
+    cases = list(_builtin_assemblies())
+    cases += [(g, _stars(g)) for g in sample_graphs()]
+    named = 0
+    for g, assign in cases:
+        forms = _assignment_forms(assign)
+        outputs = {(serialize(q), export_dot(q)) for q in (assemble_global(g, a) for a in forms)}
+        assert len(outputs) == 1, sorted(set(map(str, assign.values())))
+        named += len(forms) == 3
+    assert 0 < named < len(cases)

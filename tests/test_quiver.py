@@ -260,7 +260,10 @@ class TestMorphism:
 
 
 def star_assignment(g: RibbonGraph) -> dict:
-    return {v: star_template(g.valency(v)) for v in g.vertices}
+    """One `star_template` per valency, shared by the vertices of that
+    valency, so they share its quiver and slot morphisms."""
+    stars = {n: star_template(n) for n in {g.valency(v) for v in g.vertices}}
+    return {v: stars[g.valency(v)] for v in g.vertices}
 
 
 class TestAmalgamate:
@@ -450,7 +453,7 @@ class TestSlotCheckCost:
         # a star at every vertex: a reversal incidence depends on the slot
         # across its edge, so one morphism sits under many vertex keys
         g = bench_graph("higher_genus", 2000, "x/1")
-        d = assembly_diagram(g, {v: star_template(g.valency(v)) for v in g.vertices})
+        d = assembly_diagram(g, star_assignment(g))
         calls = []
         original = quiver.validate_morphism
 

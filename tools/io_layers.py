@@ -27,7 +27,12 @@ diagram and checks it in full before it glues, so the difference is what
 the check costs.  The diagram shares its two template quivers and their
 slot morphisms, and the check runs once per distinct quiver and ring of
 incidences, not once per vertex.  Last it times the quiver writers,
-`serialize(q)` and `export_dot(q)`, on the glued quiver.  It prints,
+`serialize(q)` and `export_dot(q)`, on the glued quiver.  On the
+`higher_genus` graph it times `assembly_diagram` and `assemble_global`
+with star templates, taken as given: ``shared`` is one `star_template`
+per valency, shared by the vertices of that valency, and ``copies`` is a
+new `star_template` at every vertex, each assignment built outside the
+clock, once per repeat, for both stages.  It prints,
 per family and stage, the best and the median time and the best time as
 a ratio to the best `json.loads`.  Each repeat decodes, builds and
 assembles afresh, so no stage meets a graph, quiver or string an earlier
@@ -62,6 +67,7 @@ from ribboncalc.assembly import (  # noqa: E402
     assemble_global,
     assembly_diagram,
     builtin_template,
+    star_template,
 )
 from ribboncalc.graph import RibbonGraph, subgraph, surface_invariants  # noqa: E402
 from ribboncalc.quiver import amalgamate  # noqa: E402
@@ -82,6 +88,11 @@ STAGES = (
 QUIVER_FAMILY = "trivalent_punctured"
 QUIVER_STAGES = (
     "edges()", "subgraph", "assemble_global", "amalgamate", "serialize(q)", "export_dot(q)",
+)
+STAR_FAMILY = "higher_genus"
+STAR_STAGES = (
+    "assembly_diagram shared", "assemble_global shared",
+    "assembly_diagram copies", "assemble_global copies",
 )
 BALL = 40
 NESTED_REPEATS = 2000
@@ -115,6 +126,15 @@ def _assignment(g) -> dict[str, str]:
     }
 
 
+def _stars(g, shared: bool) -> dict:
+    """A `star_template` at every vertex: one per valency when ``shared``,
+    otherwise a new one at each vertex."""
+    if not shared:
+        return {v: star_template(g.valency(v)) for v in g.vertices}
+    stars = {n: star_template(n) for n in {g.valency(v) for v in g.vertices}}
+    return {v: stars[g.valency(v)] for v in g.vertices}
+
+
 def _ball(g) -> list[str]:
     """The first `BALL` vertices that a breadth-first search from the
     smallest vertex meets, neighbours in ring order."""
@@ -127,11 +147,12 @@ def _ball(g) -> list[str]:
     return ball
 
 
-def measure(text: str, quiver: bool) -> dict[str, float]:
+def measure(text: str, quiver: bool, stars: bool) -> dict[str, float]:
     """One time per stage for the graph written as ``text``, each stage fed
     by the one before, as a command line call feeds them; with ``quiver``,
     also its edge sort, its restriction to `_ball`, its assembly, checked
-    and unchecked, and the quiver stages on that."""
+    and unchecked, and the quiver stages on that; with ``stars``, its
+    diagram and assembly from shared and from copied star templates."""
     times: dict[str, float] = {}
     obj = _timed(times, "json.loads", json.loads, text)
     g = _timed(times, "graph_from_jsonable", graph_from_jsonable, obj)
@@ -146,6 +167,11 @@ def measure(text: str, quiver: bool) -> dict[str, float]:
         _timed(times, "amalgamate", lambda a: amalgamate(assembly_diagram(g, a)), _assignment(g))
         _timed(times, "serialize(q)", serialize, q)
         _timed(times, "export_dot(q)", export_dot, q)
+    if stars:
+        for kind in ("shared", "copies"):
+            assign = _stars(g, kind == "shared")
+            _timed(times, "assembly_diagram " + kind, partial(assembly_diagram, g), assign)
+            _timed(times, "assemble_global " + kind, partial(assemble_global, g), assign)
     return times
 
 
@@ -158,25 +184,24 @@ def main() -> int:
     for text in texts.values():
         if serialize(graph_from_jsonable(json.loads(text))) != text:
             raise SystemExit("serialize does not reproduce the generated text")
+    extra = {QUIVER_FAMILY: QUIVER_STAGES, STAR_FAMILY: STAR_STAGES}
     times = {
-        family: {
-            stage: [] for stage in STAGES + (QUIVER_STAGES if family == QUIVER_FAMILY else ())
-        }
-        for family in texts
+        family: {stage: [] for stage in STAGES + extra.get(family, ())} for family in texts
     }
     for _ in range(REPEATS):
         for family, text in texts.items():
-            for stage, t in measure(text, family == QUIVER_FAMILY).items():
+            measured = measure(text, family == QUIVER_FAMILY, family == STAR_FAMILY)
+            for stage, t in measured.items():
                 times[family][stage].append(t)
 
     print("V={} repeats={} seed={} python={}".format(
         VERTICES, REPEATS, SEED, sys.version.split()[0]))
-    print("{:<20} {:<20} {:>9} {:>9} {:>7}".format(
+    print("{:<20} {:<24} {:>9} {:>9} {:>7}".format(
         "family", "stage", "best ms", "p50 ms", "ratio"))
     for family, stages in times.items():
         base = min(stages["json.loads"])
         for stage, ts in stages.items():
-            print("{:<20} {:<20} {:>9.2f} {:>9.2f} {:>7.2f}".format(
+            print("{:<20} {:<24} {:>9.2f} {:>9.2f} {:>7.2f}".format(
                 family, stage, 1e3 * min(ts), 1e3 * statistics.median(ts), min(ts) / base))
     measure_nested()
     return 0
