@@ -7,9 +7,9 @@ __version__ = "0.1.0"
 # each module and the public names it defines
 _EXPORTS = {
     "assembly": (
-        "BUILTIN_TEMPLATE_NAMES", "LocalTemplate", "TaggedArc", "TemplateSlot",
-        "assemble_global", "assembly_diagram", "basicness_check", "builtin_template",
-        "star_template", "tagged_triangulation", "validate_template",
+        "BUILTIN_TEMPLATE_NAMES", "LocalTemplate", "TaggedArc", "assemble_global",
+        "assembly_diagram", "basicness_check", "builtin_template", "star_template",
+        "tagged_triangulation", "validate_template",
     ),
     "graph": (
         "BoundaryWalk", "InvalidGraphError", "PLAIN", "RibbonGraph", "SINGULAR",

@@ -37,21 +37,14 @@ PLAIN_TAG = "plain"
 NOTCHED_TAG = "notched"
 
 
-class TemplateSlot(_Record):
-    """A slot's interface quiver ``boundary`` and the maps of its morphism
-    into a template's quiver, as in `QuiverMorphism`: an ``arrow_map``
-    value of None means zero."""
-
-    __slots__ = ("_boundary", "_vertex_map", "_arrow_map")
-
-
 class LocalTemplate(_Record):
     """A vertex quiver with one interface slot per incident edge.
 
-    Slot images must be pairwise disjoint frozen components of the
-    quiver and together exhaust its frozen vertices, and the name and
-    stalk are strings or None.  Construction checks this with
-    `validate_template` and raises ValueError when it fails, so every
+    Each slot is a `QuiverMorphism` from its interface quiver into the
+    template's quiver.  Slot images must be pairwise disjoint frozen
+    components of the quiver and together exhaust its frozen vertices,
+    and the name and stalk are strings or None.  Construction checks this
+    with `validate_template` and raises ValueError when it fails, so every
     template in existence is valid.
     """
 
@@ -65,18 +58,17 @@ class LocalTemplate(_Record):
     def valency(self) -> int:
         return len(self.slots)
 
-    def slot_morphism(self, index: int) -> QuiverMorphism:
-        slot = self.slots[index]
-        return QuiverMorphism(slot.boundary, self.quiver, slot.vertex_map, slot.arrow_map)
-
 
 def validate_template(t: LocalTemplate) -> None:
     for key, text in (("name", t.name), ("stalk", t.stalk)):
         if text is not None and not isinstance(text, str):
             raise _fault((key,), "template {} {!r} is not a string", key, text)
 
-    slots = ((i, t.slot_morphism(i)) for i in range(len(t.slots)))
-    _check_slots(t.quiver, slots, "template {}".format(t.name), "slot", {})
+    owner = "template {}".format(t.name)
+    for i, m in enumerate(t._slots):
+        if m._target != t._quiver:
+            raise _fault(("slots", i), "{}: slot {} lands outside the template quiver", owner, i)
+    _check_slots(t._quiver, enumerate(t._slots), owner, "slot", {})
 
 
 # a new built-in is its file ``fixtures/<name>.json`` and its name here,
@@ -114,25 +106,25 @@ def star_template(n: int) -> LocalTemplate:
     frozen point per slot.  Handy for gluing experiments and tests."""
     if n < 2:
         raise ValueError("valency must be at least 2")
-    verts = [QuiverVertex("hub", False)]
-    arrows = []
-    slots = []
-    for s in range(n):
-        tip = "t{}".format(s)
-        verts.append(QuiverVertex(tip, True))
-        arrows.append(QuiverArrow("s{}".format(s), "hub", tip))
-        point = IceQuiver([QuiverVertex("u", True)], [])
-        slots.append(TemplateSlot(point, {"u": tip}, {}))
-    return LocalTemplate("star_{}".format(n), IceQuiver(verts, arrows), tuple(slots))
+    tips = ["t{}".format(s) for s in range(n)]
+    verts = [QuiverVertex("hub", False), *(QuiverVertex(tip, True) for tip in tips)]
+    arrows = [QuiverArrow("s{}".format(s), "hub", tip) for s, tip in enumerate(tips)]
+    quiver = IceQuiver(verts, arrows)
+    slots = tuple(
+        QuiverMorphism(IceQuiver([QuiverVertex("u", True)], []), quiver, {"u": tip}, {})
+        for tip in tips
+    )
+    return LocalTemplate("star_{}".format(n), quiver, slots)
 
 
 def _flag(frozen: bool) -> str:
     return "frozen" if frozen else "mutable"
 
 
-def _reversal_identification(b1: IceQuiver, slot: TemplateSlot, target: IceQuiver):
-    """The morphism from the interface ``b1`` into ``target`` through
-    ``slot``, whose interface ``b1`` matches in reversed vertex order.
+def _reversal_identification(b1: IceQuiver, slot: QuiverMorphism) -> QuiverMorphism:
+    """The morphism from the interface ``b1`` through the slot morphism
+    ``slot`` into its target, when ``b1`` matches the slot's interface,
+    its source, in reversed vertex order.
 
     Gluing two thickened pieces along an edge reverses the boundary
     orientation of one side, so the interface vertex lists pair up in
@@ -142,7 +134,7 @@ def _reversal_identification(b1: IceQuiver, slot: TemplateSlot, target: IceQuive
     the vertex counts, a frozen flag, or an arrow group, in the slot
     interface's ids, with its two multiplicities.
     """
-    b2 = slot._boundary
+    b2 = slot._source
     if len(b1.vertices) != len(b2.vertices):
         raise ValueError("vertex counts {} against {}".format(len(b1.vertices), len(b2.vertices)))
     pairs = tuple(zip(b1.vertices, reversed(b2.vertices)))  # both in id order
@@ -166,24 +158,23 @@ def _reversal_identification(b1: IceQuiver, slot: TemplateSlot, target: IceQuive
         )
     vertex_map = {x: slot._vertex_map[y] for x, y in vmap.items()}
     arrow_map = {a: slot._arrow_map.get(b) for (_, a), (_, b) in zip(side1, side2)}
-    return QuiverMorphism(b1, target, vertex_map, arrow_map)
+    return QuiverMorphism(b1, slot._target, vertex_map, arrow_map)
 
 
 def assembly_diagram(g: RibbonGraph, assign: TemplateAssignment) -> AmalgamationDiagram:
     """Instantiate one template per vertex and wire up the gluing diagram.
 
     Template names are looked up among the built-ins, each built once per
-    call; a template object is taken as given.  Across each internal edge
-    the two slot interfaces are identified in reversed vertex order; they
-    must match under that identification.  The graph is validated once;
-    the incidences are derived from the templates, one morphism per slot
-    or slot pair of each distinct template object, so a caller that shares
-    one object per distinct template shares its morphisms.
+    call; a template object is taken as given.  The graph is validated
+    once.  An edge's first halfedge takes its template's slot morphism as
+    incidence; across an internal edge the twin's slot interface is
+    identified with it in reversed vertex order, once per distinct pair
+    of slot objects, and must match under that identification.
     """
     require_valid(g)
     builtins: dict[str, LocalTemplate] = {}
     vertex_quivers: dict[str, IceQuiver] = {}
-    slot_at: dict[str, tuple[LocalTemplate, int]] = {}
+    slot_at: dict[str, QuiverMorphism] = {}
     for v in g.vertices:
         if v not in assign:
             raise ValueError("vertex {} has no template".format(v))
@@ -202,41 +193,34 @@ def assembly_diagram(g: RibbonGraph, assign: TemplateAssignment) -> Amalgamation
         vertex_quivers[v] = t._quiver
         # slots follow the stored cyclic order, which starts at the
         # smallest halfedge id
-        for i, h in enumerate(ring):
-            slot_at[h] = (t, i)
+        slot_at.update(zip(ring, t._slots))
     # every vertex has its quiver, so more entries name a vertex the graph lacks
     if len(assign) > len(vertex_quivers):
         unknown = next(v for v in assign if not g.has_vertex(v))
         raise ValueError("template given for unknown vertex {!r}".format(unknown))
     edge_quivers: dict[str, IceQuiver] = {}
     incidences: dict[str, QuiverMorphism] = {}
-    # (id(template), slot) -> its slot morphism, and (id(template1),
-    # slot1, id(template2), slot2) -> the morphism from slot1's interface
-    # into template2 through slot2; `assign` and `builtins` keep the ids
-    # taken
-    morphisms: dict[tuple, QuiverMorphism] = {}
+    # (id(slot1), id(slot2)) -> `_reversal_identification(slot1's
+    # interface, slot2)`; the templates, which `assign` and `builtins`
+    # keep, keep the ids taken
+    reversals: dict[tuple[int, int], QuiverMorphism] = {}
     for e in g.edges():
         # an edge is named by its first halfedge
-        t1, i1 = slot_at[e]
-        boundary = t1._slots[i1]._boundary
-        edge_quivers[e] = boundary
-        key = (id(t1), i1)
-        if key not in morphisms:
-            morphisms[key] = t1.slot_morphism(i1)
-        incidences[e] = morphisms[key]
+        slot1 = incidences[e] = slot_at[e]
+        edge_quivers[e] = slot1._source
         h2 = g.twin_of(e)
         if h2 is not None:
-            t2, i2 = slot_at[h2]
-            key += (id(t2), i2)
-            if key not in morphisms:
+            slot2 = slot_at[h2]
+            key = (id(slot1), id(slot2))
+            if key not in reversals:
                 try:
-                    morphisms[key] = _reversal_identification(boundary, t2._slots[i2], t2._quiver)
+                    reversals[key] = _reversal_identification(slot1._source, slot2)
                 except ValueError as exc:
                     raise ValueError(
                         "interface quivers across edge {} do not match: {} "
                         "({} against {})".format(e, exc, e, h2)
                     ) from None
-            incidences[h2] = morphisms[key]
+            incidences[h2] = reversals[key]
     return AmalgamationDiagram(g, vertex_quivers, edge_quivers, incidences)
 
 

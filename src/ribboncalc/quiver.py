@@ -197,14 +197,14 @@ def _check_slots(
     valid: dict[int, QuiverMorphism],
 ) -> None:
     """Check the local data at a vertex: a quiver ``q`` and its ``(place,
-    morphism)`` slots, such as a template's slots or a diagram's incidences
-    at one vertex.  Each morphism, in order, must be valid, with as image a
-    frozen component of ``q`` disjoint from the earlier ones; together the
-    images must cover the frozen vertices of ``q``.  The first fault raises
-    ValueError, its message starting ``owner:`` and naming the ``part``.
-    ``valid`` maps the id of each morphism found valid so far to that
-    morphism, which it keeps alive so that the id stays its own; a morphism
-    it holds is not validated again, and one found valid here joins it."""
+    morphism)`` slots, such as a template's slot morphisms or a diagram's
+    incidences at one vertex.  Each morphism, in order, must be valid, with
+    as image a frozen component of ``q`` disjoint from the earlier ones;
+    together the images must cover the frozen vertices of ``q``.  The first
+    fault raises ValueError, its message starting ``owner:`` and naming the
+    ``part``.  ``valid`` maps the id of each morphism found valid to that
+    morphism, kept alive so that the id stays its own; a morphism it holds
+    is not validated again, and one found valid here joins it."""
     components = set(q.frozen_components())
     claimed: set[str] = set()
     for place, m in slots:

@@ -13,11 +13,12 @@ hands each domain value to one hook, `_encode`, for a plain object to
 write in its place.  One table, `_LAYOUTS`, says how each domain type is
 written: most types by the attributes it names, so their JSON keys are
 attribute names, which for quiver vertices and arrows are the keys of
-the quiver format; graphs, quivers, templates, template slots and
-references by a function of their own, and a graph or quiver inside
-another value decodes the text written for a bare one.  The hook knows
-domain types by class name, so this module imports only
-`ribboncalc.graph`; each parser imports the constructors it calls.
+the quiver format; graphs, quivers, templates (each slot morphism with
+its interface quiver) and references by a function of their own, and a
+graph or quiver inside another value decodes the text written for a
+bare one.  The hook knows domain types by class name, so this module
+imports only `ribboncalc.graph`; each parser imports the constructors
+it calls.
 
 `graph_dot` and `export_dot` write graphs and quivers as Graphviz DOT.
 """
@@ -287,7 +288,8 @@ def _morphism_maps(obj: Any, where):
 def template_from_jsonable(obj: Any, pointer: str = "") -> LocalTemplate:
     """Check a template object's structure and build the template, which
     checks the values; a fault of the slots as a whole points at them."""
-    from .assembly import LocalTemplate, TemplateSlot
+    from .assembly import LocalTemplate
+    from .quiver import QuiverMorphism
 
     _want_keys(
         obj, (pointer,), ("vertices", "arrows", "slots"), optional=("name", "stalk")
@@ -300,7 +302,7 @@ def template_from_jsonable(obj: Any, pointer: str = "") -> LocalTemplate:
         p = (pointer, "slots", i)
         _want_keys(entry, p, ("quiver", "vertex_map", "arrow_map"))
         boundary = quiver_from_jsonable(entry["quiver"], _loc(p + ("quiver",)))
-        slots.append(TemplateSlot(boundary, *_morphism_maps(entry, p)))
+        slots.append(QuiverMorphism(boundary, quiver, *_morphism_maps(entry, p)))
     try:
         return LocalTemplate(obj.get("name", "template"), quiver, tuple(slots), obj.get("stalk"))
     except ValueError as exc:
@@ -400,10 +402,8 @@ _LAYOUTS: dict[str, Any] = {
     "RibbonGraph": lambda g: json.loads(_graph_text(g)),
     "IceQuiver": lambda q: json.loads(_quiver_text(q)),
     "LocalTemplate": lambda t: dict(
-        json.loads(_quiver_text(t.quiver)), name=t.name, stalk=t.stalk, slots=t.slots
-    ),
-    "TemplateSlot": lambda s: dict(
-        quiver=s.boundary, vertex_map=s.vertex_map, arrow_map=s.arrow_map
+        json.loads(_quiver_text(t.quiver)), name=t.name, stalk=t.stalk,
+        slots=[dict(_encode(m), quiver=m.source) for m in t.slots],
     ),
     "EdgeRef": lambda r: {"kind": "edge", "id": r.id},
     "VertexRef": lambda r: {"kind": "vertex", "id": r.id},

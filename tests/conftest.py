@@ -126,7 +126,8 @@ def _two_star(part: str, name: str) -> LocalTemplate:
         [QuiverVertex(hub) if v.id == "hub" else v for v in star.quiver.vertices],
         [QuiverArrow(name if a.id == part else a.id, hub, a.dst) for a in star.quiver.arrows],
     )
-    return LocalTemplate("two_star", quiver, star.slots)
+    slots = tuple(QuiverMorphism(s.source, quiver, s.vertex_map, s.arrow_map) for s in star.slots)
+    return LocalTemplate("two_star", quiver, slots)
 
 
 def same_labelled_quiver(nx, q1: IceQuiver, q2: IceQuiver) -> bool:

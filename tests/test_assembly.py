@@ -9,9 +9,9 @@ from ribboncalc import (
     IceQuiver,
     LocalTemplate,
     QuiverArrow,
+    QuiverMorphism,
     QuiverVertex,
     RibbonGraph,
-    TemplateSlot,
     amalgamate,
     assemble_global,
     assembly_diagram,
@@ -24,6 +24,7 @@ from ribboncalc import (
     star_template,
     tagged_triangulation,
     to_jsonable,
+    validate_morphism,
     validate_template,
 )
 from ribboncalc import assembly, quiver
@@ -36,13 +37,15 @@ def _one_arrow_a2() -> LocalTemplate:
         [QuiverVertex("u1", True), QuiverVertex("u2", True)],
         [QuiverArrow("a12", "u1", "u2", True)],
     )
-    verts, arrows, slots = [], [], []
+    verts, arrows, maps = [], [], []
     for s in range(3):
         r, f = "r{}".format(s), "f{}".format(s)
         verts += [QuiverVertex(r, True), QuiverVertex(f, True)]
         arrows.append(QuiverArrow("fr{}".format(s), r, f, True))
-        slots.append(TemplateSlot(boundary, {"u1": r, "u2": f}, {"a12": "fr{}".format(s)}))
-    return LocalTemplate("one_arrow_a2", IceQuiver(verts, arrows), tuple(slots))
+        maps.append(({"u1": r, "u2": f}, {"a12": "fr{}".format(s)}))
+    q = IceQuiver(verts, arrows)
+    slots = tuple(QuiverMorphism(boundary, q, vmap, amap) for vmap, amap in maps)
+    return LocalTemplate("one_arrow_a2", q, slots)
 
 
 def _kept_arrows_a2() -> LocalTemplate:
@@ -53,11 +56,11 @@ def _kept_arrows_a2() -> LocalTemplate:
     grs = tuple(
         QuiverArrow("gr{}".format(i), "f{}".format(i), "r{}".format(i), True) for i in range(3)
     )
+    q = IceQuiver(t.quiver.vertices, t.quiver.arrows + grs)
     slots = tuple(
-        TemplateSlot(s.boundary, s.vertex_map, dict(s.arrow_map, a21=gr.id))
+        QuiverMorphism(s.source, q, s.vertex_map, dict(s.arrow_map, a21=gr.id))
         for s, gr in zip(t.slots, grs)
     )
-    q = IceQuiver(t.quiver.vertices, t.quiver.arrows + grs)
     return LocalTemplate(t.name, q, slots, t.stalk)
 
 
@@ -65,7 +68,7 @@ def _mutable_point_star() -> LocalTemplate:
     """`star_template(3)` with a mutable interface vertex in every slot."""
     star = star_template(3)
     point = IceQuiver([QuiverVertex("u", False)], [])
-    slots = tuple(TemplateSlot(point, s.vertex_map, s.arrow_map) for s in star.slots)
+    slots = tuple(QuiverMorphism(point, s.target, s.vertex_map, s.arrow_map) for s in star.slots)
     return LocalTemplate("mutable_point_star", star.quiver, slots)
 
 
@@ -79,15 +82,17 @@ def _parallel_arrows_template(*zero: str) -> LocalTemplate:
         [QuiverVertex("u1", True), QuiverVertex("u2", True)],
         [QuiverArrow(a, src, dst, True) for a, (src, dst) in ends.items()],
     )
-    verts, arrows, slots = [], [], []
+    verts, arrows, maps = [], [], []
     for k in range(2):
         i, o, x, y = ("{}{}".format(c, k) for c in "ioxy")
         verts += [QuiverVertex(i, True), QuiverVertex(o, True)]
         arrows += [QuiverArrow(x, i, o, True), QuiverArrow(y, o, i, True)]
         images = {"p": x, "q": x, "r": y, "s": y}
         images.update(dict.fromkeys(zero))
-        slots.append(TemplateSlot(boundary, {"u1": i, "u2": o}, images))
-    return LocalTemplate("parallel", IceQuiver(verts, arrows), tuple(slots))
+        maps.append(({"u1": i, "u2": o}, images))
+    q = IceQuiver(verts, arrows)
+    slots = tuple(QuiverMorphism(boundary, q, vmap, amap) for vmap, amap in maps)
+    return LocalTemplate("parallel", q, slots)
 
 
 class TestBuiltinTemplates:
@@ -207,9 +212,9 @@ class TestBuiltinTemplates:
 
     def test_slot_morphisms_are_valid(self):
         t = builtin_template("a2_trivalent")
-        for i in range(t.valency):
-            m = t.slot_morphism(i)
+        for m in t.slots:
             assert m.target == t.quiver
+            assert validate_morphism(m).ok
 
 
 class TestValidateTemplate:
@@ -233,7 +238,7 @@ class TestValidateTemplate:
             [QuiverArrow("xy", "x", "y", True)] if frozen_arrow else [],
         )
         point = IceQuiver([QuiverVertex("u", frozen=True)], [])
-        slots = tuple(TemplateSlot(point, {"u": x}, {}) for x in images)
+        slots = tuple(QuiverMorphism(point, quiver, {"u": x}, {}) for x in images)
         with pytest.raises(ValueError) as info:
             LocalTemplate(name, quiver, slots)
         assert str(info.value) == message
@@ -242,8 +247,8 @@ class TestValidateTemplate:
         d = extra_key_diagram()
         point = d.edge_quivers["h"]
         slots = (
-            TemplateSlot(point, d.incidences["h"].vertex_map, {}),
-            TemplateSlot(point, {"u": "c"}, {}),
+            QuiverMorphism(point, d.vertex_quivers["v"], d.incidences["h"].vertex_map, {}),
+            QuiverMorphism(point, d.vertex_quivers["v"], {"u": "c"}, {}),
         )
         with pytest.raises(ValueError) as info:
             LocalTemplate("t", d.vertex_quivers["v"], slots)
@@ -261,13 +266,39 @@ class TestValidateTemplate:
         ids=["endpoints", "unknown image", "unknown key"],
     )
     def test_a_later_slot_morphism_is_validated(self, arrow_map, fault):
-        # each slot's morphism is built afresh and freed after its check,
-        # so a later one may reuse an earlier one's id: every one is checked
+        # each slot is its own morphism, and every one is checked
         t = _one_arrow_a2()
-        slots = t.slots[:2] + (TemplateSlot(t.slots[2].boundary, t.slots[2].vertex_map, arrow_map),)
+        s = t.slots[2]
+        slots = t.slots[:2] + (QuiverMorphism(s.source, t.quiver, s.vertex_map, arrow_map),)
         with pytest.raises(ValueError) as info:
             LocalTemplate(t.name, t.quiver, slots)
         assert str(info.value) == "template one_arrow_a2: slot 2 morphism invalid: " + fault
+
+    def test_each_slot_lands_in_the_template_quiver(self):
+        star = star_template(3)
+        q = star.quiver
+        other = IceQuiver(q.vertices + (QuiverVertex("extra"),), q.arrows)
+        equal = IceQuiver(q.vertices, q.arrows)
+        for i, s in enumerate(star.slots):
+            for target in (other, equal):
+                slots = list(star.slots)
+                slots[i] = QuiverMorphism(s.source, target, s.vertex_map, s.arrow_map)
+                if target is equal:
+                    assert LocalTemplate(star.name, q, tuple(slots)) == star
+                    continue
+                with pytest.raises(ValueError) as info:
+                    LocalTemplate(star.name, q, tuple(slots))
+                assert info.value.location == ("slots", i)
+                assert str(info.value) == (
+                    "template star_3: slot {} lands outside the template quiver".format(i)
+                )
+
+    def test_built_and_parsed_slots_target_their_own_quiver(self):
+        templates = [builtin_template(name) for name in BUILTIN_TEMPLATE_NAMES]
+        templates += [star_template(n) for n in range(2, 6)]
+        templates += [parse_template(serialize(t)) for t in templates]
+        for t in templates:
+            assert all(m.target is t.quiver for m in t.slots), t.name
 
     def test_name_and_stalk_must_be_strings(self):
         star = star_template(2)
@@ -287,8 +318,8 @@ class TestValidateTemplate:
         )
         point = IceQuiver([QuiverVertex("u", frozen=True)], [])
         slots = (
-            TemplateSlot(point, {"u": "x"}, {}),
-            TemplateSlot(point, {"u": "y"}, {}),
+            QuiverMorphism(point, quiver, {"u": "x"}, {}),
+            QuiverMorphism(point, quiver, {"u": "y"}, {}),
         )
         validate_template(LocalTemplate("ok", quiver, slots))
         with pytest.raises(ValueError, match="slot 1"):
@@ -304,7 +335,7 @@ class TestValidateTemplate:
         point = IceQuiver([QuiverVertex("u", frozen=True)], [])
         with pytest.raises(ValueError, match="belong to no slot"):
             validate_template(
-                LocalTemplate("gap", quiver, (TemplateSlot(point, {"u": "x"}, {}),))
+                LocalTemplate("gap", quiver, (QuiverMorphism(point, quiver, {"u": "x"}, {}),))
             )
 
 

@@ -17,7 +17,6 @@ from ribboncalc import (
     QuiverArrow,
     QuiverVertex,
     RibbonGraph,
-    TemplateSlot,
     VertexRef,
     amalgamate,
     assemble_global,
@@ -364,7 +363,7 @@ class TestAssemble:
         d = extra_key_diagram()
         template = to_jsonable(d.vertex_quivers["v"])
         template.update(name="t", slots=[
-            to_jsonable(TemplateSlot(m.source, m.vertex_map, m.arrow_map))
+            dict(to_jsonable(m), quiver=to_jsonable(m.source))
             for m in (d.incidences[h] for h in d.graph.cyclic("v"))
         ])
         graph_file, assign_file = tmp_path / "g.json", tmp_path / "t.json"

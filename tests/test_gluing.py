@@ -39,6 +39,7 @@ from ribboncalc import (
     surface_invariants,
     to_jsonable,
 )
+from ribboncalc import assembly
 from ribboncalc.quiver import _glue
 
 from conftest import (
@@ -404,3 +405,41 @@ def test_copied_shared_and_named_templates_assemble_alike():
         assert len(outputs) == 1, sorted(set(map(str, assign.values())))
         named += len(forms) == 3
     assert 0 < named < len(cases)
+
+
+def test_assembly_wires_each_template_slot(monkeypatch):
+    # an edge's first halfedge takes its template's own slot object, and
+    # its twin one reversal identification per distinct pair of slots
+    built, calls = {}, []
+
+    def building(name, original=assembly.builtin_template):
+        t = built[name] = original(name)
+        return t
+
+    def reversing(*args, original=assembly._reversal_identification):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(assembly, "builtin_template", building)
+    monkeypatch.setattr(assembly, "_reversal_identification", reversing)
+    cases = list(_builtin_assemblies())
+    for g in sample_graphs():
+        stars = {n: star_template(n) for n in {g.valency(v) for v in g.vertices}}
+        cases.append((g, {v: stars[g.valency(v)] for v in g.vertices}))
+    shared = 0
+    for g, assign in cases:
+        built.clear()
+        calls.clear()
+        d = assembly_diagram(g, assign)
+        slot_at = {}
+        for v in g.vertices:
+            t = built[assign[v]] if isinstance(assign[v], str) else assign[v]
+            slot_at.update(zip(g.cyclic(v), t.slots))
+        pairs = set()
+        for e in g.edges():
+            assert d.incidences[e] is slot_at[e]
+            if not g.is_external(e):
+                pairs.add((id(slot_at[e]), id(slot_at[g.twin_of(e)])))
+        assert len(calls) == len(pairs)
+        shared += len(pairs) < len(g.internal_edges())
+    assert shared > 0

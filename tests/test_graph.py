@@ -28,7 +28,6 @@ from ribboncalc import (
     Summand,
     SurfaceInvariants,
     TaggedArc,
-    TemplateSlot,
     TrajectoryHit,
     ValidationReport,
     VertexRef,
@@ -655,9 +654,10 @@ def _records():
     point = IceQuiver([QuiverVertex("u", True)], [])
     tip = IceQuiver([QuiverVertex("t0", True)], [])
     point_text = "IceQuiver(1 vertices, 0 arrows)"
-    slot = TemplateSlot(point, {"u": "t0"}, {})
-    slot_text = "TemplateSlot(boundary={0}, vertex_map={{'u': 't0'}}, arrow_map={{}})".format(
-        point_text
+    slot = QuiverMorphism(point, tip, {"u": "t0"}, {})
+    slot_text = (
+        "QuiverMorphism(source={0}, target={0}, vertex_map={{'u': 't0'}}, "
+        "arrow_map={{}})".format(point_text)
     )
     word = FunctorWord((Atom("gen", "h"),), EdgeRef("e"), VertexRef("v"))
     word_text = (
@@ -762,21 +762,15 @@ def _records():
             "QuiverArrow(id='a', src='u', dst='w', frozen=True)",
         ),
         (
-            QuiverMorphism(point, tip, {"u": "t0"}, {}),
+            slot,
             {"source": point, "target": tip, "vertex_map": {"u": "t0"}, "arrow_map": {}},
-            "QuiverMorphism(source={0}, target={0}, vertex_map={{'u': 't0'}}, "
-            "arrow_map={{}})".format(point_text),
+            slot_text,
         ),
         (
             AmalgamationDiagram(sub.graph, {"p": tip}, {}, {}),
             {"graph": sub.graph, "vertex_quivers": {"p": tip}, "edge_quivers": {}, "incidences": {}},
             "AmalgamationDiagram(graph=RibbonGraph(1 vertices, 2 edges), "
             "vertex_quivers={{'p': {}}}, edge_quivers={{}}, incidences={{}})".format(point_text),
-        ),
-        (
-            slot,
-            {"boundary": point, "vertex_map": {"u": "t0"}, "arrow_map": {}},
-            slot_text,
         ),
         (
             LocalTemplate("t", tip, (slot,), "s"),
@@ -891,7 +885,7 @@ class TestValueTypes:
 def test_every_exported_record_type_is_covered():
     exported = {getattr(ribboncalc, name) for name in ribboncalc.__all__}
     records = {x for x in exported if isinstance(x, type) and issubclass(x, _Record)}
-    assert len(records) == 21
+    assert len(records) == 20
     assert {type(r[0]) for r in RECORDS} == records
 
 

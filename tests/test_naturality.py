@@ -24,9 +24,9 @@ from ribboncalc import (
     LocalTemplate,
     Marker,
     QuiverArrow,
+    QuiverMorphism,
     QuiverVertex,
     RibbonGraph,
-    TemplateSlot,
     VertexRef,
     assemble_global,
     assembly_diagram,
@@ -104,11 +104,12 @@ def _quiver(document) -> IceQuiver:
 
 
 def _template(document) -> LocalTemplate:
+    quiver = _quiver(document)
     slots = tuple(
-        TemplateSlot(_quiver(slot["quiver"]), slot["vertex_map"], slot["arrow_map"])
+        QuiverMorphism(_quiver(slot["quiver"]), quiver, slot["vertex_map"], slot["arrow_map"])
         for slot in document["slots"]
     )
-    return LocalTemplate(document["name"], _quiver(document), slots, document["stalk"])
+    return LocalTemplate(document["name"], quiver, slots, document["stalk"])
 
 
 @pytest.mark.parametrize(
@@ -484,8 +485,9 @@ def _renamed_template(t: LocalTemplate, rng: random.Random) -> LocalTemplate:
         [QuiverArrow(amap[a.id], vmap[a.src], vmap[a.dst], a.frozen) for a in q.arrows],
     )
     slots = tuple(
-        TemplateSlot(
-            s.boundary,
+        QuiverMorphism(
+            s.source,
+            quiver,
             {u: vmap[x] for u, x in s.vertex_map.items()},
             {b: None if x is None else amap[x] for b, x in s.arrow_map.items()},
         )

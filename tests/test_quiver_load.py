@@ -91,7 +91,8 @@ def _morphism_maps_from_jsonable(obj: Any, where):
 
 
 def template_from_jsonable(obj: Any, pointer: str = ""):
-    from ribboncalc.assembly import LocalTemplate, TemplateSlot
+    from ribboncalc.assembly import LocalTemplate
+    from ribboncalc.quiver import QuiverMorphism
 
     _want_keys(
         obj, (pointer,), ("vertices", "arrows", "slots"), optional=("name", "stalk")
@@ -108,7 +109,7 @@ def template_from_jsonable(obj: Any, pointer: str = ""):
         vmap, amap = _morphism_maps_from_jsonable(
             {"vertex_map": entry["vertex_map"], "arrow_map": entry["arrow_map"]}, p
         )
-        slots.append(TemplateSlot(boundary, vmap, amap))
+        slots.append(QuiverMorphism(boundary, quiver, vmap, amap))
     name = obj.get("name", "template")
     if name is not None:
         name = _want_str(name, (pointer, "name"))

@@ -25,7 +25,6 @@ from ribboncalc import (
     Summand,
     SurfaceInvariants,
     TaggedArc,
-    TemplateSlot,
     TrajectoryHit,
     ValidationReport,
     VertexRef,
@@ -206,7 +205,7 @@ def _quivers() -> list[IceQuiver]:
     on the sample graphs, the empty quiver and `_escaped_quiver`."""
     templates = [builtin_template(n) for n in BUILTIN_TEMPLATE_NAMES]
     templates += [star_template(n) for n in range(2, 6)]
-    quivers = [q for t in templates for q in (t.quiver, *(s.boundary for s in t.slots))]
+    quivers = [q for t in templates for q in (t.quiver, *(s.source for s in t.slots))]
     for name, assignment in (
         ("four_gon", "four_gon_a2_templates"),
         ("once_punctured_4gon", "once_punctured_4gon_templates"),
@@ -529,8 +528,8 @@ def _oracle_ref(ref):
 def oracle(value):
     """The library's `to_jsonable` when it built the JSON tree by hand,
     one isinstance branch per type, verbatim but for its name and the
-    branches of the four types it could not write: quiver vertices and
-    arrows, template slots and trajectory hits."""
+    branches of the four types it could not write: quiver vertices,
+    arrows and morphisms, and trajectory hits."""
     if isinstance(value, RibbonGraph):
         cyclic, kind, label, twin = value._cyclic, value._kind, value._label, value._twin
         vertices = []
@@ -563,7 +562,7 @@ def oracle(value):
         base["stalk"] = value.stalk
         base["slots"] = [
             {
-                "quiver": oracle(s.boundary),
+                "quiver": oracle(s.source),
                 "vertex_map": dict(sorted(s.vertex_map.items())),
                 "arrow_map": dict(sorted(s.arrow_map.items())),
             }
@@ -650,9 +649,8 @@ def oracle(value):
         return {"id": value.id, "frozen": value.frozen, "label": value.label}
     if isinstance(value, QuiverArrow):
         return {"id": value.id, "src": value.src, "dst": value.dst, "frozen": value.frozen}
-    if isinstance(value, TemplateSlot):
+    if isinstance(value, QuiverMorphism):
         return {
-            "quiver": oracle(value.boundary),
             "vertex_map": dict(sorted(value.vertex_map.items())),
             "arrow_map": dict(sorted(value.arrow_map.items())),
         }
@@ -791,7 +789,7 @@ def test_encoder_edge_cases():
     # every domain value encodes, bare or nested, but only its exact type
     assert serialize(HalfedgeRef("h")) == '{"id":"h","kind":"halfedge"}'
     assert serialize(Atom("genL", "h")) == '{"halfedge":"h","kind":"genL"}'
-    m = star_template(2).slot_morphism(0)
+    m = star_template(2).slots[0]
     assert serialize(m) == '{"arrow_map":{},"vertex_map":{"u":"t0"}}'
     # a mapping that is not a dict is written as one
     proxy = QuiverMorphism(m.source, m.target, MappingProxyType(m.vertex_map), {})

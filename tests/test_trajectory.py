@@ -471,6 +471,47 @@ def _fixture_graphs() -> list[RibbonGraph]:
     return graphs
 
 
+def _run_itineraries(g: RibbonGraph) -> dict[tuple[str, str], Itinerary]:
+    """Every ray of ``g``, read off its runs and stepped by neither walk
+    engine.  With ``τ = ext_twin`` and ``σ(x) = ccw_next(τx)``, the run
+    of an external halfedge ``e`` is ``e, σe, σ²e, …`` up to the next
+    external halfedge, and every halfedge is a non-final member of
+    exactly one run.  The clockwise ray from position ``i`` of its run
+    ``R`` has out halfedges ``R[i:]`` and entries ``τ`` of ``R[i:-1]``.
+    The counterclockwise step is ``ρ = τσ⁻¹τ``, so the ray from ``h`` reads
+    backwards the run through ``τh``, at position ``j`` (the run ending
+    at ``τh`` when it is external): out halfedges ``τR[j], τR[j-1], …,
+    R[0]`` and entries ``R[j:0:-1]``.  A ray turns at its entries'
+    vertices, and its edges are its out halfedges' edges."""
+    tau = g.ext_twin
+    place, ending = {}, {}
+    for e in g.halfedges:
+        if g.is_external(e):
+            run = [e, g.ccw_next(tau(e))]
+            while not g.is_external(run[-1]):
+                run.append(g.ccw_next(tau(run[-1])))
+            for i, x in enumerate(run[:-1]):
+                assert x not in place, x
+                place[x] = run, i
+            ending[run[-1]] = run
+    assert place.keys() == set(g.halfedges)
+
+    def ray(h, orient, out, entries):
+        return Itinerary(
+            h, orient, tuple(out), tuple(map(g.edge_of, out)),
+            tuple(map(g.at_vertex, entries)), tuple(entries), out[-1],
+        )
+
+    rays = {}
+    for h in g.halfedges:
+        run, i = place[h]
+        rays[h, "cw"] = ray(h, "cw", run[i:], [tau(x) for x in run[i:-1]])
+        t = tau(h)
+        run, j = (ending[t], len(ending[t]) - 1) if g.is_external(t) else place[t]
+        rays[h, "ccw"] = ray(h, "ccw", [tau(x) for x in run[j::-1]], run[j:0:-1])
+    return rays
+
+
 @pytest.fixture(scope="module")
 def engine_cases() -> list[tuple[str, dict]]:
     """The text of every fixture graph, every sample graph and its dual,
@@ -567,6 +608,19 @@ class TestOneWalkEngine:
                     assert serialize(it) == serialize(expected)
                 for (h, orient), it in first.items():
                     assert itinerary(g, h, orient) is it
+
+    def test_matches_the_rays_read_off_the_runs(self):
+        # fresh graphs, each asked for every ray in a shuffled order
+        rng = random.Random("runs")
+        graphs = _fixture_graphs()
+        graphs += [bench_graph(f, 300, "1/runs") for f in bench_gen().FAMILIES]
+        graphs += [random_graph(rng) for _ in range(200)]
+        for g in graphs:
+            rays = _run_itineraries(g)
+            requests = list(rays)
+            rng.shuffle(requests)
+            for h, orient in requests:
+                assert itinerary(g, h, orient) == rays[h, orient], (h, orient)
 
     def test_each_halfedge_is_stepped_at_most_once_per_orientation(self, engine_cases):
         for order, interleaved in REQUEST_ORDERS:

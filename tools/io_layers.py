@@ -25,14 +25,17 @@ does not sort.  Beside it, ``amalgamate`` times
 ``amalgamate(assembly_diagram(g, assign))``, which builds the same
 diagram and checks it in full before it glues, so the difference is what
 the check costs.  The diagram shares its two template quivers and their
-slot morphisms, and the check runs once per distinct quiver and ring of
-incidences, not once per vertex.  Last it times the quiver writers,
+slots, each a `QuiverMorphism` that the diagram takes as an incidence,
+and the check runs once per distinct quiver and ring of incidences, not
+once per vertex.  Last it times the quiver writers,
 `serialize(q)` and `export_dot(q)`, on the glued quiver.  On the
 `higher_genus` graph it times `assembly_diagram` and `assemble_global`
 with star templates, taken as given: ``shared`` is one `star_template`
 per valency, shared by the vertices of that valency, and ``copies`` is a
 new `star_template` at every vertex, each assignment built outside the
-clock, once per repeat, for both stages.  It prints,
+clock, once per repeat, for both stages.  A copy brings its own slot
+morphisms, so ``copies`` differs from ``shared`` in the reversal
+identifications, one per distinct pair of slots across an edge.  It prints,
 per family and stage, the best and the median time and the best time as
 a ratio to the best `json.loads`.  Each repeat decodes, builds and
 assembles afresh, so no stage meets a graph, quiver or string an earlier
