@@ -41,6 +41,7 @@ from ribboncalc import (
     require_valid,
     rotate_to_min,
     serialize,
+    star_template,
     subgraph,
     surface_invariants,
     twist_rotation_check,
@@ -795,7 +796,28 @@ def _records():
     ]
 
 
-RECORDS = _records()
+def _template_slot_record():
+    """A slot of a built-in star template, as `_records` gives its values: a
+    QuiverMorphism from the slot's interface quiver into the template's own
+    quiver."""
+    star = star_template(2)
+    slot = star.slots[0]
+    fields = {
+        "source": slot.source,
+        "target": star.quiver,
+        "vertex_map": {"u": "t0"},
+        "arrow_map": {},
+    }
+    text = (
+        "QuiverMorphism(source=IceQuiver(1 vertices, 0 arrows), "
+        "target=IceQuiver(3 vertices, 2 arrows), vertex_map={'u': 't0'}, arrow_map={})"
+    )
+    return slot, fields, text
+
+
+RECORDS = _records() + [_template_slot_record()]
+# A template slot is a QuiverMorphism; its case is named for that role.
+RECORD_IDS = [type(r[0]).__name__ for r in RECORDS[:-1]] + ["TemplateSlot"]
 
 
 def _hash_or_error(value):
@@ -807,7 +829,7 @@ def _hash_or_error(value):
 
 
 @pytest.mark.parametrize(
-    "value, fields, text", RECORDS, ids=[type(r[0]).__name__ for r in RECORDS]
+    "value, fields, text", RECORDS, ids=RECORD_IDS
 )
 class TestValueTypes:
     """The value types compare, hash, print, copy and refuse changes as
