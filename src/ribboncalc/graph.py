@@ -109,17 +109,6 @@ def rotate_to_min(seq: Iterable[str]) -> tuple[str, ...]:
     return seq[k:] + seq[:k]
 
 
-def _by_string_key(table: Mapping, name: str, what: str = "vertex") -> dict:
-    """``table`` with string keys; two keys with the same string are an error."""
-    out = {}
-    for k, x in table.items():
-        key = str(k)
-        if key in out:
-            raise ValueError("{} names {} {!r} twice".format(name, what, key))
-        out[key] = x
-    return out
-
-
 class RibbonGraph:
     """Immutable halfedge structure with a cyclic order at each vertex.
 
@@ -128,13 +117,13 @@ class RibbonGraph:
     a halfedge to its vertex.  ``twin`` pairs the two halfedges of every
     internal edge and omits external halfedges entirely.
 
-    The constructor turns ids, the keys of ``twin``, ``vertex_kind`` and
-    ``vertex_label`` included, into strings and checks every value: two
-    keys of one table with the same string, a kind or label for an unknown
-    vertex, then a twin that names a halfedge of no ring or does not point
-    back, then, vertex by vertex, a halfedge already in a ring, an unknown
-    kind and a label that is not a string.  A fault of one entry keeps its
-    location (see `_fault`), such as ``("cyclic", v, j)``, ``("twin", h)``,
+    Ids are strings.  The constructor copies the tables it is given and
+    checks every value: a kind or label for an unknown vertex, then a twin
+    that names a halfedge of no ring or does not point back, then, vertex
+    by vertex, a vertex id that is not a string, a halfedge of its ring
+    that is not a string or already in a ring, an unknown kind and a label
+    that is not a string.  A fault of one entry keeps its location (see
+    `_fault`), such as ``("cyclic", v, j)``, ``("twin", h)``,
     ``("vertex_kind", v)`` or ``("vertex_label", v)``.  `_from_tables`
     takes the tables a graph keeps, already checked.
     Semantic rules, loops, valency-1 vertices, connectivity and the
@@ -161,9 +150,9 @@ class RibbonGraph:
         vertex_kind: Optional[Mapping[str, str]] = None,
         vertex_label: Optional[Mapping[str, str]] = None,
     ):
-        rings = {v: tuple(map(str, hs)) for v, hs in _by_string_key(cyclic, "cyclic").items()}
-        vertex_kind = _by_string_key(vertex_kind or {}, "vertex_kind")
-        labels = _by_string_key(vertex_label or {}, "vertex_label")
+        rings = {v: tuple(ring) for v, ring in cyclic.items()}
+        vertex_kind = dict(vertex_kind or {})
+        labels = dict(vertex_label or {})
         for v in vertex_kind:
             if v not in rings:
                 raise _fault(("vertex_kind", v), "vertex kind given for unknown vertex {!r}", v)
@@ -171,7 +160,7 @@ class RibbonGraph:
             if v not in rings:
                 raise _fault(("vertex_label", v), "label given for unknown vertex {!r}", v)
         at = {h: v for v, ring in rings.items() for h in ring}
-        twin = {h: str(t) for h, t in _by_string_key(twin, "twin", "halfedge").items()}
+        twin = dict(twin)
         for h, t in twin.items():
             if h not in at or t not in at:
                 unknown = t if h in at else h
@@ -180,7 +169,11 @@ class RibbonGraph:
                 raise _fault(("twin", h), "twin of {!r} does not point back", h)
         seen = set()
         for v, ring in rings.items():
+            if not isinstance(v, str):
+                raise _fault(("cyclic", v), "vertex id {!r} is not a string", v)
             for j, h in enumerate(ring):
+                if not isinstance(h, str):
+                    raise _fault(("cyclic", v, j), "halfedge id {!r} is not a string", h)
                 if h in seen:
                     raise _fault(("cyclic", v, j), "halfedge {!r} already attached", h)
                 seen.add(h)

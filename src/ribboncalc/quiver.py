@@ -336,7 +336,7 @@ def _glue(d: AmalgamationDiagram) -> IceQuiver:
     labels: dict[str, Optional[str]] = {}
     for v in g.vertices:
         local = names[v] = {}
-        for x in vertex_quivers[v].vertices:
+        for x in vertex_quivers[v]._vertices:
             local[x._id] = qualified = v + "." + x._id
             if qualified in labels:
                 raise ValueError("two vertices have qualified id {!r}".format(qualified))
@@ -350,7 +350,7 @@ def _glue(d: AmalgamationDiagram) -> IceQuiver:
             frozen_ids.update(local[x] for x in map1.values())
             continue
         names2, m2 = names[g.at_vertex(t)], incidences[t]
-        for x in interface.vertices:
+        for x in interface._vertices:
             i, j = map1[x._id], m2._vertex_map[x._id]
             keep, drop = sorted((local[i], names2[j]))
             # no other edge pairs either member, and the pair keeps a label
@@ -358,7 +358,7 @@ def _glue(d: AmalgamationDiagram) -> IceQuiver:
             local[i] = names2[j] = keep
             if labels.pop(drop) != labels[keep]:
                 labels[keep] = None
-        for a in interface.arrows:
+        for a in interface._arrows:
             if m1._arrow_map.get(a._id) is not None and m2._arrow_map.get(a._id) is not None:
                 src, dst = local[map1[a._src]], local[map1[a._dst]]
                 arrows.append(QuiverArrow(e + "." + a._id, src, dst))
@@ -367,7 +367,7 @@ def _glue(d: AmalgamationDiagram) -> IceQuiver:
     vertices = [QuiverVertex(x, x in frozen_ids, label) for x, label in labels.items()]
     for v in g.vertices:
         local = names[v]
-        for a in vertex_quivers[v].arrows:
+        for a in vertex_quivers[v]._arrows:
             src = local[a._src]
             # frozen arrows live inside one frozen component, so the source
             # tells whether the component is an external one

@@ -26,6 +26,7 @@ it calls.
 from __future__ import annotations
 
 import json
+import marshal
 from collections.abc import Mapping
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
@@ -358,14 +359,21 @@ def parse_choices(text: str) -> dict[str, str]:
 
 
 def parse_assignments(text: str):
-    """Template assignments: vertex to built-in name or inline template."""
+    """Template assignments: vertex to built-in name or inline template.
+    Each distinct inline template is parsed once, at the first vertex that
+    carries it, and shared by all that carry it.  `marshal` version 2 writes
+    no references, so its equal bytes mean equal decoded templates."""
     obj = _loads(text)
     _want_keys(obj, ("",), ("assignments",))
     raw = _want(obj["assignments"], dict, ("", "assignments"), "an object")
-    return {
-        v: t if isinstance(t, str) else template_from_jsonable(t, _ptr("assignments", v))
-        for v, t in raw.items()
-    }
+    parsed = {}  # the key of each template parsed so far: the template
+    for v, t in raw.items():
+        if not isinstance(t, str):
+            key = marshal.dumps(t, 2)
+            if key not in parsed:
+                parsed[key] = template_from_jsonable(t, _ptr("assignments", v))
+            raw[v] = parsed[key]  # replaces a value, so the dict keeps its size
+    return raw
 
 
 def _loads(text: str):

@@ -200,20 +200,20 @@ def _hit_key(hit: TrajectoryHit):
 
 def _hits_on_edge(itin: Itinerary, f: str) -> list[TrajectoryHit]:
     return [
-        TrajectoryHit(itin.start, i, "edge", f, i == 1, itin)
-        for i, e in enumerate(itin.edges, start=1)
+        TrajectoryHit(itin._start, i, "edge", f, i == 1, itin)
+        for i, e in enumerate(itin._edges, start=1)
         if e == f
     ]
 
 
 def _hits_on_halfedges(itin: Itinerary, ring: tuple[str, ...]) -> list[TrajectoryHit]:
     hits = []
-    if itin.start in ring:
+    if itin._start in ring:
         # the constant visit: stand on the source and apply nothing
-        hits.append(TrajectoryHit(itin.start, 1, "halfedge", itin.start, True, itin))
-    for i, t in enumerate(itin.entries, start=1):
+        hits.append(TrajectoryHit(itin._start, 1, "halfedge", itin._start, True, itin))
+    for i, t in enumerate(itin._entries, start=1):
         if t in ring:
-            hits.append(TrajectoryHit(itin.start, i, "halfedge", t, False, itin))
+            hits.append(TrajectoryHit(itin._start, i, "halfedge", t, False, itin))
     return hits
 
 

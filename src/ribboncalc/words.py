@@ -269,7 +269,7 @@ def _external_support(g: RibbonGraph, x: ObjectRef, orient: str) -> Counter:
     for h in _source_halfedges(g, x):
         if g.is_external(h):
             support[h] += 1
-        support[_itinerary(g, h, orient).terminal] += 1
+        support[_itinerary(g, h, orient)._terminal] += 1
     return support
 
 

@@ -430,7 +430,7 @@ class TestAssemble:
         argv = self._chain(tmp_path, json.loads(serialize(star_template(3))))
         counts.update(validate_template=0)
         assert run(capsys, *argv)[0] == 0
-        assert counts == {"validate_template": 3, "builtin_template": 0}
+        assert counts == {"validate_template": 2, "builtin_template": 0}
 
     def test_builtin_is_built_once(self, capsys, counts):
         code, _, _ = run(

@@ -41,6 +41,7 @@ from ribboncalc import (
 )
 from ribboncalc import assembly
 from ribboncalc.quiver import _glue
+from ribboncalc.serialization import template_from_jsonable
 
 from conftest import (
     bench_graph, fixture_graph, fixture_text, same_labelled_quiver, sample_graphs,
@@ -374,10 +375,11 @@ def test_gluing_joins_pairs_and_counts_the_surface():
 
 
 def _assignment_forms(assign: dict) -> list[dict]:
-    """``assign`` three ways: as an assignments file parses it, a new copy
-    of the template at each vertex; with one object per distinct template;
-    and, when it names built-ins only, as given.  Templates with one name
-    must be equal, as built-ins and stars are."""
+    """``assign`` four ways: a new copy of the template at each vertex, each
+    parsed from its JSON form; as an assignments file parses it, one object
+    per distinct template; with the one object of each name; and, when it
+    names built-ins only, as given.  Templates with one name must be
+    equal, as built-ins and stars are."""
     keys = {v: t if isinstance(t, str) else t.name for v, t in assign.items()}
     shared = {}  # the one object of each name
     for v, key in keys.items():
@@ -386,10 +388,12 @@ def _assignment_forms(assign: dict) -> list[dict]:
             shared[key] = builtin_template(t) if isinstance(t, str) else t
         assert isinstance(assign[v], str) or assign[v] == shared[key]
     jsonable = {key: to_jsonable(t) for key, t in shared.items()}
-    text = json.dumps({"assignments": {v: jsonable[key] for v, key in keys.items()}})
-    copies = parse_assignments(text)
+    copies = {v: template_from_jsonable(jsonable[key]) for v, key in keys.items()}
     assert len({id(t) for t in copies.values()}) == len(assign)
-    forms = [copies, {v: shared[key] for v, key in keys.items()}]
+    text = json.dumps({"assignments": {v: jsonable[key] for v, key in keys.items()}})
+    parsed = parse_assignments(text)
+    assert len({id(t) for t in parsed.values()}) == len(shared)
+    forms = [copies, parsed, {v: shared[key] for v, key in keys.items()}]
     if all(isinstance(t, str) for t in assign.values()):
         forms.append(assign)
     return forms
@@ -403,7 +407,7 @@ def test_copied_shared_and_named_templates_assemble_alike():
         forms = _assignment_forms(assign)
         outputs = {(serialize(q), export_dot(q)) for q in (assemble_global(g, a) for a in forms)}
         assert len(outputs) == 1, sorted(set(map(str, assign.values())))
-        named += len(forms) == 3
+        named += len(forms) == 4
     assert 0 < named < len(cases)
 
 

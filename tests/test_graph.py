@@ -61,35 +61,57 @@ class TestConstruction:
         g = RibbonGraph({"v": ("b", "a", "c")}, {})
         assert g.cyclic("v") == ("a", "c", "b")
 
-    def test_kind_and_label_keys_become_strings(self):
-        g = RibbonGraph(
-            {1: (10, 11), 2: (12, 13)}, {10: 12, 12: 10}, {1: "singular"}, {2: "x"}
-        )
-        assert (g.kind("1"), g.kind("2"), g.label("2")) == ("singular", "plain", "x")
-        assert parse_graph(serialize(g)) == g
-
     def test_a_none_label_is_no_label(self):
         assert RibbonGraph({"1": ("a", "b")}, {}, None, {"1": None}).label("1") is None
 
-    def test_colliding_vertex_ids_rejected(self):
-        with pytest.raises(ValueError, match="cyclic names vertex '1' twice"):
-            RibbonGraph(
-                {1: ["a", "b"], "1": ["c", "d"]}, {"a": "c", "c": "a", "b": "d", "d": "b"}
-            )
+    def test_the_callers_tables_are_copied(self):
+        cyclic = {"v": ["a", "b"], "w": ["c", "d"]}
+        twin, kinds, labels = {}, {"v": "singular"}, {"v": "x"}
+        g = RibbonGraph(cyclic, twin, kinds, labels)
+        cyclic["v"].append("e")
+        twin["a"] = "c"
+        labels["v"] = "y"
+        assert kinds == {"v": "singular"}
+        assert (g.cyclic("v"), g.twin_of("a"), g.kind("w"), g.label("v")) == (
+            ("a", "b"), None, "plain", "x"
+        )
 
-    def test_colliding_kind_keys_rejected(self):
-        with pytest.raises(ValueError, match="vertex_kind names vertex '1' twice"):
-            RibbonGraph({"1": ("a", "b")}, {}, {1: "plain", "1": "singular"})
-
-    def test_colliding_label_keys_rejected(self):
-        with pytest.raises(ValueError, match="vertex_label names vertex '1' twice"):
-            RibbonGraph({"1": ("a", "b")}, {}, None, {1: "x", "1": "y"})
-
-    def test_colliding_twin_keys_rejected(self):
-        # 1 and "1" both name halfedge "1"; merged, the table would pass as
-        # the pairing of "1" and "a"
-        with pytest.raises(ValueError, match="^twin names halfedge '1' twice$"):
-            RibbonGraph({"v": ["1", "x"], "w": ["a", "y"]}, {1: "a", "1": "a", "a": "1"})
+    @pytest.mark.parametrize(
+        "args, message, location",
+        [
+            (({1: ("a", "b")}, {}), "vertex id 1 is not a string", ("cyclic", 1)),
+            (({"v": ("a", 2)}, {}), "halfedge id 2 is not a string", ("cyclic", "v", 1)),
+            # read as "1", this table would pair "1" and "a"
+            (
+                ({"v": ("1", "x"), "w": ("a", "y")}, {1: "a", "a": "1"}),
+                "twin table mentions unknown halfedge 1",
+                ("twin", 1),
+            ),
+            (
+                ({"v": ("1", "x"), "w": ("a", "y")}, {"a": 1}),
+                "twin table mentions unknown halfedge 1",
+                ("twin", "a"),
+            ),
+            (
+                ({"1": ("a", "b")}, {}, {1: "singular"}),
+                "vertex kind given for unknown vertex 1",
+                ("vertex_kind", 1),
+            ),
+            (
+                ({"1": ("a", "b")}, {}, None, {1: "x"}),
+                "label given for unknown vertex 1",
+                ("vertex_label", 1),
+            ),
+        ],
+        ids=[
+            "cyclic key", "ring entry", "twin key", "twin value", "vertex_kind key",
+            "vertex_label key",
+        ],
+    )
+    def test_a_non_string_id_is_rejected(self, args, message, location):
+        with pytest.raises(ValueError) as info:
+            RibbonGraph(*args)
+        assert (str(info.value), info.value.location) == (message, location)
 
     @pytest.mark.parametrize(
         "args, message, location",
@@ -125,7 +147,7 @@ class TestConstruction:
                 "unknown vertex kind 'spicy'",
                 ("vertex_kind", "v"),
             ),
-            (({1: ("a", "b")}, {}, {1: 5}), "unknown vertex kind 5", ("vertex_kind", "1")),
+            (({"1": ("a", "b")}, {}, {"1": 5}), "unknown vertex kind 5", ("vertex_kind", "1")),
             (
                 ({"v": ("a", "b")}, {}, None, {"v": 5}),
                 "label of vertex 'v' is not a string",

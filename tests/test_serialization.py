@@ -360,6 +360,28 @@ class TestQuiverAndTemplates:
         assert assign["v1"] == "rank1_trivalent"
         assert assign["v2"].valency == 3
 
+    def test_each_distinct_inline_template_is_parsed_once(self, monkeypatch):
+        calls = []
+        original = serialization.template_from_jsonable
+
+        def counting(obj, pointer=""):
+            calls.append(pointer)
+            return original(obj, pointer)
+
+        monkeypatch.setattr(serialization, "template_from_jsonable", counting)
+        star3, star2 = to_jsonable(star_template(3)), to_jsonable(star_template(2))
+        assignments = {"a": star3, "b": star2, "c": "rank1_trivalent", "d": star3, "e": star2}
+        assign = parse_assignments(json.dumps({"assignments": assignments}))
+        assert calls == ["/assignments/a", "/assignments/b"]
+        assert assign["a"] is assign["d"] and assign["b"] is assign["e"]
+        assert (assign["a"], assign["b"]) == (star_template(3), star_template(2))
+        # only a template that parsed is kept: the first faulty copy raises
+        bad = dict(star3, vertices=5)
+        for order in (("g", "a", "h"), ("a", "g", "h")):
+            text = json.dumps({"assignments": {v: bad if v != "a" else star3 for v in order}})
+            with pytest.raises(ParseError, match="^at /assignments/g/vertices: expected a list$"):
+                parse_assignments(text)
+
     def test_choices(self):
         assert parse_choices('{"choices": {"p": "T1"}}') == {"p": "T1"}
         with pytest.raises(ParseError, match="missing key 'choices'"):

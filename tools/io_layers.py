@@ -47,6 +47,13 @@ and of the ``four_gon`` diagram that `assembly_diagram` builds from the
 ``four_gon_a2_templates`` assignment, interleaved over 2000 repeats, and
 prints the best and the median time of each.
 
+After those it times ``cli.main(["assemble", ...])`` in process, over 15
+repeats, on the V=2000 `higher_genus` graph of seed ``probe/1`` with the
+`serialize`d `star_template` of its valency inline at every vertex of a
+templates file: 10 distinct templates in 2000 copies, about 1.5 MB.  Both
+files are written to a temporary directory, and the command's output is
+kept in memory.  It prints the best and the median time.
+
 The library is imported from ``src/`` next to this directory and the
 generator loaded from ``bench/gen.py`` by path; neither is changed.
 Standard library only.
@@ -58,13 +65,17 @@ import importlib.util
 import json
 import statistics
 import sys
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from functools import partial
+from io import StringIO
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from ribboncalc import cli  # noqa: E402
 from ribboncalc.assembly import (  # noqa: E402
     BUILTIN_TEMPLATE_NAMES,
     assemble_global,
@@ -99,6 +110,7 @@ STAR_STAGES = (
 )
 BALL = 40
 NESTED_REPEATS = 2000
+CLI_VERTICES, CLI_SEED, CLI_REPEATS = 2000, "probe/1", 15
 FIXTURES = ROOT / "src" / "ribboncalc" / "fixtures"
 
 
@@ -207,6 +219,7 @@ def main() -> int:
             print("{:<20} {:<24} {:>9.2f} {:>9.2f} {:>7.2f}".format(
                 family, stage, 1e3 * min(ts), 1e3 * statistics.median(ts), min(ts) / base))
     measure_nested()
+    measure_cli_assemble(gen)
     return 0
 
 
@@ -228,6 +241,35 @@ def measure_nested() -> None:
     print("{:<20} {:>9} {:>9}".format("value", "best us", "p50 us"))
     for name, ts in times.items():
         print("{:<20} {:>9.1f} {:>9.1f}".format(name, 1e6 * min(ts), 1e6 * statistics.median(ts)))
+
+
+def measure_cli_assemble(gen) -> None:
+    """Time in-process ``cli assemble`` with an inline star template at
+    every vertex, and print the best and the median time."""
+    text = gen.to_text(gen.generate(STAR_FAMILY, CLI_VERTICES, CLI_SEED))
+    g = parse_graph(text)
+    stars = {n: json.loads(serialize(star_template(n))) for n in set(map(g.valency, g.vertices))}
+    templates = json.dumps({"assignments": {v: stars[g.valency(v)] for v in g.vertices}})
+    times = []
+    with tempfile.TemporaryDirectory() as tmp:
+        graph_file, templates_file = Path(tmp, "graph.json"), Path(tmp, "templates.json")
+        graph_file.write_text(text)
+        templates_file.write_text(templates)
+        argv = ["assemble", "--graph", str(graph_file), "--templates", str(templates_file)]
+        for _ in range(CLI_REPEATS):
+            with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+                start = time.perf_counter()
+                code = cli.main(argv)
+                times.append(time.perf_counter() - start)
+            if code != 0:
+                raise SystemExit("cli assemble exited with {}".format(code))
+    print()
+    print("cli assemble, {} V={} seed={}, {} distinct inline templates, {} bytes, "
+          "repeats={}".format(STAR_FAMILY, CLI_VERTICES, CLI_SEED, len(stars),
+                              len(templates), CLI_REPEATS))
+    print("{:<20} {:>9} {:>9}".format("stage", "best ms", "p50 ms"))
+    print("{:<20} {:>9.1f} {:>9.1f}".format(
+        "cli assemble", 1e3 * min(times), 1e3 * statistics.median(times)))
 
 
 if __name__ == "__main__":
