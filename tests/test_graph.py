@@ -64,6 +64,31 @@ class TestConstruction:
     def test_a_none_label_is_no_label(self):
         assert RibbonGraph({"1": ("a", "b")}, {}, None, {"1": None}).label("1") is None
 
+    # A table that names one id both as 1 and as "1" is still rejected: nothing
+    # merges the two, and the fault sits at the non-string key.
+    def test_colliding_vertex_ids_rejected(self):
+        with pytest.raises(ValueError, match="^vertex id 1 is not a string$") as info:
+            RibbonGraph(
+                {1: ["a", "b"], "1": ["c", "d"]}, {"a": "c", "c": "a", "b": "d", "d": "b"}
+            )
+        assert info.value.location == ("cyclic", 1)
+
+    def test_colliding_kind_keys_rejected(self):
+        with pytest.raises(ValueError, match="^vertex kind given for unknown vertex 1$") as info:
+            RibbonGraph({"1": ("a", "b")}, {}, {1: "plain", "1": "singular"})
+        assert info.value.location == ("vertex_kind", 1)
+
+    def test_colliding_label_keys_rejected(self):
+        with pytest.raises(ValueError, match="^label given for unknown vertex 1$") as info:
+            RibbonGraph({"1": ("a", "b")}, {}, None, {"1": "y", 1: "x"})
+        assert info.value.location == ("vertex_label", 1)
+
+    def test_colliding_twin_keys_rejected(self):
+        # merged, the table would pass as the pairing of "1" and "a"
+        with pytest.raises(ValueError, match="^twin table mentions unknown halfedge 1$") as info:
+            RibbonGraph({"v": ["1", "x"], "w": ["a", "y"]}, {"1": "a", 1: "a", "a": "1"})
+        assert info.value.location == ("twin", 1)
+
     def test_the_callers_tables_are_copied(self):
         cyclic = {"v": ["a", "b"], "w": ["c", "d"]}
         twin, kinds, labels = {}, {"v": "singular"}, {"v": "x"}
