@@ -118,12 +118,12 @@ class RibbonGraph:
     internal edge and omits external halfedges entirely.
 
     Ids are strings.  The constructor copies the tables it is given and
-    checks every value: a kind or label for an unknown vertex, then a twin
-    that names a halfedge of no ring or does not point back, then, vertex
-    by vertex, a vertex id that is not a string, a halfedge of its ring
-    that is not a string or already in a ring, an unknown kind and a label
-    that is not a string.  A fault of one entry keeps its location (see
-    `_fault`), such as ``("cyclic", v, j)``, ``("twin", h)``,
+    checks every value: a kind or label for an unknown vertex, then the
+    type of each vertex id and ring entry, before any entry is hashed,
+    then a twin that names no halfedge of a ring or does not point back,
+    then, vertex by vertex, a halfedge already in a ring, an unknown kind
+    and a label that is not a string.  A fault of one entry keeps its
+    location (see `_fault`), such as ``("cyclic", v, j)``, ``("twin", h)``,
     ``("vertex_kind", v)`` or ``("vertex_label", v)``.  `_from_tables`
     takes the tables a graph keeps, already checked.
     Semantic rules, loops, valency-1 vertices, connectivity and the
@@ -159,21 +159,27 @@ class RibbonGraph:
         for v in labels:
             if v not in rings:
                 raise _fault(("vertex_label", v), "label given for unknown vertex {!r}", v)
-        at = {h: v for v, ring in rings.items() for h in ring}
+        at = {}
+        for v, ring in rings.items():
+            if not isinstance(v, str):
+                raise _fault(("cyclic", v), "vertex id {!r} is not a string", v)
+            for h in ring:
+                if not isinstance(h, str):
+                    # no string before it equals it, so `index` finds this entry
+                    j = ring.index(h)
+                    raise _fault(("cyclic", v, j), "halfedge id {!r} is not a string", h)
+                at[h] = v
         twin = dict(twin)
         for h, t in twin.items():
-            if h not in at or t not in at:
+            # halfedge ids are strings: a twin of another type names no halfedge
+            if h not in at or not isinstance(t, str) or t not in at:
                 unknown = t if h in at else h
                 raise _fault(("twin", h), "twin table mentions unknown halfedge {!r}", unknown)
             if twin.get(t) != h:
                 raise _fault(("twin", h), "twin of {!r} does not point back", h)
         seen = set()
         for v, ring in rings.items():
-            if not isinstance(v, str):
-                raise _fault(("cyclic", v), "vertex id {!r} is not a string", v)
             for j, h in enumerate(ring):
-                if not isinstance(h, str):
-                    raise _fault(("cyclic", v, j), "halfedge id {!r} is not a string", h)
                 if h in seen:
                     raise _fault(("cyclic", v, j), "halfedge {!r} already attached", h)
                 seen.add(h)

@@ -56,7 +56,6 @@ class IceQuiver:
                 by_id[v._id] = v
                 continue
             raise _fault(("vertices", len(by_id), field), message, v.id)
-        arrows = list(arrows)
         arrow_by_id = self._arrow_by_id = {}
         for a in arrows:
             if not isinstance(a._id, str):
@@ -71,14 +70,14 @@ class IceQuiver:
             elif not isinstance(a._frozen, bool):
                 field, message = "frozen", "frozen flag of arrow {!r} is not a boolean"
             elif a._frozen and not (by_id[a._src]._frozen and by_id[a._dst]._frozen):
-                raise ValueError("frozen arrow {!r} must join frozen vertices".format(a.id))
+                field, message = "frozen", "frozen arrow {!r} must join frozen vertices"
             else:
                 arrow_by_id[a._id] = a
                 continue
             # the value at fault fills the message's second field, if any
             raise _fault(("arrows", len(arrow_by_id), field), message, a.id, getattr(a, field))
         self._vertices = tuple(sorted(by_id.values(), key=attrgetter("_id")))
-        self._arrows = tuple(sorted(arrows, key=attrgetter("_id")))
+        self._arrows = tuple(sorted(arrow_by_id.values(), key=attrgetter("_id")))
 
     @property
     def vertices(self) -> tuple[QuiverVertex, ...]:
@@ -87,9 +86,6 @@ class IceQuiver:
     @property
     def arrows(self) -> tuple[QuiverArrow, ...]:
         return self._arrows
-
-    def vertex(self, vid: str) -> QuiverVertex:
-        return self._by_id[vid]
 
     def has_vertex(self, vid: str) -> bool:
         return vid in self._by_id

@@ -175,8 +175,9 @@ def _graph_tables(obj: Any):
 
 def _locate_graph_error(obj: Any, pointer: str) -> RibbonGraph:
     """Check a graph object's structure entry by entry, in input order, then
-    build the graph with `RibbonGraph`, which checks the values; the first
-    fault, structure before value, raises a located `ParseError`."""
+    build the graph with `RibbonGraph`, which checks the values, twins
+    among them; the first fault, structure before value, raises a located
+    `ParseError`."""
     _want_keys(obj, (pointer,), ("vertices", "halfedges"))
     vertices = _want(obj["vertices"], list, (pointer, "vertices"), "a list")
     halfedges = _want(obj["halfedges"], list, (pointer, "halfedges"), "a list")
@@ -192,11 +193,6 @@ def _locate_graph_error(obj: Any, pointer: str) -> RibbonGraph:
         if twin is not None:
             twin = _want_str(twin, p + ("twin",))
         declared[hid] = twin
-    for i, twin in enumerate(declared.values()):
-        if twin is not None and twin not in declared:
-            raise ParseError(
-                _loc((pointer, "halfedges", i, "twin")), "unknown halfedge id {!r}".format(twin)
-            )
 
     rings: dict[str, list[str]] = {}
     kinds: dict[str, Any] = {}

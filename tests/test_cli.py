@@ -531,7 +531,9 @@ class TestExport:
         path.write_text(json.dumps({"vertices": vertices, "arrows": arrows}))
         code, out, err = run(capsys, "export", "--quiver", str(path))
         assert (code, out) == (1, "")
-        assert err == "error: at /: frozen arrow 'z' must join frozen vertices\n"
+        assert err == (
+            "error: at /arrows/0/frozen: frozen arrow 'z' must join frozen vertices\n"
+        )
 
     def test_graph_and_quiver_are_exclusive(self, capsys, quiver_file):
         path, _ = quiver_file

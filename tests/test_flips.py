@@ -254,7 +254,8 @@ def _arc_vertex(template, i: int) -> str:
     boundary walk."""
     q = template.quiver
     side = template.slots[i].vertex_map["u"]
-    (x,) = [a.dst for a in q.arrows if a.src == side and not q.vertex(a.dst).frozen]
+    mutable = {v.id for v in q.vertices if not v.frozen}
+    (x,) = [a.dst for a in q.arrows if a.src == side and a.dst in mutable]
     return x
 
 

@@ -106,6 +106,12 @@ class TestConstruction:
         [
             (({1: ("a", "b")}, {}), "vertex id 1 is not a string", ("cyclic", 1)),
             (({"v": ("a", 2)}, {}), "halfedge id 2 is not a string", ("cyclic", "v", 1)),
+            # checked before it is hashed
+            (
+                ({"v": (["a"], "b")}, {}),
+                "halfedge id ['a'] is not a string",
+                ("cyclic", "v", 0),
+            ),
             # read as "1", this table would pair "1" and "a"
             (
                 ({"v": ("1", "x"), "w": ("a", "y")}, {1: "a", "a": "1"}),
@@ -115,6 +121,11 @@ class TestConstruction:
             (
                 ({"v": ("1", "x"), "w": ("a", "y")}, {"a": 1}),
                 "twin table mentions unknown halfedge 1",
+                ("twin", "a"),
+            ),
+            (
+                ({"v": ("a", "b")}, {"a": ["b"]}),
+                "twin table mentions unknown halfedge ['b']",
                 ("twin", "a"),
             ),
             (
@@ -129,8 +140,8 @@ class TestConstruction:
             ),
         ],
         ids=[
-            "cyclic key", "ring entry", "twin key", "twin value", "vertex_kind key",
-            "vertex_label key",
+            "cyclic key", "ring entry", "unhashable ring entry", "twin key", "twin value",
+            "unhashable twin value", "vertex_kind key", "vertex_label key",
         ],
     )
     def test_a_non_string_id_is_rejected(self, args, message, location):

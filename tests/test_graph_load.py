@@ -3,21 +3,22 @@
 `graph_from_jsonable` proves uniqueness and membership on whole tables
 and hands them to the graph's private builder; when a whole-table check
 fails, its element-by-element pass checks the structure of the document
-(keys, lists, string ids, ring entries and labels, duplicate ids, ring
-entries and twins that name a declared halfedge, every halfedge in a
-ring) and ends in the public `RibbonGraph` constructor, which checks the
-values (a halfedge in two rings, a twin that does not point back, the
-kind) and whose fault keeps the location that the pass turns into a JSON
-pointer.  `validate_graph` reads the graph's own tables.  The earlier
-formulations, which checked every fact in one element-by-element pass and
-went through the accessors, are kept below verbatim as oracles: every
-input, mutated at random or one of the hand-made cases that decline the
-whole-table checks, must be accepted or rejected by both; an accepted
-input must give the same graph and every graph the same violations in the
-same order.  A rejected input must give the same pointer, with the
-message unchanged or changed as `_CHANGED` lists, with one exception: the
-structure of the whole document is now checked before any value, so where
-an input has both kinds of fault, the structure fault is reported first.
+(keys, lists, string ids, ring entries, twins and labels, duplicate ids,
+ring entries that name a declared halfedge, every halfedge in a ring)
+and ends in the public `RibbonGraph` constructor, which checks the
+values (a halfedge in two rings, a twin that names no halfedge of a ring
+or does not point back, the kind) and whose fault keeps the location
+that the pass turns into a JSON pointer.  `validate_graph` reads the
+graph's own tables.  The earlier formulations, which checked every fact
+in one element-by-element pass and went through the accessors, are kept
+below verbatim as oracles: every input, mutated at random or one of the
+hand-made cases that decline the whole-table checks, must be accepted or
+rejected by both; an accepted input must give the same graph and every
+graph the same violations in the same order.  A rejected input must give
+the same pointer, with the message unchanged or changed as `_CHANGED`
+lists, with one exception: the structure of the whole document is now
+checked before any value, so where an input has both kinds of fault, the
+structure fault is reported first.
 """
 
 import copy
@@ -299,12 +300,19 @@ def _mutation_cases(count: int, seed: int):
 
 # every message that changed: the pointer it is at, and the message before
 # and after as one text ``before -> after``, each a regular expression
-_CHANGED = ((r".*/vertices/\d+/kind", r"expected a string -> unknown vertex kind .*"),)
+_CHANGED = (
+    (r".*/vertices/\d+/kind", r"expected a string -> unknown vertex kind .*"),
+    (
+        r".*/halfedges/\d+/twin",
+        r"unknown halfedge id (.*) -> twin table mentions unknown halfedge \1",
+    ),
+)
 
 # the faults the oracle reports that are now the constructor's, as
 # (pointer, message) regular expressions; every other fault is structure
 _VALUE = (
     (r".*/vertices/\d+/cyclic/\d+", r"halfedge '.*' already attached"),
+    (r".*/halfedges/\d+/twin", r"unknown halfedge id .*"),
     (r".*/halfedges/\d+/twin", r"twin of '.*' does not point back"),
     (r".*/vertices/\d+/kind", r".*"),
 )
@@ -439,6 +447,7 @@ def _edge_cases():
     yield "halfedge twice in a ring", _edited(base, w1 + ("cyclic",), ring + ring[:1]), True
     yield "halfedge in no ring", _edited(base, w1 + ("cyclic",), ring[1:]), True
     yield "one-sided twin", _edited(base, w1p + ("twin",), None), True
+    yield "undeclared twin", _edited(base, w1a + ("twin",), "zzz"), True
     yield "twin of another", _edited(base, w1a + ("twin",), "w1p"), True
     for key, i in (("halfedges", 2), ("vertices", 1)):
         doubled = base[key] + base[key][i:i + 1]

@@ -46,7 +46,7 @@ class TestIceQuiver:
         )
         assert [v.id for v in q.vertices] == ["a", "b"]
         assert [a.id for a in q.arrows] == ["y", "z"]
-        assert q.vertex("a").frozen
+        assert [v.frozen for v in q.vertices] == [True, False]
         assert q.frozen_vertex_ids() == ("a",)
         assert q.has_vertex("b") and not q.has_vertex("c")
 
@@ -137,11 +137,11 @@ class TestIceQuiver:
             ([QuiverVertex("a")], [QuiverArrow("x", "ghost", "ghost")], ("arrows", 0, "src")),
             ([QuiverVertex("a")], [QuiverArrow("x", "a", ["a"])], ("arrows", 0, "dst")),
             ([QuiverVertex("a")], [QuiverArrow("x", "a", "a", None)], ("arrows", 0, "frozen")),
-            # a fault of the quiver as a whole has no location
+            # a frozen arrow that joins a mutable vertex is at its frozen flag
             (
                 [QuiverVertex("a", frozen=True), QuiverVertex("b")],
                 [QuiverArrow("x", "a", "b", frozen=True)],
-                None,
+                ("arrows", 0, "frozen"),
             ),
         ],
     )
@@ -281,8 +281,9 @@ class TestAmalgamate:
             four_gon, {"v1": "a2_trivalent", "v2": "a2_trivalent"}
         )
         q = amalgamate(d)
-        assert q.vertex("v1.r1").label == "1"
-        assert q.vertex("v1.f1").label == "2"
+        labels = {v.id: v.label for v in q.vertices}
+        assert labels["v1.r1"] == "1"
+        assert labels["v1.f1"] == "2"
 
     def test_the_order_of_the_tables_is_irrelevant(self, annulus):
         d = assembly_diagram(annulus, star_assignment(annulus))

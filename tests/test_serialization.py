@@ -274,8 +274,13 @@ class TestGraphParseErrors:
             )
 
     def test_unknown_twin_id(self):
-        with pytest.raises(ParseError, match="at /halfedges/0/twin: unknown halfedge id 'zzz'"):
-            parse_graph('{"halfedges": [{"id": "a", "twin": "zzz"}], "vertices": []}')
+        with pytest.raises(
+            ParseError, match="at /halfedges/0/twin: twin table mentions unknown halfedge 'zzz'"
+        ):
+            parse_graph(
+                '{"halfedges": [{"id": "a", "twin": "zzz"}],'
+                ' "vertices": [{"id": "v", "cyclic": ["a"], "kind": "plain"}]}'
+            )
 
     def test_twin_not_pointing_back(self):
         with pytest.raises(ParseError, match="twin of 'a' does not point back"):

@@ -3,16 +3,20 @@
     python3 tools/io_layers.py
 
 For one graph of each `bench/gen.py` family, at V=4000 and seed 1, it
-times `json.loads`, `graph_from_jsonable`, `validate_graph`,
-`surface_invariants`, `serialize` and `graph_dot`, interleaved in one
-process over 40 repeats: each repeat runs every stage once on every graph,
-so a change of host speed touches all stages alike.  Validation is timed
-through `RibbonGraph.validation_report`, which keeps the report as
-`require_valid` does, so `surface_invariants` times itself alone, as in
-``cli info``.  A graph sorts `vertices` and `halfedges` on first read and
-keeps them, and sorts its edge tables on each call, so the stages pay for
-the sorts in this order: the build, validation and `surface_invariants`
-read none; `serialize` sorts `vertices` and `halfedges`; `graph_dot` sorts
+times `json.loads`, `graph_from_jsonable`, the checking `RibbonGraph`
+constructor, `validate_graph`, `surface_invariants`, `serialize` and
+`graph_dot`, interleaved in one process over 40 repeats: each repeat runs
+every stage once on every graph, so a change of host speed touches all
+stages alike.  The constructor is given the rings, twins, kinds and
+labels of the decoded object, in input order, as the parser's located
+pass hands them over; they are read outside the clock, and the graph it
+builds is dropped.  Validation is timed through
+`RibbonGraph.validation_report`, which keeps the report as `require_valid`
+does, so `surface_invariants` times itself alone, as in ``cli info``.
+A graph sorts `vertices` and `halfedges` on first read and keeps them,
+and sorts its edge tables on each call, so the stages pay for the sorts
+in this order: the builds, validation and `surface_invariants` read
+none; `serialize` sorts `vertices` and `halfedges`; `graph_dot` sorts
 `edges()`, in one sort over the internal and the external edges.  On the
 `trivalent_punctured` graph it then times `edges()` alone,
 the sort each later reader repeats; `subgraph` of a fixed 40-vertex ball,
@@ -96,8 +100,8 @@ from ribboncalc.serialization import (  # noqa: E402
 
 VERTICES, REPEATS, SEED = 4000, 40, 1
 STAGES = (
-    "json.loads", "graph_from_jsonable", "validate_graph", "surface_invariants", "serialize",
-    "graph_dot",
+    "json.loads", "graph_from_jsonable", "RibbonGraph", "validate_graph", "surface_invariants",
+    "serialize", "graph_dot",
 )
 QUIVER_FAMILY = "trivalent_punctured"
 QUIVER_STAGES = (
@@ -150,6 +154,17 @@ def _stars(g, shared: bool) -> dict:
     return {v: stars[g.valency(v)] for v in g.vertices}
 
 
+def _tables(obj: dict) -> tuple:
+    """The rings, twins, kinds and labels of a decoded graph object."""
+    vertices, halfedges = obj["vertices"], obj["halfedges"]
+    return (
+        {e["id"]: e["cyclic"] for e in vertices},
+        {e["id"]: e["twin"] for e in halfedges if e["twin"] is not None},
+        {e["id"]: e["kind"] for e in vertices},
+        {e["id"]: e["label"] for e in vertices if "label" in e},
+    )
+
+
 def _ball(g) -> list[str]:
     """The first `BALL` vertices that a breadth-first search from the
     smallest vertex meets, neighbours in ring order."""
@@ -171,6 +186,7 @@ def measure(text: str, quiver: bool, stars: bool) -> dict[str, float]:
     times: dict[str, float] = {}
     obj = _timed(times, "json.loads", json.loads, text)
     g = _timed(times, "graph_from_jsonable", graph_from_jsonable, obj)
+    _timed(times, "RibbonGraph", lambda tables: RibbonGraph(*tables), _tables(obj))
     _timed(times, "validate_graph", RibbonGraph.validation_report, g)
     _timed(times, "surface_invariants", surface_invariants, g)
     _timed(times, "serialize", serialize, g)
@@ -197,8 +213,12 @@ def main() -> int:
         for family in gen.FAMILIES
     }
     for text in texts.values():
-        if serialize(graph_from_jsonable(json.loads(text))) != text:
+        obj = json.loads(text)
+        g = graph_from_jsonable(obj)
+        if serialize(g) != text:
             raise SystemExit("serialize does not reproduce the generated text")
+        if RibbonGraph(*_tables(obj)) != g:
+            raise SystemExit("the constructor does not build the parsed graph")
     extra = {QUIVER_FAMILY: QUIVER_STAGES, STAR_FAMILY: STAR_STAGES}
     times = {
         family: {stage: [] for stage in STAGES + extra.get(family, ())} for family in texts
