@@ -135,9 +135,9 @@ class RibbonGraph:
     the unsorted external halfedges.  Beyond those it keeps only what is
     read again: the sorted `vertices` and `halfedges`, built on first
     read, the predecessor table, which only counterclockwise walks and
-    `cw_next` read, the validation report with its next-marked-point map,
-    and the walked itineraries.  `edges`, `internal_edges` and
-    `external_edges` sort on each call, and the corner orbits are walked
+    `dual` read, the report `validate_graph` leaves with its
+    next-marked-point map, and the walked itineraries.  `edges` and
+    `internal_edges` sort on each call, and the corner orbits are walked
     on each call of `_corner_orbits`; a caller that reads one twice holds
     it.  Validation reads no sorted table: it walks the rings once and
     the boundary once (see `validate_graph`).
@@ -237,9 +237,9 @@ class RibbonGraph:
         # properties
         self._vertices: Optional[tuple[str, ...]] = None
         self._halfedges: Optional[tuple[str, ...]] = None
+        # the report of `validate_graph` and each external halfedge's next
+        # marked point along its boundary circle, both kept by it
         self._report: Optional[ValidationReport] = None
-        # each external halfedge's next marked point along its boundary
-        # circle, filled by `validate_graph`
         self._marked: Optional[dict[str, str]] = None
         self._prev: Optional[dict[str, str]] = None
         # itineraries, one table per orientation, filled by
@@ -290,16 +290,6 @@ class RibbonGraph:
     def is_external(self, h: str) -> bool:
         return h not in self._twin
 
-    def ext_twin(self, h: str) -> str:
-        """The twin involution extended to fix external halfedges."""
-        return self._twin.get(h, h)
-
-    def ccw_next(self, h: str) -> str:
-        return self._next[h]
-
-    def cw_next(self, h: str) -> str:
-        return _predecessors(self)[h]
-
     # -- edges ------------------------------------------------------------
 
     def edge_of(self, h: str) -> str:
@@ -319,9 +309,6 @@ class RibbonGraph:
     def internal_edges(self) -> tuple[str, ...]:
         # an edge is named by its smaller halfedge
         return tuple(sorted(h for h, t in self._twin.items() if h <= t))
-
-    def external_edges(self) -> tuple[str, ...]:
-        return tuple(sorted(self._external))
 
     def is_edge(self, e: str) -> bool:
         return e in self._at and self.edge_of(e) == e
@@ -345,13 +332,6 @@ class RibbonGraph:
         edges = sum(h <= t for h, t in self._twin.items()) + len(self._external)
         return "RibbonGraph({} vertices, {} edges)".format(len(self._cyclic), edges)
 
-    # -- validation (cached) -----------------------------------------------
-
-    def validation_report(self) -> ValidationReport:
-        if self._report is None:
-            self._report = validate_graph(self)
-        return self._report
-
 
 def corner_permutation(g: RibbonGraph) -> dict[str, str]:
     """The face-traversal permutation: follow the extended twin, then
@@ -362,8 +342,8 @@ def corner_permutation(g: RibbonGraph) -> dict[str, str]:
 
 def _predecessors(g: RibbonGraph) -> dict[str, str]:
     """The predecessor in the cyclic order.  Only counterclockwise walks and
-    `RibbonGraph.cw_next` read it, so it is built on the first of those, not
-    on load, and kept on the graph."""
+    `dual` read it, so it is built on the first of those, not on load, and
+    kept on the graph."""
     if g._prev is None:
         g._prev = {h: p for p, h in g._next.items()}
     return g._prev
@@ -404,7 +384,8 @@ def validate_graph(g: RibbonGraph) -> ValidationReport:
     name those without one.  Each kind of message comes sorted by the id
     it names.
 
-    Downstream operations refuse graphs whose report is non-empty.
+    The report is kept on the graph, so `require_valid` validates a graph
+    once.  Downstream operations refuse graphs whose report is non-empty.
     """
     cyclic, twin, at, nxt = g._cyclic, g._twin, g._at, g._next
     violations = []
@@ -469,12 +450,13 @@ def validate_graph(g: RibbonGraph) -> ValidationReport:
                         orbit[0]
                     )
                 )
-    return ValidationReport(tuple(violations))
+    g._report = ValidationReport(tuple(violations))
+    return g._report
 
 
 def require_valid(g: RibbonGraph) -> None:
     # every public walk call comes here, so read the kept report directly
-    report = g._report or g.validation_report()
+    report = g._report or validate_graph(g)
     if report._violations:
         raise InvalidGraphError("; ".join(report._violations))
 
@@ -588,7 +570,7 @@ def subgraph(g: RibbonGraph, vertices: Iterable[str]) -> Subgraph:
         {v: g.kind(v) for v in keep},
         {v: g.label(v) for v in keep if g.label(v) is not None},
     )
-    report = sub.validation_report()
+    report = validate_graph(sub)
     if not report.ok:
         raise InvalidGraphError(
             "induced subgraph is not a valid ribbon graph: "

@@ -61,6 +61,30 @@ def bench_graph(family: str, n: int, seed) -> RibbonGraph:
     return parse_graph(gen.to_text(gen.generate(family, n, seed)))
 
 
+def ring_steps(g: RibbonGraph) -> tuple[dict[str, str], dict[str, str]]:
+    """Each halfedge's successor and predecessor in the counterclockwise
+    order of its vertex, read once off the public rings of ``g``, for an
+    oracle that steps the graph many times."""
+    succ, pred = {}, {}
+    for v in g.vertices:
+        ring = g.cyclic(v)
+        for p, h in zip(ring[-1:] + ring[:-1], ring):
+            succ[p], pred[h] = h, p
+    return succ, pred
+
+
+def ext_twin(g: RibbonGraph, h: str) -> str:
+    """The twin involution of ``g`` extended to fix external halfedges."""
+    t = g.twin_of(h)
+    return h if t is None else t
+
+
+def external_edges(g: RibbonGraph) -> tuple[str, ...]:
+    """The external edges of ``g``, sorted: its edges that are external
+    halfedges."""
+    return tuple(e for e in g.edges() if g.is_external(e))
+
+
 def run_python(code: str, *args: str, options: tuple = ()) -> subprocess.CompletedProcess:
     """Run ``code`` in a fresh interpreter that imports this package,
     started with the interpreter ``options``."""

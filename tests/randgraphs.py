@@ -11,7 +11,7 @@ only a safeguard.
 
 import random
 
-from ribboncalc import RibbonGraph
+from ribboncalc import RibbonGraph, validate_graph
 from ribboncalc.graph import _corner_orbits
 
 # weighted toward small graphs; 12 is the documented ceiling
@@ -22,7 +22,7 @@ def random_graph(rng: random.Random, max_vertices: int = 12) -> RibbonGraph:
     while True:
         n = min(rng.choice(_SIZES), max_vertices)
         g = _attempt(rng, n)
-        if g is not None and g.validation_report().ok:
+        if g is not None and validate_graph(g).ok:
             return g
 
 
@@ -112,5 +112,5 @@ def trivalent_graph(rng: random.Random, n: int) -> RibbonGraph:
                 rings[v].append("{}-s{}".format(v, len(rings[v])))
             rng.shuffle(rings[v])
         g = RibbonGraph(rings, twin)
-        if g.validation_report().ok:
+        if validate_graph(g).ok:
             return g

@@ -6,8 +6,8 @@ import random
 import pytest
 
 import ribboncalc.graph
-from conftest import bench_gen, bench_graph, fixture_graph, sample_graphs
-from ribboncalc.graph import _Record, _corner_orbits
+from conftest import bench_gen, bench_graph, ext_twin, external_edges, fixture_graph, sample_graphs
+from ribboncalc.graph import _Record, _corner_orbits, _predecessors
 from ribboncalc import (
     AmalgamationDiagram,
     Atom,
@@ -253,22 +253,20 @@ class TestAccessors:
         assert four_gon.twin_of("q1") is None
         assert four_gon.is_external("q1")
         assert not four_gon.is_external("m1")
-        assert four_gon.ext_twin("q1") == "q1"
-        assert four_gon.ext_twin("m1") == "m2"
 
     def test_cyclic_navigation(self, four_gon):
         # stored order at v1 is (m1, q1, p1)
         assert four_gon.cyclic("v1") == ("m1", "q1", "p1")
-        assert four_gon.ccw_next("m1") == "q1"
-        assert four_gon.cw_next("m1") == "p1"
-        assert four_gon.ccw_next("p1") == "m1"
+        assert four_gon._next["m1"] == "q1"
+        assert _predecessors(four_gon)["m1"] == "p1"
+        assert four_gon._next["p1"] == "m1"
 
     def test_edges(self, four_gon):
         assert four_gon.edge_of("m2") == "m1"
         assert four_gon.halfedges_of("m1") == ("m1", "m2")
         assert four_gon.halfedges_of("q1") == ("q1",)
         assert four_gon.internal_edges() == ("m1",)
-        assert set(four_gon.external_edges()) == {"q1", "p1", "s2", "r2"}
+        assert external_edges(four_gon) == ("p1", "q1", "r2", "s2")
         assert four_gon.is_edge("m1")
         assert not four_gon.is_edge("m2")
 
@@ -311,7 +309,6 @@ class TestSortedTables:
             lambda g: g.halfedges,
             lambda g: g.edges(),
             lambda g: g.internal_edges(),
-            lambda g: g.external_edges(),
         )
         for g in sample_graphs():
             text = serialize(g)
@@ -338,12 +335,11 @@ def _tables_from_twins(g):
         while not orbit or h != start:
             orbit.append(h)
             left.remove(h)
-            h = g.ccw_next(twin.get(h, h))
+            h = g._next[twin.get(h, h)]
         walks.append(BoundaryWalk(tuple(orbit), tuple(x for x in orbit if x in external)))
     return {
         "edges": tuple(sorted(internal + tuple(external))),
         "internal_edges": internal,
-        "external_edges": tuple(sorted(external)),
         "walks": walks,
     }
 
@@ -368,7 +364,6 @@ class TestEdgeTables:
     READERS = {
         "edges": RibbonGraph.edges,
         "internal_edges": RibbonGraph.internal_edges,
-        "external_edges": RibbonGraph.external_edges,
         "walks": boundary_walks,
     }
 
@@ -387,7 +382,7 @@ class TestEdgeTables:
         for g in graphs:
             want = _tables_from_twins(g)
             for _ in range(2):
-                for name in ("external_edges", "internal_edges", "edges"):
+                for name in ("internal_edges", "edges"):
                     assert self.READERS[name](g) == want[name], name
                 assert _corner_orbits(g) == [w.halfedges for w in want["walks"]]
             assert any("fixed point" in m for m in validate_graph(g).violations)
@@ -442,9 +437,25 @@ class TestValidation:
         with pytest.raises(InvalidGraphError, match="not connected"):
             require_valid(g)
 
-    def test_report_is_cached_and_ok(self, four_gon):
-        assert four_gon.validation_report().ok
-        assert four_gon.validation_report() is four_gon.validation_report()
+    def test_a_graph_is_validated_once(self, monkeypatch, once_punctured_4gon):
+        # validate_graph keeps its report, which every later check reads
+        g = parse_graph(serialize(once_punctured_4gon))
+        calls = []
+        original = ribboncalc.graph.validate_graph
+
+        def counting(graph):
+            calls.append(graph)
+            return original(graph)
+
+        monkeypatch.setattr(ribboncalc.graph, "validate_graph", counting)
+        assert ribboncalc.graph.validate_graph(g).ok
+        require_valid(g)
+        itinerary(g, g.halfedges[0], "ccw")
+        surface_invariants(g)
+        boundary_walks(g)
+        assert len(calls) == 1 and calls[0] is g
+        sub = subgraph(g, {"p"})
+        assert len(calls) == 2 and calls[1] is sub.graph
 
 
 class TestBoundaryWalks:
@@ -555,8 +566,8 @@ class TestDual:
             d = dual(g)
             assert d == expected
             assert serialize(d) == serialize(expected)
-            for h in g.halfedges:
-                assert (d.ccw_next(h), d.cw_next(h)) == (expected.ccw_next(h), expected.cw_next(h))
+            assert d._next == expected._next
+            assert _predecessors(d) == _predecessors(expected)
 
 
 def _subgraph_by_constructor(g, vertices):
@@ -581,7 +592,7 @@ def _subgraph_by_constructor(g, vertices):
         {v: g.kind(v) for v in keep},
         {v: g.label(v) for v in keep if g.label(v) is not None},
     )
-    report = sub.validation_report()
+    report = validate_graph(sub)
     if not report.ok:
         raise InvalidGraphError(
             "induced subgraph is not a valid ribbon graph: " + "; ".join(report.violations)
@@ -603,7 +614,7 @@ def _same_restriction(g, vertices) -> bool:
     sub = subgraph(g, vertices)
     for table in ("_cyclic", "_at", "_next", "_twin", "_kind", "_label", "_external"):
         assert getattr(sub.graph, table) == getattr(want.graph, table), table
-    assert sub.graph.validation_report() == want.graph.validation_report()
+    assert validate_graph(sub.graph) == validate_graph(want.graph)
     assert sub == want and sub.ambient is g
     return True
 
@@ -645,7 +656,7 @@ class TestSubgraph:
         ball = _ball(g, 40, g.vertices[0])
         far = next(
             v for v in g.vertices
-            if v not in ball and all(g.at_vertex(g.ext_twin(h)) not in ball for h in g.cyclic(v))
+            if v not in ball and all(g.at_vertex(ext_twin(g, h)) not in ball for h in g.cyclic(v))
         )
         assert not _same_restriction(g, ball | {far})
 

@@ -5,9 +5,10 @@ and no script under ``tools/`` imports a name it never uses, no private module-l
 constant is left that nothing in the package refers to, and ``__all__``
 is the sorted list of the names the package's table exports, each of
 which resolves, on first use, to the object its module defines and is
-used by the package, a bench or tool script or the README.  So is each
-public method and property of an exported class, and each defaulted
-parameter of an exported function is passed by some call there.  Every
+used by the package or read as code, not as a word of prose, by a bench
+or tool script or a README code fence.  So is each public method and
+property of an exported class, and each defaulted parameter of an
+exported function is passed by some call there.  Every
 fixture file the package ships is one of the input kinds it reads, and
 the built-in templates are exactly its template files."""
 
@@ -204,26 +205,68 @@ def _package_trees():
     }
 
 
+def _code_trees(scripts, readme):
+    """The ``scripts``, then the code fences of the ``readme`` text, each
+    parsed; a fence that is not Python, such as a shell one, is skipped.
+    Prose, inline spans included, is not code."""
+    for text in [*scripts, *re.findall(r"^```\w*\n(.*?)^```", readme, re.S | re.M)]:
+        try:
+            yield ast.parse(text)
+        except SyntaxError:
+            pass
+
+
+def _outside_uses(trees):
+    """The names that ``trees`` use as a `Name`, an `Attribute` or an
+    import alias.  A function, method or class that a tree defines names
+    its own object there, not the package's, so its name is no use of
+    that tree's."""
+    used = set()
+    for tree in trees:
+        own, names = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own.add(node.name)
+            elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+        used |= names - own
+    return used
+
+
 def _outside_code():
-    """The bench and tool scripts, then README code: fenced blocks and
-    inline spans."""
+    """The bench and tool scripts and README's code, parsed."""
     scripts = [
         p.read_text(encoding="utf-8") for d in ("bench", "tools") for p in (ROOT / d).rglob("*.py")
     ]
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    return scripts + re.findall(r"```.*?```|`[^`\n]+`", readme, re.S)
+    return list(_code_trees(scripts, (ROOT / "README.md").read_text(encoding="utf-8")))
+
+
+def test_a_use_outside_the_package_is_read_from_code():
+    readme = "\n".join([
+        "`dual` reverses every ring, as `dual(g)` shows.",
+        "```sh", "ribboncalc info --graph g.json", "```",
+        "```python", "from ribboncalc import subgraph", "q.frozen_components()", "```",
+    ])
+    script = "class Spec:\n    def vertex(self):\n        return self.vertex\n"
+    uses = _outside_uses(_code_trees([script], readme))
+    # prose, a shell fence and a script's own method are no use
+    assert not uses & {"dual", "info", "vertex"}
+    assert {"subgraph", "frozen_components"} <= uses
+    assert "vertex" in _outside_uses(_code_trees(["q.vertex('a')"], ""))
 
 
 def test_every_public_name_is_used():
     trees = _package_trees()
     readers = _readers(trees)
-    outside = "\n".join(_outside_code())
+    outside = _outside_uses(_outside_code())
 
     def used(module, name):
         # a name's own definition, its recursive calls included, is not a use
-        return readers.get(name, set()) - {(module, name)} or re.search(
-            r"\b{}\b".format(re.escape(name)), outside
-        )
+        return readers.get(name, set()) - {(module, name)} or name in outside
 
     unused = [
         name for module, names in ribboncalc._EXPORTS.items() for name in names
@@ -240,11 +283,6 @@ def test_every_public_name_is_used():
 
 # public methods and defaulted parameters that only the tests use, each with why
 TEST_ONLY_MEMBERS = {
-    "RibbonGraph.ccw_next": "the walk oracles step the graph through it, not the engine's"
-    " tables (tests/test_trajectory.py::_step, tests/test_graph_load.py::corner_permutation);"
-    " its pair cw_next is in README",
-    "RibbonGraph.ext_twin": "the walk oracles step the graph through it, not the engine's"
-    " tables (tests/test_trajectory.py::_step, tests/test_graph_load.py::corner_permutation)",
     "trajectory_counts(orient)": "every walk entry point takes an orientation",
 }
 
@@ -268,15 +306,6 @@ def _public_members(cls):
     })
 
 
-def _code_trees(texts):
-    """The texts that parse as Python, README's fences stripped."""
-    for text in texts:
-        try:
-            yield ast.parse(re.sub(r"^```\w*|```$|^`|`$", "", text))
-        except SyntaxError:
-            pass
-
-
 def _passes(call, index, name):
     """Whether ``call`` passes the parameter ``name``, ``index``-th in
     order, by keyword, by position or through unpacking."""
@@ -294,9 +323,9 @@ def test_every_public_method_and_parameter_is_used():
     read = {n.attr for t in trees.values() for n in ast.walk(t) if isinstance(n, ast.Attribute)}
     layouts = import_module("ribboncalc.serialization")._LAYOUTS.values()
     read.update(f for layout in layouts if isinstance(layout, tuple) for f in layout)
-    named = "\n".join(outside)
+    read |= _outside_uses(outside)
     calls = {}
-    for tree in [*trees.values(), *_code_trees(outside)]:
+    for tree in [*trees.values(), *outside]:
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 callee = getattr(node.func, "id", getattr(node.func, "attr", None))
@@ -306,7 +335,7 @@ def test_every_public_method_and_parameter_is_used():
         if isinstance(obj, type):
             unused += [
                 "{}.{}".format(name, m) for m in _public_members(obj)
-                if m not in read and not re.search(r"\b{}\b".format(m), named)
+                if m not in read
             ]
         elif inspect.isfunction(obj):
             unused += [

@@ -52,6 +52,8 @@ from conftest import (
     GRAPH_FIXTURES,
     bench_gen,
     bench_graph,
+    ext_twin,
+    external_edges,
     fixture_graph,
     fixture_text,
     same_labelled_quiver,
@@ -272,8 +274,8 @@ def _edge_pairs(g, hmap) -> dict:
 def test_edges_commute_with_renaming(name, g):
     for r, hmap, _, same_h, _ in _renamed_copies(g, random.Random(name)):
         got, want = _edge_pairs(r, same_h), _edge_pairs(g, hmap)
-        for part in ("edges", "internal_edges", "external_edges"):
-            assert {got[e] for e in getattr(r, part)()} == {want[e] for e in getattr(g, part)()}
+        for part in (RibbonGraph.edges, RibbonGraph.internal_edges, external_edges):
+            assert {got[e] for e in part(r)} == {want[e] for e in part(g)}
         for h in g.halfedges:
             # a KeyError here is an edge name that is no edge
             pair = got[r.edge_of(hmap[h])]
@@ -288,7 +290,7 @@ def _balls(g, rng):
         kept = set(ball)
         for v in ball:
             for h in g.cyclic(v):
-                w = g.at_vertex(g.ext_twin(h))
+                w = g.at_vertex(ext_twin(g, h))
                 if len(ball) < size and w not in kept:
                     ball.append(w)
                     kept.add(w)

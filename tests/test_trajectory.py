@@ -31,11 +31,12 @@ from ribboncalc import (
     surface_invariants,
     trajectory_counts,
     twist_rotation_check,
+    validate_graph,
     web_trajectory,
 )
 from ribboncalc.trajectory import CW, Itinerary
 
-from conftest import bench_gen, bench_graph, fixture_graph, sample_graphs
+from conftest import bench_gen, bench_graph, ext_twin, fixture_graph, ring_steps, sample_graphs
 from randgraphs import random_graph, trivalent_graph
 from test_gluing import _partitions
 from test_graph import _ball
@@ -436,19 +437,25 @@ class TestWalkMemo:
         assert calls == [g]
 
 
-def _step(g: RibbonGraph, h: str, orient: str) -> str:
-    t = g.ext_twin(h)
-    return g.ccw_next(t) if orient == CW else g.cw_next(t)
+def _ring_orders(rings: tuple, orient: str) -> tuple[dict, dict]:
+    """The next and the previous halfedge in a ring for a walk in
+    ``orient``, from ``rings``, the successor and predecessor tables of
+    `ring_steps`: a clockwise walk turns counterclockwise around each
+    vertex, and a counterclockwise one clockwise."""
+    succ, pred = rings
+    return (succ, pred) if orient == CW else (pred, succ)
 
 
-def _oracle_itinerary(g: RibbonGraph, h: str, orient: str) -> Itinerary:
+def _oracle_itinerary(g: RibbonGraph, h: str, orient: str, rings: tuple) -> Itinerary:
     """The walk engine that stepping the graph's tables replaced, kept
-    as its oracle: one accessor call per step, with a termination guard.
-    It neither reads nor fills the graph's walk memo."""
+    as its oracle: the extended twin, then one step in a ring of
+    ``rings`` (see `_ring_orders`), with a termination guard.  It neither
+    reads nor fills the graph's walk memo."""
+    ahead, _ = _ring_orders(rings, orient)
     out = [h]
     limit = 2 * len(g.halfedges) + 2
     while True:
-        nxt = _step(g, out[-1], orient)
+        nxt = ahead[ext_twin(g, out[-1])]
         out.append(nxt)
         if g.is_external(nxt):
             break
@@ -456,7 +463,7 @@ def _oracle_itinerary(g: RibbonGraph, h: str, orient: str) -> Itinerary:
             raise RuntimeError("trajectory from {} did not terminate".format(h))
     edges = tuple(g.edge_of(x) for x in out)
     turns = tuple(g.at_vertex(x) for x in out[1:])
-    entries = tuple(g.ext_twin(x) for x in out[:-1])
+    entries = tuple(ext_twin(g, x) for x in out[:-1])
     return Itinerary(h, orient, tuple(out), edges, turns, entries, edges[-1])
 
 
@@ -473,7 +480,8 @@ def _fixture_graphs() -> list[RibbonGraph]:
 
 def _run_itineraries(g: RibbonGraph) -> dict[tuple[str, str], Itinerary]:
     """Every ray of ``g``, read off its runs and stepped by neither walk
-    engine.  With ``τ = ext_twin`` and ``σ(x) = ccw_next(τx)``, the run
+    engine.  With ``τ`` the twin extended to fix external halfedges and
+    ``σ(x)`` the counterclockwise successor of ``τx``, the run
     of an external halfedge ``e`` is ``e, σe, σ²e, …`` up to the next
     external halfedge, and every halfedge is a non-final member of
     exactly one run.  The clockwise ray from position ``i`` of its run
@@ -483,13 +491,17 @@ def _run_itineraries(g: RibbonGraph) -> dict[tuple[str, str], Itinerary]:
     at ``τh`` when it is external): out halfedges ``τR[j], τR[j-1], …,
     R[0]`` and entries ``R[j:0:-1]``.  A ray turns at its entries'
     vertices, and its edges are its out halfedges' edges."""
-    tau = g.ext_twin
+    succ, _ = ring_steps(g)
+
+    def tau(x):
+        return ext_twin(g, x)
+
     place, ending = {}, {}
     for e in g.halfedges:
         if g.is_external(e):
-            run = [e, g.ccw_next(tau(e))]
+            run = [e, succ[tau(e)]]
             while not g.is_external(run[-1]):
-                run.append(g.ccw_next(tau(run[-1])))
+                run.append(succ[tau(run[-1])])
             for i, x in enumerate(run[:-1]):
                 assert x not in place, x
                 place[x] = run, i
@@ -519,7 +531,10 @@ def engine_cases() -> list[tuple[str, dict]]:
     samples = sample_graphs()
     cases = []
     for g in _fixture_graphs() + samples + [dual(g) for g in samples]:
-        oracle = {(h, o): _oracle_itinerary(g, h, o) for h in g.halfedges for o in ("cw", "ccw")}
+        rings = ring_steps(g)
+        oracle = {
+            (h, o): _oracle_itinerary(g, h, o, rings) for h in g.halfedges for o in ("cw", "ccw")
+        }
         cases.append((serialize(g), oracle))
     return cases
 
@@ -559,17 +574,18 @@ class _CountingTwin(dict):
         return dict.get(self, key, default)
 
 
-def _memo_faults(g: RibbonGraph, checked: dict) -> list[tuple[str, str, str]]:
+def _memo_faults(g: RibbonGraph, checked: dict, rings: tuple) -> list[tuple[str, str, str]]:
     """The entries ``y -> itin`` of the walk memo of ``g`` that break what
     the engine's splice relies on: ``itin`` is one run along its orbit,
     ``y`` is one of its non-terminal out halfedges, each of which is
     memoised too, and ``itin`` starts at ``y`` unless the halfedge that
     steps to ``y`` is memoised.  An entry found in ``checked`` as it is
     was checked before and still holds, as rays never change and the
-    memo only gains keys; every other entry is checked and noted there."""
+    memo only gains keys; every other entry is checked and noted there.
+    ``rings`` are the tables of `ring_steps`."""
     faults = []
     for orient, walks in g._walks.items():
-        back = g.cw_next if orient == CW else g.ccw_next
+        ahead, back = _ring_orders(rings, orient)
         rays = set()
         for y, itin in walks.items():
             if checked.get((orient, y)) is itin:
@@ -579,14 +595,14 @@ def _memo_faults(g: RibbonGraph, checked: dict) -> list[tuple[str, str, str]]:
             if id(itin) not in rays:
                 rays.add(id(itin))
                 if out[0] != itin.start or any(
-                    _step(g, a, orient) != b for a, b in zip(out, out[1:])
+                    ahead[ext_twin(g, a)] != b for a, b in zip(out, out[1:])
                 ):
                     faults.append((orient, y, "not a ray"))
                 if any(z not in walks for z in out[:-1]):
                     faults.append((orient, y, "an out halfedge of its ray is not memoised"))
             if y not in out[:-1]:
                 faults.append((orient, y, "not a non-terminal out halfedge of its ray"))
-            elif itin.start != y and g.ext_twin(back(y)) not in walks:
+            elif itin.start != y and ext_twin(g, back[y]) not in walks:
                 faults.append((orient, y, "its ray starts elsewhere"))
     return faults
 
@@ -626,7 +642,7 @@ class TestOneWalkEngine:
         for order, interleaved in REQUEST_ORDERS:
             for text, _ in engine_cases:
                 g = parse_graph(text)
-                g.validation_report()
+                validate_graph(g)
                 g._twin = counting = _CountingTwin(g._twin)
                 for h, orient in _requests(g, order, interleaved):
                     counting.orient = orient
@@ -645,9 +661,10 @@ class TestOneWalkEngine:
         for order, interleaved in REQUEST_ORDERS:
             for text in texts:
                 g, checked = parse_graph(text), {}
+                rings = ring_steps(g)
                 for h, orient in _requests(g, order, interleaved):
                     itinerary(g, h, orient)
-                    assert _memo_faults(g, checked) == [], (order, interleaved, h, orient)
+                    assert _memo_faults(g, checked, rings) == [], (order, interleaved, h, orient)
 
     def test_an_engine_built_itinerary_is_a_plain_value(self, annulus):
         for order in ("sorted", "reversed"):

@@ -35,7 +35,7 @@ from ribboncalc.graph import boundary_walks, require_valid
 from ribboncalc.trajectory import CW, _itinerary, _source_halfedges
 from ribboncalc.words import ID_ATOM, _decompose, _external_support, _summand_key
 
-from conftest import bench_graph, fixture_graph, sample_graphs
+from conftest import bench_graph, external_edges, fixture_graph, sample_graphs
 
 
 def words_of(dec):
@@ -366,7 +366,7 @@ class TestChecks:
 
     def test_twist_for_external_edges(self, four_gon, annulus, once_punctured_4gon):
         for g in (four_gon, annulus, once_punctured_4gon):
-            for e in g.external_edges():
+            for e in external_edges(g):
                 assert twist_rotation_check(g, EdgeRef(e))
 
     def test_twist_for_internal_edges(self, annulus):
@@ -457,7 +457,7 @@ def _external_support_per_edge(g, x, orient):
     """One `trajectory_counts` call per external edge: the formulation
     that `_external_support` replaces, kept as its oracle."""
     counts = Counter()
-    for f in g.external_edges():
+    for f in external_edges(g):
         hits = trajectory_counts(g, x, EdgeRef(f), orient)
         if hits:
             counts[f] = len(hits)
@@ -514,7 +514,7 @@ def test_the_kept_next_marked_point_is_where_the_clockwise_walk_ends():
     # the twist check reads the map validation keeps; the walk is its oracle
     for g in sample_graphs():
         require_valid(g)
-        assert g._marked == {f: _itinerary(g, f, CW).terminal for f in g.external_edges()}
+        assert g._marked == {f: _itinerary(g, f, CW).terminal for f in external_edges(g)}
 
 
 def _possibly_zero(g, atoms):

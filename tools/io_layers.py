@@ -10,9 +10,9 @@ every stage once on every graph, so a change of host speed touches all
 stages alike.  The constructor is given the rings, twins, kinds and
 labels of the decoded object, in input order, as the parser's located
 pass hands them over; they are read outside the clock, and the graph it
-builds is dropped.  Validation is timed through
-`RibbonGraph.validation_report`, which keeps the report as `require_valid`
-does, so `surface_invariants` times itself alone, as in ``cli info``.
+builds is dropped.  `validate_graph` keeps its report on the graph, as
+`require_valid` reads it, so `surface_invariants` times itself alone, as
+in ``cli info``.
 A graph sorts `vertices` and `halfedges` on first read and keeps them,
 and sorts its edge tables on each call, so the stages pay for the sorts
 in this order: the builds, validation and `surface_invariants` read
@@ -87,7 +87,12 @@ from ribboncalc.assembly import (  # noqa: E402
     builtin_template,
     star_template,
 )
-from ribboncalc.graph import RibbonGraph, subgraph, surface_invariants  # noqa: E402
+from ribboncalc.graph import (  # noqa: E402
+    RibbonGraph,
+    subgraph,
+    surface_invariants,
+    validate_graph,
+)
 from ribboncalc.quiver import amalgamate  # noqa: E402
 from ribboncalc.serialization import (  # noqa: E402
     export_dot,
@@ -187,7 +192,7 @@ def measure(text: str, quiver: bool, stars: bool) -> dict[str, float]:
     obj = _timed(times, "json.loads", json.loads, text)
     g = _timed(times, "graph_from_jsonable", graph_from_jsonable, obj)
     _timed(times, "RibbonGraph", lambda tables: RibbonGraph(*tables), _tables(obj))
-    _timed(times, "validate_graph", RibbonGraph.validation_report, g)
+    _timed(times, "validate_graph", validate_graph, g)
     _timed(times, "surface_invariants", surface_invariants, g)
     _timed(times, "serialize", serialize, g)
     _timed(times, "graph_dot", graph_dot, g)
