@@ -23,7 +23,7 @@ from .quiver import (
     QuiverMorphism,
     QuiverVertex,
     _check_slots,
-    _glue,
+    amalgamate,
 )
 from .trajectory import CW, _itinerary
 
@@ -68,7 +68,7 @@ def validate_template(t: LocalTemplate) -> None:
     for i, m in enumerate(t._slots):
         if m._target != t._quiver:
             raise _fault(("slots", i), "{}: slot {} lands outside the template quiver", owner, i)
-    _check_slots(t._quiver, enumerate(t._slots), owner, "slot", {})
+    _check_slots(t._quiver, enumerate(t._slots), owner, "slot")
 
 
 # a new built-in is its file ``fixtures/<name>.json`` and its name here,
@@ -169,7 +169,8 @@ def assembly_diagram(g: RibbonGraph, assign: TemplateAssignment) -> Amalgamation
     once.  An edge's first halfedge takes its template's slot morphism as
     incidence; across an internal edge the twin's slot interface is
     identified with it in reversed vertex order, once per distinct pair
-    of slot objects, and must match under that identification.
+    of slot objects, and must match under that identification.  The
+    diagram is built unchecked, by `AmalgamationDiagram._from_tables`.
     """
     require_valid(g)
     builtins: dict[str, LocalTemplate] = {}
@@ -221,20 +222,13 @@ def assembly_diagram(g: RibbonGraph, assign: TemplateAssignment) -> Amalgamation
                         "({} against {})".format(e, exc, e, h2)
                     ) from None
             incidences[h2] = reversals[key]
-    return AmalgamationDiagram(g, vertex_quivers, edge_quivers, incidences)
+    return AmalgamationDiagram._from_tables(g, vertex_quivers, edge_quivers, incidences)
 
 
 def assemble_global(g: RibbonGraph, assign: TemplateAssignment) -> IceQuiver:
-    """Glue one local quiver per vertex into the global ice quiver.
-
-    The result equals ``amalgamate(assembly_diagram(g, assign))``, but
-    the diagram is glued without `amalgamate`'s full check: templates
-    are valid by construction, and incidences are their slot morphisms
-    or those composed with `_reversal_identification`, so each is a
-    morphism, which `_glue` relies on to place kept interface arrows.
-    Templates are taken as given, as in `assembly_diagram`.
-    """
-    return _glue(assembly_diagram(g, assign))
+    """Glue one local quiver per vertex into the global ice quiver: the
+    gluing of `assembly_diagram`'s diagram, which is built unchecked."""
+    return amalgamate(assembly_diagram(g, assign))
 
 
 def basicness_check(g: RibbonGraph) -> list[str]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from operator import attrgetter
 
-from .graph import ValidationReport, _Record, _fault, require_valid
+from .graph import RibbonGraph, ValidationReport, _Record, _fault, require_valid
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -189,8 +189,7 @@ def validate_morphism(m: QuiverMorphism) -> ValidationReport:
 
 
 def _check_slots(
-    q: IceQuiver, slots: Iterable[tuple[Any, QuiverMorphism]], owner: str, part: str,
-    valid: dict[int, QuiverMorphism],
+    q: IceQuiver, slots: Iterable[tuple[Any, QuiverMorphism]], owner: str, part: str
 ) -> None:
     """Check the local data at a vertex: a quiver ``q`` and its ``(place,
     morphism)`` slots, such as a template's slot morphisms or a diagram's
@@ -198,18 +197,14 @@ def _check_slots(
     as image a frozen component of ``q`` disjoint from the earlier ones;
     together the images must cover the frozen vertices of ``q``.  The first
     fault raises ValueError, its message starting ``owner:`` and naming the
-    ``part``.  ``valid`` maps the id of each morphism found valid to that
-    morphism, kept alive so that the id stays its own; a morphism it holds
-    is not validated again, and one found valid here joins it."""
+    ``part``."""
     components = set(q.frozen_components())
     claimed: set[str] = set()
     for place, m in slots:
-        if id(m) not in valid:
-            violations = validate_morphism(m).violations
-            if violations:
-                message = "{}: {} {} morphism invalid: {}"
-                raise ValueError(message.format(owner, part, place, "; ".join(violations)))
-            valid[id(m)] = m
+        violations = validate_morphism(m).violations
+        if violations:
+            message = "{}: {} {} morphism invalid: {}"
+            raise ValueError(message.format(owner, part, place, "; ".join(violations)))
         image = frozenset(m.vertex_map.values())
         if image not in components:
             raise ValueError(
@@ -233,19 +228,38 @@ class AmalgamationDiagram(_Record):
     vertex's quiver: ``vertex_quivers``, ``edge_quivers`` and
     ``incidences`` map ids of ``graph`` to them.  At every vertex the
     incident interfaces must land on pairwise disjoint frozen components,
-    one per halfedge.
+    one per halfedge.  Construction copies the tables and checks them
+    (`_validate_diagram`), so every diagram is valid, as every template is.
     """
 
     __slots__ = ("_graph", "_vertex_quivers", "_edge_quivers", "_incidences")
 
+    def __post_init__(self) -> None:
+        tables = self._vertex_quivers, self._edge_quivers, self._incidences
+        self._vertex_quivers, self._edge_quivers, self._incidences = map(dict, tables)
+        _validate_diagram(self)
+
+    @classmethod
+    def _from_tables(
+        cls, graph: RibbonGraph, vertex_quivers: dict, edge_quivers: dict, incidences: dict
+    ) -> AmalgamationDiagram:
+        """A diagram of tables that `_validate_diagram` accepts, kept and not
+        checked: `assembly_diagram`'s.  Its graph is valid and its templates
+        are valid by construction, so each incidence is a slot, or a slot
+        composed with the isomorphism `_reversal_identification`: a valid
+        morphism with the slot's image, and the slots pass `_check_slots`."""
+        d = cls.__new__(cls)
+        d._graph, d._vertex_quivers = graph, vertex_quivers
+        d._edge_quivers, d._incidences = edge_quivers, incidences
+        return d
+
 
 def _validate_diagram(d: AmalgamationDiagram) -> None:
-    """`amalgamate`'s check.  `_check_slots` runs only at the first vertex
-    with each quiver and incidences in ring order, compared by id, and
-    validates each distinct morphism, by id, only where it first meets it:
-    it reads only those objects, which ``d`` keeps alive, so a later vertex
-    or morphism with the same ones would fare as the first, and a fault
-    raises at the first."""
+    """`AmalgamationDiagram`'s check: the graph, one quiver per vertex and
+    edge and one incidence per halfedge, from its edge's quiver into its
+    vertex's, with no entry for anything the graph lacks, then at every
+    vertex its incidences, in ring order, as `LocalTemplate` checks its
+    slots (`_check_slots`).  The first fault raises ValueError."""
     g = d.graph
     require_valid(g)
     for v in g.vertices:
@@ -276,55 +290,31 @@ def _validate_diagram(d: AmalgamationDiagram) -> None:
     ):
         if len(table) > len(ids):
             raise ValueError(what.format(next(k for k in table if not has(k))))
-    first: dict[tuple[int, ...], str] = {}
     for v in g.vertices:
-        first.setdefault((id(d.vertex_quivers[v]), *(id(d.incidences[h]) for h in g.cyclic(v))), v)
-    valid: dict[int, QuiverMorphism] = {}
-    for v in first.values():
         incidences = ((h, d.incidences[h]) for h in g.cyclic(v))
-        _check_slots(d.vertex_quivers[v], incidences, "vertex {}".format(v), "incidence", valid)
+        _check_slots(d.vertex_quivers[v], incidences, "vertex {}".format(v), "incidence")
 
 
 def amalgamate(d: AmalgamationDiagram) -> IceQuiver:
     """Glue the vertex quivers along the interface quivers.
 
-    Across an internal edge, the two images of each interface vertex melt
-    into one mutable vertex, named by the smaller of their qualified ids
-    ``vertex.local``; two vertices with one qualified id raise ValueError.
-    The glued vertex keeps a label only when both of its members carry
-    that same label, and has none otherwise, so labels do not depend on
-    how the graph's vertices are named.  Interfaces on external edges stay
+    A diagram is valid once built: its incidences are vertex-injective,
+    their images at a vertex are disjoint frozen components that cover
+    its frozen vertices, and no edge is a loop.  So across an internal
+    edge the two images of each interface vertex melt into one mutable
+    vertex, no vertex lies in two pairs, and a pair is named by the
+    smaller of its qualified ids ``vertex.local``.  Gluing checks only
+    those ids: two vertices or arrows with one raise ValueError.  The
+    glued vertex keeps a label only when both of its members carry that
+    same label, and has none otherwise, so labels do not depend on how
+    the graph's vertices are named.  Interfaces on external edges stay
     frozen, frozen arrows included.  Interface arrows of an internal edge
-    survive, unfrozen, exactly when both incidences keep them non-zero.
-    The result does not depend on the order of the diagram's tables, as
-    the table-order tests in ``tests/test_gluing.py``,
-    ``tests/test_quiver.py`` and ``tests/test_properties.py`` check.
-
-    The diagram is validated in full first: the graph, one quiver per
-    vertex and edge and one incidence per halfedge, with no entry for
-    anything the graph lacks, then the incidences at each vertex, in ring
-    order, as `LocalTemplate` checks its slots (`_check_slots`).  So any
-    diagram, parsed ones included, is safe to pass.  A vertex whose
-    quiver and incidences are the objects of an earlier one is not checked
-    again (`_validate_diagram`).  `assemble_global` glues the diagram it
-    builds without this check; see there why that is sound.
-    """
-    _validate_diagram(d)
-    return _glue(d)
-
-
-def _glue(d: AmalgamationDiagram) -> IceQuiver:
-    """`amalgamate` without its checks, for a diagram that `_validate_diagram`
-    accepts.  Its incidences are vertex-injective (`validate_morphism`),
-    their images at a vertex are disjoint frozen components that cover the
-    frozen vertices (`_check_slots`), and no edge is a loop
-    (`validate_graph`).  So an internal edge pairs the two images of each
-    interface vertex, no vertex lies in two pairs, and the larger member of
-    a pair is renamed to the smaller.  A morphism sends a kept interface
-    arrow between the images of its ends, so those give the ends of the
-    glued arrow.  One pass over ``d.edge_quivers``, whose keys are the
-    graph's edges, in any order, glues each internal interface and freezes
-    each external one."""
+    survive, unfrozen, between the images of their ends, exactly when
+    both incidences keep them non-zero.  One pass over ``d.edge_quivers``
+    glues or freezes each interface; the result does not depend on the
+    order of the diagram's tables, as the table-order tests in
+    ``tests/test_gluing.py``, ``tests/test_quiver.py`` and
+    ``tests/test_properties.py`` check."""
     g, vertex_quivers, incidences = d._graph, d._vertex_quivers, d._incidences
     # each local vertex's qualified id "vertex.local", and its label; the
     # edge pass renames both members of a glued pair to the smaller one

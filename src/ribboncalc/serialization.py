@@ -340,7 +340,10 @@ def diagram_from_jsonable(obj: Any, pointer: str = "") -> AmalgamationDiagram:
         if v not in vq:
             raise ParseError(_loc(p), "no quiver for vertex {!r}".format(v))
         incidences[h] = QuiverMorphism(eq[e], vq[v], vmap, amap)
-    return AmalgamationDiagram(g, vq, eq, incidences)
+    try:
+        return AmalgamationDiagram(g, vq, eq, incidences)
+    except ValueError as exc:
+        raise _located(exc, pointer) from exc
 
 
 def parse_diagram(text: str) -> AmalgamationDiagram:

@@ -114,9 +114,10 @@ def shuffled_diagram(d: AmalgamationDiagram, rng: random.Random) -> Amalgamation
     return AmalgamationDiagram(d.graph, d.vertex_quivers, dict(edges), dict(incidences))
 
 
-def extra_key_diagram() -> AmalgamationDiagram:
-    """Vertices ``v`` and ``w`` joined by the edge ``h``/``k``, each with a
-    stub, and one quiver at both: mutable ``m`` and frozen ``a``, ``b`` and
+def extra_key_tables() -> dict:
+    """The fields of a diagram that `AmalgamationDiagram` refuses, by name.
+    Vertices ``v`` and ``w`` are joined by the edge ``h``/``k``, each with a
+    stub, and carry one quiver: mutable ``m`` and frozen ``a``, ``b`` and
     ``c``, with the frozen arrow ``a -> b``.  Every interface is the frozen
     point ``u``.  A stub maps ``u`` to ``c``; ``h`` and ``k`` map it to ``a``
     and also send a key ``extra``, which the point lacks, to ``b``, so the
@@ -130,7 +131,12 @@ def extra_key_diagram() -> AmalgamationDiagram:
     maps = {"h": {"u": "a", "extra": "b"}, "x": {"u": "c"}}
     maps.update(k=maps["h"], y=maps["x"])
     incidences = {h: QuiverMorphism(point, q, m, {}) for h, m in maps.items()}
-    return AmalgamationDiagram(g, {"v": q, "w": q}, dict.fromkeys(g.edges(), point), incidences)
+    return {
+        "graph": g,
+        "vertex_quivers": {"v": q, "w": q},
+        "edge_quivers": dict.fromkeys(g.edges(), point),
+        "incidences": incidences,
+    }
 
 
 def colliding_assembly(part: str = "hub") -> tuple[RibbonGraph, dict[str, LocalTemplate]]:

@@ -2,10 +2,12 @@ import random
 
 import pytest
 
-from conftest import colliding_assembly, extra_key_diagram, sample_graphs
+from conftest import colliding_assembly, extra_key_tables, sample_graphs
 from randgraphs import _attempt
+from test_naturality import _bench_assemblies
 from ribboncalc import (
     BUILTIN_TEMPLATE_NAMES,
+    AmalgamationDiagram,
     IceQuiver,
     LocalTemplate,
     QuiverArrow,
@@ -244,14 +246,14 @@ class TestValidateTemplate:
         assert str(info.value) == message
 
     def test_a_slot_key_the_interface_lacks_is_rejected(self):
-        d = extra_key_diagram()
-        point = d.edge_quivers["h"]
+        d = extra_key_tables()
+        point, q = d["edge_quivers"]["h"], d["vertex_quivers"]["v"]
         slots = (
-            QuiverMorphism(point, d.vertex_quivers["v"], d.incidences["h"].vertex_map, {}),
-            QuiverMorphism(point, d.vertex_quivers["v"], {"u": "c"}, {}),
+            QuiverMorphism(point, q, d["incidences"]["h"].vertex_map, {}),
+            QuiverMorphism(point, q, {"u": "c"}, {}),
         )
         with pytest.raises(ValueError) as info:
-            LocalTemplate("t", d.vertex_quivers["v"], slots)
+            LocalTemplate("t", q, slots)
         assert str(info.value) == (
             "template t: slot 0 morphism invalid: vertex map names unknown vertex extra"
         )
@@ -518,7 +520,8 @@ def _builtin_assignments(g: RibbonGraph, rng: random.Random) -> list[dict]:
 
 
 class TestTrustedAssembly:
-    """`assemble_global` glues the diagram it built without re-checking it."""
+    """`assembly_diagram` builds its diagram unchecked, and `amalgamate`
+    checks nothing: only the templates are checked, when they are built."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -585,21 +588,27 @@ class TestTrustedAssembly:
         assert calls == ["__hash__", "__eq__"]
 
     def test_matches_the_validated_path(self):
+        # the unchecked diagram passes the constructor's check, and a
+        # diagram built, and so checked, from its tables glues alike; the
+        # V=1000 punctured bench assemblies, T1 to T4, are among the cases
         rng = random.Random(11)
         graphs = sample_graphs()
-        compared = 0
+        cases = []
         for g in graphs:
             assigns = _builtin_assignments(g, rng)
             assigns.append({v: star_template(g.valency(v)) for v in g.vertices})
-            for assign in assigns:
-                d = assembly_diagram(g, assign)
-                quiver._validate_diagram(d)
-                trusted, validated = assemble_global(g, assign), amalgamate(d)
-                assert trusted == validated
-                assert serialize(trusted) == serialize(validated)
-                assert export_dot(trusted) == export_dot(validated)
-                compared += 1
-        assert compared > len(graphs)
+            cases += [(g, assign) for assign in assigns]
+        bench = [p.values for p in _bench_assemblies() if p.id.startswith("trivalent_punctured")]
+        assert len(bench) == 2
+        for g, assign in cases + bench:
+            d = assembly_diagram(g, assign)
+            quiver._validate_diagram(d)
+            checked = AmalgamationDiagram(d.graph, d.vertex_quivers, d.edge_quivers, d.incidences)
+            trusted, validated = assemble_global(g, assign), amalgamate(checked)
+            assert trusted == validated
+            assert serialize(trusted) == serialize(validated)
+            assert export_dot(trusted) == export_dot(validated)
+        assert len(cases) > len(graphs)
 
 
 class TestBasicness:

@@ -38,7 +38,7 @@ from ribboncalc.cli import main
 from ribboncalc.trajectory import curve_trajectory
 
 from conftest import (
-    colliding_assembly, extra_key_diagram, fixture_path, fixture_text, run_python,
+    colliding_assembly, extra_key_tables, fixture_path, fixture_text, run_python,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -229,8 +229,8 @@ class TestAmalgamate:
     @pytest.mark.parametrize(
         "table, name, halfedges, message",
         [
-            ("vertex_quivers", "v2", ("m2", "r2", "s2"), "vertex v2 has no quiver"),
-            ("edge_quivers", "p1", ("p1",), "edge p1 has no interface quiver"),
+            ("vertex_quivers", "v2", ("m2", "r2", "s2"), "at /: vertex v2 has no quiver"),
+            ("edge_quivers", "p1", ("p1",), "at /: edge p1 has no interface quiver"),
         ],
         ids=["vertex", "edge"],
     )
@@ -250,8 +250,8 @@ class TestAmalgamate:
     @pytest.mark.parametrize(
         "table, name, message",
         [
-            ("vertex_quivers", "ghost", "quiver given for unknown vertex 'ghost'"),
-            ("edge_quivers", "m2", "interface quiver given for unknown edge 'm2'"),
+            ("vertex_quivers", "ghost", "at /: quiver given for unknown vertex 'ghost'"),
+            ("edge_quivers", "m2", "at /: interface quiver given for unknown edge 'm2'"),
         ],
         ids=["vertex", "edge"],
     )
@@ -268,9 +268,11 @@ class TestAmalgamate:
 
     def test_an_incidence_key_the_interface_lacks_fails_with_one_line(self, capsys, tmp_path):
         path = tmp_path / "extra.json"
-        path.write_text(serialize(extra_key_diagram()))
+        path.write_text(serialize(extra_key_tables()))
         code, out, err = run(capsys, "amalgamate", "--diagram", str(path))
-        message = "vertex v: incidence h morphism invalid: vertex map names unknown vertex extra"
+        message = (
+            "at /: vertex v: incidence h morphism invalid: vertex map names unknown vertex extra"
+        )
         assert (code, out, err) == (1, "", "error: {}\n".format(message))
 
     def test_dot_output_matches_assemble(self, capsys, diagram_file):
@@ -360,14 +362,14 @@ class TestAssemble:
         assert (code, out, err) == (1, "", "error: duplicate arrow id 'a.b.c'\n")
 
     def test_a_slot_key_the_interface_lacks_fails_with_one_line(self, capsys, tmp_path):
-        d = extra_key_diagram()
-        template = to_jsonable(d.vertex_quivers["v"])
+        d = extra_key_tables()
+        template = to_jsonable(d["vertex_quivers"]["v"])
         template.update(name="t", slots=[
             dict(to_jsonable(m), quiver=to_jsonable(m.source))
-            for m in (d.incidences[h] for h in d.graph.cyclic("v"))
+            for m in (d["incidences"][h] for h in d["graph"].cyclic("v"))
         ])
         graph_file, assign_file = tmp_path / "g.json", tmp_path / "t.json"
-        graph_file.write_text(serialize(d.graph))
+        graph_file.write_text(serialize(d["graph"]))
         assign_file.write_text(json.dumps({"assignments": {"v": template, "w": template}}))
         code, out, err = run(
             capsys, "assemble", "--graph", str(graph_file), "--templates", str(assign_file)

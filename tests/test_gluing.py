@@ -40,7 +40,6 @@ from ribboncalc import (
     to_jsonable,
 )
 from ribboncalc import assembly
-from ribboncalc.quiver import _glue
 from ribboncalc.serialization import template_from_jsonable
 
 from conftest import (
@@ -349,13 +348,11 @@ def test_gluing_joins_pairs_and_counts_the_surface():
     # genus, boundary circles and marked points and p the punctures, rank 1
     # with any puncture choice glues FST's 6g + 3b + 3p + c - 6 arcs and c
     # boundary segments; a2_trivalent glues two vertices per arc and one
-    # per triangle, 16g + 8b + 3c - 16, and two per boundary segment.  The
-    # diagrams come from valid templates, so they are glued unchecked, as
-    # `assemble_global` glues them
+    # per triangle, 16g + 8b + 3c - 16, and two per boundary segment
     kinds = set()
     for g, assign in _counted_assemblies():
         d = assembly_diagram(g, assign)
-        q = _glue(d)
+        q = amalgamate(d)
         interface = {e: len(d.edge_quivers[e].vertices) for e in g.edges()}
         internal = sum(interface[e] for e in g.internal_edges())
         local = sum(len(d.vertex_quivers[v].vertices) for v in g.vertices)

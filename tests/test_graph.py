@@ -729,6 +729,17 @@ def _records():
         "QuiverMorphism(source={0}, target={0}, vertex_map={{'u': 't0'}}, "
         "arrow_map={{}})".format(point_text)
     )
+    # a diagram over the piece at ``p``: a 2-valent star, its slots on
+    # ``pw1`` and ``pw2``
+    star = star_template(2)
+    incidences = dict(zip(sub.graph.cyclic("p"), star.slots))
+    edges = {h: m.source for h, m in incidences.items()}
+    star_text = "IceQuiver(3 vertices, 2 arrows)"
+    star_slot_texts = [
+        "QuiverMorphism(source={}, target={}, vertex_map={{'u': '{}'}}, "
+        "arrow_map={{}})".format(point_text, star_text, tip)
+        for tip in ("t0", "t1")
+    ]
     word = FunctorWord((Atom("gen", "h"),), EdgeRef("e"), VertexRef("v"))
     word_text = (
         "FunctorWord(atoms=(Atom(kind='gen', halfedge='h'),), source=EdgeRef(id='e'), "
@@ -837,10 +848,18 @@ def _records():
             slot_text,
         ),
         (
-            AmalgamationDiagram(sub.graph, {"p": tip}, {}, {}),
-            {"graph": sub.graph, "vertex_quivers": {"p": tip}, "edge_quivers": {}, "incidences": {}},
+            AmalgamationDiagram(sub.graph, {"p": star.quiver}, edges, incidences),
+            {
+                "graph": sub.graph,
+                "vertex_quivers": {"p": star.quiver},
+                "edge_quivers": edges,
+                "incidences": incidences,
+            },
             "AmalgamationDiagram(graph=RibbonGraph(1 vertices, 2 edges), "
-            "vertex_quivers={{'p': {}}}, edge_quivers={{}}, incidences={{}})".format(point_text),
+            "vertex_quivers={{'p': {0}}}, edge_quivers={{'pw1': {1}, 'pw2': {1}}}, "
+            "incidences={{'pw1': {2}, 'pw2': {3}}})".format(
+                star_text, point_text, *star_slot_texts
+            ),
         ),
         (
             LocalTemplate("t", tip, (slot,), "s"),

@@ -26,6 +26,7 @@ import random
 import re
 from types import MappingProxyType
 from typing import Any, Optional
+from unittest import mock
 
 from ribboncalc import (
     ParseError,
@@ -209,11 +210,24 @@ def _outcome(parse, obj, pointer):
 
 
 def _graph_in_diagram(obj, pointer):
-    d = library_serialization.diagram_from_jsonable(
-        {"graph": obj, "vertex_quivers": {}, "edge_quivers": {}, "incidences": {}},
-        pointer,
-    )
-    return d.graph
+    """The graph that the parse of a diagram around ``obj`` reads.  The
+    diagram's tables are empty, so once its graph is read the diagram is
+    refused, at ``pointer``."""
+    read, parse = [], library_serialization.graph_from_jsonable
+
+    def reading(*args):
+        read.append(parse(*args))
+        return read[-1]
+
+    tables = {"graph": obj, "vertex_quivers": {}, "edge_quivers": {}, "incidences": {}}
+    with mock.patch.object(library_serialization, "graph_from_jsonable", reading):
+        try:
+            library_serialization.diagram_from_jsonable(tables, pointer)
+        except ParseError as exc:
+            if not read:
+                raise
+            assert exc.pointer == (pointer or "/"), exc
+    return read[0]
 
 
 _ODD_VALUES = (None, 0, 1.5, True, [], {}, ["a"], {"id": "a"}, "", "a/b~c")

@@ -1,4 +1,7 @@
+import copy
 import itertools
+import json
+import pickle
 import random
 import sys
 from collections import Counter
@@ -9,6 +12,7 @@ import pytest
 from ribboncalc import (
     AmalgamationDiagram,
     IceQuiver,
+    ParseError,
     QuiverArrow,
     QuiverMorphism,
     QuiverVertex,
@@ -17,21 +21,24 @@ from ribboncalc import (
     assemble_global,
     assembly_diagram,
     export_dot,
+    parse_diagram,
     quivers_isomorphic,
+    serialize,
     star_template,
+    to_jsonable,
     validate_morphism,
 )
-from ribboncalc import quiver
+from ribboncalc import assembly, quiver
 from ribboncalc.quiver import _refine
+from ribboncalc.serialization import diagram_from_jsonable
 
 from conftest import (
     _labelled_quiver,
     _same_arrows,
     bench_graph,
-    extra_key_diagram,
+    extra_key_tables,
     shuffled_diagram,
 )
-from randgraphs import trivalent_graph
 
 
 def star(n: int) -> IceQuiver:
@@ -304,14 +311,13 @@ class TestAmalgamate:
 
     def test_dangling_incidence_rejected(self, four_gon):
         d = assembly_diagram(four_gon, star_assignment(four_gon))
-        broken = AmalgamationDiagram(
-            d.graph,
-            d.vertex_quivers,
-            d.edge_quivers,
-            {h: m for h, m in d.incidences.items() if h != "q1"},
-        )
         with pytest.raises(ValueError, match="dangling incidence"):
-            amalgamate(broken)
+            AmalgamationDiagram(
+                d.graph,
+                d.vertex_quivers,
+                d.edge_quivers,
+                {h: m for h, m in d.incidences.items() if h != "q1"},
+            )
 
     def test_diagram_faults(self, four_gon):
         d = assembly_diagram(four_gon, star_assignment(four_gon))
@@ -380,13 +386,13 @@ class TestAmalgamate:
         }
         for parts, message in cases:
             with pytest.raises(ValueError) as info:
-                amalgamate(AmalgamationDiagram(**dict(whole, **parts)))
+                AmalgamationDiagram(**dict(whole, **parts))
             assert str(info.value) == message
 
     def test_an_incidence_key_the_interface_lacks_is_rejected(self):
         # without the check, {a, b} passes as h's image and only a is glued
         with pytest.raises(ValueError) as info:
-            amalgamate(extra_key_diagram())
+            AmalgamationDiagram(**extra_key_tables())
         assert str(info.value) == (
             "vertex v: incidence h morphism invalid: vertex map names unknown vertex extra"
         )
@@ -399,17 +405,41 @@ class TestAmalgamate:
         bad["p1"] = QuiverMorphism(
             bad["p1"].source, m.target, dict(m.vertex_map), dict(m.arrow_map)
         )
-        broken = AmalgamationDiagram(d.graph, d.vertex_quivers, d.edge_quivers, bad)
         with pytest.raises(ValueError) as info:
-            amalgamate(broken)
+            AmalgamationDiagram(d.graph, d.vertex_quivers, d.edge_quivers, bad)
         # the overlap is met first: p1 comes after q1 in v1's ring
         assert str(info.value) == "vertex v1: incidence p1 overlaps another incidence"
 
 
 class TestSlotCheckCost:
+    """A diagram is checked once, when it is built: each vertex with its
+    incidences, and each incidence's morphism, once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Calls of `_check_slots`, from templates or diagrams, and of
+        `validate_morphism`, by name; a test clears the count before the
+        calls it counts."""
+        calls = Counter()
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(assembly, "_check_slots")
+        counting(quiver, "_check_slots")
+        counting(quiver, "validate_morphism")
+        return calls
+
     def test_the_check_lists_no_arrows_per_incidence(self, monkeypatch):
-        # k external stubs at one vertex: amalgamate validates k morphisms
-        # into one quiver, and must not list its arrows once for each
+        # k external stubs at one vertex: construction validates k
+        # morphisms into one quiver, and must not list its arrows once for
+        # each
         diagrams = {
             k: assembly_diagram(
                 RibbonGraph({"v": tuple("s{}".format(i) for i in range(k))}, {}),
@@ -430,48 +460,32 @@ class TestSlotCheckCost:
 
         monkeypatch.setattr(IceQuiver, "_arrows", property(counting, storing), raising=False)
         for d in diagrams.values():
-            amalgamate(d)
-        # once by the check's `frozen_components`, once by the glue
-        assert [reads[id(d.vertex_quivers["v"])] for d in diagrams.values()] == [2, 2]
+            AmalgamationDiagram(d.graph, d.vertex_quivers, d.edge_quivers, d.incidences)
+        # once, by the check's `frozen_components`
+        assert [reads[id(d.vertex_quivers["v"])] for d in diagrams.values()] == [1, 1]
 
-    def test_a_vertex_like_an_earlier_one_is_not_checked_again(self, monkeypatch):
-        # every vertex carries one rank1_trivalent quiver, and each slot's
-        # incidence is its slot morphism or the reversal from one of the 3
-        # slots across the edge: at most 4**3 distinct vertices to check
-        diagrams = {
-            n: assembly_diagram(g, dict.fromkeys(g.vertices, "rank1_trivalent"))
-            for n in (400, 1600)
-            for g in [trivalent_graph(random.Random(3), n)]
+    def test_assembly_checks_only_the_templates_it_builds(self, calls):
+        g = bench_graph("trivalent_punctured", 200, "x/1")
+        named = {
+            v: "punctured_2gon_T1" if g.valency(v) == 2 else "rank1_trivalent"
+            for v in g.vertices
         }
-        calls = Counter()
-        components = IceQuiver.frozen_components
+        assert set(named.values()) == {"punctured_2gon_T1", "rank1_trivalent"}
+        for assign, checks in ((star_assignment(g), (0, 0)), (named, (2, 2 + 3))):
+            for glue in (assemble_global, lambda g, a: amalgamate(assembly_diagram(g, a))):
+                calls.clear()
+                glue(g, assign)
+                # a built-in name is parsed, and its template checked, once
+                # per call: one `_check_slots` per template, one
+                # `validate_morphism` per slot
+                assert (calls["_check_slots"], calls["validate_morphism"]) == checks
 
-        def counting(self):
-            calls[n] += 1
-            return components(self)
-
-        monkeypatch.setattr(IceQuiver, "frozen_components", counting)
-        for n, d in diagrams.items():
-            amalgamate(d)
-        assert all(calls[n] <= 4 ** 3 for n in diagrams), calls
-
-    def test_each_distinct_morphism_is_validated_once(self, monkeypatch):
-        # a star at every vertex: a reversal incidence depends on the slot
-        # across its edge, so one morphism sits under many vertex keys
-        g = bench_graph("higher_genus", 2000, "x/1")
+    def test_construction_checks_each_vertex_and_incidence_once(self, calls):
+        g = bench_graph("higher_genus", 400, "x/1")
         d = assembly_diagram(g, star_assignment(g))
-        calls = []
-        original = quiver.validate_morphism
-
-        def counting(m):
-            calls.append(id(m))
-            return original(m)
-
-        monkeypatch.setattr(quiver, "validate_morphism", counting)
-        amalgamate(d)
-        # 2554 calls when each vertex key validated its morphisms again
-        assert len(calls) == len(set(calls)) == len({id(m) for m in d.incidences.values()})
-        assert len(calls) == 553
+        calls.clear()
+        AmalgamationDiagram(d.graph, d.vertex_quivers, d.edge_quivers, d.incidences)
+        assert calls == {"_check_slots": len(g.vertices), "validate_morphism": len(g.halfedges)}
 
     def test_a_shared_quiver_is_checked_with_each_vertex_incidences(self, four_gon):
         # v1 and v2 carry one star quiver; v2, checked after v1, sends r2
@@ -483,10 +497,47 @@ class TestSlotCheckCost:
         bad["r2"] = QuiverMorphism(
             bad["r2"].source, m.target, dict(m.vertex_map), dict(m.arrow_map)
         )
-        broken = AmalgamationDiagram(d.graph, d.vertex_quivers, d.edge_quivers, bad)
         with pytest.raises(ValueError) as info:
-            amalgamate(broken)
+            AmalgamationDiagram(d.graph, d.vertex_quivers, d.edge_quivers, bad)
         assert str(info.value) == "vertex v2: incidence r2 overlaps another incidence"
+
+
+class TestDiagramConstruction:
+    def test_later_edits_of_the_callers_tables_leave_the_diagram_alone(self, four_gon):
+        d = assembly_diagram(four_gon, star_assignment(four_gon))
+        tables = {
+            "vertex_quivers": dict(d.vertex_quivers),
+            "edge_quivers": dict(d.edge_quivers),
+            "incidences": dict(d.incidences),
+        }
+        built = AmalgamationDiagram(d.graph, **tables)
+        for table in tables.values():
+            table.clear()
+        assert built == d
+        assert amalgamate(built) == amalgamate(d)
+
+    def test_copies_of_an_assembled_diagram_are_equal(self, four_gon):
+        d = assembly_diagram(four_gon, {"v1": "a2_trivalent", "v2": "a2_trivalent"})
+        for c in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+            assert type(c) is AmalgamationDiagram and c == d
+            assert serialize(amalgamate(c)) == serialize(amalgamate(d))
+
+    def test_a_parsed_diagram_reports_a_fault_of_the_whole_at_its_pointer(self, four_gon):
+        d = assembly_diagram(four_gon, star_assignment(four_gon))
+        obj = to_jsonable(d)
+        obj["vertex_quivers"]["ghost"] = obj["vertex_quivers"]["v1"]
+        message = "quiver given for unknown vertex 'ghost'"
+        with pytest.raises(ParseError) as info:
+            parse_diagram(json.dumps(obj))
+        assert (info.value.pointer, str(info.value)) == ("/", "at /: " + message)
+        with pytest.raises(ParseError) as info:
+            diagram_from_jsonable(obj, "/d")
+        assert (info.value.pointer, str(info.value)) == ("/d", "at /d: " + message)
+        with pytest.raises(ParseError) as info:
+            parse_diagram(serialize(extra_key_tables()))
+        assert str(info.value) == (
+            "at /: vertex v: incidence h morphism invalid: vertex map names unknown vertex extra"
+        )
 
 
 class TestIsomorphism:

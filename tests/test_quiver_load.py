@@ -13,7 +13,9 @@ the message unchanged or changed as `_CHANGED` lists, or the same message
 at a pointer moved as `_MOVED` lists.  The one other exception is the
 order of faults within one quiver: the structure of all its entries is
 now checked before any value, so where an input has both kinds of fault,
-the structure fault is reported first.
+the structure fault is reported first.  A diagram checks itself when it
+is built, the oracle's too, and a fault of the diagram as a whole is
+reported at its pointer.
 """
 
 import copy
@@ -183,10 +185,22 @@ def _loads(text: str):
 
 # -- the comparison --------------------------------------------------------
 
+def _checked_diagram(text: str):
+    """The oracle's diagram.  Its constructor checks the diagram as a
+    whole, and that fault is reported at the document's root, as the
+    parser reports it."""
+    try:
+        return diagram_from_jsonable(_loads(text))
+    except ParseError:
+        raise
+    except ValueError as exc:
+        raise ParseError("/", str(exc)) from exc
+
+
 # each input option whose parser changed: the library's parser and its oracle
 _PARSERS = {
     "--templates": (library.parse_assignments, parse_assignments),
-    "--diagram": (library.parse_diagram, lambda text: diagram_from_jsonable(_loads(text))),
+    "--diagram": (library.parse_diagram, _checked_diagram),
     "--quiver": (library.parse_quiver, lambda text: quiver_from_jsonable(_loads(text))),
 }
 

@@ -2,6 +2,7 @@
 
     python3 tools/io_layers.py
 
+It takes no arguments: given any, it prints its usage line and exits 2.
 For one graph of each `bench/gen.py` family, at V=4000 and seed 1, it
 times `json.loads`, `graph_from_jsonable`, the checking `RibbonGraph`
 constructor, `validate_graph`, `surface_invariants`, `serialize` and
@@ -26,13 +27,16 @@ singular vertex on ``punctured_2gon_T1`` and every other on
 ``rank1_trivalent``.  The assembly sorts `edges()` once, to build the
 diagram, and glues in one pass over the diagram's edge table, which it
 does not sort.  Beside it, ``amalgamate`` times
-``amalgamate(assembly_diagram(g, assign))``, which builds the same
-diagram and checks it in full before it glues, so the difference is what
-the check costs.  The diagram shares its two template quivers and their
-slots, each a `QuiverMorphism` that the diagram takes as an incidence,
-and the check runs once per distinct quiver and ring of incidences, not
-once per vertex.  Last it times the quiver writers,
-`serialize(q)` and `export_dot(q)`, on the glued quiver.  On the
+``amalgamate(assembly_diagram(g, assign))``, the same work by the public
+steps: the diagram is built without a check, and gluing checks none.
+A diagram checks itself when it is built, so ``AmalgamationDiagram``
+times the constructor on the tables of that diagram, built outside the
+clock: it checks every vertex and every incidence, although the diagram
+shares its two template quivers and their slots.  ``parse_diagram``
+times the parse of that diagram's canonical text, written outside the
+clock, which decodes it, builds every quiver and morphism afresh and
+checks the diagram.  Last it times the quiver writers, `serialize(q)`
+and `export_dot(q)`, on the glued quiver.  On the
 `higher_genus` graph it times `assembly_diagram` and `assemble_global`
 with star templates, taken as given: ``shared`` is one `star_template`
 per valency, shared by the vertices of that valency, and ``copies`` is a
@@ -93,12 +97,13 @@ from ribboncalc.graph import (  # noqa: E402
     surface_invariants,
     validate_graph,
 )
-from ribboncalc.quiver import amalgamate  # noqa: E402
+from ribboncalc.quiver import AmalgamationDiagram, amalgamate  # noqa: E402
 from ribboncalc.serialization import (  # noqa: E402
     export_dot,
     graph_dot,
     graph_from_jsonable,
     parse_assignments,
+    parse_diagram,
     parse_graph,
     serialize,
 )
@@ -110,7 +115,8 @@ STAGES = (
 )
 QUIVER_FAMILY = "trivalent_punctured"
 QUIVER_STAGES = (
-    "edges()", "subgraph", "assemble_global", "amalgamate", "serialize(q)", "export_dot(q)",
+    "edges()", "subgraph", "assemble_global", "amalgamate", "AmalgamationDiagram",
+    "parse_diagram", "serialize(q)", "export_dot(q)",
 )
 STAR_FAMILY = "higher_genus"
 STAR_STAGES = (
@@ -185,8 +191,9 @@ def _ball(g) -> list[str]:
 def measure(text: str, quiver: bool, stars: bool) -> dict[str, float]:
     """One time per stage for the graph written as ``text``, each stage fed
     by the one before, as a command line call feeds them; with ``quiver``,
-    also its edge sort, its restriction to `_ball`, its assembly, checked
-    and unchecked, and the quiver stages on that; with ``stars``, its
+    also its edge sort, its restriction to `_ball`, its assembly, its
+    diagram built and parsed, each with the check, and the quiver stages
+    on that; with ``stars``, its
     diagram and assembly from shared and from copied star templates."""
     times: dict[str, float] = {}
     obj = _timed(times, "json.loads", json.loads, text)
@@ -201,6 +208,10 @@ def measure(text: str, quiver: bool, stars: bool) -> dict[str, float]:
         _timed(times, "subgraph", partial(subgraph, g), _ball(g))
         q = _timed(times, "assemble_global", partial(assemble_global, g), _assignment(g))
         _timed(times, "amalgamate", lambda a: amalgamate(assembly_diagram(g, a)), _assignment(g))
+        d = assembly_diagram(g, _assignment(g))
+        tables = d.graph, d.vertex_quivers, d.edge_quivers, d.incidences
+        _timed(times, "AmalgamationDiagram", lambda t: AmalgamationDiagram(*t), tables)
+        _timed(times, "parse_diagram", parse_diagram, serialize(d))
         _timed(times, "serialize(q)", serialize, q)
         _timed(times, "export_dot(q)", export_dot, q)
     if stars:
@@ -211,7 +222,10 @@ def measure(text: str, quiver: bool, stars: bool) -> dict[str, float]:
     return times
 
 
-def main() -> int:
+def main(argv: list[str]) -> int:
+    if argv:
+        print("usage: " + __doc__.splitlines()[2].strip(), file=sys.stderr)
+        return 2
     gen = _load_gen()
     texts = {
         family: gen.to_text(gen.generate(family, VERTICES, "{}/io".format(SEED)))
@@ -298,4 +312,4 @@ def measure_cli_assemble(gen) -> None:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
