@@ -318,10 +318,7 @@ def diagram_from_jsonable(obj: Any, pointer: str = "") -> AmalgamationDiagram:
     )
     g = graph_from_jsonable(obj["graph"], pointer + _ptr("graph"))
     vq, eq = (
-        {
-            k: quiver_from_jsonable(q, pointer + _ptr(key, k))
-            for k, q in _want(obj[key], dict, (pointer, key), "an object").items()
-        }
+        _parse_once(quiver_from_jsonable, obj[key], (pointer, key))
         for key in ("vertex_quivers", "edge_quivers")
     )
     incidences = {}
@@ -358,21 +355,27 @@ def parse_choices(text: str) -> dict[str, str]:
 
 
 def parse_assignments(text: str):
-    """Template assignments: vertex to built-in name or inline template.
-    Each distinct inline template is parsed once, at the first vertex that
-    carries it, and shared by all that carry it.  `marshal` version 2 writes
-    no references, so its equal bytes mean equal decoded templates."""
+    """Template assignments: vertex to built-in name or inline template,
+    each distinct inline template parsed once by `_parse_once`."""
     obj = _loads(text)
     _want_keys(obj, ("",), ("assignments",))
     raw = _want(obj["assignments"], dict, ("", "assignments"), "an object")
-    parsed = {}  # the key of each template parsed so far: the template
-    for v, t in raw.items():
-        if not isinstance(t, str):
-            key = marshal.dumps(t, 2)
-            if key not in parsed:
-                parsed[key] = template_from_jsonable(t, _ptr("assignments", v))
-            raw[v] = parsed[key]  # replaces a value, so the dict keeps its size
-    return raw
+    inline = {v: t for v, t in raw.items() if not isinstance(t, str)}
+    return {**raw, **_parse_once(template_from_jsonable, inline, ("", "assignments"))}
+
+
+def _parse_once(parse, obj: Any, where) -> dict:
+    """The object at ``where`` with each value parsed by ``parse`` at its own
+    pointer: each distinct value once, at its first key, and that one result
+    shared by every key that carries it.  Only a value that parsed is kept,
+    so the first faulty copy raises at its own pointer.  `marshal` version 2
+    writes no references, so its equal bytes mean equal decoded values."""
+    keys = {k: marshal.dumps(v, 2) for k, v in _want(obj, dict, where, "an object").items()}
+    parsed = {}  # the bytes of each value parsed so far: its result
+    for k, key in keys.items():
+        if key not in parsed:
+            parsed[key] = parse(obj[k], _loc(where + (k,)))
+    return {k: parsed[key] for k, key in keys.items()}
 
 
 def _loads(text: str):

@@ -483,9 +483,17 @@ class TestSlotCheckCost:
     def test_construction_checks_each_vertex_and_incidence_once(self, calls):
         g = bench_graph("higher_genus", 400, "x/1")
         d = assembly_diagram(g, star_assignment(g))
-        calls.clear()
-        AmalgamationDiagram(d.graph, d.vertex_quivers, d.edge_quivers, d.incidences)
-        assert calls == {"_check_slots": len(g.vertices), "validate_morphism": len(g.halfedges)}
+        text = serialize(d)
+        # a parsed diagram shares its quivers, as the assembled one does
+        for build in (
+            lambda: AmalgamationDiagram(d.graph, d.vertex_quivers, d.edge_quivers, d.incidences),
+            lambda: parse_diagram(text),
+        ):
+            calls.clear()
+            build()
+            assert calls == {
+                "_check_slots": len(g.vertices), "validate_morphism": len(g.halfedges)
+            }
 
     def test_a_shared_quiver_is_checked_with_each_vertex_incidences(self, four_gon):
         # v1 and v2 carry one star quiver; v2, checked after v1, sends r2
@@ -497,9 +505,16 @@ class TestSlotCheckCost:
         bad["r2"] = QuiverMorphism(
             bad["r2"].source, m.target, dict(m.vertex_map), dict(m.arrow_map)
         )
+        message = "vertex v2: incidence r2 overlaps another incidence"
         with pytest.raises(ValueError) as info:
             AmalgamationDiagram(d.graph, d.vertex_quivers, d.edge_quivers, bad)
-        assert str(info.value) == "vertex v2: incidence r2 overlaps another incidence"
+        assert str(info.value) == message
+        # parsed, v1 and v2 share one quiver object too
+        obj = to_jsonable(d)
+        obj["incidences"]["r2"] = obj["incidences"]["s2"]
+        with pytest.raises(ParseError) as info:
+            parse_diagram(json.dumps(obj))
+        assert str(info.value) == "at /: " + message
 
 
 class TestDiagramConstruction:

@@ -1,3 +1,4 @@
+import itertools
 import json
 from types import MappingProxyType
 
@@ -365,27 +366,54 @@ class TestQuiverAndTemplates:
         assert assign["v1"] == "rank1_trivalent"
         assert assign["v2"].valency == 3
 
-    def test_each_distinct_inline_template_is_parsed_once(self, monkeypatch):
-        calls = []
-        original = serialization.template_from_jsonable
+    def test_each_distinct_inline_template_is_parsed_once(self, four_gon, monkeypatch):
+        """A templates file parses each distinct inline template once, and a
+        diagram file each distinct vertex and edge quiver: at the first key
+        that carries it, shared by every key that carries it.  Only a value
+        that parsed is kept, so a faulty copy raises at its own pointer,
+        before or after a good copy."""
+        calls = {"template_from_jsonable": [], "quiver_from_jsonable": []}
 
-        def counting(obj, pointer=""):
-            calls.append(pointer)
-            return original(obj, pointer)
+        def counting(name):
+            original = getattr(serialization, name)
 
-        monkeypatch.setattr(serialization, "template_from_jsonable", counting)
+            def wrapper(obj, pointer=""):
+                calls[name].append(pointer)
+                return original(obj, pointer)
+
+            monkeypatch.setattr(serialization, name, wrapper)
+
+        counting("template_from_jsonable")
+        counting("quiver_from_jsonable")
         star3, star2 = to_jsonable(star_template(3)), to_jsonable(star_template(2))
         assignments = {"a": star3, "b": star2, "c": "rank1_trivalent", "d": star3, "e": star2}
         assign = parse_assignments(json.dumps({"assignments": assignments}))
-        assert calls == ["/assignments/a", "/assignments/b"]
+        assert calls["template_from_jsonable"] == ["/assignments/a", "/assignments/b"]
         assert assign["a"] is assign["d"] and assign["b"] is assign["e"]
         assert (assign["a"], assign["b"]) == (star_template(3), star_template(2))
-        # only a template that parsed is kept: the first faulty copy raises
         bad = dict(star3, vertices=5)
         for order in (("g", "a", "h"), ("a", "g", "h")):
             text = json.dumps({"assignments": {v: bad if v != "a" else star3 for v in order}})
             with pytest.raises(ParseError, match="^at /assignments/g/vertices: expected a list$"):
                 parse_assignments(text)
+
+        # two vertices carry one star quiver, and five edges one interface
+        star = star_template(3)
+        obj = to_jsonable(assembly_diagram(four_gon, {v: star for v in four_gon.vertices}))
+        calls["quiver_from_jsonable"].clear()
+        d = parse_diagram(json.dumps(obj))
+        assert calls["quiver_from_jsonable"] == ["/vertex_quivers/v1", "/edge_quivers/m1"]
+        assert d.vertex_quivers["v1"] is d.vertex_quivers["v2"]
+        assert all(q is d.edge_quivers["m1"] for q in d.edge_quivers.values())
+        assert to_jsonable(d) == obj
+        for table, i in itertools.product(("vertex_quivers", "edge_quivers"), (0, 1)):
+            # the first key's faulty copy comes before a good copy, the second's after
+            k = list(obj[table])[i]
+            faulty = json.loads(json.dumps(obj))
+            faulty[table][k]["vertices"] = 5
+            message = "^at /{}/{}/vertices: expected a list$".format(table, k)
+            with pytest.raises(ParseError, match=message):
+                parse_diagram(json.dumps(faulty))
 
     def test_choices(self):
         assert parse_choices('{"choices": {"p": "T1"}}') == {"p": "T1"}
