@@ -122,10 +122,10 @@ class RibbonGraph:
     type of each vertex id and ring entry, before any entry is hashed,
     then a twin that names no halfedge of a ring or does not point back,
     then, vertex by vertex, a halfedge already in a ring, an unknown kind
-    and a label that is not a string.  A fault of one entry keeps its
-    location (see `_fault`), such as ``("cyclic", v, j)``, ``("twin", h)``,
-    ``("vertex_kind", v)`` or ``("vertex_label", v)``.  `_from_tables`
-    takes the tables a graph keeps, already checked.
+    and a label that is not a string; it keeps no label given as None.
+    A fault keeps its location (see `_fault`), such as ``("cyclic", v, j)``,
+    ``("twin", h)``, ``("vertex_kind", v)`` or ``("vertex_label", v)``.
+    `_from_tables` takes the tables a graph keeps, already checked.
     Semantic rules, loops, valency-1 vertices, connectivity and the
     marked-point condition, are reported by `validate_graph` instead so
     that callers can inspect broken graphs.
@@ -187,7 +187,9 @@ class RibbonGraph:
             if kind not in VERTEX_KINDS:
                 raise _fault(("vertex_kind", v), "unknown vertex kind {!r}", kind)
             label = labels.get(v)
-            if label is not None and not isinstance(label, str):
+            if label is None:
+                labels.pop(v, None)  # a label given as None is no label
+            elif not isinstance(label, str):
                 raise _fault(("vertex_label", v), "label of vertex {!r} is not a string", v)
         cyclic = {v: rotate_to_min(ring) for v, ring in rings.items()}
         nxt = {p: h for ring in cyclic.values() for p, h in zip(ring[-1:] + ring[:-1], ring)}
@@ -210,7 +212,7 @@ class RibbonGraph:
         every halfedge in exactly one ring, mapped by ``at`` to its vertex
         and by ``nxt`` to its successor in that ring, a symmetric ``twin``
         on known halfedges, ``external`` listing every untwinned halfedge,
-        a known kind for every vertex and labels only on known vertices.
+        a known kind for every vertex and string labels only on known vertices.
         The halfedges are the keys of ``twin`` and the external ones.
         ``twin`` and ``external`` may come in any order; the sorted id
         tables sort fastest when they are already sorted, as in canonical
@@ -315,17 +317,15 @@ class RibbonGraph:
 
     # -- equality ---------------------------------------------------------
 
-    def _equality_key(self) -> tuple:
-        return (
-            tuple((v, self._cyclic[v], self._kind[v], self._label.get(v)) for v in self.vertices),
-            tuple(sorted(self._twin.items())),
+    def __eq__(self, other) -> bool:
+        # a graph is its four tables; each ring starts at its smallest halfedge
+        return isinstance(other, RibbonGraph) and (
+            self._cyclic == other._cyclic and self._twin == other._twin
+            and self._kind == other._kind and self._label == other._label
         )
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RibbonGraph) and self._equality_key() == other._equality_key()
-
     def __hash__(self) -> int:
-        return hash(self._equality_key())
+        return hash(frozenset(self._cyclic.items()))
 
     def __repr__(self) -> str:
         # counts what `edges()` lists, twin fixed points included, unsorted
@@ -567,8 +567,8 @@ def subgraph(g: RibbonGraph, vertices: Iterable[str]) -> Subgraph:
     external = [h for h in at if h not in twin]
     sub = RibbonGraph._from_tables(
         cyclic, at, {h: g._next[h] for h in at}, twin, external,
-        {v: g.kind(v) for v in keep},
-        {v: g.label(v) for v in keep if g.label(v) is not None},
+        {v: g._kind[v] for v in keep},
+        {v: g._label[v] for v in keep if v in g._label},
     )
     report = validate_graph(sub)
     if not report.ok:

@@ -243,6 +243,32 @@ class TestConstruction:
         assert hash(g1) == hash(g2)
         assert g1 != RibbonGraph({"v": ("a", "b", "c")}, {})
 
+        def graph(kinds=None, labels=None, twin=(("m1", "m2"), ("n1", "n2"))):
+            rings = {"u": ("m1", "n1", "p"), "w": ("m2", "n2", "q")}
+            return RibbonGraph(rings, dict(twin + tuple(t[::-1] for t in twin)), kinds, labels)
+
+        base = graph({"u": "singular"}, {"w": "x"})
+        # the same tables in another insertion order
+        reordered = RibbonGraph(
+            {"w": ("q", "m2", "n2"), "u": ("p", "m1", "n1")},
+            {"n2": "n1", "m2": "m1", "n1": "n2", "m1": "m2"},
+            {"w": "plain", "u": "singular"},
+            {"w": "x"},
+        )
+        assert reordered == base and hash(reordered) == hash(base)
+        # a label given as None is no label
+        none = graph(labels={"u": None})
+        assert none == graph() and hash(none) == hash(graph())
+        assert none._label == {}
+        # one kind, one label or one twin pair differs
+        for other in (
+            graph({"u": "singular", "w": "singular"}, {"w": "x"}),
+            graph({"u": "singular"}, {"w": "y"}),
+            graph({"u": "singular"}, {"w": "x", "u": "x"}),
+            graph({"u": "singular"}, {"w": "x"}, (("m1", "n2"), ("n1", "m2"))),
+        ):
+            assert other != base and base != other
+
 
 class TestAccessors:
     def test_basic_queries(self, four_gon):

@@ -281,6 +281,60 @@ def test_every_public_name_is_used():
     assert stale == [], "test-only entries for names that are used or gone: " + ", ".join(stale)
 
 
+def _package_reads(tree):
+    """The attribute chains, such as ``("cli", "main")``, that ``tree``
+    reads from the names it binds to the `ribboncalc` package, and the
+    modules of the package it imports.  A chain's prefixes are chains too."""
+    names, modules = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "ribboncalc":
+                    modules.add(alias.name)
+                    # ``import ribboncalc.cli`` binds the package too
+                    if alias.asname is None or alias.name == "ribboncalc":
+                        names.add(alias.asname or "ribboncalc")
+    chains = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            attrs = []
+            while isinstance(node, ast.Attribute):
+                attrs.append(node.attr)
+                node = node.value
+            if isinstance(node, ast.Name) and node.id in names:
+                chains.add(tuple(reversed(attrs)))
+    return chains, modules
+
+
+# `bench/run.py` imports the tracer even when it traces nothing, so one
+# public name gone from the package fails every benchmark run at import
+@pytest.mark.parametrize(
+    "script, tables", [("tracer.py", ("SPANS", "COUNTED")), ("workloads.py", ())]
+)
+def test_every_package_name_a_bench_script_reads_resolves(script, tables):
+    tree = ast.parse((ROOT / "bench" / script).read_text(encoding="utf-8"))
+    chains, modules = _package_reads(tree)
+    for module in modules:
+        import_module(module)
+    missing = []
+    for attrs in sorted(chains):
+        owner = ribboncalc
+        for attr in attrs:
+            if not hasattr(owner, attr):
+                missing.append(".".join(attrs))
+                break
+            owner = getattr(owner, attr)
+    assert chains and missing == [], "{} reads names the package lacks: {}".format(script, missing)
+    # every function in the tracer's tables is one of the chains checked
+    found = {
+        ast.unparse(node.targets[0]): node.value for node in tree.body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) in tables
+    }
+    assert sorted(found) == sorted(tables)
+    wrapped = {ast.unparse(value) for table in found.values() for value in table.values}
+    assert wrapped <= {"ribboncalc." + ".".join(attrs) for attrs in chains}
+
+
 # public methods and defaulted parameters that only the tests use, each with why
 TEST_ONLY_MEMBERS = {
     "trajectory_counts(orient)": "every walk entry point takes an orientation",

@@ -317,18 +317,19 @@ class TestDecomposeSubgraph:
         assert len(res) == 1 and res[0].word.is_identity
         assert not any(s.constant for s in dec.summands if s.marker.kind == "ev")
 
-    def test_own_subgraph_builds_no_equality_key(self, four_gon, monkeypatch):
+    def test_only_a_separate_ambient_is_compared(self, four_gon, monkeypatch):
         tri = subgraph(four_gon, {"v1"})
+        equal = parse_graph(serialize(four_gon))
         calls = []
-        key = RibbonGraph._equality_key
-        monkeypatch.setattr(RibbonGraph, "_equality_key", lambda g: calls.append(g) or key(g))
+        eq = RibbonGraph.__eq__
+        monkeypatch.setattr(RibbonGraph, "__eq__", lambda g, h: calls.append(g) or eq(g, h))
+        # the graph's own subgraph is known by identity
         dec = decompose_subgraph(four_gon, tri, EdgeRef("s2"))
         assert calls == []
-        # an equal ambient graph that is another object is still accepted
-        equal = parse_graph(serialize(four_gon))
-        assert decompose_subgraph(equal, tri, EdgeRef("s2")) == dec
-        # the one comparison builds both keys
-        assert len(calls) == 2
+        # an equal ambient graph that is another object is compared once
+        other = decompose_subgraph(equal, tri, EdgeRef("s2"))
+        assert len(calls) == 1
+        assert other == dec
 
     def test_foreign_subgraph_rejected(self, four_gon, annulus):
         sub = subgraph(annulus, {"w"})
