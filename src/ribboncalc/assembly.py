@@ -43,8 +43,9 @@ class LocalTemplate(_Record):
     Each slot is a `QuiverMorphism` from its interface quiver into the
     template's quiver.  Slot images must be pairwise disjoint frozen
     components of the quiver and together exhaust its frozen vertices,
-    and the name and stalk are strings or None.  Construction checks this
-    with `validate_template` and raises ValueError when it fails, so every
+    and the name and stalk are strings or None.  Construction keeps the
+    slots as a tuple, checks them with `validate_template` and raises
+    ValueError when it fails; a slot's maps are read-only, so every
     template in existence is valid.
     """
 
@@ -52,6 +53,7 @@ class LocalTemplate(_Record):
     _defaults = {"stalk": None}
 
     def __post_init__(self) -> None:
+        self._slots = tuple(self._slots)
         validate_template(self)
 
     @property

@@ -17,6 +17,23 @@ if TYPE_CHECKING:
     from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 
+class _ReadOnlyDict(dict):
+    """A dict that refuses every change, so a checked record that keeps
+    one stays as it was checked.  It prints, compares and encodes as a
+    dict, and copies and pickles as its items."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a checked table is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 class QuiverVertex(_Record):
     """A vertex and its frozen flag; its label is a string or None."""
 
@@ -78,6 +95,8 @@ class IceQuiver:
             raise _fault(("arrows", len(arrow_by_id), field), message, a.id, getattr(a, field))
         self._vertices = tuple(sorted(by_id.values(), key=attrgetter("_id")))
         self._arrows = tuple(sorted(arrow_by_id.values(), key=attrgetter("_id")))
+        # set here, so that every quiver's attributes share one key table
+        self._components = None
 
     @property
     def vertices(self) -> tuple[QuiverVertex, ...]:
@@ -87,20 +106,14 @@ class IceQuiver:
     def arrows(self) -> tuple[QuiverArrow, ...]:
         return self._arrows
 
-    def has_vertex(self, vid: str) -> bool:
-        return vid in self._by_id
-
-    def vertex_ids(self) -> tuple[str, ...]:
-        return tuple(v.id for v in self._vertices)
-
-    def frozen_vertex_ids(self) -> tuple[str, ...]:
-        return tuple(v.id for v in self._vertices if v.frozen)
-
     def frozen_components(self) -> tuple[frozenset[str], ...]:
         """Connected components of the frozen vertices under frozen arrows,
         in the order of their smallest ids.  This is the package's one
         union-find: the smaller root wins each union, so each root is the
-        smallest id of its component."""
+        smallest id of its component.  It runs on the first call, and the
+        quiver keeps its result for every later one."""
+        if self._components is not None:
+            return self._components
         parent = {v._id: v._id for v in self._vertices if v._frozen}
 
         def find(x: str) -> str:
@@ -117,7 +130,8 @@ class IceQuiver:
         groups: dict[str, set[str]] = {}
         for x in parent:
             groups.setdefault(find(x), set()).add(x)
-        return tuple(frozenset(groups[r]) for r in sorted(groups))
+        self._components = tuple(frozenset(groups[r]) for r in sorted(groups))
+        return self._components
 
     def __eq__(self, other) -> bool:
         # a diagram's incidences mostly share their quivers' objects
@@ -142,48 +156,55 @@ class QuiverMorphism(_Record):
     ``vertex_map`` and ``arrow_map`` are mappings from the ids of
     ``source`` to those of ``target``.  ``arrow_map`` values are target
     arrow ids, or None for zero.  Distinct arrows may share a non-zero
-    image.
+    image.  The morphism keeps read-only copies of both maps, so a
+    morphism that a check has passed stays as it was checked.
     """
 
     __slots__ = ("_source", "_target", "_vertex_map", "_arrow_map")
 
+    def __post_init__(self) -> None:
+        self._vertex_map = _ReadOnlyDict(self._vertex_map)
+        self._arrow_map = _ReadOnlyDict(self._arrow_map)
+
 
 def validate_morphism(m: QuiverMorphism) -> ValidationReport:
-    """Every fault of ``m``.  Images are looked up in the target's own
-    indexes, which its constructor built, so the check costs the size of
-    the source, whatever the size of the target."""
+    """Every fault of ``m``.  The maps are read in place, and the source's
+    ids and the images are looked up in the quivers' own indexes, which
+    their constructors built, so the check costs the size of the source,
+    whatever the size of the target."""
     violations = []
-    vmap = dict(m.vertex_map)
-    for v in m.source.vertex_ids():
+    source, vmap, amap = m._source, m._vertex_map, m._arrow_map
+    target_vertices, target_arrows = m._target._by_id, m._target._arrow_by_id
+    for x in source._vertices:
+        v = x._id
         if v not in vmap:
             violations.append("vertex {} has no image".format(v))
-        elif not (isinstance(vmap[v], str) and m.target.has_vertex(vmap[v])):
+        elif not (isinstance(vmap[v], str) and vmap[v] in target_vertices):
             violations.append("vertex {} maps to unknown vertex {}".format(v, vmap[v]))
     # a key the source lacks would add its value to the image
     for v in vmap:
-        if not m.source.has_vertex(v):
+        if v not in source._by_id:
             violations.append("vertex map names unknown vertex {}".format(v))
-    for a in m.arrow_map:
-        if a not in m.source._arrow_by_id:
+    for a in amap:
+        if a not in source._arrow_by_id:
             violations.append("arrow map names unknown arrow {}".format(a))
-    images = [x for x in vmap.values() if isinstance(x, str) and m.target.has_vertex(x)]
+    images = [x for x in vmap.values() if isinstance(x, str) and x in target_vertices]
     if len(set(images)) != len(images):
         violations.append("vertex map is not injective")
-    target_arrows = m.target._arrow_by_id
-    for a in m.source.arrows:
-        if a.id not in m.arrow_map:
-            violations.append("arrow {} has no image".format(a.id))
+    for a in source._arrows:
+        if a._id not in amap:
+            violations.append("arrow {} has no image".format(a._id))
             continue
-        image = m.arrow_map[a.id]
+        image = amap[a._id]
         if image is None:
             continue
         if not isinstance(image, str) or image not in target_arrows:
-            violations.append("arrow {} maps to unknown arrow {}".format(a.id, image))
+            violations.append("arrow {} maps to unknown arrow {}".format(a._id, image))
             continue
         ta = target_arrows[image]
-        if ta.src != vmap.get(a.src) or ta.dst != vmap.get(a.dst):
+        if ta._src != vmap.get(a._src) or ta._dst != vmap.get(a._dst):
             violations.append(
-                "arrow {} does not respect endpoints under the vertex map".format(a.id)
+                "arrow {} does not respect endpoints under the vertex map".format(a._id)
             )
     return ValidationReport(tuple(violations))
 
@@ -194,30 +215,29 @@ def _check_slots(
     """Check the local data at a vertex: a quiver ``q`` and its ``(place,
     morphism)`` slots, such as a template's slot morphisms or a diagram's
     incidences at one vertex.  Each morphism, in order, must be valid, with
-    as image a frozen component of ``q`` disjoint from the earlier ones;
-    together the images must cover the frozen vertices of ``q``.  The first
-    fault raises ValueError, its message starting ``owner:`` and naming the
-    ``part``."""
+    as image a frozen component of ``q`` that no earlier one claimed;
+    together the images must claim every frozen component, which the quiver
+    keeps (`IceQuiver.frozen_components`).  The first fault raises
+    ValueError, its message starting ``owner:`` and naming the ``part``."""
     components = set(q.frozen_components())
-    claimed: set[str] = set()
+    claimed: set[frozenset[str]] = set()
     for place, m in slots:
         violations = validate_morphism(m).violations
         if violations:
             message = "{}: {} {} morphism invalid: {}"
             raise ValueError(message.format(owner, part, place, "; ".join(violations)))
-        image = frozenset(m.vertex_map.values())
+        image = frozenset(m._vertex_map.values())
         if image not in components:
             raise ValueError(
                 "{}: {} {} image is not a frozen component".format(owner, part, place)
             )
-        if image & claimed:
+        # distinct components are disjoint
+        if image in claimed:
             raise ValueError("{}: {} {} overlaps another {}".format(owner, part, place, part))
-        claimed |= image
-    leftover = set(q.frozen_vertex_ids()) - claimed
+        claimed.add(image)
+    leftover = sorted(x for c in components - claimed for x in c)
     if leftover:
-        raise ValueError(
-            "{}: frozen vertices {} belong to no {}".format(owner, sorted(leftover), part)
-        )
+        raise ValueError("{}: frozen vertices {} belong to no {}".format(owner, leftover, part))
 
 
 class AmalgamationDiagram(_Record):
@@ -228,29 +248,32 @@ class AmalgamationDiagram(_Record):
     vertex's quiver: ``vertex_quivers``, ``edge_quivers`` and
     ``incidences`` map ids of ``graph`` to them.  At every vertex the
     incident interfaces must land on pairwise disjoint frozen components,
-    one per halfedge.  Construction copies the tables and checks them
-    (`_validate_diagram`), so every diagram is valid, as every template is.
+    one per halfedge.  Construction keeps read-only copies of the tables
+    and checks them (`_validate_diagram`), so every diagram is valid, as
+    every template is, and stays as it was checked.
     """
 
     __slots__ = ("_graph", "_vertex_quivers", "_edge_quivers", "_incidences")
 
     def __post_init__(self) -> None:
         tables = self._vertex_quivers, self._edge_quivers, self._incidences
-        self._vertex_quivers, self._edge_quivers, self._incidences = map(dict, tables)
+        self._vertex_quivers, self._edge_quivers, self._incidences = map(_ReadOnlyDict, tables)
         _validate_diagram(self)
 
     @classmethod
     def _from_tables(
         cls, graph: RibbonGraph, vertex_quivers: dict, edge_quivers: dict, incidences: dict
     ) -> AmalgamationDiagram:
-        """A diagram of tables that `_validate_diagram` accepts, kept and not
-        checked: `assembly_diagram`'s.  Its graph is valid and its templates
-        are valid by construction, so each incidence is a slot, or a slot
-        composed with the isomorphism `_reversal_identification`: a valid
-        morphism with the slot's image, and the slots pass `_check_slots`."""
+        """A diagram of tables that `_validate_diagram` accepts, kept as
+        read-only copies and not checked: `assembly_diagram`'s.  Its graph
+        is valid and its templates are valid by construction, so each
+        incidence is a slot, or a slot composed with the isomorphism
+        `_reversal_identification`: a valid morphism with the slot's image,
+        and the slots pass `_check_slots`."""
         d = cls.__new__(cls)
-        d._graph, d._vertex_quivers = graph, vertex_quivers
-        d._edge_quivers, d._incidences = edge_quivers, incidences
+        d._graph = graph
+        tables = vertex_quivers, edge_quivers, incidences
+        d._vertex_quivers, d._edge_quivers, d._incidences = map(_ReadOnlyDict, tables)
         return d
 
 

@@ -270,8 +270,8 @@ def parse_quiver(text: str) -> IceQuiver:
 
 
 def _morphism_maps(obj: Any, where):
-    """Copies of the maps of an object whose keys are checked: the vertex
-    map's values are strings, the arrow map's strings or nulls."""
+    """The maps of an object whose keys are checked: the vertex map's
+    values are strings, the arrow map's strings or nulls."""
     vmap = _want(obj["vertex_map"], dict, where + ("vertex_map",), "an object")
     amap = _want(obj["arrow_map"], dict, where + ("arrow_map",), "an object")
     for k, v in vmap.items():
@@ -279,7 +279,7 @@ def _morphism_maps(obj: Any, where):
     for k, v in amap.items():
         if v is not None:
             _want_str(v, where + ("arrow_map", k))
-    return dict(vmap), dict(amap)
+    return vmap, amap
 
 
 def template_from_jsonable(obj: Any, pointer: str = "") -> LocalTemplate:

@@ -85,6 +85,16 @@ def external_edges(g: RibbonGraph) -> tuple[str, ...]:
     return tuple(e for e in g.edges() if g.is_external(e))
 
 
+def vertex_ids(q: IceQuiver) -> tuple[str, ...]:
+    """The vertex ids of ``q``, sorted."""
+    return tuple(v.id for v in q.vertices)
+
+
+def frozen_ids(q: IceQuiver) -> tuple[str, ...]:
+    """The ids of the frozen vertices of ``q``, sorted."""
+    return tuple(v.id for v in q.vertices if v.frozen)
+
+
 def run_python(code: str, *args: str, options: tuple = ()) -> subprocess.CompletedProcess:
     """Run ``code`` in a fresh interpreter that imports this package,
     started with the interpreter ``options``."""

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from conftest import external_edges
+from conftest import external_edges, frozen_ids, vertex_ids
 from randgraphs import random_graph
 
 from ribboncalc import (
@@ -41,7 +41,7 @@ from ribboncalc import (
 def test_a2_triangle_template(a2_triangle_figure):
     q = builtin_template("a2_trivalent").quiver
     assert len(q.vertices) == 7
-    assert len(q.frozen_vertex_ids()) == 6
+    assert len(frozen_ids(q)) == 6
     assert len(q.frozen_components()) == 3
     assert all(len(c) == 2 for c in q.frozen_components())
     assert len(q.arrows) == 12
@@ -54,7 +54,7 @@ def test_a2_four_gon_assembly(four_gon, a2_four_gon_figure):
         four_gon, {"v1": "a2_trivalent", "v2": "a2_trivalent"}
     )
     assert len(q.vertices) == 12
-    assert len(q.frozen_vertex_ids()) == 8
+    assert len(frozen_ids(q)) == 8
     assert len(q.arrows) == 22
     assert sum(1 for a in q.arrows if a.frozen) == 4
     glued = {"v1.f0", "v1.r0"}  # the diagonal's identified interface pair
@@ -82,7 +82,7 @@ def test_rank1_triangle_and_four_gon(four_gon):
         four_gon, {"v1": "rank1_trivalent", "v2": "rank1_trivalent"}
     )
     assert len(glued.vertices) == 5
-    assert len(glued.frozen_vertex_ids()) == 4
+    assert len(frozen_ids(glued)) == 4
     assert len(glued.arrows) == 6
 
 
@@ -253,9 +253,9 @@ def test_once_punctured_4gon(once_punctured_4gon):
             "w2": "rank1_trivalent",
         },
     )
-    mutable = set(q.vertex_ids()) - set(q.frozen_vertex_ids())
+    mutable = set(vertex_ids(q)) - set(frozen_ids(q))
     assert len(mutable) == 4
-    assert len(q.frozen_vertex_ids()) == 4
+    assert len(frozen_ids(q)) == 4
     assert len(q.arrows) == 10
 
     arcs = tagged_triangulation(g, {"p": "T1"})

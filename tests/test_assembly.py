@@ -1,8 +1,12 @@
+import copy
+import pickle
 import random
 
 import pytest
 
-from conftest import colliding_assembly, extra_key_tables, sample_graphs
+from conftest import (
+    bench_graph, colliding_assembly, extra_key_tables, frozen_ids, sample_graphs, vertex_ids,
+)
 from randgraphs import _attempt
 from test_naturality import _bench_assemblies
 from ribboncalc import (
@@ -151,7 +155,7 @@ class TestBuiltinTemplates:
     def test_a2_counts(self):
         q = builtin_template("a2_trivalent").quiver
         assert len(q.vertices) == 7
-        assert len(q.frozen_vertex_ids()) == 6
+        assert len(frozen_ids(q)) == 6
         assert len(q.frozen_components()) == 3
         assert len(q.arrows) == 12
         assert sum(1 for a in q.arrows if a.frozen) == 3
@@ -341,6 +345,60 @@ class TestValidateTemplate:
             )
 
 
+def _shared_stars(g: RibbonGraph, three: LocalTemplate) -> dict:
+    """One `star_template` per valency, shared by the vertices of that
+    valency, with ``three`` at the trivalent ones."""
+    stars = {n: star_template(n) for n in {g.valency(v) for v in g.vertices}}
+    stars[3] = three
+    return {v: stars[g.valency(v)] for v in g.vertices}
+
+
+class TestTemplatesStayChecked:
+    """A template keeps its slots as a tuple of morphisms whose maps are
+    read-only, so no edit after its check reaches the assembly."""
+
+    def test_a_slot_map_refuses_an_edit(self):
+        g = bench_graph("higher_genus", 30, "s")
+        t = star_template(3)
+        assign = _shared_stars(g, t)
+        glued = assemble_global(g, assign)
+        # slot 0 would land on slot 1's tip, which the check refuses
+        with pytest.raises(ValueError, match="slot 1 overlaps another slot"):
+            LocalTemplate(t.name, t.quiver, (t.slots[1], *t.slots[1:]))
+        with pytest.raises(TypeError, match="read-only"):
+            t.slots[0].vertex_map["u"] = t.slots[1].vertex_map["u"]
+        with pytest.raises(TypeError, match="read-only"):
+            t.slots[0].arrow_map["ghost"] = None
+        assert t == star_template(3)
+        assert assemble_global(g, assign) == glued
+        assert serialize(assemble_global(g, assign)) == serialize(glued)
+
+    def test_slots_given_as_a_list_are_kept_as_a_tuple(self):
+        g = bench_graph("higher_genus", 30, "s")
+        star = star_template(3)
+        slots = list(star.slots)
+        t = LocalTemplate(star.name, star.quiver, slots)
+        assert type(t.slots) is tuple and t == star
+        glued = assemble_global(g, _shared_stars(g, t))
+        slots.append(slots[0])
+        with pytest.raises(AttributeError):
+            t.slots.append(t.slots[0])
+        with pytest.raises(TypeError):
+            t.slots[0] = t.slots[1]
+        assert t.valency == 3
+        assert assemble_global(g, _shared_stars(g, t)) == glued
+
+    def test_copies_of_a_template_glue_alike(self):
+        g = bench_graph("higher_genus", 30, "s")
+        t = star_template(3)
+        glued = serialize(assemble_global(g, _shared_stars(g, t)))
+        for c in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+            assert c == t and type(c.slots) is tuple
+            assert serialize(assemble_global(g, _shared_stars(g, c))) == glued
+            with pytest.raises(TypeError):
+                c.slots[0].vertex_map["u"] = "t1"
+
+
 class TestAssemble:
     def test_two_triangles_rank1(self):
         g = RibbonGraph(
@@ -349,14 +407,14 @@ class TestAssemble:
         )
         q = assemble_global(g, {"u": "rank1_trivalent", "w": "rank1_trivalent"})
         assert len(q.vertices) == 5
-        assert len(q.frozen_vertex_ids()) == 4
+        assert len(frozen_ids(q)) == 4
         assert len(q.arrows) == 6
         assert not any(a.frozen for a in q.arrows)
 
     def test_four_gon_a2(self, four_gon, a2_four_gon_figure):
         q = assemble_global(four_gon, {"v1": "a2_trivalent", "v2": "a2_trivalent"})
         assert len(q.vertices) == 12
-        assert len(q.frozen_vertex_ids()) == 8
+        assert len(frozen_ids(q)) == 8
         assert len(q.arrows) == 22
         assert sum(1 for a in q.arrows if a.frozen) == 4
         assert quivers_isomorphic(q, a2_four_gon_figure)
@@ -365,7 +423,7 @@ class TestAssemble:
         # the two interface identifications leave no arrow between them
         q = assemble_global(four_gon, {"v1": "a2_trivalent", "v2": "a2_trivalent"})
         glued = {"v1.f0", "v1.r0"}
-        assert glued <= set(q.vertex_ids())
+        assert glued <= set(vertex_ids(q))
         between = [
             a for a in q.arrows if {a.src, a.dst} == glued
         ]
@@ -388,15 +446,15 @@ class TestAssemble:
             {"w1": "rank1_trivalent", "p": "punctured_2gon_T1", "w2": "rank1_trivalent"},
         )
         assert len(q.vertices) == 8
-        assert len(q.frozen_vertex_ids()) == 4
+        assert len(frozen_ids(q)) == 4
         assert len(q.arrows) == 10
         assert not any(a.frozen for a in q.arrows)
 
     def test_single_vertex_keeps_its_template(self, two_spider):
         # nothing to glue: the result is the local quiver, names qualified
         q = assemble_global(two_spider, {"v": "punctured_2gon_T2"})
-        assert q.vertex_ids() == ("v.1", "v.2", "v.3", "v.4")
-        assert q.frozen_vertex_ids() == ("v.1", "v.4")
+        assert vertex_ids(q) == ("v.1", "v.2", "v.3", "v.4")
+        assert frozen_ids(q) == ("v.1", "v.4")
         assert quivers_isomorphic(q, builtin_template("punctured_2gon_T2").quiver)
 
     def test_missing_template(self, four_gon):

@@ -38,7 +38,7 @@ from ribboncalc import (
 )
 from ribboncalc.assembly import _PUNCTURE_ARCS, NOTCHED_TAG, PLAIN_TAG
 
-from conftest import bench_graph, fixture_graph, fixture_text
+from conftest import bench_graph, fixture_graph, fixture_text, frozen_ids, vertex_ids
 from randgraphs import random_graph, trivalent_graph
 from test_assembly import _builtin_assignments, _punctured_path
 
@@ -77,7 +77,7 @@ def _exchange(g: RibbonGraph, assign) -> tuple[dict, set]:
     ``(E, x)``, one inside the template at ``v`` is named ``(v, local id)``:
     a flip keeps the names of all edges and vertices."""
     d = assembly_diagram(g, assign)
-    names = {v + "." + x: (v, x) for v in g.vertices for x in d.vertex_quivers[v].vertex_ids()}
+    names = {v + "." + x: (v, x) for v in g.vertices for x in vertex_ids(d.vertex_quivers[v])}
     for h in g.halfedges:
         for x, y in d.incidences[h].vertex_map.items():
             names[g.at_vertex(h) + "." + y] = (g.edge_of(h), x)
@@ -165,7 +165,7 @@ def test_the_wrong_rewiring_is_no_mutation():
 
 def _two_acyclic(q) -> bool:
     """No loop, and no 2-cycle but between two frozen vertices."""
-    frozen = set(q.frozen_vertex_ids())
+    frozen = set(frozen_ids(q))
     ends = {(a.src, a.dst) for a in q.arrows}
     return all(
         i != j and ((j, i) not in ends or i in frozen and j in frozen) for i, j in ends

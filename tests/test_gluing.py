@@ -44,7 +44,7 @@ from ribboncalc.serialization import template_from_jsonable
 
 from conftest import (
     bench_graph, fixture_graph, fixture_text, same_labelled_quiver, sample_graphs,
-    shuffled_diagram,
+    frozen_ids, shuffled_diagram,
 )
 from randgraphs import random_graph, trivalent_graph
 from test_flips import _builtin_assemblies, _punctured_assignment
@@ -356,7 +356,7 @@ def test_gluing_joins_pairs_and_counts_the_surface():
         interface = {e: len(d.edge_quivers[e].vertices) for e in g.edges()}
         internal = sum(interface[e] for e in g.internal_edges())
         local = sum(len(d.vertex_quivers[v].vertices) for v in g.vertices)
-        frozen = len(q.frozen_vertex_ids())
+        frozen = len(frozen_ids(q))
         assert (len(q.vertices), frozen) == (local - internal, sum(interface.values()) - internal)
         names = {t if isinstance(t, str) else "star" for t in assign.values()}
         s = surface_invariants(g)

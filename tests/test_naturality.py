@@ -57,6 +57,7 @@ from conftest import (
     fixture_graph,
     fixture_text,
     same_labelled_quiver,
+    vertex_ids,
 )
 from randgraphs import random_graph, trivalent_graph
 
@@ -480,7 +481,7 @@ def _renamed_template(t: LocalTemplate, rng: random.Random) -> LocalTemplate:
     bijection.  Its slots keep their interface ids: the reversal across
     an edge reads their order."""
     q = t.quiver
-    vmap = _renamings(q.vertex_ids(), "x", rng)[0]
+    vmap = _renamings(vertex_ids(q), "x", rng)[0]
     amap = _renamings([a.id for a in q.arrows], "y", rng)[0]
     quiver = IceQuiver(
         [QuiverVertex(vmap[v.id], v.frozen, v.label) for v in q.vertices],

@@ -42,8 +42,10 @@ and `export_dot(q)`, on the glued quiver.  On the
 `higher_genus` graph it times `assembly_diagram` and `assemble_global`
 with star templates, taken as given: ``shared`` is one `star_template`
 per valency, shared by the vertices of that valency, and ``copies`` is a
-new `star_template` at every vertex, each assignment built outside the
-clock, once per repeat, for both stages.  A copy brings its own slot
+new `star_template` at every vertex, each assignment built once per
+repeat, for both stages.  ``shared`` is built outside the clock, and
+``star_template`` times building ``copies``, which checks every template
+it builds, each slot morphism once.  A copy brings its own slot
 morphisms, so ``copies`` differs from ``shared`` in the reversal
 identifications, one per distinct pair of slots across an edge.  It prints,
 per family and stage, the best and the median time and the best time as
@@ -126,7 +128,7 @@ RATIO_BASE = {"parse_diagram": "json.loads diagram"}
 STAR_FAMILY = "higher_genus"
 STAR_STAGES = (
     "assembly_diagram shared", "assemble_global shared",
-    "assembly_diagram copies", "assemble_global copies",
+    "star_template", "assembly_diagram copies", "assemble_global copies",
 )
 BALL = 40
 NESTED_REPEATS = 2000
@@ -199,7 +201,8 @@ def measure(text: str, quiver: bool, stars: bool) -> dict[str, float]:
     also its edge sort, its restriction to `_ball`, its assembly, its
     diagram built and parsed, each with the check, the decode of the
     diagram's text, and the quiver stages on that; with ``stars``, its
-    diagram and assembly from shared and from copied star templates."""
+    diagram and assembly from shared and from copied star templates, and
+    the build of the copies."""
     times: dict[str, float] = {}
     obj = _timed(times, "json.loads", json.loads, text)
     g = _timed(times, "graph_from_jsonable", graph_from_jsonable, obj)
@@ -223,7 +226,10 @@ def measure(text: str, quiver: bool, stars: bool) -> dict[str, float]:
         _timed(times, "export_dot(q)", export_dot, q)
     if stars:
         for kind in ("shared", "copies"):
-            assign = _stars(g, kind == "shared")
+            if kind == "shared":
+                assign = _stars(g, True)
+            else:
+                assign = _timed(times, "star_template", partial(_stars, g), False)
             _timed(times, "assembly_diagram " + kind, partial(assembly_diagram, g), assign)
             _timed(times, "assemble_global " + kind, partial(assemble_global, g), assign)
     return times
