@@ -22,6 +22,7 @@ from .quiver import (
     QuiverArrow,
     QuiverMorphism,
     QuiverVertex,
+    _ReadOnlyDict,
     _check_slots,
     amalgamate,
 )
@@ -172,7 +173,9 @@ def assembly_diagram(g: RibbonGraph, assign: TemplateAssignment) -> Amalgamation
     incidence; across an internal edge the twin's slot interface is
     identified with it in reversed vertex order, once per distinct pair
     of slot objects, and must match under that identification.  The
-    diagram is built unchecked, by `AmalgamationDiagram._from_tables`.
+    diagram is built unchecked, with read-only tables: the graph is valid,
+    templates are valid by construction, and each incidence is a slot or a
+    slot composed with the isomorphism `_reversal_identification`.
     """
     require_valid(g)
     builtins: dict[str, LocalTemplate] = {}
@@ -224,7 +227,8 @@ def assembly_diagram(g: RibbonGraph, assign: TemplateAssignment) -> Amalgamation
                         "({} against {})".format(e, exc, e, h2)
                     ) from None
             incidences[h2] = reversals[key]
-    return AmalgamationDiagram._from_tables(g, vertex_quivers, edge_quivers, incidences)
+    tables = vertex_quivers, edge_quivers, incidences
+    return AmalgamationDiagram._unchecked(g, *map(_ReadOnlyDict, tables))
 
 
 def assemble_global(g: RibbonGraph, assign: TemplateAssignment) -> IceQuiver:

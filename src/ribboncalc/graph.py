@@ -40,8 +40,8 @@ class _Record:
     and `namedtuple` do.  ``__init__`` stores each value in its slot, and
     ``==`` and hash read the slots.  A field has no setter or deleter, so
     it cannot be assigned or deleted; the package's loops read the slots,
-    which costs less than the property.  ``repr``, copy and pickle use the
-    field values."""
+    which costs less than the property.  ``repr`` uses the field values;
+    a copy or a pickle stores them by `_unchecked`, not ``__post_init__``."""
 
     __slots__ = ()
     _defaults: dict = {}
@@ -74,8 +74,17 @@ class _Record:
             scope[name].__qualname__ = "{}.{}".format(cls.__qualname__, name)
             setattr(cls, name, scope[name])
 
+    @classmethod
+    def _unchecked(cls, *values):
+        """A record of ``values``, one per field, without ``__post_init__``."""
+        self = cls.__new__(cls)
+        for f, value in zip(cls._fields, values):  # a subclass may add no slots
+            setattr(self, "_" + f, value)
+        return self
+
     def __reduce__(self):
-        return type(self), tuple(map(self.__getattribute__, self._fields))
+        # the default reduction of a slotted class fails under protocols 0 and 1
+        return self._unchecked, tuple(map(self.__getattribute__, self._fields))
 
     def __repr__(self) -> str:
         shown = [f for f in self._fields if f not in self._unprinted]
@@ -134,13 +143,13 @@ class RibbonGraph:
     each halfedge's vertex, successor and twin, the kinds, the labels and
     the unsorted external halfedges.  Beyond those it keeps only what is
     read again: the sorted `vertices` and `halfedges`, built on first
-    read, the predecessor table, which only counterclockwise walks and
-    `dual` read, the report `validate_graph` leaves with its
-    next-marked-point map, and the walked itineraries.  `edges` and
-    `internal_edges` sort on each call, and the corner orbits are walked
-    on each call of `_corner_orbits`; a caller that reads one twice holds
-    it.  Validation reads no sorted table: it walks the rings once and
-    the boundary once (see `validate_graph`).
+    read, the report `validate_graph` leaves with its next-marked-point
+    map, and what walks grow, which a copy or a pickle leaves out: the
+    predecessor table, read by counterclockwise walks and `dual` only,
+    and the itineraries.  `edges` and `internal_edges` sort on each call,
+    and the corner orbits are walked on each call of `_corner_orbits`; a
+    caller that reads one twice holds it.  Validation reads no sorted
+    table: it walks the rings once and the boundary once.
     """
 
     def __init__(
@@ -249,6 +258,9 @@ class RibbonGraph:
         # ray, which starts there or runs through it; sound because the
         # graph never changes
         self._walks: dict = {"cw": {}, "ccw": {}}
+
+    def __getstate__(self) -> dict:
+        return dict(self.__dict__, _prev=None, _walks={"cw": {}, "ccw": {}})
 
     # -- basic accessors ------------------------------------------------
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from operator import attrgetter
 
-from .graph import RibbonGraph, ValidationReport, _Record, _fault, require_valid
+from .graph import ValidationReport, _Record, _fault, require_valid
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -259,22 +259,6 @@ class AmalgamationDiagram(_Record):
         tables = self._vertex_quivers, self._edge_quivers, self._incidences
         self._vertex_quivers, self._edge_quivers, self._incidences = map(_ReadOnlyDict, tables)
         _validate_diagram(self)
-
-    @classmethod
-    def _from_tables(
-        cls, graph: RibbonGraph, vertex_quivers: dict, edge_quivers: dict, incidences: dict
-    ) -> AmalgamationDiagram:
-        """A diagram of tables that `_validate_diagram` accepts, kept as
-        read-only copies and not checked: `assembly_diagram`'s.  Its graph
-        is valid and its templates are valid by construction, so each
-        incidence is a slot, or a slot composed with the isomorphism
-        `_reversal_identification`: a valid morphism with the slot's image,
-        and the slots pass `_check_slots`."""
-        d = cls.__new__(cls)
-        d._graph = graph
-        tables = vertex_quivers, edge_quivers, incidences
-        d._vertex_quivers, d._edge_quivers, d._incidences = map(_ReadOnlyDict, tables)
-        return d
 
 
 def _validate_diagram(d: AmalgamationDiagram) -> None:

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+from collections import Counter
 
 import pytest
 
@@ -397,6 +398,33 @@ class TestTemplatesStayChecked:
             assert serialize(assemble_global(g, _shared_stars(g, c))) == glued
             with pytest.raises(TypeError):
                 c.slots[0].vertex_map["u"] = "t1"
+
+    def test_copies_store_what_the_template_holds_without_a_check(self, monkeypatch):
+        g = bench_graph("higher_genus", 30, "s")
+        t = star_template(3)
+        glued = serialize(assemble_global(g, _shared_stars(g, t)))
+        calls = Counter()
+        for module, name in (
+            (assembly, "validate_template"), (assembly, "_check_slots"),
+            (quiver, "_check_slots"), (quiver, "validate_morphism"),
+        ):
+            monkeypatch.setattr(module, name, lambda *args, name=name: calls.update([name]))
+        copies = [copy.copy(t), copy.deepcopy(t)] + [
+            pickle.loads(pickle.dumps(t, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        assert calls == Counter()
+        # a shallow copy holds the very slots and maps the template holds
+        assert copies[0].slots is t.slots
+        monkeypatch.undo()
+        for c in copies:
+            assert type(c) is LocalTemplate and c == t and type(c.slots) is tuple
+            assert serialize(assemble_global(g, _shared_stars(g, c))) == glued
+            for m in c.slots:
+                with pytest.raises(TypeError, match="read-only"):
+                    m.vertex_map["u"] = "hub"
+                with pytest.raises(TypeError, match="read-only"):
+                    m.arrow_map["ghost"] = None
 
 
 class TestAssemble:

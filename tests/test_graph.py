@@ -2,6 +2,7 @@ import copy
 import itertools
 import pickle
 import random
+import sys
 
 import pytest
 
@@ -9,6 +10,8 @@ import ribboncalc.graph
 from conftest import bench_gen, bench_graph, ext_twin, external_edges, fixture_graph, sample_graphs
 from ribboncalc.graph import _Record, _corner_orbits, _predecessors
 from ribboncalc import (
+    CCW,
+    CW,
     AmalgamationDiagram,
     Atom,
     BoundaryWalk,
@@ -345,6 +348,26 @@ class TestSortedTables:
                         fresh = make(text)
                         read(fresh)
                         assert {write: write(fresh) for write in writers} == want
+
+
+class TestCopies:
+    """A copy or a pickle of a graph keeps its tables, its sorted ids and its
+    report, and none of the memos that walks grow."""
+
+    @pytest.mark.parametrize("n", (30, 100))
+    @pytest.mark.parametrize("family", sorted(bench_gen().FAMILIES))
+    def test_a_walked_graph_is_copied_without_its_walks(self, family, n):
+        gen = bench_gen()
+        text = gen.to_text(gen.generate(family, n, "s"))
+        g = parse_graph(text)
+        walked = {(h, o): itinerary(g, h, o) for h in g.halfedges for o in (CW, CCW)}
+        assert g._prev is not None and all(g._walks.values())
+        assert len(pickle.dumps(g)) <= 1.25 * len(pickle.dumps(parse_graph(text)))
+        for c in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+            assert type(c) is RibbonGraph and c == g
+            assert c._walks == {CW: {}, CCW: {}} and c._prev is None
+            assert c._report is not None and c._report == g._report
+            assert {(h, o): itinerary(c, h, o) for h, o in walked} == walked
 
 
 def _tables_from_twins(g):
@@ -1007,15 +1030,24 @@ class TestValueTypes:
             with pytest.raises(TypeError):
                 cls(*values[:-1])
 
-    def test_copies_are_equal(self, value, fields, text):
-        for other in (
-            copy.copy(value),
-            copy.deepcopy(value),
-            pickle.loads(pickle.dumps(value)),
-        ):
-            assert type(other) is type(value)
-            assert other == value
-            assert _hash_or_error(other) == _hash_or_error(value)
+    def test_copies_are_equal(self, value, fields, text, monkeypatch):
+        # a subclass that adds no slots keeps its parent's fields; pickle
+        # finds it by its name in this module
+        subclass = type("Sub", (type(value),), {"__slots__": ()})
+        monkeypatch.setattr(sys.modules[__name__], "Sub", subclass, raising=False)
+        for original in (value, subclass(*fields.values())):
+            for other in (
+                copy.copy(original),
+                copy.deepcopy(original),
+                *(
+                    pickle.loads(pickle.dumps(original, protocol))
+                    for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+                ),
+            ):
+                assert type(other) is type(original)
+                assert other == original
+                assert _hash_or_error(other) == _hash_or_error(original)
+                assert repr(other) == repr(original)
 
 
 def test_every_exported_record_type_is_covered():

@@ -596,6 +596,30 @@ class TestDiagramConstruction:
             with pytest.raises(TypeError):
                 c.incidences[g.halfedges[0]].vertex_map["u"] = "hub"
 
+    def test_copies_store_what_the_diagram_holds_without_a_check(self, monkeypatch):
+        g = bench_graph("higher_genus", 30, "s")
+        d = assembly_diagram(g, star_assignment(g))
+        glued = serialize(amalgamate(d))
+        calls = Counter()
+        for name in ("_validate_diagram", "_check_slots", "validate_morphism"):
+            monkeypatch.setattr(quiver, name, lambda *args, name=name: calls.update([name]))
+        copies = [copy.copy(d), copy.deepcopy(d)] + [
+            pickle.loads(pickle.dumps(d, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        assert calls == Counter()
+        # a shallow copy holds the very tables the diagram holds
+        assert all(getattr(copies[0], t) is getattr(d, t) for t in d._fields)
+        monkeypatch.undo()
+        v, h = g.vertices[0], g.halfedges[0]
+        for c in copies:
+            assert type(c) is AmalgamationDiagram and c == d
+            assert serialize(amalgamate(c)) == glued
+            with pytest.raises(TypeError, match="read-only"):
+                c.vertex_quivers[v] = star(5)
+            with pytest.raises(TypeError, match="read-only"):
+                c.incidences[h].vertex_map["u"] = "hub"
+
     def test_a_parsed_diagram_reports_a_fault_of_the_whole_at_its_pointer(self, four_gon):
         d = assembly_diagram(four_gon, star_assignment(four_gon))
         obj = to_jsonable(d)

@@ -32,7 +32,11 @@ steps: the diagram is built without a check, and gluing checks none.
 A diagram checks itself when it is built, so ``AmalgamationDiagram``
 times the constructor on the tables of that diagram, built outside the
 clock: it checks every vertex and every incidence, although the diagram
-shares its two template quivers and their slots.  ``json.loads diagram``
+shares its two template quivers and their slots.  ``copy.copy(d)`` times
+a shallow copy of that diagram, and ``pickle d`` a `pickle.dumps` and
+`pickle.loads` round trip of it at the default protocol; a copy stores
+the diagram's field values and runs no check, so neither stage should
+cost what the constructor does.  ``json.loads diagram``
 times the decode of that diagram's canonical text, written outside the
 clock, and ``parse_diagram`` its parse, which decodes it, builds each
 distinct quiver once and a morphism per incidence, and checks the
@@ -74,8 +78,10 @@ Standard library only.
 
 from __future__ import annotations
 
+import copy
 import importlib.util
 import json
+import pickle
 import statistics
 import sys
 import tempfile
@@ -121,7 +127,8 @@ STAGES = (
 QUIVER_FAMILY = "trivalent_punctured"
 QUIVER_STAGES = (
     "edges()", "subgraph", "assemble_global", "amalgamate", "AmalgamationDiagram",
-    "json.loads diagram", "parse_diagram", "serialize(q)", "export_dot(q)",
+    "copy.copy(d)", "pickle d", "json.loads diagram", "parse_diagram", "serialize(q)",
+    "export_dot(q)",
 )
 # the decode each stage's ratio is taken to, when it is not the graph's
 RATIO_BASE = {"parse_diagram": "json.loads diagram"}
@@ -199,10 +206,10 @@ def measure(text: str, quiver: bool, stars: bool) -> dict[str, float]:
     """One time per stage for the graph written as ``text``, each stage fed
     by the one before, as a command line call feeds them; with ``quiver``,
     also its edge sort, its restriction to `_ball`, its assembly, its
-    diagram built and parsed, each with the check, the decode of the
-    diagram's text, and the quiver stages on that; with ``stars``, its
-    diagram and assembly from shared and from copied star templates, and
-    the build of the copies."""
+    diagram built and parsed, each with the check, its copy and pickle
+    round trip, the decode of the diagram's text, and the quiver stages on
+    that; with ``stars``, its diagram and assembly from shared and from
+    copied star templates, and the build of the copies."""
     times: dict[str, float] = {}
     obj = _timed(times, "json.loads", json.loads, text)
     g = _timed(times, "graph_from_jsonable", graph_from_jsonable, obj)
@@ -219,6 +226,8 @@ def measure(text: str, quiver: bool, stars: bool) -> dict[str, float]:
         d = assembly_diagram(g, _assignment(g))
         tables = d.graph, d.vertex_quivers, d.edge_quivers, d.incidences
         _timed(times, "AmalgamationDiagram", lambda t: AmalgamationDiagram(*t), tables)
+        _timed(times, "copy.copy(d)", copy.copy, d)
+        _timed(times, "pickle d", lambda d: pickle.loads(pickle.dumps(d)), d)
         diagram = serialize(d)
         _timed(times, "json.loads diagram", json.loads, diagram)
         _timed(times, "parse_diagram", parse_diagram, diagram)
