@@ -106,17 +106,14 @@ def builtin_template(name: str) -> LocalTemplate:
 
 def star_template(n: int) -> LocalTemplate:
     """A generic template of any valency: a mutable hub feeding one
-    frozen point per slot.  Handy for gluing experiments and tests."""
+    frozen point per slot, every slot from one shared interface quiver."""
     if n < 2:
         raise ValueError("valency must be at least 2")
     tips = ["t{}".format(s) for s in range(n)]
     verts = [QuiverVertex("hub", False), *(QuiverVertex(tip, True) for tip in tips)]
     arrows = [QuiverArrow("s{}".format(s), "hub", tip) for s, tip in enumerate(tips)]
-    quiver = IceQuiver(verts, arrows)
-    slots = tuple(
-        QuiverMorphism(IceQuiver([QuiverVertex("u", True)], []), quiver, {"u": tip}, {})
-        for tip in tips
-    )
+    quiver, interface = IceQuiver(verts, arrows), IceQuiver([QuiverVertex("u", True)], [])
+    slots = tuple(QuiverMorphism(interface, quiver, {"u": tip}, {}) for tip in tips)
     return LocalTemplate("star_{}".format(n), quiver, slots)
 
 

@@ -132,11 +132,10 @@ def _cmd_tagged(args) -> int:
 
 def _cmd_export(args) -> int:
     if args.graph is not None:
-        g = _load_graph(args.graph)
-        _emit(graph_dot(g) if args.format == "dot" else serialize(g))
+        value, dot = _load_graph(args.graph), graph_dot
     else:
-        q = parse_quiver(_read(args.quiver))
-        _emit(export_dot(q) if args.format == "dot" else serialize(q))
+        value, dot = parse_quiver(_read(args.quiver)), export_dot
+    _emit(dot(value) if args.format == "dot" else serialize(value))
     return 0
 
 
@@ -149,17 +148,16 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Ribbon graph trajectories, decompositions and quiver assembly.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    graph = argparse.ArgumentParser(add_help=False)  # its --graph leads each usage line
+    graph.add_argument("--graph", required=True)
 
-    p = sub.add_parser("validate", help="report every violated graph invariant")
-    p.add_argument("--graph", required=True)
+    p = sub.add_parser("validate", parents=[graph], help="report every violated graph invariant")
     p.set_defaults(fn=_cmd_validate)
 
-    p = sub.add_parser("info", help="genus and boundary marked-point counts")
-    p.add_argument("--graph", required=True)
+    p = sub.add_parser("info", parents=[graph], help="genus and boundary marked-point counts")
     p.set_defaults(fn=_cmd_info)
 
-    p = sub.add_parser("traj", help="walk a trajectory, web or curve")
-    p.add_argument("--graph", required=True)
+    p = sub.add_parser("traj", parents=[graph], help="walk a trajectory, web or curve")
     p.add_argument("--start", required=True, help="halfedge, edge or vertex id")
     p.add_argument(
         "--kind",
@@ -170,8 +168,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--orient", choices=("cw", "ccw"), default="cw")
     p.set_defaults(fn=_cmd_traj)
 
-    p = sub.add_parser("decompose", help="decompose an evaluation into words")
-    p.add_argument("--graph", required=True)
+    p = sub.add_parser("decompose", parents=[graph], help="decompose an evaluation into words")
     p.add_argument("--source", required=True)
     p.add_argument("--source-kind", choices=("edge", "vertex"), required=True)
     p.add_argument("--target", required=True)
@@ -184,14 +181,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "dot"), default="json")
     p.set_defaults(fn=_cmd_amalgamate)
 
-    p = sub.add_parser("assemble", help="assemble templates over a graph")
-    p.add_argument("--graph", required=True)
+    p = sub.add_parser("assemble", parents=[graph], help="assemble templates over a graph")
     p.add_argument("--templates", required=True)
     p.add_argument("--format", choices=("json", "dot"), default="json")
     p.set_defaults(fn=_cmd_assemble)
 
-    p = sub.add_parser("tagged", help="tagged triangulation arcs")
-    p.add_argument("--graph", required=True)
+    p = sub.add_parser("tagged", parents=[graph], help="tagged triangulation arcs")
     p.add_argument("--choices", required=True, help="JSON: puncture to T1..T4")
     p.set_defaults(fn=_cmd_tagged)
 

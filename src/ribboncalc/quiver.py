@@ -52,14 +52,14 @@ class IceQuiver:
     """An ice quiver, its vertices and arrows in id order.  Construction
     checks each vertex, then each arrow, once and in input order, and
     raises ValueError at the first fault; only checked ids are sorted.
-    A fault of one vertex or arrow is located (see `_fault`).  The
-    check files each vertex and arrow by id, and the quiver keeps both
-    indexes, so `validate_morphism` looks an image up without building
-    a table of its own."""
+    A fault of one vertex or arrow is located (see `_fault`).  The check
+    files each vertex and arrow by id and ends in the build step `_build`,
+    which keeps both indexes, so `validate_morphism` looks an image up in
+    them; `_from_tables` runs only `_build`, on indexes `amalgamate` fills."""
 
     def __init__(self, vertices: Iterable[QuiverVertex], arrows: Iterable[QuiverArrow]):
         # the items checked so far fill `by_id`, then `arrow_by_id`: its size indexes a fault
-        by_id = self._by_id = {}
+        by_id = {}
         for v in vertices:
             if not isinstance(v._id, str):
                 field, message = "id", "vertex id {!r} is not a string"
@@ -73,7 +73,7 @@ class IceQuiver:
                 by_id[v._id] = v
                 continue
             raise _fault(("vertices", len(by_id), field), message, v.id)
-        arrow_by_id = self._arrow_by_id = {}
+        arrow_by_id = {}
         for a in arrows:
             if not isinstance(a._id, str):
                 field, message = "id", "arrow id {!r} is not a string"
@@ -93,9 +93,20 @@ class IceQuiver:
                 continue
             # the value at fault fills the message's second field, if any
             raise _fault(("arrows", len(arrow_by_id), field), message, a.id, getattr(a, field))
+        self._build(by_id, arrow_by_id)
+
+    @classmethod
+    def _from_tables(cls, by_id: dict, arrow_by_id: dict) -> "IceQuiver":
+        """A quiver of indexes checked as `__init__` checks them, not copied."""
+        q = cls.__new__(cls)
+        q._build(by_id, arrow_by_id)
+        return q
+
+    def _build(self, by_id: dict, arrow_by_id: dict) -> None:
+        # in this order, so that every quiver's attributes share one key table
+        self._by_id, self._arrow_by_id = by_id, arrow_by_id
         self._vertices = tuple(sorted(by_id.values(), key=attrgetter("_id")))
         self._arrows = tuple(sorted(arrow_by_id.values(), key=attrgetter("_id")))
-        # set here, so that every quiver's attributes share one key table
         self._components = None
 
     @property
@@ -310,18 +321,22 @@ def amalgamate(d: AmalgamationDiagram) -> IceQuiver:
     its frozen vertices, and no edge is a loop.  So across an internal
     edge the two images of each interface vertex melt into one mutable
     vertex, no vertex lies in two pairs, and a pair is named by the
-    smaller of its qualified ids ``vertex.local``.  Gluing checks only
-    those ids: two vertices or arrows with one raise ValueError.  The
-    glued vertex keeps a label only when both of its members carry that
-    same label, and has none otherwise, so labels do not depend on how
-    the graph's vertices are named.  Interfaces on external edges stay
-    frozen, frozen arrows included.  Interface arrows of an internal edge
-    survive, unfrozen, between the images of their ends, exactly when
-    both incidences keep them non-zero.  One pass over ``d.edge_quivers``
-    glues or freezes each interface; the result does not depend on the
-    order of the diagram's tables, as the table-order tests in
-    ``tests/test_gluing.py``, ``tests/test_quiver.py`` and
-    ``tests/test_properties.py`` check."""
+    smaller of its qualified ids ``vertex.local``; it keeps a label only
+    when both members carry that same label, so labels do not depend on
+    how the graph's vertices are named.  Interfaces on external edges
+    stay frozen, frozen arrows included.  Interface arrows of an
+    internal edge survive, unfrozen, between the images of their ends,
+    exactly when both incidences keep them non-zero.  One pass over
+    ``d.edge_quivers`` glues or freezes each interface; the result does
+    not depend on the order of the diagram's tables, as the table-order
+    tests in ``tests/test_gluing.py``, ``tests/test_quiver.py`` and
+    ``tests/test_properties.py`` check.  Gluing checks only the
+    qualified ids: two vertices or arrows with one, as ``a.(b.c)`` and
+    ``(a.b).c``, raise ValueError.  Nothing else can fail, so the result
+    is built unchecked (`IceQuiver._from_tables`): ids are joined
+    strings, flags and labels come from checked quivers, every arrow end
+    is a filed qualified id, and a kept frozen arrow lies in an external
+    frozen component, so both of its ends are frozen."""
     g, vertex_quivers, incidences = d._graph, d._vertex_quivers, d._incidences
     # each local vertex's qualified id "vertex.local", and its label; the
     # edge pass renames both members of a glued pair to the smaller one
@@ -346,9 +361,7 @@ def amalgamate(d: AmalgamationDiagram) -> IceQuiver:
         for x in interface._vertices:
             i, j = map1[x._id], m2._vertex_map[x._id]
             keep, drop = sorted((local[i], names2[j]))
-            # no other edge pairs either member, and the pair keeps a label
-            # only when both members carry it
-            local[i] = names2[j] = keep
+            local[i] = names2[j] = keep  # no other edge pairs either member
             if labels.pop(drop) != labels[keep]:
                 labels[keep] = None
         for a in interface._arrows:
@@ -357,7 +370,7 @@ def amalgamate(d: AmalgamationDiagram) -> IceQuiver:
                 arrows.append(QuiverArrow(e + "." + a._id, src, dst))
 
     # external images are in no pair, so they keep their ids and stay frozen
-    vertices = [QuiverVertex(x, x in frozen_ids, label) for x, label in labels.items()]
+    by_id = {x: QuiverVertex(x, x in frozen_ids, label) for x, label in labels.items()}
     for v in g.vertices:
         local = names[v]
         for a in vertex_quivers[v]._arrows:
@@ -366,7 +379,10 @@ def amalgamate(d: AmalgamationDiagram) -> IceQuiver:
             # tells whether the component is an external one
             if not a._frozen or src in frozen_ids:
                 arrows.append(QuiverArrow(v + "." + a._id, src, local[a._dst], a._frozen))
-    return IceQuiver(vertices, arrows)
+    arrow_by_id = {a._id: a for a in arrows}
+    if len(arrow_by_id) < len(arrows):  # the check names the first repeated id
+        return IceQuiver(by_id.values(), arrows)
+    return IceQuiver._from_tables(by_id, arrow_by_id)
 
 
 def _refine(

@@ -217,6 +217,20 @@ class TestBuiltinTemplates:
         with pytest.raises(ValueError, match="at least 2"):
             star_template(1)
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_star_slots_share_their_interface(self, n):
+        # one interface quiver for every slot: the template equals, and
+        # writes as, a star with an interface of its own at each slot
+        t = star_template(n)
+        assert len({id(m.source) for m in t.slots}) == 1
+        apart = [
+            QuiverMorphism(IceQuiver([QuiverVertex("u", True)], []), m.target, m.vertex_map, {})
+            for m in t.slots
+        ]
+        own = LocalTemplate(t.name, t.quiver, apart)
+        assert len({id(m.source) for m in own.slots}) == n
+        assert own == t and serialize(own) == serialize(t)
+
     def test_slot_morphisms_are_valid(self):
         t = builtin_template("a2_trivalent")
         for m in t.slots:
@@ -558,6 +572,28 @@ class TestAssemble:
                 glue(g, assign)
             assert str(info.value) == "duplicate arrow id 'a.b.c'"
 
+    def test_an_edge_arrow_id_colliding_with_a_vertex_arrow_id_rejected(self):
+        # the internal edge e keeps its interface arrows as "e.p" and so on;
+        # the vertex e keeps its external frozen arrow x1, renamed p, as "e.p"
+        t = _parallel_arrows_template()
+        name = {"x1": "p"}
+        q = IceQuiver(
+            t.quiver.vertices,
+            [QuiverArrow(name.get(a.id, a.id), a.src, a.dst, a.frozen) for a in t.quiver.arrows],
+        )
+        maps = [{a: name.get(b, b) for a, b in s.arrow_map.items()} for s in t.slots]
+        slots = [QuiverMorphism(s.source, q, s.vertex_map, m) for s, m in zip(t.slots, maps)]
+        g = RibbonGraph({"a": ("a2", "e"), "e": ("f", "f2")}, {"e": "f", "f": "e"})
+        assign = {"a": t, "e": LocalTemplate("renamed", q, slots)}
+        for glue in (assemble_global, lambda g, a: amalgamate(assembly_diagram(g, a))):
+            with pytest.raises(ValueError) as info:
+                glue(g, assign)
+            assert str(info.value) == "duplicate arrow id 'e.p'"
+        # without the rename, the two ids are "e.p" and "e.x1"
+        assign["e"] = t
+        ids = {a.id for a in assemble_global(g, assign).arrows}
+        assert {"e.p", "e.q", "e.r", "e.s", "e.x1"} <= ids
+
 
 def _punctured_path(n: int) -> RibbonGraph:
     """n trivalent vertices in a row, each with a stub and the ends with
@@ -607,7 +643,8 @@ def _builtin_assignments(g: RibbonGraph, rng: random.Random) -> list[dict]:
 
 class TestTrustedAssembly:
     """`assembly_diagram` builds its diagram unchecked, and `amalgamate`
-    checks nothing: only the templates are checked, when they are built."""
+    checks nothing but qualified ids and builds its quiver unchecked: only
+    the templates are checked, when they are built."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -672,6 +709,25 @@ class TestTrustedAssembly:
         hash(assigns[1][v].quiver)
         assert assigns[1][v] == assigns[0][v]
         assert calls == ["__hash__", "__eq__"]
+
+    @pytest.mark.parametrize("n", [100, 400])
+    def test_gluing_builds_its_quiver_unchecked(self, monkeypatch, n):
+        g = bench_graph("trivalent_punctured", n, "1/io")
+        d = assembly_diagram(g, {
+            v: "punctured_2gon_T1" if g.kind(v) == "singular" else "rank1_trivalent"
+            for v in g.vertices
+        })
+        calls = []
+
+        def counting(self, *args, original=IceQuiver.__init__):
+            calls.append(len(args))
+            original(self, *args)
+
+        monkeypatch.setattr(IceQuiver, "__init__", counting)
+        q = amalgamate(d)
+        assert calls == []
+        # the checking constructor still counts, and finds the same quiver
+        assert IceQuiver(q.vertices, q.arrows) == q and calls == [2]
 
     def test_matches_the_validated_path(self):
         # the unchecked diagram passes the constructor's check, and a

@@ -13,7 +13,9 @@ order.  Gluing joins pairs, so the glued quiver's vertices are counted
 by the local and interface quivers, and for the built-in templates by
 the surface.  Assembly takes templates as given, so a new copy of each
 template per vertex, one object per distinct template and built-in names
-must glue to the same output.
+must glue to the same output.  Gluing builds its quiver unchecked, so the
+checking constructor must build the same quiver from its vertices and
+arrows.
 """
 
 import json
@@ -23,6 +25,7 @@ import pytest
 
 from ribboncalc import (
     AmalgamationDiagram,
+    IceQuiver,
     InvalidGraphError,
     QuiverMorphism,
     RibbonGraph,
@@ -322,6 +325,35 @@ def test_a_glued_vertex_is_named_by_the_smaller_of_its_two_members():
             for x in d.edge_quivers[e].vertices:
                 pair = sorted(v + "." + vmap[x.id] for v, vmap in ends)
                 assert pair[0] in ids and pair[1] not in ids, pair
+
+
+def _bench_family_assemblies(rng: random.Random):
+    """Stars on a graph of each ``bench/gen.py`` family, and the built-ins
+    on the punctured trivalent ones, at V=30 and V=200."""
+    for family in ("disc_tree", "higher_genus", "trivalent_punctured"):
+        for n in (30, 200):
+            g = bench_graph(family, n, "{}/rebuild".format(n))
+            yield g, _stars(g)
+            if family == "trivalent_punctured":
+                yield g, _punctured_assignment(g, rng)
+
+
+def test_a_glued_quiver_is_the_one_the_check_builds():
+    # gluing files its quiver's vertices and arrows and builds it
+    # unchecked: the checking constructor finds no fault in them and
+    # builds the same quiver, indexes, attribute order and frozen
+    # components included, whatever the order of the diagram's tables
+    rng = random.Random(36)
+    cases = [*_assemblies(rng), *_builtin_assemblies(), *_bench_family_assemblies(rng)]
+    for g, assign in cases:
+        d = assembly_diagram(g, assign)
+        for glued in amalgamate(d), amalgamate(shuffled_diagram(d, rng)):
+            checked = IceQuiver(glued.vertices, glued.arrows)
+            assert glued == checked
+            assert list(vars(glued)) == list(vars(checked))
+            assert (glued._by_id, glued._arrow_by_id) == (checked._by_id, checked._arrow_by_id)
+            assert glued.frozen_components() == checked.frozen_components()
+    assert len(cases) > 300
 
 
 def _counted_assemblies():

@@ -351,6 +351,102 @@ class TestHitCounting:
             per_ray = trajectory_counts(g, HalfedgeRef(h), EdgeRef("e0a"), "cw")
             assert len(per_ray) == 2
 
+    def test_a_third_genus_zero_curve_meets_an_edge_four_times(self):
+        # `randgraphs.random_graph(Random(14774))`, written out: another
+        # draw that breaks the bound of 2 per curve at genus 0, with H=15
+        # on a sphere with boundary (1, 1, 1) and one puncture
+        g = RibbonGraph(
+            {
+                "v0": ("e0a", "e5a"),
+                "v1": ("e0b", "e1a", "e5b", "s7"),
+                "v2": ("e1b", "s6", "e2a"),
+                "v3": ("e2b", "e3a", "e4a"),
+                "v4": ("e3b", "e4b", "s8"),
+            },
+            {
+                "e0a": "e0b",
+                "e0b": "e0a",
+                "e1a": "e1b",
+                "e1b": "e1a",
+                "e2a": "e2b",
+                "e2b": "e2a",
+                "e3a": "e3b",
+                "e3b": "e3a",
+                "e4a": "e4b",
+                "e4b": "e4a",
+                "e5a": "e5b",
+                "e5b": "e5a",
+            },
+            {"v4": "singular"},
+            {"v4": "puncture"},
+        )
+        inv = surface_invariants(g)
+        assert (inv.genus, inv.boundary) == (0, (1, 1, 1))
+        assert (len(g.vertices), len(g.halfedges)) == (5, 15)
+
+        hits = trajectory_counts(g, EdgeRef("e2a"), EdgeRef("e1a"), "cw")
+        assert [(h.source, h.index) for h in hits] == [
+            ("e2a", 5),
+            ("e2a", 8),
+            ("e2b", 2),
+            ("e2b", 5),
+        ]
+        for h in ("e2a", "e2b"):
+            per_ray = trajectory_counts(g, HalfedgeRef(h), EdgeRef("e1a"), "cw")
+            assert len(per_ray) == 2
+
+    def test_a_fourth_genus_zero_curve_meets_an_edge_four_times(self):
+        # `randgraphs.random_graph(Random(105721))`, written out: H=21 on a
+        # sphere with boundary (1, 1, 1) and two punctures
+        g = RibbonGraph(
+            {
+                "v0": ("e0a", "e7a"),
+                "v1": ("e0b", "e1a", "e4a", "s10"),
+                "v2": ("e1b", "e3a", "e2a"),
+                "v3": ("e2b", "s9"),
+                "v4": ("e3b", "e8b", "s11", "e5a"),
+                "v5": ("e4b", "e7b"),
+                "v6": ("e5b", "e6a"),
+                "v7": ("e6b", "e8a"),
+            },
+            {
+                "e0a": "e0b",
+                "e0b": "e0a",
+                "e1a": "e1b",
+                "e1b": "e1a",
+                "e2a": "e2b",
+                "e2b": "e2a",
+                "e3a": "e3b",
+                "e3b": "e3a",
+                "e4a": "e4b",
+                "e4b": "e4a",
+                "e5a": "e5b",
+                "e5b": "e5a",
+                "e6a": "e6b",
+                "e6b": "e6a",
+                "e7a": "e7b",
+                "e7b": "e7a",
+                "e8a": "e8b",
+                "e8b": "e8a",
+            },
+            {"v1": "singular", "v2": "singular"},
+            {"v1": "puncture", "v2": "puncture"},
+        )
+        inv = surface_invariants(g)
+        assert (inv.genus, inv.boundary) == (0, (1, 1, 1))
+        assert (len(g.vertices), len(g.halfedges)) == (8, 21)
+
+        hits = trajectory_counts(g, EdgeRef("e1a"), EdgeRef("e3a"), "cw")
+        assert [(h.source, h.index) for h in hits] == [
+            ("e1a", 2),
+            ("e1a", 6),
+            ("e1b", 6),
+            ("e1b", 10),
+        ]
+        for h in ("e1a", "e1b"):
+            per_ray = trajectory_counts(g, HalfedgeRef(h), EdgeRef("e3a"), "cw")
+            assert len(per_ray) == 2
+
 
 BAD_ORIENTATIONS = ("up", None, ["cw"])
 BAD_SIDES = ("up", None, ["L"])

@@ -28,7 +28,11 @@ singular vertex on ``punctured_2gon_T1`` and every other on
 diagram, and glues in one pass over the diagram's edge table, which it
 does not sort.  Beside it, ``amalgamate`` times
 ``amalgamate(assembly_diagram(g, assign))``, the same work by the public
-steps: the diagram is built without a check, and gluing checks none.
+steps: the diagram is built without a check, and gluing checks only the
+qualified ids and builds its quiver from the indexes it fills.
+``IceQuiver(q)`` times the checking constructor on the vertices and
+arrows of the glued quiver, ``IceQuiver(q.vertices, q.arrows)``: the
+pass over every glued vertex and arrow that gluing no longer makes.
 A diagram checks itself when it is built, so ``AmalgamationDiagram``
 times the constructor on the tables of that diagram, built outside the
 clock: it checks every vertex and every incidence, although the diagram
@@ -108,7 +112,7 @@ from ribboncalc.graph import (  # noqa: E402
     surface_invariants,
     validate_graph,
 )
-from ribboncalc.quiver import AmalgamationDiagram, amalgamate  # noqa: E402
+from ribboncalc.quiver import AmalgamationDiagram, IceQuiver, amalgamate  # noqa: E402
 from ribboncalc.serialization import (  # noqa: E402
     export_dot,
     graph_dot,
@@ -126,9 +130,9 @@ STAGES = (
 )
 QUIVER_FAMILY = "trivalent_punctured"
 QUIVER_STAGES = (
-    "edges()", "subgraph", "assemble_global", "amalgamate", "AmalgamationDiagram",
-    "copy.copy(d)", "pickle d", "json.loads diagram", "parse_diagram", "serialize(q)",
-    "export_dot(q)",
+    "edges()", "subgraph", "assemble_global", "amalgamate", "IceQuiver(q)",
+    "AmalgamationDiagram", "copy.copy(d)", "pickle d", "json.loads diagram", "parse_diagram",
+    "serialize(q)", "export_dot(q)",
 )
 # the decode each stage's ratio is taken to, when it is not the graph's
 RATIO_BASE = {"parse_diagram": "json.loads diagram"}
@@ -205,11 +209,12 @@ def _ball(g) -> list[str]:
 def measure(text: str, quiver: bool, stars: bool) -> dict[str, float]:
     """One time per stage for the graph written as ``text``, each stage fed
     by the one before, as a command line call feeds them; with ``quiver``,
-    also its edge sort, its restriction to `_ball`, its assembly, its
-    diagram built and parsed, each with the check, its copy and pickle
-    round trip, the decode of the diagram's text, and the quiver stages on
-    that; with ``stars``, its diagram and assembly from shared and from
-    copied star templates, and the build of the copies."""
+    also its edge sort, its restriction to `_ball`, its assembly, the
+    checked rebuild of the glued quiver, its diagram built and parsed,
+    each with the check, its copy and pickle round trip, the decode of
+    the diagram's text, and the quiver stages on that; with ``stars``,
+    its diagram and assembly from shared and from copied star templates,
+    and the build of the copies."""
     times: dict[str, float] = {}
     obj = _timed(times, "json.loads", json.loads, text)
     g = _timed(times, "graph_from_jsonable", graph_from_jsonable, obj)
@@ -223,6 +228,7 @@ def measure(text: str, quiver: bool, stars: bool) -> dict[str, float]:
         _timed(times, "subgraph", partial(subgraph, g), _ball(g))
         q = _timed(times, "assemble_global", partial(assemble_global, g), _assignment(g))
         _timed(times, "amalgamate", lambda a: amalgamate(assembly_diagram(g, a)), _assignment(g))
+        _timed(times, "IceQuiver(q)", lambda q: IceQuiver(q.vertices, q.arrows), q)
         d = assembly_diagram(g, _assignment(g))
         tables = d.graph, d.vertex_quivers, d.edge_quivers, d.incidences
         _timed(times, "AmalgamationDiagram", lambda t: AmalgamationDiagram(*t), tables)
