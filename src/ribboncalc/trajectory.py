@@ -198,25 +198,6 @@ def _hit_key(hit: TrajectoryHit):
     return (hit.source, hit.index, not hit.constant)
 
 
-def _hits_on_edge(itin: Itinerary, f: str) -> list[TrajectoryHit]:
-    return [
-        TrajectoryHit(itin._start, i, "edge", f, i == 1, itin)
-        for i, e in enumerate(itin._edges, start=1)
-        if e == f
-    ]
-
-
-def _hits_on_halfedges(itin: Itinerary, ring: tuple[str, ...]) -> list[TrajectoryHit]:
-    hits = []
-    if itin._start in ring:
-        # the constant visit: stand on the source and apply nothing
-        hits.append(TrajectoryHit(itin._start, 1, "halfedge", itin._start, True, itin))
-    for i, t in enumerate(itin._entries, start=1):
-        if t in ring:
-            hits.append(TrajectoryHit(itin._start, i, "halfedge", t, False, itin))
-    return hits
-
-
 def _source_halfedges(g: RibbonGraph, source: SourceRef) -> tuple[str, ...]:
     if isinstance(source, HalfedgeRef):
         if not g.has_halfedge(source.id):
@@ -233,16 +214,32 @@ def _source_halfedges(g: RibbonGraph, source: SourceRef) -> tuple[str, ...]:
 
 def _hits(g: RibbonGraph, starts, target, orient: str, curve: bool) -> list[TrajectoryHit]:
     """The hits of the walks from the halfedges ``starts`` on the checked
-    ``target``, each start's walk read once; a vertex target's hits name
-    the halfedge met.  A ``curve``, an internal edge that is its own
-    target, makes one constant visit, so only its first start keeps one."""
+    ``target``, all read in one pass, each walk once.  An edge target is hit
+    wherever a walk's edges name it.  A halfedge or vertex target is met by
+    membership in one set, built once per call: the halfedge, or the
+    vertex's ring, whose hits name the halfedge met; no ring is scanned per
+    entry.  A ``curve``, an internal edge that is its own target, makes one
+    constant visit, so only its first start keeps one."""
+    hits = []
     if isinstance(target, EdgeRef):
-        hits = [h for s in starts for h in _hits_on_edge(_itinerary(g, s, orient), target.id)]
+        f = target.id
+        for s in starts:
+            itin = _itinerary(g, s, orient)
+            for i, e in enumerate(itin._edges, start=1):
+                if e == f:
+                    hits.append(TrajectoryHit(s, i, "edge", f, i == 1, itin))
     else:
-        ring = g.cyclic(target.id) if isinstance(target, VertexRef) else (target.id,)
-        hits = [h for s in starts for h in _hits_on_halfedges(_itinerary(g, s, orient), ring)]
+        met = set(g._cyclic[target.id]) if isinstance(target, VertexRef) else {target.id}
+        for s in starts:
+            itin = _itinerary(g, s, orient)
+            if s in met:
+                # the constant visit: stand on the source and apply nothing
+                hits.append(TrajectoryHit(s, 1, "halfedge", s, True, itin))
+            for i, t in enumerate(itin._entries, start=1):
+                if t in met:
+                    hits.append(TrajectoryHit(s, i, "halfedge", t, False, itin))
     if curve:
-        hits = [h for h in hits if not h.constant or h.source == starts[0]]
+        hits = [h for h in hits if not h._constant or h._source == starts[0]]
     return hits
 
 
@@ -256,8 +253,8 @@ def trajectory_counts(
     target's vertex along it, terminal index excluded, plus the constant
     visit when the target is the source halfedge itself.  An internal
     source edge that is its own target keeps one of its two constant
-    visits, which are the same curve.  Each start's walk is read once,
-    by `_hits`, the one hit reader.
+    visits, which are the same curve.  One `_hits` call, the one hit
+    reader, reads every start's walk once.
     """
     _require_walk(g, orient)
     starts = _source_halfedges(g, source)  # a bad source is reported before a bad target

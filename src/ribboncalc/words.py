@@ -29,7 +29,7 @@ from .trajectory import (
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import Iterable, Optional, Union
+    from typing import Optional, Sequence, Union
 
     from .trajectory import Itinerary
 
@@ -150,21 +150,21 @@ def _decompose(
     g: RibbonGraph,
     target: ObjectRef,
     side: str,
-    starts: Iterable[tuple[tuple[str, ...], Optional[Marker]]],
+    cuts: Sequence[str] = (),
     source: Optional[ObjectRef] = None,
     unit: Optional[Marker] = None,
 ) -> Decomposition:
     """The hit-to-summand loop behind both decompositions.
 
-    ``starts`` pairs the start halfedges of each trajectory source with
-    the marker its summands carry; a decomposition from ``source`` passes
-    none, and the source is resolved once the target is checked.  `_hits`
-    reads each start's walk once.  A vertex target is met through the ring
-    halfedge each hit names, behind its adjoint atom, and a vertex
-    ``source`` appends the generator of the hit's source halfedge.  On the
-    diagonal, where a vertex source is its own target or a restriction
-    marker ``unit`` is given, one identity summand, marked ``unit``, stands
-    in for the constant hits.
+    The walks start at the halfedges of ``source``, resolved once the
+    target is checked, or else at the cut halfedges ``cuts``, and one
+    `_hits` call reads them all; a hit from a cut carries that cut's "ev"
+    marker.  A vertex target is met through the ring halfedge each hit
+    names, behind its adjoint atom, and a vertex ``source`` appends the
+    generator of the hit's source halfedge.  On the diagonal, where a
+    vertex source is its own target or a restriction marker ``unit`` is
+    given, one identity summand, marked ``unit``, stands in for the
+    constant hits.
 
     Each summand's atoms are built once, into one list: the prefix atom,
     the transport atoms of `_transport` and the suffix atom; a word with
@@ -175,28 +175,27 @@ def _decompose(
     if not isinstance(target, (EdgeRef, VertexRef)):
         raise TypeError("target must be an edge or vertex reference")
     _source_halfedges(g, target)
-    if source is not None:
-        starts = ((_source_halfedges(g, source), None),)
+    starts = cuts if source is None else _source_halfedges(g, source)
+    markers = {cut: Marker("ev", cut) for cut in cuts}
     from_vertex = isinstance(source, VertexRef)
     diagonal = unit is not None or (from_vertex and source == target)
     orient = CW if side == "L" else CCW
     adj = _adjoint_kind(orient) if isinstance(target, VertexRef) else None
     kind, at = g._kind, g._at
     summands: list[Summand] = []
-    for halfedges, marker in starts:
-        for hit in _hits(g, halfedges, target, orient, source == target):
-            constant = hit._constant
-            if diagonal and constant:
-                continue
-            h, index = hit._source, hit._index
-            atoms = _transport([Atom(adj, hit._target)] if adj else [], hit._itinerary, index)
-            if from_vertex:
-                atoms.append(Atom(GEN, h))
-            word = FunctorWord(tuple(atoms) or (ID_ATOM,), source, target)
-            # conservative: any atom sitting at a singular vertex may die in
-            # a stalk where the relevant composite vanishes
-            zero = SINGULAR in [kind[at[a._halfedge]] for a in atoms]
-            summands.append(Summand(word, h, index, constant, marker, zero))
+    for hit in _hits(g, starts, target, orient, source == target):
+        constant = hit._constant
+        if diagonal and constant:
+            continue
+        h, index = hit._source, hit._index
+        atoms = _transport([Atom(adj, hit._target)] if adj else [], hit._itinerary, index)
+        if from_vertex:
+            atoms.append(Atom(GEN, h))
+        word = FunctorWord(tuple(atoms) or (ID_ATOM,), source, target)
+        # conservative: any atom sitting at a singular vertex may die in
+        # a stalk where the relevant composite vanishes
+        zero = SINGULAR in [kind[at[a._halfedge]] for a in atoms]
+        summands.append(Summand(word, h, index, constant, markers.get(h), zero))
     if diagonal:
         word = FunctorWord((ID_ATOM,), source, target)
         summands.append(Summand(word, None, 0, False, unit, False))
@@ -220,7 +219,7 @@ def decompose(
     _require_side(side)
     if not isinstance(source, (EdgeRef, VertexRef)):
         raise TypeError("source must be an edge or vertex reference")
-    return _decompose(g, target, side, (), source)
+    return _decompose(g, target, side, source=source)
 
 
 def decompose_subgraph(
@@ -249,8 +248,8 @@ def decompose_subgraph(
             unit = Marker("res", skip)
     elif isinstance(target, VertexRef) and sub.graph.has_vertex(target.id):
         unit = Marker("res", target.id)
-    starts = (((cut,), Marker("ev", cut)) for cut in sub.cut_halfedges if cut != skip)
-    return _decompose(g, target, side, starts, unit=unit)
+    cuts = [cut for cut in sub.cut_halfedges if cut != skip]
+    return _decompose(g, target, side, cuts, unit=unit)
 
 
 def check_unit_split(g: RibbonGraph, x: ObjectRef, side: str = "L") -> bool:
@@ -295,12 +294,12 @@ def word_typechecks(g: RibbonGraph, word: FunctorWord) -> bool:
     """Verify that adjacent atoms meet on matching objects.
 
     Generators map the stalk at a halfedge's vertex to the stalk at its
-    edge; adjoints go back.  The identity word typechecks between any
-    equal endpoints.  An atom whose halfedge is not in ``g`` raises
+    edge; adjoints go back.  The identity word typechecks between equal
+    ends, or when either end is None, unknown.  An atom whose halfedge is not in ``g`` raises
     ValueError.
     """
     if word.is_identity:
-        return word.source == word.target or word.source is None
+        return word.source is None or word.target is None or word.source == word.target
     cur = word.source
     for atom in reversed(word.atoms):
         if atom.kind == ID:

@@ -8,6 +8,7 @@ import pytest
 
 import ribboncalc.graph
 from conftest import bench_gen, bench_graph, ext_twin, external_edges, fixture_graph, sample_graphs
+from shapes import shapes
 from ribboncalc.graph import _Record, _corner_orbits, _predecessors
 from ribboncalc import (
     CCW,
@@ -588,6 +589,13 @@ class TestSurfaceInvariants:
         assert surface_invariants(annulus).boundary == tuple(
             sorted(surface_invariants(annulus).boundary, reverse=True)
         )
+
+
+def test_every_shape_is_valid_and_round_trips():
+    for n in (2, 9):
+        for name, g in shapes(n).items():
+            assert validate_graph(g).ok, (name, n)
+            assert parse_graph(serialize(g)) == g, (name, n)
 
 
 class TestDual:

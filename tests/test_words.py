@@ -30,7 +30,7 @@ from ribboncalc import (
     word_typechecks,
 )
 
-from ribboncalc import trajectory
+from ribboncalc import trajectory, words
 from ribboncalc.graph import boundary_walks, require_valid
 from ribboncalc.trajectory import CW, _itinerary, _source_halfedges
 from ribboncalc.words import ID_ATOM, _decompose, _external_support, _summand_key
@@ -233,6 +233,30 @@ class TestDecompose:
                     decompose(g, VertexRef(w), EdgeRef(e))
                     assert sorted(reads) == sorted(g.halfedges_of(e))
 
+    def test_every_walk_is_read_by_one_hit_call(self, four_gon, annulus, monkeypatch):
+        # a decomposition from a source or from a piece's cuts, and a count,
+        # read all their walks in one `_hits` call
+        calls = []
+        hits = trajectory._hits
+
+        def counting(*args):
+            calls.append(args)
+            return hits(*args)
+
+        monkeypatch.setattr(trajectory, "_hits", counting)
+        monkeypatch.setattr(words, "_hits", counting)
+        for g in (four_gon, annulus):
+            objects = [EdgeRef(e) for e in g.edges()] + [VertexRef(v) for v in g.vertices]
+            pieces = [subgraph(g, g.vertices[:1]), subgraph(g, g.vertices)]
+            targets = [HalfedgeRef(h) for h in g.halfedges] + [EdgeRef(e) for e in g.edges()]
+            queries = [(decompose, g, t, x) for t in objects for x in objects]
+            queries += [(decompose_subgraph, g, sub, t) for sub in pieces for t in objects]
+            queries += [(trajectory_counts, g, x, t) for x in objects for t in targets]
+            for fn, *args in queries:
+                calls.clear()
+                fn(*args)
+                assert len(calls) == 1, (fn.__name__, args)
+
 
 def _chain(*groups):
     """The atoms of ``groups`` in order, identities dropped, or the
@@ -386,8 +410,11 @@ class TestChecks:
 
 
 class TestWordTypechecks:
-    def test_identity(self, two_spider):
+    def test_identity(self, two_spider, four_gon):
         assert word_typechecks(two_spider, FunctorWord((Atom("id"),)))
+        # either end unknown: the same answer on each side
+        assert word_typechecks(four_gon, FunctorWord((ID_ATOM,), None, EdgeRef("m1")))
+        assert word_typechecks(four_gon, FunctorWord((ID_ATOM,), EdgeRef("m1")))
 
     def test_mismatched_composition(self, four_gon):
         # two generators in a row never compose: edge out, vertex in
@@ -674,8 +701,8 @@ def _decompose_subgraph_by_scan(g, sub, target, side):
             unit = Marker("res", skip)
     elif target.id in sub.vertices:
         unit = Marker("res", target.id)
-    starts = (((cut,), Marker("ev", cut)) for cut in sub.cut_halfedges if cut != skip)
-    return _decompose(g, target, side, starts, unit=unit)
+    cuts = [cut for cut in sub.cut_halfedges if cut != skip]
+    return _decompose(g, target, side, cuts=cuts, unit=unit)
 
 
 def _pieces(g):

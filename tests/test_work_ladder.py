@@ -4,7 +4,18 @@ the package's own code, at two sizes four times apart, grows by at most
 stage scales where a timing could not.  It cannot see work done in C,
 such as `json`, `sorted` or the dict and set builtins, nor the record
 methods that `_Record` writes by `exec`; it gates slopes and never backs a
-claimed speed-up."""
+claimed speed-up.
+
+A second counter sees one kind of that C work: comparisons of ids.  Built
+from `CountedId`, a `str` subclass whose ``==`` counts its calls, a
+graph's ids count each comparison made in C as well, such as an `in` test
+on a tuple of ids, which compares against every entry it passes.  A
+container compares identical objects without calling ``==``, so a set or
+dict lookup of an id the graph holds counts nothing; ``!=``, ``<`` and
+hashing stay those of `str` and count nothing either.  On the star of
+`shapes`, a decomposition at the centre counts the ids its hit reader
+compares, which grows with the centre's valency per hit candidate when
+the reader scans the centre's ring."""
 
 import json
 import os
@@ -14,19 +25,24 @@ import pytest
 
 import ribboncalc
 from conftest import bench_gen
+from shapes import star
 from ribboncalc import (
     CCW,
     CW,
     IceQuiver,
     QuiverArrow,
     QuiverVertex,
+    VertexRef,
     assemble_global,
     assembly_diagram,
     boundary_walks,
+    decompose,
+    decompose_subgraph,
     parse_diagram,
     parse_graph,
     quivers_isomorphic,
     serialize,
+    subgraph,
     tagged_triangulation,
     validate_graph,
     web_trajectory,
@@ -60,6 +76,27 @@ def line_events(fn, *args) -> int:
     finally:
         sys.settrace(previous)
     return count
+
+
+class CountedId(str):
+    """An id whose ``==`` counts its calls in `CountedId.calls`."""
+
+    calls = 0
+    __hash__ = str.__hash__
+
+    # no ``__ne__``: one written as ``not self.__eq__(other)`` negates the
+    # ``NotImplemented`` that a non-string gives, which is true, so
+    # ``cut != None`` would read false
+    def __eq__(self, other):
+        CountedId.calls += 1
+        return str.__eq__(self, other)
+
+
+def comparisons(fn, *args) -> int:
+    """The calls of `CountedId`'s ``==`` made by ``fn(*args)``."""
+    before = CountedId.calls
+    fn(*args)
+    return CountedId.calls - before
 
 
 def _validated(text: str):
@@ -141,6 +178,27 @@ def test_each_stage_scales_close_to_linearly(counts, stage):
 def test_isomorphism_of_a_directed_path_scales_close_to_linearly():
     small, large = (line_events(quivers_isomorphic, q, q) for q in map(_path, (25, 100)))
     assert large / small <= BOUND, (small, large)
+
+
+def _star_queries(n: int) -> dict:
+    """Two decompositions at the centre of the star of valency ``n``, with
+    `CountedId` ids, each as a function and its arguments, on a graph
+    already walked by a first call of each."""
+    g = star(n, CountedId)
+    c = VertexRef(g.vertices[0])  # the centre, ``c``, sorts first
+    queries = {
+        "decompose": (decompose, g, c, c),
+        "decompose_subgraph": (decompose_subgraph, g, subgraph(g, [c.id]), c),
+    }
+    for fn, *args in queries.values():
+        fn(*args)
+    return queries
+
+
+@pytest.mark.parametrize("query", ("decompose", "decompose_subgraph"))
+def test_a_decomposition_at_a_star_centre_compares_ids_close_to_linearly(query):
+    small, large = (comparisons(*_star_queries(n)[query]) for n in SIZES)
+    assert large <= BOUND * small, (query, small, large)
 
 
 def test_a_count_does_not_change_between_runs(counts):

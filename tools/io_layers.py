@@ -56,11 +56,17 @@ repeat, for both stages.  ``shared`` is built outside the clock, and
 it builds, each slot morphism once.  A copy brings its own slot
 morphisms, so ``copies`` differs from ``shared`` in the reversal
 identifications, one per distinct pair of slots across an edge.  It prints,
-per family and stage, the best and the median time and the best time as
-a ratio to the best `json.loads` of the stage's own text: the graph's,
-and for ``parse_diagram`` the diagram's.  Each repeat decodes, builds and
-assembles afresh, so no stage meets a graph, quiver or string an earlier
-repeat has used.
+per family and stage, the best and the median time, the best time as a
+ratio to the best `json.loads` of the stage's own text: the graph's, and
+for ``parse_diagram`` the diagram's, and the stage's total of the
+collector's generation-2 passes over all repeats, read from
+`gc.get_stats` before the clock starts and after it stops; the collector
+is only read, never called.  A generation-2 pass walks the whole live
+heap, and one that falls inside a timed call lands in that call's time,
+so the p50 column compares across stages or runs only where the gen2
+column reads alike; the best-of column is mostly free of such passes.
+Each repeat decodes, builds and assembles afresh, so no stage meets a
+graph, quiver or string an earlier repeat has used.
 
 It then times the writers of values that hold a quiver, where the JSON
 encoder writes the nested quiver: `serialize` of each built-in template
@@ -83,6 +89,7 @@ Standard library only.
 from __future__ import annotations
 
 import copy
+import gc
 import importlib.util
 import json
 import pickle
@@ -157,11 +164,14 @@ def _load_gen():
 
 
 def _timed(times: dict, stage: str, fn, arg):
-    """``fn(arg)``, its time recorded under ``stage``; the result is freed
-    by the caller, after the clock has stopped."""
+    """``fn(arg)``, its time and the collector's generation-2 passes during
+    it recorded under ``stage``; the result is freed by the caller, after
+    the clock has stopped."""
+    passes = gc.get_stats()[2]["collections"]
     start = time.perf_counter()
     result = fn(arg)
-    times[stage] = time.perf_counter() - start
+    elapsed = time.perf_counter() - start
+    times[stage] = elapsed, gc.get_stats()[2]["collections"] - passes
     return result
 
 
@@ -206,8 +216,9 @@ def _ball(g) -> list[str]:
     return ball
 
 
-def measure(text: str, quiver: bool, stars: bool) -> dict[str, float]:
-    """One time per stage for the graph written as ``text``, each stage fed
+def measure(text: str, quiver: bool, stars: bool) -> dict[str, tuple[float, int]]:
+    """One time and count of generation-2 passes per stage for the graph
+    written as ``text``, each stage fed
     by the one before, as a command line call feeds them; with ``quiver``,
     also its edge sort, its restriction to `_ball`, its assembly, the
     checked rebuild of the glued quiver, its diagram built and parsed,
@@ -215,7 +226,7 @@ def measure(text: str, quiver: bool, stars: bool) -> dict[str, float]:
     the diagram's text, and the quiver stages on that; with ``stars``,
     its diagram and assembly from shared and from copied star templates,
     and the build of the copies."""
-    times: dict[str, float] = {}
+    times: dict[str, tuple[float, int]] = {}
     obj = _timed(times, "json.loads", json.loads, text)
     g = _timed(times, "graph_from_jsonable", graph_from_jsonable, obj)
     _timed(times, "RibbonGraph", lambda tables: RibbonGraph(*tables), _tables(obj))
@@ -274,21 +285,24 @@ def main(argv: list[str]) -> int:
     times = {
         family: {stage: [] for stage in STAGES + extra.get(family, ())} for family in texts
     }
+    gen2 = {family: dict.fromkeys(stages, 0) for family, stages in times.items()}
     for _ in range(REPEATS):
         for family, text in texts.items():
             measured = measure(text, family == QUIVER_FAMILY, family == STAR_FAMILY)
-            for stage, t in measured.items():
+            for stage, (t, passes) in measured.items():
                 times[family][stage].append(t)
+                gen2[family][stage] += passes
 
     print("V={} repeats={} seed={} python={}".format(
         VERTICES, REPEATS, SEED, sys.version.split()[0]))
-    print("{:<20} {:<24} {:>9} {:>9} {:>7}".format(
-        "family", "stage", "best ms", "p50 ms", "ratio"))
+    print("{:<20} {:<24} {:>9} {:>9} {:>7} {:>5}".format(
+        "family", "stage", "best ms", "p50 ms", "ratio", "gen2"))
     for family, stages in times.items():
         for stage, ts in stages.items():
             base = min(stages[RATIO_BASE.get(stage, "json.loads")])
-            print("{:<20} {:<24} {:>9.2f} {:>9.2f} {:>7.2f}".format(
-                family, stage, 1e3 * min(ts), 1e3 * statistics.median(ts), min(ts) / base))
+            print("{:<20} {:<24} {:>9.2f} {:>9.2f} {:>7.2f} {:>5}".format(
+                family, stage, 1e3 * min(ts), 1e3 * statistics.median(ts), min(ts) / base,
+                gen2[family][stage]))
     measure_nested()
     measure_cli_assemble(gen)
     return 0
