@@ -186,6 +186,8 @@ def assembly_diagram(g: RibbonGraph, assign: TemplateAssignment) -> Amalgamation
             if t not in builtins:
                 builtins[t] = builtin_template(t)
             t = builtins[t]
+        elif not isinstance(t, LocalTemplate):
+            raise TypeError("template at vertex {} has type {}".format(v, type(t).__name__))
         ring = g.cyclic(v)
         if t.valency != len(ring):
             raise ValueError(
@@ -266,8 +268,7 @@ class TaggedArc(_Record):
     _defaults = dict.fromkeys(("edge", "puncture", "via", "tagging", "path"))
 
 
-# each local choice at a puncture: its two arcs, as (index in the
-# puncture's ring, tagging) pairs
+# each choice's two arcs at a puncture, as (ring index, tagging) pairs
 _PUNCTURE_ARCS = {
     "T1": ((0, PLAIN_TAG), (1, PLAIN_TAG)),
     "T2": ((0, NOTCHED_TAG), (1, NOTCHED_TAG)),
@@ -280,7 +281,10 @@ def tagged_triangulation(
     g: RibbonGraph, puncture_choices: Mapping[str, str]
 ) -> list[TaggedArc]:
     """Arcs of the tagged triangulation: one dual arc per internal edge
-    plus two arcs per puncture, picked by the local T1..T4 choice.
+    plus two arcs per puncture, picked by the local T1..T4 choice.  T3 and
+    T4 name an end by halfedge order: T3's arcs run through ``ring[0]``,
+    the smaller halfedge, and T4's through ``ring[1]``, so a renaming that
+    makes a puncture's other halfedge the smaller swaps them.
 
     Punctures are the 2-valent vertices; they must be singular and each
     must come with a choice.  All remaining vertices must be trivalent.

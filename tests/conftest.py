@@ -1,4 +1,7 @@
+import copy
+import functools
 import importlib.util
+import json
 import os
 import random
 import subprocess
@@ -9,9 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from randgraphs import random_graph
+from randgraphs import random_graph, trivalent_graph
 import ribboncalc
 from ribboncalc import (
+    BUILTIN_TEMPLATE_NAMES,
     AmalgamationDiagram,
     IceQuiver,
     LocalTemplate,
@@ -19,9 +23,14 @@ from ribboncalc import (
     QuiverMorphism,
     QuiverVertex,
     RibbonGraph,
+    assemble_global,
+    assembly_diagram,
+    builtin_template,
     dual,
+    parse_assignments,
     parse_graph,
     star_template,
+    to_jsonable,
 )
 from ribboncalc.quiver import _refine
 
@@ -114,6 +123,256 @@ def sample_graphs() -> list[RibbonGraph]:
     graphs = [fixture_graph(name) for name in GRAPH_FIXTURES]
     graphs += [random_graph(rng) for _ in range(60)]
     return [h for g in graphs for h in (g, dual(g))]
+
+
+def ball(g: RibbonGraph, centre: str, size: int) -> list[str]:
+    """The first ``size`` vertices that a breadth-first search of ``g``
+    from ``centre`` meets, neighbours in ring order."""
+    out = [centre]
+    for v in out:  # grows as it is read
+        for h in g.cyclic(v):
+            t = g.twin_of(h)
+            if t is not None and g.at_vertex(t) not in out:
+                out.append(g.at_vertex(t))
+                if len(out) == size:
+                    return out
+    return out
+
+
+def _punctured_path(n: int) -> RibbonGraph:
+    """n trivalent vertices in a row, each with a stub and the ends with
+    two, with a singular 2-valent puncture on every third link."""
+    cyclic, twin, kinds = {}, {}, {}
+
+    def join(a, b):
+        twin[a], twin[b] = b, a
+
+    for i in range(n):
+        ring = ["s{}".format(i)]
+        if i > 0:
+            ring.append("l{}".format(i))
+        ring.append("r{}".format(i) if i < n - 1 else "t")
+        if i == 0:
+            ring.append("u")
+        cyclic["v{}".format(i)] = ring
+    for i in range(1, n):
+        if i % 3:
+            join("r{}".format(i - 1), "l{}".format(i))
+        else:
+            p = "p{}".format(i)
+            cyclic[p] = [p + "a", p + "b"]
+            kinds[p] = "singular"
+            join("r{}".format(i - 1), p + "a")
+            join(p + "b", "l{}".format(i))
+    return RibbonGraph(cyclic, twin, kinds)
+
+
+def _builtin_assignments(g: RibbonGraph, rng: random.Random) -> list[dict]:
+    """Built-in assignments that fit ``g``'s valencies: rank1 on trivalent
+    vertices with a random punctured 2-gon on 2-valent ones, and each
+    built-in alone where it fits every vertex."""
+    valencies = {g.valency(v) for v in g.vertices}
+    out = []
+    if valencies <= {2, 3}:
+        out.append({
+            v: "rank1_trivalent" if g.valency(v) == 3
+            else "punctured_2gon_T{}".format(rng.randint(1, 4))
+            for v in g.vertices
+        })
+    for name in BUILTIN_TEMPLATE_NAMES:
+        if valencies == {builtin_template(name).valency}:
+            out.append({v: name for v in g.vertices})
+    return out
+
+
+def _punctured_assignment(g: RibbonGraph, rng: random.Random) -> dict[str, str]:
+    """A random punctured 2-gon on every singular vertex and rank 1 on every
+    other, as the benchmark's command line rounds assign them."""
+    return {
+        v: "punctured_2gon_T{}".format(rng.randint(1, 4)) if g.kind(v) == "singular"
+        else "rank1_trivalent"
+        for v in g.vertices
+    }
+
+
+@functools.cache
+def _builtin_assemblies() -> tuple:
+    """The pairs of `_draw_builtin_assemblies`, drawn once per session:
+    ``tests/test_flips.py``, ``tests/test_gluing.py`` and
+    ``tests/test_surface.py`` read them, and none changes a graph or an
+    assignment."""
+    return tuple(_draw_builtin_assemblies())
+
+
+def _draw_builtin_assemblies():
+    """Star templates on seeded random graphs, the trivalent built-ins on
+    seeded trivalent graphs, and the punctured 2-gons, with rank 1 around
+    them, on punctured paths, on the once-punctured 4-gon and on the
+    benchmark's punctured trivalent graphs."""
+    rng = random.Random(28)
+    for _ in range(100):
+        g = random_graph(rng)
+        yield g, {v: star_template(g.valency(v)) for v in g.vertices}
+    for _ in range(50):
+        g = trivalent_graph(rng, rng.randint(1, 12))
+        for name in ("rank1_trivalent", "a2_trivalent"):
+            yield g, {v: name for v in g.vertices}
+    for n in range(2, 12):
+        g = _punctured_path(n)
+        for assign in _builtin_assignments(g, rng):
+            yield g, assign
+    g = fixture_graph("once_punctured_4gon")
+    base = parse_assignments(fixture_text("once_punctured_4gon_templates"))
+    for k in range(1, 5):
+        yield g, dict(base, p="punctured_2gon_T{}".format(k))
+    for n in (24, 60, 150):
+        for seed in range(40):
+            g = bench_graph("trivalent_punctured", n, "{}/flip".format(seed))
+            yield g, _punctured_assignment(g, rng)
+
+
+def _bench_assemblies(t34_marks=()):
+    """A ``bench/gen.py`` graph of V=1000 and its assignment: a star at
+    every vertex of a higher-genus graph, and the built-ins on a punctured
+    trivalent one, each puncture with a seeded choice of T1/T2 or of
+    T3/T4, the latter marked with ``t34_marks``."""
+    g = bench_graph("higher_genus", 1000, "1/assembly")
+    stars = {n: star_template(n) for n in {g.valency(v) for v in g.vertices}}
+    yield pytest.param(g, {v: stars[g.valency(v)] for v in g.vertices}, id="higher_genus stars")
+    g = bench_graph("trivalent_punctured", 1000, "1/assembly")
+    for choices, marks in (("12", ()), ("34", t34_marks)):
+        rng = random.Random(35)
+        assign = {
+            v: "punctured_2gon_T" + rng.choice(choices) if g.valency(v) == 2
+            else "rank1_trivalent"
+            for v in g.vertices
+        }
+        yield pytest.param(
+            g, assign, marks=marks, id="trivalent_punctured T{}".format("/T".join(choices))
+        )
+
+
+def _neighbours(g: RibbonGraph, v: str) -> list[str]:
+    return sorted({g.at_vertex(g.twin_of(h)) for h in g.cyclic(v) if not g.is_external(h)})
+
+
+def _partitions(g: RibbonGraph, rng: random.Random, k: int, tries: int = 20):
+    """Up to ``tries`` seeded partitions of ``g``'s vertices into ``k``
+    connected pieces: each grown from its own random vertex, one random
+    edge from a piece to a vertex of none at a time."""
+    for _ in range(tries):
+        owner = {v: i for i, v in enumerate(rng.sample(g.vertices, k))}
+        frontier = [(v, w) for v in owner for w in _neighbours(g, v)]
+        while frontier:
+            j = rng.randrange(len(frontier))
+            frontier[j], frontier[-1] = frontier[-1], frontier[j]
+            v, w = frontier.pop()
+            if w not in owner:
+                owner[w] = owner[v]
+                frontier += [(w, u) for u in _neighbours(g, w) if u not in owner]
+        pieces = [set() for _ in range(k)]
+        for v, i in owner.items():
+            pieces[i].add(v)
+        yield pieces
+
+
+_ODD_VALUES = (
+    None, 0, -1, 1.5, True, False, "", "a", "v1", "a2_trivalent", "T2", [], [None], {},
+    {"id": "a"}, "a/b~c",
+)
+_KEYS = ("id", "frozen", "label", "src", "dst", "vertices", "arrows", "slots", "extra")
+
+
+def _descend(obj, rng: random.Random) -> tuple:
+    """The path of a random node: from the root, step into a random child
+    until a coin says stop, so that a small subtree, such as one
+    incidence's vertex map, is hit about as often as a large one."""
+    path = ()
+    while isinstance(obj, (dict, list)) and obj and rng.random() < 0.8:
+        key = rng.choice(list(obj)) if isinstance(obj, dict) else rng.randrange(len(obj))
+        obj, path = obj[key], path + (key,)
+    return path
+
+
+def _paths(obj, path=()):
+    """The path of every node of a JSON tree, the root first."""
+    yield path
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _paths(value, path + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _paths(value, path + (i,))
+
+
+def _get(obj, path):
+    for token in path:
+        obj = obj[token]
+    return obj
+
+
+def _put(obj, path, value):
+    """``obj`` with the node at ``path`` replaced by ``value``."""
+    if not path:
+        return value
+    _get(obj, path[:-1])[path[-1]] = value
+    return obj
+
+
+def _mutate(obj, rng: random.Random):
+    """One random edit of a JSON tree: delete a key, add a key, duplicate
+    a list entry, swap two disjoint subtrees or, where the drawn edit does
+    not apply, replace a value."""
+    op = rng.choice(("replace", "delete", "add", "duplicate", "swap"))
+    path = _descend(obj, rng)
+    node = _get(obj, path)
+    parent = _get(obj, path[:-1]) if path else None
+    if op == "delete" and isinstance(parent, dict):
+        del parent[path[-1]]
+    elif op == "add" and isinstance(node, dict):
+        node[rng.choice(_KEYS)] = copy.deepcopy(rng.choice(_ODD_VALUES))
+    elif op == "duplicate" and isinstance(parent, list):
+        parent.insert(rng.randrange(len(parent) + 1), copy.deepcopy(node))
+    elif op == "swap" and path:
+        other = _descend(obj, rng)
+        if other and path[: len(other)] != other and other[: len(path)] != path:
+            _put(obj, path, _get(obj, other))
+            _put(obj, other, node)
+    else:
+        obj = _put(obj, path, copy.deepcopy(rng.choice(_ODD_VALUES)))
+    return obj
+
+
+def _bases():
+    """``(argv, option, document)``: a subcommand line and the document it
+    reads through ``option``, in valid form."""
+    four_gon = fixture_graph("four_gon")
+    named = json.loads(fixture_text("four_gon_a2_templates"))
+    inline = to_jsonable(builtin_template("a2_trivalent"))
+    mixed = {"assignments": {"v1": "a2_trivalent", "v2": inline}}
+    assign = {"v1": "a2_trivalent", "v2": "a2_trivalent"}
+    diagram = to_jsonable(assembly_diagram(four_gon, assign))
+    quiver = to_jsonable(assemble_global(four_gon, assign))
+    four_gon_path = fixture_path("four_gon")
+    punctured_path = fixture_path("once_punctured_4gon")
+    return [
+        (["assemble", "--graph", four_gon_path], "--templates", named),
+        (["assemble", "--graph", four_gon_path], "--templates", mixed),
+        (
+            ["assemble", "--graph", punctured_path],
+            "--templates",
+            json.loads(fixture_text("once_punctured_4gon_templates")),
+        ),
+        (
+            ["tagged", "--graph", punctured_path],
+            "--choices",
+            json.loads(fixture_text("once_punctured_4gon_choices")),
+        ),
+        (["amalgamate"], "--diagram", diagram),
+        (["amalgamate", "--format", "dot"], "--diagram", diagram),
+        (["export"], "--quiver", quiver),
+        (["export", "--format", "dot"], "--quiver", quiver),
+    ]
 
 
 def shuffled_diagram(d: AmalgamationDiagram, rng: random.Random) -> AmalgamationDiagram:

@@ -6,10 +6,10 @@ from collections import Counter
 import pytest
 
 from conftest import (
-    bench_graph, colliding_assembly, extra_key_tables, frozen_ids, sample_graphs, vertex_ids,
+    _bench_assemblies, _builtin_assignments, _punctured_path, bench_graph, colliding_assembly,
+    extra_key_tables, frozen_ids, sample_graphs, vertex_ids,
 )
 from randgraphs import _attempt
-from test_naturality import _bench_assemblies
 from ribboncalc import (
     BUILTIN_TEMPLATE_NAMES,
     AmalgamationDiagram,
@@ -503,6 +503,14 @@ class TestAssemble:
         with pytest.raises(ValueError, match="has no template"):
             assemble_global(four_gon, {"v1": "a2_trivalent"})
 
+    @pytest.mark.parametrize("value", [5, None])
+    def test_a_template_that_is_neither_name_nor_template(self, four_gon, value):
+        want = "template at vertex v2 has type {}"
+        for build in assemble_global, assembly_diagram:
+            with pytest.raises(TypeError) as info:
+                build(four_gon, {"v1": "a2_trivalent", "v2": value})
+            assert str(info.value) == want.format(type(value).__name__)
+
     @pytest.mark.parametrize("name", ["a2_trivalent", "no_such_template"])
     def test_template_for_unknown_vertex(self, four_gon, name):
         assign = {"v1": "a2_trivalent", "v2": "a2_trivalent", "nope": name}
@@ -593,52 +601,6 @@ class TestAssemble:
         assign["e"] = t
         ids = {a.id for a in assemble_global(g, assign).arrows}
         assert {"e.p", "e.q", "e.r", "e.s", "e.x1"} <= ids
-
-
-def _punctured_path(n: int) -> RibbonGraph:
-    """n trivalent vertices in a row, each with a stub and the ends with
-    two, with a singular 2-valent puncture on every third link."""
-    cyclic, twin, kinds = {}, {}, {}
-
-    def join(a, b):
-        twin[a], twin[b] = b, a
-
-    for i in range(n):
-        ring = ["s{}".format(i)]
-        if i > 0:
-            ring.append("l{}".format(i))
-        ring.append("r{}".format(i) if i < n - 1 else "t")
-        if i == 0:
-            ring.append("u")
-        cyclic["v{}".format(i)] = ring
-    for i in range(1, n):
-        if i % 3:
-            join("r{}".format(i - 1), "l{}".format(i))
-        else:
-            p = "p{}".format(i)
-            cyclic[p] = [p + "a", p + "b"]
-            kinds[p] = "singular"
-            join("r{}".format(i - 1), p + "a")
-            join(p + "b", "l{}".format(i))
-    return RibbonGraph(cyclic, twin, kinds)
-
-
-def _builtin_assignments(g: RibbonGraph, rng: random.Random) -> list[dict]:
-    """Built-in assignments that fit ``g``'s valencies: rank1 on trivalent
-    vertices with a random punctured 2-gon on 2-valent ones, and each
-    built-in alone where it fits every vertex."""
-    valencies = {g.valency(v) for v in g.vertices}
-    out = []
-    if valencies <= {2, 3}:
-        out.append({
-            v: "rank1_trivalent" if g.valency(v) == 3
-            else "punctured_2gon_T{}".format(rng.randint(1, 4))
-            for v in g.vertices
-        })
-    for name in BUILTIN_TEMPLATE_NAMES:
-        if valencies == {builtin_template(name).valency}:
-            out.append({v: name for v in g.vertices})
-    return out
 
 
 class TestTrustedAssembly:

@@ -46,11 +46,10 @@ from ribboncalc import assembly
 from ribboncalc.serialization import template_from_jsonable
 
 from conftest import (
-    bench_graph, fixture_graph, fixture_text, same_labelled_quiver, sample_graphs,
-    frozen_ids, shuffled_diagram,
+    _builtin_assemblies, _neighbours, _partitions, _punctured_assignment, bench_graph,
+    fixture_graph, fixture_text, same_labelled_quiver, sample_graphs, frozen_ids, shuffled_diagram,
 )
 from randgraphs import random_graph, trivalent_graph
-from test_flips import _builtin_assemblies, _punctured_assignment
 
 
 def _restricted(d: AmalgamationDiagram, sub) -> AmalgamationDiagram:
@@ -100,10 +99,6 @@ def cut(d: AmalgamationDiagram, pieces, names) -> AmalgamationDiagram:
     return AmalgamationDiagram(contracted, quivers, edges, incidences)
 
 
-def _neighbours(g: RibbonGraph, v: str) -> list[str]:
-    return sorted({g.at_vertex(g.twin_of(h)) for h in g.cyclic(v) if not g.is_external(h)})
-
-
 def _pieces(g: RibbonGraph, rng: random.Random, tries: int = 20):
     """Up to ``tries`` seeded cuts of ``g`` into two pieces: a connected
     proper vertex set, grown from a random vertex to a random size, and
@@ -114,26 +109,6 @@ def _pieces(g: RibbonGraph, rng: random.Random, tries: int = 20):
         while len(piece) < size:
             piece.add(rng.choice([w for v in sorted(piece) for w in _neighbours(g, v)]))
         yield [piece, set(g.vertices) - piece]
-
-
-def _partitions(g: RibbonGraph, rng: random.Random, k: int, tries: int = 20):
-    """Up to ``tries`` seeded partitions of ``g``'s vertices into ``k``
-    connected pieces: each grown from its own random vertex, one random
-    edge from a piece to a vertex of none at a time."""
-    for _ in range(tries):
-        owner = {v: i for i, v in enumerate(rng.sample(g.vertices, k))}
-        frontier = [(v, w) for v in owner for w in _neighbours(g, v)]
-        while frontier:
-            j = rng.randrange(len(frontier))
-            frontier[j], frontier[-1] = frontier[-1], frontier[j]
-            v, w = frontier.pop()
-            if w not in owner:
-                owner[w] = owner[v]
-                frontier += [(w, u) for u in _neighbours(g, w) if u not in owner]
-        pieces = [set() for _ in range(k)]
-        for v, i in owner.items():
-            pieces[i].add(v)
-        yield pieces
 
 
 def _glued_by_pieces(d: AmalgamationDiagram, pieces, rng: random.Random):
@@ -357,7 +332,7 @@ def test_a_glued_quiver_is_the_one_the_check_builds():
 
 
 def _counted_assemblies():
-    """`test_flips._builtin_assemblies`, and the assemblies that
+    """`conftest._builtin_assemblies`, and the assemblies that
     `test_quiver.TestAmalgamate` glues: stars on the 4-gon, on the annulus
     and on a graph with dotted vertex ids, and ``a2_trivalent`` on the
     4-gon."""

@@ -7,7 +7,9 @@ import sys
 import pytest
 
 import ribboncalc.graph
-from conftest import bench_gen, bench_graph, ext_twin, external_edges, fixture_graph, sample_graphs
+from conftest import (
+    ball, bench_gen, bench_graph, ext_twin, external_edges, fixture_graph, sample_graphs
+)
 from shapes import shapes
 from ribboncalc.graph import _Record, _corner_orbits, _predecessors
 from ribboncalc import (
@@ -676,20 +678,6 @@ def _same_restriction(g, vertices) -> bool:
     return True
 
 
-def _ball(g, size: int, centre) -> set:
-    """The first ``size`` vertices that a breadth-first search of ``g``
-    from ``centre`` meets, neighbours in ring order."""
-    ball = [centre]
-    for v in ball:  # grows as it is read
-        for h in g.cyclic(v):
-            t = g.twin_of(h)
-            if t is not None and g.at_vertex(t) not in ball:
-                ball.append(g.at_vertex(t))
-                if len(ball) == size:
-                    return set(ball)
-    return set(ball)
-
-
 class TestSubgraph:
     def test_restriction_matches_the_checking_constructor(self):
         rng = random.Random(30)
@@ -708,14 +696,14 @@ class TestSubgraph:
         g = bench_graph(family, 1000, "1/restrict")
         rng = random.Random(family)
         for centre in [g.vertices[0], *rng.sample(g.vertices, 9)]:
-            assert _same_restriction(g, _ball(g, 40, centre))
+            assert _same_restriction(g, ball(g, centre, 40))
         # a ball and a vertex off it and its neighbours make a disconnected piece
-        ball = _ball(g, 40, g.vertices[0])
+        piece = set(ball(g, g.vertices[0], 40))
         far = next(
             v for v in g.vertices
-            if v not in ball and all(g.at_vertex(ext_twin(g, h)) not in ball for h in g.cyclic(v))
+            if v not in piece and all(g.at_vertex(ext_twin(g, h)) not in piece for h in g.cyclic(v))
         )
-        assert not _same_restriction(g, ball | {far})
+        assert not _same_restriction(g, piece | {far})
 
     def test_induced_single_vertex(self, once_punctured_4gon):
         sub = subgraph(once_punctured_4gon, {"p"})

@@ -10,7 +10,9 @@ or tool script or a README code fence.  So is each public method and
 property of an exported class, and each defaulted parameter of an
 exported function is passed by some call there.  Every
 fixture file the package ships is one of the input kinds it reads, and
-the built-in templates are exactly its template files."""
+the built-in templates are exactly its template files.  No test module
+imports another, and the test-side surface model reads only public
+names."""
 
 import ast
 import fnmatch
@@ -37,6 +39,7 @@ from conftest import run_python
 ROOT = Path(__file__).parent.parent
 SOURCES = sorted(Path(ribboncalc.__file__).parent.glob("*.py"))
 TOOLS = sorted((ROOT / "tools").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", SOURCES + TOOLS, ids=lambda p: p.name)
@@ -112,6 +115,38 @@ def test_no_module_imports_dataclasses(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     lines = [n.lineno for n in _imports_of(tree, "dataclasses")]
     assert lines == [], "{} imports dataclasses (lines {})".format(path.name, lines)
+
+
+def test_no_test_module_imports_another():
+    # builders that several test modules share live in helper modules
+    found = []
+    for path in TESTS:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [
+                "{} (line {} of {})".format(name, node.lineno, path.name)
+                for name in names if name.startswith("test_")
+            ]
+    assert found == [], "test modules imported by other modules: " + ", ".join(found)
+
+
+def test_the_surface_model_reads_only_public_names():
+    tree = ast.parse((ROOT / "tests" / "surface.py").read_text(encoding="utf-8"))
+    private = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = (node.module or "").split(".") + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        private += ["{} (line {})".format(n, node.lineno) for n in names if n.startswith("_")]
+    assert private == [], "tests/surface.py reads private names: " + ", ".join(private)
 
 
 def _private_definitions(tree):

@@ -50,6 +50,7 @@ from ribboncalc import (
 
 from conftest import (
     GRAPH_FIXTURES,
+    _bench_assemblies,
     bench_gen,
     bench_graph,
     ext_twin,
@@ -60,6 +61,7 @@ from conftest import (
     vertex_ids,
 )
 from randgraphs import random_graph, trivalent_graph
+from surface import arc_keys
 
 # the lists whose order carries no meaning
 _UNORDERED = ("vertices", "arrows", "halfedges")
@@ -385,42 +387,18 @@ def test_a_large_assembly_commutes_with_renaming():
     assert not quivers_isomorphic(q, IceQuiver(renamed.vertices, arrows))
 
 
-def _bench_assemblies():
-    """A ``bench/gen.py`` graph of V=1000 and its assignment: a star at
-    every vertex of a higher-genus graph, and the built-ins on a punctured
-    trivalent one, each puncture with a seeded choice of T1/T2 or of
-    T3/T4."""
-    g = bench_graph("higher_genus", 1000, "1/assembly")
-    stars = {n: star_template(n) for n in {g.valency(v) for v in g.vertices}}
-    yield pytest.param(g, {v: stars[g.valency(v)] for v in g.vertices}, id="higher_genus stars")
-    g = bench_graph("trivalent_punctured", 1000, "1/assembly")
-    for choices, marks in (
-        ("12", ()),
-        # T3 and T4 take a puncture's two arcs through ring[0], resp.
-        # ring[1], and a ring starts at its smallest halfedge, so a renaming
-        # that makes the other halfedge the smallest swaps them (as in
-        # `test_tagged_arcs_commute_with_renaming`).  The built-in T3 and T4
-        # are equal, slots included, so the swap changes nothing; with T4
-        # built as T3 with its two slots swapped, both renamings hold
-        (
-            "34",
-            pytest.mark.xfail(
-                strict=True, reason="the built-in punctured_2gon_T3 and _T4 are equal"
-            ),
-        ),
-    ):
-        rng = random.Random(35)
-        assign = {
-            v: "punctured_2gon_T" + rng.choice(choices) if g.valency(v) == 2
-            else "rank1_trivalent"
-            for v in g.vertices
-        }
-        yield pytest.param(
-            g, assign, marks=marks, id="trivalent_punctured T{}".format("/T".join(choices))
-        )
+# T3 and T4 take a puncture's two arcs through ring[0], resp. ring[1],
+# and a ring starts at its smallest halfedge, so a renaming that makes the
+# other halfedge the smallest swaps them (as in
+# `test_tagged_arcs_commute_with_renaming`).  The built-in T3 and T4 are
+# equal, slots included, so the swap changes nothing; with T4 built as T3
+# with its two slots swapped, both renamings hold
+_T3_IS_T4 = pytest.mark.xfail(
+    strict=True, reason="the built-in punctured_2gon_T3 and _T4 are equal"
+)
 
 
-@pytest.mark.parametrize("g, assign", list(_bench_assemblies()))
+@pytest.mark.parametrize("g, assign", list(_bench_assemblies(_T3_IS_T4)))
 def test_bench_assemblies_commute_with_renaming(g, assign):
     q = assemble_global(g, assign)
     swap = {"punctured_2gon_T3": "punctured_2gon_T4", "punctured_2gon_T4": "punctured_2gon_T3"}
@@ -430,20 +408,6 @@ def test_bench_assemblies_commute_with_renaming(g, assign):
             if isinstance(t, str) and t in swap and hmap[g.cyclic(v)[0]] != r.cyclic(vmap[v])[0]:
                 renamed[vmap[v]] = swap[t]
         assert quivers_isomorphic(q, assemble_global(r, renamed))
-
-
-def _arc_set(g, arcs, hmap, vmap) -> set:
-    """The arcs of ``g`` over the ids ``hmap`` and ``vmap`` give: a dual arc
-    by its edge's halfedges, a puncture arc by its puncture, via halfedge,
-    tagging and path, so that no edge name is compared."""
-    return {
-        ("dual", frozenset(hmap[h] for h in g.halfedges_of(a.edge))) if a.kind == "dual"
-        else (
-            "puncture", vmap[a.puncture], hmap[a.via], a.tagging,
-            tuple(hmap[h] for h in a.path.out_halfedges),
-        )
-        for a in arcs
-    }
 
 
 def _tagged_cases():
@@ -465,12 +429,12 @@ def test_tagged_arcs_commute_with_renaming(g):
         flips.append(len(flipped))
         for choice in swap:
             arcs = tagged_triangulation(g, dict.fromkeys(punctures, choice))
-            expected = _arc_set(g, arcs, hmap, vmap)
+            expected = arc_keys(g, arcs, hmap, vmap)
             choices = {vmap[p]: swap[choice] if p in flipped else choice for p in punctures}
-            assert _arc_set(r, tagged_triangulation(r, choices), same_h, same_v) == expected
+            assert arc_keys(r, tagged_triangulation(r, choices), same_h, same_v) == expected
             if choice != swap[choice] and flipped:
                 unswapped = tagged_triangulation(r, dict.fromkeys(choices, choice))
-                assert _arc_set(r, unswapped, same_h, same_v) != expected
+                assert arc_keys(r, unswapped, same_h, same_v) != expected
     # the random renaming keeps some punctures' order, the order-reversing
     # one flips every puncture
     assert flips[0] < len(punctures) == flips[1]

@@ -28,8 +28,8 @@ from ribboncalc import ParseError, serialize
 from ribboncalc import serialization as library
 from ribboncalc.serialization import graph_from_jsonable
 
+from conftest import _ODD_VALUES, _bases, _get, _mutate, _paths, _put
 from parse_oracle import _loc, _ptr, _want, _want_keys, _want_str
-from test_cli_mutations import _ODD_VALUES, _bases, _get, _mutate, _paths, _put
 
 
 # -- oracles: the parsers before values moved to the constructors, verbatim,

@@ -36,10 +36,10 @@ from ribboncalc import (
 )
 from ribboncalc.trajectory import CW, Itinerary
 
-from conftest import bench_gen, bench_graph, ext_twin, fixture_graph, ring_steps, sample_graphs
+from conftest import (
+    _partitions, ball, bench_gen, bench_graph, ext_twin, fixture_graph, ring_steps, sample_graphs
+)
 from randgraphs import random_graph, trivalent_graph
-from test_gluing import _partitions
-from test_graph import _ball
 
 
 class TestItinerary:
@@ -870,7 +870,7 @@ class TestRestriction:
         g = bench_graph(family, 1000, "1/restrict")
         rng = random.Random(family)
         for centre in rng.sample(g.vertices, 3):
-            piece = subgraph(g, _ball(g, 40, centre))
+            piece = subgraph(g, ball(g, centre, 40))
             assert sum(_check_restriction(g, piece, o) for o in ("cw", "ccw")) > 0
 
     def test_walks_of_gluing_partitions(self):

@@ -35,7 +35,7 @@ from ribboncalc.graph import boundary_walks, require_valid
 from ribboncalc.trajectory import CW, _itinerary, _source_halfedges
 from ribboncalc.words import ID_ATOM, _decompose, _external_support, _summand_key
 
-from conftest import bench_graph, external_edges, fixture_graph, sample_graphs
+from conftest import ball, bench_graph, external_edges, fixture_graph, sample_graphs
 
 
 def words_of(dec):
@@ -634,19 +634,6 @@ def test_decompositions_match_the_per_ring_halfedge_loop():
                         )
 
 
-def _ball(g, centre, size):
-    """The first ``size`` vertices of a breadth-first search from ``centre``."""
-    ball, todo = [centre], [centre]
-    while todo and len(ball) < size:
-        v = todo.pop(0)
-        for t in filter(None, map(g.twin_of, g.cyclic(v))):
-            w = g.at_vertex(t)
-            if w not in ball and len(ball) < size:
-                ball.append(w)
-                todo.append(w)
-    return ball
-
-
 def test_decompositions_match_the_per_ring_halfedge_loop_at_bench_size():
     # the benchmark's graph, with a seeded tenth of its vertices made
     # singular so that the possibly-zero flags are compared too; each
@@ -673,7 +660,7 @@ def test_decompositions_match_the_per_ring_halfedge_loop_at_bench_size():
                 sizes[len(dec.summands) > 0] += 1
                 zero.update(s.possibly_zero for s in dec.summands)
     centre = rng.choice(g.vertices)
-    sub = subgraph(g, _ball(g, centre, 40))
+    sub = subgraph(g, ball(g, centre, 40))
     assert len(sub.vertices) == 40
     for target in (VertexRef(centre), VertexRef(rng.choice(g.vertices)), *(
             EdgeRef(rng.choice(edges)) for _ in range(2))):

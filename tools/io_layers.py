@@ -46,7 +46,10 @@ clock, and ``parse_diagram`` its parse, which decodes it, builds each
 distinct quiver once and a morphism per incidence, and checks the
 diagram; before any timing, the parse of that text must serialize back
 to it.  Last it times the quiver writers, `serialize(q)`
-and `export_dot(q)`, on the glued quiver.  On the
+and `export_dot(q)`, on the glued quiver; between them, ``json.loads
+quiver`` times the decode of the text `serialize(q)` wrote and
+``parse_quiver`` its parse, which must serialize back to it before any
+timing.  On the
 `higher_genus` graph it times `assembly_diagram` and `assemble_global`
 with star templates, taken as given: ``shared`` is one `star_template`
 per valency, shared by the vertices of that valency, and ``copies`` is a
@@ -57,8 +60,9 @@ it builds, each slot morphism once.  A copy brings its own slot
 morphisms, so ``copies`` differs from ``shared`` in the reversal
 identifications, one per distinct pair of slots across an edge.  It prints,
 per family and stage, the best and the median time, the best time as a
-ratio to the best `json.loads` of the stage's own text: the graph's, and
-for ``parse_diagram`` the diagram's, and the stage's total of the
+ratio to the best `json.loads` of the stage's own text: the graph's, for
+``parse_diagram`` the diagram's and for ``parse_quiver`` the quiver's, and
+the stage's total of the
 collector's generation-2 passes over all repeats, read from
 `gc.get_stats` before the clock starts and after it stops; the collector
 is only read, never called.  A generation-2 pass walks the whole live
@@ -127,6 +131,7 @@ from ribboncalc.serialization import (  # noqa: E402
     parse_assignments,
     parse_diagram,
     parse_graph,
+    parse_quiver,
     serialize,
 )
 
@@ -139,10 +144,10 @@ QUIVER_FAMILY = "trivalent_punctured"
 QUIVER_STAGES = (
     "edges()", "subgraph", "assemble_global", "amalgamate", "IceQuiver(q)",
     "AmalgamationDiagram", "copy.copy(d)", "pickle d", "json.loads diagram", "parse_diagram",
-    "serialize(q)", "export_dot(q)",
+    "serialize(q)", "json.loads quiver", "parse_quiver", "export_dot(q)",
 )
 # the decode each stage's ratio is taken to, when it is not the graph's
-RATIO_BASE = {"parse_diagram": "json.loads diagram"}
+RATIO_BASE = {"parse_diagram": "json.loads diagram", "parse_quiver": "json.loads quiver"}
 STAR_FAMILY = "higher_genus"
 STAR_STAGES = (
     "assembly_diagram shared", "assemble_global shared",
@@ -223,7 +228,8 @@ def measure(text: str, quiver: bool, stars: bool) -> dict[str, tuple[float, int]
     also its edge sort, its restriction to `_ball`, its assembly, the
     checked rebuild of the glued quiver, its diagram built and parsed,
     each with the check, its copy and pickle round trip, the decode of
-    the diagram's text, and the quiver stages on that; with ``stars``,
+    the diagram's text, and the quiver stages on that, the glued quiver's
+    text decoded and parsed among them; with ``stars``,
     its diagram and assembly from shared and from copied star templates,
     and the build of the copies."""
     times: dict[str, tuple[float, int]] = {}
@@ -248,7 +254,9 @@ def measure(text: str, quiver: bool, stars: bool) -> dict[str, tuple[float, int]
         diagram = serialize(d)
         _timed(times, "json.loads diagram", json.loads, diagram)
         _timed(times, "parse_diagram", parse_diagram, diagram)
-        _timed(times, "serialize(q)", serialize, q)
+        quiver_text = _timed(times, "serialize(q)", serialize, q)
+        _timed(times, "json.loads quiver", json.loads, quiver_text)
+        _timed(times, "parse_quiver", parse_quiver, quiver_text)
         _timed(times, "export_dot(q)", export_dot, q)
     if stars:
         for kind in ("shared", "copies"):
@@ -281,6 +289,9 @@ def main(argv: list[str]) -> int:
             diagram = serialize(assembly_diagram(g, _assignment(g)))
             if serialize(parse_diagram(diagram)) != diagram:
                 raise SystemExit("serialize does not reproduce the parsed diagram")
+            quiver = serialize(assemble_global(g, _assignment(g)))
+            if serialize(parse_quiver(quiver)) != quiver:
+                raise SystemExit("serialize does not reproduce the parsed quiver")
     extra = {QUIVER_FAMILY: QUIVER_STAGES, STAR_FAMILY: STAR_STAGES}
     times = {
         family: {stage: [] for stage in STAGES + extra.get(family, ())} for family in texts
