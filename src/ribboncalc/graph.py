@@ -31,17 +31,17 @@ class _Record:
     ``@dataclass(frozen=True)`` makes, without importing `dataclasses`.
 
     A subclass sets ``__slots__`` to its field names, each prefixed with
-    ``_``, with defaults in ``_defaults`` and the fields its repr leaves
-    out in ``_unprinted``; a ``__post_init__`` it defines runs at the end
-    of construction.  For each class that names fields,
-    `__init_subclass__` derives ``_fields`` from its slots, makes each
-    field a read-only property over its slot, and writes ``__init__``,
-    ``==`` (within one class) and hash once, by `exec`, as `dataclasses`
-    and `namedtuple` do.  ``__init__`` stores each value in its slot, and
-    ``==`` and hash read the slots.  A field has no setter or deleter, so
-    it cannot be assigned or deleted; the package's loops read the slots,
-    which costs less than the property.  ``repr`` uses the field values;
-    a copy or a pickle stores them by `_unchecked`, not ``__post_init__``."""
+    ``_``, with defaults in ``_defaults`` and the fields its repr leaves out
+    in ``_unprinted``; a ``__post_init__`` it defines runs at the end of
+    construction.  For each class that names fields, `__init_subclass__`
+    derives ``_fields`` from its slots, makes each field a read-only
+    property over its slot, and writes ``__init__``, ``==`` (within one
+    class) and hash once, by `exec`, as `dataclasses` and `namedtuple` do.
+    ``__init__`` stores each value in its slot; ``==`` and hash read the
+    slots, so a record with a table field has no hash, as a frozen dataclass
+    with a dict field has none.  The package's loops read the slots, which
+    costs less than the property.  ``repr`` uses the field values; a copy or
+    a pickle stores them by `_unchecked`, not ``__post_init__``."""
 
     __slots__ = ()
     _defaults: dict = {}

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 import marshal
-from collections.abc import Mapping
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 
@@ -453,8 +452,6 @@ def _encode(value: Any) -> Any:
     matches a table entry only if a ``ribboncalc`` module defines it."""
     how = _how(type(value))
     if how is None:
-        if isinstance(value, Mapping):
-            return dict(value)
         raise TypeError("cannot serialize {!r}".format(type(value)))
     return how(value)
 

@@ -204,6 +204,14 @@ def _builtin_assemblies() -> tuple:
     return tuple(_draw_builtin_assemblies())
 
 
+@functools.cache
+def large_trivalent_graph() -> RibbonGraph:
+    """A seeded trivalent graph of 1000 vertices, drawn once per session:
+    ``tests/test_naturality.py`` and ``tests/test_surface.py`` assemble
+    it with the SL3 template."""
+    return trivalent_graph(random.Random(31), 1000)
+
+
 def _draw_builtin_assemblies():
     """Star templates on seeded random graphs, the trivalent built-ins on
     seeded trivalent graphs, and the punctured 2-gons, with rank 1 around
@@ -414,6 +422,44 @@ def colliding_assembly(part: str = "hub") -> tuple[RibbonGraph, dict[str, LocalT
     at ``a`` and ``c`` at ``a.b``: both qualify to ``a.b.c``."""
     g = RibbonGraph({"a": ("x", "s"), "a.b": ("y", "r")}, {"x": "y", "y": "x"})
     return g, {"a": _two_star(part, "b.c"), "a.b": _two_star(part, "c")}
+
+
+def colliding_edge_assembly(name: str = "b.c") -> tuple[RibbonGraph, dict[str, LocalTemplate]]:
+    """Vertices ``u`` and ``w`` joined by the edges ``a`` and ``a.b``, each
+    glued along a frozen pair whose one arrow both sides keep, and each
+    with a stub.  At ``u`` that arrow is named ``name`` on the slot at
+    ``a`` and ``c`` on the slot at ``a.b``, so with ``b.c`` both glued
+    edge arrows qualify to ``a.b.c``; at ``w`` it runs the other way, as
+    the reversed pairing of an interface asks."""
+    g = RibbonGraph(
+        {"u": ("a", "a.b", "su"), "w": ("sw", "x", "y")},
+        {"a": "x", "x": "a", "a.b": "y", "y": "a.b"},
+    )
+    u = _pairs_template((name, "p", "q"), ("c", "p", "q"), ("s", "p", "q"))
+    return g, {"u": u, "w": _pairs_template(*[("r", "q", "p")] * 3)}
+
+
+def _pairs_template(*arrows: tuple[str, str, str]) -> LocalTemplate:
+    """A template with one slot per ``(name, src, dst)`` of ``arrows``: the
+    frozen pair ``p``, ``q`` with one frozen arrow, ``name``, from ``src``
+    to ``dst``, onto a pair of its own."""
+    maps = [{x: x + str(k) for x in "pq"} for k in range(len(arrows))]
+    quiver = IceQuiver(
+        [QuiverVertex(y, frozen=True) for m in maps for y in m.values()],
+        [
+            QuiverArrow("x" + str(k), m[src], m[dst], frozen=True)
+            for k, (m, (_, src, dst)) in enumerate(zip(maps, arrows))
+        ],
+    )
+    pair = [QuiverVertex(x, frozen=True) for x in "pq"]
+    slots = tuple(
+        QuiverMorphism(
+            IceQuiver(pair, [QuiverArrow(name, src, dst, frozen=True)]),
+            quiver, m, {name: "x" + str(k)},
+        )
+        for k, (m, (name, src, dst)) in enumerate(zip(maps, arrows))
+    )
+    return LocalTemplate("pairs", quiver, slots)
 
 
 def _two_star(part: str, name: str) -> LocalTemplate:

@@ -20,6 +20,18 @@ def triangles(g: RibbonGraph) -> dict[str, tuple[str, str, str]]:
     return {v: tuple(map(g.edge_of, g.cyclic(v))) for v in g.vertices if g.valency(v) == 3}
 
 
+def side_points(g: RibbonGraph, h: str) -> tuple[tuple, tuple]:
+    """``p(h)`` and ``p'(h)``, the two points that Fock & Goncharov's
+    3-triangulation puts on the side dual to ``h``'s edge, ``h`` at a
+    trivalent vertex: ``p(h)`` sits next to the corner between ``h`` and
+    its counterclockwise successor, ``p'(h)`` is the other, and so
+    ``p(twin h)`` is ``p'(h)``.  Each is named as `exchange` names the
+    vertex glued there: ``p(h)`` is ``(edge, "u2")`` when ``h`` is its
+    edge's first halfedge, and ``(edge, "u1")`` otherwise."""
+    e = g.edge_of(h)
+    return ((e, "u2"), (e, "u1")) if h == e else ((e, "u1"), (e, "u2"))
+
+
 def _from(ring: tuple, h: str) -> tuple:
     k = ring.index(h)
     return ring[k:] + ring[:k]
@@ -47,12 +59,11 @@ def flip(g: RibbonGraph, e: str, wrong: bool = False) -> RibbonGraph:
 
 
 def exchange(g: RibbonGraph, assign) -> tuple[dict, set]:
-    """The signed exchange matrix of the assembly, ``{(i, j): b_ij}`` over
-    its non-zero entries that are not frozen-frozen, and the frozen names.
-    ``b_ij`` counts arrows i -> j less arrows j -> i.  A vertex glued, or
-    frozen, on the edge ``E`` from its interface vertex ``x`` is named
-    ``(E, x)``, one inside the template at ``v`` is named ``(v, local id)``:
-    a flip keeps the names of all edges and vertices."""
+    """The signed exchange matrix of the assembly, its `signed_matrix`,
+    and the frozen names.  A vertex glued, or frozen, on the edge ``E``
+    from its interface vertex ``x`` is named ``(E, x)``, one inside the
+    template at ``v`` is named ``(v, local id)``: a flip keeps the names
+    of all edges and vertices."""
     d = assembly_diagram(g, assign)
     names = {v + "." + x.id: (v, x.id) for v in g.vertices for x in d.vertex_quivers[v].vertices}
     for h in g.halfedges:
@@ -60,27 +71,37 @@ def exchange(g: RibbonGraph, assign) -> tuple[dict, set]:
             names[g.at_vertex(h) + "." + y] = (g.edge_of(h), x)
     q = assemble_global(g, assign)
     frozen = {names[v.id] for v in q.vertices if v.frozen}
+    return signed_matrix(((names[a.src], names[a.dst]) for a in q.arrows), frozen), frozen
+
+
+def signed_matrix(arrows, frozen: set) -> dict:
+    """The one rule that reads arrows, pairs ``(i, j)``, as a signed matrix,
+    for an assembly and for an oracle's blocks alike: ``b_ij`` counts the
+    arrows i -> j less the arrows j -> i, over its non-zero entries that
+    are not between two ``frozen`` vertices."""
     b = Counter()
-    for a in q.arrows:
-        i, j = names[a.src], names[a.dst]
-        if i not in frozen or j not in frozen:
-            b[i, j] += 1
-            b[j, i] -= 1
-    return {k: n for k, n in b.items() if n}, frozen
+    for i, j in arrows:
+        b[i, j] += 1
+        b[j, i] -= 1
+    return _unfrozen(b, frozen)
 
 
-def mutate(b: dict, k) -> dict:
-    """Matrix mutation at ``k`` (Fomin & Zelevinsky 2002): the entries of
-    ``k``'s row and column change sign, and every other ``b_ij`` gains
-    ``(|b_ik| b_kj + b_ik |b_kj|) / 2``, which is non-zero only when
-    ``b_ik`` and ``b_kj`` have the same sign."""
+def _unfrozen(b: dict, frozen: set) -> dict:
+    return {(i, j): n for (i, j), n in b.items() if n and (i not in frozen or j not in frozen)}
+
+
+def mutate(b: dict, k, frozen: set) -> dict:
+    """Matrix mutation at ``k`` (Fomin & Zelevinsky 2002), ``frozen``-frozen
+    entries left out: ``k``'s row and column change sign, and every other
+    ``b_ij`` gains ``(|b_ik| b_kj + b_ik |b_kj|) / 2``, which is non-zero
+    only when ``b_ik`` and ``b_kj`` have the same sign."""
     out = Counter({(i, j): -n if k in (i, j) else n for (i, j), n in b.items()})
     into = [(i, n) for (i, j), n in b.items() if j == k]
     for i, bik in into:
         for (kk, j), bkj in b.items():
             if kk == k and (bik > 0) == (bkj > 0):
                 out[i, j] += bik * abs(bkj)
-    return {key: n for key, n in out.items() if n}
+    return _unfrozen(out, frozen)
 
 
 def _arc_vertex(template, i: int) -> str:

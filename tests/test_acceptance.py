@@ -8,8 +8,6 @@ and therefore runs the same ≥1000 graphs on every machine.
 
 import random
 
-import pytest
-
 from conftest import external_edges, frozen_ids, vertex_ids
 from randgraphs import random_graph
 

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import (
     _bench_assemblies, _builtin_assignments, _punctured_path, bench_graph, colliding_assembly,
-    extra_key_tables, frozen_ids, sample_graphs, vertex_ids,
+    colliding_edge_assembly, extra_key_tables, frozen_ids, sample_graphs, vertex_ids,
 )
 from randgraphs import _attempt
 from ribboncalc import (
@@ -579,6 +579,18 @@ class TestAssemble:
             with pytest.raises(ValueError) as info:
                 glue(g, assign)
             assert str(info.value) == "duplicate arrow id 'a.b.c'"
+
+    def test_colliding_glued_edge_arrow_ids_rejected(self):
+        # the edges a and a.b keep their interface arrows b.c and c as
+        # "a.b.c" both
+        g, assign = colliding_edge_assembly()
+        for glue in (assemble_global, lambda g, a: amalgamate(assembly_diagram(g, a))):
+            with pytest.raises(ValueError) as info:
+                glue(g, assign)
+            assert str(info.value) == "duplicate arrow id 'a.b.c'"
+        # with distinct ids the same gluing keeps both edge arrows
+        g, assign = colliding_edge_assembly("d")
+        assert {"a.d", "a.b.c"} <= {a.id for a in assemble_global(g, assign).arrows}
 
     def test_an_edge_arrow_id_colliding_with_a_vertex_arrow_id_rejected(self):
         # the internal edge e keeps its interface arrows as "e.p" and so on;

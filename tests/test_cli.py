@@ -38,7 +38,8 @@ from ribboncalc.cli import main
 from ribboncalc.trajectory import curve_trajectory
 
 from conftest import (
-    colliding_assembly, extra_key_tables, fixture_path, fixture_text, run_python,
+    colliding_assembly, colliding_edge_assembly, extra_key_tables, fixture_path, fixture_text,
+    run_python,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -48,6 +49,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assemble_inline(capsys, tmp_path, case):
+    """``assemble`` on the graph of the assembly ``case``, its templates
+    given inline."""
+    g, assign = case
+    graph_file, assign_file = tmp_path / "g.json", tmp_path / "t.json"
+    graph_file.write_text(serialize(g))
+    assign_file.write_text(
+        json.dumps({"assignments": {v: to_jsonable(t) for v, t in assign.items()}})
+    )
+    return run(capsys, "assemble", "--graph", str(graph_file), "--templates", str(assign_file))
 
 
 @pytest.fixture
@@ -337,28 +350,16 @@ class TestAssemble:
         return "assemble", "--graph", str(graph_file), "--templates", str(assign_file)
 
     def test_colliding_qualified_ids_fail_with_one_line(self, capsys, tmp_path):
-        g, assign = colliding_assembly()
-        graph_file, assign_file = tmp_path / "g.json", tmp_path / "t.json"
-        graph_file.write_text(serialize(g))
-        assign_file.write_text(
-            json.dumps({"assignments": {v: to_jsonable(t) for v, t in assign.items()}})
-        )
-        code, out, err = run(
-            capsys, "assemble", "--graph", str(graph_file), "--templates", str(assign_file)
-        )
+        code, out, err = assemble_inline(capsys, tmp_path, colliding_assembly())
         assert (code, out) == (1, "")
         assert err == "error: two vertices have qualified id 'a.b.c'\n"
 
     def test_colliding_glued_arrow_ids_fail_with_one_line(self, capsys, tmp_path):
-        g, assign = colliding_assembly("s0")
-        graph_file, assign_file = tmp_path / "g.json", tmp_path / "t.json"
-        graph_file.write_text(serialize(g))
-        assign_file.write_text(
-            json.dumps({"assignments": {v: to_jsonable(t) for v, t in assign.items()}})
-        )
-        code, out, err = run(
-            capsys, "assemble", "--graph", str(graph_file), "--templates", str(assign_file)
-        )
+        code, out, err = assemble_inline(capsys, tmp_path, colliding_assembly("s0"))
+        assert (code, out, err) == (1, "", "error: duplicate arrow id 'a.b.c'\n")
+
+    def test_colliding_glued_edge_arrow_ids_fail_with_one_line(self, capsys, tmp_path):
+        code, out, err = assemble_inline(capsys, tmp_path, colliding_edge_assembly())
         assert (code, out, err) == (1, "", "error: duplicate arrow id 'a.b.c'\n")
 
     def test_a_slot_key_the_interface_lacks_fails_with_one_line(self, capsys, tmp_path):

@@ -1,8 +1,9 @@
 """Source hygiene that a linter would check: the package imports nothing
 at run time but the standard library and itself, its modules import
-`typing` for annotations only and `dataclasses` not at all, no module of it
-and no script under ``tools/`` imports a name it never uses, no private module-level function, class or
-constant is left that nothing in the package refers to, and ``__all__``
+`typing` for annotations only and `dataclasses` not at all, no module of it,
+no script under ``tools/`` and no module under ``tests/`` imports a name
+it never uses, no private module-level function, class or constant is
+left that nothing in the package refers to, and ``__all__``
 is the sorted list of the names the package's table exports, each of
 which resolves, on first use, to the object its module defines and is
 used by the package or read as code, not as a word of prose, by a bench
@@ -42,7 +43,7 @@ TOOLS = sorted((ROOT / "tools").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
-@pytest.mark.parametrize("path", SOURCES + TOOLS, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES + TOOLS + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = {}

@@ -57,6 +57,7 @@ from conftest import (
     external_edges,
     fixture_graph,
     fixture_text,
+    large_trivalent_graph,
     same_labelled_quiver,
     vertex_ids,
 )
@@ -361,7 +362,7 @@ def test_glued_labels_commute_with_renaming(case):
 
 def test_a_large_assembly_commutes_with_renaming():
     # networkx takes minutes at this size, so the library's own test decides
-    g = trivalent_graph(random.Random(31), 1000)
+    g = large_trivalent_graph()
     rng = random.Random(31)
     (hmap, _), (vmap, _) = _renamings(g.halfedges, "h", rng), _renamings(g.vertices, "v", rng)
     r = _renamed(g, hmap, vmap)

@@ -846,9 +846,13 @@ def test_encoder_edge_cases():
     assert serialize(Atom("genL", "h")) == '{"halfedge":"h","kind":"genL"}'
     m = star_template(2).slots[0]
     assert serialize(m) == '{"arrow_map":{},"vertex_map":{"u":"t0"}}'
-    # a mapping that is not a dict is written as one
+    # a morphism built from a mapping that is not a dict holds a copy of it,
+    # which is written as the dict's would be; a bare such mapping is not
+    # a domain value
     proxy = QuiverMorphism(m.source, m.target, MappingProxyType(m.vertex_map), {})
     assert serialize(proxy) == serialize(m)
+    with pytest.raises(TypeError, match="cannot serialize"):
+        serialize(MappingProxyType({"u": "t0"}))
 
     class SubRef(EdgeRef):
         pass
