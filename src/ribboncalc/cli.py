@@ -1,7 +1,11 @@
 """Command line interface.
 
-One graph (or diagram) per invocation, read from a JSON file.  Results
-go to stdout, problems to stderr.  Exit status 0 on success, 1 on any
+`main` reads each file a subcommand declares, in the order graph,
+quiver, diagram, templates, choices, and puts the parsed value in its
+option's place; the first fault found is the one reported.  The
+subcommand's handler computes a value and an exit code from them, and
+`main` writes the value to stdout, as canonical JSON or, with ``--format
+dot``, as DOT.  Problems go to stderr.  Exit status 0 on success, 1 on any
 validation or parse failure, 2 on usage errors.
 """
 
@@ -35,27 +39,13 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _load_graph(path: str) -> RibbonGraph:
-    return parse_graph(_read(path))
+def _cmd_validate(args):
+    report = validate_graph(args.graph)
+    return report, 0 if report.ok else 1
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
-    if not text.endswith("\n"):
-        sys.stdout.write("\n")
-
-
-def _cmd_validate(args) -> int:
-    g = _load_graph(args.graph)
-    report = validate_graph(g)
-    _emit(serialize(report))
-    return 0 if report.ok else 1
-
-
-def _cmd_info(args) -> int:
-    g = _load_graph(args.graph)
-    _emit(serialize(surface_invariants(g)))
-    return 0
+def _cmd_info(args):
+    return surface_invariants(args.graph), 0
 
 
 def _start_kind(g: RibbonGraph, start: str, kind: Optional[str]) -> str:
@@ -68,19 +58,16 @@ def _start_kind(g: RibbonGraph, start: str, kind: Optional[str]) -> str:
     raise ValueError("unknown start {!r}; name a vertex or halfedge".format(start))
 
 
-def _cmd_traj(args) -> int:
+def _cmd_traj(args):
     from .trajectory import curve_trajectory, itinerary, web_trajectory
 
-    g = _load_graph(args.graph)
-    kind = _start_kind(g, args.start, args.kind)
+    g, start, orient = args.graph, args.start, args.orient
+    kind = _start_kind(g, start, args.kind)
     if kind == "halfedge":
-        result = itinerary(g, args.start, args.orient)
-    elif kind == "edge":
-        result = {"curve": list(curve_trajectory(g, args.start, args.orient))}
-    else:
-        result = {"web": web_trajectory(g, args.start, args.orient)}
-    _emit(serialize(result))
-    return 0
+        return itinerary(g, start, orient), 0
+    if kind == "edge":
+        return {"curve": list(curve_trajectory(g, start, orient))}, 0
+    return {"web": web_trajectory(g, start, orient)}, 0
 
 
 def _object_ref(kind: str, name: str):
@@ -89,54 +76,37 @@ def _object_ref(kind: str, name: str):
     return EdgeRef(name) if kind == "edge" else VertexRef(name)
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args):
     from .words import decompose
 
-    g = _load_graph(args.graph)
     source = _object_ref(args.source_kind, args.source)
     target = _object_ref(args.target_kind, args.target)
-    _emit(serialize(decompose(g, target, source, args.side)))
-    return 0
+    return decompose(args.graph, target, source, args.side), 0
 
 
-def _cmd_amalgamate(args) -> int:
+def _cmd_amalgamate(args):
     from .quiver import amalgamate
 
-    diagram = parse_diagram(_read(args.diagram))
-    q = amalgamate(diagram)
-    _emit(export_dot(q) if args.format == "dot" else serialize(q))
-    return 0
+    return amalgamate(args.diagram), 0
 
 
-def _cmd_assemble(args) -> int:
+def _cmd_assemble(args):
     from .assembly import assemble_global, basicness_check
 
-    g = _load_graph(args.graph)
-    assign = parse_assignments(_read(args.templates))
-    q = assemble_global(g, assign)
-    for warning in basicness_check(g):
+    q = assemble_global(args.graph, args.templates)
+    for warning in basicness_check(args.graph):
         print("warning: {}".format(warning), file=sys.stderr)
-    _emit(export_dot(q) if args.format == "dot" else serialize(q))
-    return 0
+    return q, 0
 
 
-def _cmd_tagged(args) -> int:
+def _cmd_tagged(args):
     from .assembly import tagged_triangulation
 
-    g = _load_graph(args.graph)
-    choices = parse_choices(_read(args.choices))
-    arcs = tagged_triangulation(g, choices)
-    _emit(serialize({"arcs": arcs}))
-    return 0
+    return {"arcs": tagged_triangulation(args.graph, args.choices)}, 0
 
 
-def _cmd_export(args) -> int:
-    if args.graph is not None:
-        value, dot = _load_graph(args.graph), graph_dot
-    else:
-        value, dot = parse_quiver(_read(args.quiver)), export_dot
-    _emit(dot(value) if args.format == "dot" else serialize(value))
-    return 0
+def _cmd_export(args):
+    return (args.quiver if args.graph is None else args.graph), 0
 
 
 # built once per process: parsing keeps no state in the parser, and
@@ -206,8 +176,20 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # each parser is looked up per call, so a rebinding of this module's names is seen
+    parsers = (parse_graph, parse_quiver, parse_diagram, parse_assignments, parse_choices)
     try:
-        return args.fn(args)
+        for option, parse in zip(("graph", "quiver", "diagram", "templates", "choices"), parsers):
+            path = getattr(args, option, None)
+            if path is not None:
+                setattr(args, option, parse(_read(path)))
+        value, code = args.fn(args)
+        if getattr(args, "format", "json") == "dot":
+            text = (graph_dot if isinstance(value, RibbonGraph) else export_dot)(value)
+        else:
+            text = serialize(value)
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        return code
     except (ValueError, OSError) as exc:
         print("error: {}".format(exc), file=sys.stderr)
         return 1

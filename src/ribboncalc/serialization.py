@@ -419,41 +419,34 @@ _LAYOUTS: dict[str, Any] = {
     "HalfedgeRef": lambda r: {"kind": "halfedge", "id": r.id},
 }
 
-# Each domain class `_encode` has met, to the function that writes it: a
-# class is matched by name once, then found by one lookup.
-_BY_CLASS: dict[type, Any] = {}
 
+class _Writers(dict):
+    """Each domain class `_encode` has met, to the function that writes it,
+    matched by name on first use and then found by one lookup.  Only a class
+    a ``ribboncalc`` module defines matches; one that matches no entry
+    raises and is not kept.  A tuple entry becomes one attribute getter,
+    reading each field from its slot and each other property by name."""
 
-def _how(cls: type) -> Any:
-    """The function that writes an instance of ``cls`` as a plain object,
-    made from its entry in `_LAYOUTS`, or None; a class matches an entry
-    only if a ``ribboncalc`` module defines it."""
-    how = _BY_CLASS.get(cls)
-    if how is None and cls.__module__.startswith("ribboncalc."):
-        how = _LAYOUTS.get(cls.__name__)
+    def __missing__(self, cls: type) -> Any:
+        how = _LAYOUTS.get(cls.__name__) if cls.__module__.startswith("ribboncalc.") else None
+        if how is None:
+            raise TypeError("cannot serialize {!r}".format(cls))
         if type(how) is tuple:
-            how = _attribute_writer(cls, how)
-        _BY_CLASS[cls] = how
-    return how
+            names = how
+            get = attrgetter(*("_" + n if n in cls._fields else n for n in names))
+            how = lambda value: dict(zip(names, get(value)))
+        self[cls] = how
+        return how
 
 
-def _attribute_writer(cls: type, names: tuple[str, ...]) -> Any:
-    """Writes an instance of ``cls`` as the object of its attributes
-    ``names``, read by one getter: each field from its slot, each other
-    property by name."""
-    get = attrgetter(*("_" + n if n in cls._fields else n for n in names))
-    return lambda value: dict(zip(names, get(value)))
+_WRITERS = _Writers()
 
 
 def _encode(value: Any) -> Any:
     """The encoder's hook for a value it cannot write itself: a JSON
     object whose members the encoder then writes, calling back here for
-    each domain value among them.  Dispatch is on the exact class, which
-    matches a table entry only if a ``ribboncalc`` module defines it."""
-    how = _how(type(value))
-    if how is None:
-        raise TypeError("cannot serialize {!r}".format(type(value)))
-    return how(value)
+    each domain value among them.  Dispatch is on the exact class."""
+    return _WRITERS[type(value)](value)
 
 
 def serialize(value: Any) -> str:
@@ -461,7 +454,7 @@ def serialize(value: Any) -> str:
     cls = type(value)
     if cls is RibbonGraph:
         return _graph_text(value)
-    if _how(cls) is _LAYOUTS["IceQuiver"]:
+    if cls.__name__ == "IceQuiver" and cls.__module__ == "ribboncalc.quiver":
         return _quiver_text(value)
     # domain values hold no cycles and each object `_encode` returns is
     # fresh, so there is no cycle to find

@@ -13,7 +13,9 @@ exported function is passed by some call there.  Every
 fixture file the package ships is one of the input kinds it reads, and
 the built-in templates are exactly its template files.  No test module
 imports another, and the test-side surface model reads only public
-names."""
+names.  No command line handler reads a file or writes to stdout, itself
+or through a helper of `cli`: `cli.main` reads every input and writes
+every result."""
 
 import ast
 import fnmatch
@@ -148,6 +150,39 @@ def test_the_surface_model_reads_only_public_names():
             continue
         private += ["{} (line {})".format(n, node.lineno) for n in names if n.startswith("_")]
     assert private == [], "tests/surface.py reads private names: " + ", ".join(private)
+
+
+# what only `cli.main` may use: it reads every input and writes every result
+_PIPELINE_NAMES = {"_read", "open", "serialize", "export_dot", "graph_dot"}
+
+
+def _reads_or_writes(name, functions, seen=()):
+    """The names of `_PIPELINE_NAMES` that the `cli` function ``name`` uses,
+    and how it writes to stdout, itself or through the module's functions
+    it names: a ``sys.stdout`` read, or a ``print`` that names no ``file``."""
+    found = set()
+    for node in ast.walk(functions[name]):
+        if isinstance(node, ast.Attribute) and ast.unparse(node) == "sys.stdout":
+            found.add("sys.stdout")
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) == "print":
+            if not any(k.arg == "file" for k in node.keywords):
+                found.add("print")
+        elif isinstance(node, ast.Name) and node.id in _PIPELINE_NAMES:
+            found.add(node.id)
+        elif isinstance(node, ast.Name) and node.id in functions and node.id not in seen:
+            found |= _reads_or_writes(node.id, functions, seen + (name,))
+    return found
+
+
+def test_no_cli_handler_reads_a_file_or_writes_stdout():
+    tree = ast.parse((Path(ribboncalc.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    found = [
+        "{} ({})".format(name, ", ".join(sorted(_reads_or_writes(name, functions))))
+        for name in functions
+        if name.startswith("_cmd_") and _reads_or_writes(name, functions)
+    ]
+    assert found == [], "cli handlers that read or write: " + "; ".join(found)
 
 
 def _private_definitions(tree):

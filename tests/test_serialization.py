@@ -865,5 +865,6 @@ def test_encoder_edge_cases():
     for value in (SubRef("e"), SubMarker("ev", "e"), foreign_atom):
         with pytest.raises(TypeError, match="cannot serialize"):
             serialize(value)
+        assert type(value) not in serialization._WRITERS  # refused, and not kept
     # as JSON does, dict keys come back as strings
     assert to_jsonable({1: [EdgeRef("e")]}) == {"1": [{"kind": "edge", "id": "e"}]}
